@@ -1,8 +1,8 @@
 """Determinism lint: AST-based reproducibility analysis for this repository.
 
 Every comparison the benchmark/drift-gate edifice makes — serial vs
-``--jobs N`` campaign rows, partitioned vs shared-kernel federation
-reports, pinned scenario outputs — is **byte-exact**.  One stray
+``--jobs N`` campaign rows, federation reports across partition
+counts, pinned scenario outputs — is **byte-exact**.  One stray
 ``np.random.default_rng()`` fallback, ``time.time()`` call or unordered
 ``set`` iteration in a kernel path silently breaks that property, and it
 surfaces later as a mysterious drift-gate failure instead of a review

@@ -239,14 +239,9 @@ def cmd_federation(args: argparse.Namespace) -> int:
     queries = workload.generate(3600.0, trace_config.duration_s)
     report = system.run(queries=queries)
     print(f"shards ({federation.shard_policy}):")
-    if system.uses_partitions:
-        print(f"partitioned kernel: {system.n_partitions} partitions")
-        for name, shard in zip(system.proxy_names, system.shards):
-            print(f"  {name:8s} sensors {list(shard)}")
-    else:
-        for fc in system.cells:
-            tier = "wired" if fc.wired else "wireless"
-            print(f"  {fc.name:8s} [{tier:8s}] sensors {fc.sensor_ids}")
+    for fc in system.cells:
+        tier = "wired" if fc.wired else "wireless"
+        print(f"  {fc.name:8s} [{tier:8s}] sensors {fc.sensor_ids}")
     print(f"replication plan: {system.replication_plan}")
     for key, value in report.summary().items():
         print(f"{key:26s} {value:.4f}")
@@ -610,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--partitions",
                 type=int,
-                default=None,
+                default=1,
                 metavar="K",
-                help="partitioned kernel: K per-cell partitions "
-                "(0 = one per CPU core; default: shared kernel)",
+                help="simulation partitions the cells execute on "
+                "(0 = one per CPU core; default: 1)",
             )
             sub.add_argument(
                 "--partition-backend",

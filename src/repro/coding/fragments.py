@@ -133,8 +133,7 @@ class FragmentStore:
     *assignment* maps each owner to its n fragment host slots (entry i
     hosts fragment i; hosts repeat only when the wired pool is smaller
     than n).  The store is deliberately directory-agnostic: callers pass
-    a liveness predicate so the same store serves the shared kernel and
-    a partition's local directory copy.
+    a liveness predicate (a partition answers from its directory copy).
     """
 
     k: int
@@ -246,9 +245,3 @@ class FragmentStore:
         self._decoded[(owner, generation)] = decoded
         self.decodes += 1
         return decoded
-
-    def absorb(self, other: FragmentStore) -> None:
-        """Merge a partition's (owner-disjoint) fragment state into this view."""
-        self._generation.update(other._generation)
-        self._lengths.update(other._lengths)
-        self._held.update(other._held)

@@ -151,15 +151,15 @@ class FederationConfig:
     coding_k: int = 4
     coding_n: int = 6
 
-    # Partitioned execution: ``None`` keeps every cell on one shared kernel
-    # (the original harness); ``k >= 1`` splits the cells across ``k``
-    # independent simulation partitions that exchange cross-cell state only
-    # at barrier instants; ``0`` means one partition per CPU core (capped at
-    # ``n_proxies``).  ``partition_backend`` picks how partitions execute:
-    # ``inline`` (in-process, lockstep windows), ``process``
-    # (``ProcessPoolExecutor``, one whole-horizon task per partition), or
-    # ``auto`` (process when more than one partition resolves, else inline).
-    partitions: int | None = None
+    # Partitioned execution: the cells are split across ``partitions``
+    # independent simulation partitions, each running its block of cells
+    # for the whole horizon on a private kernel; ``0`` means one partition
+    # per CPU core (capped at ``n_proxies``).  Reports are identical at
+    # every count.  ``partition_backend`` picks how partitions execute:
+    # ``inline`` (in-process, one after another), ``process``
+    # (``ProcessPoolExecutor``, one task per partition), or ``auto``
+    # (process when more than one partition resolves, else inline).
+    partitions: int = 1
     partition_backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -194,9 +194,9 @@ class FederationConfig:
             )
         if self.coding_n > 255:
             raise ValueError("coding_n exceeds the GF(256) codec's capacity")
-        if self.partitions is not None and self.partitions < 0:
+        if self.partitions is None or self.partitions < 0:
             raise ValueError(
-                f"partitions must be None, 0 (per-core) or >= 1, got {self.partitions}"
+                f"partitions must be 0 (per-core) or >= 1, got {self.partitions}"
             )
         if self.partition_backend not in PARTITION_BACKENDS:
             raise ValueError(
@@ -209,14 +209,12 @@ class FederationConfig:
         """How many proxies get wired backhaul (always at least one)."""
         return max(1, int(round(self.wired_fraction * self.n_proxies)))
 
-    def resolve_partitions(self) -> int | None:
-        """Concrete partition count: ``None`` (legacy shared kernel) or >= 1.
+    def resolve_partitions(self) -> int:
+        """Concrete partition count (>= 1).
 
-        ``partitions=0`` resolves to one partition per CPU core, capped at
-        ``n_proxies`` so no partition is ever empty.
+        ``partitions=0`` resolves to one partition per CPU core; either way
+        the count is capped at ``n_proxies`` so no partition is ever empty.
         """
-        if self.partitions is None:
-            return None
         if self.partitions == 0:
             import os
 

@@ -9,13 +9,13 @@ as one harness:
 
 * :func:`partition_sensors` shards a deployment trace across N proxies
   (contiguous/spatial blocks, round-robin, or variance-balanced);
-* every cell is stamped out by :class:`~repro.core.system.CellBuilder` and
-  runs either on **one shared simulator** (``FederationConfig.partitions is
-  None``, the original harness) or split across **independent simulation
-  partitions** (``partitions >= 1``, or ``0`` for one per core) that
-  exchange cross-cell state — replica snapshots, directory liveness,
-  routed queries — only at barrier instants, in-process (lockstep windows)
-  or across a ``ProcessPoolExecutor``;
+* every cell is stamped out by :class:`~repro.core.system.CellBuilder`
+  inside one of ``FederationConfig.partitions`` **independent simulation
+  partitions** (``1`` by default, ``0`` for one per core): each partition
+  runs its block of cells on a private kernel for the whole horizon —
+  queries pre-routed to it, the fault timeline replayed on its own
+  directory copy — one after another in-process or across a
+  ``ProcessPoolExecutor``, and the coordinator merges their results;
 * query routing resolves the owning proxy through a skip graph over
   contiguous ownership runs (O(log P) hops, counted and charged as routing
   latency) and consults the :class:`~repro.index.directory.CacheDirectory`
@@ -31,7 +31,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,7 @@ import numpy as np
 from repro.coding import CodingCounters, CodingReport, FragmentStore, serialize_payload
 from repro.core.cache import CacheSnapshot
 from repro.core.config import FederationConfig, PrestoConfig
+from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
 from repro.core.push import ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.system import CellBuilder, PrestoCell, SystemReport, ground_truth
@@ -47,7 +50,7 @@ from repro.index.skipgraph import SkipGraph
 from repro.radio.link import LinkConfig
 from repro.serving.config import ServingConfig, ServingReport
 from repro.serving.frontend import BackendSegments, ServingFrontend
-from repro.simulation.kernel import LockstepGroup, Simulator, barrier_schedule
+from repro.simulation.kernel import Simulator
 from repro.simulation.process import PeriodicTask
 from repro.simulation.randomness import RandomStreams
 from repro.sync.clock import ClockModel
@@ -116,8 +119,8 @@ def partition_cells(n_cells: int, k: int) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class _CellMeta:
-    """Static identity of one cell — everything routing needs besides state.
+class FederatedCell:
+    """One proxy cell's place in the federation — identity, not state.
 
     Shipped to every partition so each holds the *full* membership map
     (directory registrations, skip-graph keys) while building only its own
@@ -125,25 +128,10 @@ class _CellMeta:
     """
 
     cell_id: int
-    name: str
-    wired: bool
-    response_latency_s: float
-
-
-@dataclass
-class FederatedCell:
-    """One proxy cell plus its place in the federation."""
-
-    cell_id: int
-    cell: PrestoCell
+    name: str                      # the proxy name (directory / routing key)
     sensor_ids: list[int]          # sorted global ids; local i <-> sensor_ids[i]
     wired: bool
     response_latency_s: float
-
-    @property
-    def name(self) -> str:
-        """The cell's proxy name (the directory / routing key)."""
-        return self.cell.proxy.name
 
     def to_local(self, global_sensor: int) -> int:
         """Translate a global sensor id into this cell's local numbering."""
@@ -271,18 +259,77 @@ class FederatedReport(SystemReport):
 
 
 class _RoutingCore:
-    """Directory-routed query answering shared by the coordinator and partitions.
+    """Directory-routed query answering over the federation's membership.
 
-    Both :class:`FederatedSystem` (legacy shared-kernel mode) and
-    :class:`_CellPartition` (one partition of a partitioned run) expose the
-    same member names — ``federation``, ``config``, ``trace``, ``sim``,
-    ``directory``, ``_owners``, ``_by_name``, ``_replicas``,
-    ``replication_plan``, the routing counters and ``_query_log`` — so one
-    implementation of routing, failover answering and replica syncing
-    serves both.  In a partition, ``_by_name`` holds only the locally-built
-    cells and every query is pre-routed to its owner's partition, so the
-    owner (or its replicas' metadata) is always resolvable locally.
+    The constructor builds everything routing resolves against — directory
+    registrations, the replication (or fragment) plan, skip-graph ownership,
+    the routing counters — from the same inputs wherever it runs, so the
+    coordinator (:class:`FederatedSystem`, which executes no cells) and
+    every :class:`_CellPartition` hold identical copies.  Built cells and
+    replica state start empty; a partition fills them for the cells it
+    executes, and every query is pre-routed to its owner's partition, so
+    the owner and its replicas are always resolvable there.
     """
+
+    def __init__(
+        self,
+        trace: TraceSet,
+        config: PrestoConfig,
+        federation: FederationConfig,
+        seed: int,
+        cells: list[FederatedCell],
+    ) -> None:
+        self.trace = trace
+        self.config = config
+        self.federation = federation
+        self.seed = int(seed)
+        self.cells = cells
+        self._by_name = {fc.name: fc for fc in cells}
+        # This core's kernel and the cells built on it.  Both stay idle on
+        # the coordinator: cells only ever advance inside partitions.
+        self.sim = Simulator()
+        self._built: dict[str, PrestoCell] = {}
+
+        # Cluster-wide cache placement and replication planning.
+        self.directory = CacheDirectory(
+            replication_factor=federation.replication_factor
+        )
+        for fc in cells:
+            self.directory.register_proxy(
+                fc.name, wired=fc.wired, response_latency_s=fc.response_latency_s
+            )
+            self.directory.publish_cache(fc.name, set(fc.sensor_ids))
+        if federation.replica_coding == "rs":
+            self.replication_plan = self.directory.plan_fragment_placement(
+                federation.coding_k, federation.coding_n
+            )
+        else:
+            self.replication_plan = self.directory.plan_replication()
+        self._replicas: dict[tuple[str, str], ProxyReplica] = {}
+        self._fragments: FragmentStore | None = None
+        self._coding = CodingCounters()
+
+        # Ownership lookup: one skip-graph node per contiguous run of sensors
+        # owned by the same proxy, so "who owns sensor s" is a floor search —
+        # O(log P) for contiguous shards, never a dict scan.  The flat map is
+        # kept for hop-free pre-routing of queries to partitions.
+        self._owner_map = {
+            sensor: fc.name for fc in cells for sensor in fc.sensor_ids
+        }
+        self._owners = SkipGraph(
+            rng=RandomStreams(seed=seed).get("federation.skipgraph")
+        )
+        for sensor in range(trace.n_sensors):
+            if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
+                self._owners.insert(float(sensor), self._owner_map[sensor])
+
+        self.cross_proxy_hops = 0
+        self.replica_hits = 0
+        self.failovers = 0
+        self.unroutable = 0
+        self.replica_syncs = 0
+        self._query_log: list[tuple[Query, QueryAnswer]] = []
+        self._failover_positions: list[int] = []
 
     # -- replication ----------------------------------------------------------------
 
@@ -300,10 +347,10 @@ class _RoutingCore:
     def _snapshot_owner(self, owner: str, now: float) -> dict[int, SensorReplica]:
         """One owner's hot state at sync time (shared by both coding modes)."""
         hot = self.federation.hot_entries_per_sensor
-        fc = self._by_name[owner]
+        proxy = self._built[owner].proxy
         snapshot: dict[int, SensorReplica] = {}
-        for local, global_id in enumerate(fc.sensor_ids):
-            tail, tracker = fc.cell.proxy.export_replica_state(local, hot)
+        for local, global_id in enumerate(self._by_name[owner].sensor_ids):
+            tail, tracker = proxy.export_replica_state(local, hot)
             if not tail and tracker is None:
                 continue
             snapshot[global_id] = SensorReplica(
@@ -419,8 +466,9 @@ class _RoutingCore:
         if owner.alive:
             if hops > 0:
                 routing_latency += owner.response_latency_s
-            fc = self._by_name[owner_name]
-            local = fc.cell.run_query(self._rewrite(query, fc))
+            local = self._built[owner_name].run_query(
+                self._rewrite(query, self._by_name[owner_name])
+            )
             answer = QueryAnswer(
                 query=query,
                 value=local.value,
@@ -562,138 +610,61 @@ class FederatedSystem(_RoutingCore):
         clock_model: ClockModel | None = None,
         serving: ServingConfig | None = None,
     ) -> None:
-        self.trace = trace
-        self.federation = federation or FederationConfig()
-        fed = self.federation
+        fed = federation or FederationConfig()
         self.shards = partition_sensors(trace, fed.n_proxies, fed.shard_policy)
-        self.seed = int(seed)
+        super().__init__(
+            trace,
+            CellBuilder(config=config).resolve_config(trace),
+            fed,
+            seed,
+            [
+                FederatedCell(
+                    cell_id=cell_id,
+                    name=f"proxy{cell_id}",
+                    sensor_ids=list(ids),
+                    wired=cell_id < fed.n_wired,
+                    response_latency_s=(
+                        fed.wired_latency_s
+                        if cell_id < fed.n_wired
+                        else fed.wireless_latency_s
+                    ),
+                )
+                for cell_id, ids in enumerate(self.shards)
+            ],
+        )
         self.model_clocks = model_clocks
         self.clock_model = clock_model
         self.serving = serving
-        self._partitions = fed.resolve_partitions()
-        self.sim = Simulator()
-        self.streams = RandomStreams(seed=seed)
-        builder = CellBuilder(
-            config=config, model_clocks=model_clocks, clock_model=clock_model
-        )
-        self.config = builder.resolve_config(trace)
-        builder.config = self.config
-        self._cell_meta = [
-            _CellMeta(
-                cell_id=cell_id,
-                name=f"proxy{cell_id}",
-                wired=cell_id < fed.n_wired,
-                response_latency_s=(
-                    fed.wired_latency_s
-                    if cell_id < fed.n_wired
-                    else fed.wireless_latency_s
-                ),
-            )
-            for cell_id in range(fed.n_proxies)
-        ]
-        self.cells: list[FederatedCell] = []
-        if self._partitions is None:
-            # Legacy shared-kernel mode: every cell lives on self.sim.  In
-            # partitioned mode cells are built inside their partitions at
-            # run() time instead (same builder inputs, so identical cells).
-            for cell_id, ids in enumerate(self.shards):
-                cell = builder.build(
-                    trace.subset(ids),
-                    self.sim,
-                    RandomStreams(seed=seed + cell_id),
-                    proxy_name=f"proxy{cell_id}",
-                )
-                meta = self._cell_meta[cell_id]
-                self.cells.append(
-                    FederatedCell(
-                        cell_id=cell_id,
-                        cell=cell,
-                        sensor_ids=list(ids),
-                        wired=meta.wired,
-                        response_latency_s=meta.response_latency_s,
-                    )
-                )
-        self._by_name = {fc.name: fc for fc in self.cells}
-
-        # Cluster-wide cache placement and replication planning.
-        self.directory = CacheDirectory(replication_factor=fed.replication_factor)
-        for meta in self._cell_meta:
-            self.directory.register_proxy(
-                meta.name, wired=meta.wired, response_latency_s=meta.response_latency_s
-            )
-            self.directory.publish_cache(meta.name, set(self.shards[meta.cell_id]))
-        self._coding = CodingCounters()
-        if fed.replica_coding == "rs":
-            self.replication_plan = self.directory.plan_fragment_placement(
-                fed.coding_k, fed.coding_n
-            )
-            self._replicas: dict[tuple[str, str], ProxyReplica] = {}
-            # The coordinator's store covers the whole plan in legacy mode;
-            # in partitioned mode it starts empty and the inline backend
-            # absorbs the partitions' owner-local fragments at barriers.
-            self._fragments: FragmentStore | None = FragmentStore(
-                fed.coding_k, fed.coding_n, self.replication_plan
-            )
-        else:
-            self.replication_plan = self.directory.plan_replication()
-            self._fragments = None
-            self._replicas = (
-                {
-                    (host, owner): ProxyReplica(owner=owner, host=host)
-                    for owner, hosts in self.replication_plan.items()
-                    for host in hosts
-                }
-                if self._partitions is None
-                else {}
-            )
-
-        # Ownership lookup: one skip-graph node per contiguous run of sensors
-        # owned by the same proxy, so "who owns sensor s" is a floor search —
-        # O(log P) for contiguous shards, never a dict scan.  The flat map is
-        # kept for hop-free pre-routing of queries to partitions.
-        self._owner_map = {
-            sensor: self._cell_meta[cell_id].name
-            for cell_id, ids in enumerate(self.shards)
-            for sensor in ids
+        #: resolved count of simulation partitions :meth:`run` executes on
+        self.n_partitions = fed.resolve_partitions()
+        self._assign = partition_cells(fed.n_proxies, self.n_partitions)
+        self._part_of_cell = {
+            cell_id: p for p, ids in enumerate(self._assign) for cell_id in ids
         }
-        self._owners = SkipGraph(rng=self.streams.get("federation.skipgraph"))
-        for sensor in range(trace.n_sensors):
-            if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
-                self._owners.insert(float(sensor), self._owner_map[sensor])
-
-        self.cross_proxy_hops = 0
-        self.replica_hits = 0
-        self.failovers = 0
-        self.unroutable = 0
-        self.replica_syncs = 0
-        self.failover_events: list[FailoverEvent] = []
-        self._query_log: list[tuple[Query, QueryAnswer]] = []
-        self._failover_positions: list[int] = []
+        #: Standing queries by *global* sensor id.  Each partition arms its
+        #: own cells' share at setup; after :meth:`run`, ``notifications``
+        #: holds every cell's firings (global ids, cell order).
+        self.continuous = ContinuousQueryEngine()
+        self._prerun_deaths: list[FailoverEvent] = []
+        self._run_deaths: list[FailoverEvent] = []
         self._failures: list[tuple[float, str]] = []
         self._recoveries: list[tuple[float, str]] = []
         self._link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]] = []
-        self._initial_down: tuple[str, ...] = ()
 
     # -- membership & failure injection -------------------------------------------
 
     @property
     def proxy_names(self) -> list[str]:
         """All proxy names, cell order (wired first)."""
-        return [meta.name for meta in self._cell_meta]
+        return [fc.name for fc in self.cells]
 
     @property
-    def uses_partitions(self) -> bool:
-        """True when this run executes on independent simulation partitions."""
-        return self._partitions is not None
-
-    @property
-    def n_partitions(self) -> int:
-        """Resolved partition count (1 in legacy shared-kernel mode)."""
-        return self._partitions if self._partitions is not None else 1
+    def failover_events(self) -> list[FailoverEvent]:
+        """Every proxy death: those staged before the run, then the run's own."""
+        return self._prerun_deaths + self._run_deaths
 
     def cell_for(self, proxy_name: str) -> FederatedCell:
-        """Lookup a federated cell by proxy name (legacy mode only —
-        partitioned runs build their cells inside the partitions)."""
+        """Lookup a federated cell's descriptor by proxy name."""
         return self._by_name[proxy_name]
 
     def owner_of(self, sensor: int) -> str:
@@ -702,36 +673,21 @@ class FederatedSystem(_RoutingCore):
         return name
 
     def fail_proxy(self, proxy_name: str) -> None:
-        """Take a proxy offline right now (queries start failing over).
+        """Take a proxy offline before the run (its queries fail over from t=0).
 
-        Records a :class:`FailoverEvent` with the replica staleness at the
-        instant of death — how far back the newest replicated entry sits,
-        the extrapolation horizon cascading-failure scenarios chart
-        against the sync interval (see :class:`FailoverEvent` for what the
-        age does and does not include).
+        Records a :class:`FailoverEvent` like a scheduled death does; with
+        nothing replicated yet its staleness is ``inf``.  Use
+        :meth:`schedule_failure` for a death *during* the run.
         """
         self._validate_proxy(proxy_name)
-        self.failover_events.append(
+        self._prerun_deaths.append(
             FailoverEvent(
                 proxy=proxy_name,
                 at_s=self.sim.now,
-                replica_staleness_s=self.replica_staleness_s(proxy_name),
+                replica_staleness_s=self._replica_staleness(proxy_name),
             )
         )
         self.directory.mark_down(proxy_name)
-
-    def replica_staleness_s(self, proxy_name: str) -> float:
-        """Age of the newest entry live hosts hold for *proxy_name* now.
-
-        ``inf`` when no live host holds any replicated entry for the proxy
-        — replication was unplanned, never synced, or every host is dead.
-        The age is bounded by ``replica_sync_interval_s`` (plus the cache
-        tail's own lag) while syncs keep completing, which is what the
-        ``staleness_vs_sync`` scenario sweep charts against replication
-        cost.
-        """
-        self._validate_proxy(proxy_name)
-        return self._replica_staleness(proxy_name)
 
     def recover_proxy(self, proxy_name: str) -> None:
         """Bring a proxy back online."""
@@ -739,7 +695,7 @@ class FederatedSystem(_RoutingCore):
         self.directory.mark_up(proxy_name)
 
     def _validate_proxy(self, proxy_name: str) -> None:
-        if not any(meta.name == proxy_name for meta in self._cell_meta):
+        if proxy_name not in self._by_name:
             raise ValueError(
                 f"unknown proxy {proxy_name!r}; have {self.proxy_names}"
             )
@@ -762,47 +718,46 @@ class FederatedSystem(_RoutingCore):
     ) -> None:
         """Swap the radio link config of the targeted cells at *at_s*.
 
-        The partition-safe way to stage loss bursts: in legacy mode this
-        schedules directly on the shared kernel; in partitioned mode the
-        change is recorded and each partition replays it on its own kernel
-        (before any cell task is armed, so equal-time ordering matches a
-        pre-run schedule on the shared kernel).  ``cell_indices=None``
-        targets every cell.
+        The way to stage loss bursts: the change is recorded and each
+        partition replays it on its own kernel, before any cell task is
+        armed, so a change and a cell event at the same instant fire in
+        that order.  ``cell_indices=None`` targets every cell.
         """
         cells = tuple(int(c) for c in cell_indices) if cell_indices is not None else None
         if cells is not None:
             for cell_id in cells:
                 if not 0 <= cell_id < self.federation.n_proxies:
                     raise ValueError(f"cell index {cell_id} out of range")
-        if self._partitions is None:
-            targets = [
-                fc.cell.network
-                for fc in self.cells
-                if cells is None or fc.cell_id in cells
-            ]
-            self.sim.schedule(
-                float(at_s),
-                lambda nets=targets, cfg=link_config: [
-                    net.set_link_config_all(cfg) for net in nets
-                ],
-            )
-        else:
-            self._link_events.append((float(at_s), link_config, cells))
-
-    # -- replication ----------------------------------------------------------------
-
-    def replica_for(self, host: str, owner: str) -> ProxyReplica:
-        """The replica of *owner* held at *host* (KeyError if not planned).
-
-        In partitioned mode replicas are owner-local to their partitions;
-        the inline backend absorbs them into this coordinator view at every
-        barrier, while the process backend does not ship them back at all
-        (answer content is unaffected — failovers are served inside the
-        owner's partition).
-        """
-        return self._replicas[(host, owner)]
+        self._link_events.append((float(at_s), link_config, cells))
 
     # -- main entry ---------------------------------------------------------------------
+
+    def _context(self, horizon: float) -> _PartitionContext:
+        """Everything recorded so far, frozen for the partitions of one run."""
+        n = self.trace.n_sensors
+        standing = tuple(self.continuous.active)
+        for query in standing:
+            if not 0 <= query.sensor < n:
+                raise ValueError(
+                    f"standing query on sensor {query.sensor}; have 0..{n - 1}"
+                )
+        return _PartitionContext(
+            trace=self.trace,
+            config=self.config,
+            federation=self.federation,
+            seed=self.seed,
+            model_clocks=self.model_clocks,
+            clock_model=self.clock_model,
+            cells=self.cells,
+            horizon=horizon,
+            failures=[(at, name) for at, name in self._failures if at < horizon],
+            recoveries=[(at, name) for at, name in self._recoveries if at < horizon],
+            initial_down=tuple(
+                fc.name for fc in self.cells if not self._proxy_alive(fc.name)
+            ),
+            link_events=list(self._link_events),
+            standing=standing,
+        )
 
     def run(
         self,
@@ -811,56 +766,40 @@ class FederatedSystem(_RoutingCore):
     ) -> FederatedReport:
         """Replay the trace across all cells, routing *queries* globally.
 
-        With ``FederationConfig.partitions`` set, cells execute on
-        independent per-partition kernels (queries pre-routed to their
-        owner's partition, faults replayed on every partition's directory
-        copy, replica syncs owner-local) and the per-partition logs are
-        merged back into the exact report a shared-kernel run produces.
+        Cells execute on ``n_partitions`` independent kernels.  Every query
+        is pre-routed (hop-free flat map) to the partition that owns its
+        sensor; the partition re-resolves ownership on its own skip-graph
+        copy — built from the same seeded stream, so hop counts agree
+        everywhere.  Faults are replayed on every partition's directory
+        copy at identical virtual times, keeping liveness in lockstep
+        without mid-run communication.  The merged log is ordered by each
+        query's global firing rank, so the report depends neither on the
+        partition count nor on the backend.  Every call starts from fresh
+        cells and replaces the previous call's results.
         """
-        queries = queries or []
-        horizon = (
+        horizon = float(
             duration_s if duration_s is not None else self.trace.config.duration_s
         )
-        self._initial_down = tuple(
-            meta.name
-            for meta in self._cell_meta
-            if not self.directory.proxy(meta.name).alive
+        k = self.n_partitions
+        due = sorted(
+            (query for query in queries or [] if query.arrival_time < horizon),
+            key=lambda query: query.arrival_time,
         )
-        if self._partitions is not None:
-            report = self._run_partitioned(queries, float(horizon))
-            return self._attach_serving(report, float(horizon))
-        for fc in self.cells:
-            fc.cell.start_tasks()
-        sync_task = None
-        if self._syncs_state:
-            sync_task = PeriodicTask(
-                self.sim,
-                self.federation.replica_sync_interval_s,
-                self._sync_replicas,
-                start_offset=self.federation.replica_sync_interval_s,
-            )
-            sync_task.start()
-        for at_s, name in self._failures:
-            if at_s < horizon:
-                self.sim.schedule(at_s, lambda n=name: self.fail_proxy(n))
-        for at_s, name in self._recoveries:
-            if at_s < horizon:
-                self.sim.schedule(at_s, lambda n=name: self.recover_proxy(n))
-        for query in queries:
-            if query.arrival_time < horizon:
-                self.sim.schedule(
-                    query.arrival_time, lambda q=query: self.route_query(q)
-                )
-        self.sim.run_until(horizon)
-        for fc in self.cells:
-            fc.cell.stop_tasks()
-        if sync_task is not None:
-            sync_task.stop()
-        for fc in self.cells:
-            fc.cell.finalise(horizon)
-        if self._fragments is not None:
-            self._coding.decodes = self._fragments.decodes
-        return self._attach_serving(self._report(horizon), float(horizon))
+        routed: list[list[tuple[int, Query]]] = [[] for _ in range(k)]
+        for rank, query in enumerate(due):
+            owner = self._owner_map.get(query.sensor)
+            # An out-of-range sensor has no owner; any partition's
+            # route_query answers it unroutable at its firing rank.
+            part = self._part_of_cell[self._by_name[owner].cell_id] if owner else 0
+            routed[part].append((rank, query))
+        context = self._context(horizon)
+        tasks = [(p, cell_ids, routed[p]) for p, cell_ids in enumerate(self._assign)]
+        results: list[_PartitionResult] | None = None
+        if k > 1 and self.federation.partition_backend in ("auto", "process"):
+            results = self._run_process(context, tasks)
+        if results is None:
+            results = [_run_partition(context, *task) for task in tasks]
+        return self._attach_serving(self._merge_partitions(horizon, results), horizon)
 
     def _failover_errors(
         self, truths: list[float | None]
@@ -883,14 +822,6 @@ class FederatedSystem(_RoutingCore):
             return float("nan"), float("nan")
         return float(np.mean(errors)), float(np.max(errors))
 
-    def _report(self, horizon: float) -> FederatedReport:
-        cell_reports = [fc.cell.report(horizon) for fc in self.cells]
-        packets = [
-            (fc.cell.network.packets_sent, fc.cell.network.packets_delivered)
-            for fc in self.cells
-        ]
-        return self._compose_report(horizon, cell_reports, packets)
-
     def _compose_report(
         self,
         horizon: float,
@@ -899,11 +830,15 @@ class FederatedSystem(_RoutingCore):
     ) -> FederatedReport:
         """Aggregate per-cell reports plus the routing log into one report.
 
-        ``cell_reports`` and ``packets`` are in cell order — produced
-        directly in legacy mode, merged from partition results otherwise.
+        ``cell_reports`` and ``packets`` are in cell order, merged from the
+        partition results.
         """
         answers = [answer for _, answer in self._query_log]
-        truths = [ground_truth(self.trace, query) for query, _ in self._query_log]
+        # An out-of-range sensor (answered unroutable) has no truth to score.
+        truths = [
+            ground_truth(self.trace, query) if query.sensor in self._owner_map else None
+            for query, _ in self._query_log
+        ]
         failover_mean_error, failover_max_error = self._failover_errors(truths)
         by_category: dict[str, float] = {}
         for report in cell_reports:
@@ -998,190 +933,80 @@ class FederatedSystem(_RoutingCore):
 
     # -- partitioned execution ------------------------------------------------------
 
-    def _run_partitioned(self, queries: list[Query], horizon: float) -> FederatedReport:
-        """Execute the run across independent per-partition kernels.
-
-        Every query is pre-routed (hop-free flat map) to the partition that
-        owns its sensor; the partition re-resolves ownership on its own
-        skip-graph copy — built from the same seeded stream, so structure
-        and hop counts match the shared-kernel run exactly.  Fault events
-        are replayed on every partition's directory copy at identical
-        virtual times, keeping liveness in lockstep without mid-run
-        communication.  The merged log is ordered by each query's global
-        firing rank, which reproduces the shared kernel's (time, seq)
-        order.
-        """
-        k = self._partitions
-        assert k is not None
-        fed = self.federation
-        failures = [(at, name) for at, name in self._failures if at < horizon]
-        recoveries = [(at, name) for at, name in self._recoveries if at < horizon]
-        assign = partition_cells(fed.n_proxies, k)
-        part_of_cell = {
-            cell_id: p for p, ids in enumerate(assign) for cell_id in ids
-        }
-        name_to_cell = {meta.name: meta.cell_id for meta in self._cell_meta}
-        routed: dict[int, list[tuple[int, Query]]] = {p: [] for p in range(k)}
-        oob: list[tuple[int, Query, QueryAnswer]] = []
-        order = sorted(
-            range(len(queries)), key=lambda i: queries[i].arrival_time
-        )
-        position = 0
-        for i in order:
-            query = queries[i]
-            if query.arrival_time >= horizon:
-                continue
-            if not 0 <= query.sensor < self.trace.n_sensors:
-                # Unroutable before it ever reaches a partition — same
-                # answer route_query produces, logged at its firing rank.
-                answer = QueryAnswer(
-                    query=query,
-                    value=None,
-                    source=AnswerSource.FAILED,
-                    latency_s=0.0,
-                )
-                oob.append((position, query, answer))
-            else:
-                owner = self._owner_map[query.sensor]
-                routed[part_of_cell[name_to_cell[owner]]].append((position, query))
-            position += 1
-        context = _PartitionContext(
-            trace=self.trace,
-            config=self.config,
-            federation=fed,
-            seed=self.seed,
-            model_clocks=self.model_clocks,
-            clock_model=self.clock_model,
-            shards=[list(ids) for ids in self.shards],
-            cell_meta=list(self._cell_meta),
-            horizon=horizon,
-            failures=failures,
-            recoveries=recoveries,
-            initial_down=self._initial_down,
-            link_events=list(self._link_events),
-        )
-        prerun_events = list(self.failover_events)
-        backend = fed.partition_backend
-        results: list[_PartitionResult] | None = None
-        if k > 1 and backend in ("auto", "process"):
-            results = self._run_process(context, assign, routed)
-        if results is None:
-            results = self._run_inline(context, assign, routed)
-        return self._merge_partitions(context, results, oob, prerun_events)
-
-    def _run_inline(
-        self,
-        context: _PartitionContext,
-        assign: list[list[int]],
-        routed: dict[int, list[tuple[int, Query]]],
-    ) -> list[_PartitionResult]:
-        """In-process backend: every partition kernel advances in lockstep.
-
-        Barrier points are the replica-sync cadence plus every fault
-        instant; at each barrier the coordinator absorbs the partitions'
-        replica stores into its own view — the explicit cross-partition
-        message exchange.
-        """
-        parts = [
-            _CellPartition(context, cell_ids, routed[p])
-            for p, cell_ids in enumerate(assign)
-        ]
-        for part in parts:
-            part.setup()
-        instants = [at for at, _ in context.failures]
-        instants += [at for at, _ in context.recoveries]
-        interval = (
-            context.federation.replica_sync_interval_s
-            if any(part._syncs_state for part in parts)
-            else None
-        )
-        barriers = barrier_schedule(
-            context.horizon, interval=interval, instants=instants
-        )
-        group = LockstepGroup([part.sim for part in parts])
-
-        def absorb(_barrier: float) -> None:
-            for part in parts:
-                self._replicas.update(part._replicas)
-                if self._fragments is not None and part._fragments is not None:
-                    self._fragments.absorb(part._fragments)
-
-        group.run(barriers, on_barrier=absorb)
-        return [part.finish() for part in parts]
-
     def _run_process(
         self,
         context: _PartitionContext,
-        assign: list[list[int]],
-        routed: dict[int, list[tuple[int, Query]]],
+        tasks: list[tuple[int, list[int], list[tuple[int, Query]]]],
     ) -> list[_PartitionResult] | None:
         """Process-pool backend: one whole-horizon task per partition.
 
         The shared context (trace included) ships once per worker via the
         pool initializer; each task carries only its cell ids and
-        pre-routed queries.  Returns ``None`` on any pool failure so the
-        caller falls back to the inline backend — results are identical,
-        only wall-clock differs.
+        pre-routed queries.  A partition that raises fails the run (see
+        :func:`_run_partition`); only a pool that breaks before delivering
+        any result — it could not start — returns ``None``, and the caller
+        runs the partitions serially instead (same results, more
+        wall-clock).
         """
-        k = len(assign)
+        results: dict[int, _PartitionResult] = {}
         try:
             with ProcessPoolExecutor(
-                max_workers=min(k, os.cpu_count() or 1),
+                max_workers=min(len(tasks), os.cpu_count() or 1),
                 initializer=_partition_pool_init,
                 initargs=(context,),
             ) as pool:
-                futures = {
-                    pool.submit(_partition_pool_run, (cell_ids, routed[p])): p
-                    for p, cell_ids in enumerate(assign)
-                }
-                results: list[_PartitionResult | None] = [None] * k
+                futures = {pool.submit(_partition_pool_run, task): task[0] for task in tasks}
                 for future in as_completed(futures):
                     results[futures[future]] = future.result()
-            assert all(result is not None for result in results)
-            return results  # type: ignore[return-value]
-        except Exception:
+        except (OSError, BrokenProcessPool) as error:
+            if results:
+                raise
+            print(
+                f"partition pool could not start ({error!r}); "
+                f"running {len(tasks)} partitions serially",
+                file=sys.stderr,
+            )
             return None
+        return [results[index] for index in range(len(tasks))]
 
     def _merge_partitions(
-        self,
-        context: _PartitionContext,
-        results: list[_PartitionResult],
-        oob: list[tuple[int, Query, QueryAnswer]],
-        prerun_events: list[FailoverEvent],
+        self, horizon: float, results: list[_PartitionResult]
     ) -> FederatedReport:
-        """Fold partition results back into coordinator state and report."""
-        entries: list[tuple[int, Query, QueryAnswer, bool]] = [
-            (pos, query, answer, False) for pos, query, answer in oob
-        ]
-        for result in results:
-            entries.extend(result.log)
-        entries.sort(key=lambda entry: entry[0])
+        """Replace coordinator state with this run's partition results and report.
+
+        Totals are assigned, never accumulated, so the coordinator always
+        reflects exactly the latest run.  ``results`` is in partition order
+        and partitions hold ascending contiguous cell blocks, so
+        concatenating per-cell fields yields cell order.
+        """
+        entries = sorted(
+            (entry for result in results for entry in result.log),
+            key=lambda entry: entry[0],
+        )
         self._query_log = [(query, answer) for _, query, answer, _ in entries]
         self._failover_positions = [
             i for i, (_, _, _, is_failover) in enumerate(entries) if is_failover
         ]
-        self.cross_proxy_hops += sum(r.cross_proxy_hops for r in results)
-        self.replica_hits += sum(r.replica_hits for r in results)
-        self.failovers += sum(r.failovers for r in results)
-        self.unroutable += sum(r.unroutable for r in results) + len(oob)
-        self.replica_syncs += sum(r.replica_syncs for r in results)
+        self.cross_proxy_hops = sum(r.cross_proxy_hops for r in results)
+        self.replica_hits = sum(r.replica_hits for r in results)
+        self.failovers = sum(r.failovers for r in results)
+        self.unroutable = sum(r.unroutable for r in results)
+        self.replica_syncs = sum(r.replica_syncs for r in results)
+        self._coding = CodingCounters()
         for result in results:
             self._coding.absorb(result.coding)
         fault_events = sorted(
             (index, event) for result in results for index, event in result.fault_events
         )
-        self.failover_events = prerun_events + [event for _, event in fault_events]
-        by_cell: dict[int, SystemReport] = {}
-        packets_by_cell: dict[int, tuple[int, int]] = {}
-        for result in results:
-            for cell_id, report in result.cell_reports:
-                by_cell[cell_id] = report
-            for cell_id, sent, delivered in result.packets:
-                packets_by_cell[cell_id] = (sent, delivered)
-        cell_ids = sorted(by_cell)
-        cell_reports = [by_cell[cell_id] for cell_id in cell_ids]
-        packets = [packets_by_cell[cell_id] for cell_id in cell_ids]
-        return self._compose_report(context.horizon, cell_reports, packets)
+        self._run_deaths = [event for _, event in fault_events]
+        self.continuous.notifications = [
+            notification for result in results for notification in result.notifications
+        ]
+        return self._compose_report(
+            horizon,
+            [report for result in results for report in result.cell_reports],
+            [packets for result in results for packets in result.packets],
+        )
 
     # -- serving front-end ----------------------------------------------------------
 
@@ -1200,19 +1025,14 @@ class FederatedSystem(_RoutingCore):
             return report
         n = self.trace.n_sensors
         k = self.n_partitions
-        assign = partition_cells(self.federation.n_proxies, k)
-        part_of_cell = {
-            cell_id: p for p, ids in enumerate(assign) for cell_id in ids
-        }
-        name_to_cell = {meta.name: meta.cell_id for meta in self._cell_meta}
-        resp = {meta.name: meta.response_latency_s for meta in self._cell_meta}
+        resp = {fc.name: fc.response_latency_s for fc in self.cells}
         owner_names = [self._owner_map[sensor] for sensor in range(n)]
         hops = np.array(
             [self._owners.search(float(sensor)).hops for sensor in range(n)],
             dtype=np.int64,
         )
         partition_of_sensor = np.array(
-            [part_of_cell[name_to_cell[name]] for name in owner_names],
+            [self._part_of_cell[self._by_name[name].cell_id] for name in owner_names],
             dtype=np.int64,
         )
 
@@ -1220,10 +1040,7 @@ class FederatedSystem(_RoutingCore):
         # state.  A miss pays processing + routing hops + the serving
         # proxy's response latency; with the owner dead it is served by the
         # lowest-latency live replica host, or not at all.
-        alive = {
-            meta.name: meta.name not in self._initial_down
-            for meta in self._cell_meta
-        }
+        alive = {fc.name: self._proxy_alive(fc.name) for fc in self.cells}
         proc = self.config.proxy_processing_s
         hop_latency = self.federation.hop_latency_s
         # In rs mode a dead owner is only servable while >= coding_k of its
@@ -1288,7 +1105,7 @@ class FederatedSystem(_RoutingCore):
             n_partitions=k,
             partition_of_sensor=partition_of_sensor,
             segments=segments,
-            rng=self.streams.get("serving.traffic"),
+            rng=RandomStreams(seed=self.seed).get("serving.traffic"),
         )
         report.serving = frontend.run(horizon)
         return report
@@ -1299,7 +1116,7 @@ class _PartitionContext:
     """Everything a partition needs besides its own cell ids and queries.
 
     Shipped once per pool worker (the trace dominates the payload, exactly
-    like PR 6's campaign pool) and shared read-only by the inline backend.
+    like PR 6's campaign pool) and shared read-only by serial execution.
     """
 
     trace: TraceSet
@@ -1308,18 +1125,21 @@ class _PartitionContext:
     seed: int
     model_clocks: bool
     clock_model: ClockModel | None
-    shards: list[list[int]]
-    cell_meta: list[_CellMeta]
+    cells: list[FederatedCell]
     horizon: float
     failures: list[tuple[float, str]]       # filtered to < horizon, original order
     recoveries: list[tuple[float, str]]
     initial_down: tuple[str, ...]
     link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]]
+    standing: tuple[ContinuousQuery, ...]   # by global sensor id
 
 
 @dataclass
 class _PartitionResult:
-    """What one partition reports back for merging (picklable)."""
+    """What one partition reports back for merging (picklable).
+
+    Per-cell fields are in the partition's (ascending) cell order.
+    """
 
     log: list[tuple[int, Query, QueryAnswer, bool]]   # (global rank, q, a, failover?)
     fault_events: list[tuple[int, FailoverEvent]]     # keyed by failure index
@@ -1329,21 +1149,22 @@ class _PartitionResult:
     unroutable: int
     replica_syncs: int
     coding: CodingCounters
-    cell_reports: list[tuple[int, SystemReport]]
-    packets: list[tuple[int, int, int]]               # (cell_id, sent, delivered)
+    cell_reports: list[SystemReport]
+    packets: list[tuple[int, int]]                    # (sent, delivered)
+    notifications: list[Notification]                 # sensor = global id
 
 
 class _CellPartition(_RoutingCore):
     """One simulation partition: a block of cells on a private kernel.
 
     Holds the *full* federation membership (directory registrations, skip
-    graph, replication plan) so routing and failover resolve locally, but
-    builds and advances only its own cells.  The fault timeline is replayed
-    on the local directory copy at exact virtual times, which keeps
-    liveness in lockstep with every other partition without mid-run
-    communication; the partition owning a dying cell additionally records
-    the :class:`FailoverEvent` (its replicas are local, so the staleness it
-    measures is exact).
+    graph) so routing and failover resolve locally, but builds and advances
+    only its own cells and plans, syncs and reconstructs replicas only for
+    them.  The fault timeline is replayed on the local directory copy at
+    exact virtual times, which keeps liveness in lockstep with every other
+    partition without mid-run communication; the partition owning a dying
+    cell additionally records the :class:`FailoverEvent` (its replicas are
+    local, so the staleness it measures is exact).
     """
 
     def __init__(
@@ -1352,131 +1173,80 @@ class _CellPartition(_RoutingCore):
         cell_ids: list[int],
         queries: list[tuple[int, Query]],
     ) -> None:
+        super().__init__(
+            context.trace,
+            context.config,
+            context.federation,
+            context.seed,
+            context.cells,
+        )
         self.context = context
-        self.trace = context.trace
-        self.federation = context.federation
-        self.config = context.config
-        self.sim = Simulator()
         builder = CellBuilder(
             config=context.config,
             model_clocks=context.model_clocks,
             clock_model=context.clock_model,
         )
-        builder.config = context.config
-        self.cells: list[FederatedCell] = []
         for cell_id in cell_ids:
-            ids = context.shards[cell_id]
-            cell = builder.build(
-                context.trace.subset(ids),
+            fc = self.cells[cell_id]
+            self._built[fc.name] = builder.build(
+                context.trace.subset(fc.sensor_ids),
                 self.sim,
                 RandomStreams(seed=context.seed + cell_id),
-                proxy_name=f"proxy{cell_id}",
+                proxy_name=fc.name,
             )
-            meta = context.cell_meta[cell_id]
-            self.cells.append(
-                FederatedCell(
-                    cell_id=cell_id,
-                    cell=cell,
-                    sensor_ids=list(ids),
-                    wired=meta.wired,
-                    response_latency_s=meta.response_latency_s,
-                )
-            )
-        self._by_name = {fc.name: fc for fc in self.cells}
-
-        self.directory = CacheDirectory(
-            replication_factor=context.federation.replication_factor
-        )
-        for meta in context.cell_meta:
-            self.directory.register_proxy(
-                meta.name, wired=meta.wired, response_latency_s=meta.response_latency_s
-            )
-            self.directory.publish_cache(
-                meta.name, set(context.shards[meta.cell_id])
-            )
-        self._coding = CodingCounters()
+        self.replication_plan = {
+            owner: hosts
+            for owner, hosts in self.replication_plan.items()
+            if owner in self._built
+        }
         fed = context.federation
         if fed.replica_coding == "rs":
-            # Fragment placement mirrors the coordinator's plan (same
-            # directory state, same deterministic spread); each partition
-            # keeps only its *local* owners' slots — it is the one syncing
-            # and reconstructing their stripes.
-            full_plan = self.directory.plan_fragment_placement(
-                fed.coding_k, fed.coding_n
-            )
-            self.replication_plan = {
-                owner: hosts
-                for owner, hosts in full_plan.items()
-                if owner in self._by_name
-            }
-            self._replicas: dict[tuple[str, str], ProxyReplica] = {}
-            self._fragments: FragmentStore | None = FragmentStore(
+            self._fragments = FragmentStore(
                 fed.coding_k, fed.coding_n, self.replication_plan
             )
         else:
-            full_plan = self.directory.plan_replication()
-            self.replication_plan = {
-                owner: hosts
-                for owner, hosts in full_plan.items()
-                if owner in self._by_name
-            }
             self._replicas = {
                 (host, owner): ProxyReplica(owner=owner, host=host)
                 for owner, hosts in self.replication_plan.items()
                 for host in hosts
             }
-            self._fragments = None
         for name in context.initial_down:
             self.directory.mark_down(name)
-
-        owner_of = {
-            sensor: context.cell_meta[cell_id].name
-            for cell_id, ids in enumerate(context.shards)
-            for sensor in ids
-        }
-        self._owners = SkipGraph(
-            rng=RandomStreams(seed=context.seed).get("federation.skipgraph")
-        )
-        for sensor in range(context.trace.n_sensors):
-            if sensor == 0 or owner_of[sensor] != owner_of[sensor - 1]:
-                self._owners.insert(float(sensor), owner_of[sensor])
-
-        self.cross_proxy_hops = 0
-        self.replica_hits = 0
-        self.failovers = 0
-        self.unroutable = 0
-        self.replica_syncs = 0
-        self._query_log: list[tuple[Query, QueryAnswer]] = []
-        self._failover_positions: list[int] = []
         self._fault_events: list[tuple[int, FailoverEvent]] = []
         self._queries = queries
         self._sync_task: PeriodicTask | None = None
 
     def setup(self) -> None:
-        """Arm the partition's event queue, mirroring the legacy schedule order.
+        """Arm the partition's event queue.
 
-        Link changes first (the shared-kernel harness stages bursts before
-        ``run()``), then cell tasks, then the replica-sync cadence, then
-        the fault timeline, then the partition's pre-routed queries — so
-        equal-time ties fire in the same relative order as on one shared
-        kernel.
+        Standing queries are armed on the cells that own their sensors;
+        then link changes, cell tasks, the replica-sync cadence, the fault
+        timeline and the partition's pre-routed queries are scheduled in
+        that fixed order, so equal-time ties fire identically at every
+        partition count.
         """
         context = self.context
+        for query in context.standing:
+            owner = self._owner_map[query.sensor]
+            if owner in self._built:
+                self._built[owner].proxy.continuous.register(
+                    self._rewrite(query, self._by_name[owner])
+                )
         for at_s, link_config, cell_indices in context.link_events:
             networks = [
-                fc.cell.network
-                for fc in self.cells
-                if cell_indices is None or fc.cell_id in cell_indices
+                cell.network
+                for name, cell in self._built.items()
+                if cell_indices is None or self._by_name[name].cell_id in cell_indices
             ]
             if networks:
                 self.sim.schedule(
                     at_s,
                     lambda nets=networks, cfg=link_config: [
-                        net.set_link_config_all(cfg) for net in nets
+                        net.set_link_config(cfg) for net in nets
                     ],
                 )
-        for fc in self.cells:
-            fc.cell.start_tasks()
+        for cell in self._built.values():
+            cell.start_tasks()
         if self._syncs_state:
             interval = context.federation.replica_sync_interval_s
             self._sync_task = PeriodicTask(
@@ -1498,7 +1268,7 @@ class _CellPartition(_RoutingCore):
         """Replay one death: every partition marks the directory; only the
         dead cell's own partition measures replica staleness (exact — its
         replicas live here) and records the event for the merged report."""
-        if name in self._by_name:
+        if name in self._built:
             self._fault_events.append(
                 (
                     failure_index,
@@ -1514,12 +1284,13 @@ class _CellPartition(_RoutingCore):
     def finish(self) -> _PartitionResult:
         """Tear down tasks, finalise cells and package the mergeable result."""
         horizon = self.context.horizon
-        for fc in self.cells:
-            fc.cell.stop_tasks()
+        cells = list(self._built.values())
+        for cell in cells:
+            cell.stop_tasks()
         if self._sync_task is not None:
             self._sync_task.stop()
-        for fc in self.cells:
-            fc.cell.finalise(horizon)
+        for cell in cells:
+            cell.finalise(horizon)
         assert len(self._query_log) == len(self._queries)
         failover_set = set(self._failover_positions)
         log = [
@@ -1537,18 +1308,42 @@ class _CellPartition(_RoutingCore):
             unroutable=self.unroutable,
             replica_syncs=self.replica_syncs,
             coding=self._coding,
-            cell_reports=[
-                (fc.cell_id, fc.cell.report(horizon)) for fc in self.cells
-            ],
+            cell_reports=[cell.report(horizon) for cell in cells],
             packets=[
-                (
-                    fc.cell_id,
-                    fc.cell.network.packets_sent,
-                    fc.cell.network.packets_delivered,
+                (cell.network.packets_sent, cell.network.packets_delivered)
+                for cell in cells
+            ],
+            notifications=[
+                dataclasses.replace(
+                    notification,
+                    sensor=self._by_name[name].to_global(notification.sensor),
                 )
-                for fc in self.cells
+                for name, cell in self._built.items()
+                for notification in cell.proxy.continuous.notifications
             ],
         )
+
+
+def _run_partition(
+    context: _PartitionContext,
+    index: int,
+    cell_ids: list[int],
+    queries: list[tuple[int, Query]],
+) -> _PartitionResult:
+    """One partition's whole life — the function every backend executes.
+
+    Any failure inside it is re-raised naming the partition, so a crash
+    surfaces from :meth:`FederatedSystem.run` instead of being retried.
+    """
+    try:
+        partition = _CellPartition(context, cell_ids, queries)
+        partition.setup()
+        partition.sim.run_until(context.horizon)
+        return partition.finish()
+    except Exception as error:
+        raise RuntimeError(
+            f"partition {index} (cells {cell_ids}) failed: {error!r}"
+        ) from error
 
 
 #: per-worker shared context for the process backend (set by the initializer)
@@ -1560,11 +1355,6 @@ def _partition_pool_init(context: _PartitionContext) -> None:
 
 
 def _partition_pool_run(
-    task: tuple[list[int], list[tuple[int, Query]]],
+    task: tuple[int, list[int], list[tuple[int, Query]]],
 ) -> _PartitionResult:
-    context = _PARTITION_POOL_STATE["context"]
-    cell_ids, queries = task
-    partition = _CellPartition(context, cell_ids, queries)
-    partition.setup()
-    partition.sim.run_until(context.horizon)
-    return partition.finish()
+    return _run_partition(_PARTITION_POOL_STATE["context"], *task)

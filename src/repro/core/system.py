@@ -23,6 +23,7 @@ from repro.core.queries import QueryAnswer
 from repro.core.sensor import PrestoSensor
 from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
+from repro.radio.link import LinkConfig
 from repro.radio.network import Network, NetworkNode
 from repro.simulation.kernel import Simulator
 from repro.simulation.process import PeriodicTask
@@ -520,6 +521,25 @@ class PrestoSystem:
         self.network = self.cell.network
         self.proxy = self.cell.proxy
         self.sensors = self.cell.sensors
+        self.continuous = self.proxy.continuous
+
+    def schedule_link_change(
+        self,
+        at_s: float,
+        link_config: LinkConfig,
+        cell_indices: tuple[int, ...] | list[int] | None = None,
+    ) -> None:
+        """Swap the cell's radio link config at *at_s*.
+
+        Same call as :meth:`FederatedSystem.schedule_link_change
+        <repro.core.federation.FederatedSystem.schedule_link_change>`, for
+        a deployment whose only cell is index 0.
+        """
+        if any(cell_id != 0 for cell_id in cell_indices or ()):
+            raise ValueError(f"cell indices {cell_indices} out of range for one cell")
+        self.sim.schedule(
+            float(at_s), lambda: self.network.set_link_config(link_config)
+        )
 
     # -- ground truth ----------------------------------------------------------------
 

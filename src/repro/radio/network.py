@@ -159,10 +159,6 @@ class Network:
         for mac in targets:
             mac.set_link_config(link_config)
 
-    def set_link_config_all(self, link_config: LinkConfig) -> None:
-        """Apply a new link regime to every sensor's MAC (both directions)."""
-        self.set_link_config(link_config)
-
     @property
     def delivery_ratio(self) -> float:
         """Delivered / sent packets (1.0 when nothing sent)."""

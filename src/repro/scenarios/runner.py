@@ -941,9 +941,8 @@ class CampaignRunner:
                 model_clocks=spec.clocks.model_clocks,
                 clock_model=clock_model,
             )
-            proxies = [(system.proxy, lambda local: local)]
             shards = None
-            networks = [system.network]
+            n_cells = 1
         else:
             system = FederatedSystem(
                 trace,
@@ -954,26 +953,14 @@ class CampaignRunner:
                 clock_model=clock_model,
                 serving=self._serving_config(spec),
             )
-            if system.uses_partitions and spec.standing is not None:
-                raise ValueError(
-                    f"scenario {spec.name!r} arms standing queries, which "
-                    "need the shared-kernel federation; unset "
-                    "federation.partitions"
-                )
-            proxies = [
-                (fc.cell.proxy, fc.to_global) for fc in system.cells
-            ]
             shards = system.shards
-            networks = [fc.cell.network for fc in system.cells]
+            n_cells = len(shards)
             faults_applied = self._schedule_faults(spec, system)
-        armed = self._arm_standing_queries(spec, base, proxies)
-        if harness == "federated" and system.uses_partitions:
-            bursts = self._schedule_partitioned_bursts(spec, system)
-        else:
-            bursts = self._schedule_bursts(spec, system.sim, networks)
+        self._arm_standing_queries(spec, base, system)
+        bursts = self._schedule_bursts(spec, system, n_cells)
         queries = self._generate_queries(spec, trace, shards, seed)
         report = system.run(queries=queries, duration_s=cfg.duration_s)
-        notifications = self._collect_notifications(proxies) if armed else []
+        notifications = system.continuous.notifications
         recall, qualifying, worst_latency = self._notification_recall(
             spec, events, notifications
         )
@@ -1268,7 +1255,12 @@ class CampaignRunner:
                 system.schedule_recovery(name, at_s)
         return len(spec.faults)
 
-    def _schedule_bursts(self, spec: ScenarioSpec, sim, networks) -> int:
+    def _schedule_bursts(
+        self,
+        spec: ScenarioSpec,
+        system: PrestoSystem | FederatedSystem,
+        n_cells: int,
+    ) -> int:
         """Schedule interference bursts: elevated loss for burst_duration_s.
 
         With ``cell_indices`` set, only the addressed cells' networks flip
@@ -1281,52 +1273,6 @@ class CampaignRunner:
         radio = spec.radio
         if radio.burst_loss_probability is None:
             return 0
-        if radio.cell_indices:
-            n_cells = len(networks)
-            for index in radio.cell_indices:
-                if not -n_cells <= index < n_cells:
-                    raise ValueError(
-                        f"burst cell index {index} out of range for "
-                        f"{n_cells} cells"
-                    )
-            targets = [networks[index] for index in radio.cell_indices]
-        else:
-            targets = list(networks)
-        normal = LinkConfig(loss_probability=radio.loss_probability)
-        burst = LinkConfig(loss_probability=radio.burst_loss_probability)
-
-        def apply():
-            for network in targets:
-                network.set_link_config(burst)
-
-        def restore():
-            for network in targets:
-                network.set_link_config(normal)
-
-        count = 0
-        start = radio.burst_period_s
-        while start < self.config.duration_s:
-            end = min(start + radio.burst_duration_s, self.config.duration_s)
-            sim.schedule(start, apply)
-            sim.schedule(end, restore)
-            count += 1
-            start += radio.burst_period_s
-        return count
-
-    def _schedule_partitioned_bursts(
-        self, spec: ScenarioSpec, system: FederatedSystem
-    ) -> int:
-        """Interference bursts on the partitioned federation.
-
-        Partition kernels replay link events locally, so bursts route
-        through :meth:`FederatedSystem.schedule_link_change` instead of
-        closing over shared network objects (which a partitioned system
-        never builds).
-        """
-        radio = spec.radio
-        if radio.burst_loss_probability is None:
-            return 0
-        n_cells = len(system.proxy_names)
         targets: list[int] | None = None
         if radio.cell_indices:
             for index in radio.cell_indices:
@@ -1348,27 +1294,25 @@ class CampaignRunner:
             start += radio.burst_period_s
         return count
 
-    def _arm_standing_queries(self, spec: ScenarioSpec, base: TraceSet, proxies) -> int:
-        """Register the spec's standing query on every sensor; returns count."""
+    def _arm_standing_queries(
+        self,
+        spec: ScenarioSpec,
+        base: TraceSet,
+        system: PrestoSystem | FederatedSystem,
+    ) -> None:
+        """Register the spec's standing query on every (global) sensor."""
         standing = spec.standing
         if standing is None:
-            return 0
-        armed = 0
-        for proxy, to_global in proxies:
-            for local in range(proxy.n_sensors):
-                threshold = self._threshold_for(
-                    standing, base, int(to_global(local))
+            return
+        for sensor in range(base.n_sensors):
+            system.continuous.register(
+                ContinuousQuery(
+                    sensor=sensor,
+                    kind=standing.kind,
+                    threshold=self._threshold_for(standing, base, sensor),
+                    min_interval_s=standing.min_interval_s,
                 )
-                proxy.continuous.register(
-                    ContinuousQuery(
-                        sensor=local,
-                        kind=standing.kind,
-                        threshold=threshold,
-                        min_interval_s=standing.min_interval_s,
-                    )
-                )
-                armed += 1
-        return armed
+            )
 
     @staticmethod
     def _threshold_for(
@@ -1382,20 +1326,11 @@ class CampaignRunner:
             return baseline + standing.threshold_offset
         return baseline - standing.threshold_offset
 
-    @staticmethod
-    def _collect_notifications(proxies) -> list[tuple[int, Notification]]:
-        """All (global_sensor, notification) pairs across the cells."""
-        collected: list[tuple[int, Notification]] = []
-        for proxy, to_global in proxies:
-            for notification in proxy.continuous.notifications:
-                collected.append((int(to_global(notification.sensor)), notification))
-        return collected
-
     def _notification_recall(
         self,
         spec: ScenarioSpec,
         events: list[InjectedEvent],
-        notifications: list[tuple[int, Notification]],
+        notifications: list[Notification],
     ) -> tuple[float, int, float]:
         """(recall, qualifying count, worst latency) against injected truth.
 
@@ -1420,8 +1355,10 @@ class CampaignRunner:
             return float("nan"), 0, float("nan")
         epoch_s = self.config.epoch_s
         times_by_sensor: dict[int, list[float]] = {}
-        for sensor, notification in notifications:
-            times_by_sensor.setdefault(sensor, []).append(notification.timestamp)
+        for notification in notifications:
+            times_by_sensor.setdefault(notification.sensor, []).append(
+                notification.timestamp
+            )
         hits = 0
         worst_latency = float("nan")
         for event in qualifying:

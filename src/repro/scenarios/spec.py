@@ -229,15 +229,15 @@ class FederationRegime:
     :data:`SWEEP_PARAMETERS` member, a :class:`SweepAxis` can chart
     replica staleness and failover fidelity against replication cost.
 
-    ``partitions`` selects the partitioned simulation kernel:
+    ``partitions`` sets how many simulation partitions execute the cells:
 
-    * ``None`` — the legacy shared kernel (every cell on one simulator);
+    * ``None`` — the campaign default of one partition;
     * ``0`` — one partition per CPU core (capped at the cell count);
-    * ``k >= 1`` — exactly ``k`` per-partition kernels in lockstep.
+    * ``k >= 1`` — exactly ``k`` partitions.
 
-    Partitioned runs produce reports identical to the shared kernel (see
+    Reports are identical at every partition count (see
     ``tests/test_partition.py``), so sweeping ``partitions`` charts pure
-    execution cost.  Standing queries need the shared kernel.
+    execution cost.
     """
 
     replica_sync_interval_s: float | None = None
@@ -258,7 +258,7 @@ class FederationRegime:
             raise ValueError("replica sync interval must be positive")
         if self.partitions is not None and self.partitions < 0:
             raise ValueError(
-                "partitions must be None (shared kernel), 0 (one per "
+                "partitions must be None (campaign default), 0 (one per "
                 f"core) or a positive count, got {self.partitions}"
             )
         if (

@@ -163,74 +163,3 @@ class Simulator:
         finally:
             self._running = False
 
-
-def barrier_schedule(
-    horizon: float,
-    interval: float | None = None,
-    instants: tuple[float, ...] | list[float] = (),
-) -> list[float]:
-    """Barrier points for lockstep execution: sorted, unique, ending at *horizon*.
-
-    ``interval`` contributes every multiple strictly inside ``(0, horizon)``
-    (the cadence of periodic cross-partition exchanges, e.g. replica syncs);
-    ``instants`` contributes ad-hoc points (fault times) clamped the same
-    way.  The horizon itself is always the final barrier, so a
-    :class:`LockstepGroup` run over the result leaves every member clock at
-    exactly ``horizon``.
-    """
-    if horizon <= 0:
-        raise SimulationError(f"horizon must be positive, got {horizon!r}")
-    points = {float(horizon)}
-    if interval is not None:
-        if interval <= 0:
-            raise SimulationError(f"barrier interval must be positive, got {interval!r}")
-        tick = interval
-        while tick < horizon:
-            points.add(float(tick))
-            tick += interval
-    for instant in instants:
-        if 0.0 < instant < horizon:
-            points.add(float(instant))
-    return sorted(points)
-
-
-class LockstepGroup:
-    """Advance several :class:`Simulator` kernels in lockstep windows.
-
-    Each member advances independently inside a window ``(previous barrier,
-    barrier]`` — no member may outrun the current barrier, so anything that
-    crosses between members (replica snapshots, directory liveness, routed
-    answers) is exchanged only at the window edges.  This is the execution
-    primitive behind partitioned federation: per-partition kernels run their
-    own event queues, and the orchestrator observes/merges state at each
-    barrier via *on_barrier*.
-    """
-
-    def __init__(self, simulators: list[Simulator]) -> None:
-        if not simulators:
-            raise SimulationError("lockstep group needs at least one simulator")
-        self.simulators = list(simulators)
-
-    def run(
-        self,
-        barriers: list[float],
-        on_barrier: Callable[[float], None] | None = None,
-    ) -> None:
-        """Advance every member to each barrier in turn.
-
-        *barriers* must be ascending (as produced by
-        :func:`barrier_schedule`); *on_barrier* fires after **all** members
-        have reached a barrier, which is the only instant a cross-partition
-        exchange is allowed to happen.
-        """
-        previous = None
-        for barrier in barriers:
-            if previous is not None and barrier <= previous:
-                raise SimulationError(
-                    f"barriers must be strictly ascending, got {barrier} after {previous}"
-                )
-            for sim in self.simulators:
-                sim.run_until(barrier)
-            if on_barrier is not None:
-                on_barrier(barrier)
-            previous = barrier

@@ -44,7 +44,7 @@ def fast_config():
     )
 
 
-def run_federated(replica_coding, partitions=None, backend="inline"):
+def run_federated(replica_coding, partitions=1, backend="inline"):
     """One pinned-seed run; ``full`` uses the survivability-equivalent
     replication factor n - k + 1 so both modes ride out the same losses."""
     trace = make_trace()
@@ -151,14 +151,14 @@ class TestDecodeEquivalence:
 
 
 class TestCodedPartitionEquivalence:
-    """The partitioned kernel must not change coded results or accounting."""
+    """Splitting the cells across partitions must not change coded results or accounting."""
 
     @pytest.mark.parametrize("replica_coding", ["full", "rs"])
     def test_partitions_preserve_coding_accounting(self, replica_coding):
-        legacy = run_federated(replica_coding)
+        whole = run_federated(replica_coding)
         split = run_federated(replica_coding, partitions=2)
-        assert equivalence_key(split) == equivalence_key(legacy)
-        assert split.replica_syncs == legacy.replica_syncs
+        assert equivalence_key(split) == equivalence_key(whole)
+        assert split.replica_syncs == whole.replica_syncs
         for field in (
             "payload_bytes",
             "shipped_bytes",
@@ -169,5 +169,5 @@ class TestCodedPartitionEquivalence:
             "sync_flash_j",
         ):
             assert getattr(split.coding, field) == getattr(
-                legacy.coding, field
+                whole.coding, field
             ), field

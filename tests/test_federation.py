@@ -10,6 +10,7 @@ from repro.core import (
     PrestoSystem,
     partition_sensors,
 )
+from repro.core.federation import _CellPartition
 from repro.core.queries import AnswerSource
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
@@ -222,13 +223,21 @@ class TestFailover:
             assert system.cell_for(targets[0]).wired
 
     def test_replicas_synced_before_failure(self, federated_run):
-        system, report, _ = federated_run
+        # Replica state lives in the partition executing its owner, so
+        # drive one directly and stop it at the instant of the kill.
+        system, report, kill_at = federated_run
         assert report.replica_syncs > 0
+        context = system._context(system.trace.config.duration_s)
+        partition = _CellPartition(context, [0, 1, 2, 3], [])
+        partition.setup()
+        partition.sim.run_until(kill_at)
+        assert not partition.directory.proxy("proxy3").alive
         host = system.replication_plan["proxy3"][0]
-        replica = system.replica_for(host, "proxy3")
+        replica = partition._replicas[(host, "proxy3")]
         assert set(replica.sensors) == set(system.cell_for("proxy3").sensor_ids)
         for state in replica.sensors.values():
             assert state.entries
+            assert state.synced_at_s < kill_at
 
     def test_dead_shard_keeps_answering(self, federated_run):
         system, report, kill_at = federated_run
@@ -278,10 +287,15 @@ class TestFailover:
         assert all(not a.answered for a in post)
         assert report.unroutable == len(post)
 
-    def test_recovery_restores_primary(self, federated_run):
-        system, _, _ = federated_run
-        system.recover_proxy("proxy3")
-        assert system.directory.proxy("proxy3").alive
+    def test_recovery_restores_primary(self):
+        trace = make_trace(n_sensors=4, duration_s=3600.0)
+        system = FederatedSystem(
+            trace, fast_config(), FederationConfig(n_proxies=2), seed=1
+        )
+        system.fail_proxy("proxy1")
+        assert not system.directory.proxy("proxy1").alive
+        system.recover_proxy("proxy1")
+        assert system.directory.proxy("proxy1").alive
 
 
 class TestFederatedReport:
@@ -407,9 +421,11 @@ class TestReplicaStaleness:
             seed=3,
         )
         # nothing has synced yet: a death right now has no replica to lean on
-        assert system.replica_staleness_s("proxy1") == float("inf")
+        partition = _CellPartition(system._context(3600.0), [0, 1], [])
+        assert partition._replica_staleness("proxy1") == float("inf")
         system.fail_proxy("proxy1")
         assert system.failover_events[-1].replica_staleness_s == float("inf")
+        assert system.run().fault_staleness_s == (float("inf"),)
 
     def test_staleness_infinite_without_replication(self):
         trace = make_trace(n_sensors=4, duration_s=3600.0)
@@ -419,7 +435,8 @@ class TestReplicaStaleness:
             FederationConfig(n_proxies=2, replication_factor=0),
             seed=3,
         )
-        assert system.replica_staleness_s("proxy1") == float("inf")
+        system.schedule_failure("proxy1", 3000.0)
+        assert system.run().fault_staleness_s == (float("inf"),)
 
     def test_unknown_proxy_rejected(self):
         trace = make_trace(n_sensors=4, duration_s=3600.0)
@@ -430,7 +447,9 @@ class TestReplicaStaleness:
             seed=3,
         )
         with pytest.raises(ValueError):
-            system.replica_staleness_s("proxy9")
+            system.fail_proxy("proxy9")
+        with pytest.raises(ValueError):
+            system.schedule_failure("proxy9", 10.0)
 
     def test_failover_fidelity_bounded(self, federated_run):
         """Replica answers diverge boundedly from the dead cell's truth."""

@@ -155,7 +155,7 @@ class TestTargetedLinkConfig:
     def test_set_all_updates_default_and_every_mac(self):
         _, network, _, _ = make_network(loss=0.0, n_sensors=3)
         burst = LinkConfig(loss_probability=0.7)
-        network.set_link_config_all(burst)
+        network.set_link_config(burst)
         assert network.link_config is burst
         for name in network.sensor_names:
             assert network.mac_for(name).link_config is burst

@@ -1,24 +1,24 @@
-"""Partitioned federation: equivalence with the shared kernel, pinned.
+"""Partitioned federation: equivalence across partition counts, pinned.
 
 The contract mirrors ``tests/test_parallel_campaign.py``: splitting a
 federated run across independent simulation partitions is an execution
-detail, so the ``FederatedReport`` routing/failover/fidelity numbers must
-be *identical* — not approximately equal — at every partition count and on
-both partition backends.
+detail, so everything a ``FederatedReport`` measures must be *identical* —
+not approximately equal — at every partition count and on both partition
+backends.  One partition, run in-process, is the reference.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.core.federation as federation_module
 from repro.core.config import FederationConfig, PrestoConfig
+from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.federation import FederatedSystem, partition_cells
+from repro.core.queries import AnswerSource
+from repro.scenarios import CampaignConfig, CampaignRunner, FederationRegime, all_scenarios
 from repro.serving import ServingConfig
-from repro.simulation.kernel import (
-    LockstepGroup,
-    SimulationError,
-    Simulator,
-    barrier_schedule,
-)
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, ShardedWorkloadGenerator
 
@@ -40,7 +40,7 @@ def fast_config():
     )
 
 
-def run_federated(
+def make_system(
     partitions, backend="inline", serving=None, kill=True, replica_coding="full"
 ):
     trace = make_trace()
@@ -68,59 +68,93 @@ def run_federated(
     queries = generator.generate(0.0, DURATION_S)
     if kill:
         system.schedule_failure("proxy3", 2.5 * 3600.0)
+    return system, queries
+
+
+def run_federated(partitions, **kwargs):
+    system, queries = make_system(partitions, **kwargs)
     return system.run(queries, duration_s=DURATION_S)
 
 
 def report_key(report):
-    """Everything the federation measures, exact — no tolerances."""
+    """Everything the federation measures, exact — no tolerances.
+
+    The whole flat summary (``n_partitions`` aside: it names the split
+    under test), the coding ledger, and the per-query / per-sensor detail
+    the summary aggregates away.  NaN metrics are spelled as strings so
+    equal reports compare equal.
+    """
+    summary = {
+        key: repr(value)
+        for key, value in report.summary().items()
+        if key != "n_partitions"
+    }
     return (
+        summary,
+        dataclasses.astuple(report.coding),
         report.cross_proxy_hops,
         report.replica_hits,
-        report.failovers,
-        report.unroutable,
         report.replica_syncs,
         report.fault_staleness_s,
-        report.failover_mean_error,
-        report.failover_max_error,
-        report.sensor_energy_j,
+        repr(report.failover_max_error),
         report.proxy_energy_j,
         tuple(report.per_sensor_energy_j),
-        report.pushes,
         report.cold_pushes,
         report.batches,
-        report.pulls,
         report.pull_failures,
         report.packets_sent,
-        report.delivery_ratio,
         report.model_refits,
         report.cache_size,
-        report.cache_insertions,
+        report.offload_bytes,
         tuple(answer.latency_s for answer in report.answers),
-        tuple(
-            answer.value if answer.value is not None else None
-            for answer in report.answers
-        ),
+        tuple(answer.value for answer in report.answers),
         tuple(answer.source for answer in report.answers),
     )
 
 
 class TestPartitionEquivalence:
     @pytest.fixture(scope="class")
-    def legacy_key(self):
-        return report_key(run_federated(None))
+    def reference_key(self):
+        return report_key(run_federated(1))
 
     @pytest.mark.parametrize("partitions", [1, 2, 4])
-    def test_partition_counts_match_shared_kernel(self, legacy_key, partitions):
-        assert report_key(run_federated(partitions)) == legacy_key
+    def test_partition_counts_match_shared_kernel(self, reference_key, partitions):
+        assert report_key(run_federated(partitions)) == reference_key
 
-    def test_process_backend_matches_shared_kernel(self, legacy_key):
+    def test_process_backend_matches_shared_kernel(self, reference_key):
         report = run_federated(4, backend="process")
-        assert report_key(report) == legacy_key
+        assert report_key(report) == reference_key
 
     def test_partitioned_report_records_partition_count(self):
-        report = run_federated(2)
-        assert report.n_partitions == 2
-        assert run_federated(None).n_partitions == 1
+        assert run_federated(2).n_partitions == 2
+        assert FederationConfig().partitions == 1
+        with pytest.raises(ValueError, match="partitions"):
+            FederationConfig(partitions=None)
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_second_run_reports_the_same(self, backend):
+        """run() replaces the coordinator's ledger instead of adding to it."""
+        system, queries = make_system(
+            2, backend=backend, serving=ServingConfig(offered_qps=40.0, duration_s=120.0)
+        )
+        first = system.run(queries, duration_s=DURATION_S)
+        events = system.failover_events
+        second = system.run(queries, duration_s=DURATION_S)
+        assert report_key(second) == report_key(first)
+        assert first.failovers > 0 and first.replica_syncs > 0
+        assert system.failover_events == events and len(events) == 1
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_out_of_range_query_is_unroutable_at_its_rank(self, partitions):
+        system, queries = make_system(partitions, kill=False)
+        position = len(queries) // 2
+        stray = dataclasses.replace(queries[position], sensor=99)
+        queries = queries[:position] + [stray] + queries[position:]
+        report = system.run(queries, duration_s=DURATION_S)
+        assert report.unroutable == 1
+        assert report.answers[position].query is stray
+        assert report.answers[position].source is AnswerSource.FAILED
+        assert len(report.answers) == len(queries)
 
     def test_partition_cells_contiguous_and_total(self):
         assign = partition_cells(10, 3)
@@ -151,19 +185,19 @@ class TestCodedSyncAccounting:
 
     @pytest.mark.parametrize("replica_coding", ["full", "rs"])
     def test_sync_joules_match_across_partitioning(self, replica_coding):
-        legacy = run_federated(None, replica_coding=replica_coding).coding
+        whole = run_federated(1, replica_coding=replica_coding).coding
         split = run_federated(2, replica_coding=replica_coding).coding
-        assert legacy.mode == split.mode == replica_coding
+        assert whole.mode == split.mode == replica_coding
         for field in self.CODING_FIELDS:
-            assert getattr(split, field) == getattr(legacy, field), field
-        assert legacy.shipped_bytes > 0
-        assert legacy.sync_radio_j > 0
-        assert legacy.sync_flash_j > 0
+            assert getattr(split, field) == getattr(whole, field), field
+        assert whole.shipped_bytes > 0
+        assert whole.sync_radio_j > 0
+        assert whole.sync_flash_j > 0
 
     def test_full_mode_ledger_is_identity(self):
         # In full mode the counterfactual equals what was shipped: the
         # savings fraction reads 0 and the ledger is a pure byte meter.
-        coding = run_federated(None).coding
+        coding = run_federated(1).coding
         assert coding.shipped_bytes == coding.full_copy_bytes
         assert coding.bytes_saved_fraction == 0.0
 
@@ -219,29 +253,85 @@ class TestServingDeterminism:
         assert heavy.utilization > light.utilization
 
 
-class TestLockstepKernel:
-    def test_barrier_schedule_merges_interval_and_instants(self):
-        barriers = barrier_schedule(10.0, interval=4.0, instants=(3.0, 12.0, 0.0))
-        assert barriers == [3.0, 4.0, 8.0, 10.0]
+class TestStandingQueries:
+    """Standing queries arm, fire and report identically however cells are split."""
 
-    def test_barrier_schedule_rejects_bad_inputs(self):
-        with pytest.raises(SimulationError):
-            barrier_schedule(0.0)
-        with pytest.raises(SimulationError):
-            barrier_schedule(10.0, interval=-1.0)
+    @staticmethod
+    def run_event_storm(partitions, backend):
+        config = dataclasses.replace(CampaignConfig.smoke(), n_sensors=8, n_proxies=4)
+        runner = CampaignRunner(config)
+        campaign_default = runner._federation_config
+        runner._federation_config = lambda spec: dataclasses.replace(
+            campaign_default(spec), partition_backend=backend
+        )
+        spec = dataclasses.replace(
+            all_scenarios()["event storm"],
+            federation=FederationRegime(partitions=partitions),
+        )
+        result = runner.run_one(spec, "federated")
+        assert result.report.n_partitions == partitions
+        return (
+            result.notifications,
+            result.notification_recall,
+            result.worst_notification_latency_s,
+            result.qualifying_events,
+        )
 
-    def test_lockstep_group_advances_members_together(self):
-        sims = [Simulator(), Simulator()]
-        seen = []
-        sims[0].schedule(2.0, lambda: seen.append("a@2"))
-        sims[1].schedule(5.0, lambda: seen.append("b@5"))
-        observed = []
-        group = LockstepGroup(sims)
-        group.run([4.0, 6.0], on_barrier=lambda t: observed.append((t, tuple(s.now for s in sims))))
-        assert seen == ["a@2", "b@5"]
-        assert observed == [(4.0, (4.0, 4.0)), (6.0, (6.0, 6.0))]
+    def test_notifications_match_across_partitioning(self):
+        reference = self.run_event_storm(1, "inline")
+        notifications, recall, worst_latency, qualifying = reference
+        assert notifications > 0 and qualifying > 0
+        assert 0.0 < recall <= 1.0 and worst_latency >= 0.0
+        for partitions, backend in [(2, "inline"), (4, "inline"), (4, "process")]:
+            assert self.run_event_storm(partitions, backend) == reference
 
-    def test_lockstep_group_rejects_unsorted_barriers(self):
-        group = LockstepGroup([Simulator()])
-        with pytest.raises(SimulationError):
-            group.run([5.0, 5.0])
+    def test_notifications_carry_global_sensor_ids(self):
+        system, queries = make_system(2, kill=False)
+        for sensor in range(system.trace.n_sensors):
+            system.continuous.register(
+                ContinuousQuery(sensor=sensor, kind=TriggerKind.DELTA, threshold=0.01)
+            )
+        system.run(queries, duration_s=DURATION_S)
+        fired = {n.sensor for n in system.continuous.notifications}
+        assert fired == set(range(system.trace.n_sensors))
+
+    def test_standing_query_on_unknown_sensor_rejected(self):
+        system, queries = make_system(2, kill=False)
+        system.continuous.register(
+            ContinuousQuery(sensor=99, kind=TriggerKind.ABOVE, threshold=0.0)
+        )
+        with pytest.raises(ValueError, match="standing query on sensor 99"):
+            system.run(queries, duration_s=DURATION_S)
+
+
+class TestPartitionFailure:
+    """A crash inside a partition is the run's failure, not a silent retry."""
+
+    @pytest.fixture
+    def broken_setup(self, monkeypatch):
+        original = federation_module._CellPartition.setup
+
+        def setup(partition):
+            if "proxy2" in partition._built:
+                raise KeyError("boom")
+            original(partition)
+
+        monkeypatch.setattr(federation_module._CellPartition, "setup", setup)
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_partition_exception_names_the_partition(self, broken_setup, backend):
+        system, queries = make_system(2, backend=backend)
+        with pytest.raises(RuntimeError, match=r"partition 1 \(cells \[2, 3\]\)") as info:
+            system.run(queries, duration_s=DURATION_S)
+        assert "boom" in str(info.value)
+
+    def test_pool_that_cannot_start_falls_back_serially(self, monkeypatch, capsys):
+        reference = report_key(run_federated(2))
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes for you")
+
+        monkeypatch.setattr(federation_module, "ProcessPoolExecutor", no_pool)
+        report = run_federated(2, backend="process")
+        assert report_key(report) == reference
+        assert "running 2 partitions serially" in capsys.readouterr().err

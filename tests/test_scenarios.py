@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.continuous import TriggerKind
-from repro.energy.constants import MICA2_RADIO
-from repro.energy.duty_cycle import DutyCycleConfig
-from repro.energy.meter import EnergyMeter
-from repro.radio.link import LinkConfig
-from repro.radio.network import Network, NetworkNode
+from repro.core.federation import FederatedSystem, _CellPartition
 from repro.scenarios import (
     CampaignConfig,
     CampaignRunner,
@@ -30,7 +26,6 @@ from repro.scenarios import (
     WorkloadSpec,
     builtin_scenarios,
 )
-from repro.simulation.kernel import Simulator
 
 REQUIRED_SCENARIOS = (
     "lossy uplink",
@@ -474,18 +469,15 @@ def adverse_campaign():
     return report
 
 
-def _cell_network(sim, index, loss):
-    """A one-sensor star network for burst-targeting unit tests."""
-    network = Network(
-        sim,
-        MICA2_RADIO,
-        LinkConfig(loss_probability=loss),
-        DutyCycleConfig(check_interval_s=1.0),
-        np.random.default_rng(index),
+def _two_cell_system(runner, spec):
+    """The federated system run_one would build for *spec* (2 cells)."""
+    _, trace, _ = runner._build_trace(spec)
+    return FederatedSystem(
+        trace,
+        runner._presto_config(spec, None),
+        federation=runner._federation_config(spec),
+        seed=1,
     )
-    network.register_proxy(NetworkNode(f"proxy{index}", EnergyMeter("p")))
-    network.register_sensor(NetworkNode(f"s{index}", EnergyMeter("s")))
-    return network
 
 
 class TestRegionalLoss:
@@ -502,16 +494,23 @@ class TestRegionalLoss:
                 cell_indices=(1,),
             ),
         )
-        sim = Simulator()
-        networks = [_cell_network(sim, 0, 0.1), _cell_network(sim, 1, 0.1)]
-        count = runner._schedule_bursts(spec, sim, networks)
+        system = _two_cell_system(runner, spec)
+        count = runner._schedule_bursts(spec, system, 2)
         assert count == 3  # bursts at 7200, 14400, 21600
-        sim.run_until(8000.0)  # inside the first burst (7200..9000)
-        assert networks[1].mac_for("s1").link_config.loss_probability == 0.9
-        assert networks[0].mac_for("s0").link_config.loss_probability == 0.1
-        sim.run_until(9500.0)  # past the burst end
-        assert networks[1].mac_for("s1").link_config.loss_probability == 0.1
-        assert networks[0].mac_for("s0").link_config.loss_probability == 0.1
+        partition = _CellPartition(
+            system._context(runner.config.duration_s), [0, 1], []
+        )
+        partition.setup()
+
+        def loss(proxy_name):
+            return partition._built[proxy_name].network.link_config.loss_probability
+
+        partition.sim.run_until(8000.0)  # inside the first burst (7200..9000)
+        assert loss("proxy1") == 0.9
+        assert loss("proxy0") == 0.1
+        partition.sim.run_until(9500.0)  # past the burst end
+        assert loss("proxy1") == 0.1
+        assert loss("proxy0") == 0.1
 
     def test_out_of_range_cell_index_rejected(self):
         runner = CampaignRunner(small_config())
@@ -521,10 +520,8 @@ class TestRegionalLoss:
                 burst_loss_probability=0.9, cell_indices=(2,)
             ),
         )
-        sim = Simulator()
-        networks = [_cell_network(sim, 0, 0.1), _cell_network(sim, 1, 0.1)]
         with pytest.raises(ValueError, match="out of range"):
-            runner._schedule_bursts(spec, sim, networks)
+            runner._schedule_bursts(spec, _two_cell_system(runner, spec), 2)
 
     def test_negative_index_resolves_on_both_harnesses(self, adverse_campaign):
         """cell_indices=(-1,) addresses the only cell single-cell-side and

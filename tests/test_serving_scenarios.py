@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.continuous import TriggerKind
 from repro.scenarios import (
     DEFAULT_CAMPAIGN,
     CampaignConfig,
@@ -185,15 +186,20 @@ class TestServingWiring:
         single = runner.run_one(spec, "single").row()
         assert "serving_queries" not in single
 
-    def test_standing_queries_need_shared_kernel(self):
+    def test_standing_queries_run_partitioned(self):
         spec = ScenarioSpec(
-            name="bad",
+            name="armed",
             federation=FederationRegime(partitions=2),
-            standing=StandingQuerySpec(),
+            standing=StandingQuerySpec(kind=TriggerKind.DELTA, threshold_offset=0.05),
         )
         runner = CampaignRunner(small_config())
-        with pytest.raises(ValueError, match="standing"):
-            runner.run_one(spec, "federated")
+        split = runner.run_one(spec, "federated")
+        assert split.report.n_partitions == 2
+        assert split.notifications > 0
+        whole = runner.run_one(
+            dataclasses.replace(spec, federation=FederationRegime()), "federated"
+        )
+        assert split.notifications == whole.notifications
 
     def test_partitioned_bursts_fire(self):
         spec = ScenarioSpec(
