@@ -26,13 +26,13 @@ class SimulationError(RuntimeError):
     """Raised for invalid kernel operations (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)``; ``seq`` guarantees FIFO order for
-    events at identical times.  ``cancelled`` implements lazy deletion: the
-    queue skips cancelled entries when popping.
+    The queue orders events by ``(time, seq)``; ``seq`` guarantees FIFO order
+    for events at identical times.  ``cancelled`` implements lazy deletion:
+    the queue skips cancelled entries when popping.
     """
 
     time: float
@@ -46,35 +46,40 @@ class Event:
 
 
 class EventQueue:
-    """Binary-heap priority queue of :class:`Event` with lazy cancellation."""
+    """Binary-heap priority queue of :class:`Event` with lazy cancellation.
+
+    Heap entries are ``(time, seq, event)`` tuples: ``seq`` is unique, so the
+    heap orders by C tuple comparison and never compares the events.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def push(self, time: float, callback: Callable[[], None]) -> Event:
         """Add *callback* at absolute *time* and return its handle."""
-        event = Event(time=time, seq=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time=time, seq=seq, callback=callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Return the time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if self._heap:
-            return self._heap[0].time
+            return self._heap[0][0]
         return None
 
 

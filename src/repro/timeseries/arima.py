@@ -180,13 +180,13 @@ class ARIMAModel(TimeSeriesModel):
 
     def _one_step_centred(self) -> float:
         """Prediction of the next centred differenced value."""
-        w = list(self._recent_w)[::-1]   # most recent first
-        eps = list(self._recent_eps)[::-1]
+        w = self._recent_w   # most recent last: lag i is w[-1 - i]
+        eps = self._recent_eps
         prediction = 0.0
         for i in range(min(self.p, len(w))):
-            prediction += self._phi[i] * w[i]
+            prediction += self._phi[i] * w[-1 - i]
         for j in range(min(self.q, len(eps))):
-            prediction += self._theta[j] * eps[j]
+            prediction += self._theta[j] * eps[-1 - j]
         return prediction
 
     def predict_next(self) -> float:

@@ -165,6 +165,27 @@ class TestRecordDetection:
         frames = proxy.cache.frames_in(0, 100.0, 110.0)
         assert frames[0] == pytest.approx([1.0, 5.0])
 
+    def test_detection_tag_is_the_fit_of_the_exchanges_so_far(self):
+        """No read happens between the exchanges, so the fit runs inside
+        ``record_detection`` — over exactly the window as it stands then,
+        not one exchange short and not including later ones."""
+        system = build_system()
+        proxy = system.proxy
+        name = proxy.sensor_name(0)
+        exchanges = [(t, 1.0002 * t + 3.0 + 0.01 * (-1) ** i)
+                     for i, t in enumerate(np.arange(0.0, 1500.0, 300.0))]
+        tags = []
+        for i, (t, local) in enumerate(exchanges):
+            proxy.sync.record_exchange(name, proxy_time=t, sensor_local_time=local)
+            if i >= 2:
+                proxy.record_detection(0, raw_timestamp=local + 1.0, value=float(i))
+                tags.append(tuple(proxy.cache.frames_in(0, local, local + 2.0)[0]))
+        for i, tag in enumerate(tags, start=2):
+            seen = np.asarray(exchanges[: i + 1])
+            rate, offset = np.polyfit(seen[:, 0], seen[:, 1], deg=1)
+            assert tag == (float(rate), float(offset))
+        assert len(set(tags)) == len(tags)  # each exchange moved the fit
+
     def test_pre_sync_detection_untagged(self):
         system = build_system()
         proxy = system.proxy
