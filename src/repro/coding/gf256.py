@@ -4,8 +4,8 @@ The field is GF(2^8) with the conventional primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D).  Everything is table-driven and
 vectorised over ``uint8`` NumPy arrays: an exp/log pair for scalar
 division and inversion, plus a full 256x256 product table so that
-matrix-style operations (:func:`gf_matmul`) are fancy-indexed lookups
-with XOR reductions — no Python-level per-byte loops on the hot path.
+matrix-style operations (:func:`gf_matmul`) are table-row gathers with
+XOR reductions — no Python-level per-byte loops on the hot path.
 
 All tables are built deterministically at import time from the field
 definition alone; :func:`self_check` re-derives the field axioms from
@@ -74,18 +74,22 @@ def gf_div(a: int | np.ndarray, b: int) -> np.ndarray:
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256): ``(r, k) x (k, c) -> (r, c)``.
 
-    Multiplication is the table lookup, addition is XOR; the reduction
-    loops over the small inner dimension only (k is the coding stripe
-    width, single digits in practice) while every row/column stays
-    vectorised.
+    Multiplication is the table lookup, addition is XOR.  Each nonzero
+    coefficient ``a[r, t]`` selects its 256-entry row of the product
+    table, through which the whole of ``b[t]`` is gathered at once: the
+    Python loops cover only the small dimensions (r and k are the coding
+    stripe's height and width, single digits in practice) while the
+    payload axis stays vectorised.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for t in range(a.shape[1]):
-        out ^= GF_MUL[a[:, t][:, None], b[t, :][None, :]]
+    for r, coefficients in enumerate(a.tolist()):
+        for t, coefficient in enumerate(coefficients):
+            if coefficient:
+                out[r] ^= GF_MUL[coefficient].take(b[t])
     return out
 
 

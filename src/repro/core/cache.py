@@ -235,7 +235,10 @@ class _Column:
         """Insert or refine one cell; returns the outcome code."""
         times = self.times
         lo, hi = self.start, self.end
-        relative = int(np.searchsorted(times[lo:hi], timestamp, side="left"))
+        if hi == lo or timestamp > times[hi - 1]:
+            relative = hi - lo  # the common case: strictly newer than the tail
+        else:
+            relative = int(np.searchsorted(times[lo:hi], timestamp, side="left"))
         position = lo + relative
         if position < hi and times[position] == timestamp:
             existing_actual = self.codes[position] != PREDICTED_CODE
@@ -277,9 +280,25 @@ class _Column:
     ) -> tuple[int, int]:
         """Merge a sorted, deduplicated batch; returns (inserted, refined).
 
-        Exact-timestamp collisions follow the single-insert refinement
-        policy; new timestamps are merged in one vectorized pass.
+        A batch strictly newer than the tail — the common case — is
+        appended by slice assignment.  Otherwise exact-timestamp collisions
+        follow the single-insert refinement policy and new timestamps are
+        merged in one vectorized pass.
         """
+        if self.length == 0 or timestamps[0] > self.times[self.end - 1]:
+            count = timestamps.size
+            self.reserve(count)
+            tail = slice(self.end, self.end + count)
+            self.times[tail] = timestamps
+            self.values[tail] = values
+            self.stds[tail] = stds
+            self.codes[tail] = code
+            if self.frames is not None:
+                # batch values are proxy-stamped; a compaction may have left
+                # stale tags in the rows being claimed
+                self.frames[tail] = np.nan
+            self.length += count
+            return count, 0
         times, vals, sds, codes = self.views()
         n = times.size
         positions = np.searchsorted(times, timestamps, side="left")
@@ -426,8 +445,9 @@ class SummaryCache:
         Equivalent to inserting each cell individually (duplicates within
         the batch keep the last value; collisions with cached cells follow
         the refinement policy; overflow evicts the oldest cells), but with
-        one searchsorted merge instead of per-entry bisect.  Returns the
-        number of genuinely new timestamps.
+        one searchsorted merge instead of per-entry bisect — and no sort or
+        merge at all for an ascending batch newer than everything cached.
+        Returns the number of genuinely new timestamps.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -437,13 +457,13 @@ class SummaryCache:
             stds = np.full(timestamps.size, float(stds), dtype=np.float64)
         else:
             stds = np.ascontiguousarray(stds, dtype=np.float64)
-        order = np.argsort(timestamps, kind="stable")
-        timestamps = timestamps[order]
-        values = values[order]
-        stds = stds[order]
-        # Deduplicate within the batch: the last occurrence wins, exactly as
-        # sequential same-source inserts would resolve it.
-        if timestamps.size > 1:
+        if timestamps.size > 1 and not (timestamps[1:] > timestamps[:-1]).all():
+            order = np.argsort(timestamps, kind="stable")
+            timestamps = timestamps[order]
+            values = values[order]
+            stds = stds[order]
+            # Deduplicate within the batch: the last occurrence wins, exactly
+            # as sequential same-source inserts would resolve it.
             last = np.ones(timestamps.size, dtype=bool)
             last[:-1] = timestamps[1:] != timestamps[:-1]
             timestamps, values, stds = timestamps[last], values[last], stds[last]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.cache import CacheEntry, EntrySource
@@ -111,6 +112,25 @@ class ContinuousQueryEngine:
             return
         self._latest_ts[sensor] = timestamp
         self._last_value[sensor] = value
+
+    def note_predictions(
+        self, sensor: int, timestamps: Sequence[float], values: Sequence[float]
+    ) -> None:
+        """Record an ascending run of PREDICTED entries without evaluating.
+
+        The unarmed counterpart of feeding each substitution to
+        :meth:`on_entry`: a prediction at or before the latest timestamp is
+        stale (counted, never a refinement — only actuals refine), the rest
+        advance the history to the run's newest entry.
+        """
+        latest = self._latest_ts.get(sensor)
+        if latest is not None:
+            stale = bisect.bisect_right(timestamps, latest)
+            self.stale_entries_skipped += stale
+            if stale == len(timestamps):
+                return
+        self._latest_ts[sensor] = float(timestamps[-1])
+        self._last_value[sensor] = float(values[-1])
 
     def tightest_threshold_gap(self, sensor: int, current_value: float) -> float | None:
         """Distance from *current_value* to the nearest armed threshold.

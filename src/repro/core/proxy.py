@@ -192,8 +192,14 @@ class PrestoProxy:
                 )
             return
         self.cache.insert_batch(sensor, times, values, std, source)
-        newest = int(np.argmax(times))
-        self.continuous.note_value(sensor, float(times[newest]), float(values[newest]))
+        if source is EntrySource.PREDICTED:
+            # a tracker's silent run: ascending, and never a refinement
+            self.continuous.note_predictions(sensor, times, values)
+        else:
+            newest = int(np.argmax(times))
+            self.continuous.note_value(
+                sensor, float(times[newest]), float(values[newest])
+            )
 
     # -- epoch arithmetic ----------------------------------------------------------
 
@@ -310,29 +316,30 @@ class PrestoProxy:
     def _advance_tracker(self, sensor: int, state: _SensorState, upto_epoch: int) -> None:
         """Insert PREDICTED entries for silent epochs up to *upto_epoch*.
 
-        The entry's std reflects the protocol's actual guarantee: a silent
-        epoch means the reading was within *delta* of the substituted value,
-        so the error bound is delta (≈ uniform, std = delta/√3), floored at
-        the model's own one-step residual.
+        The tracker advances over the whole silent run, which then lands in
+        the cache as one batch.  The entries' std reflects the protocol's
+        actual guarantee: a silent epoch means the reading was within
+        *delta* of the substituted value, so the error bound is delta
+        (≈ uniform, std = delta/√3), floored at the model's own one-step
+        residual.
         """
-        if state.tracker is None:
+        if state.tracker is None or state.last_epoch >= upto_epoch:
             return
         std = max(
             state.tracker.predicted_std(),
             state.tracker.delta / np.sqrt(3.0),
         )
-        while state.last_epoch < upto_epoch:
-            state.last_epoch += 1
-            predicted = state.tracker.advance_silent()
-            self._insert_entry(
-                sensor,
-                CacheEntry(
-                    timestamp=self.epoch_time(state.last_epoch),
-                    value=predicted,
-                    std=max(std, 1e-6),
-                    source=EntrySource.PREDICTED,
-                ),
-            )
+        epochs = np.arange(state.last_epoch + 1, upto_epoch + 1)
+        advance = state.tracker.advance_silent
+        values = np.array([advance() for _ in range(epochs.size)])
+        state.last_epoch = upto_epoch
+        self._insert_batch(
+            sensor,
+            epochs * self.config.sample_period_s,
+            values,
+            max(std, 1e-6),
+            EntrySource.PREDICTED,
+        )
 
     def advance_to_now(self, sensor: int) -> None:
         """Bring *sensor*'s cached view up to the current epoch."""

@@ -4,13 +4,15 @@ The heart of PRESTO (Section 2/3): the proxy fits a model, transmits its
 parameters to the sensor, and from then on the *sensor* checks each reading
 against the model, transmitting only on failure:
 
-    sensor:  predicted = model.predict_next()
-             if |reading - predicted| > delta: push(reading); observe(reading)
-             else:                             observe(predicted)
+    sensor:  predicted, pushed = model.step(reading, delta)
+             #   |reading - predicted| > delta: observe(reading), push it
+             #   otherwise:                     observe(predicted)
     proxy:   on push:    observe(reading)   # same branch, same state
-             on silence: observe(predicted)
+             on silence: model.step(None, delta)   # observe(predicted)
 
-Both sides advance the *same* model with the *same* values, so silence is
+Each side takes one model step per epoch
+(:meth:`~repro.timeseries.base.TimeSeriesModel.step`), and both advance the
+*same* model with the *same* values, so silence is
 unambiguous ("the reading was within delta of what we both computed") and
 the proxy's substituted series is exactly the sensor's.  Rare events are
 caught by construction: any reading further than delta from the prediction
@@ -80,14 +82,11 @@ class SensorModelChecker:
 
     def process(self, value: float) -> PushDecision:
         """Check one reading; advances the replica identically to the proxy."""
-        predicted = self._model.predict_next()
-        error = abs(value - predicted)
-        push = error > self.delta
-        self._model.observe(value if push else predicted)
+        predicted, push = self._model.step(value, self.delta)
         self.checks += 1
         if push:
             self.pushes += 1
-        return PushDecision(push=push, predicted=predicted, error=error)
+        return PushDecision(push=push, predicted=predicted, error=abs(value - predicted))
 
     def advance_silent(self) -> float:
         """Advance one epoch with no reading (sensing dropout).
@@ -96,8 +95,7 @@ class SensorModelChecker:
         tracker's :meth:`ProxyModelTracker.advance_silent` — so a missed
         sample keeps both sides in lockstep.  Returns the substituted value.
         """
-        predicted = self._model.predict_next()
-        self._model.observe(predicted)
+        predicted, _ = self._model.step(None, self.delta)
         self.checks += 1
         return predicted
 
@@ -130,8 +128,7 @@ class ProxyModelTracker:
 
     def advance_silent(self) -> float:
         """Advance one epoch without a push; returns the substituted value."""
-        predicted = self._model.predict_next()
-        self._model.observe(predicted)
+        predicted, _ = self._model.step(None, self.delta)
         self.substitutions += 1
         return predicted
 
@@ -178,4 +175,4 @@ def verify_replicas_in_sync(
     checker: SensorModelChecker, tracker: ProxyModelTracker
 ) -> bool:
     """Test hook: do the two replicas predict the same next value?"""
-    return abs(checker._model.predict_next() - tracker._model.predict_next()) < 1e-9
+    return checker._model.predict_next() == tracker._model.predict_next()

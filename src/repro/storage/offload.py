@@ -187,6 +187,9 @@ class OffloadCoordinator:
         self._index_of: dict[int, int] = {}
         self.stats = OffloadStats()
         self.moves: list[OffloadMove] = []
+        # one flash page over one hop, priced on first use (it needs a
+        # registered archive for the page size)
+        self._one_hop_page_j: float | None = None
 
     # -- registration ------------------------------------------------------
 
@@ -329,12 +332,17 @@ class OffloadCoordinator:
         return best_host
 
     def _page_cost_j(self, hops: int) -> float:
-        """Radio joules to move one flash page of payload over *hops* hops."""
-        page_bytes = self.archives[0].flash.constants.page_bytes
-        one_hop = transfer_energy(self.radio, page_bytes) + receive_transfer_energy(
-            self.radio, page_bytes
-        )
-        return hops * one_hop
+        """Radio joules to move one flash page of payload over *hops* hops.
+
+        Depends only on the radio constants and the page size, so the
+        one-hop price is derived once per coordinator, not once per arc.
+        """
+        if self._one_hop_page_j is None:
+            page_bytes = self.archives[0].flash.constants.page_bytes
+            self._one_hop_page_j = transfer_energy(
+                self.radio, page_bytes
+            ) + receive_transfer_energy(self.radio, page_bytes)
+        return hops * self._one_hop_page_j
 
     def _mcf_make_room(self, source: int) -> bool:
         """Network-wide min-cost assignment of pressured segments to hosts.

@@ -100,8 +100,6 @@ class ARIMAModel(TimeSeriesModel):
                 np.zeros(0), 0.0, float(np.var(centred)))
             self._phi = np.asarray(phi, dtype=np.float64)
             self._theta = np.zeros(0, dtype=np.float64)
-            residuals = self._in_sample_residuals(centred)
-            self._sigma = float(np.sqrt(np.mean(residuals**2)))
         else:
             long_order = self._long_ar_order or max(
                 2 * (self.p + self.q), int(np.floor(np.log(w.size) ** 2))
@@ -110,11 +108,11 @@ class ARIMAModel(TimeSeriesModel):
             long_order = max(long_order, self.p + self.q)
             eps_hat = self._long_ar_residuals(centred, long_order)
             self._stage2_regression(centred, eps_hat, long_order)
-            residuals = self._in_sample_residuals(centred)
-            self._sigma = float(np.sqrt(np.mean(residuals**2)))
+        residuals = self._in_sample_residuals(centred)
+        self._sigma = float(np.sqrt(np.mean(residuals**2)))
 
         self._fitted = True
-        self._reset_streaming_state(values, centred)
+        self._reset_streaming_state(values, centred, residuals)
         return self
 
     def _long_ar_residuals(self, centred: np.ndarray, long_order: int) -> np.ndarray:
@@ -157,8 +155,9 @@ class ARIMAModel(TimeSeriesModel):
             eps[t] = centred[t] - prediction
         return eps
 
-    def _reset_streaming_state(self, values: np.ndarray, centred: np.ndarray) -> None:
-        residuals = self._in_sample_residuals(centred)
+    def _reset_streaming_state(
+        self, values: np.ndarray, centred: np.ndarray, residuals: np.ndarray
+    ) -> None:
         self._recent_w.clear()
         for v in centred[-max(self.p, 1):]:
             self._recent_w.append(float(v))
@@ -227,6 +226,37 @@ class ARIMAModel(TimeSeriesModel):
                 running = running - tails[level]
             self._level_tail.clear()
             self._level_tail.extend(new_tails)
+
+    def step(self, value: float | None, delta: float) -> tuple[float, bool]:
+        """One protocol epoch with the one-step term computed once.
+
+        Same arithmetic, operand types and resulting state as
+        :meth:`predict_next` followed by :meth:`observe`: the streaming
+        state is pickled into every replica-sync payload, so even the float
+        types held by the deques must not change.
+        """
+        self._require_fit()
+        one_step = self._one_step_centred()
+        tails = list(self._level_tail)
+        prediction = one_step + self._mu
+        for level in range(self.d - 1, -1, -1):
+            prediction = tails[level] + prediction
+        predicted = float(prediction)
+        pushed = value is not None and bool(abs(value - predicted) > delta)
+        # difference the observed level down to the centred ARMA domain,
+        # collecting the new level tails (level, first difference, ...)
+        current = float(value) if pushed else predicted
+        new_tails: list[float] = []
+        for level in range(self.d):
+            new_tails.append(current)
+            current = current - tails[level]
+        w_actual = current - self._mu
+        self._recent_w.append(w_actual)
+        self._recent_eps.append(w_actual - one_step)
+        if self.d:
+            self._level_tail.clear()
+            self._level_tail.extend(new_tails)
+        return predicted, pushed
 
     def forecast(self, steps: int) -> Forecast:
         """Multi-step forecast in level units with psi-weight variance."""

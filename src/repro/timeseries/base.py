@@ -6,10 +6,12 @@ Every model exposes the same three capabilities the PRESTO proxy needs:
 * :meth:`TimeSeriesModel.forecast` — mean + standard deviation for the next
   ``h`` sampling epochs (used for extrapolation and confidence-aware query
   answering);
-* :meth:`TimeSeriesModel.predict_next` / :meth:`TimeSeriesModel.observe` —
-  the cheap one-step loop that both the proxy and the sensor replicate so a
-  value the sensor *doesn't* push is substituted identically on both sides
-  (the model-driven push protocol of Section 2).
+* :meth:`TimeSeriesModel.step` — one epoch of the cheap one-step loop that
+  both the proxy and the sensor replicate so a value the sensor *doesn't*
+  push is substituted identically on both sides (the model-driven push
+  protocol of Section 2); :meth:`TimeSeriesModel.predict_next` and
+  :meth:`TimeSeriesModel.observe` are its two halves, for callers that
+  need only one of them.
 
 Models also report ``parameter_bytes`` — the cost of shipping their
 parameters to a sensor — which the push protocol charges to the radio.
@@ -87,6 +89,22 @@ class TimeSeriesModel(abc.ABC):
         output when the sensor stayed silent — keeping the two copies of the
         model state bit-identical.
         """
+
+    def step(self, value: float | None, delta: float) -> tuple[float, bool]:
+        """Advance one protocol epoch; returns ``(predicted, pushed)``.
+
+        Predict the epoch's value, decide whether the reading *value*
+        breaches *delta* (``None`` — a silent or missed epoch — never
+        does), then observe the reading if it was pushed and the
+        prediction otherwise.  Subclasses may fuse the two halves but
+        must leave exactly the state ``predict_next`` + ``observe`` would.
+        """
+        predicted = self.predict_next()
+        if value is not None and abs(value - predicted) > delta:
+            self.observe(value)
+            return predicted, True
+        self.observe(predicted)
+        return predicted, False
 
     def align_to_time(self, next_sample_time: float) -> None:
         """Align internal clocks so :meth:`predict_next` targets

@@ -80,6 +80,24 @@ class TestEstimation:
         with pytest.raises(ValueError):
             ARIMAModel(order=(2, 1, 2)).fit(np.arange(10.0) + 1)
 
+    @pytest.mark.parametrize("order", [(1, 1, 0), (2, 0, 1)])
+    def test_fit_filters_the_window_once(self, order, monkeypatch):
+        """sigma and the streaming innovations come from one residual pass
+        (the Python-loop filter is the costliest line of a refit)."""
+        passes = []
+        filter_window = ARIMAModel._in_sample_residuals
+
+        def counted(self, centred):
+            passes.append(filter_window(self, centred))
+            return passes[-1]
+
+        monkeypatch.setattr(ARIMAModel, "_in_sample_residuals", counted)
+        model = ARIMAModel(order=order).fit(make_arma11(n=600))
+        assert len(passes) == 1
+        residuals = passes[0]
+        assert model.residual_std == float(np.sqrt(np.mean(residuals**2)))
+        assert list(model._recent_eps) == [float(e) for e in residuals[-max(order[2], 1):]]
+
 
 class TestStreaming:
     def test_one_step_tracks_level(self):

@@ -7,7 +7,9 @@ backfill and eviction overflow — and asserts every read (``entry_at`` /
 ``entries_in`` / ``tail`` / ``latest`` / ``latest_actual`` /
 ``coverage_fraction`` / ``size``) and every counter agrees, continuously and
 at the end.  ``insert_batch`` is additionally checked against sequential
-single inserts on the reference.
+single inserts on the reference, over the batch shapes the proxy produces:
+strictly-appending silent runs, sorted runs that overlap the cached stream,
+and unordered pull replies.
 """
 
 from __future__ import annotations
@@ -86,11 +88,53 @@ def test_randomized_operation_stream(seed):
     assert new.evictions == old.evictions
 
 
+def random_batch(
+    rng: np.random.Generator, newest_epoch: int, unordered: bool
+) -> np.ndarray:
+    """Batch timestamps in one of the shapes the proxy produces.
+
+    A tracker's silent run (ascending, strictly newer than everything
+    cached — the append branch), an ascending run that overlaps the cached
+    stream (sorted already, but must merge), or — when *unordered* — a
+    pull reply with duplicates and backfill.
+    """
+    size = int(rng.integers(1, 24))
+    roll = rng.random()
+    if roll < 0.4:
+        epochs = newest_epoch + 1 + int(rng.integers(0, 3)) + np.arange(size)
+    elif roll < 0.6 or not unordered:
+        epochs = int(rng.integers(0, newest_epoch + 1)) + np.arange(size)
+    else:
+        epochs = rng.integers(0, newest_epoch + 40, size=size)
+    return epochs.astype(np.float64) * PERIOD
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_insert_equals_sequential(seed):
     """insert_batch ≡ the same cells inserted one by one on the reference."""
+    check_batches_against_sequential(seed, capacity=4096, unordered=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ascending_batches_equal_sequential_while_evicting(seed):
+    """The same with a capacity one batch overflows several times over.
+
+    Ascending batches only: an unordered batch is sorted before it merges,
+    so once cells are being evicted its counters can legitimately differ
+    from arrival-order inserts (a duplicate of an already-evicted cell
+    counts twice there).
+    """
+    check_batches_against_sequential(seed, capacity=32, unordered=False)
+
+
+def check_batches_against_sequential(seed: int, capacity: int, unordered: bool) -> None:
+    """Drive both caches through 40 batches interleaved with tagged inserts.
+
+    Some single inserts carry a clock-frame tag, so rows a batch claims
+    after a compaction must come out untagged.
+    """
     rng = np.random.default_rng(100 + seed)
-    new, old = SummaryCache(256), ListSummaryCache(256)
+    new, old = SummaryCache(capacity), ListSummaryCache(capacity)
     # pre-populate both with an identical in-order stream
     for step in range(120):
         entry = CacheEntry(
@@ -99,14 +143,16 @@ def test_batch_insert_equals_sequential(seed):
             std=0.1,
             source=SOURCES[int(rng.integers(0, 3))],
         )
-        new.insert(0, entry)
-        old.insert(0, entry)
-    for _ in range(20):
-        size = int(rng.integers(1, 24))
+        frame = (1.0 + 1e-5 * step, 0.25) if step % 3 == 0 else None
+        new.insert(0, entry, frame=frame)
+        old.insert(0, entry, frame=frame)
+    appended = 0
+    for _ in range(40):
+        newest = new.latest(0).timestamp
         source = SOURCES[int(rng.integers(0, 3))]
-        # batches mix appends beyond the tail with backfill over the stream
-        timestamps = rng.integers(0, 200, size=size).astype(np.float64) * PERIOD
-        values = rng.normal(20.0, 2.0, size=size)
+        timestamps = random_batch(rng, int(round(newest / PERIOD)), unordered)
+        appended += bool(timestamps[0] > newest and (np.diff(timestamps) > 0).all())
+        values = rng.normal(20.0, 2.0, size=timestamps.size)
         std = float(abs(rng.normal(0.0, 0.1)))
         new.insert_batch(0, timestamps, values, std, source)
         for timestamp, value in zip(timestamps, values):
@@ -120,10 +166,29 @@ def test_batch_insert_equals_sequential(seed):
                 ),
             )
         assert new.entries_in(0, -1.0, 1e12) == old.entries_in(0, -1.0, 1e12)
+        assert_same_frames(new, old)
+        # a tagged single insert at the tail keeps tags flowing through
+        tagged = CacheEntry(
+            timestamp=new.latest(0).timestamp + PERIOD,
+            value=float(rng.normal(20.0, 2.0)),
+            std=0.0,
+            source=EntrySource.PUSHED,
+        )
+        new.insert(0, tagged, frame=(1.0001, -0.5))
+        old.insert(0, tagged, frame=(1.0001, -0.5))
+    assert appended >= 8  # the append branch is genuinely exercised
     assert_same_reads(new, old, rng)
     assert new.insertions == old.insertions
     assert new.refinements == old.refinements
     assert new.evictions == old.evictions
+
+
+def assert_same_frames(new: SummaryCache, old: ListSummaryCache) -> None:
+    ours, theirs = new.frames_in(0, -1.0, 1e12), old.frames_in(0, -1.0, 1e12)
+    if theirs is None:  # reference reports "no tag at all" as None
+        assert ours is None or np.isnan(ours).all()
+    else:
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def test_eviction_overflow_equivalence():

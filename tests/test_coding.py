@@ -93,6 +93,29 @@ class TestGF256:
         with pytest.raises(ValueError):
             gf_inv_matrix(singular)
 
+    def test_matmul_matches_broadcast_reference(self):
+        """The row-table gather computes exactly the 2-D broadcast product
+        it replaced — zero rows and coefficients, k=1, empty width included."""
+
+        def reference(a, b):
+            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+            for t in range(a.shape[1]):
+                out ^= GF_MUL[a[:, t][:, None], b[t, :][None, :]]
+            return out
+
+        rng = np.random.default_rng(2718)
+        shapes = [(1, 1, 1), (3, 1, 17), (2, 4, 0), (0, 3, 5), (6, 4, 4096)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(60)]
+        for rows, k, width in shapes:
+            a = rng.integers(0, 256, size=(rows, k), dtype=np.uint8)
+            b = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
+            a[rng.random(a.shape) < 0.3] = 0      # zero coefficients
+            if rows > 1:
+                a[int(rng.integers(0, rows))] = 0  # a whole zero row
+            product = gf_matmul(a, b)
+            assert product.dtype == np.uint8
+            assert np.array_equal(product, reference(a, b)), (rows, k, width)
+
 
 class TestCodecRoundTrip:
     def test_200_seeded_random_matrices(self):

@@ -1,0 +1,119 @@
+"""``TimeSeriesModel.step`` — one protocol epoch — against its two halves.
+
+The push protocol's sensor checker and proxy tracker advance their model
+replicas through ``step`` alone.  The reference below is the sequence it
+fused (``predict_next``, decide, ``observe``); every model family must
+leave exactly the state that sequence leaves.  For :class:`ARIMAModel`,
+whose override computes the one-step term once, "exactly" extends to the
+pickled bytes: the replicas travel in every replica-sync payload, so a
+float that silently became an ``np.float64`` (or the reverse) would move
+``coding.payload_bytes``.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.timeseries.ar import ARModel
+from repro.timeseries.arima import ARIMAModel
+from repro.timeseries.base import TimeSeriesModel
+from repro.timeseries.markov import MarkovChainModel
+from repro.timeseries.sarima import SeasonalArimaModel
+from repro.timeseries.seasonal import SeasonalProfileModel
+
+
+def reference_step(model: TimeSeriesModel, value, delta: float) -> tuple[float, bool]:
+    """The pre-fusion protocol epoch: predict, decide, observe."""
+    predicted = model.predict_next()
+    push = value is not None and abs(value - predicted) > delta
+    model.observe(value if push else predicted)
+    return predicted, bool(push)
+
+
+def random_walk(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.cumsum(rng.normal(0.0, 0.1, n)) + 20.0
+
+
+def drive_in_lockstep(model: TimeSeriesModel, start: float, rng, steps: int) -> int:
+    """Step *model* and a reference copy through one random value/None
+    sequence, asserting equality after every epoch; returns pushes seen."""
+    reference = copy.deepcopy(model)
+    delta = float(rng.choice([0.0, 0.05, 0.2, 1.0]))
+    level = start
+    pushes = 0
+    for _ in range(steps):
+        level += float(rng.normal(0.0, 0.15))
+        roll = rng.random()
+        if roll < 0.3:
+            value = None                      # silent / missed epoch
+        elif roll < 0.65:
+            value = level
+        else:
+            value = np.float64(level)         # readings arrive as either type
+        predicted, pushed = model.step(value, delta)
+        expected, expected_push = reference_step(reference, value, delta)
+        assert type(predicted) is float and type(pushed) is bool
+        assert predicted == expected
+        assert pushed == expected_push
+        assert pickle.dumps(model, protocol=4) == pickle.dumps(reference, protocol=4)
+        pushes += pushed
+    assert model.predict_next() == reference.predict_next()
+    return pushes
+
+
+ARIMA_ORDERS = [
+    (p, d, q) for p in range(4) for d in range(3) for q in range(3) if p or q
+]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_arima_step_matches_predict_then_observe(seed):
+    rng = np.random.default_rng(4200 + seed)
+    pushes = 0
+    for _ in range(3):
+        order = ARIMA_ORDERS[int(rng.integers(0, len(ARIMA_ORDERS)))]
+        x = random_walk(rng, 400)
+        model = ARIMAModel(order=order).fit(x)
+        keys = set(vars(model))
+        pushes += drive_in_lockstep(model, float(x[-1]), rng, steps=120)
+        assert set(vars(model)) == keys          # no attribute grown by stepping
+        assert all(type(e) is np.float64 for e in model._recent_eps)
+        assert all(type(w) is float for w in model._recent_w)
+        assert all(type(t) is float for t in model._level_tail)
+    assert pushes  # the sequences exercise both branches
+
+
+def test_arima_overrides_the_default_step():
+    assert ARIMAModel.step is not TimeSeriesModel.step
+
+
+def fitted_family(family: str, rng: np.random.Generator) -> tuple[TimeSeriesModel, float]:
+    if family == "ar":
+        x = random_walk(rng, 400)
+        return ARModel(order=3).fit(x), float(x[-1])
+    if family == "markov":
+        x = random_walk(rng, 400)
+        return MarkovChainModel(n_states=16).fit(x), float(x[-1])
+    if family == "seasonal":
+        t = np.arange(600) * 30.0
+        x = 20.0 + np.sin(2 * np.pi * t / 3600.0) + rng.normal(0.0, 0.05, t.size)
+        model = SeasonalProfileModel(bins=12, sample_period_s=30.0).fit(x, t)
+        model.align_to_time(float(t[-1]) + 30.0)
+        return model, float(x[-1])
+    season = 24
+    t = np.arange(4 * season + 16)
+    x = 20.0 + np.sin(2 * np.pi * t / season) + rng.normal(0.0, 0.05, t.size)
+    return SeasonalArimaModel(season_length=season).fit(x), float(x[-1])
+
+
+@pytest.mark.parametrize("family", ["ar", "seasonal", "sarima", "markov"])
+def test_default_step_matches_predict_then_observe(family):
+    """Families without an override run the base-class default."""
+    rng = np.random.default_rng(77)
+    model, start = fitted_family(family, rng)
+    assert type(model).step is TimeSeriesModel.step
+    drive_in_lockstep(model, start, rng, steps=150)
