@@ -35,19 +35,11 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from bench_scenarios import (
-    BENCH_PATH,
-    append_history,
-    build_record,
-    check_drift,
-    check_wall_clock,
-)
+from _harness import campaign_parser, conclude_campaign
 
 from repro.scenarios import CampaignConfig, CampaignReport, CampaignRunner
 from repro.scenarios.library import extended_scenarios
@@ -247,38 +239,8 @@ def check_equivalence(runner: CampaignRunner) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run (6 sensors x 0.3 days, 6 proxies)",
-    )
-    parser.add_argument("--out", type=Path, default=RESULT_PATH)
-    parser.add_argument(
-        "--json-out",
-        type=Path,
-        default=BENCH_PATH,
-        help="regression-history file (default: BENCH_scenarios.json)",
-    )
-    parser.add_argument(
-        "--check-drift",
-        action="store_true",
-        help="fail when any success rate drops vs the last same-scale entry",
-    )
-    parser.add_argument("--drift-tolerance", type=float, default=0.05)
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.5,
-        help="allowed fractional wall-clock rise before --check-drift fails",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the variant fan-out "
-        "(0 = one per CPU core; results identical at any value)",
+    parser = campaign_parser(
+        __doc__, RESULT_PATH, "CI-sized run (6 sensors x 0.3 days, 6 proxies)"
     )
     args = parser.parse_args(argv)
 
@@ -295,50 +257,15 @@ def main(argv: list[str] | None = None) -> int:
         f"(jobs={report.jobs}, serial-equivalent "
         f"{report.variant_wall_clock_s:.1f}s)"
     )
-    table = report.to_table()
-    grids = report.grid_tables("coding_bytes_saved_fraction")
-    print(title)
-    print(table)
-    for section in grids:
-        print(f"\n{section}")
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    body = "\n\n".join([table, *grids])
-    args.out.write_text(f"{title}\n\n{body}\n")
-    print(f"recorded -> {args.out}")
-
-    previous = None
-    if args.json_out.exists():
-        same_scale = [
-            entry
-            for entry in json.loads(args.json_out.read_text()).get("history", [])
-            if entry.get("scale") == scale
-        ]
-        previous = same_scale[-1] if same_scale else None
-    record = build_record(report, scale)
-
-    failures = check_invariants(report) + check_equivalence(runner)
-    if args.check_drift:
-        drift = check_drift(record, previous, args.drift_tolerance)
-        drift += check_wall_clock(record, previous, args.wall_tolerance)
-        if previous is None:
-            print("drift check: no prior entry at this scale (first run)")
-        elif not drift:
-            print(
-                f"drift check: no success-rate or wall-clock regression vs "
-                f"{previous['recorded_at']} (tolerances "
-                f"{args.drift_tolerance} / +{100 * args.wall_tolerance:.0f}%)"
-            )
-        failures.extend(drift)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        print(f"history NOT recorded (run failed checks) -> {args.json_out}")
-        return 1
-    append_history(record, args.json_out)
-    print(f"history -> {args.json_out}")
-    print("PASS: coded sync ships fewer bytes with byte-identical answers")
-    return 0
+    return conclude_campaign(
+        report,
+        args,
+        scale,
+        title,
+        "coding_bytes_saved_fraction",
+        check_invariants(report) + check_equivalence(runner),
+        "coded sync ships fewer bytes with byte-identical answers",
+    )
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ Runs the full built-in scenario library through the
 federated harnesses, prints the consolidated campaign table, persists it
 under ``benchmarks/results/``, appends per-scenario success/error/energy
 rows to ``BENCH_scenarios.json`` at the repo root (the cross-PR regression
-history, like the proxy hot-path benchmark's), and asserts the
-cross-scenario invariants that used to live in bespoke harness code:
+history; see ``_harness.py``), and asserts the cross-scenario invariants
+that used to live in bespoke harness code:
 
 * the nominal regime answers essentially everything;
 * a proxy blackout produces failovers on the federated harness only;
@@ -37,12 +37,11 @@ rate against the last same-scale ``BENCH_scenarios.json`` entry and fails
 when any dropped by more than ``--drift-tolerance`` — the campaign
 regression gate CI runs on every PR.  Rows are matched by their sweep
 *coordinates* (the ``sweep`` dict each row carries), not by variant-label
-order, so re-ordering a scenario's axis values cannot fake or mask drift;
-rows from history predating the coordinate dicts are matched by parsing
-their variant labels.  The same gate flags wall-clock regressions: a
-serial-equivalent campaign cost more than ``--wall-tolerance`` (default
-50%) above the previous same-scale entry's fails too, so the parallel
-speedup is itself a drift-tracked benchmark number.
+order, so re-ordering a scenario's axis values cannot fake or mask drift.
+The same gate flags wall-clock regressions: a serial-equivalent campaign
+cost more than ``--wall-tolerance`` (default 50%) above the previous
+same-scale entry's fails too, so the parallel speedup is itself a
+drift-tracked benchmark number.
 
 Run it directly::
 
@@ -54,12 +53,11 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
-import time
 from pathlib import Path
+
+from _harness import campaign_parser, conclude_campaign
 
 from repro.scenarios import (
     CampaignConfig,
@@ -67,24 +65,8 @@ from repro.scenarios import (
     CampaignRunner,
     builtin_scenarios,
 )
-from repro.scenarios.runner import SWEEP_LABELS
 
 RESULT_PATH = Path(__file__).resolve().parent / "results" / "scenario_campaign.txt"
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
-
-#: row metrics persisted into the regression history (``wall_clock_s`` is
-#: the per-variant simulation cost; only campaign-level totals are gated)
-TRACKED_METRICS = (
-    "success_rate",
-    "mean_error",
-    "energy_per_day_j",
-    "answered_fraction",
-    "notification_recall",
-    "wall_clock_s",
-)
-
-#: variant-label shorthand back to the sweep parameter it abbreviates
-LABEL_PARAMETERS = {label: parameter for parameter, label in SWEEP_LABELS.items()}
 
 
 def check_invariants(report: CampaignReport) -> list[str]:
@@ -285,182 +267,9 @@ def check_invariants(report: CampaignReport) -> list[str]:
     return failures
 
 
-def _json_safe(value):
-    """NaN/inf -> None so the history file stays strict JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def build_record(report: CampaignReport, scale: str) -> dict:
-    """This campaign's tracked rows as one history entry (not yet persisted)."""
-    rows = [
-        {
-            "scenario": row["scenario"],
-            "harness": row["harness"],
-            "variant": row["variant"],
-            "sweep": {k: float(v) for k, v in row["sweep"].items()},
-            **{metric: _json_safe(row[metric]) for metric in TRACKED_METRICS},
-            "wall_clock_s": round(float(row["wall_clock_s"]), 3),
-        }
-        for row in report.rows()
-    ]
-    return {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": scale,
-        "n_sensors": report.config.n_sensors,
-        "duration_days": report.config.duration_days,
-        "jobs": report.jobs,
-        "wall_clock_s": round(report.wall_clock_s, 3),
-        "variant_wall_clock_s": round(report.variant_wall_clock_s, 3),
-        "speedup": _json_safe(
-            round(report.speedup, 3) if math.isfinite(report.speedup) else report.speedup
-        ),
-        "rows": rows,
-    }
-
-
-def append_history(record: dict, path: Path) -> None:
-    """Append *record* to the history file at *path*.
-
-    Callers append only after the invariants and drift gate pass — a
-    regressed run must never become the baseline later runs are compared
-    against (each drop under the tolerance would otherwise ratchet the
-    gate down forever).
-    """
-    history = []
-    if path.exists():
-        history = json.loads(path.read_text()).get("history", [])
-    history.append(record)
-    path.write_text(
-        json.dumps({"benchmark": "scenario_campaign", "history": history}, indent=2)
-        + "\n"
-    )
-
-
-def row_key(row: dict) -> tuple:
-    """The identity drift matching compares rows by.
-
-    Sweep coordinates are canonicalised (sorted parameter order), so two
-    rows match whenever they pin the same values — however the axis list
-    was ordered when either campaign ran.  History rows predating the
-    ``sweep`` dict recover their coordinates from the variant label's
-    ``flash=…``/``loss=…`` shorthand; non-sweep tokens (the ``lpl=…``
-    duty-cycle points) stay part of the identity verbatim.
-    """
-    sweep = row.get("sweep")
-    parsed: dict[str, float] = {}
-    residual: list[str] = []
-    for token in filter(None, row["variant"].split(",")):
-        parameter = LABEL_PARAMETERS.get(token.partition("=")[0])
-        if parameter is None:
-            residual.append(token)
-        elif sweep is None:
-            parsed[parameter] = float(token.partition("=")[2])
-    coordinates = {k: float(v) for k, v in (sweep or parsed).items()}
-    return (
-        row["scenario"],
-        row["harness"],
-        tuple(sorted(coordinates.items())),
-        tuple(residual),
-    )
-
-
-def check_drift(
-    record: dict, previous: dict | None, tolerance: float
-) -> list[str]:
-    """Success-rate regressions vs the last same-scale entry (empty = pass).
-
-    A row present in the previous entry but absent now is also a failure —
-    a silently dropped scenario must not read as "no drift".
-    """
-    if previous is None:
-        return []
-    current = {row_key(row): row for row in record["rows"]}
-    failures: list[str] = []
-    for row in previous["rows"]:
-        key = row_key(row)
-        label = "/".join(
-            part for part in (row["scenario"], row["harness"], row["variant"]) if part
-        )
-        if key not in current:
-            failures.append(f"tracked run {label} missing from this campaign")
-            continue
-        before, after = row["success_rate"], current[key]["success_rate"]
-        if before is None or after is None:
-            continue
-        if after < before - tolerance:
-            failures.append(
-                f"{label} success rate fell {before:.3f} -> {after:.3f} "
-                f"(tolerance {tolerance})"
-            )
-    return failures
-
-
-def check_wall_clock(
-    record: dict, previous: dict | None, tolerance: float
-) -> list[str]:
-    """Campaign wall-clock regressions vs the last same-scale entry.
-
-    Gates on ``variant_wall_clock_s`` — the serial-equivalent cost (sum of
-    per-variant wall clocks), which is comparable across ``--jobs``
-    settings — with a multiplicative tolerance band: the current cost may
-    exceed the previous by at most ``tolerance`` (0.5 = +50%, absorbing
-    runner-to-runner noise while catching real hot-path regressions).
-    Entries predating the timing fields are skipped, not failed.
-    """
-    if previous is None or previous.get("variant_wall_clock_s") is None:
-        return []
-    before = float(previous["variant_wall_clock_s"])
-    after = float(record["variant_wall_clock_s"])
-    if before > 0 and after > before * (1.0 + tolerance):
-        return [
-            f"campaign serial-equivalent wall clock rose "
-            f"{before:.1f}s -> {after:.1f}s "
-            f"(> +{100 * tolerance:.0f}% tolerance band)"
-        ]
-    return []
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized campaign (4 sensors x 0.3 days, 2 proxies)",
-    )
-    parser.add_argument("--out", type=Path, default=RESULT_PATH)
-    parser.add_argument(
-        "--json-out",
-        type=Path,
-        default=BENCH_PATH,
-        help="regression-history file (default: BENCH_scenarios.json)",
-    )
-    parser.add_argument(
-        "--check-drift",
-        action="store_true",
-        help="fail when any success rate drops vs the last same-scale entry",
-    )
-    parser.add_argument(
-        "--drift-tolerance",
-        type=float,
-        default=0.05,
-        help="allowed success-rate drop before --check-drift fails",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the variant fan-out "
-        "(0 = one per CPU core; results identical at any value)",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.5,
-        help="allowed fractional rise in the campaign's serial-equivalent "
-        "wall clock before --check-drift fails (0.5 = +50%%)",
+    parser = campaign_parser(
+        __doc__, RESULT_PATH, "CI-sized campaign (4 sensors x 0.3 days, 2 proxies)"
     )
     args = parser.parse_args(argv)
 
@@ -477,50 +286,15 @@ def main(argv: list[str] | None = None) -> int:
         f"(jobs={report.jobs}, serial-equivalent "
         f"{report.variant_wall_clock_s:.1f}s, speedup {report.speedup:.2f}x)"
     )
-    table = report.to_table()
-    grids = report.grid_tables()
-    print(title)
-    print(table)
-    for section in grids:
-        print(f"\n{section}")
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    body = "\n\n".join([table, *grids])
-    args.out.write_text(f"{title}\n\n{body}\n")
-    print(f"recorded -> {args.out}")
-
-    previous = None
-    if args.json_out.exists():
-        same_scale = [
-            entry
-            for entry in json.loads(args.json_out.read_text()).get("history", [])
-            if entry.get("scale") == scale
-        ]
-        previous = same_scale[-1] if same_scale else None
-    record = build_record(report, scale)
-
-    failures = check_invariants(report)
-    if args.check_drift:
-        drift = check_drift(record, previous, args.drift_tolerance)
-        drift += check_wall_clock(record, previous, args.wall_tolerance)
-        if previous is None:
-            print("drift check: no prior entry at this scale (first run)")
-        elif not drift:
-            print(
-                f"drift check: no success-rate or wall-clock regression vs "
-                f"{previous['recorded_at']} (tolerances "
-                f"{args.drift_tolerance} / +{100 * args.wall_tolerance:.0f}%)"
-            )
-        failures.extend(drift)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        print(f"history NOT recorded (run failed checks) -> {args.json_out}")
-        return 1
-    append_history(record, args.json_out)
-    print(f"history -> {args.json_out}")
-    print("PASS: campaign invariants hold")
-    return 0
+    return conclude_campaign(
+        report,
+        args,
+        scale,
+        title,
+        "success_rate",
+        check_invariants(report),
+        "campaign invariants hold",
+    )
 
 
 if __name__ == "__main__":

@@ -37,13 +37,12 @@ Run it directly::
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _harness import check_drift, conclude, json_safe
 
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.federation import FederatedSystem
@@ -279,12 +278,6 @@ def run_completion() -> dict:
     }
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def build_record(rows: list[dict], knees: dict, scale: str, parameters: dict) -> dict:
     return {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -294,22 +287,9 @@ def build_record(rows: list[dict], knees: dict, scale: str, parameters: dict) ->
         "grid_partitions": GRID_PARTITIONS,
         "knees": knees,
         "rows": [
-            {key: _json_safe(value) for key, value in row.items()} for row in rows
+            {key: json_safe(value) for key, value in row.items()} for row in rows
         ],
     }
-
-
-def append_history(record: dict, path: Path) -> None:
-    """Append *record* — only after every gate passed (a regressed run
-    must never become the baseline)."""
-    history = []
-    if path.exists():
-        history = json.loads(path.read_text()).get("history", [])
-    history.append(record)
-    path.write_text(
-        json.dumps({"benchmark": "serving_knee", "history": history}, indent=2)
-        + "\n"
-    )
 
 
 def row_key(row: dict) -> tuple:
@@ -320,29 +300,20 @@ def row_key(row: dict) -> tuple:
 DRIFT_METRICS = ("p99_s", "memo_hit_rate")
 
 
-def check_drift(record: dict, previous: dict | None, tolerance: float) -> list[str]:
+def check_grid_drift(record: dict, previous: dict | None, tolerance: float) -> list[str]:
     """Relative drift vs the last same-scale entry (empty = pass)."""
-    if previous is None:
-        return []
-    current = {row_key(row): row for row in record["rows"]}
-    failures: list[str] = []
-    for row in previous["rows"]:
-        key = row_key(row)
-        label = f"qps={key[0]:g}/zipf={key[1]:g}"
-        if key not in current:
-            failures.append(f"grid cell {label} missing from this run")
-            continue
-        for metric in DRIFT_METRICS:
-            before, after = row.get(metric), current[key].get(metric)
-            if before is None or after is None:
-                continue
-            scale = max(abs(before), 1e-9)
-            if abs(after - before) / scale > tolerance:
-                failures.append(
-                    f"{label} {metric} drifted {before:.6f} -> {after:.6f} "
-                    f"(> {100 * tolerance:g}% relative)"
-                )
-    return failures
+    return check_drift(
+        record,
+        previous,
+        row_key,
+        lambda row: f"qps={row['offered_qps']:g}/zipf={row['zipf_s']:g}",
+        DRIFT_METRICS,
+        lambda before, after: (
+            f"drifted {before:.6f} -> {after:.6f} (> {100 * tolerance:g}% relative)"
+            if abs(after - before) / max(abs(before), 1e-9) > tolerance
+            else None
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,33 +382,18 @@ def main(argv: list[str] | None = None) -> int:
     args.grid_csv.write_text(grid_csv(rows))
     print(f"recorded -> {args.out} and {args.grid_csv}")
 
-    previous = None
-    if args.json_out.exists():
-        same_scale = [
-            entry
-            for entry in json.loads(args.json_out.read_text()).get("history", [])
-            if entry.get("scale") == scale
-        ]
-        previous = same_scale[-1] if same_scale else None
-    if args.check_drift:
-        drift = check_drift(record, previous, args.drift_tolerance)
-        if previous is None:
-            print("drift check: no prior entry at this scale (first run)")
-        elif not drift:
-            print(
-                f"drift check: grid stable vs {previous['recorded_at']} "
-                f"(tolerance {100 * args.drift_tolerance:g}% relative)"
-            )
-        failures.extend(drift)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        print(f"history NOT recorded (run failed checks) -> {args.json_out}")
-        return 1
-    append_history(record, args.json_out)
-    print(f"history -> {args.json_out}")
-    print("PASS: saturation knee present in every zipf row")
-    return 0
+    def drift_gate(previous: dict | None) -> list[str]:
+        return check_grid_drift(record, previous, args.drift_tolerance)
+
+    return conclude(
+        record,
+        args.json_out,
+        "serving_knee",
+        failures,
+        drift_gate if args.check_drift else None,
+        f"grid stable (tolerance {100 * args.drift_tolerance:g}% relative)",
+        "saturation knee present in every zipf row",
+    )
 
 
 if __name__ == "__main__":

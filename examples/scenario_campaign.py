@@ -9,8 +9,9 @@ Previously each of those questions meant hand-building a harness; the
 scenario engine makes the whole acceptance campaign declarative — named
 regimes, both harnesses, one consolidated report — and the 2-D sweep grid
 charts the flash-capacity x channel-loss wear-out knee as one table
-(written to ``benchmarks/results/wearout_vs_loss_grid.txt``, the chart
-``docs/scenarios.md`` walks through).
+(written to ``benchmarks/results/wearout_vs_loss_grid.txt``; the chart
+``docs/scenarios.md`` walks through is its committed copy under
+``docs/results/``).
 """
 
 import math

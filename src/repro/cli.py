@@ -30,9 +30,9 @@ replica staleness.  ``--jobs N`` fans the campaign's variant cross
 product over a process pool (``0`` = one worker per core) with identical
 results; per-variant completion streams to stderr.  ``--storage-policy``
 pins every chosen scenario's archive response to flash exhaustion
-(``local_aging``, ``greedy_offload`` or ``mcf_offload``), and a
-``storage_policy`` sweep axis accepts policy names as well as their
-numeric codes.  ``lint`` runs the
+(``local_aging``, ``greedy_offload`` or ``mcf_offload``), and the
+``storage_policy`` and ``replica_coding`` sweep axes accept names as
+well as their numeric codes.  ``lint`` runs the
 determinism analyzer (see :mod:`repro.analysis` and ``docs/analysis.md``)
 over the given paths, and with ``--runtime`` additionally replays a
 pinned scenario under different hash seeds and serial-vs-parallel jobs,
@@ -61,7 +61,7 @@ from repro.baselines.strategies import (
     figure2_trace_config,
 )
 from repro.core import FederatedSystem, FederationConfig, PrestoConfig, PrestoSystem
-from repro.core.config import PARTITION_BACKENDS, REPLICA_CODINGS, SHARD_POLICIES
+from repro.core.config import REPLICA_CODINGS, SHARD_POLICIES
 from repro.scenarios import (
     HARNESSES,
     CampaignConfig,
@@ -70,8 +70,9 @@ from repro.scenarios import (
     all_scenarios,
     builtin_scenarios,
 )
+from repro.scenarios.spec import sweep_parameter
 from repro.serving import ServingConfig
-from repro.storage.offload import STORAGE_POLICIES, storage_policy_code
+from repro.storage.offload import STORAGE_POLICIES
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
     QueryWorkloadConfig,
@@ -208,7 +209,6 @@ def cmd_federation(args: argparse.Namespace) -> int:
             coding_k=args.coding_k,
             coding_n=args.coding_n,
             partitions=args.partitions,
-            partition_backend=args.partition_backend,
         )
         serving = None
         if args.serve_qps is not None:
@@ -271,17 +271,9 @@ def _parse_sweep_axis(text: str) -> SweepAxis:
             raise ValueError(f"--sweep needs >= 1 step, got {steps}")
         values = tuple(float(v) for v in np.linspace(start, stop, steps))
     else:
-        values = tuple(
-            _parse_sweep_value(parameter, item) for item in values_text.split(",")
-        )
+        row = sweep_parameter(parameter)
+        values = tuple(row.parse(item) for item in values_text.split(","))
     return SweepAxis(parameter=parameter, values=values)
-
-
-def _parse_sweep_value(parameter: str, text: str) -> float:
-    """One sweep coordinate; storage policies go by name or numeric code."""
-    if parameter == "storage_policy" and text.strip() in STORAGE_POLICIES:
-        return storage_policy_code(text.strip())
-    return float(text)
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
@@ -328,15 +320,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"error: {error}")
             return 2
     if args.storage_policy is not None:
-        chosen = [
-            dataclasses.replace(
-                spec,
-                storage=dataclasses.replace(
-                    spec.storage, storage_policy=args.storage_policy
-                ),
-            )
-            for spec in chosen
-        ]
+        row = sweep_parameter("storage_policy")
+        code = row.parse(args.storage_policy)
+        chosen = [row.apply(spec, code) for spec in chosen]
     harnesses = HARNESSES if args.harness == "both" else (args.harness,)
     try:
         if args.campaign == "smoke":
@@ -425,9 +411,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     status = 0 if result.clean else 1
     if args.runtime:
         # imported lazily: the audit drags in the whole simulation stack
-        from repro.analysis.runtime import DEFAULT_SCENARIO, run_audit
+        from repro.analysis.runtime import run_audit
 
-        audit = run_audit(scenario=args.runtime_scenario or DEFAULT_SCENARIO)
+        audit = run_audit()
         print(audit.describe())
         if not audit.identical:
             status = 1
@@ -480,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(PYTHONHASHSEED x serial/parallel byte-identity)",
             )
             sub.add_argument(
-                "--runtime-scenario",
-                default=None,
-                metavar="NAME",
-                help="scenario the runtime audit replays "
-                "(default: 'cascading failures')",
-            )
-            sub.add_argument(
                 "--list-rules",
                 action="store_true",
                 help="list rule ids and summaries, then exit",
@@ -523,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="PARAM=START:STOP:STEPS",
                 help="replace the chosen scenarios' sweep with this axis "
                 "(repeatable; the flags' cross product becomes the grid; "
-                "also accepts PARAM=V1,V2,... — storage_policy values may "
-                "be policy names)",
+                "also accepts PARAM=V1,V2,... — storage_policy and "
+                "replica_coding values may be names)",
             )
             sub.add_argument(
                 "--storage-policy",
@@ -609,12 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="K",
                 help="simulation partitions the cells execute on "
                 "(0 = one per CPU core; default: 1)",
-            )
-            sub.add_argument(
-                "--partition-backend",
-                default="auto",
-                choices=PARTITION_BACKENDS,
-                help="how partitions execute (auto = process pool when >1)",
             )
             sub.add_argument(
                 "--serve-qps",

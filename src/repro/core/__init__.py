@@ -22,7 +22,6 @@ from repro.core.cache import (
     CacheEntry,
     CacheSnapshot,
     EntrySource,
-    ListSummaryCache,
     SummaryCache,
 )
 from repro.core.config import FederationConfig, PrestoConfig
@@ -60,7 +59,6 @@ __all__ = [
     "CacheEntry",
     "CacheSnapshot",
     "EntrySource",
-    "ListSummaryCache",
     "SummaryCache",
     "ContinuousQuery",
     "ContinuousQueryEngine",

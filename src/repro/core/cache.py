@@ -12,15 +12,11 @@ Storage layout: the cache is *columnar*.  Each sensor's series lives in
 four parallel NumPy arrays (timestamps / values / stds / source codes)
 kept sorted by timestamp, with a lazy start offset so appends and
 evictions are amortized O(1) and window reads are contiguous array views.
-The row-oriented :class:`CacheEntry` remains the public unit of exchange;
-:class:`ListSummaryCache` preserves the original ``list``-of-entries
-implementation as the behavioural reference for equivalence tests and the
-hot-path benchmark baseline.
+The row-oriented :class:`CacheEntry` remains the public unit of exchange.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 
@@ -682,149 +678,3 @@ class SummaryCache:
     def sensors(self) -> list[int]:
         """Sensors with at least one cached entry."""
         return [s for s, column in self._columns.items() if column.length]
-
-
-class ListSummaryCache:
-    """The original list-of-entries implementation, kept as reference.
-
-    Bit-for-bit the pre-columnar :class:`SummaryCache` (plus the same
-    coverage rounding fix): the equivalence property test drives both
-    implementations through identical operation streams, and the hot-path
-    benchmark uses this as its baseline.
-    """
-
-    def __init__(self, max_entries_per_sensor: int = 20_000) -> None:
-        if max_entries_per_sensor < 16:
-            raise ValueError(
-                f"cache too small to be useful: {max_entries_per_sensor}"
-            )
-        self.max_entries_per_sensor = int(max_entries_per_sensor)
-        self._times: dict[int, list[float]] = {}
-        self._entries: dict[int, list[CacheEntry]] = {}
-        self._frames: dict[int, list[tuple[float, float] | None]] = {}
-        self.insertions = 0
-        self.refinements = 0
-        self.evictions = 0
-
-    # -- writes ---------------------------------------------------------------
-
-    def insert(
-        self,
-        sensor: int,
-        entry: CacheEntry,
-        frame: tuple[float, float] | None = None,
-    ) -> None:
-        """Insert or refine the cell at ``entry.timestamp``."""
-        if frame is not None:
-            frame = (float(frame[0]), float(frame[1]))
-        times = self._times.setdefault(sensor, [])
-        entries = self._entries.setdefault(sensor, [])
-        frames = self._frames.setdefault(sensor, [])
-        position = bisect.bisect_left(times, entry.timestamp)
-        if position < len(times) and times[position] == entry.timestamp:
-            existing = entries[position]
-            if existing.is_actual and not entry.is_actual:
-                return  # never degrade actual data to a guess
-            if not existing.is_actual and entry.is_actual:
-                self.refinements += 1
-            entries[position] = entry
-            frames[position] = frame
-            return
-        times.insert(position, entry.timestamp)
-        entries.insert(position, entry)
-        frames.insert(position, frame)
-        self.insertions += 1
-        if len(times) > self.max_entries_per_sensor:
-            del times[0]
-            del entries[0]
-            del frames[0]
-            self.evictions += 1
-
-    # -- reads ------------------------------------------------------------------
-
-    def entry_at(
-        self, sensor: int, timestamp: float, tolerance_s: float
-    ) -> CacheEntry | None:
-        """Entry nearest *timestamp* within ±*tolerance_s*, or None."""
-        times = self._times.get(sensor)
-        if not times:
-            return None
-        position = bisect.bisect_left(times, timestamp)
-        best: CacheEntry | None = None
-        best_gap = tolerance_s
-        for candidate in (position - 1, position):
-            if 0 <= candidate < len(times):
-                gap = abs(times[candidate] - timestamp)
-                if gap <= best_gap:
-                    best_gap = gap
-                    best = self._entries[sensor][candidate]
-        return best
-
-    def entries_in(
-        self, sensor: int, start: float, end: float
-    ) -> list[CacheEntry]:
-        """All entries with timestamps in ``[start, end]``, time order."""
-        times = self._times.get(sensor)
-        if not times:
-            return []
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_right(times, end)
-        return self._entries[sensor][lo:hi]
-
-    def frames_in(
-        self, sensor: int, start: float, end: float
-    ) -> np.ndarray | None:
-        """Clock-frame tags aligned with :meth:`entries_in`, or None."""
-        times = self._times.get(sensor)
-        if not times or all(f is None for f in self._frames.get(sensor, [])):
-            return None
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_right(times, end)
-        return np.array(
-            [
-                (np.nan, np.nan) if frame is None else frame
-                for frame in self._frames[sensor][lo:hi]
-            ],
-            dtype=np.float64,
-        ).reshape(hi - lo, 2)
-
-    def tail(self, sensor: int, count: int) -> list[CacheEntry]:
-        """The newest *count* entries for *sensor*."""
-        if count < 1:
-            raise ValueError(f"need a positive tail size, got {count}")
-        return list(self._entries.get(sensor, [])[-count:])
-
-    def latest(self, sensor: int) -> CacheEntry | None:
-        """Most recent entry for *sensor*."""
-        entries = self._entries.get(sensor)
-        return entries[-1] if entries else None
-
-    def latest_actual(self, sensor: int) -> CacheEntry | None:
-        """Most recent entry holding sensor ground truth."""
-        entries = self._entries.get(sensor)
-        if not entries:
-            return None
-        for entry in reversed(entries):
-            if entry.is_actual:
-                return entry
-        return None
-
-    def coverage_fraction(
-        self, sensor: int, start: float, end: float, sample_period_s: float
-    ) -> float:
-        """Fraction of expected epochs in ``[start, end]`` present."""
-        if end < start:
-            raise ValueError(f"empty window [{start}, {end}]")
-        expected = max(int((end - start) / sample_period_s + 1e-9) + 1, 1)
-        return min(len(self.entries_in(sensor, start, end)) / expected, 1.0)
-
-    def size(self, sensor: int | None = None) -> int:
-        """Entry count for one sensor, or total."""
-        if sensor is not None:
-            return len(self._entries.get(sensor, []))
-        return sum(len(v) for v in self._entries.values())
-
-    @property
-    def sensors(self) -> list[int]:
-        """Sensors with at least one cached entry."""
-        return [s for s, v in self._entries.items() if v]

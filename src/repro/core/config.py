@@ -23,9 +23,6 @@ class PrestoConfig:
     push_delta: float = 1.0              # model-failure threshold (signal units)
     model_kind: str = "arima"            # seasonal | ar | arima | markov
     seasonal_bins: int = 48
-    ar_order: int = 2
-    arima_order: tuple[int, int, int] = (1, 1, 0)
-    markov_states: int = 32
     training_epochs: int = 2_880         # fit window (~1 day at 30 s)
     refit_interval_s: float = 86_400.0   # ship a fresh model daily
     min_training_epochs: int = 256       # before this, everything is pushed
@@ -35,7 +32,6 @@ class PrestoConfig:
     node_profile: NodeEnergyProfile = field(default_factory=lambda: MICA2_PROFILE)
     link: LinkConfig = field(default_factory=LinkConfig)
     default_check_interval_s: float = 1.0
-    lpl_check_duration_s: float = 3.0e-3
 
     # archive
     flash_capacity_bytes: int | None = None   # None = device default
@@ -46,14 +42,10 @@ class PrestoConfig:
 
     # proxy cache & extrapolation
     cache_entries_per_sensor: int = 20_000
-    proxy_processing_s: float = 0.02     # local query handling latency
-    confidence_z: float = 1.0            # std multiplier vs query precision
     spatial_extrapolation: bool = True
 
     # batching (0 = push immediately on model failure)
     batch_interval_s: float = 0.0
-    batch_quant_step: float = 0.05
-    batch_use_wavelet: bool = True
 
     def __post_init__(self) -> None:
         if self.sample_period_s <= 0:
@@ -88,26 +80,6 @@ PARTITION_BACKENDS = ("auto", "inline", "process")
 REPLICA_CODINGS = ("full", "rs")
 
 
-def replica_coding_name(code: float) -> str:
-    """Map a numeric sweep code (1-based) to its replica-coding mode."""
-    index = int(code)
-    if float(code) != index or not 1 <= index <= len(REPLICA_CODINGS):
-        raise ValueError(
-            f"replica-coding code must be a whole number in "
-            f"[1, {len(REPLICA_CODINGS)}], got {code}"
-        )
-    return REPLICA_CODINGS[index - 1]
-
-
-def replica_coding_code(name: str) -> float:
-    """Map a replica-coding mode to its numeric sweep code (1-based)."""
-    if name not in REPLICA_CODINGS:
-        raise ValueError(
-            f"unknown replica coding {name!r}; expected one of {REPLICA_CODINGS}"
-        )
-    return float(REPLICA_CODINGS.index(name) + 1)
-
-
 @dataclass(frozen=True)
 class FederationConfig:
     """Knobs of a multi-proxy federation (Section 5 deployment).
@@ -131,9 +103,6 @@ class FederationConfig:
     shard_policy: str = "contiguous"     # contiguous | round_robin | balanced
     replication_factor: int = 1
     wired_fraction: float = 0.5
-    wired_latency_s: float = 0.01        # nominal wired response latency
-    wireless_latency_s: float = 0.25     # nominal 802.11-mesh response latency
-    hop_latency_s: float = 0.002         # per skip-graph routing hop
     replica_sync_interval_s: float = 3_600.0
     hot_entries_per_sensor: int = 64     # cache tail replicated per sensor
 
@@ -174,10 +143,6 @@ class FederationConfig:
             raise ValueError("replication factor must be >= 0")
         if not 0.0 <= self.wired_fraction <= 1.0:
             raise ValueError("wired fraction must be in [0, 1]")
-        if self.wired_latency_s < 0 or self.wireless_latency_s < 0:
-            raise ValueError("response latencies must be >= 0")
-        if self.hop_latency_s < 0:
-            raise ValueError("hop latency must be >= 0")
         if self.replica_sync_interval_s <= 0:
             raise ValueError("replica sync interval must be positive")
         if self.hot_entries_per_sensor < 1:

@@ -42,6 +42,7 @@ from repro.coding import CodingCounters, CodingReport, FragmentStore, serialize_
 from repro.core.cache import CacheSnapshot
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
+from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.system import CellBuilder, PrestoCell, SystemReport, ground_truth
@@ -56,6 +57,13 @@ from repro.simulation.randomness import RandomStreams
 from repro.sync.clock import ClockModel
 from repro.traces.intel_lab import TraceSet
 from repro.traces.workload import Query, QueryKind
+
+#: nominal response latency of a wired / an 802.11-mesh proxy
+WIRED_LATENCY_S = 0.01
+WIRELESS_LATENCY_S = 0.25
+
+#: latency of one skip-graph routing hop
+HOP_LATENCY_S = 0.002
 
 
 def partition_sensors(
@@ -451,7 +459,6 @@ class _RoutingCore:
         wired replica taking over for it *faster*, the Section 5 argument
         for replicating onto wired proxies.
         """
-        fed = self.federation
         if not 0 <= query.sensor < self.trace.n_sensors:
             self.unroutable += 1
             answer = QueryAnswer(
@@ -461,7 +468,7 @@ class _RoutingCore:
             return answer
         owner_name, hops = self._owners.floor_value(float(query.sensor))
         self.cross_proxy_hops += hops
-        routing_latency = hops * fed.hop_latency_s
+        routing_latency = hops * HOP_LATENCY_S
         owner = self.directory.proxy(owner_name)
         if owner.alive:
             if hops > 0:
@@ -495,7 +502,7 @@ class _RoutingCore:
     ) -> QueryAnswer:
         """Answer for a dead owner from the best live replica, or fail."""
         best = self.directory.best_server(query.sensor)
-        base_latency = self.config.proxy_processing_s + routing_latency
+        base_latency = PROXY_PROCESSING_S + routing_latency
         if best is None or best.name == owner_name:
             self.unroutable += 1
             return QueryAnswer(
@@ -624,9 +631,9 @@ class FederatedSystem(_RoutingCore):
                     sensor_ids=list(ids),
                     wired=cell_id < fed.n_wired,
                     response_latency_s=(
-                        fed.wired_latency_s
+                        WIRED_LATENCY_S
                         if cell_id < fed.n_wired
-                        else fed.wireless_latency_s
+                        else WIRELESS_LATENCY_S
                     ),
                 )
                 for cell_id, ids in enumerate(self.shards)
@@ -1041,8 +1048,6 @@ class FederatedSystem(_RoutingCore):
         # proxy's response latency; with the owner dead it is served by the
         # lowest-latency live replica host, or not at all.
         alive = {fc.name: self._proxy_alive(fc.name) for fc in self.cells}
-        proc = self.config.proxy_processing_s
-        hop_latency = self.federation.hop_latency_s
         # In rs mode a dead owner is only servable while >= coding_k of its
         # fragment slots sit on live hosts (enough to decode); a whole copy
         # needs just one live host.
@@ -1057,7 +1062,7 @@ class FederatedSystem(_RoutingCore):
             served = np.ones(n, dtype=bool)
             for sensor in range(n):
                 owner = owner_names[sensor]
-                base = proc + float(hops[sensor]) * hop_latency
+                base = PROXY_PROCESSING_S + float(hops[sensor]) * HOP_LATENCY_S
                 if alive[owner]:
                     latency[sensor] = base + (
                         resp[owner] if hops[sensor] > 0 else 0.0

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from repro.core.config import PrestoConfig
 from repro.traces.workload import Query, QueryKind
 
+#: coarsest quantisation step of a batched push (signal units); a tight
+#: query precision narrows it
+BATCH_QUANT_STEP = 0.05
+
 
 @dataclass
 class QueryProfile:
@@ -67,11 +71,10 @@ class SensorOperatingPoint:
     push_delta: float
     batch_interval_s: float
     quant_step: float
-    use_wavelet: bool
 
     @property
     def wire_bytes(self) -> int:
-        """Four floats + a flag + header."""
+        """Four floats + a flags byte + header."""
         return 4 * 4 + 1 + 2
 
 
@@ -115,7 +118,7 @@ class QuerySensorMatcher:
         if profile.count == 0:
             check_interval = cfg.default_check_interval_s
             delta = cfg.push_delta
-            quant = cfg.batch_quant_step
+            quant = BATCH_QUANT_STEP
             batch = cfg.batch_interval_s
         else:
             headroom = max(profile.min_latency_bound_s * 0.5, 0.25)
@@ -126,7 +129,7 @@ class QuerySensorMatcher:
             # noise between the model check and the ground truth a user
             # compares against.
             delta = min(cfg.push_delta, max(profile.min_precision * 0.75, 1e-3))
-            quant = max(min(cfg.batch_quant_step, profile.min_precision / 2.0), 1e-4)
+            quant = max(min(BATCH_QUANT_STEP, profile.min_precision / 2.0), 1e-4)
             if profile.now_fraction == 0.0 and profile.count >= 5:
                 batch = max(cfg.batch_interval_s, profile.min_latency_bound_s)
             else:
@@ -137,7 +140,6 @@ class QuerySensorMatcher:
             push_delta=delta,
             batch_interval_s=batch,
             quant_step=quant,
-            use_wavelet=cfg.batch_use_wavelet,
         )
 
     @staticmethod

@@ -27,6 +27,11 @@ from repro.timeseries.gaussian import MultivariateGaussianModel
 from repro.timeseries.markov import MarkovChainModel
 from repro.timeseries.seasonal import SeasonalProfileModel
 
+#: model orders of the families ``PrestoConfig.model_kind`` selects
+AR_ORDER = 2
+ARIMA_ORDER = (1, 1, 0)
+MARKOV_STATES = 32
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -56,14 +61,12 @@ class PredictionEngine:
                 bins=cfg.seasonal_bins, sample_period_s=cfg.sample_period_s
             )
         if cfg.model_kind == "ar":
-            return ARModel(order=cfg.ar_order, sample_period_s=cfg.sample_period_s)
+            return ARModel(order=AR_ORDER, sample_period_s=cfg.sample_period_s)
         if cfg.model_kind == "arima":
-            return ARIMAModel(
-                order=cfg.arima_order, sample_period_s=cfg.sample_period_s
-            )
+            return ARIMAModel(order=ARIMA_ORDER, sample_period_s=cfg.sample_period_s)
         if cfg.model_kind == "markov":
             return MarkovChainModel(
-                n_states=cfg.markov_states, sample_period_s=cfg.sample_period_s
+                n_states=MARKOV_STATES, sample_period_s=cfg.sample_period_s
             )
         if cfg.model_kind == "sarima":
             from repro.timeseries.sarima import SeasonalArimaModel

@@ -46,6 +46,12 @@ ACTIVATION_LAG_EPOCHS = 20
 #: still be in flight
 PUSH_GRACE_S = 1.0
 
+#: local query handling latency, charged on every answer
+PROXY_PROCESSING_S = 0.02
+
+#: std multiplier compared against a query's precision bound
+CONFIDENCE_Z = 1.0
+
 
 @dataclass
 class _SensorState:
@@ -455,7 +461,7 @@ class PrestoProxy:
         return answer
 
     def _confidence_ok(self, std: float, precision: float) -> bool:
-        return std * self.config.confidence_z <= precision
+        return std * CONFIDENCE_Z <= precision
 
     def _answer_now(self, query: Query) -> QueryAnswer:
         sensor = query.sensor
@@ -467,7 +473,7 @@ class PrestoProxy:
                 query=query,
                 value=entry.value,
                 source=AnswerSource.CACHE,
-                latency_s=self.config.proxy_processing_s,
+                latency_s=PROXY_PROCESSING_S,
                 believed_std=entry.std,
             )
         if entry is not None and self._confidence_ok(entry.std, query.precision):
@@ -475,7 +481,7 @@ class PrestoProxy:
                 query=query,
                 value=entry.value,
                 source=AnswerSource.PREDICTION,
-                latency_s=self.config.proxy_processing_s,
+                latency_s=PROXY_PROCESSING_S,
                 believed_std=entry.std,
             )
         estimate = self.engine.best_estimate(sensor, query.arrival_time, self.cache)
@@ -496,7 +502,7 @@ class PrestoProxy:
             query=query,
             value=value.value,
             source=source,
-            latency_s=self.config.proxy_processing_s,
+            latency_s=PROXY_PROCESSING_S,
             believed_std=value.std,
         )
 
@@ -518,7 +524,7 @@ class PrestoProxy:
                 query=query,
                 value=entry.value,
                 source=AnswerSource.CACHE,
-                latency_s=self.config.proxy_processing_s,
+                latency_s=PROXY_PROCESSING_S,
                 believed_std=entry.std,
             )
         if entry is not None and self._confidence_ok(entry.std, query.precision):
@@ -526,7 +532,7 @@ class PrestoProxy:
                 query=query,
                 value=entry.value,
                 source=AnswerSource.PREDICTION,
-                latency_s=self.config.proxy_processing_s,
+                latency_s=PROXY_PROCESSING_S,
                 believed_std=entry.std,
             )
         estimate = self.engine.best_estimate(sensor, target, self.cache)
@@ -555,7 +561,7 @@ class PrestoProxy:
                 query=query,
                 value=value,
                 source=AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION,
-                latency_s=self.config.proxy_processing_s,
+                latency_s=PROXY_PROCESSING_S,
                 believed_std=worst_std if times.size else 0.0,
             )
         return self._pull_past(query, start, end, fallback=None)
@@ -600,9 +606,7 @@ class PrestoProxy:
                 timestamp=timestamp, value=value, std=0.0, source=EntrySource.PULLED
             ),
         )
-        latency = (
-            self.config.proxy_processing_s + request.latency_s + reply.latency_s
-        )
+        latency = PROXY_PROCESSING_S + request.latency_s + reply.latency_s
         self.pull_stats.bytes_pulled += 8
         return QueryAnswer(
             query=query,
@@ -632,7 +636,7 @@ class PrestoProxy:
         times, values, level, reply_bytes = sensor_obj.serve_pull(start, end)
         if values.size == 0:
             return self._pull_failed(query, fallback, request.latency_s)
-        latency = self.config.proxy_processing_s + request.latency_s
+        latency = PROXY_PROCESSING_S + request.latency_s
         # Fragment the reply at the radio MTU; all fragments must arrive.
         mtu = self.config.node_profile.radio.max_payload_bytes
         remaining = reply_bytes
@@ -686,14 +690,14 @@ class PrestoProxy:
                     if method == "spatial"
                     else AnswerSource.PREDICTION
                 ),
-                latency_s=self.config.proxy_processing_s + latency_so_far,
+                latency_s=PROXY_PROCESSING_S + latency_so_far,
                 believed_std=estimate.std,
             )
         return QueryAnswer(
             query=query,
             value=None,
             source=AnswerSource.FAILED,
-            latency_s=self.config.proxy_processing_s + latency_so_far,
+            latency_s=PROXY_PROCESSING_S + latency_so_far,
         )
 
     # -- replication ------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import PrestoConfig
-from repro.core.matching import SensorOperatingPoint
+from repro.core.matching import BATCH_QUANT_STEP, SensorOperatingPoint
 from repro.core.push import ModelUpdate, SensorModelChecker
 from repro.energy.constants import (
     COMPRESS_CYCLES_PER_BYTE,
@@ -80,8 +80,7 @@ class PrestoSensor:
             check_interval_s=config.default_check_interval_s,
             push_delta=config.push_delta,
             batch_interval_s=config.batch_interval_s,
-            quant_step=config.batch_quant_step,
-            use_wavelet=config.batch_use_wavelet,
+            quant_step=BATCH_QUANT_STEP,
         )
         self._batch_times: list[float] = []
         self._batch_values: list[float] = []
@@ -189,7 +188,7 @@ class PrestoSensor:
         times = np.asarray(self._batch_times, dtype=np.float64)
         cpu = self.config.node_profile.cpu
         point = self.operating_point
-        if point.use_wavelet and values.size >= 4:
+        if values.size >= 4:
             self.meter.charge(
                 "cpu.compress",
                 cpu.energy_for_cycles(WAVELET_CYCLES_PER_SAMPLE * values.size),

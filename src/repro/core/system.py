@@ -244,8 +244,7 @@ class PrestoCell:
             radio=config.node_profile.radio,
             link_config=config.link,
             default_duty_cycle=DutyCycleConfig(
-                check_interval_s=config.default_check_interval_s,
-                check_duration_s=config.lpl_check_duration_s,
+                check_interval_s=config.default_check_interval_s
             ),
             rng=streams.get("radio.loss"),
         )
@@ -540,11 +539,6 @@ class PrestoSystem:
         self.sim.schedule(
             float(at_s), lambda: self.network.set_link_config(link_config)
         )
-
-    # -- ground truth ----------------------------------------------------------------
-
-    def _truth_for(self, query: Query) -> float | None:
-        return ground_truth(self.trace, query)
 
     # -- main entry ---------------------------------------------------------------------
 

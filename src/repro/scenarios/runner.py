@@ -29,19 +29,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import FederatedSystem, FederationConfig, PrestoConfig, PrestoSystem
-from repro.core.config import SHARD_POLICIES, replica_coding_name
 from repro.core.continuous import ContinuousQuery, Notification, TriggerKind
 from repro.core.system import SystemReport
 from repro.radio.link import LinkConfig
-from repro.scenarios.spec import ScenarioSpec, StandingQuerySpec
+from repro.scenarios.spec import SWEEP_TABLE, ScenarioSpec, StandingQuerySpec
 from repro.serving import ServingConfig
 from repro.simulation.randomness import seeded_rng
-from repro.storage.offload import storage_policy_name
 from repro.sync.clock import ClockModel
 from repro.traces.events import (
     EventKind,
@@ -64,21 +63,12 @@ HARNESSES = ("single", "federated")
 RECALL_ONSET_SLACK_EPOCHS = 2
 RECALL_TAIL_SLACK_EPOCHS = 4
 
-#: sweep-parameter shorthand used in variant labels ("flash=5280")
-SWEEP_LABELS = {
-    "flash_capacity_bytes": "flash",
-    "arrival_rate_per_s": "rate",
-    "loss_probability": "loss",
-    "replica_sync_interval_s": "sync",
-    "surge_multiplier": "surge",
-    "offered_qps": "qps",
-    "zipf_s": "zipf",
-    "memo_ttl_s": "memo",
-    "partitions": "parts",
-    "storage_policy": "policy",
-    "replica_coding": "coding",
-    "coding_n": "n",
-}
+#: every campaign samples the Intel-Lab trace at its native epoch
+EPOCH_S = 31.0
+
+#: campaign runs are short: refit every three hours from a one-hour cold start
+REFIT_INTERVAL_S = 3 * 3600.0
+MIN_TRAINING_EPOCHS = 128
 
 
 @dataclass(frozen=True)
@@ -87,18 +77,13 @@ class CampaignConfig:
 
     n_sensors: int = 6
     duration_days: float = 0.75
-    epoch_s: float = 31.0
     seed: int = 7
     #: default query arrival rate; a scenario's :class:`WorkloadSpec` can
     #: override it (and add surge windows) per regime
     arrival_rate_per_s: float = 1 / 240.0
     harnesses: tuple[str, ...] = HARNESSES
     n_proxies: int = 3
-    shard_policy: str = "contiguous"
     replication_factor: int = 1
-    model_kind: str = "arima"
-    refit_interval_s: float = 3 * 3600.0
-    min_training_epochs: int = 128
     #: worker processes for :meth:`CampaignRunner.run` — ``None``/``1``
     #: run serially in-process, ``0`` means one worker per CPU core, and
     #: ``N > 1`` pins the pool size.  Variant rows are byte-identical
@@ -121,8 +106,6 @@ class CampaignConfig:
         # an unused default.
         if "federated" in self.harnesses and self.n_proxies > self.n_sensors:
             raise ValueError("proxies must be in [1, n_sensors]")
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ValueError(f"unknown shard policy {self.shard_policy!r}")
 
     @property
     def duration_s(self) -> float:
@@ -353,6 +336,9 @@ class CampaignReport:
     jobs: int = 1
     #: end-to-end campaign wall clock (set by :meth:`CampaignRunner.run`)
     wall_clock_s: float = 0.0
+    #: why a requested process pool was not used (it could not start and
+    #: the variants ran serially instead); empty when execution went as asked
+    pool_fallback: str = ""
 
     @property
     def variant_wall_clock_s(self) -> float:
@@ -722,8 +708,9 @@ class CampaignRunner:
         variants over a process pool; ``0`` means one worker per core.
         Whatever the worker count, the report's rows are byte-identical
         and in the same order — only the per-variant ``wall_clock_s``
-        timing fields differ.  When a worker raises, the failed variants
-        fall back to in-process serial execution.
+        timing fields differ.  A variant that raises in a worker fails the
+        campaign; a pool that cannot start falls back to serial execution
+        and says so in :attr:`CampaignReport.pool_fallback`.
         """
         resolved = self.resolve_jobs(jobs)
         started = time.perf_counter()
@@ -735,9 +722,10 @@ class CampaignRunner:
         # siblings will replay (workers operate on copies regardless).
         prepared = [self._build_trace(spec) for spec in scenarios]
         items = self.work_items(scenarios)
+        results, pool_fallback = None, ""
         if resolved > 1 and len(items) > 1:
-            results = self._run_parallel(items, prepared, resolved)
-        else:
+            results, pool_fallback = self._run_parallel(items, prepared, resolved)
+        if results is None:
             results = [
                 self.run_one(
                     item.spec,
@@ -753,21 +741,22 @@ class CampaignRunner:
             results=results,
             jobs=resolved,
             wall_clock_s=time.perf_counter() - started,
+            pool_fallback=pool_fallback,
         )
 
     def _run_parallel(
         self, items: list[_WorkItem], prepared: list, jobs: int
-    ) -> list[ScenarioResult]:
+    ) -> tuple[list[ScenarioResult] | None, str]:
         """Fan *items* over a process pool; deterministic result order.
 
         Completion streams to stderr as variants finish (they finish out
-        of order; the report keeps work-item order).  Any variant the
-        pool fails to deliver — a raising worker, a broken pool, an
-        unpicklable result — is re-run serially in-process, so a
-        parallel campaign degrades to the serial one instead of dying.
+        of order; the report keeps work-item order).  A variant that
+        raises fails the campaign naming itself.  Only a pool that breaks
+        before delivering any result — it could not start — returns
+        ``(None, why)`` after a stderr line, and :meth:`run` executes the
+        variants serially instead (same rows, more wall-clock).
         """
-        results: list[ScenarioResult | None] = [None] * len(items)
-        completed = 0
+        results: dict[int, ScenarioResult] = {}
         try:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(items)),
@@ -779,37 +768,25 @@ class CampaignRunner:
                     item = futures[future]
                     try:
                         index, result = future.result()
+                    except (OSError, BrokenProcessPool):
+                        raise
                     except Exception as error:
-                        self._progress(
-                            f"worker failed on {item.label}: {error!r}; "
-                            "falling back to serial"
-                        )
-                        continue
+                        pool.shutdown(cancel_futures=True)
+                        raise RuntimeError(
+                            f"campaign variant {item.label} failed: {error!r}"
+                        ) from error
                     results[index] = result
-                    completed += 1
                     self._progress(
-                        f"[{completed}/{len(items)}] {item.label} "
+                        f"[{len(results)}/{len(items)}] {item.label} "
                         f"{result.wall_clock_s:.1f}s"
                     )
-        except Exception as error:
-            self._progress(
-                f"process pool failed ({error!r}); "
-                "running remaining variants serially"
-            )
-        for item in items:
-            if results[item.index] is None:
-                results[item.index] = self.run_one(
-                    item.spec,
-                    item.harness,
-                    item.duty_cycle_point,
-                    sweep_point=item.sweep_point,
-                    _prepared=prepared[item.scenario_index],
-                )
-                completed += 1
-                self._progress(
-                    f"[{completed}/{len(items)}] {item.label} (serial fallback)"
-                )
-        return results  # type: ignore[return-value]  # every slot filled above
+        except (OSError, BrokenProcessPool) as error:
+            if results:
+                raise
+            why = f"campaign pool could not start ({error!r})"
+            self._progress(f"{why}; running {len(items)} variants serially")
+            return None, why
+        return [results[index] for index in range(len(items))], ""
 
     @staticmethod
     def _progress(message: str) -> None:
@@ -831,64 +808,7 @@ class CampaignRunner:
                 f"no such axis (axes: {sorted(axes) or 'none'})"
             )
         for parameter, value in point.items():
-            if parameter == "flash_capacity_bytes":
-                storage = dataclasses.replace(
-                    spec.storage, flash_capacity_bytes=int(value)
-                )
-                spec = dataclasses.replace(spec, storage=storage)
-            elif parameter == "arrival_rate_per_s":
-                workload = dataclasses.replace(
-                    spec.workload, arrival_rate_per_s=value
-                )
-                spec = dataclasses.replace(spec, workload=workload)
-            elif parameter == "loss_probability":
-                radio = dataclasses.replace(spec.radio, loss_probability=value)
-                spec = dataclasses.replace(spec, radio=radio)
-            elif parameter == "replica_sync_interval_s":
-                federation = dataclasses.replace(
-                    spec.federation, replica_sync_interval_s=float(value)
-                )
-                spec = dataclasses.replace(spec, federation=federation)
-            elif parameter == "surge_multiplier":
-                workload = dataclasses.replace(
-                    spec.workload, surge_multiplier=float(value)
-                )
-                spec = dataclasses.replace(spec, workload=workload)
-            elif parameter == "offered_qps":
-                serving = dataclasses.replace(
-                    spec.serving, offered_qps=float(value)
-                )
-                spec = dataclasses.replace(spec, serving=serving)
-            elif parameter in ("zipf_s", "memo_ttl_s"):
-                serving = dataclasses.replace(
-                    spec.serving, **{parameter: float(value)}
-                )
-                spec = dataclasses.replace(spec, serving=serving)
-            elif parameter == "partitions":
-                federation = dataclasses.replace(
-                    spec.federation, partitions=int(value)
-                )
-                spec = dataclasses.replace(spec, federation=federation)
-            elif parameter == "storage_policy":
-                storage = dataclasses.replace(
-                    spec.storage, storage_policy=storage_policy_name(value)
-                )
-                spec = dataclasses.replace(spec, storage=storage)
-            elif parameter == "replica_coding":
-                federation = dataclasses.replace(
-                    spec.federation, replica_coding=replica_coding_name(value)
-                )
-                spec = dataclasses.replace(spec, federation=federation)
-            elif parameter == "coding_n":
-                federation = dataclasses.replace(
-                    spec.federation, coding_n=int(value)
-                )
-                spec = dataclasses.replace(spec, federation=federation)
-            else:
-                # Unreachable while this chain covers spec.SWEEP_PARAMETERS;
-                # raising keeps a new parameter added there from silently
-                # sweeping the wrong knob here.
-                raise ValueError(f"no applier for sweep parameter {parameter!r}")
+            spec = SWEEP_TABLE[parameter].apply(spec, value)
         if not spec.serving.enabled and (
             "zipf_s" in point or "memo_ttl_s" in point
         ):
@@ -992,7 +912,7 @@ class CampaignRunner:
         :attr:`ScenarioResult.sweep_point` and is what row matching uses.
         """
         parts = [
-            f"{SWEEP_LABELS[parameter]}={value:g}"
+            f"{SWEEP_TABLE[parameter].label}={value:g}"
             for parameter, value in (sweep_point or {}).items()
         ]
         if duty_cycle_point is not None:
@@ -1004,7 +924,6 @@ class CampaignRunner:
         cfg = self.config
         kwargs: dict[str, float | int | str] = dict(
             n_proxies=cfg.n_proxies,
-            shard_policy=cfg.shard_policy,
             replication_factor=cfg.replication_factor,
         )
         if spec.federation.replica_sync_interval_s is not None:
@@ -1030,7 +949,6 @@ class CampaignRunner:
             offered_qps=spec.serving.offered_qps,
             zipf_s=spec.serving.zipf_s,
             memo_ttl_s=spec.serving.memo_ttl_s,
-            n_users=spec.serving.n_users,
         )
 
     def _generate_queries(
@@ -1149,7 +1067,7 @@ class CampaignRunner:
         trace_config = IntelLabConfig(
             n_sensors=cfg.n_sensors,
             duration_s=cfg.duration_s,
-            epoch_s=cfg.epoch_s,
+            epoch_s=EPOCH_S,
             dropout_rate=spec.trace.dropout_rate,
         )
         base = self._freeze_trace(
@@ -1162,7 +1080,7 @@ class CampaignRunner:
             # exactly when the channel is at its worst.  Positive STEP
             # events, so ABOVE standing queries always qualify.
             placements = [
-                (sensor, int(round(start_s / cfg.epoch_s)))
+                (sensor, int(round(start_s / EPOCH_S)))
                 for start_s in self._burst_starts(spec)
                 for sensor in range(cfg.n_sensors)
             ]
@@ -1197,12 +1115,10 @@ class CampaignRunner:
     def _presto_config(
         self, spec: ScenarioSpec, duty_cycle_point: float | None
     ) -> PrestoConfig:
-        cfg = self.config
         return PrestoConfig(
-            sample_period_s=cfg.epoch_s,
-            model_kind=cfg.model_kind,
-            refit_interval_s=cfg.refit_interval_s,
-            min_training_epochs=cfg.min_training_epochs,
+            sample_period_s=EPOCH_S,
+            refit_interval_s=REFIT_INTERVAL_S,
+            min_training_epochs=MIN_TRAINING_EPOCHS,
             link=LinkConfig(loss_probability=spec.radio.loss_probability),
             default_check_interval_s=(
                 duty_cycle_point if duty_cycle_point is not None else 1.0
@@ -1353,7 +1269,6 @@ class CampaignRunner:
             qualifying = list(events)
         if not qualifying:
             return float("nan"), 0, float("nan")
-        epoch_s = self.config.epoch_s
         times_by_sensor: dict[int, list[float]] = {}
         for notification in notifications:
             times_by_sensor.setdefault(notification.sensor, []).append(
@@ -1362,9 +1277,9 @@ class CampaignRunner:
         hits = 0
         worst_latency = float("nan")
         for event in qualifying:
-            event_start = event.start_epoch * epoch_s
-            onset = event_start - RECALL_ONSET_SLACK_EPOCHS * epoch_s
-            stop = event.end_epoch * epoch_s + RECALL_TAIL_SLACK_EPOCHS * epoch_s
+            event_start = event.start_epoch * EPOCH_S
+            onset = event_start - RECALL_ONSET_SLACK_EPOCHS * EPOCH_S
+            stop = event.end_epoch * EPOCH_S + RECALL_TAIL_SLACK_EPOCHS * EPOCH_S
             in_window = [
                 timestamp
                 for timestamp in times_by_sensor.get(event.sensor, [])

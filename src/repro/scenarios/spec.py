@@ -17,6 +17,8 @@ screw.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.core.config import REPLICA_CODINGS
@@ -290,19 +292,17 @@ class ServingRegime:
 
     ``offered_qps=None`` (the default) disables the front-end; a rate
     turns it on — the federation then replays a Zipf-skewed serving
-    window of traffic from ``n_users`` simulated users through batched
-    admission and a TTL'd answer memo, and reports p50/p95/p99 latency,
-    memo hit rate, utilization and saturation metrics alongside the
-    routing numbers.  ``offered_qps``, ``zipf_s`` and ``memo_ttl_s`` are
-    :data:`SWEEP_PARAMETERS` members, so a grid charts the saturation
-    knee.  The single-cell harness has no serving tier; the regime only
-    applies to federated runs.
+    window of traffic through batched admission and a TTL'd answer memo,
+    and reports p50/p95/p99 latency, memo hit rate, utilization and
+    saturation metrics alongside the routing numbers.  ``offered_qps``,
+    ``zipf_s`` and ``memo_ttl_s`` are :data:`SWEEP_PARAMETERS` members, so
+    a grid charts the saturation knee.  The single-cell harness has no
+    serving tier; the regime only applies to federated runs.
     """
 
     offered_qps: float | None = None
     zipf_s: float = 0.9
     memo_ttl_s: float = 30.0
-    n_users: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.offered_qps is not None and self.offered_qps <= 0:
@@ -311,8 +311,6 @@ class ServingRegime:
             raise ValueError("zipf exponent must be >= 0")
         if self.memo_ttl_s < 0:
             raise ValueError("memo ttl must be >= 0")
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
 
     @property
     def enabled(self) -> bool:
@@ -320,22 +318,118 @@ class ServingRegime:
         return self.offered_qps is not None
 
 
-#: scenario parameters a :class:`SweepAxis` may vary, and how each value
-#: is applied to the spec (see ``CampaignRunner._apply_sweep``)
-SWEEP_PARAMETERS = (
-    "flash_capacity_bytes",
-    "arrival_rate_per_s",
-    "loss_probability",
-    "replica_sync_interval_s",
-    "surge_multiplier",
-    "offered_qps",
-    "zipf_s",
-    "memo_ttl_s",
-    "partitions",
-    "storage_policy",
-    "replica_coding",
-    "coding_n",
-)
+@dataclass(frozen=True)
+class SweepParameter:
+    """One sweepable scenario knob — the only place it is declared.
+
+    ``name`` is both the axis name and the field the value pins on the
+    ``section`` sub-spec of a :class:`ScenarioSpec`.  Names are hashed
+    into variant seeds and ``label`` builds the ``variant`` strings of
+    committed BENCH rows, so renaming either silently moves seeds or
+    breaks drift matching.  Sweep values are numbers: ``cast`` turns one
+    into the field's type, and a parameter with ``choices`` reads it as a
+    1-based code into that tuple (the CLI also accepts the choice's name).
+    Values must be positive and lie in ``[low, below)``.
+    """
+
+    name: str
+    label: str                       # variant-label shorthand ("flash=5280")
+    section: str
+    cast: type = float
+    choices: tuple[str, ...] = ()
+    whole: bool = False              # reject fractional values
+    low: float = 0.0
+    below: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.choices:
+            object.__setattr__(self, "whole", True)
+            object.__setattr__(self, "low", 1.0)
+            object.__setattr__(self, "below", len(self.choices) + 1.0)
+
+    @property
+    def domain(self) -> str:
+        """The accepted values in words (error messages, docs table)."""
+        if self.choices:
+            codes = ", ".join(
+                f"{code}={name}" for code, name in enumerate(self.choices, 1)
+            )
+            return f"one of the codes {codes} (the CLI also takes the names)"
+        low = f">= {self.low:g}" if self.low > 0 else "> 0"
+        high = "" if self.below == math.inf else f", < {self.below:g}"
+        return ("whole, " if self.whole else "") + low + high
+
+    def check(self, values: tuple[float, ...]) -> None:
+        """Raise :class:`ValueError` unless every value is in the domain."""
+        if any(
+            not (value > 0 and self.low <= value < self.below)
+            or (self.whole and float(value) != int(value))
+            for value in values
+        ):
+            raise ValueError(
+                f"{self.name} sweep values must be {self.domain}; got {values}"
+            )
+
+    def parse(self, text: str) -> float:
+        """One sweep value from CLI text: a number, or a choice's name."""
+        text = text.strip()
+        if text in self.choices:
+            return float(self.choices.index(text) + 1)
+        return float(text)
+
+    def field_value(self, value: float) -> int | float | str:
+        """The typed sub-spec field value a valid sweep value stands for."""
+        if self.choices:
+            return self.choices[int(value) - 1]
+        return self.cast(value)
+
+    def apply(self, spec: "ScenarioSpec", value: float) -> "ScenarioSpec":
+        """*spec* with this parameter pinned at *value*."""
+        self.check((value,))
+        section = dataclasses.replace(
+            getattr(spec, self.section), **{self.name: self.field_value(value)}
+        )
+        return dataclasses.replace(spec, **{self.section: section})
+
+
+#: every parameter a :class:`SweepAxis` may vary — one row each; validation,
+#: application, variant labels, CLI parsing and the docs table read this
+SWEEP_TABLE: dict[str, SweepParameter] = {
+    row.name: row
+    for row in (
+        SweepParameter("flash_capacity_bytes", "flash", "storage", cast=int),
+        SweepParameter("arrival_rate_per_s", "rate", "workload"),
+        SweepParameter("loss_probability", "loss", "radio", below=1.0),
+        SweepParameter("replica_sync_interval_s", "sync", "federation"),
+        SweepParameter("surge_multiplier", "surge", "workload", low=1.0),
+        SweepParameter("offered_qps", "qps", "serving"),
+        SweepParameter("zipf_s", "zipf", "serving"),
+        SweepParameter("memo_ttl_s", "memo", "serving"),
+        SweepParameter(
+            "partitions", "parts", "federation", cast=int, whole=True, low=1.0
+        ),
+        SweepParameter(
+            "storage_policy", "policy", "storage", choices=STORAGE_POLICIES
+        ),
+        SweepParameter(
+            "replica_coding", "coding", "federation", choices=REPLICA_CODINGS
+        ),
+        SweepParameter(
+            "coding_n", "n", "federation", cast=int, whole=True, low=1.0, below=256.0
+        ),
+    )
+}
+
+SWEEP_PARAMETERS = tuple(SWEEP_TABLE)
+
+
+def sweep_parameter(name: str) -> SweepParameter:
+    """The :data:`SWEEP_TABLE` row called *name* (``ValueError`` if none)."""
+    if name not in SWEEP_TABLE:
+        raise ValueError(
+            f"unknown sweep parameter {name!r}; supported: {SWEEP_PARAMETERS}"
+        )
+    return SWEEP_TABLE[name]
 
 
 @dataclass(frozen=True)
@@ -378,62 +472,14 @@ class SweepAxis:
     values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"supported: {SWEEP_PARAMETERS}"
-            )
+        row = sweep_parameter(self.parameter)
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a sweep needs at least one value")
-        if any(value <= 0 for value in self.values):
-            raise ValueError(f"sweep values must be positive, got {self.values}")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"duplicate sweep values {self.values}")
-        if self.parameter == "loss_probability" and any(
-            value >= 1.0 for value in self.values
-        ):
-            raise ValueError("loss-probability sweep values must be < 1")
-        if self.parameter == "surge_multiplier" and any(
-            value < 1.0 for value in self.values
-        ):
-            raise ValueError("surge-multiplier sweep values must be >= 1")
-        if self.parameter == "partitions" and any(
-            value < 1 or float(value) != int(value) for value in self.values
-        ):
-            raise ValueError(
-                f"partition sweep values must be whole counts >= 1, "
-                f"got {self.values}"
-            )
-        if self.parameter == "storage_policy" and any(
-            float(value) != int(value) or not 1 <= value <= len(STORAGE_POLICIES)
-            for value in self.values
-        ):
-            raise ValueError(
-                f"storage-policy sweep values must be whole codes in "
-                f"[1, {len(STORAGE_POLICIES)}] "
-                f"(1={STORAGE_POLICIES[0]} .. {len(STORAGE_POLICIES)}="
-                f"{STORAGE_POLICIES[-1]}), got {self.values}"
-            )
-        if self.parameter == "replica_coding" and any(
-            float(value) != int(value) or not 1 <= value <= len(REPLICA_CODINGS)
-            for value in self.values
-        ):
-            raise ValueError(
-                f"replica-coding sweep values must be whole codes in "
-                f"[1, {len(REPLICA_CODINGS)}] "
-                f"(1={REPLICA_CODINGS[0]} .. {len(REPLICA_CODINGS)}="
-                f"{REPLICA_CODINGS[-1]}), got {self.values}"
-            )
-        if self.parameter == "coding_n" and any(
-            float(value) != int(value) or not 1 <= value <= 255
-            for value in self.values
-        ):
-            raise ValueError(
-                f"coding_n sweep values must be whole fragment counts in "
-                f"[1, 255], got {self.values}"
-            )
+        row.check(self.values)
 
 
 @dataclass(frozen=True)

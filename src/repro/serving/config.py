@@ -9,28 +9,23 @@ from dataclasses import dataclass
 class ServingConfig:
     """Knobs of the production-traffic front-end layered over a federation.
 
-    The front-end draws ``offered_qps`` queries per second from
-    ``n_users`` simulated users over a serving window placed mid-run,
-    skews sensor popularity by a Zipf law with exponent ``zipf_s``, admits
-    traffic in ``admission_interval_s`` batches against the federated
-    directory, and memoizes answers for ``memo_ttl_s`` so overlapping
-    windows (quantized to ``window_quant_s``) are served from the
-    front-end instead of the backend.  ``offered_qps``, ``zipf_s``,
-    ``memo_ttl_s`` and the federation's partition count are sweepable
-    scenario parameters — the offered-load-vs-p99 grid charts the
-    saturation knee.
+    The front-end draws ``offered_qps`` queries per second over a
+    ``duration_s`` serving window placed mid-run, skews sensor popularity
+    by a Zipf law with exponent ``zipf_s``, admits traffic in fixed batches
+    against the federated directory, and memoizes answers for
+    ``memo_ttl_s`` so overlapping windows are served from the front-end
+    instead of the backend.  ``offered_qps``, ``zipf_s``, ``memo_ttl_s``
+    and the federation's partition count are sweepable scenario parameters
+    — the offered-load-vs-p99 grid charts the saturation knee.  The user
+    population, value/window query mix, admission batch and memo-key
+    quantization are constants of :mod:`repro.serving.traffic` and
+    :mod:`repro.serving.frontend`.
     """
 
     offered_qps: float = 200.0
     zipf_s: float = 0.9
-    n_users: int = 2_000_000
     memo_ttl_s: float = 30.0
-    admission_interval_s: float = 0.25
     service_time_s: float = 0.004        # backend CPU per admitted miss
-    memo_hit_latency_s: float = 0.0005   # front-end lookup on a memo hit
-    now_fraction: float = 0.6            # value queries; rest are windows
-    window_s: float = 3_600.0            # span of a window query
-    window_quant_s: float = 60.0         # memo key quantization
     duration_s: float = 600.0            # serving window length (mid-run)
 
     def __post_init__(self) -> None:
@@ -38,20 +33,10 @@ class ServingConfig:
             raise ValueError("offered qps must be positive")
         if self.zipf_s < 0:
             raise ValueError("zipf exponent must be >= 0")
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
         if self.memo_ttl_s < 0:
             raise ValueError("memo ttl must be >= 0")
-        if self.admission_interval_s <= 0:
-            raise ValueError("admission interval must be positive")
         if self.service_time_s <= 0:
             raise ValueError("service time must be positive")
-        if self.memo_hit_latency_s < 0:
-            raise ValueError("memo hit latency must be >= 0")
-        if not 0.0 <= self.now_fraction <= 1.0:
-            raise ValueError("now fraction must be in [0, 1]")
-        if self.window_s <= 0 or self.window_quant_s <= 0:
-            raise ValueError("window spans must be positive")
         if self.duration_s <= 0:
             raise ValueError("serving window must be positive")
 

@@ -27,6 +27,16 @@ import numpy as np
 from repro.serving.config import ServingConfig, ServingReport
 from repro.serving.traffic import generate_traffic
 
+#: admission batch length — the first latency component of every query
+ADMISSION_INTERVAL_S = 0.25
+
+#: front-end lookup latency on a memo hit
+MEMO_HIT_LATENCY_S = 0.0005
+
+#: span of a window query, and the quantization of its memo key
+WINDOW_S = 3_600.0
+WINDOW_QUANT_S = 60.0
+
 #: memo-key packing offsets: key = sensor * _KEY_STRIDE + (bucket + _BUCKET_BIAS) * 2 + kind
 _BUCKET_BIAS = 1 << 20
 _KEY_STRIDE = 1 << 24
@@ -83,21 +93,21 @@ class ServingFrontend:
         n = len(traffic)
         if n == 0:
             return self._empty_report(traffic)
-        interval = config.admission_interval_s
-        quant = config.window_quant_s
         # Memo keys: value queries bucket on arrival, window queries on the
         # quantized window start — overlapping windows collapse to one key.
         bucket = np.where(
             traffic.is_now,
-            np.floor(traffic.arrival / quant),
-            np.floor((traffic.arrival - config.window_s) / quant),
+            np.floor(traffic.arrival / WINDOW_QUANT_S),
+            np.floor((traffic.arrival - WINDOW_S) / WINDOW_QUANT_S),
         ).astype(np.int64)
         keys = (
             traffic.sensor * _KEY_STRIDE
             + (bucket + _BUCKET_BIAS) * 2
             + traffic.is_now.astype(np.int64)
         )
-        batch = np.floor((traffic.arrival - traffic.t0) / interval).astype(np.int64)
+        batch = np.floor(
+            (traffic.arrival - traffic.t0) / ADMISSION_INTERVAL_S
+        ).astype(np.int64)
 
         latencies = np.empty(n, dtype=np.float64)
         unserved_mask = np.zeros(n, dtype=bool)
@@ -112,7 +122,7 @@ class ServingFrontend:
             lo, hi = int(batch_bounds[b]), int(batch_bounds[b + 1])
             if lo == hi:
                 continue
-            admit_at = traffic.t0 + (b + 1) * interval
+            admit_at = traffic.t0 + (b + 1) * ADMISSION_INTERVAL_S
             slice_keys = keys[lo:hi]
             unique_keys, first, inverse = np.unique(
                 slice_keys, return_index=True, return_inverse=True
@@ -121,7 +131,7 @@ class ServingFrontend:
             hit = np.array(
                 [memo.get(int(key), -np.inf) >= admit_at for key in unique_keys]
             )
-            completion[hit] = admit_at + config.memo_hit_latency_s
+            completion[hit] = admit_at + MEMO_HIT_LATENCY_S
             # Misses go to their owner partition's FIFO backend, in arrival
             # order (Lindley recursion over the batch).
             miss_positions = np.flatnonzero(~hit)

@@ -17,6 +17,12 @@ import numpy as np
 
 from repro.serving.config import ServingConfig
 
+#: simulated user population the traffic is drawn from
+N_USERS = 2_000_000
+
+#: share of value ("now") queries; the rest are window queries
+NOW_FRACTION = 0.6
+
 
 @dataclass
 class Traffic:
@@ -67,12 +73,11 @@ def generate_traffic(
     sensor = rng.choice(
         n_sensors, size=count, p=zipf_weights(n_sensors, config.zipf_s)
     ).astype(np.int64)
-    is_now = rng.random(count) < config.now_fraction
+    is_now = rng.random(count) < NOW_FRACTION
     # Power-law transform of a uniform: a small core of heavy users plus a
-    # long tail, out of a population of n_users.
+    # long tail, out of a population of N_USERS.
     user = np.minimum(
-        (rng.random(count) ** 1.5 * config.n_users).astype(np.int64),
-        config.n_users - 1,
+        (rng.random(count) ** 1.5 * N_USERS).astype(np.int64), N_USERS - 1
     )
     return Traffic(
         t0=t0,

@@ -60,27 +60,6 @@ RESOLUTION_WEIGHT = 0.35
 ACTIVITY_WEIGHT = 0.40
 
 
-def storage_policy_code(name: str) -> float:
-    """Sweep-axis code (1-based float) for a policy name."""
-    try:
-        return float(STORAGE_POLICIES.index(name) + 1)
-    except ValueError:
-        raise ValueError(
-            f"unknown storage policy {name!r}; choose from {STORAGE_POLICIES}"
-        ) from None
-
-
-def storage_policy_name(code: float) -> str:
-    """Policy name for a sweep-axis code (1.0, 2.0, 3.0)."""
-    index = int(code)
-    if float(code) != index or not 1 <= index <= len(STORAGE_POLICIES):
-        raise ValueError(
-            f"storage policy code must be a whole number in "
-            f"[1, {len(STORAGE_POLICIES)}], got {code!r}"
-        )
-    return STORAGE_POLICIES[index - 1]
-
-
 def segment_value(record: ArchiveRecord, now_s: float) -> float:
     """Retention priority of one archived segment, in [0, 1].
 
@@ -502,6 +481,4 @@ __all__ = [
     "fleet_fidelity",
     "receive_transfer_energy",
     "segment_value",
-    "storage_policy_code",
-    "storage_policy_name",
 ]

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_cache import ListSummaryCache
 
-from repro.core.cache import (
-    CacheEntry,
-    EntrySource,
-    ListSummaryCache,
-    SummaryCache,
-)
+from repro.core.cache import CacheEntry, EntrySource, SummaryCache
 
 SOURCES = (EntrySource.PUSHED, EntrySource.PREDICTED, EntrySource.PULLED)
 PERIOD = 3.0

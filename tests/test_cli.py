@@ -23,16 +23,19 @@ class TestParser:
     def test_scenarios_flags(self):
         args = build_parser().parse_args(
             ["scenarios", "--campaign", "smoke", "--scenario", "nominal",
-             "--harness", "single"]
+             "--harness", "single", "--storage-policy", "mcf_offload"]
         )
         assert args.campaign == "smoke"
         assert args.scenario == ["nominal"]
         assert args.harness == "single"
+        assert args.storage_policy == "mcf_offload"
         assert args.sensors == 6 and args.days == 0.75  # scenarios defaults
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios", "--campaign", "huge"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios", "--harness", "cloud"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scenarios", "--storage-policy", "teleport"])
 
     def test_scenarios_sweep_flag_repeatable(self):
         args = build_parser().parse_args(
@@ -78,6 +81,13 @@ class TestSweepParsing:
     def test_list_form(self):
         axis = _parse_sweep_axis("flash_capacity_bytes=84480,5280")
         assert axis.values == (84480.0, 5280.0)
+        # every choice parameter takes names as well as 1-based codes
+        for text, values in (
+            ("storage_policy=local_aging,mcf_offload", (1.0, 3.0)),
+            ("replica_coding=full,rs", (1.0, 2.0)),
+            ("replica_coding=1,rs", (1.0, 2.0)),
+        ):
+            assert _parse_sweep_axis(text).values == values
 
     def test_malformed_flags_rejected(self):
         for text in (
@@ -121,7 +131,7 @@ class TestCommands:
     def test_scenarios_runs_campaign(self, capsys):
         assert main(
             ["scenarios", "--campaign", "smoke", "--scenario", "proxy blackout",
-             "--harness", "federated"]
+             "--harness", "federated", "--storage-policy", "greedy_offload"]
         ) == 0
         output = capsys.readouterr().out
         assert "campaign 'smoke'" in output
@@ -191,9 +201,12 @@ class TestCommands:
     def test_federation_prints_cluster_report(self, capsys):
         assert main(
             ["federation", "--sensors", "4", "--days", "0.5", "--proxies", "2",
-             "--kill-proxy", "proxy1"]
+             "--kill-proxy", "proxy1", "--serve-qps", "20", "--memo-ttl", "0"]
         ) == 0
         output = capsys.readouterr().out
         assert "replication plan" in output
         assert "mean_routing_hops" in output
         assert "wireless" in output
+        # a zero TTL leaves only same-batch dedup (the 30 s default hits ~99%)
+        hit_rate = float(output.split("serving_memo_hit_rate")[1].split()[0])
+        assert 0.0 < hit_rate < 0.5

@@ -9,14 +9,10 @@ correction contemporary with the detection.
 
 import numpy as np
 import pytest
+from reference_cache import ListSummaryCache
 
 from repro.core import PrestoConfig, PrestoSystem
-from repro.core.cache import (
-    CacheEntry,
-    EntrySource,
-    ListSummaryCache,
-    SummaryCache,
-)
+from repro.core.cache import CacheEntry, EntrySource, SummaryCache
 from repro.core.unified import ProxyCell, UnifiedStore
 from repro.radio.link import LinkConfig
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator

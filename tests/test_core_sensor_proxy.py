@@ -251,7 +251,6 @@ class TestBatchingMode:
             push_delta=1.0,
             batch_interval_s=8 * 31.0,
             quant_step=0.05,
-            use_wavelet=True,
         )
         sensors[0].apply_operating_point(point)
         values = 20.0 + 0.01 * np.arange(32)

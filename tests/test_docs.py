@@ -49,11 +49,19 @@ class TestGuidesTrackTheCode:
 
     def test_scenarios_guide_lists_every_sweep_parameter(self):
         from repro.scenarios import SWEEP_PARAMETERS
+        from repro.scenarios.spec import SWEEP_TABLE
 
         guide = (REPO_ROOT / "docs" / "scenarios.md").read_text()
         for parameter in SWEEP_PARAMETERS:
-            assert parameter in guide, (
-                f"docs/scenarios.md misses sweep parameter {parameter!r}"
+            row = SWEEP_TABLE[parameter]
+            # name, label, pinned field and value domain, straight from the table
+            line = (
+                f"| `{row.name}` | `{row.label}=` | "
+                f"`{row.section}.{row.name}` | {row.domain} |"
+            )
+            assert line in guide, (
+                f"docs/scenarios.md sweep table misses or misstates {parameter!r}; "
+                f"expected a row starting {line!r}"
             )
 
     def test_scenarios_guide_lists_every_spec_field(self):
@@ -69,9 +77,7 @@ class TestGuidesTrackTheCode:
 
     def test_grid_table_in_guide_matches_committed_artifact(self):
         """The 2-D table shown in the guide is the example's real output."""
-        artifact = (
-            REPO_ROOT / "benchmarks" / "results" / "wearout_vs_loss_grid.txt"
-        )
+        artifact = REPO_ROOT / "docs" / "results" / "wearout_vs_loss_grid.txt"
         guide = (REPO_ROOT / "docs" / "scenarios.md").read_text()
         blocks = re.findall(
             r"^```[a-z]*\n(.*?)^```", guide, flags=re.DOTALL | re.MULTILINE

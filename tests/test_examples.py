@@ -40,8 +40,8 @@ class TestExamples:
         assert "recovered trajectories" in output
 
     def test_scenario_campaign(self, capsys, tmp_path):
-        # Redirect the grid artifact: tests must not rewrite the committed
-        # benchmarks/results/wearout_vs_loss_grid.txt that the docs embed.
+        # Redirect the grid artifact: tests must not write into the tree
+        # (the copy the docs embed is docs/results/wearout_vs_loss_grid.txt).
         output = run_example(
             "scenario_campaign",
             capsys,

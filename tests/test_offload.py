@@ -7,6 +7,7 @@ from repro.core.config import PrestoConfig
 from repro.core.system import PrestoCell
 from repro.energy.constants import MICA2_FLASH, MICA2_RADIO
 from repro.energy.meter import EnergyMeter
+from repro.scenarios.spec import SWEEP_TABLE
 from repro.storage.aging import AgingPolicy
 from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
@@ -15,9 +16,10 @@ from repro.storage.offload import (
     OffloadCoordinator,
     fleet_fidelity,
     segment_value,
-    storage_policy_code,
-    storage_policy_name,
 )
+
+#: the sweep-table row that maps policy names to 1-based sweep codes
+POLICY = SWEEP_TABLE["storage_policy"]
 
 
 def make_fleet(
@@ -55,19 +57,19 @@ def fill(archive, n_segments, segment_readings=64, offset=0):
 class TestPolicyCodes:
     def test_round_trip(self):
         for name in STORAGE_POLICIES:
-            assert storage_policy_name(storage_policy_code(name)) == name
+            assert POLICY.field_value(POLICY.parse(name)) == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            storage_policy_code("teleport")
+            POLICY.parse("teleport")
 
     def test_fractional_code_rejected(self):
         with pytest.raises(ValueError):
-            storage_policy_name(1.5)
+            POLICY.check((1.5,))
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ValueError):
-            storage_policy_name(len(STORAGE_POLICIES) + 1)
+            POLICY.check((len(STORAGE_POLICIES) + 1,))
 
     def test_coordinator_rejects_local_aging(self):
         with pytest.raises(ValueError):

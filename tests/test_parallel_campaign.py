@@ -8,7 +8,6 @@ the variant's identity, never of where or when it executes.
 """
 
 import math
-import multiprocessing
 import pickle
 
 import pytest
@@ -16,6 +15,7 @@ import pytest
 from repro.scenarios import (
     CampaignConfig,
     CampaignRunner,
+    ProxyFault,
     RadioRegime,
     ScenarioSpec,
     SweepAxis,
@@ -293,20 +293,28 @@ class TestPreparedTraceIsReadOnly:
         assert len(report.results) == 2
 
 
-class TestSerialFallback:
-    def test_worker_failure_falls_back_to_serial(self, monkeypatch, capsys):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("monkeypatched worker needs fork inheritance")
+class TestPoolFailure:
+    def test_raising_worker_fails_the_campaign_naming_the_variant(self):
+        """A deterministic crash in a worker is loud, not a slow pass."""
+        runner = CampaignRunner(small_config())
+        # proxy index 9 of 2: the federated variant raises while arming faults
+        bad = ScenarioSpec(name="bad", faults=[ProxyFault(proxy_index=9)])
+        with pytest.raises(RuntimeError, match=r"variant bad/federated failed") as info:
+            runner.run([ScenarioSpec(name="plain"), bad], jobs=2)
+        assert "out of range" in str(info.value)
 
-        def broken_pool_run(item):
-            raise RuntimeError("worker exploded")
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes for you")
 
-        monkeypatch.setattr(runner_module, "_pool_run", broken_pool_run)
         runner = CampaignRunner(small_config())
         spec = ScenarioSpec(name="plain")
-        parallel = runner.run([spec], jobs=2)
         serial = runner.run([spec])
-        assert len(parallel.results) == len(serial.results)
-        for s, p in zip(serial.results, parallel.results):
+        assert serial.pool_fallback == ""
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        fallback = runner.run([spec], jobs=2)
+        assert "could not start" in fallback.pool_fallback
+        assert "running 2 variants serially" in capsys.readouterr().err
+        assert len(fallback.results) == len(serial.results)
+        for s, p in zip(serial.results, fallback.results):
             assert rows_equal(comparable_row(s), comparable_row(p))
-        assert "serial fallback" in capsys.readouterr().err

@@ -26,6 +26,8 @@ from repro.scenarios import (
     WorkloadSpec,
     builtin_scenarios,
 )
+from repro.scenarios.runner import EPOCH_S
+from repro.scenarios.spec import SWEEP_PARAMETERS, SWEEP_TABLE
 
 REQUIRED_SCENARIOS = (
     "lossy uplink",
@@ -722,8 +724,8 @@ class TestAdversarialTiming:
         _, trace, events = runner._build_trace(spec)
         # 0.3 days, 3 h period -> bursts at 10800 s and 21600 s
         expected_epochs = {
-            int(round(10800.0 / runner.config.epoch_s)),
-            int(round(21600.0 / runner.config.epoch_s)),
+            int(round(10800.0 / EPOCH_S)),
+            int(round(21600.0 / EPOCH_S)),
         }
         assert len(events) == len(expected_epochs) * runner.config.n_sensors
         assert {e.start_epoch for e in events} == expected_epochs
@@ -934,10 +936,58 @@ class TestGridExpansion:
             )
 
 
-def load_bench_scenarios():
-    """Import benchmarks/bench_scenarios.py the way test_examples loads examples."""
-    path = Path(__file__).parent.parent / "benchmarks" / "bench_scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios_for_test", path)
+class TestSweepTable:
+    """``spec.SWEEP_TABLE`` is the one declaration of every sweep parameter."""
+
+    #: name -> (label, sub-spec it pins, a sweep value, the field value it
+    #: becomes).  Pinned literally, in table order: names are hashed into
+    #: variant seeds and labels build the ``variant`` strings of committed
+    #: ``BENCH_scenarios.json`` rows — a rename must fail here first.
+    PINNED = {
+        "flash_capacity_bytes": ("flash", "storage", 4096.0, 4096),
+        "arrival_rate_per_s": ("rate", "workload", 0.01, 0.01),
+        "loss_probability": ("loss", "radio", 0.4, 0.4),
+        "replica_sync_interval_s": ("sync", "federation", 600.0, 600.0),
+        "surge_multiplier": ("surge", "workload", 4.0, 4.0),
+        "offered_qps": ("qps", "serving", 50.0, 50.0),
+        "zipf_s": ("zipf", "serving", 1.2, 1.2),
+        "memo_ttl_s": ("memo", "serving", 5.0, 5.0),
+        "partitions": ("parts", "federation", 2.0, 2),
+        "storage_policy": ("policy", "storage", 3.0, "mcf_offload"),
+        "replica_coding": ("coding", "federation", 2.0, "rs"),
+        "coding_n": ("n", "federation", 5.0, 5),
+    }
+
+    def test_names_and_labels_are_pinned(self):
+        assert SWEEP_PARAMETERS == tuple(self.PINNED)
+        for name, (label, *_) in self.PINNED.items():
+            assert SWEEP_TABLE[name].label == label
+
+    def test_every_parameter_lands_on_its_field_with_its_type(self):
+        base = ScenarioSpec(name="s")
+        for name, (_, section, value, expected) in self.PINNED.items():
+            pinned = SWEEP_TABLE[name].apply(base, value)
+            landed = getattr(getattr(pinned, section), name)
+            assert landed == expected and type(landed) is type(expected), name
+            untouched = dataclasses.replace(pinned, **{section: getattr(base, section)})
+            assert untouched == base, name
+
+    def test_choice_parameters_round_trip_names_and_codes(self):
+        choice_rows = [row for row in SWEEP_TABLE.values() if row.choices]
+        assert [row.name for row in choice_rows] == ["storage_policy", "replica_coding"]
+        for row in choice_rows:
+            for code, name in enumerate(row.choices, 1):
+                assert row.parse(name) == row.parse(str(code)) == float(code)
+                assert row.field_value(float(code)) == name
+            for bad in (0.0, 1.5, len(row.choices) + 1.0):
+                with pytest.raises(ValueError, match=row.name):
+                    SweepAxis(parameter=row.name, values=(bad,))
+
+
+def load_bench_harness():
+    """Import benchmarks/_harness.py the way test_examples loads examples."""
+    path = Path(__file__).parent.parent / "benchmarks" / "_harness.py"
+    spec = importlib.util.spec_from_file_location("bench_harness_for_test", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -947,7 +997,7 @@ class TestDriftCoordinateMatching:
     """--check-drift matches variant rows by coordinates, not label order."""
 
     def test_row_key_ignores_axis_order(self):
-        bench = load_bench_scenarios()
+        bench = load_bench_harness()
         a = {
             "scenario": "g",
             "harness": "single",
@@ -962,29 +1012,14 @@ class TestDriftCoordinateMatching:
         }
         assert bench.row_key(a) == bench.row_key(b)
 
-    def test_row_key_parses_legacy_variant_labels(self):
-        bench = load_bench_scenarios()
-        legacy = {
-            "scenario": "flash wear-out",
-            "harness": "single",
-            "variant": "flash=5280",
-        }
-        modern = {
-            "scenario": "flash wear-out",
-            "harness": "single",
-            "variant": "flash=5280",
-            "sweep": {"flash_capacity_bytes": 5280.0},
-        }
-        assert bench.row_key(legacy) == bench.row_key(modern)
-
     def test_row_key_keeps_duty_cycle_tokens(self):
-        bench = load_bench_scenarios()
+        bench = load_bench_harness()
         half = {"scenario": "s", "harness": "single", "variant": "lpl=0.5s"}
         eight = {"scenario": "s", "harness": "single", "variant": "lpl=8s"}
         assert bench.row_key(half) != bench.row_key(eight)
 
     def test_check_drift_matches_reordered_rows(self):
-        bench = load_bench_scenarios()
+        bench = load_bench_harness()
         previous = {
             "rows": [
                 {
@@ -1013,14 +1048,14 @@ class TestDriftCoordinateMatching:
                 }
             ]
         }
-        assert bench.check_drift(matching, previous, tolerance=0.05) == []
+        assert bench.check_campaign_drift(matching, previous, tolerance=0.05) == []
         regressed = json.loads(json.dumps(matching))
         regressed["rows"][0]["success_rate"] = 0.5
-        failures = bench.check_drift(regressed, previous, tolerance=0.05)
+        failures = bench.check_campaign_drift(regressed, previous, tolerance=0.05)
         assert len(failures) == 1 and "fell" in failures[0]
 
     def test_check_drift_flags_missing_coordinates(self):
-        bench = load_bench_scenarios()
+        bench = load_bench_harness()
         previous = {
             "rows": [
                 {
@@ -1033,7 +1068,7 @@ class TestDriftCoordinateMatching:
             ]
         }
         record = {"rows": []}
-        failures = bench.check_drift(record, previous, tolerance=0.05)
+        failures = bench.check_campaign_drift(record, previous, tolerance=0.05)
         assert len(failures) == 1 and "missing" in failures[0]
 
 

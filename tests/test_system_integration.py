@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PrestoConfig, PrestoSystem
+from repro.energy.constants import TELOS_PROFILE
 from repro.radio.link import LinkConfig
 from repro.sync.clock import ClockModel
 from repro.traces.workload import QueryWorkloadConfig, QueryWorkloadGenerator
@@ -110,6 +111,36 @@ class TestEmptyReport:
         # latency/error defaults stay 0.0 (sums, not rates)
         assert report.mean_latency_s == 0.0
         assert report.mean_error == 0.0
+
+
+class TestNodeProfile:
+    def test_telos_platform_reprices_the_ledger(self, small_trace):
+        """The no-query case above on the other platform ``PrestoConfig``
+        can name: same protocol, different joules, ledger still closed."""
+
+        def run(**platform):
+            config = PrestoConfig(
+                sample_period_s=31.0,
+                refit_interval_s=6 * 3600.0,
+                min_training_epochs=128,
+                **platform,
+            )
+            system = PrestoSystem(small_trace, config, seed=11)
+            return system, system.run(duration_s=6 * 3600.0)
+
+        _, mica2 = run()
+        system, telos = run(node_profile=TELOS_PROFILE)
+        assert telos.pushes + telos.cold_pushes > 0
+        assert set(telos.sensor_energy_by_category) == set(
+            mica2.sensor_energy_by_category
+        )
+        for category, joules in mica2.sensor_energy_by_category.items():
+            assert telos.sensor_energy_by_category[category] != joules, category
+        meter_total = sum(sensor.meter.total_j for sensor in system.sensors)
+        assert meter_total == pytest.approx(telos.sensor_energy_j, rel=1e-12)
+        assert sum(telos.sensor_energy_by_category.values()) == pytest.approx(
+            meter_total, rel=1e-12
+        )
 
 
 class TestLossyLinks:
