@@ -1,21 +1,23 @@
-"""Fragmented replica storage for erasure-coded sync payloads.
+"""Fragmented replica storage: the federation's one replica representation.
 
-The federation's full-copy mode ships each wireless owner's whole hot
-snapshot to every replica host.  In ``rs`` mode the serialized snapshot
-of one sync — one *generation* — is padded to a multiple of k, striped
-into a ``(k, L)`` byte matrix and encoded into n fragments, one per
-planned host slot (``CacheDirectory.plan_fragment_placement``).  A host
-keeps only its newest fragments per owner (exactly as a full-copy host
-keeps only its newest merged state), so the store's footprint is bounded
-by the host count, not the sync count.
+The serialized hot snapshot one owner ships in one sync — one
+*generation* — is padded to a multiple of k, striped into a ``(k, L)``
+byte matrix and encoded into n fragments, one per planned host slot
+(``CacheDirectory.plan_fragment_placement``).  Whole-copy replication
+with factor r is the (k = 1, n = r) member of the family: every fragment
+is the payload under an invertible byte map, and it is encoded, held,
+reconstructed and counted like any other generation.  A host keeps only
+its newest fragments per owner, so the store's footprint is bounded by
+the host count, not the sync count.
 
 Reconstruction for failover gathers the surviving fragments on live
 hosts, decodes every generation that still has >= k distinct fragments
 (memoised per generation — the MDS decode is independent of *which* k
 fragments are used) and merges the decoded snapshot dicts oldest-first,
-which reproduces the ``dict.update`` merge a full-copy host applies sync
-by sync.  Fewer than k surviving fragments of every generation means the
-owner's replicated state is irrecoverable.
+so the newest surviving state of every sensor wins.  Fragments held but
+fewer than k of every generation means the owner's replicated state is
+irrecoverable; live hosts that hold nothing yet (a death before the
+first sync) merely have nothing to answer from.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ def payload_matrix(payload: bytes, k: int) -> np.ndarray:
 
 @dataclass
 class CodingCounters:
-    """Per-run replica-sync byte/decode accounting (both coding modes).
+    """Per-run replica-sync byte/decode accounting.
 
     ``payload_bytes`` counts each owner's serialized snapshot once per
-    sync; ``shipped_bytes`` is what actually crossed the backhaul (full
-    copies per live host, or live fragments); ``full_copy_bytes`` is the
-    full-copy cost at the same survivability — in ``rs`` mode the
-    counterfactual ``payload x min(n - k + 1, live hosts)`` a
-    replication-factor-equivalent full-copy plan would have shipped, in
-    ``full`` mode simply the shipped bytes.  ``decodes`` counts actual
-    ``rs_decode`` calls (cache misses), ``irrecoverable`` the failover
-    attempts that found fewer than k surviving fragments.
+    sync; ``shipped_bytes`` is what actually crossed the backhaul (the
+    fragments of live hosts); ``full_copy_bytes`` is the whole-copy cost
+    at the same survivability — the ``payload x min(n - k + 1, live
+    hosts)`` a replication factor of n - k + 1 would have shipped, which
+    at k = 1 is the shipped bytes themselves.  ``decodes`` counts the
+    generations materialised from held fragments (decode-cache misses),
+    ``irrecoverable`` the failover attempts that found fragments but
+    fewer than k of every generation.
     """
 
     payload_bytes: int = 0
@@ -81,9 +83,10 @@ class CodingCounters:
 class CodingReport:
     """Replica-coding section of a :class:`FederatedReport`.
 
-    ``sync_radio_j`` / ``sync_flash_j`` charge the shipped bytes at the
-    node profile's per-byte transmit and flash-write rates — in ``rs``
-    mode fragment bytes replace full-copy bytes in both, which is the
+    ``mode`` is the configured spelling, ``k``/``n`` the code it resolved
+    to.  ``sync_radio_j`` / ``sync_flash_j`` charge the shipped bytes at
+    the node profile's per-byte transmit and flash-write rates — with
+    k > 1 fragment bytes replace whole-copy bytes in both, which is the
     whole bandwidth/flash argument for coding.
     """
 
@@ -159,8 +162,8 @@ class FragmentStore:
         """Encode one generation and store fragments on live hosts.
 
         Returns ``(shipped_bytes, live_host_count)``; ``(0, 0)`` without
-        consuming a generation when no assigned host is alive (the
-        full-copy path's "nowhere to ship" skip).
+        consuming a generation when no assigned host is alive (nowhere to
+        ship).
         """
         slots = self.assignment.get(owner, [])
         live = [(i, host) for i, host in enumerate(slots) if alive(host)]
@@ -202,11 +205,11 @@ class FragmentStore:
     ) -> dict[int, Any] | None:
         """The owner's merged replica state from surviving fragments.
 
-        ``None`` when no generation has >= k distinct fragments on live
-        hosts.  Decodable generations merge oldest-first, matching the
-        cumulative ``dict.update`` a full-copy host applies — so while a
-        host set stays recoverable, the reconstruction is byte-identical
-        to the best full-copy host's state.
+        Decodable generations merge oldest-first, so a sensor's newest
+        surviving state wins.  Empty when no live host holds a fragment of
+        the owner (nothing synced yet, or nowhere it survives); ``None``
+        when fragments are held but no generation has >= k distinct ones
+        on live hosts — the stripe is lost.
         """
         by_generation: dict[int, dict[int, bytes]] = {}
         for host in self.live_slots(owner, alive):
@@ -221,7 +224,7 @@ class FragmentStore:
             for generation, rows in by_generation.items()
             if len(rows) >= self.k
         )
-        if not decodable:
+        if by_generation and not decodable:
             return None
         merged: dict[int, Any] = {}
         for generation in decodable:

@@ -73,10 +73,11 @@ class PrestoConfig:
 SHARD_POLICIES = ("contiguous", "round_robin", "balanced")
 
 #: recognised partition execution backends
-PARTITION_BACKENDS = ("auto", "inline", "process")
+PARTITION_BACKENDS = ("inline", "process")
 
-#: recognised replica-coding modes: whole-copy replication vs k-of-n
-#: Reed-Solomon fragments (order matters — sweep codes are 1-based)
+#: recognised replica-coding spellings: whole-copy replication (the k = 1
+#: code) vs k-of-n Reed-Solomon fragments (order matters — sweep codes are
+#: 1-based)
 REPLICA_CODINGS = ("full", "rs")
 
 
@@ -106,16 +107,15 @@ class FederationConfig:
     replica_sync_interval_s: float = 3_600.0
     hot_entries_per_sensor: int = 64     # cache tail replicated per sensor
 
-    # Replica coding: ``full`` ships whole snapshot copies to
-    # ``replication_factor`` hosts; ``rs`` stripes each sync payload into
-    # ``coding_n`` Reed-Solomon fragments (``coding_k`` data + parity) spread
-    # over distinct wired hosts — any ``coding_k`` surviving fragments
-    # reconstruct the snapshot, so survivability matches a replication
-    # factor of ``coding_n - coding_k + 1`` at ``coding_n / coding_k`` times
-    # the payload instead of that factor times.  ``coding_k``/``coding_n``
-    # are ignored in ``full`` mode.  With fewer than ``coding_n`` live
-    # wired hosts, fragments wrap round-robin over the pool (hosts stay
-    # maximally spread; co-hosted fragments die together).
+    # Replica coding: every sync payload is striped into a k-of-n
+    # Reed-Solomon generation, one fragment per planned wired host slot —
+    # any k surviving fragments reconstruct the snapshot, so n - k host
+    # losses are survived at n / k times the payload.  ``replica_coding``
+    # only names which fields give the pair (see :attr:`replica_code`):
+    # ``rs`` reads ``(coding_k, coding_n)``; ``full`` is the k = 1 code,
+    # ``(1, replication_factor)``, whose every fragment is a whole copy —
+    # there ``coding_k``/``coding_n`` are ignored, as ``replication_factor``
+    # is under ``rs``.  Placement is ``CacheDirectory.plan_fragment_placement``.
     replica_coding: str = "full"
     coding_k: int = 4
     coding_n: int = 6
@@ -125,11 +125,11 @@ class FederationConfig:
     # for the whole horizon on a private kernel; ``0`` means one partition
     # per CPU core (capped at ``n_proxies``).  Reports are identical at
     # every count.  ``partition_backend`` picks how partitions execute:
-    # ``inline`` (in-process, one after another), ``process``
-    # (``ProcessPoolExecutor``, one task per partition), or ``auto``
-    # (process when more than one partition resolves, else inline).
+    # ``process`` (``ProcessPoolExecutor``, one task per partition; a
+    # single partition needs no pool and runs in-process) or ``inline``
+    # (always in-process, one after another).
     partitions: int = 1
-    partition_backend: str = "auto"
+    partition_backend: str = "process"
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
@@ -157,8 +157,11 @@ class FederationConfig:
                 f"need 1 <= coding_k <= coding_n, got "
                 f"k={self.coding_k}, n={self.coding_n}"
             )
-        if self.coding_n > 255:
-            raise ValueError("coding_n exceeds the GF(256) codec's capacity")
+        if self.replica_code[1] > 255:
+            raise ValueError(
+                f"{self.replica_code[1]} fragments per generation exceed "
+                "the GF(256) codec's capacity (255)"
+            )
         if self.partitions is None or self.partitions < 0:
             raise ValueError(
                 f"partitions must be 0 (per-core) or >= 1, got {self.partitions}"
@@ -168,6 +171,20 @@ class FederationConfig:
                 f"unknown partition backend {self.partition_backend!r}; "
                 f"expected one of {PARTITION_BACKENDS}"
             )
+
+    @property
+    def replica_code(self) -> tuple[int, int]:
+        """The ``(k, n)`` erasure code replica sync runs.
+
+        The one place ``replica_coding`` is read: whole-copy replication
+        with factor r is the degenerate (k = 1, n = r) member of the
+        k-of-n family, so ``full`` and ``rs`` differ only in which fields
+        supply the pair.
+        """
+        return {
+            "full": (1, self.replication_factor),
+            "rs": (self.coding_k, self.coding_n),
+        }[self.replica_coding]
 
     @property
     def n_wired(self) -> int:

@@ -170,16 +170,6 @@ class SensorReplica:
     synced_at_s: float
 
 
-@dataclass
-class ProxyReplica:
-    """One wired proxy's copy of a wireless proxy's caches and models."""
-
-    owner: str                     # the wireless proxy replicated from
-    host: str                      # the wired proxy holding the copy
-    sensors: dict[int, SensorReplica] = field(default_factory=dict)
-    syncs: int = 0
-
-
 @dataclass(frozen=True)
 class FailoverEvent:
     """One proxy death and how stale its replicated state was at that instant.
@@ -270,13 +260,13 @@ class _RoutingCore:
     """Directory-routed query answering over the federation's membership.
 
     The constructor builds everything routing resolves against — directory
-    registrations, the replication (or fragment) plan, skip-graph ownership,
-    the routing counters — from the same inputs wherever it runs, so the
+    registrations, the replica placement plan, skip-graph ownership, the
+    routing counters — from the same inputs wherever it runs, so the
     coordinator (:class:`FederatedSystem`, which executes no cells) and
     every :class:`_CellPartition` hold identical copies.  Built cells and
-    replica state start empty; a partition fills them for the cells it
-    executes, and every query is pre-routed to its owner's partition, so
-    the owner and its replicas are always resolvable there.
+    the fragment store start empty; a partition fills them for the cells
+    it executes, and every query is pre-routed to its owner's partition,
+    so the owner and its replicas are always resolvable there.
     """
 
     def __init__(
@@ -298,23 +288,18 @@ class _RoutingCore:
         self.sim = Simulator()
         self._built: dict[str, PrestoCell] = {}
 
-        # Cluster-wide cache placement and replication planning.
-        self.directory = CacheDirectory(
-            replication_factor=federation.replication_factor
-        )
+        # Cluster-wide cache placement and replication planning.  Replica
+        # state is one k-of-n fragment store whatever the configured
+        # spelling: whole copies are its k = 1 generations.
+        self.directory = CacheDirectory()
         for fc in cells:
             self.directory.register_proxy(
                 fc.name, wired=fc.wired, response_latency_s=fc.response_latency_s
             )
             self.directory.publish_cache(fc.name, set(fc.sensor_ids))
-        if federation.replica_coding == "rs":
-            self.replication_plan = self.directory.plan_fragment_placement(
-                federation.coding_k, federation.coding_n
-            )
-        else:
-            self.replication_plan = self.directory.plan_replication()
-        self._replicas: dict[tuple[str, str], ProxyReplica] = {}
-        self._fragments: FragmentStore | None = None
+        k, n = federation.replica_code
+        self.replication_plan = self.directory.plan_fragment_placement(k, n)
+        self._fragments = FragmentStore(k, n, self.replication_plan)
         self._coding = CodingCounters()
 
         # Ownership lookup: one skip-graph node per contiguous run of sensors
@@ -345,15 +330,8 @@ class _RoutingCore:
         """Directory liveness, in predicate form for the fragment store."""
         return self.directory.proxy(name).alive
 
-    @property
-    def _syncs_state(self) -> bool:
-        """Whether this core has any replica state to ship on the cadence."""
-        if self._fragments is not None:
-            return bool(self.replication_plan)
-        return bool(self._replicas)
-
     def _snapshot_owner(self, owner: str, now: float) -> dict[int, SensorReplica]:
-        """One owner's hot state at sync time (shared by both coding modes)."""
+        """One owner's hot state at sync time."""
         hot = self.federation.hot_entries_per_sensor
         proxy = self._built[owner].proxy
         snapshot: dict[int, SensorReplica] = {}
@@ -371,77 +349,45 @@ class _RoutingCore:
 
         A replica only ever holds state from *before* a failure — sync skips
         dead owners (nothing to ship) and dead hosts (nowhere to ship).
-        Each owner is snapshotted once per sync; in ``full`` mode the
-        (immutable) snapshot object is shared by all its replica hosts, in
-        ``rs`` mode its serialized form is striped into fragments and only
-        the live hosts' fragments are shipped.  Either way the serialized
-        payload and shipped bytes land in the coding ledger — fragment
-        bytes replace full-copy bytes in the per-sync radio/flash
-        accounting, which is the byte claim ``bench_coding`` gates.
+        Each owner this core executes is snapshotted once per sync; the
+        serialized snapshot is striped into a k-of-n generation and only
+        the live hosts' fragments are shipped.  Payload and shipped bytes
+        land in the coding ledger — fragment bytes are what the per-sync
+        radio/flash accounting prices, which is the byte claim
+        ``bench_coding`` gates.
         """
         now = self.sim.now
-        fed = self.federation
-        for owner, hosts in self.replication_plan.items():
-            if not self.directory.proxy(owner).alive:
+        k, n = self.federation.replica_code
+        for owner in self._built:
+            if not self._proxy_alive(owner):
                 continue
-            if self._fragments is not None:
-                if not self._fragments.live_slots(owner, self._proxy_alive):
-                    continue
-                snapshot = self._snapshot_owner(owner, now)
-                payload = serialize_payload(snapshot)
-                shipped, live_hosts = self._fragments.sync(
-                    owner, payload, self._proxy_alive
-                )
-                self._coding.payload_bytes += len(payload)
-                self._coding.shipped_bytes += shipped
-                self._coding.full_copy_bytes += len(payload) * min(
-                    fed.coding_n - fed.coding_k + 1, live_hosts
-                )
-                self.replica_syncs += live_hosts
+            if not self._fragments.live_slots(owner, self._proxy_alive):
                 continue
-            live_replicas = [
-                self._replicas[(host, owner)]
-                for host in hosts
-                if self.directory.proxy(host).alive
-            ]
-            if not live_replicas:
-                continue
-            snapshot = self._snapshot_owner(owner, now)
-            payload = serialize_payload(snapshot)
-            shipped = len(payload) * len(live_replicas)
+            payload = serialize_payload(self._snapshot_owner(owner, now))
+            shipped, live_hosts = self._fragments.sync(
+                owner, payload, self._proxy_alive
+            )
             self._coding.payload_bytes += len(payload)
             self._coding.shipped_bytes += shipped
-            self._coding.full_copy_bytes += shipped
-            for replica in live_replicas:
-                replica.sensors.update(snapshot)
-                replica.syncs += 1
-                self.replica_syncs += 1
+            self._coding.full_copy_bytes += len(payload) * min(n - k + 1, live_hosts)
+            self.replica_syncs += live_hosts
 
     def _replica_staleness(self, proxy_name: str) -> float:
         """Age of the newest entry live hosts hold for *proxy_name* now.
 
-        In ``rs`` mode the newest entry is read off the reconstructed
-        snapshot (decodable generations merged oldest-first); while >= k
-        fragments of the latest generation survive, this equals the
-        full-copy answer for the same host liveness.
+        Read off the reconstructed snapshot (decodable generations merged
+        oldest-first); ``inf`` when nothing is held or nothing decodes.
         """
-        newest = float("-inf")
-        if self._fragments is not None:
-            merged = self._fragments.reconstruct(proxy_name, self._proxy_alive)
-            for state in (merged or {}).values():
-                if state.entries:
-                    newest = max(newest, state.entries[-1].timestamp)
-        else:
-            for host in self.replication_plan.get(proxy_name, []):
-                if not self.directory.proxy(host).alive:
-                    continue
-                replica = self._replicas.get((host, proxy_name))
-                if replica is None:
-                    continue
-                for state in replica.sensors.values():
-                    if state.entries:
-                        newest = max(newest, state.entries[-1].timestamp)
-        if newest == float("-inf"):
+        merged = self._fragments.reconstruct(proxy_name, self._proxy_alive)
+        newest = max(
+            (
+                state.entries[-1].timestamp
+                for state in (merged or {}).values()
+                if state.entries
+            ),
+            default=None,
+        )
+        if newest is None:
             return float("inf")
         return max(self.sim.now - newest, 0.0)
 
@@ -511,24 +457,22 @@ class _RoutingCore:
                 source=AnswerSource.FAILED,
                 latency_s=base_latency,
             )
-        if self._fragments is not None:
-            merged = self._fragments.reconstruct(owner_name, self._proxy_alive)
-            if merged is None:
-                # Fewer than k fragments survive in every generation: the
-                # stripe is lost and failover degrades to the unroutable
-                # path, exactly as if no replica host were left.
-                self._coding.irrecoverable += 1
-                self.unroutable += 1
-                return QueryAnswer(
-                    query=query,
-                    value=None,
-                    source=AnswerSource.FAILED,
-                    latency_s=base_latency,
-                )
-            state = merged.get(query.sensor)
-        else:
-            replica = self._replicas[(best.name, owner_name)]
-            state = replica.sensors.get(query.sensor)
+        merged = self._fragments.reconstruct(owner_name, self._proxy_alive)
+        if merged is None:
+            # Fewer than k fragments survive in every held generation: the
+            # stripe is lost and failover degrades to the unroutable path,
+            # exactly as if no replica host were left.  (Live hosts holding
+            # nothing yet reconstruct empty, and fail below at the replica
+            # host's latency instead.)
+            self._coding.irrecoverable += 1
+            self.unroutable += 1
+            return QueryAnswer(
+                query=query,
+                value=None,
+                source=AnswerSource.FAILED,
+                latency_s=base_latency,
+            )
+        state = merged.get(query.sensor)
         latency = base_latency + best.response_latency_s
         estimate = self._replica_estimate(state, query) if state else None
         if estimate is None:
@@ -802,7 +746,7 @@ class FederatedSystem(_RoutingCore):
         context = self._context(horizon)
         tasks = [(p, cell_ids, routed[p]) for p, cell_ids in enumerate(self._assign)]
         results: list[_PartitionResult] | None = None
-        if k > 1 and self.federation.partition_backend in ("auto", "process"):
+        if k > 1 and self.federation.partition_backend == "process":
             results = self._run_process(context, tasks)
         if results is None:
             results = [_run_partition(context, *task) for task in tasks]
@@ -918,17 +862,17 @@ class FederatedSystem(_RoutingCore):
         """The run's replica-sync byte ledger, priced at the node profile.
 
         Shipped bytes are charged once on the radio (backhaul transmit)
-        and once on the host flash (fragment/copy write) at the profile's
-        per-byte rates — so in ``rs`` mode fragment bytes replace
-        full-copy bytes in both energy terms.
+        and once on the host flash (fragment write) at the profile's
+        per-byte rates.
         """
         fed = self.federation
         profile = self.config.node_profile
         counters = self._coding
+        k, n = fed.replica_code
         return CodingReport(
             mode=fed.replica_coding,
-            k=fed.coding_k,
-            n=fed.coding_n,
+            k=k,
+            n=n,
             payload_bytes=counters.payload_bytes,
             shipped_bytes=counters.shipped_bytes,
             full_copy_bytes=counters.full_copy_bytes,
@@ -1048,14 +992,9 @@ class FederatedSystem(_RoutingCore):
         # proxy's response latency; with the owner dead it is served by the
         # lowest-latency live replica host, or not at all.
         alive = {fc.name: self._proxy_alive(fc.name) for fc in self.cells}
-        # In rs mode a dead owner is only servable while >= coding_k of its
-        # fragment slots sit on live hosts (enough to decode); a whole copy
-        # needs just one live host.
-        need_hosts = (
-            self.federation.coding_k
-            if self.federation.replica_coding == "rs"
-            else 1
-        )
+        # A dead owner is only servable while >= k of its fragment slots
+        # sit on live hosts (enough to decode; one whole copy at k = 1).
+        need_hosts = self.federation.replica_code[0]
 
         def snapshot() -> tuple[np.ndarray, np.ndarray]:
             latency = np.empty(n, dtype=np.float64)
@@ -1163,9 +1102,9 @@ class _CellPartition(_RoutingCore):
     """One simulation partition: a block of cells on a private kernel.
 
     Holds the *full* federation membership (directory registrations, skip
-    graph) so routing and failover resolve locally, but builds and advances
-    only its own cells and plans, syncs and reconstructs replicas only for
-    them.  The fault timeline is replayed on the local directory copy at
+    graph, placement plan) so routing and failover resolve locally, but
+    builds and advances only its own cells and syncs and reconstructs
+    replicas only for them.  The fault timeline is replayed on the local directory copy at
     exact virtual times, which keeps liveness in lockstep with every other
     partition without mid-run communication; the partition owning a dying
     cell additionally records the :class:`FailoverEvent` (its replicas are
@@ -1199,22 +1138,6 @@ class _CellPartition(_RoutingCore):
                 RandomStreams(seed=context.seed + cell_id),
                 proxy_name=fc.name,
             )
-        self.replication_plan = {
-            owner: hosts
-            for owner, hosts in self.replication_plan.items()
-            if owner in self._built
-        }
-        fed = context.federation
-        if fed.replica_coding == "rs":
-            self._fragments = FragmentStore(
-                fed.coding_k, fed.coding_n, self.replication_plan
-            )
-        else:
-            self._replicas = {
-                (host, owner): ProxyReplica(owner=owner, host=host)
-                for owner, hosts in self.replication_plan.items()
-                for host in hosts
-            }
         for name in context.initial_down:
             self.directory.mark_down(name)
         self._fault_events: list[tuple[int, FailoverEvent]] = []
@@ -1252,7 +1175,7 @@ class _CellPartition(_RoutingCore):
                 )
         for cell in self._built.values():
             cell.start_tasks()
-        if self._syncs_state:
+        if any(self.replication_plan.get(name) for name in self._built):
             interval = context.federation.replica_sync_interval_s
             self._sync_task = PeriodicTask(
                 self.sim, interval, self._sync_replicas, start_offset=interval
@@ -1302,8 +1225,7 @@ class _CellPartition(_RoutingCore):
             (self._queries[i][0], query, answer, i in failover_set)
             for i, (query, answer) in enumerate(self._query_log)
         ]
-        if self._fragments is not None:
-            self._coding.decodes = self._fragments.decodes
+        self._coding.decodes = self._fragments.decodes
         return _PartitionResult(
             log=log,
             fault_events=self._fault_events,

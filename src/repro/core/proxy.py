@@ -12,7 +12,6 @@ grace period so an in-flight push is not preempted by a silent advance).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -708,14 +707,15 @@ class PrestoProxy:
         """Snapshot one sensor's hot state for replication to another proxy.
 
         Returns a columnar snapshot of the newest *max_entries* summary-cache
-        entries (array copies, not per-entry deep copies) plus an independent
-        copy of the sensor's model tracker (or None before the first model
-        activates) — the "caches and prediction models ... further replicated
-        at the wired proxies" of Section 5.
+        entries (array copies, not per-entry deep copies) plus the sensor's
+        *live* model tracker (or None before the first model activates) —
+        the "caches and prediction models ... further replicated at the
+        wired proxies" of Section 5.  The tracker is not copied here: every
+        replica crosses ``serialize_payload`` on its way to a host, and the
+        serializer makes the copy.
         """
         snapshot = self.cache.tail_snapshot(sensor, max_entries)
-        tracker = self._states[sensor].tracker
-        return snapshot, copy.deepcopy(tracker) if tracker is not None else None
+        return snapshot, self._states[sensor].tracker
 
     # -- stats ------------------------------------------------------------------
 

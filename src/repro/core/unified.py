@@ -69,7 +69,8 @@ class UnifiedStore:
     def __init__(self, replication_factor: int = 1) -> None:
         self._cells: dict[str, ProxyCell] = {}
         self.index = IntervalIndex()
-        self.directory = CacheDirectory(replication_factor=replication_factor)
+        self.directory = CacheDirectory()
+        self.replication_factor = replication_factor
         self.routed_queries = 0
         self.rerouted_queries = 0
         self.unroutable_queries = 0
@@ -91,8 +92,8 @@ class UnifiedStore:
         )
 
     def plan_replication(self) -> dict[str, list[str]]:
-        """Replicate wireless proxies' caches onto wired ones."""
-        return self.directory.plan_replication()
+        """Replicate wireless proxies' caches onto wired ones (whole copies)."""
+        return self.directory.plan_fragment_placement(1, self.replication_factor)
 
     def cell(self, proxy_name: str) -> ProxyCell:
         """Lookup a registered cell."""

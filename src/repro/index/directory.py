@@ -29,10 +29,7 @@ class ProxyDescriptor:
 class CacheDirectory:
     """Cluster-wide view of cache placement and replication."""
 
-    def __init__(self, replication_factor: int = 1) -> None:
-        if replication_factor < 0:
-            raise ValueError(f"replication factor must be >= 0, got {replication_factor}")
-        self.replication_factor = int(replication_factor)
+    def __init__(self) -> None:
         self._proxies: dict[str, ProxyDescriptor] = {}
 
     def register_proxy(
@@ -73,13 +70,12 @@ class CacheDirectory:
     ) -> list[ProxyDescriptor]:
         """Pick up to *count* DISTINCT wired hosts by (load, latency).
 
-        One host at a time, never the same host twice — the distinct-host
-        guarantee both whole-copy and fragment placement rely on: a host
-        that already carries one of an owner's replicas must not be chosen
-        again for the same owner (stacking copies on one host collapses
-        its failure-independence).  Runs out of hosts early when the wired
-        pool is smaller than *count* (scarce-wired deployments) instead of
-        padding with duplicates.
+        One host at a time, never the same host twice: a host that already
+        carries one of an owner's slots must not be chosen again before
+        every other host holds one (stacking slots on one host collapses
+        their failure-independence).  Runs out of hosts early when the
+        wired pool is smaller than *count* (scarce-wired deployments)
+        instead of padding with duplicates.
         """
         chosen: list[ProxyDescriptor] = []
         taken: set[str] = set()
@@ -95,54 +91,41 @@ class CacheDirectory:
             taken.add(best.name)
         return chosen
 
-    def plan_replication(self) -> dict[str, list[str]]:
-        """Choose wired replicas for every wireless proxy's cache.
-
-        Returns ``{wireless_proxy: [wired_replica, ...]}`` and records the
-        placements.  Targets are the lowest-latency wired proxies, spreading
-        load by current replica count; an owner's hosts are always distinct
-        (see :meth:`_spread_hosts`), so a scarce wired pool yields fewer
-        replicas rather than two copies on one host.
-        """
-        wired = [p for p in self._proxies.values() if p.wired and p.alive]
-        plan: dict[str, list[str]] = {}
-        for proxy in self._proxies.values():
-            if proxy.wired or not proxy.alive:
-                continue
-            chosen = self._spread_hosts(wired, self.replication_factor)
-            for target in chosen:
-                target.replicas_of.add(proxy.name)
-            plan[proxy.name] = [target.name for target in chosen]
-        return plan
-
     def plan_fragment_placement(self, k: int, n: int) -> dict[str, list[str]]:
-        """Place n erasure-coded fragment slots per wireless owner.
+        """Place each wireless owner's replica slots on live wired hosts.
 
-        Returns ``{wireless_proxy: [host_of_fragment_0, ...]}`` — entry i
-        is the wired host storing fragment i of each sync generation.
-        Hosts are distinct while the live wired pool allows (inheriting
-        :meth:`plan_replication`'s distinct-host guarantee); with fewer
-        than n live wired hosts the assignment wraps round-robin, so no
-        host takes a second fragment before every host holds one.
-        Placements are recorded in ``replicas_of`` exactly like whole
-        copies, so :meth:`serving_candidates` / :meth:`best_server`
-        resolve coded failover unchanged.
+        Every sync generation of an owner is a k-of-n erasure-coded stripe;
+        the plan is ``{wireless_proxy: [host_of_fragment_0, ...]}`` — entry
+        i is the wired host storing fragment i.  Whole-copy replication
+        with factor r is the ``(1, r)`` code, and ``n = 0`` replicates
+        nothing (every owner gets an empty slot list).
+
+        Hosts are the lowest-latency live wired proxies, spreading load by
+        current placement count, and stay distinct while the pool allows
+        (see :meth:`_spread_hosts`).  With fewer than n hosts a k > 1
+        stripe wraps round-robin, so no host takes a second fragment
+        before every host holds one; a k = 1 stripe stops at one slot per
+        host instead — each fragment already is the whole payload, so a
+        second one on the same host buys no survivability.  Placements are
+        recorded in ``replicas_of``, which is what
+        :meth:`serving_candidates` / :meth:`best_server` resolve failover
+        against.
         """
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if k < 1 or (n != 0 and n < k):
+            raise ValueError(
+                f"need 1 <= k <= n, or n = 0 for no replication; got k={k}, n={n}"
+            )
         wired = [p for p in self._proxies.values() if p.wired and p.alive]
         plan: dict[str, list[str]] = {}
         for proxy in self._proxies.values():
             if proxy.wired or not proxy.alive:
                 continue
-            if not wired:
-                plan[proxy.name] = []
-                continue
-            spread = self._spread_hosts(wired, min(n, len(wired)))
-            assignment = [spread[i % len(spread)] for i in range(n)]
-            for target in spread:
+            hosts = self._spread_hosts(wired, n)
+            for target in hosts:
                 target.replicas_of.add(proxy.name)
-            plan[proxy.name] = [target.name for target in assignment]
+            if k > 1 and hosts:
+                hosts = [hosts[i % len(hosts)] for i in range(n)]
+            plan[proxy.name] = [target.name for target in hosts]
         return plan
 
     def serving_candidates(self, sensor: int) -> list[ProxyDescriptor]:

@@ -10,6 +10,8 @@ same values, same sources, same latencies, same measured staleness.
 everything except the byte bill.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,18 +46,28 @@ def fast_config():
     )
 
 
-def run_federated(replica_coding, partitions=1, backend="inline"):
+def run_federated(
+    replica_coding,
+    partitions=1,
+    backend="inline",
+    failures=FAILURES,
+    recoveries=RECOVERIES,
+    **overrides,
+):
     """One pinned-seed run; ``full`` uses the survivability-equivalent
     replication factor n - k + 1 so both modes ride out the same losses."""
     trace = make_trace()
-    federation = FederationConfig(
-        n_proxies=6,
-        replication_factor=CODING_N - CODING_K + 1,
-        replica_coding=replica_coding,
-        coding_k=CODING_K,
-        coding_n=CODING_N,
-        partitions=partitions,
-        partition_backend=backend,
+    federation = dataclasses.replace(
+        FederationConfig(
+            n_proxies=6,
+            replication_factor=CODING_N - CODING_K + 1,
+            replica_coding=replica_coding,
+            coding_k=CODING_K,
+            coding_n=CODING_N,
+            partitions=partitions,
+            partition_backend=backend,
+        ),
+        **overrides,
     )
     system = FederatedSystem(
         trace, config=fast_config(), federation=federation, seed=3
@@ -66,9 +78,9 @@ def run_federated(replica_coding, partitions=1, backend="inline"):
         rng=np.random.default_rng(11),
     )
     queries = generator.generate(0.0, DURATION_S)
-    for name, at_s in FAILURES:
+    for name, at_s in failures:
         system.schedule_failure(name, at_s)
-    for name, at_s in RECOVERIES:
+    for name, at_s in recoveries:
         system.schedule_recovery(name, at_s)
     return system.run(queries, duration_s=DURATION_S)
 
@@ -150,24 +162,86 @@ class TestDecodeEquivalence:
         assert 0.0 < summary["coding_bytes_saved_fraction"] < 1.0
 
 
+LEDGER_FIELDS = (
+    "payload_bytes",
+    "shipped_bytes",
+    "full_copy_bytes",
+    "decodes",
+    "irrecoverable",
+    "sync_radio_j",
+    "sync_flash_j",
+)
+
+
+def assert_same_run(a, b):
+    """Answers, routing, shipment count and the coding ledger all agree."""
+    assert equivalence_key(a) == equivalence_key(b)
+    assert a.replica_syncs == b.replica_syncs
+    for field in LEDGER_FIELDS:
+        assert getattr(a.coding, field) == getattr(b.coding, field), field
+
+
 class TestCodedPartitionEquivalence:
     """Splitting the cells across partitions must not change coded results or accounting."""
 
     @pytest.mark.parametrize("replica_coding", ["full", "rs"])
     def test_partitions_preserve_coding_accounting(self, replica_coding):
-        whole = run_federated(replica_coding)
-        split = run_federated(replica_coding, partitions=2)
-        assert equivalence_key(split) == equivalence_key(whole)
-        assert split.replica_syncs == whole.replica_syncs
-        for field in (
-            "payload_bytes",
-            "shipped_bytes",
-            "full_copy_bytes",
-            "decodes",
-            "irrecoverable",
-            "sync_radio_j",
-            "sync_flash_j",
-        ):
-            assert getattr(split.coding, field) == getattr(
-                whole.coding, field
-            ), field
+        assert_same_run(
+            run_federated(replica_coding, partitions=2),
+            run_federated(replica_coding),
+        )
+
+
+class TestFullIsTheKEqualsOneCode:
+    """``full`` is only a name: replication factor r *is* rs(k=1, n=r)."""
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_full_equals_rs_with_k_one(self, factor):
+        full = run_federated("full", replication_factor=factor)
+        coded = run_federated("rs", coding_k=1, coding_n=factor)
+        assert (full.coding.k, full.coding.n) == (1, factor)
+        assert (coded.coding.k, coded.coding.n) == (1, factor)
+        assert full.failovers > 0 and full.coding.decodes > 0
+        assert_same_run(full, coded)
+
+
+class TestNewestGenerationWins:
+    """A recovered host that missed a sync must not make failover staler.
+
+    proxy0 is proxy3's lowest-latency replica host.  It is down across the
+    7200 s sync and back before proxy3 dies at 9000 s, so it holds
+    generation 1 while proxy1 holds generation 2.  Reconstruction merges
+    every live host's generations oldest-first, so proxy3's failover
+    answers come from generation 2 — exactly as if proxy0 had never
+    blinked — and are still charged proxy0's response latency.
+    """
+
+    BLIP = ("proxy0", 6000.0, 8000.0)
+
+    @pytest.mark.parametrize("replica_coding", ["full", "rs"])
+    def test_host_that_missed_a_sync_does_not_serve_stale_state(
+        self, replica_coding
+    ):
+        name, down_at, up_at = self.BLIP
+        steady = run_federated(replica_coding)
+        blinked = run_federated(
+            replica_coding,
+            failures=FAILURES + ((name, down_at),),
+            recoveries=RECOVERIES + ((name, up_at),),
+        )
+
+        def proxy3_failovers(report):
+            kill_at = dict(FAILURES)["proxy3"]
+            revive_at = dict(RECOVERIES)["proxy3"]
+            return [
+                (a.query.query_id, a.value, a.source, a.latency_s)
+                for a in report.answers
+                if a.query.sensor in (6, 7)
+                and kill_at < a.query.arrival_time < revive_at
+            ]
+
+        assert proxy3_failovers(steady)
+        assert any(value is not None for _, value, _, _ in proxy3_failovers(steady))
+        assert proxy3_failovers(blinked) == proxy3_failovers(steady)
+        # the wireless deaths' staleness is read off the newest generation too
+        assert blinked.fault_staleness_s[:2] == steady.fault_staleness_s

@@ -257,7 +257,8 @@ class TestFragmentStore:
         store = self.make_store()
         dead_all = alive_fn(["wired0", "wired1", "wired2"])
         assert store.sync("wifi0", serialize_payload({}), dead_all) == (0, 0)
-        assert store.reconstruct("wifi0", alive_fn()) is None
+        # Nothing held is not a lost stripe: empty, not None.
+        assert store.reconstruct("wifi0", alive_fn()) == {}
 
     def test_decode_memoised(self):
         store = self.make_store()

@@ -5,9 +5,14 @@ import pytest
 from repro.index.directory import CacheDirectory
 
 
+def plan_copies(directory, factor=1):
+    """Whole-copy replication with factor r is the (k = 1, n = r) plan."""
+    return directory.plan_fragment_placement(1, factor)
+
+
 @pytest.fixture
 def directory():
-    d = CacheDirectory(replication_factor=1)
+    d = CacheDirectory()
     d.register_proxy("wired0", wired=True, response_latency_s=0.01)
     d.register_proxy("wired1", wired=True, response_latency_s=0.02)
     d.register_proxy("wifi0", wired=False, response_latency_s=0.3)
@@ -23,45 +28,44 @@ class TestRegistration:
         with pytest.raises(ValueError):
             directory.register_proxy("wired0", True, 0.01)
 
-    def test_negative_replication_rejected(self):
+    def test_negative_replication_rejected(self, directory):
         with pytest.raises(ValueError):
-            CacheDirectory(replication_factor=-1)
+            plan_copies(directory, factor=-1)
 
 
 class TestReplication:
     def test_wireless_replicated_on_wired(self, directory):
-        plan = directory.plan_replication()
+        plan = plan_copies(directory)
         assert set(plan) == {"wifi0", "wifi1"}
         for targets in plan.values():
             assert all(directory.proxy(t).wired for t in targets)
 
     def test_load_spread(self, directory):
-        plan = directory.plan_replication()
+        plan = plan_copies(directory)
         # two wireless proxies, two wired: each wired gets one replica
         targets = [t for targets in plan.values() for t in targets]
         assert sorted(targets) == ["wired0", "wired1"]
 
     def test_zero_replication(self, directory):
-        directory.replication_factor = 0
-        plan = directory.plan_replication()
+        plan = plan_copies(directory, factor=0)
         assert all(targets == [] for targets in plan.values())
 
 
 class TestServing:
     def test_owner_serves_when_alive(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         best = directory.best_server(1)
         # replica on wired0 (10 ms) beats wifi0 (300 ms)
         assert best.name == "wired0"
 
     def test_failover_to_replica(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         directory.mark_down("wifi0")
         best = directory.best_server(2)
         assert best is not None and best.wired
 
     def test_no_server_when_all_down(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         directory.mark_down("wifi0")
         directory.mark_down("wired0")
         directory.mark_down("wired1")
@@ -76,7 +80,7 @@ class TestServing:
         assert directory.best_server(999) is None
 
     def test_candidates_sorted_by_latency(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         candidates = directory.serving_candidates(1)
         latencies = [c.response_latency_s for c in candidates]
         assert latencies == sorted(latencies)
@@ -84,7 +88,7 @@ class TestServing:
 
 class TestFailurePaths:
     def test_death_falls_back_to_live_replica(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         directory.mark_down("wifi1")
         fallback = directory.best_server(4)
         assert fallback is not None
@@ -95,29 +99,29 @@ class TestFailurePaths:
         assert directory.best_server(4) is None
 
     def test_multiple_replicas_best_latency_wins(self):
-        d = CacheDirectory(replication_factor=2)
+        d = CacheDirectory()
         d.register_proxy("wired0", wired=True, response_latency_s=0.01)
         d.register_proxy("wired1", wired=True, response_latency_s=0.02)
         d.register_proxy("wifi0", wired=False, response_latency_s=0.3)
         d.publish_cache("wifi0", {1})
-        d.plan_replication()
+        plan_copies(d, factor=2)
         d.mark_down("wifi0")
         assert d.best_server(1).name == "wired0"
         d.mark_down("wired0")
         assert d.best_server(1).name == "wired1"
 
     def test_zero_replication_means_no_failover(self):
-        d = CacheDirectory(replication_factor=0)
+        d = CacheDirectory()
         d.register_proxy("wired0", wired=True, response_latency_s=0.01)
         d.register_proxy("wifi0", wired=False, response_latency_s=0.3)
         d.publish_cache("wifi0", {1, 2})
-        assert d.plan_replication() == {"wifi0": []}
+        assert plan_copies(d, factor=0) == {"wifi0": []}
         d.mark_down("wifi0")
         assert d.best_server(1) is None
         assert d.serving_candidates(2) == []
 
     def test_reregistration_after_death(self, directory):
-        directory.plan_replication()
+        plan_copies(directory)
         directory.mark_down("wifi0")
         fresh = directory.register_proxy("wifi0", wired=False,
                                          response_latency_s=0.2)
@@ -130,7 +134,7 @@ class TestFailurePaths:
         # until it republishes and replication is replanned, nobody serves it
         assert directory.best_server(1) is None
         directory.publish_cache("wifi0", {1, 2, 3})
-        directory.plan_replication()
+        plan_copies(directory)
         assert directory.best_server(1) is not None
 
     def test_reregistration_of_live_proxy_rejected(self, directory):
@@ -139,19 +143,19 @@ class TestFailurePaths:
                                      response_latency_s=0.2)
 
     def test_dead_wired_not_a_replication_target(self):
-        d = CacheDirectory(replication_factor=1)
+        d = CacheDirectory()
         d.register_proxy("wired0", wired=True, response_latency_s=0.01)
         d.register_proxy("wired1", wired=True, response_latency_s=0.05)
         d.register_proxy("wifi0", wired=False, response_latency_s=0.3)
         d.publish_cache("wifi0", {1})
         d.mark_down("wired0")
-        plan = d.plan_replication()
+        plan = plan_copies(d)
         assert plan == {"wifi0": ["wired1"]}
 
 
-def scarce_directory(replication_factor=3):
+def scarce_directory():
     """Two wired hosts, three wireless owners: the scarce-wired regime."""
-    d = CacheDirectory(replication_factor=replication_factor)
+    d = CacheDirectory()
     d.register_proxy("wired0", wired=True, response_latency_s=0.01)
     d.register_proxy("wired1", wired=True, response_latency_s=0.02)
     for i in range(3):
@@ -165,22 +169,22 @@ class TestDistinctHostGuarantee:
     replicas (or fragment spread) on a single host."""
 
     def test_scarce_plan_never_duplicates_hosts(self):
-        plan = scarce_directory(replication_factor=3).plan_replication()
+        plan = plan_copies(scarce_directory(), factor=3)
         for owner, hosts in plan.items():
             assert len(hosts) == len(set(hosts)), (owner, hosts)
             # fewer replicas than asked, never a duplicated host
             assert sorted(hosts) == ["wired0", "wired1"]
 
     def test_replanning_keeps_hosts_distinct(self):
-        d = scarce_directory(replication_factor=2)
-        first = d.plan_replication()
-        second = d.plan_replication()   # e.g. after a topology review
+        d = scarce_directory()
+        first = plan_copies(d, factor=2)
+        second = plan_copies(d, factor=2)   # e.g. after a topology review
         for plan in (first, second):
             for hosts in plan.values():
                 assert len(hosts) == len(set(hosts))
 
     def test_fragment_placement_distinct_while_pool_allows(self):
-        d = CacheDirectory(replication_factor=1)
+        d = CacheDirectory()
         for i in range(4):
             d.register_proxy(f"wired{i}", wired=True, response_latency_s=0.01 * (i + 1))
         d.register_proxy("wifi0", wired=False, response_latency_s=0.3)

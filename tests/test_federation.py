@@ -231,10 +231,11 @@ class TestFailover:
         partition.setup()
         partition.sim.run_until(kill_at)
         assert not partition.directory.proxy("proxy3").alive
-        host = system.replication_plan["proxy3"][0]
-        replica = partition._replicas[(host, "proxy3")]
-        assert set(replica.sensors) == set(system.cell_for("proxy3").sensor_ids)
-        for state in replica.sensors.values():
+        replica = partition._fragments.reconstruct(
+            "proxy3", partition._proxy_alive
+        )
+        assert set(replica) == set(system.cell_for("proxy3").sensor_ids)
+        for state in replica.values():
             assert state.entries
             assert state.synced_at_s < kill_at
 
