@@ -638,6 +638,94 @@ def _flat_names(target: ast.AST) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# no-process-global-counter
+
+
+def _static_statements(body: list[ast.stmt]) -> list[ast.stmt]:
+    """Statements executed once per process: *body* plus nested class bodies."""
+    found: list[ast.stmt] = []
+    for stmt in body:
+        found.append(stmt)
+        if isinstance(stmt, ast.ClassDef):
+            found.extend(_static_statements(stmt.body))
+    return found
+
+
+class NoProcessGlobalCounter(Rule):
+    """A counter that lives as long as the interpreter, not the run.
+
+    A module- or class-level ``itertools.count()`` — or its hand-rolled
+    twin, a module global that a function rebinds under ``global`` — hands
+    out values that depend on everything the process did before: which
+    tests ran first, whether a partition executed inline or in a forked
+    worker, serial versus ``--jobs``.  Once such a value is stored on an
+    object that gets serialized, byte counts (and the joules priced from
+    them) inherit that history.  Number things from the object that owns
+    them (``self._ids = itertools.count()`` in ``__init__``) instead.
+    """
+
+    id = "no-process-global-counter"
+    summary = (
+        "module/class-level itertools.count(), or a module global rebound "
+        "under `global`: ids then depend on process history"
+    )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        module = ctx.tree
+        assert isinstance(module, ast.Module)
+        counters = {"itertools.count"}
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                counters.update(
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name == "count"
+                )
+        findings: list[Finding] = []
+        for stmt in _static_statements(module.body):
+            value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
+            if isinstance(value, ast.Call) and dotted_name(value.func) in counters:
+                findings.append(
+                    self.finding(
+                        ctx,
+                        stmt,
+                        "process-global counter: its values depend on what "
+                        "ran earlier in the interpreter; count from the "
+                        "owning object instead",
+                    )
+                )
+        for func in ast.walk(module):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            rebindable = {
+                name
+                for node in ast.walk(func)
+                if isinstance(node, ast.Global)
+                for name in node.names
+            }
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in rebindable:
+                        findings.append(
+                            self.finding(
+                                ctx,
+                                node,
+                                f"function {func.name!r} rebinds module global "
+                                f"{target.id!r}; its value then depends on "
+                                "call history — keep the state on an object "
+                                "the caller owns",
+                            )
+                        )
+        return findings
+
+
+# ---------------------------------------------------------------------------
 # registry — populated at module level (import time), so pool workers that
 # re-import this module rebuild it identically; no function ever writes it
 
@@ -650,6 +738,7 @@ RULES: dict[str, Rule] = {
         UnorderedIteration(),
         MutableDefaultArg(),
         WorkerSharedState(),
+        NoProcessGlobalCounter(),
     )
 }
 

@@ -17,14 +17,12 @@ prediction — the query-sensor matching rule the NSDI successor ships.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import enum
-import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cache import CacheEntry, EntrySource
-
-_query_ids = itertools.count()
 
 
 class TriggerKind(enum.Enum):
@@ -37,13 +35,19 @@ class TriggerKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ContinuousQuery:
-    """A standing predicate over one sensor."""
+    """A standing predicate over one sensor.
+
+    ``query_id`` is assigned by the :class:`ContinuousQueryEngine` that
+    first registers the query (``None`` until then); a query that already
+    carries one — re-armed on a cell's engine by the federation, or given
+    one by the caller — keeps it.
+    """
 
     sensor: int
     kind: TriggerKind
     threshold: float
     min_interval_s: float = 0.0     # notification rate limit (0 = every hit)
-    query_id: int = field(default_factory=lambda: next(_query_ids))
+    query_id: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind is TriggerKind.DELTA and self.threshold <= 0:
@@ -68,6 +72,7 @@ class ContinuousQueryEngine:
 
     def __init__(self) -> None:
         self._queries: dict[int, ContinuousQuery] = {}
+        self._next_id = 0
         self._last_value: dict[int, float] = {}
         self._latest_ts: dict[int, float] = {}
         self._fired_times: dict[int, list[float]] = {}  # sorted per query
@@ -76,7 +81,10 @@ class ContinuousQueryEngine:
         self.stale_entries_skipped = 0
 
     def register(self, query: ContinuousQuery) -> int:
-        """Arm a standing query; returns its id."""
+        """Arm a standing query; returns its id (assigned here if it has none)."""
+        if query.query_id is None:
+            query = dataclasses.replace(query, query_id=self._next_id)
+        self._next_id = max(self._next_id, query.query_id + 1)
         self._queries[query.query_id] = query
         return query.query_id
 

@@ -22,12 +22,9 @@ is pushed, no matter how unusual.
 from __future__ import annotations
 
 import copy
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.timeseries.base import TimeSeriesModel
-
-_update_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,6 @@ class ModelUpdate:
     model: TimeSeriesModel
     delta: float
     activation_epoch: int = 0
-    update_id: int = field(default_factory=lambda: next(_update_ids))
 
     @property
     def parameter_bytes(self) -> int:
@@ -71,7 +67,6 @@ class SensorModelChecker:
             update.activation_epoch * self._model.sample_period_s
         )
         self.delta = float(update.delta)
-        self.update_id = update.update_id
         self.checks = 0
         self.pushes = 0
 
@@ -122,7 +117,6 @@ class ProxyModelTracker:
             update.activation_epoch * self._model.sample_period_s
         )
         self.delta = float(update.delta)
-        self.update_id = update.update_id
         self.substitutions = 0
         self.pushes_applied = 0
 

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_packet_ids = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -38,7 +35,6 @@ class Packet:
     payload_bytes: int
     payload: Any = None
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -32,6 +32,7 @@ EXPECTED_RULE_IDS = {
     "unordered-iteration",
     "mutable-default-arg",
     "worker-shared-state",
+    "no-process-global-counter",
 }
 
 
@@ -210,6 +211,57 @@ class TestWorkerSharedState:
             "    return counts\n"
         )
         findings, _ = lint_source(tmp_path, code, "worker-shared-state")
+        assert findings == []
+
+
+class TestNoProcessGlobalCounter:
+    def test_flags_module_level_itertools_count(self, tmp_path):
+        code = (
+            "import itertools\n"
+            "from dataclasses import dataclass, field\n"
+            "_ids = itertools.count()\n"
+            "@dataclass\n"
+            "class Update:\n"
+            "    update_id: int = field(default_factory=lambda: next(_ids))\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-process-global-counter")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("no-process-global-counter", 3)
+        ]
+
+    def test_flags_class_level_and_from_import_spelling(self, tmp_path):
+        code = (
+            "from itertools import count as counter\n"
+            "class Packet:\n"
+            "    _ids = counter(1)\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-process-global-counter")
+        assert [f.line for f in findings] == [3]
+
+    def test_flags_global_rebinding_counter(self, tmp_path):
+        code = (
+            "_next_id = 0\n"
+            "def fresh_id():\n"
+            "    global _next_id\n"
+            "    _next_id += 1\n"
+            "    return _next_id\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-process-global-counter")
+        assert [f.line for f in findings] == [4]
+        assert "'_next_id'" in findings[0].message
+
+    def test_counter_owned_by_an_object_is_fine(self, tmp_path):
+        code = (
+            "import itertools\n"
+            "class Engine:\n"
+            "    def __init__(self):\n"
+            "        self._ids = itertools.count()\n"
+            "        self._next_id = 0\n"
+            "    def register(self):\n"
+            "        self._next_id += 1\n"
+            "        return next(self._ids)\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-process-global-counter")
         assert findings == []
 
 

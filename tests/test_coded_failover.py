@@ -17,6 +17,8 @@ import pytest
 
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.federation import FederatedSystem
+from repro.core.push import ModelUpdate
+from repro.timeseries.arima import ARIMAModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, ShardedWorkloadGenerator
 
@@ -245,3 +247,20 @@ class TestNewestGenerationWins:
         assert proxy3_failovers(blinked) == proxy3_failovers(steady)
         # the wireless deaths' staleness is read off the newest generation too
         assert blinked.fault_staleness_s[:2] == steady.fault_staleness_s
+
+
+class TestPayloadBytesIgnoreProcessHistory:
+    """Sync payloads are a function of the run, not of what the process
+    (or a forked worker) happened to construct before it."""
+
+    def test_unrelated_model_updates_do_not_move_payload_bytes(self, rs_report):
+        model = ARIMAModel(order=(1, 1, 0)).fit(np.linspace(0.0, 1.0, 64))
+        for _ in range(300):
+            ModelUpdate(model=model, delta=1.0)
+        assert_same_run(run_federated("rs"), rs_report)
+
+    def test_partition_backends_ship_equal_bytes(self):
+        assert_same_run(
+            run_federated("rs", partitions=2, backend="process"),
+            run_federated("rs", partitions=2, backend="inline"),
+        )

@@ -61,6 +61,22 @@ class TestEngine:
         assert engine.on_entry(0, entry(1.0, 5.0)) == []
         assert engine.active == []
 
+    def test_ids_assigned_by_the_registering_engine(self):
+        def query():
+            return ContinuousQuery(sensor=0, kind=TriggerKind.ABOVE, threshold=0.0)
+
+        assert query().query_id is None
+        first, second = ContinuousQueryEngine(), ContinuousQueryEngine()
+        # every engine numbers from 0: no process-wide counter behind it
+        assert [first.register(query()), first.register(query())] == [0, 1]
+        assert second.register(query()) == 0
+        # a query that already carries an id keeps it (the federation re-arms
+        # coordinator-registered queries on cell engines), and later
+        # assignments never collide with it
+        carried = first.active[1]
+        assert second.register(carried) == carried.query_id == 1
+        assert second.register(query()) == 2
+
     def test_multiple_queries_fire_together(self):
         engine = ContinuousQueryEngine()
         engine.register(ContinuousQuery(sensor=0, kind=TriggerKind.ABOVE, threshold=20.0))

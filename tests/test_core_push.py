@@ -140,12 +140,6 @@ class TestModelUpdate:
         update = ModelUpdate(model=model, delta=1.0)
         assert update.parameter_bytes == model.parameter_bytes + 4
 
-    def test_update_ids_unique(self):
-        model, _ = fitted_model()
-        a = ModelUpdate(model=model, delta=1.0)
-        b = ModelUpdate(model=model, delta=1.0)
-        assert a.update_id != b.update_id
-
     def test_checker_does_not_alias_update_model(self):
         """The checker must deep-copy: sensor-side observations must never
         mutate the proxy's master model."""

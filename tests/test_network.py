@@ -112,11 +112,6 @@ class TestPacketValidation:
         with pytest.raises(ValueError):
             Packet(PacketKind.PUSH, "a", "b", -1)
 
-    def test_packet_ids_unique(self):
-        a = Packet(PacketKind.PUSH, "a", "b", 1)
-        b = Packet(PacketKind.PUSH, "a", "b", 1)
-        assert a.packet_id != b.packet_id
-
 
 class TestTargetedLinkConfig:
     """Per-sensor/per-cell link retuning for regional-loss scenarios."""
