@@ -6,10 +6,6 @@ Two kinds of baseline live here:
   curves of the paper's Figure 2: batched push with/without wavelet
   compression and value-driven push at Δ=1/Δ=2.  These are trace-driven
   calculations over the same energy primitives the DES uses.
-* **Storage-policy strategies** (:mod:`repro.baselines.offload_policies`) —
-  local wavelet aging vs the collaborative offload planners
-  (:mod:`repro.storage.offload`) replayed over one trace per flash sizing,
-  reporting fidelity retained per joule per flash byte.
 * **Architectures** (:mod:`repro.baselines.direct`,
   :mod:`repro.baselines.streaming`, :mod:`repro.baselines.bbq`,
   :mod:`repro.baselines.value_push`) — one runnable system per row of the
@@ -21,10 +17,6 @@ Two kinds of baseline live here:
 from repro.baselines.bbq import BbqArchitecture
 from repro.baselines.common import BaselineReport
 from repro.baselines.direct import DirectQueryingArchitecture
-from repro.baselines.offload_policies import (
-    OffloadStrategyResult,
-    storage_policy_sweep,
-)
 from repro.baselines.strategies import (
     StrategyResult,
     batched_push_energy,
@@ -42,6 +34,4 @@ __all__ = [
     "StreamingArchitecture",
     "BbqArchitecture",
     "ValuePushArchitecture",
-    "OffloadStrategyResult",
-    "storage_policy_sweep",
 ]

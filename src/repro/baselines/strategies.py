@@ -53,11 +53,6 @@ class StrategyResult:
     payload_bytes: int
     readings: int
 
-    @property
-    def energy_per_sensor_day_j(self) -> float:
-        """Convenience: mean energy per sensor-day (needs trace context)."""
-        return self.total_energy_j / max(len(self.per_sensor_energy_j), 1)
-
 
 def value_driven_push_energy(
     trace: TraceSet,

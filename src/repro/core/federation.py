@@ -21,9 +21,12 @@ as one harness:
   latency) and consults the :class:`~repro.index.directory.CacheDirectory`
   when the owner is dead;
 * wireless proxies' hot summary-cache tails and model trackers are
-  replicated to wired proxies on a sync period, and failover answers are
-  served from that replicated state — *only* from it, so availability
-  experiments measure what replication actually bought.
+  replicated to wired proxies on a sync period — each sync one k-of-n
+  erasure-coded generation in the core's
+  :class:`~repro.coding.fragments.FragmentStore`, whole copies being the
+  k = 1 code — and failover answers are served from the state
+  reconstructed out of it — *only* from it, so availability experiments
+  measure what replication actually bought.
 """
 
 from __future__ import annotations

@@ -155,11 +155,6 @@ class PredictionEngine:
         """Fit the joint Gaussian from (epochs x sensors) aligned data."""
         self._spatial = MultivariateGaussianModel().fit(aligned_readings)
 
-    @property
-    def has_spatial(self) -> bool:
-        """Whether a spatial model is available."""
-        return self._spatial is not None
-
     def extrapolate_spatial(
         self,
         sensor: int,

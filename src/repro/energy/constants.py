@@ -48,11 +48,6 @@ class RadioConstants:
         """Joules to transmit one byte (power x airtime)."""
         return self.tx_power_w * self.byte_time_s
 
-    @property
-    def rx_energy_per_byte_j(self) -> float:
-        """Joules to receive one byte."""
-        return self.rx_power_w * self.byte_time_s
-
 
 @dataclass(frozen=True)
 class FlashConstants:
@@ -72,11 +67,6 @@ class FlashConstants:
     def write_energy_per_byte_j(self) -> float:
         """Amortised joules per byte written (full-page accounting)."""
         return self.write_page_energy_j / self.page_bytes
-
-    @property
-    def read_energy_per_byte_j(self) -> float:
-        """Amortised joules per byte read."""
-        return self.read_page_energy_j / self.page_bytes
 
 
 @dataclass(frozen=True)

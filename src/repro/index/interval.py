@@ -85,11 +85,6 @@ class IntervalIndex:
         return seen
 
     @property
-    def assignments(self) -> list[IntervalAssignment]:
-        """All registered assignments, registration order."""
-        return list(self._assignments)
-
-    @property
     def mean_routing_hops(self) -> float:
         """Average skip-graph hops per lookup so far."""
         return self._graph.mean_search_hops

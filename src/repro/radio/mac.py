@@ -128,13 +128,3 @@ class LplMac:
         self.stats.idle_listen_j += joules
         self.stats.idle_seconds_accounted += duration_s
         return joules
-
-    @property
-    def uplink_stats(self):
-        """Loss/retry counters for the sensor→proxy direction."""
-        return self._uplink.stats
-
-    @property
-    def downlink_stats(self):
-        """Loss/retry counters for the proxy→sensor direction."""
-        return self._downlink.stats

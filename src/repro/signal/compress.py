@@ -47,11 +47,6 @@ class CompressedBlock:
     entries: tuple[tuple[int, int], ...]
     wavelet_name: str
 
-    @property
-    def coefficient_count(self) -> int:
-        """Number of retained coefficients."""
-        return len(self.entries)
-
 
 def compress_block(
     x: np.ndarray,

@@ -10,7 +10,8 @@ The transform is expressed with the classic analysis/synthesis filter banks:
 
 * analysis:  approximation ``a = (x * lo_d) downsample 2``,
              detail ``d = (x * hi_d) downsample 2``
-* synthesis: ``x = (upsample(a) * lo_r) + (upsample(d) * hi_r)``
+* synthesis: ``x = (upsample(a) * lo_r) + (upsample(d) * hi_r)``, with
+             ``lo_r`` / ``hi_r`` the time reverses of ``lo_d`` / ``hi_d``
 
 All convolutions are circular, so an even-length input of length ``n``
 produces exactly ``n/2`` approximation and ``n/2`` detail coefficients.
@@ -37,16 +38,6 @@ class Wavelet:
         lo = self.lo_d
         n = len(lo)
         return tuple(((-1.0) ** k) * lo[n - 1 - k] for k in range(n))
-
-    @property
-    def lo_r(self) -> tuple[float, ...]:
-        """Low-pass reconstruction filter (time reverse of ``lo_d``)."""
-        return tuple(reversed(self.lo_d))
-
-    @property
-    def hi_r(self) -> tuple[float, ...]:
-        """High-pass reconstruction filter (time reverse of ``hi_d``)."""
-        return tuple(reversed(self.hi_d))
 
     @property
     def length(self) -> int:

@@ -45,11 +45,6 @@ class PeriodicTask:
         self.fire_count = 0
 
     @property
-    def period(self) -> float:
-        """Current re-arm interval in seconds."""
-        return self._period
-
-    @property
     def running(self) -> bool:
         """Whether the task is armed."""
         return self._running

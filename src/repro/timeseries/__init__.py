@@ -12,7 +12,7 @@ spatial axis (the BBQ[5] approach).
 
 from repro.timeseries.ar import ARModel, fit_ar_yule_walker
 from repro.timeseries.arima import ARIMAModel
-from repro.timeseries.base import FittedModel, Forecast, ModelSpec, TimeSeriesModel
+from repro.timeseries.base import Forecast, ModelSpec, TimeSeriesModel
 from repro.timeseries.gaussian import MultivariateGaussianModel
 from repro.timeseries.markov import MarkovChainModel
 from repro.timeseries.sarima import SeasonalArimaModel
@@ -20,7 +20,6 @@ from repro.timeseries.seasonal import SeasonalProfileModel
 from repro.timeseries.selection import aic, bic, select_best_model
 
 __all__ = [
-    "FittedModel",
     "Forecast",
     "ModelSpec",
     "TimeSeriesModel",

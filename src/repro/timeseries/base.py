@@ -137,20 +137,6 @@ class TimeSeriesModel(abc.ABC):
         model — the paper's asymmetry requirement made measurable."""
 
 
-@dataclass
-class FittedModel:
-    """A model plus the data statistics it was fitted on (for selection)."""
-
-    model: TimeSeriesModel
-    train_n: int
-    log_likelihood: float
-
-    @property
-    def n_params(self) -> int:
-        """Free parameters (for AIC/BIC)."""
-        return self.model.spec().n_params
-
-
 def as_float_array(values: np.ndarray, name: str = "values") -> np.ndarray:
     """Validate and convert a 1-D float input array."""
     arr = np.asarray(values, dtype=np.float64)
@@ -161,14 +147,3 @@ def as_float_array(values: np.ndarray, name: str = "values") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def gaussian_log_likelihood(residuals: np.ndarray) -> float:
-    """Gaussian log-likelihood of residuals at their MLE variance."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    n = residuals.size
-    if n == 0:
-        return 0.0
-    variance = float(np.mean(residuals**2))
-    variance = max(variance, 1e-12)
-    return -0.5 * n * (np.log(2.0 * np.pi * variance) + 1.0)
