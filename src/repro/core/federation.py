@@ -360,19 +360,19 @@ class _RoutingCore:
         ``bench_coding`` gates.
         """
         now = self.sim.now
-        k, n = self.federation.replica_code
+        store = self._fragments
         for owner in self._built:
             if not self._proxy_alive(owner):
                 continue
-            if not self._fragments.live_slots(owner, self._proxy_alive):
+            if not store.live_slots(owner, self._proxy_alive):
                 continue
             payload = serialize_payload(self._snapshot_owner(owner, now))
-            shipped, live_hosts = self._fragments.sync(
-                owner, payload, self._proxy_alive
-            )
+            shipped, live_hosts = store.sync(owner, payload, self._proxy_alive)
             self._coding.payload_bytes += len(payload)
             self._coding.shipped_bytes += shipped
-            self._coding.full_copy_bytes += len(payload) * min(n - k + 1, live_hosts)
+            self._coding.full_copy_bytes += len(payload) * min(
+                store.n - store.k + 1, live_hosts
+            )
             self.replica_syncs += live_hosts
 
     def _replica_staleness(self, proxy_name: str) -> float:
