@@ -388,10 +388,8 @@ class _RoutingCore:
                 for state in (merged or {}).values()
                 if state.entries
             ),
-            default=None,
+            default=float("-inf"),
         )
-        if newest is None:
-            return float("inf")
         return max(self.sim.now - newest, 0.0)
 
     # -- query routing ----------------------------------------------------------------
@@ -452,22 +450,17 @@ class _RoutingCore:
         """Answer for a dead owner from the best live replica, or fail."""
         best = self.directory.best_server(query.sensor)
         base_latency = PROXY_PROCESSING_S + routing_latency
-        if best is None or best.name == owner_name:
-            self.unroutable += 1
-            return QueryAnswer(
-                query=query,
-                value=None,
-                source=AnswerSource.FAILED,
-                latency_s=base_latency,
-            )
-        merged = self._fragments.reconstruct(owner_name, self._proxy_alive)
+        merged = None
+        if best is not None and best.name != owner_name:
+            merged = self._fragments.reconstruct(owner_name, self._proxy_alive)
+            if merged is None:
+                # Fewer than k fragments survive in every held generation:
+                # the stripe is lost and failover degrades to the unroutable
+                # path, exactly as if no replica host were left.  (Live
+                # hosts holding nothing yet reconstruct empty, and fail
+                # below at the replica host's latency instead.)
+                self._coding.irrecoverable += 1
         if merged is None:
-            # Fewer than k fragments survive in every held generation: the
-            # stripe is lost and failover degrades to the unroutable path,
-            # exactly as if no replica host were left.  (Live hosts holding
-            # nothing yet reconstruct empty, and fail below at the replica
-            # host's latency instead.)
-            self._coding.irrecoverable += 1
             self.unroutable += 1
             return QueryAnswer(
                 query=query,
@@ -1107,11 +1100,11 @@ class _CellPartition(_RoutingCore):
     Holds the *full* federation membership (directory registrations, skip
     graph, placement plan) so routing and failover resolve locally, but
     builds and advances only its own cells and syncs and reconstructs
-    replicas only for them.  The fault timeline is replayed on the local directory copy at
-    exact virtual times, which keeps liveness in lockstep with every other
-    partition without mid-run communication; the partition owning a dying
-    cell additionally records the :class:`FailoverEvent` (its replicas are
-    local, so the staleness it measures is exact).
+    replicas only for them.  The fault timeline is replayed on the local
+    directory copy at exact virtual times, which keeps liveness in lockstep
+    with every other partition without mid-run communication; the partition
+    owning a dying cell additionally records the :class:`FailoverEvent` (its
+    replicas are local, so the staleness it measures is exact).
     """
 
     def __init__(

@@ -10,8 +10,6 @@ same values, same sources, same latencies, same measured staleness.
 everything except the byte bill.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -59,18 +57,16 @@ def run_federated(
     """One pinned-seed run; ``full`` uses the survivability-equivalent
     replication factor n - k + 1 so both modes ride out the same losses."""
     trace = make_trace()
-    federation = dataclasses.replace(
-        FederationConfig(
-            n_proxies=6,
-            replication_factor=CODING_N - CODING_K + 1,
-            replica_coding=replica_coding,
-            coding_k=CODING_K,
-            coding_n=CODING_N,
-            partitions=partitions,
-            partition_backend=backend,
-        ),
-        **overrides,
+    settings = dict(
+        n_proxies=6,
+        replication_factor=CODING_N - CODING_K + 1,
+        replica_coding=replica_coding,
+        coding_k=CODING_K,
+        coding_n=CODING_N,
+        partitions=partitions,
+        partition_backend=backend,
     )
+    federation = FederationConfig(**{**settings, **overrides})
     system = FederatedSystem(
         trace, config=fast_config(), federation=federation, seed=3
     )
