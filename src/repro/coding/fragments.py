@@ -206,10 +206,10 @@ class FragmentStore:
         """The owner's merged replica state from surviving fragments.
 
         Decodable generations merge oldest-first, so a sensor's newest
-        surviving state wins.  Empty when no live host holds a fragment of
-        the owner (nothing synced yet, or nowhere it survives); ``None``
-        when fragments are held but no generation has >= k distinct ones
-        on live hosts — the stripe is lost.
+        surviving state wins.  Judged by what live hosts hold: empty when
+        none of them holds a fragment of the owner (nothing synced to them
+        yet); ``None`` when they hold some but no generation has >= k
+        distinct ones — the stripe is lost.
         """
         by_generation: dict[int, dict[int, bytes]] = {}
         for host in self.live_slots(owner, alive):

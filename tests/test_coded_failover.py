@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import FederationConfig, PrestoConfig
-from repro.core.federation import FederatedSystem
+from repro.core.federation import WIRED_LATENCY_S, FederatedSystem
+from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ModelUpdate
 from repro.timeseries.arima import ARIMAModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
@@ -243,6 +244,44 @@ class TestNewestGenerationWins:
         assert proxy3_failovers(blinked) == proxy3_failovers(steady)
         # the wireless deaths' staleness is read off the newest generation too
         assert blinked.fault_staleness_s[:2] == steady.fault_staleness_s
+
+
+class TestNothingHeldIsNotALostStripe:
+    """An owner that dies before its first sync has no generation anywhere.
+
+    Its failovers reach a live replica host that holds nothing, so they
+    FAIL at that host's latency and count as neither ``unroutable`` nor
+    ``irrecoverable`` — the same answers under both spellings.
+    """
+
+    KILL_AT_S = 600.0       # the first sync is at 3600 s
+
+    def test_death_before_first_sync(self):
+        runs = {
+            coding: run_federated(
+                coding, failures=(("proxy3", self.KILL_AT_S),), recoveries=()
+            )
+            for coding in ("full", "rs")
+        }
+        for report in runs.values():
+            failovers = [
+                a
+                for a in report.answers
+                if a.query.sensor in (6, 7)
+                and a.query.arrival_time > self.KILL_AT_S
+            ]
+            assert len(failovers) == report.failovers > 0
+            assert all(a.value is None for a in failovers)
+            assert all(
+                a.latency_s >= PROXY_PROCESSING_S + WIRED_LATENCY_S
+                for a in failovers
+            )
+            assert report.replica_hits == 0
+            assert report.unroutable == 0
+            assert report.coding.irrecoverable == 0
+            assert report.fault_staleness_s == (float("inf"),)
+        # no failover was answered, so the two error terms are NaN: drop them
+        assert equivalence_key(runs["rs"])[:-2] == equivalence_key(runs["full"])[:-2]
 
 
 class TestPayloadBytesIgnoreProcessHistory:
