@@ -63,7 +63,7 @@ def run_bound(trace, latency_bound):
     check_interval = QuerySensorMatcher.check_interval_for_latency(latency_bound)
     return {
         "check_interval_s": check_interval,
-        "energy_per_day": report.sensor_energy_j / report.n_sensors / days,
+        "energy_per_day": report.sensor_energy_per_day_j,
         "lpl_per_day": report.sensor_energy_by_category.get("radio.lpl", 0.0)
         / report.n_sensors
         / days,

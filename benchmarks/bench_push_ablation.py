@@ -64,8 +64,7 @@ def run_point(trace, events, model_kind, delta):
     report = system.run()
     total_samples = report.n_sensors * trace.n_epochs
     push_fraction = (report.pushes + report.cold_pushes) / total_samples
-    days = report.duration_s / 86_400.0
-    energy_per_day = report.sensor_energy_j / report.n_sensors / days
+    energy_per_day = report.sensor_energy_per_day_j
 
     detected = 0
     considered = 0

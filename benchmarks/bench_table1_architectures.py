@@ -30,6 +30,7 @@ from repro.baselines import (
     ValuePushArchitecture,
 )
 from repro.core import PrestoConfig, PrestoSystem
+from repro.core.queries import PAST_KINDS
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
     QueryKind,
@@ -60,6 +61,18 @@ def setup():
     return _setup()
 
 
+def report_as_row(name, report):
+    """Comparison-row metrics: every architecture's report is read the same way."""
+    return {
+        "name": name,
+        "sensor_energy_per_day_j": report.sensor_energy_per_day_j,
+        "mean_latency_s": report.mean_latency_s,
+        "now_success": report.success_rate_kind(QueryKind.NOW),
+        "past_success": report.success_rate_kind(*PAST_KINDS),
+        "mean_error": report.mean_error,
+    }
+
+
 def presto_report_as_row(trace, queries):
     """Run the full PRESTO cell and convert to comparison-row metrics."""
     config = PrestoConfig(
@@ -67,43 +80,15 @@ def presto_report_as_row(trace, queries):
         refit_interval_s=6 * 3600.0,
         min_training_epochs=256,
     )
-    report = PrestoSystem(trace, config, seed=23).run(queries=queries)
-    days = report.duration_s / 86_400.0
-
-    def kind_success(*kinds):
-        pairs = [
-            (a, t)
-            for a, t in zip(report.answers, report.truths)
-            if a.query.kind in kinds
-        ]
-        if not pairs:
-            return 1.0
-        good = 0
-        for a, t in pairs:
-            if not a.answered or not a.met_latency:
-                continue
-            if t is not None and a.value is not None and abs(a.value - t) > a.query.precision:
-                continue
-            good += 1
-        return good / len(pairs)
-
-    return {
-        "name": "presto",
-        "sensor_energy_per_day_j": report.sensor_energy_j / report.n_sensors / days,
-        "mean_latency_s": report.mean_latency_s,
-        "now_success": kind_success(QueryKind.NOW),
-        "past_success": kind_success(
-            QueryKind.PAST_POINT, QueryKind.PAST_RANGE, QueryKind.PAST_AGG
-        ),
-        "mean_error": report.mean_error,
-    }
+    return report_as_row(
+        "presto", PrestoSystem(trace, config, seed=23).run(queries=queries)
+    )
 
 
 class TestTable1:
     def test_regenerate_table1(self, setup):
         trace, queries = setup
         duration = trace.config.duration_s
-        rows_data = []
         architectures = [
             DirectQueryingArchitecture(trace, flood=True),
             DirectQueryingArchitecture(trace, flood=False),
@@ -111,19 +96,10 @@ class TestTable1:
             StreamingArchitecture(trace),
             ValuePushArchitecture(trace, delta=1.0),
         ]
-        for arch in architectures:
-            report = arch.run(queries, duration)
-            summary = report.summary()
-            rows_data.append(
-                {
-                    "name": report.name,
-                    "sensor_energy_per_day_j": summary["sensor_energy_per_day_j"],
-                    "mean_latency_s": summary["mean_latency_s"],
-                    "now_success": summary["now_success"],
-                    "past_success": summary["past_success"],
-                    "mean_error": summary["mean_error"],
-                }
-            )
+        rows_data = [
+            report_as_row(arch.name, arch.run(queries, duration))
+            for arch in architectures
+        ]
         rows_data.append(presto_report_as_row(trace, queries))
 
         headers = ["architecture", "E/day (J)", "latency (ms)", "NOW", "PAST", "error"]

@@ -85,7 +85,6 @@ class BbqArchitecture(BaselineArchitecture):
         self._train()
         rounds = np.arange(0.0, duration_s, self.observation_interval_s)
         answers: list[QueryAnswer] = []
-        truths: list[float | None] = []
         queue = sorted(queries, key=lambda q: q.arrival_time)
         position = 0
         for i, round_time in enumerate(rounds):
@@ -99,9 +98,8 @@ class BbqArchitecture(BaselineArchitecture):
                 if query.arrival_time >= duration_s:
                     continue
                 answers.append(self._answer(query))
-                truths.append(self.truth_for(query))
         self.charge_idle(duration_s)
-        return self.build_report(answers, truths, duration_s)
+        return self.build_report(answers, duration_s)
 
     # -- answering -----------------------------------------------------------------
 

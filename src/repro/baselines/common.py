@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.queries import QueryAnswer
+from repro.core.queries import PAST_KINDS, QueryAnswer, ScoredAnswers, ground_truth
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.energy.duty_cycle import DutyCycleConfig, lpl_average_power
 from repro.energy.meter import EnergyMeter
 from repro.energy.radio_energy import receive_energy, transfer_energy
 from repro.simulation.randomness import seeded_rng
 from repro.traces.intel_lab import TraceSet
-from repro.traces.workload import Query, QueryKind
+from repro.traces.workload import QueryKind
 
 #: bytes of one pushed/streamed reading record (value + epoch header)
 READING_BYTES = 12
@@ -29,83 +29,16 @@ SERVER_PROCESSING_S = 0.02
 
 
 @dataclass
-class BaselineReport:
-    """Comparable outcome of one architecture run (subset of SystemReport)."""
+class BaselineReport(ScoredAnswers):
+    """Comparable outcome of one architecture run.
+
+    Scored by the same :class:`~repro.core.queries.ScoredAnswers` rule
+    against the same ground truth as PRESTO's ``SystemReport``.
+    """
 
     name: str
-    duration_s: float
-    n_sensors: int
-    answers: list[QueryAnswer]
-    truths: list[float | None]
-    sensor_energy_j: float
     per_sensor_energy_j: list[float]
     messages: int
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean answer latency over all queries."""
-        if not self.answers:
-            return 0.0
-        return float(np.mean([a.latency_s for a in self.answers]))
-
-    @property
-    def answered_fraction(self) -> float:
-        """Fraction of queries that produced any value."""
-        if not self.answers:
-            return 1.0
-        return float(np.mean([a.answered for a in self.answers]))
-
-    @property
-    def mean_error(self) -> float:
-        """Mean absolute error where ground truth is known."""
-        errors = [
-            abs(a.value - t)
-            for a, t in zip(self.answers, self.truths)
-            if a.value is not None and t is not None
-        ]
-        return float(np.mean(errors)) if errors else 0.0
-
-    @property
-    def success_rate(self) -> float:
-        """Answered within precision and latency bounds."""
-        if not self.answers:
-            return 1.0
-        good = 0
-        for answer, truth in zip(self.answers, self.truths):
-            if not answer.answered or not answer.met_latency:
-                continue
-            if truth is not None and answer.value is not None:
-                if abs(answer.value - truth) > answer.query.precision:
-                    continue
-            good += 1
-        return good / len(self.answers)
-
-    def success_rate_kind(self, *kinds: QueryKind) -> float:
-        """Success restricted to the given query kinds (NOW vs PAST split)."""
-        pairs = [
-            (a, t)
-            for a, t in zip(self.answers, self.truths)
-            if a.query.kind in kinds
-        ]
-        if not pairs:
-            return 1.0
-        good = 0
-        for answer, truth in pairs:
-            if not answer.answered or not answer.met_latency:
-                continue
-            if truth is not None and answer.value is not None:
-                if abs(answer.value - truth) > answer.query.precision:
-                    continue
-            good += 1
-        return good / len(pairs)
-
-    @property
-    def sensor_energy_per_day_j(self) -> float:
-        """Mean sensor energy per node-day."""
-        days = self.duration_s / 86_400.0
-        if days <= 0 or self.n_sensors == 0:
-            return 0.0
-        return self.sensor_energy_j / self.n_sensors / days
 
     def summary(self) -> dict[str, float]:
         """Flat dict for the comparison table."""
@@ -114,9 +47,7 @@ class BaselineReport:
             "mean_latency_s": self.mean_latency_s,
             "success_rate": self.success_rate,
             "now_success": self.success_rate_kind(QueryKind.NOW),
-            "past_success": self.success_rate_kind(
-                QueryKind.PAST_POINT, QueryKind.PAST_RANGE, QueryKind.PAST_AGG
-            ),
+            "past_success": self.success_rate_kind(*PAST_KINDS),
             "mean_error": self.mean_error,
             "answered_fraction": self.answered_fraction,
             "messages": float(self.messages),
@@ -124,7 +55,7 @@ class BaselineReport:
 
 
 class BaselineArchitecture:
-    """Base class: trace access, ground truth, and energy helpers."""
+    """Base class: trace access and energy helpers."""
 
     name = "baseline"
 
@@ -151,27 +82,6 @@ class BaselineArchitecture:
         epoch = self.trace.epoch_of(min(timestamp, self.trace.timestamps[-1]))
         value = self.trace.values[sensor, epoch]
         return None if np.isnan(value) else float(value)
-
-    def truth_for(self, query: Query) -> float | None:
-        """Ground truth for success accounting (same rule as PrestoSystem)."""
-        if query.kind in (QueryKind.NOW, QueryKind.PAST_POINT):
-            target = (
-                query.arrival_time
-                if query.kind is QueryKind.NOW
-                else query.target_time
-            )
-            return self.reading_at(query.sensor, target)
-        start, end = query.target_time, query.target_time + query.window_s
-        mask = (self.trace.timestamps >= start) & (self.trace.timestamps <= end)
-        window = self.trace.values[query.sensor, mask]
-        window = window[~np.isnan(window)]
-        if window.size == 0:
-            return None
-        if query.aggregate == "mean":
-            return float(np.mean(window))
-        if query.aggregate == "min":
-            return float(np.min(window))
-        return float(np.max(window))
 
     # -- energy helpers -----------------------------------------------------------
 
@@ -210,18 +120,15 @@ class BaselineArchitecture:
     # -- report -------------------------------------------------------------------
 
     def build_report(
-        self,
-        answers: list[QueryAnswer],
-        truths: list[float | None],
-        duration_s: float,
+        self, answers: list[QueryAnswer], duration_s: float
     ) -> BaselineReport:
-        """Assemble the comparable report."""
+        """Assemble the comparable report, scoring *answers* against the trace."""
         return BaselineReport(
             name=self.name,
             duration_s=duration_s,
             n_sensors=self.trace.n_sensors,
             answers=answers,
-            truths=truths,
+            truths=[ground_truth(self.trace, answer.query) for answer in answers],
             sensor_energy_j=float(sum(m.total_j for m in self.meters)),
             per_sensor_energy_j=[m.total_j for m in self.meters],
             messages=self.messages,

@@ -38,14 +38,12 @@ class DirectQueryingArchitecture(BaselineArchitecture):
     def run(self, queries: list[Query], duration_s: float) -> BaselineReport:
         """Replay the workload; sensors only ever transmit when queried."""
         answers: list[QueryAnswer] = []
-        truths: list[float | None] = []
         for query in queries:
             if query.arrival_time >= duration_s:
                 continue
             answers.append(self._answer(query))
-            truths.append(self.truth_for(query))
         self.charge_idle(duration_s)
-        return self.build_report(answers, truths, duration_s)
+        return self.build_report(answers, duration_s)
 
     def _answer(self, query: Query) -> QueryAnswer:
         if query.kind is not QueryKind.NOW:

@@ -19,7 +19,7 @@ from repro.baselines.common import (
     BaselineArchitecture,
     BaselineReport,
 )
-from repro.core.queries import AnswerSource, QueryAnswer
+from repro.core.queries import AnswerSource, QueryAnswer, ground_truth
 from repro.energy.radio_energy import transfer_energy
 from repro.traces.workload import Query, QueryKind
 
@@ -41,13 +41,11 @@ class StreamingArchitecture(BaselineArchitecture):
         self.charge_idle(duration_s)
 
         answers: list[QueryAnswer] = []
-        truths: list[float | None] = []
         for query in queries:
             if query.arrival_time >= duration_s:
                 continue
             answers.append(self._answer(query))
-            truths.append(self.truth_for(query))
-        return self.build_report(answers, truths, duration_s)
+        return self.build_report(answers, duration_s)
 
     def _answer(self, query: Query) -> QueryAnswer:
         """The server holds the whole stream: answer from local archive."""
@@ -59,7 +57,7 @@ class StreamingArchitecture(BaselineArchitecture):
             )
             value = self.reading_at(query.sensor, target)
         else:
-            value = self.truth_for(query)  # server archive == trace window
+            value = ground_truth(self.trace, query)  # server archive == trace window
         if value is None:
             return QueryAnswer(
                 query=query,

@@ -61,13 +61,11 @@ class ValuePushArchitecture(BaselineArchitecture):
         self.charge_idle(duration_s)
 
         answers: list[QueryAnswer] = []
-        truths: list[float | None] = []
         for query in queries:
             if query.arrival_time >= duration_s:
                 continue
             answers.append(self._answer(query))
-            truths.append(self.truth_for(query))
-        return self.build_report(answers, truths, duration_s)
+        return self.build_report(answers, duration_s)
 
     # -- proxy-side zero-order hold --------------------------------------------------
 

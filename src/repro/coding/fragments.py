@@ -70,14 +70,6 @@ class CodingCounters:
     decodes: int = 0
     irrecoverable: int = 0
 
-    def absorb(self, other: CodingCounters) -> None:
-        """Accumulate another partition's counters into this one."""
-        self.payload_bytes += other.payload_bytes
-        self.shipped_bytes += other.shipped_bytes
-        self.full_copy_bytes += other.full_copy_bytes
-        self.decodes += other.decodes
-        self.irrecoverable += other.irrecoverable
-
 
 @dataclass(frozen=True)
 class CodingReport:

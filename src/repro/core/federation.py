@@ -47,8 +47,8 @@ from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ProxyModelTracker
-from repro.core.queries import AnswerSource, QueryAnswer
-from repro.core.system import CellBuilder, PrestoCell, SystemReport, ground_truth
+from repro.core.queries import AnswerSource, QueryAnswer, ground_truth
+from repro.core.system import CellBuilder, PrestoCell, SystemReport, fold
 from repro.index.directory import CacheDirectory
 from repro.index.skipgraph import SkipGraph
 from repro.radio.link import LinkConfig
@@ -192,17 +192,23 @@ class FailoverEvent:
 
 
 @dataclass
-class FederatedReport(SystemReport):
-    """A :class:`SystemReport` aggregated across cells, plus routing metrics."""
+class RoutingCounters:
+    """What one routing core counted; partitions' records add field-wise."""
 
-    n_proxies: int = 1
-    shard_policy: str = "contiguous"
-    replication_factor: int = 0
     cross_proxy_hops: int = 0      # total skip-graph hops over all queries
     replica_hits: int = 0          # failover queries answered from a replica
     failovers: int = 0             # queries whose owning proxy was dead
     unroutable: int = 0            # queries with no live server at all
     replica_syncs: int = 0
+
+
+@dataclass
+class FederatedReport(RoutingCounters, SystemReport):
+    """A :class:`SystemReport` aggregated across cells, plus routing metrics."""
+
+    n_proxies: int = 1
+    shard_policy: str = "contiguous"
+    replication_factor: int = 0
     fault_staleness_s: tuple[float, ...] = ()   # one entry per proxy death
     failover_mean_error: float = float("nan")   # |answer - truth| over failovers
     failover_max_error: float = float("nan")
@@ -319,12 +325,9 @@ class _RoutingCore:
             if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
                 self._owners.insert(float(sensor), self._owner_map[sensor])
 
-        self.cross_proxy_hops = 0
-        self.replica_hits = 0
-        self.failovers = 0
-        self.unroutable = 0
-        self.replica_syncs = 0
-        self._query_log: list[tuple[Query, QueryAnswer]] = []
+        self.routing = RoutingCounters()
+        # The federation's one answer log (global numbering); cells keep none.
+        self._query_log: list[QueryAnswer] = []
         self._failover_positions: list[int] = []
 
     # -- replication ----------------------------------------------------------------
@@ -373,7 +376,7 @@ class _RoutingCore:
             self._coding.full_copy_bytes += len(payload) * min(
                 store.n - store.k + 1, live_hosts
             )
-            self.replica_syncs += live_hosts
+            self.routing.replica_syncs += live_hosts
 
     def _replica_staleness(self, proxy_name: str) -> float:
         """Age of the newest entry live hosts hold for *proxy_name* now.
@@ -407,20 +410,20 @@ class _RoutingCore:
         for replicating onto wired proxies.
         """
         if not 0 <= query.sensor < self.trace.n_sensors:
-            self.unroutable += 1
+            self.routing.unroutable += 1
             answer = QueryAnswer(
                 query=query, value=None, source=AnswerSource.FAILED, latency_s=0.0
             )
-            self._query_log.append((query, answer))
+            self._query_log.append(answer)
             return answer
         owner_name, hops = self._owners.floor_value(float(query.sensor))
-        self.cross_proxy_hops += hops
+        self.routing.cross_proxy_hops += hops
         routing_latency = hops * HOP_LATENCY_S
         owner = self.directory.proxy(owner_name)
         if owner.alive:
             if hops > 0:
                 routing_latency += owner.response_latency_s
-            local = self._built[owner_name].run_query(
+            local = self._built[owner_name].proxy.process_query(
                 self._rewrite(query, self._by_name[owner_name])
             )
             answer = QueryAnswer(
@@ -433,10 +436,10 @@ class _RoutingCore:
                 pulled_bytes=local.pulled_bytes,
             )
         else:
-            self.failovers += 1
+            self.routing.failovers += 1
             self._failover_positions.append(len(self._query_log))
             answer = self._failover_answer(query, owner_name, routing_latency)
-        self._query_log.append((query, answer))
+        self._query_log.append(answer)
         return answer
 
     @staticmethod
@@ -461,7 +464,7 @@ class _RoutingCore:
                 # below at the replica host's latency instead.)
                 self._coding.irrecoverable += 1
         if merged is None:
-            self.unroutable += 1
+            self.routing.unroutable += 1
             return QueryAnswer(
                 query=query,
                 value=None,
@@ -479,7 +482,7 @@ class _RoutingCore:
                 latency_s=latency,
             )
         value, std, source = estimate
-        self.replica_hits += 1
+        self.routing.replica_hits += 1
         return QueryAnswer(
             query=query,
             value=value,
@@ -760,7 +763,7 @@ class FederatedSystem(_RoutingCore):
         """
         errors = []
         for position in self._failover_positions:
-            answer = self._query_log[position][1]
+            answer = self._query_log[position]
             truth = truths[position]
             if answer.value is None or truth is None or np.isnan(truth):
                 continue
@@ -770,21 +773,19 @@ class FederatedSystem(_RoutingCore):
         return float(np.mean(errors)), float(np.max(errors))
 
     def _compose_report(
-        self,
-        horizon: float,
-        cell_reports: list[SystemReport],
-        packets: list[tuple[int, int]],
+        self, horizon: float, cell_reports: list[SystemReport]
     ) -> FederatedReport:
-        """Aggregate per-cell reports plus the routing log into one report.
+        """Score the routing log once and fold the cells' ledgers under it.
 
-        ``cell_reports`` and ``packets`` are in cell order, merged from the
-        partition results.
+        ``cell_reports`` is in cell order, merged from the partition
+        results; the fold names the four ledger fields that do not add.
         """
-        answers = [answer for _, answer in self._query_log]
         # An out-of-range sensor (answered unroutable) has no truth to score.
         truths = [
-            ground_truth(self.trace, query) if query.sensor in self._owner_map else None
-            for query, _ in self._query_log
+            ground_truth(self.trace, answer.query)
+            if answer.query.sensor in self._owner_map
+            else None
+            for answer in self._query_log
         ]
         failover_mean_error, failover_max_error = self._failover_errors(truths)
         by_category: dict[str, float] = {}
@@ -792,58 +793,28 @@ class FederatedSystem(_RoutingCore):
             for category, joules in report.sensor_energy_by_category.items():
                 by_category[category] = by_category.get(category, 0.0) + joules
         per_sensor = [0.0] * self.trace.n_sensors
-        for ids, report in zip(self.shards, cell_reports):
-            for local, global_id in enumerate(ids):
-                per_sensor[global_id] = report.per_sensor_energy_j[local]
-        packets_sent = sum(sent for sent, _ in packets)
-        packets_delivered = sum(delivered for _, delivered in packets)
-        return FederatedReport(
+        for fc, report in zip(self.cells, cell_reports):
+            for global_id, joules in zip(fc.sensor_ids, report.per_sensor_energy_j):
+                per_sensor[global_id] = joules
+        return fold(
+            FederatedReport,
+            cell_reports,
             duration_s=horizon,
-            n_sensors=self.trace.n_sensors,
-            answers=answers,
+            answers=self._query_log,
             truths=truths,
-            sensor_energy_j=sum(r.sensor_energy_j for r in cell_reports),
             sensor_energy_by_category=by_category,
-            proxy_energy_j=sum(r.proxy_energy_j for r in cell_reports),
             per_sensor_energy_j=per_sensor,
-            pushes=sum(r.pushes for r in cell_reports),
-            cold_pushes=sum(r.cold_pushes for r in cell_reports),
-            batches=sum(r.batches for r in cell_reports),
-            pulls=sum(r.pulls for r in cell_reports),
-            pull_failures=sum(r.pull_failures for r in cell_reports),
-            packets_sent=packets_sent,
-            delivery_ratio=(
-                packets_delivered / packets_sent if packets_sent else 1.0
-            ),
-            model_refits=sum(r.model_refits for r in cell_reports),
-            cache_size=sum(r.cache_size for r in cell_reports),
-            cache_insertions=sum(r.cache_insertions for r in cell_reports),
-            cache_refinements=sum(r.cache_refinements for r in cell_reports),
-            cache_evictions=sum(r.cache_evictions for r in cell_reports),
-            archive_aged_segments=sum(
-                r.archive_aged_segments for r in cell_reports
-            ),
-            archive_worst_level=max(
-                (r.archive_worst_level for r in cell_reports), default=0
-            ),
-            segments_offloaded=sum(r.segments_offloaded for r in cell_reports),
-            offload_bytes=sum(r.offload_bytes for r in cell_reports),
-            remote_reads=sum(r.remote_reads for r in cell_reports),
+            archive_worst_level=max(r.archive_worst_level for r in cell_reports),
             # Sensor-count-weighted mean: cells score their own sensors'
             # readings, which are (near-)uniform across the fleet.
             archive_fidelity_retained=(
                 sum(r.archive_fidelity_retained * r.n_sensors for r in cell_reports)
-                / max(1, sum(r.n_sensors for r in cell_reports))
+                / self.trace.n_sensors
             ),
-            flash_capacity_bytes=sum(r.flash_capacity_bytes for r in cell_reports),
+            **vars(self.routing),
             n_proxies=self.federation.n_proxies,
             shard_policy=self.federation.shard_policy,
             replication_factor=self.federation.replication_factor,
-            cross_proxy_hops=self.cross_proxy_hops,
-            replica_hits=self.replica_hits,
-            failovers=self.failovers,
-            unroutable=self.unroutable,
-            replica_syncs=self.replica_syncs,
             fault_staleness_s=tuple(
                 event.replica_staleness_s for event in self.failover_events
             ),
@@ -869,11 +840,7 @@ class FederatedSystem(_RoutingCore):
             mode=fed.replica_coding,
             k=k,
             n=n,
-            payload_bytes=counters.payload_bytes,
-            shipped_bytes=counters.shipped_bytes,
-            full_copy_bytes=counters.full_copy_bytes,
-            decodes=counters.decodes,
-            irrecoverable=counters.irrecoverable,
+            **vars(counters),
             sync_radio_j=counters.shipped_bytes * profile.radio.tx_energy_per_byte_j,
             sync_flash_j=counters.shipped_bytes * profile.flash.write_energy_per_byte_j,
         )
@@ -930,18 +897,12 @@ class FederatedSystem(_RoutingCore):
             (entry for result in results for entry in result.log),
             key=lambda entry: entry[0],
         )
-        self._query_log = [(query, answer) for _, query, answer, _ in entries]
+        self._query_log = [answer for _, answer, _ in entries]
         self._failover_positions = [
-            i for i, (_, _, _, is_failover) in enumerate(entries) if is_failover
+            i for i, (_, _, is_failover) in enumerate(entries) if is_failover
         ]
-        self.cross_proxy_hops = sum(r.cross_proxy_hops for r in results)
-        self.replica_hits = sum(r.replica_hits for r in results)
-        self.failovers = sum(r.failovers for r in results)
-        self.unroutable = sum(r.unroutable for r in results)
-        self.replica_syncs = sum(r.replica_syncs for r in results)
-        self._coding = CodingCounters()
-        for result in results:
-            self._coding.absorb(result.coding)
+        self.routing = fold(RoutingCounters, [r.routing for r in results])
+        self._coding = fold(CodingCounters, [r.coding for r in results])
         fault_events = sorted(
             (index, event) for result in results for index, event in result.fault_events
         )
@@ -950,9 +911,7 @@ class FederatedSystem(_RoutingCore):
             notification for result in results for notification in result.notifications
         ]
         return self._compose_report(
-            horizon,
-            [report for result in results for report in result.cell_reports],
-            [packets for result in results for packets in result.packets],
+            horizon, [report for result in results for report in result.cell_reports]
         )
 
     # -- serving front-end ----------------------------------------------------------
@@ -1081,16 +1040,11 @@ class _PartitionResult:
     Per-cell fields are in the partition's (ascending) cell order.
     """
 
-    log: list[tuple[int, Query, QueryAnswer, bool]]   # (global rank, q, a, failover?)
+    log: list[tuple[int, QueryAnswer, bool]]          # (global rank, answer, failover?)
     fault_events: list[tuple[int, FailoverEvent]]     # keyed by failure index
-    cross_proxy_hops: int
-    replica_hits: int
-    failovers: int
-    unroutable: int
-    replica_syncs: int
+    routing: RoutingCounters
     coding: CodingCounters
-    cell_reports: list[SystemReport]
-    packets: list[tuple[int, int]]                    # (sent, delivered)
+    cell_reports: list[SystemReport]                  # ledgers only: no answers
     notifications: list[Notification]                 # sensor = global id
 
 
@@ -1218,24 +1172,16 @@ class _CellPartition(_RoutingCore):
         assert len(self._query_log) == len(self._queries)
         failover_set = set(self._failover_positions)
         log = [
-            (self._queries[i][0], query, answer, i in failover_set)
-            for i, (query, answer) in enumerate(self._query_log)
+            (self._queries[i][0], answer, i in failover_set)
+            for i, answer in enumerate(self._query_log)
         ]
         self._coding.decodes = self._fragments.decodes
         return _PartitionResult(
             log=log,
             fault_events=self._fault_events,
-            cross_proxy_hops=self.cross_proxy_hops,
-            replica_hits=self.replica_hits,
-            failovers=self.failovers,
-            unroutable=self.unroutable,
-            replica_syncs=self.replica_syncs,
+            routing=self.routing,
             coding=self._coding,
             cell_reports=[cell.report(horizon) for cell in cells],
-            packets=[
-                (cell.network.packets_sent, cell.network.packets_delivered)
-                for cell in cells
-            ],
             notifications=[
                 dataclasses.replace(
                     notification,

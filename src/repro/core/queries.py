@@ -6,6 +6,12 @@ error bound the proxy believed, where the data came from, and what the
 answer cost in latency and sensor energy.  Provenance is central to the
 paper's evaluation story: the architecture wins when most answers come from
 ``CACHE`` or ``PREDICTION`` instead of ``SENSOR_PULL``.
+
+It is also the one place an answer log is scored: :func:`ground_truth` is
+what every architecture's answers are compared against, and
+:class:`ScoredAnswers` — the base of PRESTO's ``SystemReport`` and the
+baselines' ``BaselineReport`` — holds the one definition of "answered
+within precision and latency", so Table 1's rows share their columns.
 """
 
 from __future__ import annotations
@@ -13,7 +19,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.traces.workload import Query
+import numpy as np
+
+from repro.traces.intel_lab import TraceSet
+from repro.traces.workload import Query, QueryKind
+
+#: the PAST column of Table 1 (its NOW column is ``QueryKind.NOW`` alone)
+PAST_KINDS = (QueryKind.PAST_POINT, QueryKind.PAST_RANGE, QueryKind.PAST_AGG)
 
 
 class AnswerSource(enum.Enum):
@@ -53,3 +65,126 @@ class QueryAnswer:
         if self.value is None:
             return None
         return abs(self.value - truth)
+
+    def succeeded_against(self, truth: float | None) -> bool:
+        """Answered within both the latency and the precision bound.
+
+        An answer with no ground truth to compare against (*truth* is
+        ``None``: the trace dropped that reading) is judged on latency alone.
+        """
+        if not self.answered or not self.met_latency:
+            return False
+        return truth is None or not self.error_against(truth) > self.query.precision
+
+
+def ground_truth(trace: TraceSet, query: Query) -> float | None:
+    """Ground-truth answer for *query* against *trace*.
+
+    Window queries slice the value matrix by a searchsorted index range
+    (O(log n) per query, inclusive on both ends) instead of recomputing a
+    boolean mask over the full timestamp array.
+    """
+    if query.kind in (QueryKind.NOW, QueryKind.PAST_POINT):
+        target = (
+            query.arrival_time if query.kind is QueryKind.NOW else query.target_time
+        )
+        epoch = trace.epoch_of(min(target, trace.timestamps[-1]))
+        value = trace.values[query.sensor, epoch]
+        return None if np.isnan(value) else float(value)
+    start = query.target_time
+    end = start + query.window_s
+    window = trace.values[query.sensor, trace.window_slice(start, end)]
+    window = window[~np.isnan(window)]
+    if window.size == 0:
+        return None
+    if query.aggregate == "mean":
+        return float(np.mean(window))
+    if query.aggregate == "min":
+        return float(np.min(window))
+    return float(np.max(window))
+
+
+@dataclass
+class ScoredAnswers:
+    """One run's answer log beside its ground truth, and how it is scored.
+
+    ``truths[i]`` is :func:`ground_truth` of ``answers[i].query`` (``None``
+    where the trace has nothing to compare against).  An empty selection is
+    no evidence, and must not read as a perfect score in a table: the
+    fractions are NaN on it, the means 0.0.
+    """
+
+    duration_s: float
+    n_sensors: int
+    answers: list[QueryAnswer]
+    truths: list[float | None]
+    sensor_energy_j: float
+
+    @property
+    def mean_latency_s(self) -> float:
+        """Mean answer latency."""
+        if not self.answers:
+            return 0.0
+        return float(np.mean([a.latency_s for a in self.answers]))
+
+    @property
+    def p95_latency_s(self) -> float:
+        """95th-percentile answer latency."""
+        if not self.answers:
+            return 0.0
+        return float(np.percentile([a.latency_s for a in self.answers], 95))
+
+    @property
+    def answered_fraction(self) -> float:
+        """Fraction of queries that produced a value (NaN: no queries ran)."""
+        if not self.answers:
+            return float("nan")
+        return float(np.mean([a.answered for a in self.answers]))
+
+    def errors(self) -> list[float]:
+        """Absolute errors for answers with known ground truth."""
+        return [
+            error
+            for answer, truth in zip(self.answers, self.truths)
+            if truth is not None
+            and (error := answer.error_against(truth)) is not None
+        ]
+
+    @property
+    def mean_error(self) -> float:
+        """Mean absolute answer error vs ground truth."""
+        errors = self.errors()
+        return float(np.mean(errors)) if errors else 0.0
+
+    def success_rate_kind(self, *kinds: QueryKind) -> float:
+        """Success over the queries of *kinds* (NaN: the run had none).
+
+        The NOW vs PAST split of Table 1; see
+        :meth:`QueryAnswer.succeeded_against` for the rule.
+        """
+        scored = [
+            answer.succeeded_against(truth)
+            for answer, truth in zip(self.answers, self.truths)
+            if answer.query.kind in kinds
+        ]
+        return sum(scored) / len(scored) if scored else float("nan")
+
+    @property
+    def success_rate(self) -> float:
+        """Answered within both precision and latency bounds, all kinds."""
+        return self.success_rate_kind(*QueryKind)
+
+    def answer_mix(self) -> dict[str, int]:
+        """Histogram of answer sources."""
+        mix: dict[str, int] = {}
+        for answer in self.answers:
+            mix[answer.source.value] = mix.get(answer.source.value, 0) + 1
+        return mix
+
+    @property
+    def sensor_energy_per_day_j(self) -> float:
+        """Fleet-average sensor energy per node-day (lifetime proxy)."""
+        days = self.duration_s / 86_400.0
+        if days <= 0 or self.n_sensors == 0:
+            return 0.0
+        return self.sensor_energy_j / self.n_sensors / days

@@ -13,13 +13,15 @@ single-cell wrapper that every existing benchmark uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, TypeVar
 
 import numpy as np
 
 from repro.core.config import PrestoConfig
 from repro.core.proxy import PrestoProxy
-from repro.core.queries import QueryAnswer
+from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truth
 from repro.core.sensor import PrestoSensor
 from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
@@ -34,48 +36,24 @@ from repro.storage.flash import FlashDevice
 from repro.storage.offload import OffloadCoordinator, fleet_fidelity
 from repro.sync.clock import ClockModel, DriftingClock
 from repro.traces.intel_lab import TraceSet
-from repro.traces.workload import Query, QueryKind
+from repro.traces.workload import Query
 
 #: how often bulk idle-listening energy is accounted
 IDLE_ACCOUNTING_PERIOD_S = 3600.0
 
-
-def ground_truth(trace: TraceSet, query: Query) -> float | None:
-    """Ground-truth answer for *query* against *trace*.
-
-    Shared by the single-cell and federated harnesses.  Window queries slice
-    the value matrix by a searchsorted index range (O(log n) per query)
-    instead of recomputing a boolean mask over the full timestamp array.
-    """
-    if query.kind in (QueryKind.NOW, QueryKind.PAST_POINT):
-        target = (
-            query.arrival_time if query.kind is QueryKind.NOW else query.target_time
-        )
-        epoch = trace.epoch_of(min(target, trace.timestamps[-1]))
-        value = trace.values[query.sensor, epoch]
-        return None if np.isnan(value) else float(value)
-    start = query.target_time
-    end = start + query.window_s
-    window = trace.values[query.sensor, trace.window_slice(start, end)]
-    window = window[~np.isnan(window)]
-    if window.size == 0:
-        return None
-    if query.aggregate == "mean":
-        return float(np.mean(window))
-    if query.aggregate == "min":
-        return float(np.min(window))
-    return float(np.max(window))
+T = TypeVar("T")
 
 
 @dataclass
-class SystemReport:
-    """Everything a benchmark needs from one simulated run."""
+class SystemReport(ScoredAnswers):
+    """Everything a benchmark needs from one simulated run.
 
-    duration_s: float
-    n_sensors: int
-    answers: list[QueryAnswer]
-    truths: list[float | None]
-    sensor_energy_j: float
+    Beyond the scored answer log these are a cell's ledger totals.  Every
+    one adds across cells except the by-category dict, the per-sensor
+    list, the worst aging level (a max) and the retained fidelity (a
+    sensor-weighted mean), which the federation's :func:`fold` call names.
+    """
+
     sensor_energy_by_category: dict[str, float]
     proxy_energy_j: float
     per_sensor_energy_j: list[float]
@@ -85,7 +63,7 @@ class SystemReport:
     pulls: int
     pull_failures: int
     packets_sent: int
-    delivery_ratio: float
+    packets_delivered: int
     model_refits: int
     cache_size: int
     cache_insertions: int = 0
@@ -108,82 +86,10 @@ class SystemReport:
     #: total flash capacity across the sensor fleet (device bytes summed)
     flash_capacity_bytes: int = 0
 
-    # -- derived metrics ---------------------------------------------------
-
     @property
-    def mean_latency_s(self) -> float:
-        """Mean answer latency."""
-        if not self.answers:
-            return 0.0
-        return float(np.mean([a.latency_s for a in self.answers]))
-
-    @property
-    def p95_latency_s(self) -> float:
-        """95th-percentile answer latency."""
-        if not self.answers:
-            return 0.0
-        return float(np.percentile([a.latency_s for a in self.answers], 95))
-
-    @property
-    def answered_fraction(self) -> float:
-        """Fraction of queries that produced a value.
-
-        NaN when no queries ran — "no evidence" must not read as a perfect
-        score in benchmark tables.
-        """
-        if not self.answers:
-            return float("nan")
-        return float(np.mean([a.answered for a in self.answers]))
-
-    def errors(self) -> list[float]:
-        """Absolute errors for answers with known ground truth."""
-        out: list[float] = []
-        for answer, truth in zip(self.answers, self.truths):
-            if truth is None or answer.value is None:
-                continue
-            out.append(abs(answer.value - truth))
-        return out
-
-    @property
-    def mean_error(self) -> float:
-        """Mean absolute answer error vs ground truth."""
-        errors = self.errors()
-        return float(np.mean(errors)) if errors else 0.0
-
-    @property
-    def success_rate(self) -> float:
-        """Answered within both precision and latency bounds.
-
-        NaN when no queries ran (see :attr:`answered_fraction`).
-        """
-        if not self.answers:
-            return float("nan")
-        successes = 0
-        evaluated = 0
-        for answer, truth in zip(self.answers, self.truths):
-            evaluated += 1
-            if not answer.answered or not answer.met_latency:
-                continue
-            if truth is not None and answer.value is not None:
-                if abs(answer.value - truth) > answer.query.precision:
-                    continue
-            successes += 1
-        return successes / evaluated if evaluated else float("nan")
-
-    def answer_mix(self) -> dict[str, int]:
-        """Histogram of answer sources."""
-        mix: dict[str, int] = {}
-        for answer in self.answers:
-            mix[answer.source.value] = mix.get(answer.source.value, 0) + 1
-        return mix
-
-    @property
-    def sensor_energy_per_day_j(self) -> float:
-        """Fleet-average sensor energy per node-day (lifetime proxy)."""
-        days = self.duration_s / 86_400.0
-        if days <= 0 or self.n_sensors == 0:
-            return 0.0
-        return self.sensor_energy_j / self.n_sensors / days
+    def delivery_ratio(self) -> float:
+        """Delivered / sent packets (1.0 when nothing was sent)."""
+        return self.packets_delivered / self.packets_sent if self.packets_sent else 1.0
 
     def summary(self) -> dict[str, float]:
         """Flat dict used by benchmark tables."""
@@ -207,6 +113,22 @@ class SystemReport:
             "segments_offloaded": float(self.segments_offloaded),
             "remote_reads": float(self.remote_reads),
         }
+
+
+def fold(cls: type[T], records: Sequence[Any], **named: Any) -> T:
+    """Merge same-class dataclass *records* into one *cls*.
+
+    Every field of the records' class is the built-in ``sum`` over them in
+    the given order (the float addition order is part of the seed-pinned
+    output), except the fields given in *named*, which are passed through
+    — the non-additive ones, and whatever *cls* has beyond the records.
+    """
+    summed = {
+        f.name: sum(getattr(record, f.name) for record in records)
+        for f in fields(records[0])
+        if f.name not in named
+    }
+    return cls(**summed, **named)
 
 
 class PrestoCell:
@@ -306,7 +228,6 @@ class PrestoCell:
             for sensor in self.sensors:
                 self.offload.register(sensor.archive)
         self._epoch = 0
-        self._query_log: list[tuple[Query, QueryAnswer]] = []
         self._tasks: list[PeriodicTask] = []
 
     @staticmethod
@@ -353,12 +274,6 @@ class PrestoCell:
         for sensor_id in range(self.trace.n_sensors):
             self.proxy.retune_sensor(sensor_id)
 
-    def run_query(self, query: Query) -> QueryAnswer:
-        """Process one (cell-local) query and log it for the report."""
-        answer = self.proxy.process_query(query)
-        self._query_log.append((query, answer))
-        return answer
-
     # -- lifecycle ---------------------------------------------------------------
 
     def start_tasks(self) -> None:
@@ -404,10 +319,15 @@ class PrestoCell:
 
     # -- reporting ----------------------------------------------------------------
 
-    def report(self, horizon: float) -> SystemReport:
-        """Assemble the cell's :class:`SystemReport` (local numbering)."""
-        answers = [answer for _, answer in self._query_log]
-        truths = [ground_truth(self.trace, query) for query, _ in self._query_log]
+    def report(
+        self, horizon: float, answers: Sequence[QueryAnswer] = ()
+    ) -> SystemReport:
+        """Assemble the cell's :class:`SystemReport` (local numbering).
+
+        A cell keeps no query log: *answers* is the log of the harness that
+        took the queries, scored here against the cell's own trace.  The
+        federation scores its global log itself and takes only the ledger.
+        """
         fleet = EnergyMeter("fleet")
         per_sensor: list[float] = []
         aged_segments = 0
@@ -430,8 +350,8 @@ class PrestoCell:
         return SystemReport(
             duration_s=horizon,
             n_sensors=len(self.sensors),
-            answers=answers,
-            truths=truths,
+            answers=list(answers),
+            truths=[ground_truth(self.trace, answer.query) for answer in answers],
             sensor_energy_j=fleet.total_j,
             sensor_energy_by_category=fleet.snapshot().by_category,
             proxy_energy_j=self.proxy_meter.total_j,
@@ -442,7 +362,7 @@ class PrestoCell:
             pulls=self.proxy.pull_stats.requests,
             pull_failures=self.proxy.pull_stats.failures,
             packets_sent=self.network.packets_sent,
-            delivery_ratio=self.network.delivery_ratio,
+            packets_delivered=self.network.packets_delivered,
             model_refits=self.proxy.engine.refits,
             cache_size=self.proxy.cache.size(),
             cache_insertions=self.proxy.cache.insertions,
@@ -551,12 +471,14 @@ class PrestoSystem:
         queries = queries or []
         horizon = duration_s if duration_s is not None else self.trace.config.duration_s
         self.cell.start_tasks()
+        answers: list[QueryAnswer] = []
         for query in queries:
             if query.arrival_time < horizon:
                 self.sim.schedule(
-                    query.arrival_time, lambda q=query: self.cell.run_query(q)
+                    query.arrival_time,
+                    lambda q=query: answers.append(self.proxy.process_query(q)),
                 )
         self.sim.run_until(horizon)
         self.cell.stop_tasks()
         self.cell.finalise(horizon)
-        return self.cell.report(horizon)
+        return self.cell.report(horizon, answers)

@@ -63,10 +63,6 @@ class EnergyMeter:
         """Copy out the current breakdown."""
         return EnergyBreakdown(total_j=self.total_j, by_category=dict(self._categories))
 
-    def reset(self) -> None:
-        """Zero all categories (used between sweep points)."""
-        self._categories.clear()
-
     def merge(self, other: "EnergyMeter") -> None:
         """Fold *other*'s charges into this meter (fleet-level totals)."""
         for category, joules in other._categories.items():

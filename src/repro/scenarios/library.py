@@ -102,7 +102,6 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
                 model_clocks=True,
                 offset_std_s=2.0,
                 skew_ppm_std=120.0,
-                drift_random_walk=1e-7,
             ),
             trace=TracePerturbation(dropout_rate=0.1),
         ),

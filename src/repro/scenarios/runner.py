@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import FederatedSystem, FederationConfig, PrestoConfig, PrestoSystem
+from repro.core import (
+    FederatedReport,
+    FederatedSystem,
+    FederationConfig,
+    PrestoConfig,
+    PrestoSystem,
+)
 from repro.core.continuous import ContinuousQuery, Notification, TriggerKind
 from repro.core.system import SystemReport
 from repro.radio.link import LinkConfig
@@ -200,19 +206,16 @@ class ScenarioResult:
             "fidelity_per_joule_per_flash_byte": self._fidelity_efficiency(report),
             "wall_clock_s": self.wall_clock_s,
         }
-        failovers = getattr(report, "failovers", None)
-        if failovers is not None:
-            out["failovers"] = float(failovers)
+        if isinstance(report, FederatedReport):
+            out["failovers"] = float(report.failovers)
             out["unroutable"] = float(report.unroutable)
             out["max_replica_staleness_s"] = report.max_replica_staleness_s
             out["failover_mean_error"] = report.failover_mean_error
-            out["n_partitions"] = float(getattr(report, "n_partitions", 1))
-        serving = getattr(report, "serving", None)
-        if serving is not None:
-            out.update(serving.summary())
-        coding = getattr(report, "coding", None)
-        if coding is not None:
-            out.update(coding.summary())
+            out["n_partitions"] = float(report.n_partitions)
+            if report.serving is not None:
+                out.update(report.serving.summary())
+            if report.coding is not None:
+                out.update(report.coding.summary())
         return out
 
 
@@ -526,12 +529,11 @@ class CampaignReport:
                 notes.append(f"bursts={result.bursts_scheduled}")
             if result.faults_applied:
                 notes.append(f"faults={result.faults_applied}")
-            failovers = getattr(report, "failovers", None)
-            if failovers:
-                notes.append(f"failovers={failovers}")
-            unroutable = getattr(report, "unroutable", 0)
-            if unroutable:
-                notes.append(f"unroutable={unroutable}")
+            if isinstance(report, FederatedReport):
+                if report.failovers:
+                    notes.append(f"failovers={report.failovers}")
+                if report.unroutable:
+                    notes.append(f"unroutable={report.unroutable}")
             finite_staleness = [
                 age for age in result.replica_staleness_s if np.isfinite(age)
             ]
@@ -850,7 +852,6 @@ class CampaignRunner:
         clock_model = ClockModel(
             offset_std_s=spec.clocks.offset_std_s,
             skew_ppm_std=spec.clocks.skew_ppm_std,
-            drift_random_walk=spec.clocks.drift_random_walk,
         )
         faults_applied = 0
         if harness == "single":
@@ -897,7 +898,9 @@ class CampaignRunner:
             worst_notification_latency_s=worst_latency,
             bursts_scheduled=bursts,
             faults_applied=faults_applied,
-            replica_staleness_s=tuple(getattr(report, "fault_staleness_s", ())),
+            replica_staleness_s=(
+                report.fault_staleness_s if isinstance(report, FederatedReport) else ()
+            ),
             wall_clock_s=time.perf_counter() - started,
         )
 
@@ -1145,7 +1148,7 @@ class CampaignRunner:
         """
         n_proxies = len(system.proxy_names)
         onsets = None
-        if getattr(spec.faults, "align_to_bursts", False):
+        if spec.faults.align_to_bursts:
             onsets = self._burst_starts(spec)
             if len(onsets) < len(spec.faults):
                 raise ValueError(

@@ -131,7 +131,6 @@ class ClockRegime:
     model_clocks: bool = False
     offset_std_s: float = 0.5
     skew_ppm_std: float = 40.0
-    drift_random_walk: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.offset_std_s < 0 or self.skew_ppm_std < 0:

@@ -116,11 +116,3 @@ class FlashDevice:
         blocks = math.ceil(pages / self.constants.pages_per_block)
         self.stats.blocks_erased += blocks
         self.meter.charge("flash.erase", blocks * self.constants.erase_block_energy_j)
-
-    def write_time_s(self, n_bytes: int) -> float:
-        """Latency to program *n_bytes* (pages are sequential)."""
-        return self.pages_for(n_bytes) * self.constants.write_page_time_s
-
-    def read_time_s(self, n_bytes: int) -> float:
-        """Latency to read *n_bytes*."""
-        return self.pages_for(n_bytes) * self.constants.read_page_time_s

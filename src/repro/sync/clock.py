@@ -1,9 +1,9 @@
 """Drifting/skewed clock models for remote sensors.
 
-A mote clock reads ``local = offset + (1 + skew) * true + integrated
-random-walk drift``.  Crystal skews of tens of ppm accumulate to seconds per
-day — enough to misorder readings between neighbouring sensors, which is why
-the unified store corrects timestamps before indexing them.
+A mote clock reads ``local = offset + (1 + skew) * true``.  Crystal skews
+of tens of ppm accumulate to seconds per day — enough to misorder readings
+between neighbouring sensors, which is why the unified store corrects
+timestamps before indexing them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class ClockModel:
 
     offset_std_s: float = 0.5          # initial desynchronisation
     skew_ppm_std: float = 40.0         # crystal tolerance (ppm)
-    drift_random_walk: float = 1e-8    # per-second skew random walk
 
 
 class DriftingClock:
@@ -37,9 +36,6 @@ class DriftingClock:
         self.node_name = node_name
         self._offset = float(rng.normal(0.0, model.offset_std_s))
         self._skew = float(rng.normal(0.0, model.skew_ppm_std * 1e-6))
-        self._rng = rng
-        self._walk = 0.0
-        self._walk_time = 0.0
 
     @property
     def offset_s(self) -> float:
@@ -51,20 +47,10 @@ class DriftingClock:
         """Fractional rate error (dimensionless, e.g. 40e-6)."""
         return self._skew
 
-    def advance_walk(self, true_time: float) -> None:
-        """Evolve the random-walk drift up to *true_time*."""
-        dt = true_time - self._walk_time
-        if dt <= 0:
-            return
-        self._walk += float(
-            self._rng.normal(0.0, self.model.drift_random_walk * np.sqrt(dt))
-        ) * dt
-        self._walk_time = true_time
-
     def read(self, true_time: float) -> float:
         """Local clock reading at *true_time*."""
-        return self._offset + (1.0 + self._skew) * true_time + self._walk
+        return self._offset + (1.0 + self._skew) * true_time
 
     def invert(self, local_time: float) -> float:
         """True time corresponding to *local_time* (oracle inverse)."""
-        return (local_time - self._offset - self._walk) / (1.0 + self._skew)
+        return (local_time - self._offset) / (1.0 + self._skew)

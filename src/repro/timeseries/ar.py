@@ -133,15 +133,6 @@ class ARModel(TimeSeriesModel):
             raise RuntimeError("model not fitted")
         return self._phi
 
-    def is_stationary(self) -> bool:
-        """True when all characteristic roots lie outside the unit circle."""
-        phi = self._require_fit()
-        poly = np.concatenate([[1.0], -phi])
-        roots = np.roots(poly[::-1])
-        if roots.size == 0:
-            return True
-        return bool(np.all(np.abs(roots) > 1.0 + 1e-9))
-
     def predict_next(self) -> float:
         """One-step prediction from the rolling history."""
         phi = self._require_fit()

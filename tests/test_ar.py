@@ -60,10 +60,6 @@ class TestARModel:
             model.observe(value)
         assert np.mean(errors_model) < 0.8 * np.mean(errors_mean)
 
-    def test_stationarity_detected(self):
-        model = ARModel(order=2).fit(make_ar2())
-        assert model.is_stationary()
-
     def test_forecast_converges_to_mean(self):
         x = make_ar2(mu=10.0)
         model = ARModel(order=2).fit(x)

@@ -116,6 +116,17 @@ class TestCommands:
         assert "sensor_energy_j" in output
         assert "answer_mix" in output
 
+    def test_table1_fills_prestos_now_and_past(self, capsys):
+        assert main(["table1", "--sensors", "4", "--days", "1"]) == 0
+        rows = {
+            cells[0]: cells[1:]
+            for cells in map(str.split, capsys.readouterr().out.splitlines())
+        }
+        header = rows["architecture"]
+        for name in ("streaming", "presto"):
+            now, past = (float(rows[name][header.index(col)]) for col in ("NOW", "PAST"))
+            assert 0.8 < now <= 1.0 and 0.8 < past <= 1.0
+
     def test_models_prints_all_families(self, capsys):
         assert main(["models", "--days", "0.5"]) == 0
         output = capsys.readouterr().out

@@ -48,11 +48,6 @@ class TestEnergyMeter:
         assert snap.by_category["a"] == pytest.approx(1.0)
         assert snap.total_j == pytest.approx(1.0)
 
-    def test_reset(self, meter):
-        meter.charge("a", 1.0)
-        meter.reset()
-        assert meter.total_j == 0.0
-
     def test_merge(self):
         a = EnergyMeter("a")
         b = EnergyMeter("b")

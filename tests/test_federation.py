@@ -1,5 +1,7 @@
 """Tests for the directory-routed multi-proxy federation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.core import (
     partition_sensors,
 )
 from repro.core.federation import HOP_LATENCY_S, _CellPartition
-from repro.core.queries import AnswerSource
+from repro.core.queries import AnswerSource, ground_truth
+from repro.core.system import SystemReport
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
     QueryWorkloadConfig,
@@ -209,7 +212,7 @@ class TestRouting:
             Query(0, QueryKind.NOW, 99, 10.0, 10.0, precision=0.5)
         )
         assert answer.source is AnswerSource.FAILED
-        assert system.unroutable == 1
+        assert system.routing.unroutable == 1
 
 
 class TestFailover:
@@ -301,13 +304,50 @@ class TestFailover:
 class TestFederatedReport:
     def test_aggregates_cells(self, federated_run):
         _, report, _ = federated_run
-        assert len(report.cell_reports) == 4
-        assert report.sensor_energy_j == pytest.approx(
-            sum(r.sensor_energy_j for r in report.cell_reports)
-        )
-        assert report.pushes == sum(r.pushes for r in report.cell_reports)
+        cells = report.cell_reports
+        assert len(cells) == 4
+        # the fold's named exceptions; every other SystemReport field adds,
+        # in cell order (float addition order is part of the pinned output)
+        not_additive = {
+            "duration_s", "answers", "truths", "sensor_energy_by_category",
+            "per_sensor_energy_j", "archive_worst_level", "archive_fidelity_retained",
+        }
+        for field in dataclasses.fields(SystemReport):
+            if field.name not in not_additive:
+                assert getattr(report, field.name) == sum(
+                    getattr(cell, field.name) for cell in cells
+                ), field.name
+        assert report.pushes > 0 and report.packets_delivered > 0
         assert report.n_sensors == 8
         assert len(report.per_sensor_energy_j) == 8
+        assert report.archive_worst_level == max(c.archive_worst_level for c in cells)
+        assert report.sensor_energy_by_category.keys() == {
+            category for cell in cells for category in cell.sensor_energy_by_category
+        }
+
+    def test_each_query_is_logged_and_scored_once(self, monkeypatch):
+        """The routing core owns the one log; cells carry ledgers only."""
+        calls = []
+
+        def counting(trace, query):
+            calls.append(query)
+            return ground_truth(trace, query)
+
+        for module in ("federation", "system"):
+            monkeypatch.setattr(f"repro.core.{module}.ground_truth", counting)
+        trace = make_trace(n_sensors=4, duration_s=4 * 3600.0)
+        system = FederatedSystem(
+            trace, fast_config(), FederationConfig(n_proxies=2), seed=3
+        )
+        workload = ShardedWorkloadGenerator(
+            system.shards,
+            QueryWorkloadConfig(arrival_rate_per_s=1 / 300.0),
+            np.random.default_rng(3),
+        )
+        report = system.run(queries=workload.generate(3600.0, trace.config.duration_s))
+        assert len(report.answers) > 10
+        assert len(calls) == len(report.answers) == len(report.truths)
+        assert all(not cell.answers and not cell.truths for cell in report.cell_reports)
 
     def test_per_sensor_energy_in_global_order(self, federated_run):
         system, report, _ = federated_run

@@ -78,14 +78,6 @@ class TestFlashDevice:
             3 * MICA2_FLASH.erase_block_energy_j
         )
 
-    def test_latency_helpers(self, flash):
-        assert flash.write_time_s(600) == pytest.approx(
-            3 * MICA2_FLASH.write_page_time_s
-        )
-        assert flash.read_time_s(600) == pytest.approx(
-            3 * MICA2_FLASH.read_page_time_s
-        )
-
     def test_capacity_smaller_than_page_rejected(self, meter):
         with pytest.raises(ValueError):
             FlashDevice(MICA2_FLASH, meter, capacity_bytes=10)

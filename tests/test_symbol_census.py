@@ -56,7 +56,6 @@ ALLOWLIST = {
     "src/repro/core/cache.py::SummaryCache.tail": OBSERVER,
     "src/repro/core/federation.py::FederatedSystem.owner_of": OBSERVER,
     "src/repro/core/prediction.py::PredictionEngine.model_for": OBSERVER,
-    "src/repro/core/queries.py::QueryAnswer.error_against": OBSERVER,
     "src/repro/energy/duty_cycle.py::DutyCycleConfig.duty_fraction": OBSERVER,
     "src/repro/energy/meter.py::EnergyMeter.category_j": OBSERVER,
     "src/repro/simulation/process.py::PeriodicTask.running": OBSERVER,
@@ -82,11 +81,6 @@ ALLOWLIST = {
         "the one writer of sensor-stamped entries, which "
         "UnifiedStore.ordered_view's per-entry clock frames exist to read"
     ),
-    "src/repro/sync/clock.py::DriftingClock.advance_walk": (
-        "the one reader of ClockModel.drift_random_walk, which `drift storm` "
-        "sets — nothing calls it, so that knob is inert: a bug to fix, not "
-        "a symbol to delete"
-    ),
     # -- named for deletion, deferred ---------------------------------------
     "src/repro/core/continuous.py::ContinuousQueryEngine.notifications_for": DEFERRED,
     "src/repro/core/continuous.py::ContinuousQueryEngine.tightest_threshold_gap": DEFERRED,
@@ -96,7 +90,6 @@ ALLOWLIST = {
     "src/repro/energy/lifetime.py::LifetimeEstimate": DEFERRED,
     "src/repro/energy/lifetime.py::lifetime_gain": DEFERRED,
     "src/repro/energy/lifetime.py::project_lifetime": DEFERRED,
-    "src/repro/energy/meter.py::EnergyMeter.reset": DEFERRED,
     "src/repro/energy/radio_energy.py::packet_overhead_bytes": DEFERRED,
     "src/repro/index/interval.py::IntervalIndex.lookup_range": DEFERRED,
     "src/repro/index/skipgraph.py::SkipGraph.delete": DEFERRED,
@@ -114,9 +107,6 @@ ALLOWLIST = {
     "src/repro/simulation/randomness.py::RandomStreams.fork": DEFERRED,
     "src/repro/storage/aging.py::reconstruction_error_by_level": DEFERRED,
     "src/repro/storage/archive.py::SensorArchive.read_bytes_for_range": DEFERRED,
-    "src/repro/storage/flash.py::FlashDevice.read_time_s": DEFERRED,
-    "src/repro/storage/flash.py::FlashDevice.write_time_s": DEFERRED,
-    "src/repro/timeseries/ar.py::ARModel.is_stationary": DEFERRED,
     "src/repro/timeseries/base.py::Forecast.interval": DEFERRED,
     "src/repro/timeseries/gaussian.py::MultivariateGaussianModel.correlation_matrix": DEFERRED,
     "src/repro/timeseries/markov.py::MarkovChainModel.stationary_distribution": DEFERRED,

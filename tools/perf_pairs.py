@@ -8,8 +8,9 @@ unpacked into a temporary directory, and for every pair each side's *own*
 ``benchmarks/perf/child.py`` runs once — in the child environment ``run.py``
 uses — with the order flipped from pair to pair.  Per workload it prints
 each side's median, quartiles and best ``wall_s``, the pairs the change won,
-and whether every repetition's ``summary`` (everything simulated) is
-byte-identical across the two sides; it exits non-zero when one is not.
+each side's median ``setup_s`` and ``peak_rss_mb``, and whether every
+repetition's ``summary`` (everything simulated) is byte-identical across the
+two sides; it exits non-zero when one is not.
 
 Usage::
 
@@ -97,6 +98,16 @@ def pair_workload(
         f"{medians['change'] / medians['parent'] - 1.0:+.1%}, sim_s_per_wall_s "
         f"{medians['parent'] / medians['change'] - 1.0:+.1%}"
     )
+    # the other two host-side end-to-end metrics a PR is judged on, same runs
+    for metric in ("setup_s", "peak_rss_mb"):
+        parent, change = (
+            statistics.median(run["end_to_end"][metric] for run in runs[side])
+            for side in ("parent", "change")
+        )
+        print(
+            f"  {metric + ' median':<18} parent {parent:8.3f}  change {change:8.3f}  "
+            f"({change / parent - 1.0:+.1%})"
+        )
     print(f"  summaries byte-identical: {'yes' if len(summaries) == 1 else 'NO'}")
     return len(summaries) == 1
 
