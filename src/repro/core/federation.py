@@ -18,8 +18,9 @@ as one harness:
   ``ProcessPoolExecutor``, and the coordinator merges their results;
 * query routing resolves the owning proxy through a skip graph over
   contiguous ownership runs (O(log P) hops, counted and charged as routing
-  latency) and consults the :class:`~repro.index.directory.CacheDirectory`
-  when the owner is dead;
+  latency — the walk itself is taken once per sensor, at construction,
+  since membership never changes) and consults the
+  :class:`~repro.index.directory.CacheDirectory` when the owner is dead;
 * wireless proxies' hot summary-cache tails and model trackers are
   replicated to wired proxies on a sync period — each sync one k-of-n
   erasure-coded generation in the core's
@@ -324,6 +325,13 @@ class _RoutingCore:
         for sensor in range(trace.n_sensors):
             if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
                 self._owners.insert(float(sensor), self._owner_map[sensor])
+        # Membership never changes after this (a death flips directory
+        # liveness, not the graph), so each sensor's floor walk is taken
+        # once: ``(owner name, hops)``, what every query to it is charged.
+        self._route = [
+            self._owners.floor_value(float(sensor))
+            for sensor in range(trace.n_sensors)
+        ]
 
         self.routing = RoutingCounters()
         # The federation's one answer log (global numbering); cells keep none.
@@ -416,7 +424,7 @@ class _RoutingCore:
             )
             self._query_log.append(answer)
             return answer
-        owner_name, hops = self._owners.floor_value(float(query.sensor))
+        owner_name, hops = self._route[query.sensor]
         self.routing.cross_proxy_hops += hops
         routing_latency = hops * HOP_LATENCY_S
         owner = self.directory.proxy(owner_name)
@@ -444,8 +452,25 @@ class _RoutingCore:
 
     @staticmethod
     def _rewrite(query: Query, fc: FederatedCell) -> Query:
-        """Rewrite a global query into the cell's local sensor numbering."""
-        return dataclasses.replace(query, sensor=fc.to_local(query.sensor))
+        """Rewrite a global query into the cell's local sensor numbering.
+
+        Standing queries come through here too, once each; only the routed
+        :class:`Query` — one per answer — is worth building field by field.
+        """
+        local = fc.to_local(query.sensor)
+        if type(query) is not Query:
+            return dataclasses.replace(query, sensor=local)
+        return Query(
+            query_id=query.query_id,
+            kind=query.kind,
+            sensor=local,
+            arrival_time=query.arrival_time,
+            target_time=query.target_time,
+            window_s=query.window_s,
+            precision=query.precision,
+            latency_bound_s=query.latency_bound_s,
+            aggregate=query.aggregate,
+        )
 
     def _failover_answer(
         self, query: Query, owner_name: str, routing_latency: float
@@ -619,8 +644,7 @@ class FederatedSystem(_RoutingCore):
 
     def owner_of(self, sensor: int) -> str:
         """Resolve the owning proxy of a global sensor id (skip-graph route)."""
-        name, _ = self._owners.floor_value(float(sensor))
-        return name
+        return self._route[sensor][0]
 
     def fail_proxy(self, proxy_name: str) -> None:
         """Take a proxy offline before the run (its queries fail over from t=0).
@@ -932,11 +956,7 @@ class FederatedSystem(_RoutingCore):
         n = self.trace.n_sensors
         k = self.n_partitions
         resp = {fc.name: fc.response_latency_s for fc in self.cells}
-        owner_names = [self._owner_map[sensor] for sensor in range(n)]
-        hops = np.array(
-            [self._owners.search(float(sensor)).hops for sensor in range(n)],
-            dtype=np.int64,
-        )
+        owner_names, hops = zip(*self._route)
         partition_of_sensor = np.array(
             [self._part_of_cell[self._by_name[name].cell_id] for name in owner_names],
             dtype=np.int64,

@@ -33,17 +33,10 @@ class Traffic:
     arrival: np.ndarray            # float64, ascending, absolute sim time
     sensor: np.ndarray             # int64 global sensor ids
     is_now: np.ndarray             # bool: value query (vs window query)
-    user: np.ndarray               # int64 user ids
+    distinct_users: int            # how many users the arrivals came from
 
     def __len__(self) -> int:
         return int(self.arrival.size)
-
-    @property
-    def distinct_users(self) -> int:
-        """How many distinct users the window's traffic came from."""
-        if self.user.size == 0:
-            return 0
-        return int(np.unique(self.user).size)
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
@@ -75,15 +68,20 @@ def generate_traffic(
     ).astype(np.int64)
     is_now = rng.random(count) < NOW_FRACTION
     # Power-law transform of a uniform: a small core of heavy users plus a
-    # long tail, out of a population of N_USERS.
+    # long tail, out of a population of N_USERS.  Only the distinct count is
+    # reported, so the ids are counted here (sort, then count the changes)
+    # and never kept.
     user = np.minimum(
         (rng.random(count) ** 1.5 * N_USERS).astype(np.int64), N_USERS - 1
     )
+    user.sort()
+    changes = int(np.count_nonzero(user[1:] != user[:-1]))
+    distinct_users = changes + 1 if count else 0
     return Traffic(
         t0=t0,
         duration_s=duration,
         arrival=arrival,
         sensor=sensor,
         is_now=is_now,
-        user=user,
+        distinct_users=distinct_users,
     )

@@ -263,20 +263,23 @@ class ARIMAModel(TimeSeriesModel):
         self._require_fit()
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        w_hist = list(self._recent_w)[::-1]
-        eps_hist = list(self._recent_eps)[::-1]
+        # Most recent last, as the streaming state holds them: lag i is
+        # [-1 - i], and each step appends its prediction.
+        w_hist = list(self._recent_w)
+        eps_hist = list(self._recent_eps)
+        p, q, phi, theta = self.p, self.q, self._phi, self._theta
         w_forecast = np.empty(steps, dtype=np.float64)
         for step in range(steps):
             prediction = 0.0
-            for i in range(self.p):
+            for i in range(p):
                 if i < len(w_hist):
-                    prediction += self._phi[i] * w_hist[i]
-            for j in range(self.q):
+                    prediction += phi[i] * w_hist[-1 - i]
+            for j in range(q):
                 if j < len(eps_hist):
-                    prediction += self._theta[j] * eps_hist[j]
+                    prediction += theta[j] * eps_hist[-1 - j]
             w_forecast[step] = prediction
-            w_hist.insert(0, prediction)
-            eps_hist.insert(0, 0.0)  # future innovations have zero mean
+            w_hist.append(prediction)
+            eps_hist.append(0.0)  # future innovations have zero mean
         w_forecast = w_forecast + self._mu
         tails = np.asarray(list(self._level_tail), dtype=np.float64)
         mean = undifference(w_forecast, tails, self.d)

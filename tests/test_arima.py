@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.timeseries.arima import ARIMAModel, difference, undifference
+from repro.timeseries.base import Forecast
 
 
 def make_arma11(n=6000, phi=0.7, theta=0.4, sigma=0.5, seed=3):
@@ -131,7 +132,62 @@ class TestStreaming:
         assert model.predict_next() == pytest.approx(123.0, abs=2.0)
 
 
+def front_insert_forecast(model: ARIMAModel, steps: int) -> Forecast:
+    """The forecast routine as it was: histories newest-first, grown at the front.
+
+    The oracle for :meth:`ARIMAModel.forecast`, which appends instead (the
+    front insert shuffled the whole history once per step).  Same
+    multiply-add order, same operand types.
+    """
+    w_hist = list(model._recent_w)[::-1]
+    eps_hist = list(model._recent_eps)[::-1]
+    w_forecast = np.empty(steps, dtype=np.float64)
+    for step in range(steps):
+        prediction = 0.0
+        for i in range(model.p):
+            if i < len(w_hist):
+                prediction += model._phi[i] * w_hist[i]
+        for j in range(model.q):
+            if j < len(eps_hist):
+                prediction += model._theta[j] * eps_hist[j]
+        w_forecast[step] = prediction
+        w_hist.insert(0, prediction)
+        eps_hist.insert(0, 0.0)  # future innovations have zero mean
+    w_forecast = w_forecast + model._mu
+    tails = np.asarray(list(model._level_tail), dtype=np.float64)
+    mean = undifference(w_forecast, tails, model.d)
+
+    psi = model._psi_weights(steps)
+    if model.d == 0:
+        cumulative = np.cumsum(psi**2)
+    else:
+        integrated = psi.copy()
+        for _ in range(model.d):
+            integrated = np.cumsum(integrated)
+        cumulative = np.cumsum(integrated**2)
+    std = model._sigma * np.sqrt(cumulative)
+    return Forecast(mean=mean, std=std)
+
+
 class TestForecast:
+    @pytest.mark.parametrize(
+        "p,q", [(p, q) for p in range(3) for q in range(3) if p or q]
+    )
+    def test_bit_equal_to_front_insert_oracle(self, p, q):
+        # d rides along (0, 1, 2 by order) so the integration is covered too
+        d = (p + q) % 3
+        series = make_random_walk_with_drift(n=1500) if d else make_arma11(n=1500)
+        model = ARIMAModel(order=(p, d, q)).fit(series)
+        for value in series[-5:]:
+            model.observe(value)
+        state = (list(model._recent_w), list(model._recent_eps))
+        for steps in range(1, 301):
+            got = model.forecast(steps)
+            want = front_insert_forecast(model, steps)
+            assert got.mean.tobytes() == want.mean.tobytes(), steps
+            assert got.std.tobytes() == want.std.tobytes(), steps
+        assert (list(model._recent_w), list(model._recent_eps)) == state
+
     def test_forecast_horizon_shape(self):
         model = ARIMAModel(order=(1, 0, 1)).fit(make_arma11())
         forecast = model.forecast(25)

@@ -12,11 +12,14 @@ from repro.core import (
     PrestoSystem,
     partition_sensors,
 )
-from repro.core.federation import HOP_LATENCY_S, _CellPartition
+from repro.core.continuous import ContinuousQuery, TriggerKind
+from repro.core.federation import HOP_LATENCY_S, FederatedCell, _CellPartition, _RoutingCore
 from repro.core.queries import AnswerSource, ground_truth
 from repro.core.system import SystemReport
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
+    Query,
+    QueryKind,
     QueryWorkloadConfig,
     QueryWorkloadGenerator,
     ShardedWorkloadGenerator,
@@ -192,6 +195,36 @@ class TestRouting:
         )
         assert [system.owner_of(s) for s in range(6)] == [
             "proxy0", "proxy1", "proxy2", "proxy0", "proxy1", "proxy2",
+        ]
+
+    def test_rewrite_renumbers_the_sensor_and_nothing_else(self):
+        fc = FederatedCell(
+            cell_id=1, name="proxy1", sensor_ids=[4, 6, 9], wired=False,
+            response_latency_s=0.25,
+        )
+        # No field at its default: one added to Query without its line in
+        # the field-by-field copy of _rewrite shows up as a difference here.
+        routed = Query(
+            query_id=17, kind=QueryKind.PAST_AGG, sensor=9, arrival_time=120.0,
+            target_time=40.0, window_s=30.0, precision=0.125, latency_bound_s=2.5,
+            aggregate="max",
+        )
+        assert all(
+            getattr(routed, f.name) != f.default for f in dataclasses.fields(Query)
+        )
+        assert _RoutingCore._rewrite(routed, fc) == dataclasses.replace(routed, sensor=2)
+        standing = ContinuousQuery(
+            sensor=6, kind=TriggerKind.ABOVE, threshold=25.0, query_id=3
+        )
+        assert _RoutingCore._rewrite(standing, fc) == dataclasses.replace(
+            standing, sensor=1
+        )
+
+    def test_owner_table_is_the_skipgraph_walk(self, federated_run):
+        system, _, _ = federated_run
+        assert system._route == [
+            system._owners.floor_value(float(sensor))
+            for sensor in range(system.trace.n_sensors)
         ]
 
     def test_hops_counted_and_charged(self, federated_run):

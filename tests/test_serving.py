@@ -54,7 +54,7 @@ class TestTraffic:
         b = generate_traffic(config, 3600.0, 16, np.random.default_rng(9))
         assert np.array_equal(a.arrival, b.arrival)
         assert np.array_equal(a.sensor, b.sensor)
-        assert np.array_equal(a.user, b.user)
+        assert a.distinct_users == b.distinct_users > 0
 
     def test_window_centred_and_clamped(self):
         config = ServingConfig(offered_qps=50.0, duration_s=600.0)
