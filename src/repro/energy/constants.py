@@ -60,8 +60,6 @@ class FlashConstants:
     erase_block_energy_j: float  # energy to erase one block
     pages_per_block: int
     capacity_bytes: int
-    write_page_time_s: float
-    read_page_time_s: float
 
     @property
     def write_energy_per_byte_j(self) -> float:
@@ -128,8 +126,6 @@ MICA2_FLASH = FlashConstants(
     erase_block_energy_j=180e-6,
     pages_per_block=8,
     capacity_bytes=4 * 1024 * 1024,
-    write_page_time_s=14e-3,
-    read_page_time_s=0.4e-3,
 )
 
 MICA2_CPU = CPUConstants(
@@ -172,8 +168,6 @@ TELOS_FLASH = FlashConstants(
     erase_block_energy_j=2.0e-3,
     pages_per_block=256,
     capacity_bytes=1024 * 1024,
-    write_page_time_s=1.5e-3,
-    read_page_time_s=0.1e-3,
 )
 
 TELOS_CPU = CPUConstants(

@@ -84,8 +84,7 @@ class AgingPolicy:
             # Page rounding ate the gain; treat as floor reached.
             return self._evict_oldest(archive)
         old_level = record.level
-        record.raw = None
-        record.summary = summary
+        record.age_to(summary)
         # Re-programming the summary is a real flash write: release the whole
         # old allocation, then program the new one so pages_written /
         # bytes_written and write energy cover every aging step.  The write

@@ -11,7 +11,7 @@ segments with wavelet summaries (:mod:`repro.storage.aging`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,6 +27,18 @@ if TYPE_CHECKING:  # offload imports archive; annotate lazily to avoid the cycle
 BYTES_PER_READING = 8
 
 
+def peak_deviation(values) -> float:
+    """``max |x - mean x|`` of a stored payload (0.0 when empty).
+
+    The event-proximity input of the offload value model: it depends on the
+    payload alone, so a record computes it once per payload it stores.
+    """
+    stored = np.asarray(values, dtype=np.float64)
+    if not stored.size:
+        return 0.0
+    return float(np.max(np.abs(stored - float(np.mean(stored)))))
+
+
 @dataclass
 class ArchiveRecord:
     """One stored segment: raw readings or an aged summary."""
@@ -40,6 +52,21 @@ class ArchiveRecord:
     summary: MultiResolutionSummary | None = None
     pages: int = 0
     hosted_by: int | None = None      # offload host's cell-local index, None = local
+    #: :func:`peak_deviation` of the stored payload, refreshed by :meth:`age_to`
+    activity: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.raw is not None:
+            self.activity = peak_deviation(self.raw)
+        else:
+            assert self.summary is not None
+            self.activity = peak_deviation(self.summary.approx)
+
+    def age_to(self, summary: MultiResolutionSummary) -> None:
+        """Replace the stored payload with *summary* (the raw readings go)."""
+        self.raw = None
+        self.summary = summary
+        self.activity = peak_deviation(summary.approx)
 
     @property
     def aged(self) -> bool:

@@ -22,9 +22,16 @@ per-cell :class:`OffloadCoordinator` with two planners:
     to repeatedly augmenting the cheapest feasible (segment, host) arc —
     which is exactly what :meth:`OffloadCoordinator._mcf_make_room` does.
 
+*In range* means inside the hop window: on the cell's line of sensors,
+the hosts of sensor *i* are ``i - MAX_OFFLOAD_HOPS … i + MAX_OFFLOAD_HOPS``
+(clipped to the cell, *i* itself excluded), so planning costs what the
+neighbourhood holds, not what the cell holds.
+
 Segment *value* combines age (old data is cheap), resolution (aged
 summaries are cheap) and event proximity (bursty segments are precious) —
-see :func:`segment_value`.  All radio energy is charged to the
+see :func:`segment_value`.  Event proximity depends on the stored payload
+alone, so each :class:`~repro.storage.archive.ArchiveRecord` computes it
+once per payload it stores.  All radio energy is charged to the
 participating nodes' :class:`~repro.energy.meter.EnergyMeter`\\ s through
 the same per-packet arithmetic the MAC uses, and hosted segments remain
 indexed by their *source* archive so proxy cache-miss pulls resolve
@@ -33,7 +40,9 @@ transparently (paying the remote-read radio cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,23 +79,15 @@ def segment_value(record: ArchiveRecord, now_s: float) -> float:
     - **resolution**: a full-resolution segment is worth more than the
       same span already coarsened to level *k* (``2**-k``).
     - **event proximity**: segments whose readings deviate sharply from
-      their own mean likely contain an event and must be kept crisp.
+      their own mean likely contain an event and must be kept crisp
+      (``record.activity``, the peak deviation of the stored payload).
 
     Lowest-value segments are offloaded (or aged) first.
     """
     age_s = max(now_s - record.end_time, 0.0)
     age_term = 1.0 / (1.0 + age_s / 3600.0)
     resolution_term = 2.0 ** (-record.level)
-    if record.raw is not None:
-        stored = np.asarray(record.raw, dtype=np.float64)
-    else:
-        assert record.summary is not None
-        stored = np.asarray(record.summary.approx, dtype=np.float64)
-    if stored.size:
-        activity = float(np.max(np.abs(stored - float(np.mean(stored)))))
-    else:
-        activity = 0.0
-    activity_term = activity / (1.0 + activity)
+    activity_term = record.activity / (1.0 + record.activity)
     return (
         AGE_WEIGHT * age_term
         + RESOLUTION_WEIGHT * resolution_term
@@ -119,7 +120,6 @@ class OffloadStats:
     pages_offloaded: int = 0
     remote_reads: int = 0
     hosted_coarsenings: int = 0
-    radio_j: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,16 @@ class OffloadCoordinator:
 
     Sensors register in cell-local id order; hop distance between sensors
     *i* and *j* is ``|i - j|`` (a line topology, the same neighbourhood
-    abstraction the radio layer's in-cell links use).  The coordinator is
+    abstraction the radio layer's in-cell links use), and a sensor's
+    candidate hosts are its hop window, visited in ascending index order.
+    Each host keeps a registry of the guests on its flash, filled by
+    :meth:`_move` and emptied by :meth:`release`.  The coordinator is
     fully deterministic: candidate and host orderings are total
     (value/utilisation, then record id, then sensor index) and no clock or
     RNG is consulted.
     """
 
-    def __init__(
-        self,
-        policy: str,
-        radio: RadioConstants,
-        now_fn=None,
-        max_hops: int = MAX_OFFLOAD_HOPS,
-        mcf_batch: int = MCF_BATCH_PER_ARCHIVE,
-    ) -> None:
+    def __init__(self, policy: str, radio: RadioConstants, now_fn=None) -> None:
         if policy not in STORAGE_POLICIES or policy == "local_aging":
             raise ValueError(
                 f"offload policy must be one of {STORAGE_POLICIES[1:]}, got {policy!r}"
@@ -160,15 +156,15 @@ class OffloadCoordinator:
         self.policy = policy
         self.radio = radio
         self.now_fn = now_fn
-        self.max_hops = int(max_hops)
-        self.mcf_batch = int(mcf_batch)
         self.archives: list[SensorArchive] = []
         self._index_of: dict[int, int] = {}
         self.stats = OffloadStats()
         self.moves: list[OffloadMove] = []
-        # one flash page over one hop, priced on first use (it needs a
-        # registered archive for the page size)
-        self._one_hop_page_j: float | None = None
+        # per host: (owner index, record id) -> guest record on its flash
+        self._guests: list[dict[tuple[int, int], ArchiveRecord]] = []
+        # radio joules to move one flash page over h hops, indexed by h;
+        # priced at the first registration (it needs the page size)
+        self._page_cost_j: tuple[float, ...] = ()
 
     # -- registration ------------------------------------------------------
 
@@ -177,11 +173,27 @@ class OffloadCoordinator:
         index = len(self.archives)
         self.archives.append(archive)
         self._index_of[id(archive)] = index
+        self._guests.append({})
+        if not self._page_cost_j:
+            page_bytes = archive.flash.constants.page_bytes
+            one_hop_page_j = transfer_energy(
+                self.radio, page_bytes
+            ) + receive_transfer_energy(self.radio, page_bytes)
+            self._page_cost_j = tuple(
+                hops * one_hop_page_j for hops in range(MAX_OFFLOAD_HOPS + 1)
+            )
         archive.offload = self
         return index
 
     def _hops(self, a: int, b: int) -> int:
         return max(abs(a - b), 1)
+
+    def _window(self, index: int) -> range:
+        """Sensor indices within ``MAX_OFFLOAD_HOPS`` of *index* (itself included)."""
+        return range(
+            max(index - MAX_OFFLOAD_HOPS, 0),
+            min(index + MAX_OFFLOAD_HOPS + 1, len(self.archives)),
+        )
 
     def _now(self, source: SensorArchive) -> float:
         if self.now_fn is not None:
@@ -212,14 +224,10 @@ class OffloadCoordinator:
     def _hosted_on(self, host: int) -> list[tuple[float, int, int, ArchiveRecord]]:
         """Guest records stored on *host*'s flash, lowest value first."""
         now = self._now(self.archives[host])
-        ranked = [
-            (segment_value(record, now), owner, record.record_id, record)
-            for owner, archive in enumerate(self.archives)
-            for record in archive.records.values()
-            if record.hosted_by == host
-        ]
-        ranked.sort(key=lambda item: (item[0], item[1], item[2]))
-        return ranked
+        return sorted(
+            (segment_value(record, now), owner, record_id, record)
+            for (owner, record_id), record in self._guests[host].items()
+        )
 
     def _coarsen_hosted(self, host: int) -> bool:
         """Age the lowest-value guest segment on *host*'s flash in place.
@@ -247,25 +255,26 @@ class OffloadCoordinator:
             new_pages = flash.pages_for(new_bytes)
             if new_pages >= record.pages:
                 continue  # page rounding ate the gain; try the next guest
-            record.raw = None
-            record.summary = summary
+            record.age_to(summary)
             flash.free(record.pages)
             record.pages = flash.write(new_bytes)
             self.stats.hosted_coarsenings += 1
             return True
         return False
 
-    def _local_candidates(self, index: int) -> list[tuple[float, int, ArchiveRecord]]:
-        """Locally stored records of archive *index*, lowest value first."""
+    def _local_candidates(self, index: int) -> Iterator[tuple[float, int, ArchiveRecord]]:
+        """``(value, record id, record)`` of archive *index*'s locally stored records.
+
+        Unordered; record ids are unique, so plain tuple order ranks them
+        lowest value first without ever comparing two records.
+        """
         archive = self.archives[index]
         now = self._now(archive)
-        ranked = [
+        return (
             (segment_value(record, now), record.record_id, record)
             for record in archive.records.values()
             if record.hosted_by is None
-        ]
-        ranked.sort(key=lambda item: (item[0], item[1]))
-        return ranked
+        )
 
     def _host_can_take(self, host: int, pages: int) -> bool:
         """Whether *host* can store *pages* without robbing its own room.
@@ -286,7 +295,7 @@ class OffloadCoordinator:
         return remaining >= own_segment_pages or flash.free_pages < own_segment_pages
 
     def _greedy_make_room(self, source: int) -> bool:
-        for _value, _record_id, record in self._local_candidates(source):
+        for _value, _record_id, record in sorted(self._local_candidates(source)):
             pages = self.archives[source].flash.pages_for(record.stored_bytes())
             host = self._best_host(source, pages)
             if host is None:
@@ -296,65 +305,46 @@ class OffloadCoordinator:
         return False
 
     def _best_host(self, source: int, pages: int) -> int | None:
-        """Least-utilised in-range neighbour able to host *pages*."""
+        """Least-utilised neighbour in *source*'s hop window able to host *pages*."""
         best: tuple[int, int, int] | None = None
         best_host = None
-        for host in range(len(self.archives)):
-            if host == source or self._hops(source, host) > self.max_hops:
+        for host in self._window(source):
+            if host == source or not self._host_can_take(host, pages):
                 continue
-            if not self._host_can_take(host, pages):
-                continue
-            key = (-self.archives[host].flash.free_pages, self._hops(source, host), host)
+            key = (-self.archives[host].flash.free_pages, abs(host - source), host)
             if best is None or key < best:
                 best = key
                 best_host = host
         return best_host
 
-    def _page_cost_j(self, hops: int) -> float:
-        """Radio joules to move one flash page of payload over *hops* hops.
-
-        Depends only on the radio constants and the page size, so the
-        one-hop price is derived once per coordinator, not once per arc.
-        """
-        if self._one_hop_page_j is None:
-            page_bytes = self.archives[0].flash.constants.page_bytes
-            self._one_hop_page_j = transfer_energy(
-                self.radio, page_bytes
-            ) + receive_transfer_energy(self.radio, page_bytes)
-        return hops * self._one_hop_page_j
-
     def _mcf_make_room(self, source: int) -> bool:
         """Network-wide min-cost assignment of pressured segments to hosts.
 
-        Supplies are the ``mcf_batch`` lowest-value local segments of every
-        archive under storage pressure (the requesting archive always
-        included); sinks are the other archives' free pages.  Arcs carry a
-        per-page cost of radio joules over hop distance; the bipartite
-        structure makes successive-shortest-paths equivalent to greedily
-        augmenting the cheapest feasible arc, whole segments at a time.
+        Supplies are the ``MCF_BATCH_PER_ARCHIVE`` lowest-value local
+        segments of every archive under storage pressure (the requesting
+        archive always included); sinks are the free pages of each supply's
+        hop window.  Arcs carry a per-page cost of radio joules over hop
+        distance; the bipartite structure makes successive-shortest-paths
+        equivalent to greedily augmenting the cheapest feasible arc, whole
+        segments at a time.  ``(cost, value, src, record id, host)`` is
+        unique, so the arcs sort in plain tuple order.
         """
-        supplies: list[tuple[int, ArchiveRecord, float]] = []
-        for index in range(len(self.archives)):
-            pressured = index == source or self.archives[index].flash.free_pages == 0
-            if not pressured:
-                continue
-            for value, _record_id, record in self._local_candidates(index)[: self.mcf_batch]:
-                supplies.append((index, record, value))
-        arcs: list[tuple[float, float, int, int, int, ArchiveRecord]] = []
-        for src, record, value in supplies:
-            pages = self.archives[src].flash.pages_for(record.stored_bytes())
-            for host in range(len(self.archives)):
-                hops = self._hops(src, host)
-                if host == src or hops > self.max_hops:
-                    continue
-                cost = self._page_cost_j(hops) * pages
-                arcs.append((cost, value, src, record.record_id, host, record))
-        arcs.sort(key=lambda arc: arc[:5])
+        arcs: list[tuple[float, float, int, int, int, int, ArchiveRecord]] = []
+        for src, archive in enumerate(self.archives):
+            if src != source and archive.flash.free_pages != 0:
+                continue  # not pressured
+            supplies = heapq.nsmallest(MCF_BATCH_PER_ARCHIVE, self._local_candidates(src))
+            for value, record_id, record in supplies:
+                pages = archive.flash.pages_for(record.stored_bytes())
+                for host in self._window(src):
+                    if host != src:
+                        cost = self._page_cost_j[abs(host - src)] * pages
+                        arcs.append((cost, value, src, record_id, host, pages, record))
+        arcs.sort()
         moved_from_source = False
-        for _cost, _value, src, _record_id, host, record in arcs:
+        for _cost, _value, src, _record_id, host, pages, record in arcs:
             if record.hosted_by is not None:
                 continue  # already placed via a cheaper arc this round
-            pages = self.archives[src].flash.pages_for(record.stored_bytes())
             if not self._host_can_take(host, pages):
                 continue
             self._move(src, record, host)
@@ -376,6 +366,7 @@ class OffloadCoordinator:
         src_archive.flash.free(record.pages)
         record.pages = host_pages
         record.hosted_by = host
+        self._guests[host][(source, record.record_id)] = record
         # Relay costs over intermediate hops are folded into the source's
         # transmit charge; the host pays one delivery's receive cost.
         tx_j = transfer_energy(self.radio, payload) * hops
@@ -385,7 +376,6 @@ class OffloadCoordinator:
         self.stats.segments_offloaded += 1
         self.stats.bytes_offloaded += payload
         self.stats.pages_offloaded += host_pages
-        self.stats.radio_j += tx_j + rx_j
         self.moves.append(
             OffloadMove(
                 record_id=record.record_id,
@@ -421,9 +411,9 @@ class OffloadCoordinator:
         self.stats.remote_reads += 1
 
     def release(self, archive: SensorArchive, record: ArchiveRecord) -> None:
-        """Free a hosted record's pages on its host device (eviction path)."""
+        """Free an evicted hosted record's pages on its host device."""
         assert record.hosted_by is not None
-        del archive  # the source archive keeps the index entry bookkeeping
+        del self._guests[record.hosted_by][(self._index_of[id(archive)], record.record_id)]
         self.archives[record.hosted_by].flash.free(record.pages)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PrestoConfig
-from repro.core.system import PrestoCell
+from repro.core.system import PrestoCell, PrestoSystem
 from repro.energy.constants import MICA2_FLASH, MICA2_RADIO
 from repro.energy.meter import EnergyMeter
 from repro.scenarios.spec import SWEEP_TABLE
@@ -17,6 +17,7 @@ from repro.storage.offload import (
     fleet_fidelity,
     segment_value,
 )
+from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 
 #: the sweep-table row that maps policy names to 1-based sweep codes
 POLICY = SWEEP_TABLE["storage_policy"]
@@ -234,6 +235,41 @@ class TestMinCostFlowOffload:
         assert coordinator.stats.segments_offloaded >= 1
         hosted_sources = {move.source for move in coordinator.moves}
         assert 0 in hosted_sources
+
+
+class TestPageConservation:
+    """Flash pages are neither minted nor lost across offload and aging."""
+
+    @pytest.mark.parametrize(
+        ("policy", "moves", "coarsenings"),
+        [("mcf_offload", 112, 51), ("greedy_offload", 64, 48)],
+    )
+    def test_pressured_cell_holds_exactly_its_records(self, policy, moves, coarsenings):
+        trace = IntelLabGenerator(
+            IntelLabConfig(n_sensors=32, duration_s=0.2 * 86_400.0, epoch_s=31.0), seed=1105
+        ).generate()
+        config = PrestoConfig(
+            sample_period_s=31.0,
+            storage_policy=policy,
+            flash_capacity_bytes=3_500,
+            flash_capacity_skew=0.5,
+            segment_readings=64,
+            push_delta=2.0,
+        )
+        system = PrestoSystem(trace, config, seed=1105)
+        system.run(queries=[])
+        coordinator = system.cell.offload
+        # the run is pressured enough to exercise moves and guest coarsening
+        assert coordinator.stats.segments_offloaded == moves
+        assert coordinator.stats.hosted_coarsenings == coarsenings
+        archives = coordinator.archives
+        held = [0] * len(archives)
+        for index, archive in enumerate(archives):
+            for record in archive.records.values():
+                home = index if record.hosted_by is None else record.hosted_by
+                held[home] += record.pages
+                assert record.pages == archive.flash.pages_for(record.stored_bytes())
+        assert [archive.flash.used_pages for archive in archives] == held
 
 
 class TestFleetFidelity:
