@@ -14,13 +14,16 @@ per-cell :class:`OffloadCoordinator` with two planners:
     for a whole segment of its own.
 
 ``mcf_offload``
-    A min-cost-flow variant: gather the lowest-value segments from every
-    storage-pressured archive in the cell and assign them network-wide to
-    storage-rich hosts.  Arc costs are radio joules per page over hop
-    distance; because the flow network is bipartite (segments -> hosts)
-    with unsplittable segment supplies, successive-shortest-paths reduces
-    to repeatedly augmenting the cheapest feasible (segment, host) arc —
-    which is exactly what :meth:`OffloadCoordinator._mcf_make_room` does.
+    Greedy cheapest-arc assignment: gather the lowest-value segments from
+    every storage-pressured archive in the cell and assign them
+    network-wide to storage-rich hosts, taking (segment, host) arcs
+    cheapest first — radio joules per page over hop distance — and keeping
+    each one that still fits.  Despite the name this is not a min-cost
+    flow: with unsplittable segments and host capacities the problem is a
+    generalized assignment problem, and greedy never reroutes an earlier
+    choice the way successive shortest paths would (two segments and two
+    one-slot hosts can cost 11 greedily against an optimum of 3.5;
+    ROADMAP.md, item 7).
 
 *In range* means inside the hop window: on the cell's line of sensors,
 the hosts of sensor *i* are ``i - MAX_OFFLOAD_HOPS … i + MAX_OFFLOAD_HOPS``
@@ -318,16 +321,16 @@ class OffloadCoordinator:
         return best_host
 
     def _mcf_make_room(self, source: int) -> bool:
-        """Network-wide min-cost assignment of pressured segments to hosts.
+        """Network-wide greedy cheapest-arc assignment of pressured segments.
 
         Supplies are the ``MCF_BATCH_PER_ARCHIVE`` lowest-value local
         segments of every archive under storage pressure (the requesting
         archive always included); sinks are the free pages of each supply's
         hop window.  Arcs carry a per-page cost of radio joules over hop
-        distance; the bipartite structure makes successive-shortest-paths
-        equivalent to greedily augmenting the cheapest feasible arc, whole
-        segments at a time.  ``(cost, value, src, record id, host)`` is
-        unique, so the arcs sort in plain tuple order.
+        distance and are taken greedily, cheapest feasible arc first, whole
+        segments at a time — an approximation, not an optimal assignment
+        (see the module docstring).  ``(cost, value, src, record id,
+        host)`` is unique, so the arcs sort in plain tuple order.
         """
         arcs: list[tuple[float, float, int, int, int, int, ArchiveRecord]] = []
         for src, archive in enumerate(self.archives):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from repro.timeseries.base import (
     Forecast,
@@ -37,8 +36,10 @@ def autocovariance(values: np.ndarray, max_lag: int) -> np.ndarray:
 def fit_ar_yule_walker(values: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     """Solve the Yule–Walker equations for AR(*order*).
 
-    Returns ``(coefficients, innovation_variance)``.  Uses the Levinson-type
-    Toeplitz solver from scipy for numerical stability.
+    Returns ``(coefficients, innovation_variance)``.  The system
+    ``gamma[|i - j|] phi = gamma[1 .. order]`` is solved densely: the biased
+    autocovariance matrix is positive definite whenever ``gamma_0 > 0``, and
+    a singular one still raises ``LinAlgError``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -46,9 +47,11 @@ def fit_ar_yule_walker(values: np.ndarray, order: int) -> tuple[np.ndarray, floa
     if gamma[0] <= 0:
         # Constant series: no dynamics to fit.
         return np.zeros(order, dtype=np.float64), 0.0
-    coeffs = solve_toeplitz(gamma[:order], gamma[1 : order + 1])
+    lags = np.arange(order)
+    toeplitz = gamma[np.abs(lags[:, None] - lags[None, :])]
+    coeffs = np.linalg.solve(toeplitz, gamma[1 : order + 1])
     variance = float(gamma[0] - np.dot(coeffs, gamma[1 : order + 1]))
-    return np.asarray(coeffs, dtype=np.float64), max(variance, 0.0)
+    return coeffs, max(variance, 0.0)
 
 
 def fit_ar_ols(values: np.ndarray, order: int) -> tuple[np.ndarray, float, float]:

@@ -11,6 +11,7 @@ consumes (Section 3).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,20 +70,65 @@ class QueryWorkloadConfig:
     window_s: float = 3_600.0                # PAST_RANGE/AGG window length
 
     def __post_init__(self) -> None:
-        fractions = (
-            self.now_fraction
-            + self.past_point_fraction
-            + self.past_range_fraction
-            + self.past_agg_fraction
+        mix = (
+            self.now_fraction,
+            self.past_point_fraction,
+            self.past_range_fraction,
+            self.past_agg_fraction,
         )
+        if not all(fraction >= 0.0 for fraction in mix):
+            raise ValueError(f"query-mix fractions must be non-negative, got {mix}")
+        # left to right: sum() compensates rounding from Python 3.12 on
+        fractions = mix[0] + mix[1] + mix[2] + mix[3]
         if abs(fractions - 1.0) > 1e-9:
             raise ValueError(f"query-mix fractions sum to {fractions}, expected 1.0")
         if self.arrival_rate_per_s <= 0:
             raise ValueError("arrival rate must be positive")
 
 
+_KINDS = (
+    QueryKind.NOW,
+    QueryKind.PAST_POINT,
+    QueryKind.PAST_RANGE,
+    QueryKind.PAST_AGG,
+)
+_AGGREGATES = ("mean", "min", "max")
+
+
+def _cdf(weights: list[float] | np.ndarray) -> list[float]:
+    """The table ``Generator.choice(n, p=weights)`` searches, built once.
+
+    On every call ``choice`` re-validates ``p``, rebuilds ``cdf =
+    p.cumsum(); cdf /= cdf[-1]`` and returns ``cdf.searchsorted(random(),
+    side="right")``; ``bisect_right(cdf, u)`` over the same ``cdf`` and the
+    same single ``random()`` draw ``u`` is the same index.
+    """
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _zipf_cdf(n: int, exponent: float) -> list[float]:
+    """CDF of the Zipf popularity law over ranks ``1 .. n``."""
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    weights = ranks ** (-exponent)
+    return _cdf(weights / weights.sum())
+
+
 class QueryWorkloadGenerator:
-    """Seeded Poisson/Zipf query stream over a deployment."""
+    """Seeded Poisson/Zipf query stream over a deployment.
+
+    Every query makes, in order: one ``exponential`` draw (inter-arrival),
+    ``2 + SENSOR_DRAWS`` uniform draws (kind, sensor, precision jitter),
+    one more uniform draw for a PAST query's lookback, and one
+    ``integers(0, 3)`` draw (aggregate).  Those are the bits the per-query
+    ``rng.choice`` / ``rng.uniform`` formulation consumed, in the same
+    order, so a given ``rng`` state yields the same queries and leaves the
+    same state behind (``tests/reference_workload.py`` holds that form).
+    """
+
+    #: uniform draws :meth:`_draw_sensor` maps to a sensor
+    SENSOR_DRAWS = 1
 
     def __init__(
         self,
@@ -97,16 +143,20 @@ class QueryWorkloadGenerator:
         # explicit deterministic fallback so an unseeded workload replays
         # identically across runs (seed 0 = the library default stream)
         self._rng = rng if rng is not None else seeded_rng(0)
-        self._zipf_weights = self._make_zipf_weights()
+        cfg = self.config
+        self._kind_cdf = _cdf(
+            [
+                cfg.now_fraction,
+                cfg.past_point_fraction,
+                cfg.past_range_fraction,
+                cfg.past_agg_fraction,
+            ]
+        )
+        self._zipf_cdf = _zipf_cdf(self.n_sensors, cfg.zipf_exponent)
 
-    def _make_zipf_weights(self) -> np.ndarray:
-        ranks = np.arange(1, self.n_sensors + 1, dtype=np.float64)
-        weights = ranks ** (-self.config.zipf_exponent)
-        return weights / weights.sum()
-
-    def _draw_sensor(self, rng: np.random.Generator) -> int:
-        """Pick the target sensor of one query (Zipf over the deployment)."""
-        return int(rng.choice(self.n_sensors, p=self._zipf_weights))
+    def _draw_sensor(self, draws: list[float]) -> int:
+        """Target sensor of one query from its uniform draws (Zipf rank)."""
+        return bisect_right(self._zipf_cdf, draws[0])
 
     def generate(self, start_s: float, end_s: float) -> list[Query]:
         """All queries arriving in ``[start_s, end_s)``, time-ordered.
@@ -116,46 +166,38 @@ class QueryWorkloadGenerator:
         """
         if end_s <= start_s:
             raise ValueError(f"empty interval [{start_s}, {end_s})")
+        if start_s < 0:
+            raise ValueError(f"query stream starts before t=0: {start_s}")
         cfg = self.config
         rng = self._rng
+        mean_gap_s = 1.0 / cfg.arrival_rate_per_s
+        n_draws = 2 + self.SENSOR_DRAWS
         queries: list[Query] = []
         time = start_s
         query_id = 0
-        kinds = (
-            QueryKind.NOW,
-            QueryKind.PAST_POINT,
-            QueryKind.PAST_RANGE,
-            QueryKind.PAST_AGG,
-        )
-        mix = np.asarray(
-            [
-                cfg.now_fraction,
-                cfg.past_point_fraction,
-                cfg.past_range_fraction,
-                cfg.past_agg_fraction,
-            ]
-        )
         while True:
-            time += rng.exponential(1.0 / cfg.arrival_rate_per_s)
+            time += rng.exponential(mean_gap_s)
             if time >= end_s:
                 break
-            kind = kinds[int(rng.choice(len(kinds), p=mix))]
-            sensor = self._draw_sensor(rng)
-            precision = cfg.precision * (
-                1.0 + cfg.precision_jitter * float(rng.uniform(-1.0, 1.0))
-            )
+            # one size-k fill is k sequential random() draws
+            draws = rng.random(n_draws).tolist()
+            kind = _KINDS[bisect_right(self._kind_cdf, draws[0])]
+            sensor = self._draw_sensor(draws[1:-1])
+            # uniform(-1, 1) is -1 + 2u: the doubling is exact, one rounding
+            precision = cfg.precision * (1.0 + cfg.precision_jitter * (-1.0 + 2.0 * draws[-1]))
             if kind is QueryKind.NOW:
                 target = time
                 window = 0.0
             else:
-                lookback = float(rng.uniform(0.0, min(cfg.past_horizon_s, time)))
+                # uniform(0, h) is 0 + h*u: one rounding
+                lookback = min(cfg.past_horizon_s, time) * rng.random()
                 target = max(time - lookback, 0.0)
                 window = cfg.window_s if kind in (
                     QueryKind.PAST_RANGE, QueryKind.PAST_AGG
                 ) else 0.0
                 if window > 0:
                     target = max(target - window, 0.0)
-            aggregate = ("mean", "min", "max")[int(rng.integers(0, 3))]
+            aggregate = _AGGREGATES[int(rng.integers(0, 3))]
             queries.append(
                 Query(
                     query_id=query_id,
@@ -186,6 +228,8 @@ class ShardedWorkloadGenerator(QueryWorkloadGenerator):
     ``shards``.
     """
 
+    SENSOR_DRAWS = 2
+
     def __init__(
         self,
         shards: list[list[int]],
@@ -199,26 +243,21 @@ class ShardedWorkloadGenerator(QueryWorkloadGenerator):
         if len(set(flat)) != len(flat):
             raise ValueError("shards must be disjoint")
         super().__init__(n_sensors=len(flat), config=config, rng=rng)
-        self._shards = [list(shard) for shard in shards]
+        self._shards = [[int(sensor) for sensor in shard] for shard in shards]
         if shard_weights is None:
             weights = np.full(len(shards), 1.0 / len(shards))
         else:
             if len(shard_weights) != len(shards):
                 raise ValueError("one weight per shard required")
             weights = np.asarray(shard_weights, dtype=np.float64)
-            if (weights < 0).any() or weights.sum() <= 0:
-                raise ValueError("shard weights must be non-negative, sum > 0")
+            if not np.isfinite(weights).all() or (weights < 0).any() or weights.sum() <= 0:
+                raise ValueError("shard weights must be finite, non-negative, sum > 0")
             weights = weights / weights.sum()
-        self._shard_weights = weights
+        self._shard_cdf = _cdf(weights)
         exponent = self.config.zipf_exponent
-        self._within: list[np.ndarray] = []
-        for shard in self._shards:
-            ranks = np.arange(1, len(shard) + 1, dtype=np.float64)
-            zipf = ranks ** (-exponent)
-            self._within.append(zipf / zipf.sum())
+        self._within_cdfs = [_zipf_cdf(len(shard), exponent) for shard in self._shards]
 
-    def _draw_sensor(self, rng: np.random.Generator) -> int:
+    def _draw_sensor(self, draws: list[float]) -> int:
         """Shard by weight, then Zipf rank within the shard."""
-        shard = int(rng.choice(len(self._shards), p=self._shard_weights))
-        rank = int(rng.choice(len(self._shards[shard]), p=self._within[shard]))
-        return int(self._shards[shard][rank])
+        shard = bisect_right(self._shard_cdf, draws[0])
+        return self._shards[shard][bisect_right(self._within_cdfs[shard], draws[1])]

@@ -46,6 +46,18 @@ class TestEstimators:
         with pytest.raises(ValueError):
             fit_ar_yule_walker(make_ar2(100), 0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_yule_walker_agrees_with_levinson(self, order, seed):
+        # scipy is only the oracle here; the fit itself needs numpy alone
+        linalg = pytest.importorskip("scipy.linalg")
+        x = make_ar2(n=600, seed=seed)
+        phi, variance = fit_ar_yule_walker(x, order)
+        gamma = autocovariance(x, order)
+        expected = linalg.solve_toeplitz(gamma[:order], gamma[1:])
+        np.testing.assert_allclose(phi, expected, rtol=1e-10)
+        assert variance == pytest.approx(gamma[0] - np.dot(expected, gamma[1:]), rel=1e-10)
+
 
 class TestARModel:
     def test_one_step_prediction_beats_mean(self):

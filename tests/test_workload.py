@@ -39,6 +39,11 @@ class TestWorkloadConfig:
             QueryWorkloadConfig(now_fraction=0.9, past_point_fraction=0.3,
                                 past_range_fraction=0.0, past_agg_fraction=0.0)
 
+    def test_fractions_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            QueryWorkloadConfig(now_fraction=1.2, past_point_fraction=-0.2,
+                                past_range_fraction=0.0, past_agg_fraction=0.0)
+
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
             QueryWorkloadConfig(arrival_rate_per_s=0.0)
@@ -96,6 +101,10 @@ class TestGeneration:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             self.make().generate(10.0, 10.0)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="before t=0"):
+            self.make().generate(-10.0, 10.0)
 
     def test_precision_jitter_bounded(self):
         queries = self.make(seed=9).generate(0.0, 100_000.0)

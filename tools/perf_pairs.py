@@ -6,11 +6,12 @@ host whose speed drifts over tens of seconds measures the host.  This tool
 interleaves the two sides instead: the parent revision's committed files are
 unpacked into a temporary directory, and for every pair each side's *own*
 ``benchmarks/perf/child.py`` runs once — in the child environment ``run.py``
-uses — with the order flipped from pair to pair.  Per workload it prints
-each side's median, quartiles and best ``wall_s``, the pairs the change won,
-each side's median ``setup_s`` and ``peak_rss_mb``, and whether every
-repetition's ``summary`` (everything simulated) is byte-identical across the
-two sides; it exits non-zero when one is not.
+uses — with the order flipped from pair to pair.  Per workload and per
+host-side metric (:data:`HOST_METRICS`: ``wall_s``, ``setup_s``,
+``peak_rss_mb`` — every one a PR is judged on) it prints each side's
+median, quartiles and best, and the pairs in which the change was lower and
+tied; then whether every repetition's ``summary`` (everything simulated) is
+byte-identical across the two sides.  It exits non-zero when one is not.
 
 ``--record FILE`` also appends the invocation to the host-time trajectory
 (``BENCH_perf.json`` at the repo root): both revisions and, per workload,
@@ -52,6 +53,9 @@ import workloads
 
 #: entries ``--record`` keeps — one per perf PR, so a few years of them
 TRAJECTORY_ENTRIES = 40
+
+#: end-to-end metrics measured on the host, each judged alike (all lower-is-better)
+HOST_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
 def unpack_revision(revision: str, into: Path) -> None:
@@ -96,24 +100,19 @@ def pair_workload(
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_child(sides[side], workload, seed, scale, env))
-    walls = {
-        side: [run["end_to_end"]["wall_s"] for run in results] for side, results in runs.items()
+    values = {
+        metric: {side: [run["end_to_end"][metric] for run in runs[side]] for side in runs}
+        for metric in HOST_METRICS
     }
     measured: dict = {
-        side: {
-            "wall_s": spread(walls[side]),
-            # the other two host-side end-to-end metrics a PR is judged on, same runs
-            **{
-                metric: round(
-                    statistics.median(run["end_to_end"][metric] for run in runs[side]), 4
-                )
-                for metric in ("setup_s", "peak_rss_mb")
-            },
-        }
+        side: {metric: spread(values[metric][side]) for metric in HOST_METRICS}
         for side in ("parent", "change")
     }
-    measured["pairs_won"] = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
-    measured["ties"] = sum(c == p for p, c in zip(walls["parent"], walls["change"]))
+    measured["pairs_won"], measured["ties"] = {}, {}
+    for metric in HOST_METRICS:
+        paired = list(zip(values[metric]["parent"], values[metric]["change"]))
+        measured["pairs_won"][metric] = sum(c < p for p, c in paired)
+        measured["ties"][metric] = sum(c == p for p, c in paired)
     measured["summaries_identical"] = (
         len({run["summary"] for results in runs.values() for run in results}) == 1
     )
@@ -123,22 +122,19 @@ def pair_workload(
 def print_workload(workload: str, measured: dict, seed: int, scale: str, pairs: int) -> None:
     """Print one workload's table from what :func:`pair_workload` measured."""
     print(f"== {workload} (seed {seed}, scale {scale}, {pairs} alternating pairs)")
-    print("  side     wall_s median  [quartiles]       best-of-N")
-    for side in ("parent", "change"):
-        wall = measured[side]["wall_s"]
-        quartiles = f"{wall['q1']:.3f} – {wall['q3']:.3f}" if pairs > 1 else "     –      "
-        print(f"  {side:<7} {wall['median']:8.3f}  [{quartiles}]  best {wall['best']:.3f}")
-    parent, change = (measured[side]["wall_s"]["median"] for side in ("parent", "change"))
-    print(
-        f"  change faster in {measured['pairs_won']} of {pairs} pairs "
-        f"({measured['ties']} ties); median wall_s {change / parent - 1.0:+.1%}, "
-        f"sim_s_per_wall_s {parent / change - 1.0:+.1%}"
-    )
-    for metric in ("setup_s", "peak_rss_mb"):
-        parent, change = (measured[side][metric] for side in ("parent", "change"))
+    print("  metric        side      median  [quartiles]         best-of-N")
+    for metric in HOST_METRICS:
+        for side in ("parent", "change"):
+            got = measured[side][metric]
+            quartiles = f"{got['q1']:7.3f} – {got['q3']:7.3f}" if pairs > 1 else " " * 17
+            label = metric if side == "parent" else ""
+            print(f"  {label:<13} {side:<7} {got['median']:8.3f}  [{quartiles}]  "
+                  f"best {got['best']:.3f}")
+        parent, change = (measured[side][metric]["median"] for side in ("parent", "change"))
+        rate = f", sim_s_per_wall_s {parent / change - 1.0:+.1%}" if metric == "wall_s" else ""
         print(
-            f"  {metric + ' median':<18} parent {parent:8.3f}  change {change:8.3f}  "
-            f"({change / parent - 1.0:+.1%})"
+            f"  {'':<13} change lower in {measured['pairs_won'][metric]} of {pairs} pairs "
+            f"({measured['ties'][metric]} ties); median {change / parent - 1.0:+.1%}{rate}"
         )
     print(f"  summaries byte-identical: {'yes' if measured['summaries_identical'] else 'NO'}")
 
