@@ -1,6 +1,6 @@
 """Section 5 ablation — the order-preserving distributed index.
 
-PRESTO picks skip graphs [14] for the unified store because they keep keys
+PRESTO picks skip graphs [14] for its proxy index because they keep keys
 ordered (temporally ordered cross-proxy views) with O(log n) routing and no
 central coordinator.  This bench measures search/insert/range hop counts as
 the proxy population grows and verifies the logarithmic scaling that makes

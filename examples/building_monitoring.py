@@ -1,36 +1,26 @@
-"""Building monitoring: multiple proxies, one logical store, failover.
+"""Building monitoring: one proxy per floor, one ordered view.
 
 Run:  python examples/building_monitoring.py
 
 The paper's deployment sketch: "if a building is being monitored, one
 sensor proxy might be placed per floor or hallway."  This example stands up
-three floor cells — two wired, one on an 802.11 mesh — under one
-:class:`UnifiedStore`:
-
-* queries address *global* sensor ids and are routed through the
-  order-preserving interval index;
-* the wireless proxy's cache is replicated onto a wired proxy, and when the
-  mesh drops, queries transparently fail over to the replica;
-* the cross-proxy temporally ordered view merges detections from all floors
-  (the Section 5 abstraction).
+three floor cells, runs each for a day, and merges their cached readings
+into the single temporally ordered cross-proxy view of Section 5
+(:func:`~repro.core.unified.ordered_view`), addressed by *global* sensor
+id.  Routing global queries across the floors and failing over to a wired
+replica when a mesh proxy drops is ``examples/campus_federation.py``'s
+story, told against :class:`~repro.core.FederatedSystem`.
 """
 
-import numpy as np
-
 from repro.core import PrestoConfig, PrestoSystem
-from repro.core.unified import ProxyCell, UnifiedStore
-from repro.traces import (
-    IntelLabConfig,
-    IntelLabGenerator,
-    QueryWorkloadConfig,
-    QueryWorkloadGenerator,
-)
+from repro.core.unified import ProxyCell, ordered_view
+from repro.traces import IntelLabConfig, IntelLabGenerator
 
 SENSORS_PER_FLOOR = 4
 DURATION_S = 86_400.0
 
 
-def build_floor(floor: int, wired: bool) -> PrestoSystem:
+def build_floor(floor: int) -> PrestoSystem:
     """One floor = one trace + one PRESTO cell."""
     trace_config = IntelLabConfig(
         n_sensors=SENSORS_PER_FLOOR,
@@ -50,21 +40,11 @@ def build_floor(floor: int, wired: bool) -> PrestoSystem:
 
 
 def main() -> None:
-    floors = [build_floor(0, True), build_floor(1, True), build_floor(2, False)]
-    store = UnifiedStore(replication_factor=1)
-    for floor, system in enumerate(floors):
-        first = floor * SENSORS_PER_FLOOR
-        store.add_cell(
-            ProxyCell(
-                system.proxy,
-                first_sensor=first,
-                last_sensor=first + SENSORS_PER_FLOOR - 1,
-                wired=(floor != 2),
-                response_latency_s=0.01 if floor != 2 else 0.25,
-            )
-        )
-    replication = store.plan_replication()
-    print(f"cache replication plan: {replication}")
+    floors = [build_floor(floor) for floor in range(3)]
+    cells = [
+        ProxyCell(system.proxy, first_sensor=floor * SENSORS_PER_FLOOR)
+        for floor, system in enumerate(floors)
+    ]
 
     # run all three cells (independent floors, same wall-clock horizon)
     for floor, system in enumerate(floors):
@@ -72,28 +52,8 @@ def main() -> None:
         print(f"floor {floor}: {report.pushes + report.cold_pushes} pushes, "
               f"{report.sensor_energy_per_day_j:.2f} J/sensor-day")
 
-    # global queries through the unified store
-    workload = QueryWorkloadGenerator(
-        n_sensors=store.n_sensors,
-        config=QueryWorkloadConfig(arrival_rate_per_s=1 / 600.0),
-        rng=np.random.default_rng(40),
-    )
-    queries = workload.generate(DURATION_S - 7200.0, DURATION_S - 5.0)
-    answered = sum(store.query(q).answered for q in queries)
-    print(f"\nunified store: {answered}/{len(queries)} global queries answered "
-          f"(routing hops ~{store.index.mean_routing_hops:.1f})")
-
-    # mesh outage on floor 2: replica on a wired proxy takes over
-    store.mark_proxy_down("floor2")
-    failover_queries = [q for q in queries if q.sensor >= 2 * SENSORS_PER_FLOOR]
-    answers = [store.query(q) for q in failover_queries[:20]]
-    ok = sum(a.answered for a in answers)
-    print(f"floor-2 mesh down: {ok}/{len(answers)} queries served by replica "
-          f"({store.rerouted_queries} rerouted)")
-    store.mark_proxy_up("floor2")
-
     # the single temporally ordered view across all floors
-    view = store.ordered_view(DURATION_S - 1800.0, DURATION_S)
+    view = ordered_view(cells, DURATION_S - 1800.0, DURATION_S)
     print(f"\nordered cross-proxy view, last 30 min: {len(view)} actual readings")
     for timestamp, sensor, value in view[:5]:
         print(f"  t={timestamp:9.1f}s  global sensor {sensor:2d}  {value:6.2f} C")

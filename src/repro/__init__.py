@@ -5,7 +5,8 @@ Full reproduction of Desnoyers, Ganesan, Li, Li & Shenoy (HotOS X, 2005).
 Top-level layout:
 
 * :mod:`repro.core` — the paper's contribution (proxy, sensor, push
-  protocol, query processing, unified store, simulation harness);
+  protocol, query processing, ordered cross-proxy view, simulation
+  harness);
 * :mod:`repro.timeseries`, :mod:`repro.signal` — the modelling and
   signal-processing machinery the prediction engine uses;
 * :mod:`repro.storage`, :mod:`repro.radio`, :mod:`repro.energy`,

@@ -11,7 +11,8 @@ The pieces map one-to-one onto the architecture of Figure 1:
 * :mod:`repro.core.matching` — query–sensor matching (duty cycle, batching,
   compression tuned to query needs);
 * :mod:`repro.core.sensor` / :mod:`repro.core.proxy` — the two active tiers;
-* :mod:`repro.core.unified` — the single logical view over many proxies;
+* :mod:`repro.core.unified` — the temporally ordered view of detections
+  across proxies;
 * :mod:`repro.core.system` — the simulation harness that wires a whole
   deployment together and replays traces + query workloads;
 * :mod:`repro.core.federation` — the multi-proxy cluster: sharding,
@@ -49,7 +50,6 @@ from repro.core.push import (
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.sensor import PrestoSensor
 from repro.core.system import CellBuilder, PrestoCell, PrestoSystem, SystemReport
-from repro.core.unified import UnifiedStore
 
 __all__ = [
     "PrestoConfig",
@@ -74,7 +74,6 @@ __all__ = [
     "SensorOperatingPoint",
     "PrestoSensor",
     "PrestoProxy",
-    "UnifiedStore",
     "CellBuilder",
     "PrestoCell",
     "PrestoSystem",

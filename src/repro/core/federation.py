@@ -314,20 +314,23 @@ class _RoutingCore:
 
         # Ownership lookup: one skip-graph node per contiguous run of sensors
         # owned by the same proxy, so "who owns sensor s" is a floor search —
-        # O(log P) for contiguous shards, never a dict scan.  The flat map is
-        # kept for hop-free pre-routing of queries to partitions.
-        self._owner_map = {
-            sensor: fc.name for fc in cells for sensor in fc.sensor_ids
-        }
+        # O(log P) for contiguous shards, never a dict scan.  Runs are
+        # inserted in ascending order, which fixes the graph's seeded levels.
         self._owners = SkipGraph(
             rng=RandomStreams(seed=seed).get("federation.skipgraph")
         )
-        for sensor in range(trace.n_sensors):
-            if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
-                self._owners.insert(float(sensor), self._owner_map[sensor])
+        run_starts = sorted(
+            (sensor, fc.name)
+            for fc in cells
+            for i, sensor in enumerate(fc.sensor_ids)
+            if i == 0 or fc.sensor_ids[i - 1] != sensor - 1
+        )
+        for sensor, name in run_starts:
+            self._owners.insert(float(sensor), name)
         # Membership never changes after this (a death flips directory
         # liveness, not the graph), so each sensor's floor walk is taken
         # once: ``(owner name, hops)``, what every query to it is charged.
+        # It is the one ownership table; readers guard ``0 <= sensor < n``.
         self._route = [
             self._owners.floor_value(float(sensor))
             for sensor in range(trace.n_sensors)
@@ -741,15 +744,16 @@ class FederatedSystem(_RoutingCore):
         """Replay the trace across all cells, routing *queries* globally.
 
         Cells execute on ``n_partitions`` independent kernels.  Every query
-        is pre-routed (hop-free flat map) to the partition that owns its
-        sensor; the partition re-resolves ownership on its own skip-graph
-        copy — built from the same seeded stream, so hop counts agree
-        everywhere.  Faults are replayed on every partition's directory
-        copy at identical virtual times, keeping liveness in lockstep
-        without mid-run communication.  The merged log is ordered by each
-        query's global firing rank, so the report depends neither on the
-        partition count nor on the backend.  Every call starts from fresh
-        cells and replaces the previous call's results.
+        is pre-routed (owner lookup in the route table, no hops charged)
+        to the partition that owns its sensor; the partition routes it
+        again on its own copy of the table — built from the same seeded
+        skip graph, so hop counts agree everywhere.  Faults are replayed
+        on every partition's directory copy at identical virtual times,
+        keeping liveness in lockstep without mid-run communication.  The
+        merged log is ordered by each query's global firing rank, so the
+        report depends neither on the partition count nor on the backend.
+        Every call starts from fresh cells and replaces the previous
+        call's results.
         """
         horizon = float(
             duration_s if duration_s is not None else self.trace.config.duration_s
@@ -759,11 +763,12 @@ class FederatedSystem(_RoutingCore):
             (query for query in queries or [] if query.arrival_time < horizon),
             key=lambda query: query.arrival_time,
         )
+        n = self.trace.n_sensors
         routed: list[list[tuple[int, Query]]] = [[] for _ in range(k)]
         for rank, query in enumerate(due):
-            owner = self._owner_map.get(query.sensor)
             # An out-of-range sensor has no owner; any partition's
             # route_query answers it unroutable at its firing rank.
+            owner = self._route[query.sensor][0] if 0 <= query.sensor < n else None
             part = self._part_of_cell[self._by_name[owner].cell_id] if owner else 0
             routed[part].append((rank, query))
         context = self._context(horizon)
@@ -805,9 +810,10 @@ class FederatedSystem(_RoutingCore):
         results; the fold names the four ledger fields that do not add.
         """
         # An out-of-range sensor (answered unroutable) has no truth to score.
+        n = self.trace.n_sensors
         truths = [
             ground_truth(self.trace, answer.query)
-            if answer.query.sensor in self._owner_map
+            if 0 <= answer.query.sensor < n
             else None
             for answer in self._query_log
         ]
@@ -1125,7 +1131,8 @@ class _CellPartition(_RoutingCore):
         """
         context = self.context
         for query in context.standing:
-            owner = self._owner_map[query.sensor]
+            # in range: FederatedSystem._context rejected any other sensor
+            owner = self._route[query.sensor][0]
             if owner in self._built:
                 self._built[owner].proxy.continuous.register(
                     self._rewrite(query, self._by_name[owner])

@@ -146,7 +146,7 @@ class PrestoProxy:
         """Cache a detection stamped by the mote's own free-running clock.
 
         The entry is tagged with the sync frame in effect *now*, so the
-        ordered cross-proxy view (:meth:`~repro.core.unified.UnifiedStore.
+        ordered cross-proxy view (:func:`~repro.core.unified.
         ordered_view`) corrects it with the estimate contemporary with
         the detection — later exchanges that re-fit a drifting clock
         cannot retroactively move it.  Detections recorded before any

@@ -1,6 +1,6 @@
 """Interval → proxy routing index.
 
-The unified store routes a query to the proxy responsible for the queried
+An interval index maps a key to the proxy responsible for the queried
 sensor (or spatial region).  Responsibilities are contiguous key intervals
 (sensor-id ranges here; the scheme is agnostic), stored in a skip graph so
 routing inherits its O(log n) hop bound and order preservation.  Overlapping

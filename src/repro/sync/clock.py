@@ -2,8 +2,8 @@
 
 A mote clock reads ``local = offset + (1 + skew) * true``.  Crystal skews
 of tens of ppm accumulate to seconds per day — enough to misorder readings
-between neighbouring sensors, which is why the unified store corrects
-timestamps before indexing them.
+between neighbouring sensors, which is why proxies correct timestamps
+before merging them into one ordered view.
 """
 
 from __future__ import annotations

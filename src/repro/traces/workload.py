@@ -30,7 +30,7 @@ class QueryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Query:
-    """One user query against the unified store."""
+    """One user query against the deployment."""
 
     query_id: int
     kind: QueryKind

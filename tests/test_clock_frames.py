@@ -13,7 +13,7 @@ from reference_cache import ListSummaryCache
 
 from repro.core import PrestoConfig, PrestoSystem
 from repro.core.cache import CacheEntry, EntrySource, SummaryCache
-from repro.core.unified import ProxyCell, UnifiedStore
+from repro.core.unified import ProxyCell, ordered_view
 from repro.radio.link import LinkConfig
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 
@@ -194,19 +194,18 @@ class TestRecordDetection:
         leaves its corrected instant exactly where it was recorded."""
         system = build_system()
         proxy = system.proxy
-        store = UnifiedStore(replication_factor=1)
-        store.add_cell(ProxyCell(proxy, 0, 1, wired=True, sensor_stamped=True))
+        cells = [ProxyCell(proxy, 0, sensor_stamped=True)]
 
         fit_clock(proxy, 0, offset=5.0)
         proxy.record_detection(0, raw_timestamp=105.0, value=20.0)  # true 100
         # the mote's clock jumps; later exchanges re-fit to offset 45
         fit_clock(proxy, 0, offset=45.0, at=(1800.0, 2400.0, 3000.0))
 
-        view = store.ordered_view(0.0, 1000.0)
+        view = ordered_view(cells, 0.0, 1000.0)
         assert [(round(t), s) for t, s, _ in view] == [(100, 0)]
 
         # an *untagged* raw insert follows the (now wrong-for-then) new fit
         proxy.cache.insert(1, entry(145.0, value=7.0))
         fit_clock(proxy, 1, offset=45.0)
-        view = store.ordered_view(0.0, 1000.0)
+        view = ordered_view(cells, 0.0, 1000.0)
         assert [(round(t), s) for t, s, _ in view] == [(100, 0), (100, 1)]

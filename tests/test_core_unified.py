@@ -1,22 +1,20 @@
-"""Unit tests for the unified logical store across proxies."""
+"""Unit tests for the temporally ordered view across proxies."""
 
 import pytest
 
 from repro.core import PrestoConfig, PrestoSystem
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache
-from repro.core.queries import AnswerSource, QueryAnswer
-from repro.core.unified import ProxyCell, UnifiedStore
+from repro.core.cache import CacheEntry, EntrySource
+from repro.core.unified import ProxyCell, ordered_view
 from repro.radio.link import LinkConfig
-from repro.sync.protocol import TimeSyncProtocol
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
-from repro.traces.workload import Query, QueryKind
 
 
-def build_two_cells(duration_s=6 * 3600.0):
-    """Two independent 2-sensor cells under one unified store."""
+@pytest.fixture(scope="module")
+def cells_and_systems():
+    """Two independent 2-sensor cells, global sensors 0-1 and 2-3, run 6 h."""
     systems = []
     for seed, name in ((1, "proxy"), (2, "proxy-b")):
-        config = IntelLabConfig(n_sensors=2, duration_s=duration_s, epoch_s=31.0)
+        config = IntelLabConfig(n_sensors=2, duration_s=6 * 3600.0, epoch_s=31.0)
         trace = IntelLabGenerator(config, seed=seed).generate()
         presto = PrestoConfig(
             sample_period_s=31.0,
@@ -25,143 +23,10 @@ def build_two_cells(duration_s=6 * 3600.0):
             link=LinkConfig(loss_probability=0.0),
         )
         systems.append(PrestoSystem(trace, presto, seed=seed, proxy_name=name))
-    store = UnifiedStore(replication_factor=1)
-    store.add_cell(
-        ProxyCell(systems[0].proxy, 0, 1, wired=True, response_latency_s=0.01)
-    )
-    store.add_cell(
-        ProxyCell(systems[1].proxy, 2, 3, wired=False, response_latency_s=0.2)
-    )
+    cells = [ProxyCell(systems[0].proxy, 0), ProxyCell(systems[1].proxy, 2)]
     for system in systems:
         system.run()
-    return store, systems
-
-
-@pytest.fixture(scope="module")
-def store_and_systems():
-    return build_two_cells()
-
-
-class TestRouting:
-    def test_query_routed_to_owning_cell(self, store_and_systems):
-        store, systems = store_and_systems
-        t = systems[0].sim.now - 5.0
-        answer = store.query(Query(0, QueryKind.NOW, 1, t, t, precision=0.8))
-        assert answer.answered
-        truth = systems[0].trace.values[1, systems[0].trace.epoch_of(t)]
-        assert answer.value == pytest.approx(truth, abs=1.5)
-
-    def test_global_to_local_translation(self, store_and_systems):
-        store, systems = store_and_systems
-        t = systems[1].sim.now - 5.0
-        answer = store.query(Query(1, QueryKind.NOW, 2, t, t, precision=0.8))
-        assert answer.answered
-        # global sensor 2 is local sensor 0 of cell b
-        truth = systems[1].trace.values[0, systems[1].trace.epoch_of(t)]
-        assert answer.value == pytest.approx(truth, abs=1.5)
-
-    def test_unroutable_sensor_fails(self, store_and_systems):
-        store, _ = store_and_systems
-        answer = store.query(Query(2, QueryKind.NOW, 99, 100.0, 100.0))
-        assert answer.source is AnswerSource.FAILED
-        assert store.unroutable_queries >= 1
-
-    def test_routing_latency_added(self, store_and_systems):
-        store, systems = store_and_systems
-        t = systems[0].sim.now - 5.0
-        answer = store.query(Query(3, QueryKind.NOW, 0, t, t, precision=0.8))
-        assert answer.latency_s > 0.002  # hop + proxy latency
-
-    def test_n_sensors(self, store_and_systems):
-        store, _ = store_and_systems
-        assert store.n_sensors == 4
-
-
-class TestFailover:
-    def test_wireless_failure_served_by_replica(self, store_and_systems):
-        store, systems = store_and_systems
-        store.plan_replication()
-        store.mark_proxy_down("proxy-b")
-        t = systems[1].sim.now - 5.0
-        answer = store.query(Query(4, QueryKind.NOW, 2, t, t, precision=0.8))
-        assert answer.answered
-        assert store.rerouted_queries >= 1
-        store.mark_proxy_up("proxy-b")
-
-    def test_total_failure_unanswerable(self):
-        store, systems = build_two_cells(duration_s=3 * 3600.0)
-        store.mark_proxy_down("proxy")
-        t = systems[0].sim.now - 5.0
-        answer = store.query(Query(5, QueryKind.NOW, 0, t, t, precision=0.8))
-        assert answer.source is AnswerSource.FAILED
-
-
-class _StubProxy:
-    """Deterministic proxy stand-in: fixed answer latency, real cache + sync."""
-
-    def __init__(self, name, n_sensors=2, latency_s=0.02):
-        self.name = name
-        self.n_sensors = n_sensors
-        self.cache = SummaryCache(64)
-        self.sync = TimeSyncProtocol()
-        self._latency = latency_s
-
-    def _key(self, sensor):
-        return f"{self.name}.s{sensor}"
-
-    def process_query(self, query):
-        return QueryAnswer(
-            query=query,
-            value=42.0,
-            source=AnswerSource.CACHE,
-            latency_s=self._latency,
-        )
-
-    def corrected_time(self, sensor, timestamp):
-        return self.sync.correct(self._key(sensor), timestamp)
-
-    def sensor_frame_time(self, sensor, timestamp):
-        return self.sync.project(self._key(sensor), timestamp)
-
-
-def build_stub_store():
-    """A wired + wireless stub pair with the wireless cell replicated."""
-    store = UnifiedStore(replication_factor=1)
-    wired = _StubProxy("proxy-a")
-    wireless = _StubProxy("proxy-b")
-    store.add_cell(ProxyCell(wired, 0, 1, wired=True, response_latency_s=0.01))
-    store.add_cell(ProxyCell(wireless, 2, 3, wired=False, response_latency_s=0.2))
-    store.plan_replication()
-    return store
-
-
-class TestFailoverPath:
-    def test_rerouted_latency_uses_replica_latency(self):
-        store = build_stub_store()
-
-        def now_query(qid):
-            return Query(qid, QueryKind.NOW, 2, 100.0, 100.0, precision=0.5)
-
-        up = store.query(now_query(0))
-        store.mark_proxy_down("proxy-b")
-        down = store.query(now_query(1))
-        assert up.answered and down.answered
-        assert store.rerouted_queries == 1
-        # identical routing and processing on both paths: the only latency
-        # difference is serving at the wired replica (0.01 s) instead of
-        # the wireless primary (0.2 s)
-        assert up.latency_s - down.latency_s == pytest.approx(0.2 - 0.01)
-
-    def test_unroutable_counted_when_no_replica_left(self):
-        store = build_stub_store()
-        store.mark_proxy_down("proxy-a")
-        store.mark_proxy_down("proxy-b")
-        before = store.unroutable_queries
-        answer = store.query(Query(2, QueryKind.NOW, 2, 100.0, 100.0))
-        assert answer.source is AnswerSource.FAILED
-        assert answer.value is None
-        assert store.unroutable_queries == before + 1
-        assert store.rerouted_queries == 0
+    return cells, systems
 
 
 #: per-(cell, local) clock offsets: local = true + offset
@@ -170,7 +35,7 @@ DRIFT_OFFSETS = {(0, 0): 5.0, (0, 1): 5.0, (1, 0): -5.0, (1, 1): -5.0}
 DRIFT_DETECTIONS = [(0, 0, 100.0), (1, 0, 103.0), (0, 1, 106.0), (1, 1, 109.0)]
 
 
-def build_drifted_store(sensor_stamped=True):
+def build_drifted_cells(sensor_stamped=True):
     """Two real proxies whose sensors report drifted local timestamps."""
     systems = []
     for seed, name in ((1, "proxy"), (2, "proxy-b")):
@@ -180,13 +45,10 @@ def build_drifted_store(sensor_stamped=True):
             sample_period_s=31.0, link=LinkConfig(loss_probability=0.0)
         )
         systems.append(PrestoSystem(trace, presto, seed=seed, proxy_name=name))
-    store = UnifiedStore(replication_factor=1)
-    store.add_cell(
-        ProxyCell(systems[0].proxy, 0, 1, wired=True, sensor_stamped=sensor_stamped)
-    )
-    store.add_cell(
-        ProxyCell(systems[1].proxy, 2, 3, wired=False, sensor_stamped=sensor_stamped)
-    )
+    cells = [
+        ProxyCell(systems[0].proxy, 0, sensor_stamped=sensor_stamped),
+        ProxyCell(systems[1].proxy, 2, sensor_stamped=sensor_stamped),
+    ]
     for (cell_index, local), offset in DRIFT_OFFSETS.items():
         proxy = systems[cell_index].proxy
         name = proxy.sensor_name(local)
@@ -201,7 +63,7 @@ def build_drifted_store(sensor_stamped=True):
                 timestamp=raw, value=20.0 + local, std=0.0, source=EntrySource.PUSHED
             ),
         )
-    return store
+    return cells
 
 
 class TestOrderedViewDriftCorrection:
@@ -215,24 +77,21 @@ class TestOrderedViewDriftCorrection:
         assert raw_cells != [cell for cell, _, _ in DRIFT_DETECTIONS]
 
     def test_corrected_merge_restores_true_order(self):
-        store = build_drifted_store()
-        view = store.ordered_view(0.0, 1000.0)
+        view = ordered_view(build_drifted_cells(), 0.0, 1000.0)
         assert [sensor for _, sensor, _ in view] == [0, 2, 1, 3]
         assert [t for t, _, _ in view] == pytest.approx([100.0, 103.0, 106.0, 109.0])
 
     def test_window_bounds_apply_in_the_corrected_frame(self):
         """A detection whose raw stamp lies outside [start, end] but whose
         corrected instant is inside must appear — and vice versa."""
-        store = build_drifted_store()
-        view = store.ordered_view(99.0, 104.0)
+        view = ordered_view(build_drifted_cells(), 99.0, 104.0)
         assert [(round(t), sensor) for t, sensor, _ in view] == [(100, 0), (103, 2)]
 
     def test_epoch_stamped_cells_never_corrected(self):
         """Default cells hold epoch-derived (proxy-frame) stamps: even with
         a non-identity sync fit, ordered_view must merge them as stored —
         correcting proxy-frame stamps would *introduce* clock error."""
-        store = build_drifted_store(sensor_stamped=False)
-        view = store.ordered_view(0.0, 1000.0)
+        view = ordered_view(build_drifted_cells(sensor_stamped=False), 0.0, 1000.0)
         raw = sorted(
             (true + DRIFT_OFFSETS[(cell, local)], 2 * cell + local)
             for cell, local, true in DRIFT_DETECTIONS
@@ -243,28 +102,16 @@ class TestOrderedViewDriftCorrection:
 
 
 class TestOrderedView:
-    def test_merged_view_is_time_ordered(self, store_and_systems):
-        store, systems = store_and_systems
-        view = store.ordered_view(0.0, systems[0].sim.now)
+    def test_merged_view_is_time_ordered(self, cells_and_systems):
+        cells, systems = cells_and_systems
+        view = ordered_view(cells, 0.0, systems[0].sim.now)
         assert len(view) > 0
         times = [t for t, _, _ in view]
         assert times == sorted(times)
 
-    def test_view_uses_global_ids(self, store_and_systems):
-        store, systems = store_and_systems
-        view = store.ordered_view(0.0, systems[0].sim.now)
+    def test_view_uses_global_ids(self, cells_and_systems):
+        cells, systems = cells_and_systems
+        view = ordered_view(cells, 0.0, systems[0].sim.now)
         sensors = {s for _, s, _ in view}
         assert sensors <= {0, 1, 2, 3}
         assert any(s >= 2 for s in sensors)  # cell b contributes
-
-    def test_duplicate_cell_rejected(self, store_and_systems):
-        store, systems = store_and_systems
-        with pytest.raises(ValueError):
-            store.add_cell(ProxyCell(systems[0].proxy, 10, 11))
-
-    def test_local_translation_bounds(self):
-        cell_proxy = type("P", (), {"name": "x"})()
-        cell = ProxyCell(cell_proxy, 4, 7)
-        assert cell.to_local(5) == 1
-        with pytest.raises(ValueError):
-            cell.to_local(3)

@@ -13,7 +13,14 @@ from repro.core import (
     partition_sensors,
 )
 from repro.core.continuous import ContinuousQuery, TriggerKind
-from repro.core.federation import HOP_LATENCY_S, FederatedCell, _CellPartition, _RoutingCore
+from repro.core.federation import (
+    HOP_LATENCY_S,
+    WIRED_LATENCY_S,
+    FederatedCell,
+    _CellPartition,
+    _RoutingCore,
+)
+from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.queries import AnswerSource, ground_truth
 from repro.core.system import SystemReport
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
@@ -288,22 +295,58 @@ class TestFailover:
         assert report.replica_hits > 0
         assert any(a.answered for a in post)
 
+    def test_failover_latency_is_the_wired_replicas(self, federated_run):
+        """A dead mesh owner's queries pay processing and the routing hops,
+        then the wired replica host's latency — not the owner's 0.25 s."""
+        system, report, kill_at = federated_run
+        assert not system.cell_for("proxy3").wired
+        dead = set(system.cell_for("proxy3").sensor_ids)
+        post = [
+            a
+            for a in report.answers
+            if a.query.sensor in dead and a.query.arrival_time > kill_at
+        ]
+        assert post
+        for answer in post:
+            hops = system._route[answer.query.sensor][1]
+            assert answer.latency_s == (
+                PROXY_PROCESSING_S + hops * HOP_LATENCY_S + WIRED_LATENCY_S
+            )
+
     def test_live_shards_unaffected(self, federated_run):
         system, report, kill_at = federated_run
         dead = set(system.cell_for("proxy3").sensor_ids)
         live = [a for a in report.answers if a.query.sensor not in dead]
         assert np.mean([a.answered for a in live]) > 0.95
 
-    def test_no_replication_means_dark_shard(self):
+    @pytest.mark.parametrize(
+        ("replication_factor", "owner", "with_replica_host"),
+        [(0, "proxy2", False), (1, "proxy0", False), (1, "proxy2", True)],
+        ids=["unreplicated-mesh-owner", "wired-owner", "mesh-owner-and-its-host"],
+    )
+    def test_no_replication_means_dark_shard(
+        self, replication_factor, owner, with_replica_host
+    ):
+        """No live replica, no answers: every query to a dead shard is
+        unroutable — whether nothing was replicated, the owner is wired
+        (nobody replicates wired proxies) or its one host died with it."""
         trace = make_trace(n_sensors=6, duration_s=0.3 * 86_400.0)
         system = FederatedSystem(
             trace,
             fast_config(),
             FederationConfig(
-                n_proxies=3, shard_policy="contiguous", replication_factor=0
+                n_proxies=3,
+                shard_policy="contiguous",
+                replication_factor=replication_factor,
             ),
             seed=3,
         )
+        killed = [owner]
+        if with_replica_host:
+            killed += system.replication_plan[owner]
+            assert len(killed) == 2
+        else:
+            assert not system.replication_plan.get(owner)
         workload = ShardedWorkloadGenerator(
             system.shards,
             QueryWorkloadConfig(arrival_rate_per_s=1 / 400.0),
@@ -311,9 +354,10 @@ class TestFailover:
         )
         queries = workload.generate(3600.0, trace.config.duration_s)
         kill_at = 0.5 * trace.config.duration_s
-        system.schedule_failure("proxy2", kill_at)
+        for name in killed:
+            system.schedule_failure(name, kill_at)
         report = system.run(queries=queries)
-        dead = set(system.cell_for("proxy2").sensor_ids)
+        dead = {s for name in killed for s in system.cell_for(name).sensor_ids}
         post = [
             a
             for a in report.answers

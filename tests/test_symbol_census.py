@@ -77,10 +77,6 @@ ALLOWLIST = {
     "src/repro/core/federation.py::FederatedSystem.recover_proxy": (
         "fail_proxy's inverse"
     ),
-    "src/repro/core/proxy.py::PrestoProxy.record_detection": (
-        "the one writer of sensor-stamped entries, which "
-        "UnifiedStore.ordered_view's per-entry clock frames exist to read"
-    ),
     # -- named for deletion, deferred ---------------------------------------
     "src/repro/core/continuous.py::ContinuousQueryEngine.notifications_for": DEFERRED,
     "src/repro/core/continuous.py::ContinuousQueryEngine.tightest_threshold_gap": DEFERRED,
