@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.queries import PAST_KINDS, QueryAnswer, ScoredAnswers, ground_truth
+from repro.core.queries import PAST_KINDS, QueryAnswer, ScoredAnswers, ground_truths
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.energy.duty_cycle import DutyCycleConfig, lpl_average_power
 from repro.energy.meter import EnergyMeter
@@ -128,7 +128,7 @@ class BaselineArchitecture:
             duration_s=duration_s,
             n_sensors=self.trace.n_sensors,
             answers=answers,
-            truths=[ground_truth(self.trace, answer.query) for answer in answers],
+            truths=ground_truths(self.trace, [answer.query for answer in answers]),
             sensor_energy_j=float(sum(m.total_j for m in self.meters)),
             per_sensor_energy_j=[m.total_j for m in self.meters],
             messages=self.messages,

@@ -47,8 +47,8 @@ from repro.core.cache import CacheSnapshot
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
 from repro.core.proxy import PROXY_PROCESSING_S
-from repro.core.push import ProxyModelTracker
-from repro.core.queries import AnswerSource, QueryAnswer, ground_truth
+from repro.core.push import ForecastTrajectory, ProxyModelTracker
+from repro.core.queries import AnswerSource, QueryAnswer, ground_truths
 from repro.core.system import CellBuilder, PrestoCell, SystemReport, fold
 from repro.index.directory import CacheDirectory
 from repro.index.skipgraph import SkipGraph
@@ -311,6 +311,10 @@ class _RoutingCore:
         self.replication_plan = self.directory.plan_fragment_placement(k, n)
         self._fragments = FragmentStore(k, n, self.replication_plan)
         self._coding = CodingCounters()
+        # Per sensor, the replica failover last forecast from and its
+        # trajectory.  Decoded generations are memoised, so reconstruct hands
+        # back the *same* replica object until a newer one supersedes it.
+        self._trajectories: dict[int, tuple[SensorReplica, ForecastTrajectory]] = {}
 
         # Ownership lookup: one skip-graph node per contiguous run of sensors
         # owned by the same proxy, so "who owns sensor s" is a floor search —
@@ -530,7 +534,7 @@ class _RoutingCore:
                 return None
             steps = int(round((query.arrival_time - last.timestamp) / period))
             if state.tracker is not None and steps >= 1:
-                value, std = state.tracker.forecast_value(steps)
+                value, std = self._trajectory(query.sensor, state).at(steps)
                 return value, max(std, last.std), AnswerSource.PREDICTION
             # No model replicated: serve the last synced value, widened by
             # its age (random-walk growth at the push tolerance scale).
@@ -561,6 +565,14 @@ class _RoutingCore:
         all_actual = bool(state.entries.actual_mask()[window].all())
         source = AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION
         return value, worst_std, source
+
+    def _trajectory(self, sensor: int, state: SensorReplica) -> ForecastTrajectory:
+        """The forecast of *state*'s frozen tracker, built once per replica."""
+        held = self._trajectories.get(sensor)
+        if held is None or held[0] is not state:
+            held = (state, ForecastTrajectory(state.tracker))
+            self._trajectories[sensor] = held
+        return held[1]
 
 
 class FederatedSystem(_RoutingCore):
@@ -809,14 +821,10 @@ class FederatedSystem(_RoutingCore):
         ``cell_reports`` is in cell order, merged from the partition
         results; the fold names the four ledger fields that do not add.
         """
-        # An out-of-range sensor (answered unroutable) has no truth to score.
-        n = self.trace.n_sensors
-        truths = [
-            ground_truth(self.trace, answer.query)
-            if 0 <= answer.query.sensor < n
-            else None
-            for answer in self._query_log
-        ]
+        # An out-of-range sensor (answered unroutable) scores against None.
+        truths = ground_truths(
+            self.trace, [answer.query for answer in self._query_log]
+        )
         failover_mean_error, failover_max_error = self._failover_errors(truths)
         by_category: dict[str, float] = {}
         for report in cell_reports:

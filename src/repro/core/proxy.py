@@ -102,7 +102,6 @@ class PrestoProxy:
         self.continuous = ContinuousQueryEngine()
         self.pull_stats = PullStats()
         self.queries_processed = 0
-        self.answers: list[QueryAnswer] = []
         self._operating_points: dict[int, SensorOperatingPoint] = {}
 
     # -- wiring ---------------------------------------------------------------
@@ -451,13 +450,10 @@ class PrestoProxy:
         self.matcher.observe_query(query)
         self.queries_processed += 1
         if query.kind is QueryKind.NOW:
-            answer = self._answer_now(query)
-        elif query.kind is QueryKind.PAST_POINT:
-            answer = self._answer_past_point(query)
-        else:
-            answer = self._answer_past_window(query)
-        self.answers.append(answer)
-        return answer
+            return self._answer_now(query)
+        if query.kind is QueryKind.PAST_POINT:
+            return self._answer_past_point(query)
+        return self._answer_past_window(query)
 
     def _confidence_ok(self, std: float, precision: float) -> bool:
         return std * CONFIDENCE_Z <= precision
@@ -716,12 +712,3 @@ class PrestoProxy:
         """
         snapshot = self.cache.tail_snapshot(sensor, max_entries)
         return snapshot, self._states[sensor].tracker
-
-    # -- stats ------------------------------------------------------------------
-
-    def answer_mix(self) -> dict[str, int]:
-        """Histogram of answer sources so far."""
-        mix: dict[str, int] = {}
-        for answer in self.answers:
-            mix[answer.source.value] = mix.get(answer.source.value, 0) + 1
-        return mix

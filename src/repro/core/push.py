@@ -135,34 +135,40 @@ class ProxyModelTracker:
         """One-step uncertainty of a substitution (model residual std)."""
         return self._model.residual_std
 
-    def forecast_std(self, steps: int) -> float:
-        """Uncertainty *steps* epochs past the last known state."""
-        if steps <= 1:
-            return self.predicted_std()
-        try:
-            forecast = self._model.forecast(steps)
-            return float(forecast.std[-1])
-        except (RuntimeError, ValueError):
-            return self.predicted_std() * (steps ** 0.5)
 
-    def forecast_value(self, steps: int) -> tuple[float, float]:
-        """Mean and std *steps* epochs past the last known state.
+class ForecastTrajectory:
+    """The forecast of a frozen replicated tracker, computed once and read many times.
 
-        Used by wired replicas answering for a failed wireless proxy: the
-        replicated model extrapolates from its last synchronised state
-        without touching the tracker (the copy must stay frozen at sync
-        time for repeated queries to agree).
-        """
+    Used by wired replicas answering for a failed wireless proxy: the
+    replicated model extrapolates from its last synchronised state without
+    touching the tracker, so every query against one replica reads the same
+    forecast, just further along.  Every model family's forecast is
+    prefix-stable (``forecast(n)[:s]`` is ``forecast(s)`` bit for bit: the
+    recursions run step by step and the variance sums are sequential), so
+    :meth:`at` answers from one stored forecast and recomputes only when a
+    query reaches past it, at least doubling its length.
+    """
+
+    def __init__(self, tracker: ProxyModelTracker) -> None:
+        self._tracker = tracker
+        self._mean: list[float] = []
+        self._std: list[float] = []
+
+    def at(self, steps: int) -> tuple[float, float]:
+        """Mean and std *steps* epochs past the replica's last known state."""
         if steps < 1:
             raise ValueError(f"need >= 1 forecast step, got {steps}")
-        try:
-            forecast = self._model.forecast(steps)
-            return float(forecast.mean[-1]), float(forecast.std[-1])
-        except (RuntimeError, ValueError):
-            return (
-                float(self._model.predict_next()),
-                self.predicted_std() * (steps ** 0.5),
-            )
+        if steps > len(self._mean):
+            model = self._tracker._model
+            try:
+                forecast = model.forecast(max(steps, 2 * len(self._mean)))
+            except (RuntimeError, ValueError):
+                return (
+                    float(model.predict_next()),
+                    self._tracker.predicted_std() * (steps ** 0.5),
+                )
+            self._mean, self._std = forecast.mean.tolist(), forecast.std.tolist()
+        return self._mean[steps - 1], self._std[steps - 1]
 
 
 def verify_replicas_in_sync(

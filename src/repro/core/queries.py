@@ -7,7 +7,7 @@ answer cost in latency and sensor energy.  Provenance is central to the
 paper's evaluation story: the architecture wins when most answers come from
 ``CACHE`` or ``PREDICTION`` instead of ``SENSOR_PULL``.
 
-It is also the one place an answer log is scored: :func:`ground_truth` is
+It is also the one place an answer log is scored: :func:`ground_truths` is
 what every architecture's answers are compared against, and
 :class:`ScoredAnswers` — the base of PRESTO's ``SystemReport`` and the
 baselines' ``BaselineReport`` — holds the one definition of "answered
@@ -17,6 +17,7 @@ within precision and latency", so Table 1's rows share their columns.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,37 +79,70 @@ class QueryAnswer:
 
 
 def ground_truth(trace: TraceSet, query: Query) -> float | None:
-    """Ground-truth answer for *query* against *trace*.
+    """Ground-truth answer for one *query* against *trace* (see :func:`ground_truths`)."""
+    return ground_truths(trace, [query])[0]
 
-    Window queries slice the value matrix by a searchsorted index range
-    (O(log n) per query, inclusive on both ends) instead of recomputing a
-    boolean mask over the full timestamp array.
+
+def ground_truths(trace: TraceSet, queries: Sequence[Query]) -> list[float | None]:
+    """Ground-truth answers for a whole log of *queries* against *trace*.
+
+    A point query (NOW at its arrival, PAST_POINT at its target, clipped to
+    the trace's last timestamp) reads the epoch containing that instant; all
+    of them are located by one ``searchsorted`` and read by one fancy index.
+    A window query aggregates the readings with ``target <= t <= target +
+    window`` that the trace did not drop; all window bounds are located by
+    one ``searchsorted`` per side.  ``None`` where there is nothing to
+    compare against: a dropped reading, an empty window, or a sensor the
+    trace does not have.
     """
-    if query.kind in (QueryKind.NOW, QueryKind.PAST_POINT):
-        target = (
-            query.arrival_time if query.kind is QueryKind.NOW else query.target_time
-        )
-        epoch = trace.epoch_of(min(target, trace.timestamps[-1]))
-        value = trace.values[query.sensor, epoch]
-        return None if np.isnan(value) else float(value)
-    start = query.target_time
-    end = start + query.window_s
-    window = trace.values[query.sensor, trace.window_slice(start, end)]
-    window = window[~np.isnan(window)]
-    if window.size == 0:
-        return None
-    if query.aggregate == "mean":
-        return float(np.mean(window))
-    if query.aggregate == "min":
-        return float(np.min(window))
-    return float(np.max(window))
+    truths: list[float | None] = [None] * len(queries)
+    points: list[int] = []
+    targets: list[float] = []
+    windows: list[int] = []
+    for i, query in enumerate(queries):
+        if not 0 <= query.sensor < trace.n_sensors:
+            continue
+        if query.kind is QueryKind.NOW:
+            points.append(i)
+            targets.append(query.arrival_time)
+        elif query.kind is QueryKind.PAST_POINT:
+            points.append(i)
+            targets.append(query.target_time)
+        else:
+            windows.append(i)
+    timestamps = trace.timestamps
+    if points:
+        clipped = np.minimum(targets, timestamps[-1])
+        epochs = np.searchsorted(timestamps, clipped, side="right") - 1
+        np.clip(epochs, 0, trace.n_epochs - 1, out=epochs)
+        sensors = [queries[i].sensor for i in points]
+        for i, value in zip(points, trace.values[sensors, epochs].tolist()):
+            truths[i] = None if value != value else value  # NaN: a dropped reading
+    if windows:
+        starts = np.array([queries[i].target_time for i in windows])
+        ends = starts + np.array([queries[i].window_s for i in windows])
+        lows = np.searchsorted(timestamps, starts, side="left").tolist()
+        highs = np.searchsorted(timestamps, ends, side="right").tolist()
+        for i, low, high in zip(windows, lows, highs):
+            query = queries[i]
+            window = trace.values[query.sensor, low:high]
+            window = window[~np.isnan(window)]
+            if window.size == 0:
+                continue
+            if query.aggregate == "mean":
+                truths[i] = float(np.mean(window))
+            elif query.aggregate == "min":
+                truths[i] = float(np.min(window))
+            else:
+                truths[i] = float(np.max(window))
+    return truths
 
 
 @dataclass
 class ScoredAnswers:
     """One run's answer log beside its ground truth, and how it is scored.
 
-    ``truths[i]`` is :func:`ground_truth` of ``answers[i].query`` (``None``
+    ``truths[i]`` is the ground truth of ``answers[i].query`` (``None``
     where the trace has nothing to compare against).  An empty selection is
     no evidence, and must not read as a perfect score in a table: the
     fractions are NaN on it, the means 0.0.

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.config import PrestoConfig
 from repro.core.proxy import PrestoProxy
-from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truth
+from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truths
 from repro.core.sensor import PrestoSensor
 from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
@@ -351,7 +351,7 @@ class PrestoCell:
             duration_s=horizon,
             n_sensors=len(self.sensors),
             answers=list(answers),
-            truths=[ground_truth(self.trace, answer.query) for answer in answers],
+            truths=ground_truths(self.trace, [answer.query for answer in answers]),
             sensor_energy_j=fleet.total_j,
             sensor_energy_by_category=fleet.snapshot().by_category,
             proxy_energy_j=self.proxy_meter.total_j,

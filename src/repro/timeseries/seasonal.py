@@ -48,7 +48,6 @@ class SeasonalProfileModel(TimeSeriesModel):
         self._trend_per_s: float = 0.0
         self._intercept: float = 0.0
         self._residual_std: float = 0.0
-        self._train_end_time: float = 0.0
         self._clock: float = 0.0
 
     # -- fitting -----------------------------------------------------------
@@ -88,8 +87,7 @@ class SeasonalProfileModel(TimeSeriesModel):
         predictions = self._predict_at(timestamps)
         residuals = values - predictions
         self._residual_std = float(np.std(residuals))
-        self._train_end_time = float(timestamps[-1])
-        self._clock = self._train_end_time
+        self._clock = float(timestamps[-1])
         return self
 
     def _fit_trend(
@@ -137,13 +135,19 @@ class SeasonalProfileModel(TimeSeriesModel):
         return float(self._predict_at(np.asarray([timestamp], dtype=np.float64))[0])
 
     def forecast(self, steps: int) -> Forecast:
-        """Forecast the *steps* epochs after the training window."""
+        """Forecast the *steps* epochs from the model's clock on.
+
+        The first step is the instant :meth:`predict_next` targets: right
+        after :meth:`fit` that is the epoch after the training window, and
+        :meth:`align_to_time` / :meth:`observe` move it like they move the
+        one-step prediction.
+        """
         if self._profile is None:
             raise RuntimeError("model not fitted")
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         times = (
-            self._train_end_time
+            self._clock
             + (np.arange(steps, dtype=np.float64) + 1.0) * self.sample_period_s
         )
         mean = self._predict_at(times)

@@ -149,8 +149,3 @@ class TestModelUpdate:
         for _ in range(20):
             checker.process(x[-1] + 3.0)
         assert model.predict_next() == pytest.approx(before)
-
-    def test_forecast_std_grows(self):
-        model, _ = fitted_model()
-        tracker = ProxyModelTracker(ModelUpdate(model=model, delta=0.5))
-        assert tracker.forecast_std(100) > tracker.forecast_std(1)

@@ -21,7 +21,7 @@ from repro.core.federation import (
     _RoutingCore,
 )
 from repro.core.proxy import PROXY_PROCESSING_S
-from repro.core.queries import AnswerSource, ground_truth
+from repro.core.queries import AnswerSource, ground_truths
 from repro.core.system import SystemReport
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
@@ -403,15 +403,16 @@ class TestFederatedReport:
         }
 
     def test_each_query_is_logged_and_scored_once(self, monkeypatch):
-        """The routing core owns the one log; cells carry ledgers only."""
+        """The routing core owns the one log and scores it in one batch;
+        cells carry ledgers only."""
         calls = []
 
-        def counting(trace, query):
-            calls.append(query)
-            return ground_truth(trace, query)
+        def counting(trace, queries):
+            calls.append(list(queries))
+            return ground_truths(trace, queries)
 
         for module in ("federation", "system"):
-            monkeypatch.setattr(f"repro.core.{module}.ground_truth", counting)
+            monkeypatch.setattr(f"repro.core.{module}.ground_truths", counting)
         trace = make_trace(n_sensors=4, duration_s=4 * 3600.0)
         system = FederatedSystem(
             trace, fast_config(), FederationConfig(n_proxies=2), seed=3
@@ -423,7 +424,9 @@ class TestFederatedReport:
         )
         report = system.run(queries=workload.generate(3600.0, trace.config.duration_s))
         assert len(report.answers) > 10
-        assert len(calls) == len(report.answers) == len(report.truths)
+        scored = [queries for queries in calls if queries]
+        assert scored == [[answer.query for answer in report.answers]]
+        assert len(report.truths) == len(report.answers)
         assert all(not cell.answers and not cell.truths for cell in report.cell_reports)
 
     def test_per_sensor_energy_in_global_order(self, federated_run):

@@ -92,6 +92,9 @@ def test_arima_overrides_the_default_step():
 
 
 def fitted_family(family: str, rng: np.random.Generator) -> tuple[TimeSeriesModel, float]:
+    if family == "arima":
+        x = random_walk(rng, 400)
+        return ARIMAModel(order=(2, 1, 1)).fit(x), float(x[-1])
     if family == "ar":
         x = random_walk(rng, 400)
         return ARModel(order=3).fit(x), float(x[-1])
@@ -117,3 +120,32 @@ def test_default_step_matches_predict_then_observe(family):
     model, start = fitted_family(family, rng)
     assert type(model).step is TimeSeriesModel.step
     drive_in_lockstep(model, start, rng, steps=150)
+
+
+FAMILIES = ["arima", "ar", "seasonal", "sarima", "markov"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_forecast_starts_where_predict_next_does(family):
+    """After activation and a few epochs, the first forecast step is the
+    one-step prediction: a failover forecast extrapolates from the
+    replica's clock, not from the end of its training window."""
+    rng = np.random.default_rng(91)
+    model, start = fitted_family(family, rng)
+    model.align_to_time(3 * 3600.0 + 600 * model.sample_period_s)
+    for value in start + np.cumsum(rng.normal(0.0, 0.1, 5)):
+        model.observe(float(value))
+    assert model.forecast(1).mean[0] == model.predict_next()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_forecast_is_prefix_stable(family):
+    """``forecast(n)[:s]`` is ``forecast(s)`` bit for bit — what lets a
+    failover trajectory answer every step count from one forecast."""
+    rng = np.random.default_rng(92)
+    model, _ = fitted_family(family, rng)
+    long = model.forecast(300)
+    for steps in (1, 2, 7, 64, 299):
+        short = model.forecast(steps)
+        assert long.mean[:steps].tobytes() == short.mean.tobytes()
+        assert long.std[:steps].tobytes() == short.std.tobytes()

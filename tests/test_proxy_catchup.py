@@ -171,8 +171,8 @@ def test_trackers_and_answers_match(drives):
         assert ours.last_epoch == theirs.last_epoch
         assert ours.push_losses_detected == theirs.push_losses_detected
         assert pickle.dumps(ours.tracker._model) == pickle.dumps(theirs.tracker._model)
-    assert [(a.value, a.source) for a in batched.proxy.answers] == [
-        (a.value, a.source) for a in reference.proxy.answers
+    assert [(a.value, a.source) for a in batched.report.answers] == [
+        (a.value, a.source) for a in reference.report.answers
     ]
 
 

@@ -3,11 +3,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_scoring import ground_truth as per_query_truth
 
 from repro.baselines import BaselineReport
-from repro.core.queries import PAST_KINDS, AnswerSource, QueryAnswer
+from repro.core.queries import PAST_KINDS, AnswerSource, QueryAnswer, ground_truth, ground_truths
 from repro.core.system import SystemReport
+from repro.traces.intel_lab import IntelLabConfig, TraceSet
 from repro.traces.workload import Query, QueryKind
 
 
@@ -142,3 +147,82 @@ class TestOneScoringRule:
             assert math.isnan(report.answered_fraction)
             assert report.mean_latency_s == report.p95_latency_s == report.mean_error == 0.0
             assert report.errors() == [] and report.answer_mix() == {}
+
+
+EPOCH_S = 31.0
+
+
+@st.composite
+def trace_and_log(draw):
+    """A small trace with dropped readings and a log of every query kind:
+    targets before its start and past its end, sensors it does not have."""
+    n_sensors = draw(st.integers(1, 4))
+    n_epochs = draw(st.integers(1, 60))
+    start = draw(st.sampled_from([0.0, 7.5, 1000.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = rng.normal(20.0, 3.0, (n_sensors, n_epochs))
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = np.nan
+    trace = TraceSet(
+        timestamps=start + np.arange(n_epochs) * EPOCH_S,
+        values=values,
+        config=IntelLabConfig(
+            n_sensors=n_sensors, duration_s=n_epochs * EPOCH_S, epoch_s=EPOCH_S
+        ),
+    )
+    end = start + n_epochs * EPOCH_S
+    instant = st.floats(start - 200.0, end + 200.0, allow_nan=False) | st.sampled_from(
+        [start, end - EPOCH_S, start + 3 * EPOCH_S]
+    )
+    query = st.builds(
+        Query,
+        query_id=st.just(0),
+        kind=st.sampled_from(QueryKind),
+        sensor=st.integers(-2, n_sensors + 1),
+        arrival_time=instant,
+        target_time=instant,
+        window_s=st.floats(1.0, 40 * EPOCH_S) | st.sampled_from([EPOCH_S, 10 * EPOCH_S]),
+        aggregate=st.sampled_from(["mean", "min", "max"]),
+    )
+    return trace, draw(st.lists(query, max_size=40))
+
+
+class TestGroundTruths:
+    """One pass over a log scores it exactly as one call per query did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace_and_log())
+    def test_batch_equals_per_query_rule(self, drawn):
+        trace, queries = drawn
+        expected = [per_query_truth(trace, query) for query in queries]
+        batch = ground_truths(trace, queries)
+        single = [ground_truth(trace, query) for query in queries]
+        for truths in (batch, single):
+            assert [type(t) for t in truths] == [type(t) for t in expected]
+            assert [np.float64(t).tobytes() for t in truths if t is not None] == [
+                np.float64(t).tobytes() for t in expected if t is not None
+            ]
+
+    def test_none_where_nothing_compares(self):
+        values = np.array([[np.nan, 21.0, np.nan]])
+        trace = TraceSet(
+            timestamps=np.arange(3) * EPOCH_S,
+            values=values,
+            config=IntelLabConfig(n_sensors=1, duration_s=3 * EPOCH_S, epoch_s=EPOCH_S),
+        )
+
+        def query(kind, sensor=0, at=0.0, window_s=0.0):
+            return Query(
+                query_id=0, kind=kind, sensor=sensor, arrival_time=at,
+                target_time=at, window_s=window_s,
+            )
+
+        assert ground_truths(trace, [
+            query(QueryKind.NOW, at=-50.0),                    # before start: epoch 0, dropped
+            query(QueryKind.PAST_POINT, at=40.0),
+            query(QueryKind.NOW, at=500.0),                    # past the end: last, dropped
+            query(QueryKind.PAST_RANGE, at=70.0, window_s=5.0),  # only a dropped reading
+            query(QueryKind.PAST_AGG, at=0.0, window_s=62.0),
+            query(QueryKind.NOW, sensor=1),                    # no such sensor
+            query(QueryKind.PAST_RANGE, sensor=-1, window_s=5.0),
+        ]) == [None, 21.0, None, None, 21.0, None, None]
+        assert ground_truths(trace, []) == []

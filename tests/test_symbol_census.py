@@ -81,7 +81,6 @@ ALLOWLIST = {
     "src/repro/core/continuous.py::ContinuousQueryEngine.notifications_for": DEFERRED,
     "src/repro/core/continuous.py::ContinuousQueryEngine.tightest_threshold_gap": DEFERRED,
     "src/repro/coding/gf256.py::gf_div": DEFERRED,
-    "src/repro/core/push.py::ProxyModelTracker.forecast_std": DEFERRED,
     "src/repro/energy/duty_cycle.py::listening_energy": DEFERRED,
     "src/repro/energy/lifetime.py::LifetimeEstimate": DEFERRED,
     "src/repro/energy/lifetime.py::lifetime_gain": DEFERRED,
