@@ -483,12 +483,13 @@ _MUTATOR_METHODS = {
 class WorkerSharedState(Rule):
     """Module-level mutable globals written from inside functions.
 
-    Functions that run in ``ProcessPoolExecutor`` workers see a *copy* of
-    module state; writing a module global from a function therefore works
+    Functions that run in process-pool workers see a *copy* of module
+    state; writing a module global from a function therefore works
     serially and silently diverges under ``--jobs N``.  The one sanctioned
     pattern is a per-worker registry named ``*_POOL_STATE`` populated only
     by the pool initializer (``*_pool_init``) — each worker fills its own
-    copy before tasks run, so serial and parallel rows stay identical.
+    copy before tasks run, so serial and parallel rows stay identical
+    (``repro.simulation.pool`` holds the one such registry).
     """
 
     id = "worker-shared-state"

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.radio.link import LinkConfig
+from repro.simulation.pool import resolve_workers
 from repro.storage.offload import STORAGE_POLICIES
 
 
@@ -125,9 +126,12 @@ class FederationConfig:
     # for the whole horizon on a private kernel; ``0`` means one partition
     # per CPU core (capped at ``n_proxies``).  Reports are identical at
     # every count.  ``partition_backend`` picks how partitions execute:
-    # ``process`` (``ProcessPoolExecutor``, one task per partition; a
-    # single partition needs no pool and runs in-process) or ``inline``
-    # (always in-process, one after another).
+    # ``process`` (one task per partition on a process pool of up to one
+    # worker per core, :func:`repro.simulation.pool.map_tasks`; a single
+    # partition or core runs in-process) or ``inline`` (always in-process,
+    # one after another).  Both run the same task function, so a failing
+    # partition fails the run the same way on either; a pool that cannot
+    # start fails it too, with no serial fallback.
     partitions: int = 1
     partition_backend: str = "process"
 
@@ -197,8 +201,4 @@ class FederationConfig:
         ``partitions=0`` resolves to one partition per CPU core; either way
         the count is capped at ``n_proxies`` so no partition is ever empty.
         """
-        if self.partitions == 0:
-            import os
-
-            return max(1, min(os.cpu_count() or 1, self.n_proxies))
-        return min(self.partitions, self.n_proxies)
+        return min(resolve_workers(self.partitions), self.n_proxies)

@@ -14,8 +14,9 @@ as one harness:
   partitions** (``1`` by default, ``0`` for one per core): each partition
   runs its block of cells on a private kernel for the whole horizon —
   queries pre-routed to it, the fault timeline replayed on its own
-  directory copy — one after another in-process or across a
-  ``ProcessPoolExecutor``, and the coordinator merges their results;
+  directory copy — one after another in-process or across a process pool
+  (:func:`~repro.simulation.pool.map_tasks`), and the coordinator merges
+  their results;
 * query routing resolves the owning proxy through a skip graph over
   contiguous ownership runs (O(log P) hops, counted and charged as routing
   latency — the walk itself is taken once per sensor, at construction,
@@ -34,10 +35,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import os
-import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +53,7 @@ from repro.radio.link import LinkConfig
 from repro.serving.config import ServingConfig, ServingReport
 from repro.serving.frontend import BackendSegments, ServingFrontend
 from repro.simulation.kernel import Simulator
+from repro.simulation.pool import map_tasks, resolve_workers
 from repro.simulation.process import PeriodicTask
 from repro.simulation.randomness import RandomStreams
 from repro.sync.clock import ClockModel
@@ -785,11 +783,10 @@ class FederatedSystem(_RoutingCore):
             routed[part].append((rank, query))
         context = self._context(horizon)
         tasks = [(p, cell_ids, routed[p]) for p, cell_ids in enumerate(self._assign)]
-        results: list[_PartitionResult] | None = None
-        if k > 1 and self.federation.partition_backend == "process":
-            results = self._run_process(context, tasks)
-        if results is None:
-            results = [_run_partition(context, *task) for task in tasks]
+        # One worker per core at most; the context (trace included) ships
+        # to each worker once, each task only its cell ids and queries.
+        workers = resolve_workers(0) if self.federation.partition_backend == "process" else 1
+        results = map_tasks(_run_partition, context, tasks, workers)
         return self._attach_serving(self._merge_partitions(horizon, results), horizon)
 
     def _failover_errors(
@@ -884,42 +881,6 @@ class FederatedSystem(_RoutingCore):
         )
 
     # -- partitioned execution ------------------------------------------------------
-
-    def _run_process(
-        self,
-        context: _PartitionContext,
-        tasks: list[tuple[int, list[int], list[tuple[int, Query]]]],
-    ) -> list[_PartitionResult] | None:
-        """Process-pool backend: one whole-horizon task per partition.
-
-        The shared context (trace included) ships once per worker via the
-        pool initializer; each task carries only its cell ids and
-        pre-routed queries.  A partition that raises fails the run (see
-        :func:`_run_partition`); only a pool that breaks before delivering
-        any result — it could not start — returns ``None``, and the caller
-        runs the partitions serially instead (same results, more
-        wall-clock).
-        """
-        results: dict[int, _PartitionResult] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(len(tasks), os.cpu_count() or 1),
-                initializer=_partition_pool_init,
-                initargs=(context,),
-            ) as pool:
-                futures = {pool.submit(_partition_pool_run, task): task[0] for task in tasks}
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-        except (OSError, BrokenProcessPool) as error:
-            if results:
-                raise
-            print(
-                f"partition pool could not start ({error!r}); "
-                f"running {len(tasks)} partitions serially",
-                file=sys.stderr,
-            )
-            return None
-        return [results[index] for index in range(len(tasks))]
 
     def _merge_partitions(
         self, horizon: float, results: list[_PartitionResult]
@@ -1048,8 +1009,9 @@ class FederatedSystem(_RoutingCore):
 class _PartitionContext:
     """Everything a partition needs besides its own cell ids and queries.
 
-    Shipped once per pool worker (the trace dominates the payload, exactly
-    like PR 6's campaign pool) and shared read-only by serial execution.
+    The shared state of :func:`~repro.simulation.pool.map_tasks`: shipped
+    once per pool worker (the trace dominates the payload) and shared
+    read-only by in-process execution.
     """
 
     trace: TraceSet
@@ -1230,15 +1192,15 @@ class _CellPartition(_RoutingCore):
 
 def _run_partition(
     context: _PartitionContext,
-    index: int,
-    cell_ids: list[int],
-    queries: list[tuple[int, Query]],
+    task: tuple[int, list[int], list[tuple[int, Query]]],
 ) -> _PartitionResult:
     """One partition's whole life — the function every backend executes.
 
-    Any failure inside it is re-raised naming the partition, so a crash
+    *task* is ``(partition index, cell ids, pre-routed queries)``.  Any
+    failure inside it is re-raised naming the partition, so a crash
     surfaces from :meth:`FederatedSystem.run` instead of being retried.
     """
+    index, cell_ids, queries = task
     try:
         partition = _CellPartition(context, cell_ids, queries)
         partition.setup()
@@ -1248,17 +1210,3 @@ def _run_partition(
         raise RuntimeError(
             f"partition {index} (cells {cell_ids}) failed: {error!r}"
         ) from error
-
-
-#: per-worker shared context for the process backend (set by the initializer)
-_PARTITION_POOL_STATE: dict[str, _PartitionContext] = {}
-
-
-def _partition_pool_init(context: _PartitionContext) -> None:
-    _PARTITION_POOL_STATE["context"] = context
-
-
-def _partition_pool_run(
-    task: tuple[int, list[int], list[tuple[int, Query]]],
-) -> _PartitionResult:
-    return _run_partition(_PARTITION_POOL_STATE["context"], *task)

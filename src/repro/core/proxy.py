@@ -12,6 +12,7 @@ grace period so an in-flight push is not preempted by a silent advance).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,32 +460,56 @@ class PrestoProxy:
         return std * CONFIDENCE_Z <= precision
 
     def _answer_now(self, query: Query) -> QueryAnswer:
+        self.advance_to_now(query.sensor)
+        return self._answer_point(
+            query,
+            query.arrival_time,
+            lambda estimate: self._pull_now(query, fallback=estimate),
+        )
+
+    def _answer_past_point(self, query: Query) -> QueryAnswer:
         sensor = query.sensor
-        self.advance_to_now(sensor)
+        target = min(query.target_time, self.sim.now)
+        if target > self.epoch_time(self._states[sensor].last_epoch):
+            self.advance_to_now(sensor)
         period = self.config.sample_period_s
-        entry = self.cache.entry_at(sensor, query.arrival_time, tolerance_s=period)
-        if entry is not None and entry.is_actual:
+        return self._answer_point(
+            query,
+            target,
+            lambda estimate: self._pull_past(
+                query, target - period, target + period, fallback=estimate
+            ),
+        )
+
+    def _answer_point(
+        self,
+        query: Query,
+        target: float,
+        pull: Callable[[tuple[Estimate, str] | None], QueryAnswer],
+    ) -> QueryAnswer:
+        """Answer the reading at *target*: an actual cache entry, else a
+        confident cached prediction, else a confident model estimate, else
+        *pull*, which is handed the estimate to degrade to."""
+        sensor = query.sensor
+        entry = self.cache.entry_at(
+            sensor, target, tolerance_s=self.config.sample_period_s
+        )
+        if entry is not None and (
+            entry.is_actual or self._confidence_ok(entry.std, query.precision)
+        ):
             return QueryAnswer(
                 query=query,
                 value=entry.value,
-                source=AnswerSource.CACHE,
+                source=AnswerSource.CACHE if entry.is_actual else AnswerSource.PREDICTION,
                 latency_s=PROXY_PROCESSING_S,
                 believed_std=entry.std,
             )
-        if entry is not None and self._confidence_ok(entry.std, query.precision):
-            return QueryAnswer(
-                query=query,
-                value=entry.value,
-                source=AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S,
-                believed_std=entry.std,
-            )
-        estimate = self.engine.best_estimate(sensor, query.arrival_time, self.cache)
+        estimate = self.engine.best_estimate(sensor, target, self.cache)
         if estimate is not None and self._confidence_ok(
             estimate[0].std, query.precision
         ):
             return self._answer_from_estimate(query, estimate)
-        return self._pull_now(query, fallback=estimate)
+        return pull(estimate)
 
     def _answer_from_estimate(
         self, query: Query, estimate: tuple[Estimate, str]
@@ -499,45 +524,6 @@ class PrestoProxy:
             source=source,
             latency_s=PROXY_PROCESSING_S,
             believed_std=value.std,
-        )
-
-    def _answer_past_point(self, query: Query) -> QueryAnswer:
-        sensor = query.sensor
-        target = min(query.target_time, self.sim.now)
-        state = self._states[sensor]
-        if target <= self.epoch_time(state.last_epoch):
-            entry = self.cache.entry_at(
-                sensor, target, tolerance_s=self.config.sample_period_s
-            )
-        else:
-            self.advance_to_now(sensor)
-            entry = self.cache.entry_at(
-                sensor, target, tolerance_s=self.config.sample_period_s
-            )
-        if entry is not None and entry.is_actual:
-            return QueryAnswer(
-                query=query,
-                value=entry.value,
-                source=AnswerSource.CACHE,
-                latency_s=PROXY_PROCESSING_S,
-                believed_std=entry.std,
-            )
-        if entry is not None and self._confidence_ok(entry.std, query.precision):
-            return QueryAnswer(
-                query=query,
-                value=entry.value,
-                source=AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S,
-                believed_std=entry.std,
-            )
-        estimate = self.engine.best_estimate(sensor, target, self.cache)
-        if estimate is not None and self._confidence_ok(
-            estimate[0].std, query.precision
-        ):
-            return self._answer_from_estimate(query, estimate)
-        period = self.config.sample_period_s
-        return self._pull_past(
-            query, target - period, target + period, fallback=estimate
         )
 
     def _answer_past_window(self, query: Query) -> QueryAnswer:

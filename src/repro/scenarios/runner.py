@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +44,7 @@ from repro.core.system import SystemReport
 from repro.radio.link import LinkConfig
 from repro.scenarios.spec import SWEEP_TABLE, ScenarioSpec, StandingQuerySpec
 from repro.serving import ServingConfig
+from repro.simulation.pool import map_tasks, resolve_workers
 from repro.simulation.randomness import seeded_rng
 from repro.sync.clock import ClockModel
 from repro.traces.events import (
@@ -90,17 +89,10 @@ class CampaignConfig:
     harnesses: tuple[str, ...] = HARNESSES
     n_proxies: int = 3
     replication_factor: int = 1
-    #: worker processes for :meth:`CampaignRunner.run` — ``None``/``1``
-    #: run serially in-process, ``0`` means one worker per CPU core, and
-    #: ``N > 1`` pins the pool size.  Variant rows are byte-identical
-    #: whatever the value (see :meth:`CampaignRunner.variant_seed`).
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_sensors < 1:
             raise ValueError("need >= 1 sensor")
-        if self.jobs is not None and self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (0 = all cores), got {self.jobs}")
         if self.duration_days <= 0:
             raise ValueError("duration must be positive")
         if not self.harnesses or any(h not in HARNESSES for h in self.harnesses):
@@ -339,9 +331,6 @@ class CampaignReport:
     jobs: int = 1
     #: end-to-end campaign wall clock (set by :meth:`CampaignRunner.run`)
     wall_clock_s: float = 0.0
-    #: why a requested process pool was not used (it could not start and
-    #: the variants ran serially instead); empty when execution went as asked
-    pool_fallback: str = ""
 
     @property
     def variant_wall_clock_s(self) -> float:
@@ -584,28 +573,31 @@ class _WorkItem:
         return f"{self.spec.name}/{self.harness}{suffix}"
 
 
-#: per-worker state installed by :func:`_pool_init` (config + traces ride
-#: to each worker once, at pool start, not once per variant)
-_POOL_STATE: dict = {}
+def _run_variant(
+    shared: tuple[CampaignRunner, list], item: _WorkItem
+) -> ScenarioResult:
+    """One variant of a campaign — the function every ``--jobs`` executes.
 
-
-def _pool_init(config: CampaignConfig, prepared: list) -> None:
-    """Process-pool initializer: build this worker's runner once."""
-    _POOL_STATE["runner"] = CampaignRunner(config)
-    _POOL_STATE["prepared"] = prepared
-
-
-def _pool_run(item: _WorkItem) -> tuple[int, "ScenarioResult"]:
-    """Execute one work item inside a pool worker."""
-    runner: CampaignRunner = _POOL_STATE["runner"]
-    result = runner.run_one(
-        item.spec,
-        item.harness,
-        item.duty_cycle_point,
-        sweep_point=item.sweep_point,
-        _prepared=_POOL_STATE["prepared"][item.scenario_index],
-    )
-    return item.index, result
+    *shared* is the runner and its prepared-trace table (one entry per
+    scenario).  A failure names the variant and keeps its meaning at every
+    worker count: a ``ValueError`` (an invalid spec) stays one, so the CLI
+    reports it as bad input, and anything else is a ``RuntimeError``.
+    """
+    runner, prepared = shared
+    try:
+        return runner.run_one(
+            item.spec,
+            item.harness,
+            item.duty_cycle_point,
+            sweep_point=item.sweep_point,
+            _prepared=prepared[item.scenario_index],
+        )
+    except ValueError as error:
+        raise ValueError(f"campaign variant {item.label}: {error}") from error
+    except Exception as error:
+        raise RuntimeError(
+            f"campaign variant {item.label} failed: {error!r}"
+        ) from error
 
 
 class CampaignRunner:
@@ -614,10 +606,11 @@ class CampaignRunner:
     Campaigns are embarrassingly parallel: every variant row is an
     independent deterministic simulation, so ``run(jobs=N)`` fans the
     flattened ``(scenario, harness, sweep point, duty-cycle point)`` cross
-    product over a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each
-    variant seeds its RNGs from :meth:`variant_seed` — a stable hash of the
-    campaign seed and the variant's coordinates — so serial and parallel
-    runs produce byte-identical rows, in the same deterministic order.
+    product over a process pool (:func:`~repro.simulation.pool.map_tasks`).
+    Each variant seeds its RNGs from :meth:`variant_seed` — a stable hash
+    of the campaign seed and the variant's coordinates — so serial and
+    parallel runs produce byte-identical rows, in the same deterministic
+    order.
     """
 
     def __init__(self, config: CampaignConfig | None = None) -> None:
@@ -625,18 +618,17 @@ class CampaignRunner:
 
     # -- campaign entry ----------------------------------------------------------
 
-    def resolve_jobs(self, jobs: int | None = None) -> int:
-        """The worker count to run with: *jobs*, else the config's, else 1.
+    @staticmethod
+    def resolve_jobs(jobs: int | None = None) -> int:
+        """The worker count to run with: *jobs*, default 1.
 
-        ``0`` (from either source) means one worker per CPU core.
+        ``0`` means one worker per CPU core.
         """
-        if jobs is None:
-            jobs = self.config.jobs
         if jobs is None:
             return 1
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = all cores), got {jobs}")
-        return jobs or (os.cpu_count() or 1)
+        return resolve_workers(jobs)
 
     def variant_seed(
         self,
@@ -706,13 +698,15 @@ class CampaignRunner:
         3-value axes produce nine variant rows per harness, each tagged
         with its ``{parameter: value}`` coordinates.
 
-        *jobs* (default: the config's ``jobs``, default serial) fans the
-        variants over a process pool; ``0`` means one worker per core.
-        Whatever the worker count, the report's rows are byte-identical
-        and in the same order — only the per-variant ``wall_clock_s``
-        timing fields differ.  A variant that raises in a worker fails the
-        campaign; a pool that cannot start falls back to serial execution
-        and says so in :attr:`CampaignReport.pool_fallback`.
+        *jobs* (default 1) fans the variants over a process pool; ``0``
+        means one worker per core.  Whatever the worker count, the report's
+        rows are byte-identical and in the same order — only the
+        per-variant ``wall_clock_s`` timing fields differ — and each
+        completed variant streams a progress line to stderr.  Every count
+        runs the variants through one task function, so a variant that
+        raises fails the campaign the same way at every count (see
+        :func:`_run_variant`), and a pool that cannot start raises too:
+        nothing falls back to serial execution.
         """
         resolved = self.resolve_jobs(jobs)
         started = time.perf_counter()
@@ -724,71 +718,23 @@ class CampaignRunner:
         # siblings will replay (workers operate on copies regardless).
         prepared = [self._build_trace(spec) for spec in scenarios]
         items = self.work_items(scenarios)
-        results, pool_fallback = None, ""
-        if resolved > 1 and len(items) > 1:
-            results, pool_fallback = self._run_parallel(items, prepared, resolved)
-        if results is None:
-            results = [
-                self.run_one(
-                    item.spec,
-                    item.harness,
-                    item.duty_cycle_point,
-                    sweep_point=item.sweep_point,
-                    _prepared=prepared[item.scenario_index],
-                )
-                for item in items
-            ]
+        finished = itertools.count(1)
+
+        def progress(index: int, result: ScenarioResult) -> None:
+            self._progress(
+                f"[{next(finished)}/{len(items)}] {items[index].label} "
+                f"{result.wall_clock_s:.1f}s"
+            )
+
+        results = map_tasks(
+            _run_variant, (self, prepared), items, resolved, on_result=progress
+        )
         return CampaignReport(
             config=self.config,
             results=results,
             jobs=resolved,
             wall_clock_s=time.perf_counter() - started,
-            pool_fallback=pool_fallback,
         )
-
-    def _run_parallel(
-        self, items: list[_WorkItem], prepared: list, jobs: int
-    ) -> tuple[list[ScenarioResult] | None, str]:
-        """Fan *items* over a process pool; deterministic result order.
-
-        Completion streams to stderr as variants finish (they finish out
-        of order; the report keeps work-item order).  A variant that
-        raises fails the campaign naming itself.  Only a pool that breaks
-        before delivering any result — it could not start — returns
-        ``(None, why)`` after a stderr line, and :meth:`run` executes the
-        variants serially instead (same rows, more wall-clock).
-        """
-        results: dict[int, ScenarioResult] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(items)),
-                initializer=_pool_init,
-                initargs=(self.config, prepared),
-            ) as pool:
-                futures = {pool.submit(_pool_run, item): item for item in items}
-                for future in as_completed(futures):
-                    item = futures[future]
-                    try:
-                        index, result = future.result()
-                    except (OSError, BrokenProcessPool):
-                        raise
-                    except Exception as error:
-                        pool.shutdown(cancel_futures=True)
-                        raise RuntimeError(
-                            f"campaign variant {item.label} failed: {error!r}"
-                        ) from error
-                    results[index] = result
-                    self._progress(
-                        f"[{len(results)}/{len(items)}] {item.label} "
-                        f"{result.wall_clock_s:.1f}s"
-                    )
-        except (OSError, BrokenProcessPool) as error:
-            if results:
-                raise
-            why = f"campaign pool could not start ({error!r})"
-            self._progress(f"{why}; running {len(items)} variants serially")
-            return None, why
-        return [results[index] for index in range(len(items))], ""
 
     @staticmethod
     def _progress(message: str) -> None:

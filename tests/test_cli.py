@@ -200,6 +200,20 @@ class TestCommands:
         ) == 2
         assert "distinct parameters" in capsys.readouterr().out
 
+    def test_scenarios_invalid_variant_fails_alike_at_every_jobs(self, capsys):
+        """An invalid variant is bad input (exit 2, one error line) whether
+        it ran in process or in a worker."""
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(
+                ["scenarios", "--campaign", "smoke", "--scenario", "nominal",
+                 "--sweep", "zipf_s=0.5,0.9", "--jobs", jobs]
+            ) == 2
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("error: ")
+        assert "sweeping zipf_s/memo_ttl_s does nothing" in outputs[0]
+
     def test_scenarios_rejects_unknown_scenario(self, capsys):
         assert main(["scenarios", "--scenario", "volcano"]) == 2
         assert "unknown scenarios" in capsys.readouterr().out

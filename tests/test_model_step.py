@@ -3,11 +3,12 @@
 The push protocol's sensor checker and proxy tracker advance their model
 replicas through ``step`` alone.  The reference below is the sequence it
 fused (``predict_next``, decide, ``observe``); every model family must
-leave exactly the state that sequence leaves.  For :class:`ARIMAModel`,
-whose override computes the one-step term once, "exactly" extends to the
-pickled bytes: the replicas travel in every replica-sync payload, so a
+leave exactly the state that sequence leaves, down to the pickled bytes
+of its state: the replicas travel in every replica-sync payload, so a
 float that silently became an ``np.float64`` (or the reverse) would move
-``coding.payload_bytes``.
+``coding.payload_bytes``.  :class:`ARIMAModel` builds ``predict_next`` and
+``observe`` from ``step``'s own helpers, so its reference is the frozen
+copy in ``tests/reference_arima.py``, not the code under test.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
+from reference_arima import ARIMAModel as ReferenceARIMAModel
 
 from repro.timeseries.ar import ARModel
 from repro.timeseries.arima import ARIMAModel
@@ -38,10 +40,19 @@ def random_walk(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.cumsum(rng.normal(0.0, 0.1, n)) + 20.0
 
 
-def drive_in_lockstep(model: TimeSeriesModel, start: float, rng, steps: int) -> int:
-    """Step *model* and a reference copy through one random value/None
-    sequence, asserting equality after every epoch; returns pushes seen."""
-    reference = copy.deepcopy(model)
+def state_bytes(model: TimeSeriesModel) -> bytes:
+    """The pickled attribute dict: a model's payload bytes minus its class path."""
+    return pickle.dumps(vars(model), protocol=4)
+
+
+def drive_in_lockstep(
+    model: TimeSeriesModel, start: float, rng, steps: int, references=None
+) -> int:
+    """Step *model* and its *references* (default: a copy of *model*)
+    through one random value/None sequence, each reference by
+    :func:`reference_step`, asserting equality after every epoch; returns
+    pushes seen."""
+    references = references or [copy.deepcopy(model)]
     delta = float(rng.choice([0.0, 0.05, 0.2, 1.0]))
     level = start
     pushes = 0
@@ -55,13 +66,15 @@ def drive_in_lockstep(model: TimeSeriesModel, start: float, rng, steps: int) -> 
         else:
             value = np.float64(level)         # readings arrive as either type
         predicted, pushed = model.step(value, delta)
-        expected, expected_push = reference_step(reference, value, delta)
         assert type(predicted) is float and type(pushed) is bool
-        assert predicted == expected
-        assert pushed == expected_push
-        assert pickle.dumps(model, protocol=4) == pickle.dumps(reference, protocol=4)
+        for reference in references:
+            expected, expected_push = reference_step(reference, value, delta)
+            assert predicted == expected
+            assert pushed == expected_push
+            assert state_bytes(model) == state_bytes(reference)
         pushes += pushed
-    assert model.predict_next() == reference.predict_next()
+    for reference in references:
+        assert model.predict_next() == reference.predict_next()
     return pushes
 
 
@@ -78,8 +91,12 @@ def test_arima_step_matches_predict_then_observe(seed):
         order = ARIMA_ORDERS[int(rng.integers(0, len(ARIMA_ORDERS)))]
         x = random_walk(rng, 400)
         model = ARIMAModel(order=order).fit(x)
+        frozen = ReferenceARIMAModel(order=order).fit(x)
+        assert state_bytes(model) == state_bytes(frozen)
         keys = set(vars(model))
-        pushes += drive_in_lockstep(model, float(x[-1]), rng, steps=120)
+        # the frozen model, and this model's own predict_next / observe
+        references = [frozen, copy.deepcopy(model)]
+        pushes += drive_in_lockstep(model, float(x[-1]), rng, 120, references)
         assert set(vars(model)) == keys          # no attribute grown by stepping
         assert all(type(e) is np.float64 for e in model._recent_eps)
         assert all(type(w) is float for w in model._recent_w)

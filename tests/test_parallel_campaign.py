@@ -1,4 +1,4 @@
-"""Parallel campaign execution: equivalence, seeds, pickling, fallback.
+"""Parallel campaign execution: equivalence, seeds, pickling, failure.
 
 The contract under test: ``CampaignRunner.run(jobs=N)`` produces a
 ``CampaignReport`` whose rows are byte-identical to the serial run (only
@@ -21,7 +21,7 @@ from repro.scenarios import (
     SweepAxis,
     builtin_scenarios,
 )
-from repro.scenarios import runner as runner_module
+from repro.simulation import pool as pool_module
 
 
 def small_config(**overrides):
@@ -84,16 +84,13 @@ class TestJobsResolution:
         assert runner.resolve_jobs(0) == (os.cpu_count() or 1)
 
     def test_explicit_count_wins_over_config(self):
-        runner = CampaignRunner(small_config(jobs=4))
-        assert runner.resolve_jobs() == 4
+        runner = CampaignRunner(small_config())
         assert runner.resolve_jobs(2) == 2
 
     def test_negative_jobs_rejected(self):
         runner = CampaignRunner(small_config())
         with pytest.raises(ValueError):
             runner.resolve_jobs(-1)
-        with pytest.raises(ValueError):
-            CampaignConfig(jobs=-2)
 
 
 class TestVariantSeed:
@@ -171,11 +168,6 @@ class TestParallelSerialEquivalence:
                 sum(r.wall_clock_s for r in report.results)
             )
         assert serial.jobs == 1
-
-    def test_config_jobs_field_is_the_default(self):
-        runner = CampaignRunner(small_config(jobs=2))
-        report = runner.run([ScenarioSpec(name="plain")])
-        assert report.jobs == 2
 
 
 class TestGridFixSlicing:
@@ -294,27 +286,39 @@ class TestPreparedTraceIsReadOnly:
 
 
 class TestPoolFailure:
-    def test_raising_worker_fails_the_campaign_naming_the_variant(self):
-        """A deterministic crash in a worker is loud, not a slow pass."""
+    """A failing variant fails the campaign the same way at every ``jobs``."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invalid_variant_raises_value_error_naming_it(self, jobs):
+        """A bad spec stays bad input (what the CLI reports), never a slow pass."""
         runner = CampaignRunner(small_config())
         # proxy index 9 of 2: the federated variant raises while arming faults
         bad = ScenarioSpec(name="bad", faults=[ProxyFault(proxy_index=9)])
-        with pytest.raises(RuntimeError, match=r"variant bad/federated failed") as info:
-            runner.run([ScenarioSpec(name="plain"), bad], jobs=2)
-        assert "out of range" in str(info.value)
+        with pytest.raises(ValueError, match=r"variant bad/federated: .*out of range"):
+            runner.run([ScenarioSpec(name="plain"), bad], jobs=jobs)
 
-    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashing_variant_is_named(self, jobs, monkeypatch):
+        original = CampaignRunner._generate_queries
+
+        def crash(runner, spec, *args):
+            if spec.name == "bad":
+                raise KeyError("boom")
+            return original(runner, spec, *args)
+
+        monkeypatch.setattr(CampaignRunner, "_generate_queries", crash)
+        runner = CampaignRunner(small_config(harnesses=("single",)))
+        specs = [ScenarioSpec(name="plain"), ScenarioSpec(name="bad")]
+        with pytest.raises(
+            RuntimeError, match=r"campaign variant bad/single failed: KeyError\('boom'\)"
+        ):
+            runner.run(specs, jobs=jobs)
+
+    def test_pool_that_cannot_start_fails_the_campaign(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise OSError("no processes for you")
 
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
         runner = CampaignRunner(small_config())
-        spec = ScenarioSpec(name="plain")
-        serial = runner.run([spec])
-        assert serial.pool_fallback == ""
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
-        fallback = runner.run([spec], jobs=2)
-        assert "could not start" in fallback.pool_fallback
-        assert "running 2 variants serially" in capsys.readouterr().err
-        assert len(fallback.results) == len(serial.results)
-        for s, p in zip(serial.results, fallback.results):
-            assert rows_equal(comparable_row(s), comparable_row(p))
+        with pytest.raises(OSError, match="no processes for you"):
+            runner.run([ScenarioSpec(name="plain")], jobs=2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.core.federation as federation_module
+import repro.simulation.pool as pool_module
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.federation import FederatedSystem, partition_cells
@@ -325,13 +326,13 @@ class TestPartitionFailure:
             system.run(queries, duration_s=DURATION_S)
         assert "boom" in str(info.value)
 
-    def test_pool_that_cannot_start_falls_back_serially(self, monkeypatch, capsys):
-        reference = report_key(run_federated(2))
+    def test_pool_that_cannot_start_fails_the_run(self, monkeypatch):
+        """No serial fallback: a run that asked for processes gets them or fails."""
 
         def no_pool(*args, **kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(federation_module, "ProcessPoolExecutor", no_pool)
-        report = run_federated(2, backend="process")
-        assert report_key(report) == reference
-        assert "running 2 partitions serially" in capsys.readouterr().err
+        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(OSError, match="no processes for you"):
+            run_federated(2, backend="process")
