@@ -10,10 +10,11 @@ ordered view of detections across distributed proxies and sensors."
 Three roadside cells (one proxy each) watch consecutive road segments.
 Vehicles pass through, tripping sensors in sequence; each cell's sensors
 have *drifting clocks*, so raw local timestamps misorder the detections.
-Each proxy fits its motes' clocks from reference broadcasts and caches
-their detections tagged with that fit (``PrestoProxy.record_detection``);
-:func:`~repro.core.unified.ordered_view` corrects and merges them into a
-single ordered view — from which per-vehicle trajectories and speeds are
+Each proxy fits its motes' clocks from reference broadcasts and logs
+each detection with the fit in effect when it arrived
+(``PrestoProxy.record_detection``); :func:`~repro.core.unified.ordered_view`
+corrects every detection with its own fit and merges them into a single
+ordered view — from which per-vehicle trajectories and speeds are
 recovered.
 """
 
@@ -35,8 +36,8 @@ HORIZON_S = 3600.0
 def build_segment(segment: int) -> PrestoProxy:
     """One segment's proxy, from a PRESTO cell that is never run.
 
-    Only its sync protocol and summary cache are used: they fit the
-    motes' clocks and hold the motes' detections.
+    Only its sync protocol and detection log are used: they fit the
+    motes' clocks and keep the motes' detections.
     """
     trace_config = IntelLabConfig(
         n_sensors=SENSORS_PER_SEGMENT, duration_s=HORIZON_S, epoch_s=31.0
@@ -82,8 +83,8 @@ def main() -> None:
         first = segment * SENSORS_PER_SEGMENT
         index.assign(f"segment{segment}", first, first + SENSORS_PER_SEGMENT - 1)
 
-    # vehicles drive down the road; each sensor logs a *local* timestamp,
-    # cached at its proxy with the vehicle id as the value
+    # vehicles drive down the road; each sensor stamps a *local* time,
+    # logged at its proxy with the vehicle id as the value
     detections = []  # (sensor, local_timestamp, vehicle, speed)
     for vehicle in range(VEHICLES):
         entry_time = 2000.0 + vehicle * rng.uniform(20.0, 60.0)

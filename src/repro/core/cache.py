@@ -153,17 +153,13 @@ class _Column:
     append.
     """
 
-    __slots__ = ("times", "values", "stds", "codes", "frames", "start", "length")
+    __slots__ = ("times", "values", "stds", "codes", "start", "length")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         self.times = np.empty(capacity, dtype=np.float64)
         self.values = np.empty(capacity, dtype=np.float64)
         self.stds = np.empty(capacity, dtype=np.float64)
         self.codes = np.empty(capacity, dtype=np.int8)
-        # (capacity, 2) clock-frame tags — (rate, offset) of the sync fit the
-        # timestamp was stamped under, NaN rows for proxy-frame entries.
-        # Allocated lazily: the epoch-driven push path never pays for it.
-        self.frames: np.ndarray | None = None
         self.start = 0
         self.length = 0
 
@@ -179,12 +175,6 @@ class _Column:
         live = slice(self.start, self.end)
         return self.times[live], self.values[live], self.stds[live], self.codes[live]
 
-    def ensure_frames(self) -> np.ndarray:
-        """The frame-tag array, allocating (all-NaN) on first use."""
-        if self.frames is None:
-            self.frames = np.full((self.times.size, 2), np.nan)
-        return self.frames
-
     def reserve(self, extra: int) -> None:
         """Guarantee room for *extra* more entries at the physical end."""
         if self.end + extra <= self.times.size:
@@ -195,8 +185,6 @@ class _Column:
             live = slice(self.start, self.end)
             for array in self._arrays():
                 array[: self.length] = array[live].copy()
-            if self.frames is not None:
-                self.frames[: self.length] = self.frames[live].copy()
         else:
             capacity = max(2 * self.times.size, need)
             old = self._arrays()
@@ -207,27 +195,9 @@ class _Column:
             self.codes = np.empty(capacity, dtype=np.int8)
             for new, previous in zip(self._arrays(), old):
                 new[: self.length] = previous[live]
-            if self.frames is not None:
-                grown = np.full((capacity, 2), np.nan)
-                grown[: self.length] = self.frames[live]
-                self.frames = grown
         self.start = 0
 
-    def _tag_frame(self, position: int, frame: tuple[float, float] | None) -> None:
-        """Stamp (or clear) the frame tag of the cell at *position*."""
-        if frame is not None:
-            self.ensure_frames()[position] = frame
-        elif self.frames is not None:
-            self.frames[position] = np.nan
-
-    def insert_one(
-        self,
-        timestamp: float,
-        value: float,
-        std: float,
-        code: int,
-        frame: tuple[float, float] | None = None,
-    ) -> int:
+    def insert_one(self, timestamp: float, value: float, std: float, code: int) -> int:
         """Insert or refine one cell; returns the outcome code."""
         times = self.times
         lo, hi = self.start, self.end
@@ -244,7 +214,6 @@ class _Column:
             self.values[position] = value
             self.stds[position] = std
             self.codes[position] = code
-            self._tag_frame(position, frame)
             return _REFINED if not existing_actual and new_actual else _REPLACED
         self.reserve(1)
         position = self.start + relative
@@ -252,13 +221,10 @@ class _Column:
         if position < hi:  # backfill: shift the tail right by one
             for array in self._arrays():
                 array[position + 1 : hi + 1] = array[position:hi]
-            if self.frames is not None:
-                self.frames[position + 1 : hi + 1] = self.frames[position:hi]
         self.times[position] = timestamp
         self.values[position] = value
         self.stds[position] = std
         self.codes[position] = code
-        self._tag_frame(position, frame)
         self.length += 1
         return _INSERTED
 
@@ -289,10 +255,6 @@ class _Column:
             self.values[tail] = values
             self.stds[tail] = stds
             self.codes[tail] = code
-            if self.frames is not None:
-                # batch values are proxy-stamped; a compaction may have left
-                # stale tags in the rows being claimed
-                self.frames[tail] = np.nan
             self.length += count
             return count, 0
         times, vals, sds, codes = self.views()
@@ -314,9 +276,6 @@ class _Column:
             sds[target] = stds[matched][writable]
             refined = int((~existing_actual[writable]).sum()) if new_actual else 0
             codes[target] = code
-            if self.frames is not None:
-                # batch values are proxy-stamped: the overwrite clears any tag
-                self.frames[self.start + target] = np.nan
         fresh = ~matched
         inserted = int(fresh.sum())
         if inserted:
@@ -341,11 +300,6 @@ class _Column:
                 merged_column[keep] = column
                 merged_column[place] = batch
                 array[lo : lo + merged] = merged_column
-            if self.frames is not None:
-                # keep existing tags aligned; fresh batch rows stay untagged
-                merged_frames = np.full((merged, 2), np.nan)
-                merged_frames[keep] = self.frames[lo : lo + self.length]
-                self.frames[lo : lo + merged] = merged_frames
             self.length = merged
         return inserted, refined
 
@@ -388,28 +342,12 @@ class SummaryCache:
 
     # -- writes ---------------------------------------------------------------
 
-    def insert(
-        self,
-        sensor: int,
-        entry: CacheEntry,
-        frame: tuple[float, float] | None = None,
-    ) -> None:
+    def insert(self, sensor: int, entry: CacheEntry) -> None:
         """Insert or refine the cell at ``entry.timestamp``.
 
         An actual value always replaces a predicted one at the same instant
         (progressive refinement); a prediction never overwrites an actual.
-
-        *frame* optionally tags the entry with the ``(rate, offset)`` clock
-        map its timestamp was stamped under (``local = rate * true +
-        offset``), letting readers correct it with the sync fit that was
-        current at insert time rather than whatever fit exists when the
-        entry is eventually read.  Untagged entries are proxy-frame.
         """
-        if frame is not None:
-            rate, offset = float(frame[0]), float(frame[1])
-            if not (np.isfinite(rate) and np.isfinite(offset)) or rate == 0.0:
-                raise ValueError(f"degenerate clock frame {frame!r}")
-            frame = (rate, offset)
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column()
@@ -418,7 +356,6 @@ class SummaryCache:
             entry.value,
             entry.std,
             _CODE_OF_SOURCE[entry.source],
-            frame=frame,
         )
         if outcome == _REFINED:
             self.refinements += 1
@@ -544,25 +481,6 @@ class SummaryCache:
             )
             for i in range(times.size)
         ]
-
-    def frames_in(
-        self, sensor: int, start: float, end: float
-    ) -> np.ndarray | None:
-        """Clock-frame tags of the ``[start, end]`` window, or None.
-
-        Row ``i`` is the ``(rate, offset)`` tag of the ``i``-th entry
-        :meth:`entries_in` returns for the same window; NaN rows mark
-        untagged (proxy-frame) entries.  ``None`` short-circuits the whole
-        sensor when no entry was ever tagged.  The view aliases cache
-        storage — consume it before the next write.
-        """
-        column = self._column(sensor)
-        if column is None or column.frames is None:
-            return None
-        times = column.times[column.start : column.end]
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="right"))
-        return column.frames[column.start + lo : column.start + hi]
 
     def values_on_grid(
         self, sensor: int, grid_times: np.ndarray, tolerance_s: float

@@ -12,6 +12,7 @@ grace period so an in-flight push is not preempted by a silent advance).
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from repro.energy.meter import EnergyMeter
 from repro.radio.network import Network
 from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
-from repro.sync.protocol import TimeSyncProtocol
+from repro.sync.protocol import SyncEstimate, TimeSyncProtocol
 from repro.traces.workload import Query, QueryKind
 
 #: epochs of slack between "model fitted" and "model active" so a slow LPL
@@ -96,6 +97,11 @@ class PrestoProxy:
         self.engine = PredictionEngine(config, n_sensors)
         self.matcher = QuerySensorMatcher(config)
         self.sync = TimeSyncProtocol()
+        #: per-sensor ``(raw stamp, value, sync fit in effect or None)``
+        #: log of mote-stamped detections (see :meth:`record_detection`)
+        self.detections: dict[
+            int, deque[tuple[float, float, SyncEstimate | None]]
+        ] = {}
         self._states: dict[int, _SensorState] = {
             s: _SensorState() for s in range(self.n_sensors)
         }
@@ -118,9 +124,9 @@ class PrestoProxy:
     def _sync_key(self, sensor: int) -> str:
         """The per-sensor key under which :attr:`sync` files its estimates.
 
-        The push path and both time-frame corrections must key into the
-        same estimate; the fallback covers sensors never registered as
-        objects (pure routing tests).
+        The push path, the detection log and the time-frame correction
+        must key into the same estimate; the fallback covers sensors never
+        registered as objects (pure routing tests).
         """
         return self._sensors[sensor].name if sensor in self._sensors else str(sensor)
 
@@ -132,37 +138,44 @@ class PrestoProxy:
         """
         return self.sync.correct(self._sync_key(sensor), timestamp)
 
-    def sensor_frame_time(self, sensor: int, timestamp: float) -> float:
-        """Map a proxy-frame instant into *sensor*'s reported time frame.
-
-        Inverse of :meth:`corrected_time` — lets callers translate a query
-        window into the frame the sensor's raw timestamps live in.
-        """
-        return self.sync.project(self._sync_key(sensor), timestamp)
-
     def record_detection(
         self, sensor: int, raw_timestamp: float, value: float, std: float = 0.0
     ) -> CacheEntry:
-        """Cache a detection stamped by the mote's own free-running clock.
+        """Log a detection stamped by the mote's own free-running clock.
 
-        The entry is tagged with the sync frame in effect *now*, so the
-        ordered cross-proxy view (:func:`~repro.core.unified.
-        ordered_view`) corrects it with the estimate contemporary with
-        the detection — later exchanges that re-fit a drifting clock
-        cannot retroactively move it.  Detections recorded before any
-        fit exists stay untagged and fall back to the estimate current
-        at read time.  Standing queries see the entry like any push.
+        The sensor's detection log (:attr:`detections`, bounded like a
+        cache column) keeps the raw stamp with the sync fit in effect
+        *now*, so the ordered cross-proxy view (:func:`~repro.core.
+        unified.ordered_view`) corrects it with the estimate contemporary
+        with the detection — later exchanges that re-fit a drifting clock
+        cannot retroactively move it.  A detection logged before any fit
+        exists carries None and falls back to the estimate current at read
+        time.  The cache and standing queries see the raw-stamped entry
+        like any push.  A non-finite or zero-rate fit raises
+        ``ValueError`` before anything is recorded.
         """
+        estimate = self.sync.estimate_for(self._sync_key(sensor))
+        if estimate is not None and not (
+            np.isfinite(estimate.rate)
+            and np.isfinite(estimate.offset)
+            and estimate.rate != 0.0
+        ):
+            raise ValueError(
+                f"degenerate clock frame ({estimate.rate!r}, {estimate.offset!r})"
+            )
         entry = CacheEntry(
             timestamp=float(raw_timestamp),
             value=float(value),
             std=float(std),
             source=EntrySource.PUSHED,
         )
-        estimate = self.sync.estimate_for(self._sync_key(sensor))
-        frame = None if estimate is None else (estimate.rate, estimate.offset)
-        self.cache.insert(sensor, entry, frame=frame)
-        self.continuous.on_entry(sensor, entry)
+        log = self.detections.get(sensor)
+        if log is None:
+            log = self.detections[sensor] = deque(
+                maxlen=self.cache.max_entries_per_sensor
+            )
+        log.append((entry.timestamp, entry.value, estimate))
+        self._insert_entry(sensor, entry)
         return entry
 
     def _insert_entry(self, sensor: int, entry: CacheEntry) -> None:

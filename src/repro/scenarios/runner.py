@@ -556,7 +556,6 @@ class _WorkItem:
     trace at most once instead of once per variant.
     """
 
-    index: int                    # position in the campaign's result order
     scenario_index: int           # into the runner's prepared-trace table
     spec: ScenarioSpec
     harness: str
@@ -676,7 +675,6 @@ class CampaignRunner:
                     for point in points:
                         items.append(
                             _WorkItem(
-                                index=len(items),
                                 scenario_index=scenario_index,
                                 spec=spec,
                                 harness=harness,

@@ -3,14 +3,12 @@
 Bit-for-bit the pre-columnar ``SummaryCache`` (plus the same coverage
 rounding fix).  ``test_cache_equivalence.py`` drives it and the columnar
 :class:`repro.core.cache.SummaryCache` through identical operation
-streams; ``test_clock_frames.py`` compares their clock-frame tags.
+streams.
 """
 
 from __future__ import annotations
 
 import bisect
-
-import numpy as np
 
 from repro.core.cache import CacheEntry
 
@@ -26,25 +24,16 @@ class ListSummaryCache:
         self.max_entries_per_sensor = int(max_entries_per_sensor)
         self._times: dict[int, list[float]] = {}
         self._entries: dict[int, list[CacheEntry]] = {}
-        self._frames: dict[int, list[tuple[float, float] | None]] = {}
         self.insertions = 0
         self.refinements = 0
         self.evictions = 0
 
     # -- writes ---------------------------------------------------------------
 
-    def insert(
-        self,
-        sensor: int,
-        entry: CacheEntry,
-        frame: tuple[float, float] | None = None,
-    ) -> None:
+    def insert(self, sensor: int, entry: CacheEntry) -> None:
         """Insert or refine the cell at ``entry.timestamp``."""
-        if frame is not None:
-            frame = (float(frame[0]), float(frame[1]))
         times = self._times.setdefault(sensor, [])
         entries = self._entries.setdefault(sensor, [])
-        frames = self._frames.setdefault(sensor, [])
         position = bisect.bisect_left(times, entry.timestamp)
         if position < len(times) and times[position] == entry.timestamp:
             existing = entries[position]
@@ -53,16 +42,13 @@ class ListSummaryCache:
             if not existing.is_actual and entry.is_actual:
                 self.refinements += 1
             entries[position] = entry
-            frames[position] = frame
             return
         times.insert(position, entry.timestamp)
         entries.insert(position, entry)
-        frames.insert(position, frame)
         self.insertions += 1
         if len(times) > self.max_entries_per_sensor:
             del times[0]
             del entries[0]
-            del frames[0]
             self.evictions += 1
 
     # -- reads ------------------------------------------------------------------
@@ -95,23 +81,6 @@ class ListSummaryCache:
         lo = bisect.bisect_left(times, start)
         hi = bisect.bisect_right(times, end)
         return self._entries[sensor][lo:hi]
-
-    def frames_in(
-        self, sensor: int, start: float, end: float
-    ) -> np.ndarray | None:
-        """Clock-frame tags aligned with :meth:`entries_in`, or None."""
-        times = self._times.get(sensor)
-        if not times or all(f is None for f in self._frames.get(sensor, [])):
-            return None
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_right(times, end)
-        return np.array(
-            [
-                (np.nan, np.nan) if frame is None else frame
-                for frame in self._frames[sensor][lo:hi]
-            ],
-            dtype=np.float64,
-        ).reshape(hi - lo, 2)
 
     def tail(self, sensor: int, count: int) -> list[CacheEntry]:
         """The newest *count* entries for *sensor*."""

@@ -4,7 +4,6 @@ routed through the federation, and the temporally ordered view."""
 import pytest
 
 from repro.core import FederatedSystem, FederationConfig, PrestoConfig, PrestoSystem
-from repro.core.cache import CacheEntry, EntrySource
 from repro.core.federation import HOP_LATENCY_S, WIRELESS_LATENCY_S
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.queries import AnswerSource
@@ -147,12 +146,7 @@ def build_drifted_cells(sensor_stamped=True):
     for cell_index, local, true_time in DRIFT_DETECTIONS:
         proxy = systems[cell_index].proxy
         raw = true_time + DRIFT_OFFSETS[(cell_index, local)]
-        proxy.cache.insert(
-            local,
-            CacheEntry(
-                timestamp=raw, value=20.0 + local, std=0.0, source=EntrySource.PUSHED
-            ),
-        )
+        proxy.record_detection(local, raw_timestamp=raw, value=20.0 + local)
     return cells
 
 

@@ -232,13 +232,24 @@ class TestWorkItems:
     def test_flattening_order_is_the_campaign_order(self):
         runner = CampaignRunner(small_config())
         items = runner.work_items(tiny_campaign_specs())
-        # plain: 2 harnesses; gridded: 2x2x2; cycled: 2x2 = 14 items
-        assert len(items) == 2 + 8 + 4
-        assert [item.index for item in items] == list(range(len(items)))
-        labels = [item.label for item in items]
-        assert labels[0] == "plain/single"
-        assert "gridded/federated [flash=5280,loss=0.3]" in labels
-        assert "cycled/single [lpl=4s]" in labels
+        # plain: 2 harnesses; gridded: 2x2x2; cycled: 2x2 = 14 items, with
+        # scenario outermost, then harness, sweep point and duty-cycle point
+        assert [item.label for item in items] == [
+            "plain/single",
+            "plain/federated",
+            "gridded/single [flash=84480,loss=0.05]",
+            "gridded/single [flash=84480,loss=0.3]",
+            "gridded/single [flash=5280,loss=0.05]",
+            "gridded/single [flash=5280,loss=0.3]",
+            "gridded/federated [flash=84480,loss=0.05]",
+            "gridded/federated [flash=84480,loss=0.3]",
+            "gridded/federated [flash=5280,loss=0.05]",
+            "gridded/federated [flash=5280,loss=0.3]",
+            "cycled/single [lpl=1s]",
+            "cycled/single [lpl=4s]",
+            "cycled/federated [lpl=1s]",
+            "cycled/federated [lpl=4s]",
+        ]
 
     def test_work_items_pickle(self):
         runner = CampaignRunner(small_config())

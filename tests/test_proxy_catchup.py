@@ -7,7 +7,8 @@ reference below is the sequence it replaced — one ``CacheEntry`` →
 epoch.  One seeded cell (drifting clocks, lossy link, a small cache) is
 driven twice, once each way, through the cases where a careless batch
 diverges: a pulled actual sitting at a future epoch, runs that overflow the
-cache, clock-frame tags across compactions, and an armed standing query.
+cache, mote-stamped detections among compacted columns, and an armed
+standing query.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Drive:
         self.report = self.system.run(queries=queries)
 
     def record_detection(self) -> None:
-        """A mote-stamped detection: tagged with the sync frame in effect."""
+        """A mote-stamped detection, logged with the sync fit in effect."""
         now = self.system.sim.now
         local = self.system.sensors[UNARMED].clock.read(now)
         self.proxy.record_detection(UNARMED, raw_timestamp=local, value=now % 7.0)
@@ -125,8 +126,8 @@ class Drive:
     def columns(self, sensor: int):
         return self.proxy.cache.arrays_in(sensor, -1.0, 1e12)
 
-    def frames(self, sensor: int):
-        return self.proxy.cache.frames_in(sensor, -1.0, 1e12)
+    def detections(self, sensor: int):
+        return list(self.proxy.detections.get(sensor, ()))
 
 
 @pytest.fixture(scope="module")
@@ -207,15 +208,19 @@ def test_prediction_never_overwrites_a_future_actual(drives):
 
 def test_frame_tags_survive_compaction(drives):
     batched, reference = drives
-    ours, theirs = batched.frames(UNARMED), reference.frames(UNARMED)
-    np.testing.assert_array_equal(ours, theirs)
-    tagged = ~np.isnan(ours[:, 0])
-    assert 0 < tagged.sum() < ours.shape[0]
-    # tagged rows are exactly the mote-stamped detections still cached
-    times, _, _, codes = batched.columns(UNARMED)
+    ours, theirs = batched.detections(UNARMED), reference.detections(UNARMED)
+    assert ours == theirs
+    # every scheduled detection is logged, each under a fitted clock
+    assert len(ours) == 40
+    assert all(estimate is not None for _, _, estimate in ours)
+    assert batched.detections(ARMED) == []
+    # every off-grid cache row is a logged detection; the oldest were evicted
+    times, values, _, codes = batched.columns(UNARMED)
     off_grid = np.abs(times / 31.0 - np.rint(times / 31.0)) > 1e-6
-    np.testing.assert_array_equal(tagged, off_grid)
-    assert (codes[tagged] != 1).all()
+    logged = {(raw, value) for raw, value, _ in ours}
+    kept = set(zip(times[off_grid], values[off_grid]))
+    assert kept and kept < logged
+    assert (codes[off_grid] != 1).all()
     # the column has wrapped its physical array many times over
     column = batched.proxy.cache._columns[UNARMED]
     assert batched.proxy.cache.evictions > 4 * column.times.size
