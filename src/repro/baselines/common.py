@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.queries import PAST_KINDS, QueryAnswer, ScoredAnswers, ground_truths
+from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truths
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.energy.duty_cycle import DutyCycleConfig, lpl_average_power
 from repro.energy.meter import EnergyMeter
 from repro.energy.radio_energy import receive_energy, transfer_energy
 from repro.simulation.randomness import seeded_rng
 from repro.traces.intel_lab import TraceSet
-from repro.traces.workload import QueryKind
 
 #: bytes of one pushed/streamed reading record (value + epoch header)
 READING_BYTES = 12
@@ -39,19 +38,6 @@ class BaselineReport(ScoredAnswers):
     name: str
     per_sensor_energy_j: list[float]
     messages: int
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict for the comparison table."""
-        return {
-            "sensor_energy_per_day_j": self.sensor_energy_per_day_j,
-            "mean_latency_s": self.mean_latency_s,
-            "success_rate": self.success_rate,
-            "now_success": self.success_rate_kind(QueryKind.NOW),
-            "past_success": self.success_rate_kind(*PAST_KINDS),
-            "mean_error": self.mean_error,
-            "answered_fraction": self.answered_fraction,
-            "messages": float(self.messages),
-        }
 
 
 class BaselineArchitecture:

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.coding.rs import rs_decode, rs_encode
+from repro.metrics import Metrics, merged
 
 #: pickle protocol pinned for deterministic payload sizing across runs
 PAYLOAD_PICKLE_PROTOCOL = 4
@@ -71,9 +72,9 @@ class CodingCounters:
     irrecoverable: int = 0
 
 
-@dataclass(frozen=True)
-class CodingReport:
-    """Replica-coding section of a :class:`FederatedReport`.
+@dataclass(kw_only=True)
+class CodingReport(CodingCounters, Metrics):
+    """Replica-coding section of a :class:`FederatedReport`: the run's counters, priced.
 
     ``mode`` is the configured spelling, ``k``/``n`` the code it resolved
     to.  ``sync_radio_j`` / ``sync_flash_j`` charge the shipped bytes at
@@ -82,16 +83,21 @@ class CodingReport:
     whole bandwidth/flash argument for coding.
     """
 
-    mode: str
-    k: int
-    n: int
-    payload_bytes: int
-    shipped_bytes: int
-    full_copy_bytes: int
-    decodes: int
-    irrecoverable: int
-    sync_radio_j: float
-    sync_flash_j: float
+    mode: str = merged("given")
+    k: int = merged("given")
+    n: int = merged("given")
+    sync_radio_j: float = merged("given")
+    sync_flash_j: float = merged("given")
+
+    SUMMARY = (
+        "shipped_bytes",
+        "full_copy_bytes",
+        "bytes_saved_fraction",
+        "decodes",
+        "irrecoverable",
+        "sync_radio_j",
+        "sync_flash_j",
+    )
 
     @property
     def bytes_saved_fraction(self) -> float:
@@ -99,18 +105,6 @@ class CodingReport:
         if self.full_copy_bytes == 0:
             return float("nan")
         return 1.0 - self.shipped_bytes / self.full_copy_bytes
-
-    def summary(self) -> dict[str, float]:
-        """Flat metrics for :meth:`FederatedReport.summary`."""
-        return {
-            "coding_shipped_bytes": float(self.shipped_bytes),
-            "coding_full_copy_bytes": float(self.full_copy_bytes),
-            "coding_bytes_saved_fraction": self.bytes_saved_fraction,
-            "coding_decodes": float(self.decodes),
-            "coding_irrecoverable": float(self.irrecoverable),
-            "coding_sync_radio_j": self.sync_radio_j,
-            "coding_sync_flash_j": self.sync_flash_j,
-        }
 
 
 @dataclass

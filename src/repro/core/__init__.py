@@ -49,7 +49,7 @@ from repro.core.push import (
 )
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.sensor import PrestoSensor
-from repro.core.system import CellBuilder, PrestoCell, PrestoSystem, SystemReport
+from repro.core.system import PrestoCell, PrestoSystem, SystemReport
 
 __all__ = [
     "PrestoConfig",
@@ -74,7 +74,6 @@ __all__ = [
     "SensorOperatingPoint",
     "PrestoSensor",
     "PrestoProxy",
-    "CellBuilder",
     "PrestoCell",
     "PrestoSystem",
     "SystemReport",

@@ -9,7 +9,7 @@ as one harness:
 
 * :func:`partition_sensors` shards a deployment trace across N proxies
   (contiguous/spatial blocks, round-robin, or variance-balanced);
-* every cell is stamped out by :class:`~repro.core.system.CellBuilder`
+* every cell is a :class:`~repro.core.system.PrestoCell` built
   inside one of ``FederationConfig.partitions`` **independent simulation
   partitions** (``1`` by default, ``0`` for one per core): each partition
   runs its block of cells on a private kernel for the whole horizon —
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,10 @@ from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notifi
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ForecastTrajectory, ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer, ground_truths
-from repro.core.system import CellBuilder, PrestoCell, SystemReport, fold
+from repro.core.system import PrestoCell, SystemReport, resolve_config
 from repro.index.directory import CacheDirectory
 from repro.index.skipgraph import SkipGraph
+from repro.metrics import fold, merged
 from repro.radio.link import LinkConfig
 from repro.serving.config import ServingConfig, ServingReport
 from repro.serving.frontend import BackendSegments, ServingFrontend
@@ -205,16 +206,34 @@ class RoutingCounters:
 class FederatedReport(RoutingCounters, SystemReport):
     """A :class:`SystemReport` aggregated across cells, plus routing metrics."""
 
-    n_proxies: int = 1
-    shard_policy: str = "contiguous"
-    replication_factor: int = 0
-    fault_staleness_s: tuple[float, ...] = ()   # one entry per proxy death
-    failover_mean_error: float = float("nan")   # |answer - truth| over failovers
-    failover_max_error: float = float("nan")
-    cell_reports: list[SystemReport] = field(default_factory=list)
-    n_partitions: int = 1          # simulation partitions the run executed on
-    serving: ServingReport | None = None        # front-end tier, when enabled
-    coding: CodingReport | None = None          # replica-sync byte/decode ledger
+    n_proxies: int = merged("given", default=1)
+    shard_policy: str = merged("given", default="contiguous")
+    replication_factor: int = merged("given", default=0)
+    #: one entry per proxy death
+    fault_staleness_s: tuple[float, ...] = merged("given", default=())
+    #: |answer - truth| over failovers
+    failover_mean_error: float = merged("given", default=float("nan"))
+    failover_max_error: float = merged("given", default=float("nan"))
+    cell_reports: list[SystemReport] = merged("given", default_factory=list)
+    #: simulation partitions the run executed on
+    n_partitions: int = merged("given", default=1)
+    #: front-end tier, when enabled
+    serving: ServingReport | None = merged("given", default=None)
+    #: replica-sync byte/decode ledger
+    coding: CodingReport | None = merged("given", default=None)
+
+    SUMMARY = SystemReport.SUMMARY + (
+        "n_proxies",
+        "mean_routing_hops",
+        "replica_hit_rate",
+        "failovers",
+        "unroutable",
+        "max_replica_staleness_s",
+        "failover_mean_error",
+        "n_partitions",
+        ("serving_", "serving"),
+        ("coding_", "coding"),
+    )
 
     @property
     def mean_routing_hops(self) -> float:
@@ -241,27 +260,6 @@ class FederatedReport(RoutingCounters, SystemReport):
         if not self.fault_staleness_s:
             return float("nan")
         return max(self.fault_staleness_s)
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict: the single-cell summary plus routing metrics."""
-        base = super().summary()
-        base.update(
-            {
-                "n_proxies": float(self.n_proxies),
-                "mean_routing_hops": self.mean_routing_hops,
-                "replica_hit_rate": self.replica_hit_rate,
-                "failovers": float(self.failovers),
-                "unroutable": float(self.unroutable),
-                "max_replica_staleness_s": self.max_replica_staleness_s,
-                "failover_mean_error": self.failover_mean_error,
-                "n_partitions": float(self.n_partitions),
-            }
-        )
-        if self.serving is not None:
-            base.update(self.serving.summary())
-        if self.coding is not None:
-            base.update(self.coding.summary())
-        return base
 
 
 class _RoutingCore:
@@ -602,7 +600,7 @@ class FederatedSystem(_RoutingCore):
         self.shards = partition_sensors(trace, fed.n_proxies, fed.shard_policy)
         super().__init__(
             trace,
-            CellBuilder(config=config).resolve_config(trace),
+            resolve_config(trace, config),
             fed,
             seed,
             [
@@ -816,17 +814,14 @@ class FederatedSystem(_RoutingCore):
         """Score the routing log once and fold the cells' ledgers under it.
 
         ``cell_reports`` is in cell order, merged from the partition
-        results; the fold names the four ledger fields that do not add.
+        results; each ledger field merges by its declared rule, and only
+        the per-sensor list is scattered here, to global sensor ids.
         """
         # An out-of-range sensor (answered unroutable) scores against None.
         truths = ground_truths(
             self.trace, [answer.query for answer in self._query_log]
         )
         failover_mean_error, failover_max_error = self._failover_errors(truths)
-        by_category: dict[str, float] = {}
-        for report in cell_reports:
-            for category, joules in report.sensor_energy_by_category.items():
-                by_category[category] = by_category.get(category, 0.0) + joules
         per_sensor = [0.0] * self.trace.n_sensors
         for fc, report in zip(self.cells, cell_reports):
             for global_id, joules in zip(fc.sensor_ids, report.per_sensor_energy_j):
@@ -837,15 +832,7 @@ class FederatedSystem(_RoutingCore):
             duration_s=horizon,
             answers=self._query_log,
             truths=truths,
-            sensor_energy_by_category=by_category,
             per_sensor_energy_j=per_sensor,
-            archive_worst_level=max(r.archive_worst_level for r in cell_reports),
-            # Sensor-count-weighted mean: cells score their own sensors'
-            # readings, which are (near-)uniform across the fleet.
-            archive_fidelity_retained=(
-                sum(r.archive_fidelity_retained * r.n_sensors for r in cell_reports)
-                / self.trace.n_sensors
-            ),
             **vars(self.routing),
             n_proxies=self.federation.n_proxies,
             shard_policy=self.federation.shard_policy,
@@ -857,6 +844,7 @@ class FederatedSystem(_RoutingCore):
             failover_max_error=failover_max_error,
             cell_reports=cell_reports,
             n_partitions=self.n_partitions,
+            serving=None,   # attached by _attach_serving, after the fold
             coding=self._coding_report(),
         )
 
@@ -1071,18 +1059,16 @@ class _CellPartition(_RoutingCore):
             context.cells,
         )
         self.context = context
-        builder = CellBuilder(
-            config=context.config,
-            model_clocks=context.model_clocks,
-            clock_model=context.clock_model,
-        )
         for cell_id in cell_ids:
             fc = self.cells[cell_id]
-            self._built[fc.name] = builder.build(
+            self._built[fc.name] = PrestoCell(
                 context.trace.subset(fc.sensor_ids),
+                context.config,
                 self.sim,
                 RandomStreams(seed=context.seed + cell_id),
                 proxy_name=fc.name,
+                model_clocks=context.model_clocks,
+                clock_model=context.clock_model,
             )
         for name in context.initial_down:
             self.directory.mark_down(name)

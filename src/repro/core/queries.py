@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.metrics import merged
 from repro.traces.intel_lab import TraceSet
 from repro.traces.workload import Query, QueryKind
 
@@ -148,11 +149,11 @@ class ScoredAnswers:
     fractions are NaN on it, the means 0.0.
     """
 
-    duration_s: float
+    duration_s: float = merged("given")
     n_sensors: int
-    answers: list[QueryAnswer]
-    truths: list[float | None]
-    sensor_energy_j: float
+    answers: list[QueryAnswer] = merged("given")
+    truths: list[float | None] = merged("given")
+    sensor_energy_j: float = merged("sum")
 
     @property
     def mean_latency_s(self) -> float:

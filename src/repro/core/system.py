@@ -5,17 +5,16 @@ energy meters), network, proxy — into one :class:`Simulator`, replays a
 query workload against it, and produces the :class:`SystemReport` that every
 benchmark and example consumes.
 
-The per-cell construction lives in :class:`CellBuilder` / :class:`PrestoCell`
-so that the federation harness (:mod:`repro.core.federation`) can stamp out
-many cells over one shared simulator; :class:`PrestoSystem` is the
-single-cell wrapper that every existing benchmark uses.
+The per-cell construction lives in :class:`PrestoCell` so that the
+federation harness (:mod:`repro.core.federation`) can stamp out many cells
+over one shared simulator; :class:`PrestoSystem` is the single-cell wrapper
+that every existing benchmark uses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from typing import Any, TypeVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truths
 from repro.core.sensor import PrestoSensor
 from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
+from repro.metrics import Metrics, merged
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network, NetworkNode
 from repro.simulation.kernel import Simulator
@@ -41,22 +41,19 @@ from repro.traces.workload import Query
 #: how often bulk idle-listening energy is accounted
 IDLE_ACCOUNTING_PERIOD_S = 3600.0
 
-T = TypeVar("T")
-
 
 @dataclass
-class SystemReport(ScoredAnswers):
+class SystemReport(ScoredAnswers, Metrics):
     """Everything a benchmark needs from one simulated run.
 
-    Beyond the scored answer log these are a cell's ledger totals.  Every
-    one adds across cells except the by-category dict, the per-sensor
-    list, the worst aging level (a max) and the retained fidelity (a
-    sensor-weighted mean), which the federation's :func:`fold` call names.
+    Beyond the scored answer log these are a cell's ledger totals; each
+    field's merge rule across cells is declared on it (:mod:`repro.metrics`).
     """
 
-    sensor_energy_by_category: dict[str, float]
-    proxy_energy_j: float
-    per_sensor_energy_j: list[float]
+    sensor_energy_by_category: dict[str, float] = merged("dict_sum")
+    proxy_energy_j: float = merged("sum")
+    #: scattered to global sensor ids by the federation, which passes it
+    per_sensor_energy_j: list[float] = merged("given")
     pushes: int
     cold_pushes: int
     batches: int
@@ -73,7 +70,7 @@ class SystemReport(ScoredAnswers):
     #: resolution, fleet-wide — the wear-out sweeps' knee metric
     archive_aged_segments: int = 0
     #: worst (highest) resolution level any archived segment reached
-    archive_worst_level: int = 0
+    archive_worst_level: int = merged("max", default=0)
     #: segments shipped to a neighbour's flash by the offload coordinator
     segments_offloaded: int = 0
     #: payload bytes those offload moves carried over the radio
@@ -81,54 +78,38 @@ class SystemReport(ScoredAnswers):
     #: proxy cache-miss pulls served from a remote host's flash
     remote_reads: int = 0
     #: per-reading retention score of the fleet's archives vs ground truth
-    #: (1.0 = every reading ever taken still recoverable at full fidelity)
-    archive_fidelity_retained: float = 1.0
+    #: (1.0 = every reading ever taken still recoverable at full fidelity);
+    #: cells score their own sensors' readings, which are (near-)uniform
+    #: across the fleet, so cells merge by sensor count
+    archive_fidelity_retained: float = merged("sensor_mean", default=1.0)
     #: total flash capacity across the sensor fleet (device bytes summed)
     flash_capacity_bytes: int = 0
+
+    SUMMARY = (
+        "sensor_energy_j",
+        "sensor_energy_per_day_j",
+        "mean_latency_s",
+        "p95_latency_s",
+        "mean_error",
+        "success_rate",
+        "answered_fraction",
+        "pushes",
+        "pulls",
+        "delivery_ratio",
+        "cache_insertions",
+        "cache_refinements",
+        "cache_evictions",
+        "archive_aged_segments",
+        "archive_worst_level",
+        "archive_fidelity_retained",
+        "segments_offloaded",
+        "remote_reads",
+    )
 
     @property
     def delivery_ratio(self) -> float:
         """Delivered / sent packets (1.0 when nothing was sent)."""
         return self.packets_delivered / self.packets_sent if self.packets_sent else 1.0
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict used by benchmark tables."""
-        return {
-            "sensor_energy_j": self.sensor_energy_j,
-            "sensor_energy_per_day_j": self.sensor_energy_per_day_j,
-            "mean_latency_s": self.mean_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "mean_error": self.mean_error,
-            "success_rate": self.success_rate,
-            "answered_fraction": self.answered_fraction,
-            "pushes": float(self.pushes),
-            "pulls": float(self.pulls),
-            "delivery_ratio": self.delivery_ratio,
-            "cache_insertions": float(self.cache_insertions),
-            "cache_refinements": float(self.cache_refinements),
-            "cache_evictions": float(self.cache_evictions),
-            "archive_aged_segments": float(self.archive_aged_segments),
-            "archive_worst_level": float(self.archive_worst_level),
-            "archive_fidelity_retained": float(self.archive_fidelity_retained),
-            "segments_offloaded": float(self.segments_offloaded),
-            "remote_reads": float(self.remote_reads),
-        }
-
-
-def fold(cls: type[T], records: Sequence[Any], **named: Any) -> T:
-    """Merge same-class dataclass *records* into one *cls*.
-
-    Every field of the records' class is the built-in ``sum`` over them in
-    the given order (the float addition order is part of the seed-pinned
-    output), except the fields given in *named*, which are passed through
-    — the non-additive ones, and whatever *cls* has beyond the records.
-    """
-    summed = {
-        f.name: sum(getattr(record, f.name) for record in records)
-        for f in fields(records[0])
-        if f.name not in named
-    }
-    return cls(**summed, **named)
 
 
 class PrestoCell:
@@ -378,41 +359,9 @@ class PrestoCell:
         )
 
 
-@dataclass
-class CellBuilder:
-    """Reusable recipe for stamping out :class:`PrestoCell` instances.
-
-    The builder carries everything that is common across cells of one
-    deployment (the PRESTO config and clock modelling); :meth:`build` takes
-    what varies per cell — the trace shard, the shared simulator, the cell's
-    own random streams, and the proxy name.
-    """
-
-    config: PrestoConfig | None = None
-    model_clocks: bool = False
-    clock_model: ClockModel | None = field(default=None)
-
-    def resolve_config(self, trace: TraceSet) -> PrestoConfig:
-        """The PRESTO config to use for *trace* (defaults to its epoch)."""
-        return self.config or PrestoConfig(sample_period_s=trace.config.epoch_s)
-
-    def build(
-        self,
-        trace: TraceSet,
-        sim: Simulator,
-        streams: RandomStreams,
-        proxy_name: str = "proxy",
-    ) -> PrestoCell:
-        """Construct one cell over *trace* on the shared *sim*."""
-        return PrestoCell(
-            trace=trace,
-            config=self.resolve_config(trace),
-            sim=sim,
-            streams=streams,
-            proxy_name=proxy_name,
-            model_clocks=self.model_clocks,
-            clock_model=self.clock_model,
-        )
+def resolve_config(trace: TraceSet, config: PrestoConfig | None) -> PrestoConfig:
+    """*config*, or by default the PRESTO config sampling at *trace*'s epoch."""
+    return config or PrestoConfig(sample_period_s=trace.config.epoch_s)
 
 
 class PrestoSystem:
@@ -430,10 +379,15 @@ class PrestoSystem:
         self.trace = trace
         self.streams = RandomStreams(seed=seed)
         self.sim = Simulator()
-        builder = CellBuilder(
-            config=config, model_clocks=model_clocks, clock_model=clock_model
+        self.cell = PrestoCell(
+            trace,
+            resolve_config(trace, config),
+            self.sim,
+            self.streams,
+            proxy_name=proxy_name,
+            model_clocks=model_clocks,
+            clock_model=clock_model,
         )
-        self.cell = builder.build(trace, self.sim, self.streams, proxy_name)
         self.config = self.cell.config
         # Aliases kept for every consumer of the pre-federation attribute set.
         self.proxy_meter = self.cell.proxy_meter

@@ -3,8 +3,8 @@
 The :class:`CampaignRunner` turns each :class:`~repro.scenarios.spec.
 ScenarioSpec` into concrete runs — one per harness (single-cell
 :class:`~repro.core.system.PrestoSystem`, federated
-:class:`~repro.core.federation.FederatedSystem`, both built through
-:class:`~repro.core.system.CellBuilder`) and per duty-cycle point — and
+:class:`~repro.core.federation.FederatedSystem`, both built from
+:class:`~repro.core.system.PrestoCell`) and per duty-cycle point — and
 collects every run's :class:`~repro.core.system.SystemReport` /
 :class:`~repro.core.federation.FederatedReport` into one consolidated
 :class:`CampaignReport` with per-scenario success rate, mean error,
@@ -127,6 +127,36 @@ class CampaignConfig:
         )
 
 
+#: the report summary keys a campaign row carries, every run and federated
+#: runs only; three take a shorter name in the row
+ROW_METRICS = (
+    "success_rate",
+    "mean_error",
+    "sensor_energy_per_day_j",
+    "answered_fraction",
+    "mean_latency_s",
+    "delivery_ratio",
+    "archive_aged_segments",
+    "segments_offloaded",
+    "remote_reads",
+    "archive_fidelity_retained",
+)
+FEDERATED_ROW_METRICS = (
+    "failovers",
+    "unroutable",
+    "max_replica_staleness_s",
+    "failover_mean_error",
+    "n_partitions",
+)
+ROW_RENAMES = {
+    "sensor_energy_per_day_j": "energy_per_day_j",
+    "archive_aged_segments": "aged_segments",
+    "archive_fidelity_retained": "fidelity_retained",
+}
+#: nested report sections a row carries whole, by summary key prefix
+ROW_SECTIONS = ("serving_", "coding_")
+
+
 @dataclass
 class ScenarioResult:
     """One (scenario, harness, variant) run's outcome."""
@@ -160,55 +190,44 @@ class ScenarioResult:
         suffix = f" [{self.variant}]" if self.variant else ""
         return f"{self.scenario}/{self.harness}{suffix}"
 
-    @staticmethod
-    def _fidelity_efficiency(report) -> float:
+    def _fidelity_efficiency(self, summary: dict[str, float]) -> float:
         """Fidelity retained per sensor joule per byte of fleet flash.
 
         The ``offload_vs_aging`` grid metric: how much recoverable history
         each unit of energy and flash bought.  NaN when the run recorded no
         energy or no flash sizing (nothing meaningful to normalise by).
         """
-        denominator = report.sensor_energy_j * report.flash_capacity_bytes
+        denominator = summary["sensor_energy_j"] * self.report.flash_capacity_bytes
         if denominator <= 0:
             return float("nan")
-        return float(report.archive_fidelity_retained) / denominator
+        return summary["archive_fidelity_retained"] / denominator
 
     def row(self) -> dict[str, float | str | dict[str, float]]:
-        """Flat metrics row for tables and JSON."""
-        report = self.report
-        out: dict[str, float | str | dict[str, float]] = {
+        """Flat metrics row for tables and JSON.
+
+        The report's metrics are taken from its summary by key
+        (:data:`ROW_METRICS`, renamed by :data:`ROW_RENAMES`), federated
+        runs adding :data:`FEDERATED_ROW_METRICS` and every key of their
+        serving / coding sections.
+        """
+        summary = self.report.summary()
+        keys = ROW_METRICS
+        if isinstance(self.report, FederatedReport):
+            keys += FEDERATED_ROW_METRICS
+        return {
             "scenario": self.scenario,
             "harness": self.harness,
             "variant": self.variant,
             "sweep": dict(self.sweep_point),
-            "success_rate": report.success_rate,
-            "mean_error": report.mean_error,
-            "energy_per_day_j": report.sensor_energy_per_day_j,
-            "answered_fraction": report.answered_fraction,
-            "mean_latency_s": report.mean_latency_s,
-            "delivery_ratio": report.delivery_ratio,
+            **{ROW_RENAMES.get(key, key): summary[key] for key in keys},
             "notification_recall": self.notification_recall,
             "notifications": float(self.notifications),
             "events_injected": float(self.events_injected),
             "worst_notification_latency_s": self.worst_notification_latency_s,
-            "aged_segments": float(report.archive_aged_segments),
-            "segments_offloaded": float(report.segments_offloaded),
-            "remote_reads": float(report.remote_reads),
-            "fidelity_retained": float(report.archive_fidelity_retained),
-            "fidelity_per_joule_per_flash_byte": self._fidelity_efficiency(report),
+            "fidelity_per_joule_per_flash_byte": self._fidelity_efficiency(summary),
             "wall_clock_s": self.wall_clock_s,
+            **{key: value for key, value in summary.items() if key.startswith(ROW_SECTIONS)},
         }
-        if isinstance(report, FederatedReport):
-            out["failovers"] = float(report.failovers)
-            out["unroutable"] = float(report.unroutable)
-            out["max_replica_staleness_s"] = report.max_replica_staleness_s
-            out["failover_mean_error"] = report.failover_mean_error
-            out["n_partitions"] = float(report.n_partitions)
-            if report.serving is not None:
-                out.update(report.serving.summary())
-            if report.coding is not None:
-                out.update(report.coding.summary())
-        return out
 
 
 @dataclass(frozen=True)

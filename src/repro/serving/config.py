@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics import Metrics, merged
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -42,35 +44,41 @@ class ServingConfig:
 
 
 @dataclass
-class ServingReport:
-    """What the front-end measured over its serving window."""
+class ServingReport(Metrics):
+    """What the front-end measured over its serving window.
 
-    offered_qps: float
-    achieved_qps: float                  # served (non-failed) completions / window
+    Computed once over the whole run, never merged: a non-count field is
+    ``given``.
+    """
+
+    offered_qps: float = merged("given")
+    #: served (non-failed) completions / window
+    achieved_qps: float = merged("given")
     n_queries: int
     distinct_users: int
-    memo_hit_rate: float                 # fraction answered from the memo
-    p50_latency_s: float
-    p95_latency_s: float
-    p99_latency_s: float
-    mean_latency_s: float
-    utilization: float                   # backend busy time / capacity
-    unserved: int                        # no live server for the sensor
-    n_partitions: int
-    zipf_s: float
-    memo_ttl_s: float
+    #: fraction answered from the memo
+    memo_hit_rate: float = merged("given")
+    p50_latency_s: float = merged("given")
+    p95_latency_s: float = merged("given")
+    p99_latency_s: float = merged("given")
+    mean_latency_s: float = merged("given")
+    #: backend busy time / capacity
+    utilization: float = merged("given")
+    #: no live server for the sensor
+    unserved: int
+    n_partitions: int = merged("given")
+    zipf_s: float = merged("given")
+    memo_ttl_s: float = merged("given")
 
-    def summary(self) -> dict[str, float]:
-        """Flat dict of the serving metrics (keys prefixed ``serving_``)."""
-        return {
-            "serving_offered_qps": float(self.offered_qps),
-            "serving_achieved_qps": float(self.achieved_qps),
-            "serving_queries": float(self.n_queries),
-            "serving_distinct_users": float(self.distinct_users),
-            "serving_memo_hit_rate": float(self.memo_hit_rate),
-            "serving_p50_s": float(self.p50_latency_s),
-            "serving_p95_s": float(self.p95_latency_s),
-            "serving_p99_s": float(self.p99_latency_s),
-            "serving_utilization": float(self.utilization),
-            "serving_unserved": float(self.unserved),
-        }
+    SUMMARY = (
+        "offered_qps",
+        "achieved_qps",
+        ("queries", "n_queries"),
+        "distinct_users",
+        "memo_hit_rate",
+        ("p50_s", "p50_latency_s"),
+        ("p95_s", "p95_latency_s"),
+        ("p99_s", "p99_latency_s"),
+        "utilization",
+        "unserved",
+    )

@@ -13,12 +13,6 @@ architecture-comparison benchmarks.
 
 from repro.traces.events import EventKind, InjectedEvent, inject_events
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator, TraceSet
-from repro.traces.io import (
-    load_trace_csv,
-    load_trace_npz,
-    save_trace_csv,
-    save_trace_npz,
-)
 from repro.traces.workload import (
     Query,
     QueryKind,
@@ -39,8 +33,4 @@ __all__ = [
     "QueryWorkloadConfig",
     "QueryWorkloadGenerator",
     "ShardedWorkloadGenerator",
-    "load_trace_npz",
-    "save_trace_npz",
-    "load_trace_csv",
-    "save_trace_csv",
 ]

@@ -80,37 +80,22 @@ def run_federated(partitions, **kwargs):
 def report_key(report):
     """Everything the federation measures, exact — no tolerances.
 
-    The whole flat summary (``n_partitions`` aside: it names the split
-    under test), the coding ledger, and the per-query / per-sensor detail
-    the summary aggregates away.  NaN metrics are spelled as strings so
-    equal reports compare equal.
+    Every declared summary metric and every report field — the coding
+    ledger, the per-query and per-cell detail the summary aggregates away —
+    by iterating the declarations, ``n_partitions`` aside: it names the
+    split under test.  Values compare by ``repr``, so equal NaNs are equal.
     """
     summary = {
         key: repr(value)
         for key, value in report.summary().items()
         if key != "n_partitions"
     }
-    return (
-        summary,
-        dataclasses.astuple(report.coding),
-        report.cross_proxy_hops,
-        report.replica_hits,
-        report.replica_syncs,
-        report.fault_staleness_s,
-        repr(report.failover_max_error),
-        report.proxy_energy_j,
-        tuple(report.per_sensor_energy_j),
-        report.cold_pushes,
-        report.batches,
-        report.pull_failures,
-        report.packets_sent,
-        report.model_refits,
-        report.cache_size,
-        report.offload_bytes,
-        tuple(answer.latency_s for answer in report.answers),
-        tuple(answer.value for answer in report.answers),
-        tuple(answer.source for answer in report.answers),
-    )
+    fields = {
+        field.name: repr(getattr(report, field.name))
+        for field in dataclasses.fields(report)
+        if field.name != "n_partitions"
+    }
+    return summary, fields
 
 
 class TestPartitionEquivalence:

@@ -14,7 +14,9 @@ attribute or ``getattr`` string only) in any file under ``src``,
 ``__all__`` strings and ``__init__`` re-exports do not count, while a name
 reached *through* a re-export (``repro.baselines.BbqArchitecture``) does —
 plus the dotted entry-point strings of ``benchmarks/perf/layers.py``
-(``Target(...)`` resolves them by name at run time).  A reference inside
+(``Target(...)`` resolves them by name at run time) and the attribute names
+in a report's ``SUMMARY`` declaration (``Metrics.summary`` reads them with
+``getattr``).  A reference inside
 the symbol's own body does not keep it alive, and neither does one inside
 another symbol the census has already found dead (iterated to a fixed
 point, so a test-only helper of a test-only function is named too).
@@ -105,10 +107,6 @@ ALLOWLIST = {
     "src/repro/timeseries/base.py::Forecast.interval": DEFERRED,
     "src/repro/timeseries/gaussian.py::MultivariateGaussianModel.correlation_matrix": DEFERRED,
     "src/repro/timeseries/markov.py::MarkovChainModel.stationary_distribution": DEFERRED,
-    "src/repro/traces/io.py::load_trace_csv": DEFERRED,
-    "src/repro/traces/io.py::load_trace_npz": DEFERRED,
-    "src/repro/traces/io.py::save_trace_csv": DEFERRED,
-    "src/repro/traces/io.py::save_trace_npz": DEFERRED,
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -168,6 +166,15 @@ def symbols_only_tests_use(root: Path = ROOT) -> list[str]:
                 and isinstance(node.args[1], ast.Constant)
             ):
                 names = ["." + str(node.args[1].value)]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "SUMMARY"
+                for target in node.targets
+            ):
+                names = [
+                    "." + constant.value
+                    for constant in ast.walk(node.value)
+                    if isinstance(constant, ast.Constant) and isinstance(constant.value, str)
+                ]
             elif (
                 module in STRING_REFERENCES
                 and isinstance(node, ast.Constant)
@@ -209,7 +216,7 @@ def test_every_public_symbol_has_a_product_caller_or_a_reason():
 
 
 def test_census_follows_reexports_dead_callers_and_entry_point_strings(tmp_path):
-    """The scan itself works, on a toy package."""
+    """The scan itself works, on a toy package (a summary declaration counts too)."""
     files = {
         "src/repro/pkg/__init__.py": (
             "from repro.pkg.mod import shipped, orphan, Thing\n"
@@ -221,6 +228,8 @@ def test_census_follows_reexports_dead_callers_and_entry_point_strings(tmp_path)
             "def orphan():\n    return orphan_helper()\n"
             "def orphan_helper():\n    return 2\n"
             "class Thing:\n"
+            "    SUMMARY = (('key', 'declared'),)\n"
+            "    def declared(self):\n        return 5\n"
             "    def used(self):\n        return 3\n"
             "    def traced(self):\n        return 4\n"
             "    def unused(self):\n        return self.used()\n"
