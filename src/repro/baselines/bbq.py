@@ -23,6 +23,7 @@ from repro.baselines.common import (
     BaselineArchitecture,
     BaselineReport,
 )
+from repro.core.cache import aggregate
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.timeseries.gaussian import MultivariateGaussianModel
 from repro.traces.workload import Query, QueryKind
@@ -200,12 +201,7 @@ class BbqArchitecture(BaselineArchitecture):
                 latency_s=SERVER_PROCESSING_S,
             )
         window = values[mask]
-        if query.aggregate == "mean":
-            value = float(np.mean(window))
-        elif query.aggregate == "min":
-            value = float(np.min(window))
-        else:
-            value = float(np.max(window))
+        value = aggregate(window, query.aggregate)
         return QueryAnswer(
             query=query,
             value=value,

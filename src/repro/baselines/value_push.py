@@ -20,6 +20,7 @@ from repro.baselines.common import (
     BaselineArchitecture,
     BaselineReport,
 )
+from repro.core.cache import aggregate
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.energy.radio_energy import transfer_energy
 from repro.traces.workload import Query, QueryKind
@@ -122,12 +123,7 @@ class ValuePushArchitecture(BaselineArchitecture):
                 source=AnswerSource.FAILED,
                 latency_s=SERVER_PROCESSING_S,
             )
-        if query.aggregate == "mean":
-            value = float(np.mean(window))
-        elif query.aggregate == "min":
-            value = float(np.min(window))
-        else:
-            value = float(np.max(window))
+        value = aggregate(window, query.aggregate)
         return QueryAnswer(
             query=query,
             value=value,

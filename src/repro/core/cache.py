@@ -59,15 +59,29 @@ class CacheEntry:
         return self.source in (EntrySource.PUSHED, EntrySource.PULLED)
 
 
+# -- read rules -----------------------------------------------------------------
+#
+# The live cache, a replica's CacheSnapshot and the failover answer path all
+# read a sorted timestamp column through these: one window, one nearest-entry
+# rule (a scalar and a grid shape), one CacheEntry view and one aggregate.
+
+
+def _window(times: np.ndarray, start: float, end: float) -> slice:
+    """Index slice of the sorted *times* that fall in ``[start, end]``."""
+    return slice(
+        int(np.searchsorted(times, start, side="left")),
+        int(np.searchsorted(times, end, side="right")),
+    )
+
+
 def _nearest_position(times: np.ndarray, timestamp: float, tolerance_s: float) -> int | None:
     """Index of the entry nearest *timestamp* within ±*tolerance_s*.
 
     Ties between the left and right neighbour resolve to the right one,
-    matching the original bisect implementation.
+    matching the original bisect implementation.  :func:`_nearest_positions`
+    is the same rule over a whole grid.
     """
     n = times.size
-    if n == 0:
-        return None
     position = int(np.searchsorted(times, timestamp, side="left"))
     best: int | None = None
     best_gap = tolerance_s
@@ -78,6 +92,53 @@ def _nearest_position(times: np.ndarray, timestamp: float, tolerance_s: float) -
                 best_gap = gap
                 best = candidate
     return best
+
+
+def _nearest_positions(
+    times: np.ndarray, grid: np.ndarray, tolerance_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_nearest_position` at every grid instant: ``(positions, valid)``.
+
+    One searchsorted over the grid instead of a bisect per point;
+    ``positions`` is meaningful only where ``valid``.
+    """
+    n = times.size
+    if n == 0:
+        return np.zeros(grid.size, dtype=np.intp), np.zeros(grid.size, dtype=bool)
+    positions = np.searchsorted(times, grid, side="left")
+    left = np.clip(positions - 1, 0, n - 1)
+    right = np.clip(positions, 0, n - 1)
+    gap_left = np.abs(grid - times[left])
+    gap_right = np.abs(grid - times[right])
+    take_right = gap_right <= gap_left
+    chosen = np.where(take_right, right, left)
+    gap = np.where(take_right, gap_right, gap_left)
+    return chosen, gap <= tolerance_s
+
+
+def _entry(
+    times: np.ndarray, values: np.ndarray, stds: np.ndarray, codes: np.ndarray, i: int
+) -> CacheEntry:
+    """The :class:`CacheEntry` view of row *i* of four parallel columns."""
+    return CacheEntry(
+        timestamp=float(times[i]),
+        value=float(values[i]),
+        std=float(stds[i]),
+        source=_SOURCE_OF_CODE[int(codes[i])],
+    )
+
+
+_REDUCERS = {"mean": np.mean, "min": np.min, "max": np.max}
+
+
+def aggregate(values: np.ndarray, kind: str) -> float:
+    """The ``mean`` / ``min`` / ``max`` of a non-empty window of *values*."""
+    if values.size == 0:
+        raise ValueError("aggregate of empty window")
+    reducer = _REDUCERS.get(kind)
+    if reducer is None:
+        raise ValueError(f"unknown aggregate {kind!r}")
+    return float(reducer(values))
 
 
 @dataclass(frozen=True)
@@ -102,17 +163,7 @@ class CacheSnapshot:
         return self.timestamps.size > 0
 
     def __getitem__(self, index: int) -> CacheEntry:
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(index)
-        return CacheEntry(
-            timestamp=float(self.timestamps[i]),
-            value=float(self.values[i]),
-            std=float(self.stds[i]),
-            source=_SOURCE_OF_CODE[int(self.codes[i])],
-        )
+        return _entry(self.timestamps, self.values, self.stds, self.codes, index)
 
     def __iter__(self):
         for i in range(len(self)):
@@ -124,9 +175,7 @@ class CacheSnapshot:
 
     def window_slice(self, start: float, end: float) -> slice:
         """Index slice covering timestamps in ``[start, end]``."""
-        lo = int(np.searchsorted(self.timestamps, start, side="left"))
-        hi = int(np.searchsorted(self.timestamps, end, side="right"))
-        return slice(lo, hi)
+        return _window(self.timestamps, start, end)
 
     def nearest(self, timestamp: float, tolerance_s: float) -> int | None:
         """Index of the entry nearest *timestamp* within tolerance, or None."""
@@ -304,6 +353,10 @@ class _Column:
         return inserted, refined
 
 
+#: what every read sees for a sensor with nothing cached (never written)
+_EMPTY = _Column(0)
+
+
 class SummaryCache:
     """Per-sensor time-ordered cache with bounded footprint.
 
@@ -324,21 +377,6 @@ class SummaryCache:
         self.insertions = 0
         self.refinements = 0
         self.evictions = 0
-
-    def _column(self, sensor: int) -> _Column | None:
-        column = self._columns.get(sensor)
-        if column is None or column.length == 0:
-            return None
-        return column
-
-    def _entry_from(self, column: _Column, position: int) -> CacheEntry:
-        i = column.start + position
-        return CacheEntry(
-            timestamp=float(column.times[i]),
-            value=float(column.values[i]),
-            std=float(column.stds[i]),
-            source=_SOURCE_OF_CODE[int(column.codes[i])],
-        )
 
     # -- writes ---------------------------------------------------------------
 
@@ -417,19 +455,20 @@ class SummaryCache:
         return inserted
 
     # -- reads ------------------------------------------------------------------
+    #
+    # A sensor with nothing cached reads as the empty column, so every read
+    # below falls through the same code for it.
 
     def entry_at(
         self, sensor: int, timestamp: float, tolerance_s: float
     ) -> CacheEntry | None:
         """Entry nearest *timestamp* within ±*tolerance_s*, or None."""
-        column = self._column(sensor)
-        if column is None:
-            return None
-        times = column.times[column.start : column.end]
-        position = _nearest_position(times, timestamp, tolerance_s)
+        column = self._columns.get(sensor, _EMPTY)
+        start = column.start
+        position = _nearest_position(column.times[start : column.end], timestamp, tolerance_s)
         if position is None:
             return None
-        return self._entry_from(column, position)
+        return _entry(column.times, column.values, column.stds, column.codes, start + position)
 
     def actual_value_at(
         self, sensor: int, timestamp: float, tolerance_s: float
@@ -440,10 +479,7 @@ class SummaryCache:
         *any* provenance is picked first, then discarded unless it holds
         ground truth — without materializing a :class:`CacheEntry`.
         """
-        column = self._column(sensor)
-        if column is None:
-            return None
-        times, values, _, codes = column.views()
+        times, values, _, codes = self._columns.get(sensor, _EMPTY).views()
         position = _nearest_position(times, timestamp, tolerance_s)
         if position is None or codes[position] == PREDICTED_CODE:
             return None
@@ -457,14 +493,8 @@ class SummaryCache:
         The views alias cache storage and are invalidated by the next
         write to this sensor — consume (or copy) them immediately.
         """
-        column = self._column(sensor)
-        if column is None:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty, empty, np.empty(0, dtype=np.int8)
-        times, values, stds, codes = column.views()
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="right"))
-        window = slice(lo, hi)
+        times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
+        window = _window(times, start, end)
         return times[window], values[window], stds[window], codes[window]
 
     def entries_in(
@@ -472,15 +502,7 @@ class SummaryCache:
     ) -> list[CacheEntry]:
         """All entries with timestamps in ``[start, end]``, time order."""
         times, values, stds, codes = self.arrays_in(sensor, start, end)
-        return [
-            CacheEntry(
-                timestamp=float(times[i]),
-                value=float(values[i]),
-                std=float(stds[i]),
-                source=_SOURCE_OF_CODE[int(codes[i])],
-            )
-            for i in range(times.size)
-        ]
+        return [_entry(times, values, stds, codes, i) for i in range(times.size)]
 
     def values_on_grid(
         self, sensor: int, grid_times: np.ndarray, tolerance_s: float
@@ -489,53 +511,20 @@ class SummaryCache:
 
         Returns ``(values, valid)`` where ``valid[i]`` marks grid points
         with an entry within ±*tolerance_s*; invalid points hold NaN.
-        Candidate selection matches :meth:`entry_at` exactly (nearest
-        neighbour, ties to the later entry) but costs one searchsorted
-        over the whole grid instead of a bisect per point.
+        Candidate selection is :meth:`entry_at`'s, over the whole grid.
         """
         grid_times = np.asarray(grid_times, dtype=np.float64)
+        times, values, _, _ = self._columns.get(sensor, _EMPTY).views()
+        chosen, valid = _nearest_positions(times, grid_times, tolerance_s)
         out = np.full(grid_times.size, np.nan)
-        column = self._column(sensor)
-        if column is None:
-            return out, np.zeros(grid_times.size, dtype=bool)
-        times, values, _, _ = column.views()
-        n = times.size
-        positions = np.searchsorted(times, grid_times, side="left")
-        left = np.clip(positions - 1, 0, n - 1)
-        right = np.clip(positions, 0, n - 1)
-        gap_left = np.abs(grid_times - times[left])
-        gap_right = np.abs(grid_times - times[right])
-        take_right = gap_right <= gap_left
-        chosen = np.where(take_right, right, left)
-        gap = np.where(take_right, gap_right, gap_left)
-        valid = gap <= tolerance_s
         out[valid] = values[chosen[valid]]
         return out, valid
-
-    def tail(self, sensor: int, count: int) -> list[CacheEntry]:
-        """The newest *count* entries for *sensor* (the replication hot set)."""
-        if count < 1:
-            raise ValueError(f"need a positive tail size, got {count}")
-        column = self._column(sensor)
-        if column is None:
-            return []
-        first = max(column.length - count, 0)
-        return [self._entry_from(column, i) for i in range(first, column.length)]
 
     def tail_snapshot(self, sensor: int, count: int) -> CacheSnapshot:
         """Columnar copy of the newest *count* entries (for replication)."""
         if count < 1:
             raise ValueError(f"need a positive tail size, got {count}")
-        column = self._column(sensor)
-        if column is None:
-            empty = np.empty(0, dtype=np.float64)
-            return CacheSnapshot(
-                timestamps=empty,
-                values=empty.copy(),
-                stds=empty.copy(),
-                codes=np.empty(0, dtype=np.int8),
-            )
-        times, values, stds, codes = column.views()
+        times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
         tail = slice(max(times.size - count, 0), times.size)
         return CacheSnapshot(
             timestamps=times[tail].copy(),
@@ -546,21 +535,18 @@ class SummaryCache:
 
     def latest(self, sensor: int) -> CacheEntry | None:
         """Most recent entry for *sensor*."""
-        column = self._column(sensor)
-        if column is None:
+        column = self._columns.get(sensor, _EMPTY)
+        if column.length == 0:
             return None
-        return self._entry_from(column, column.length - 1)
+        return _entry(column.times, column.values, column.stds, column.codes, column.end - 1)
 
     def latest_actual(self, sensor: int) -> CacheEntry | None:
         """Most recent entry holding sensor ground truth."""
-        column = self._column(sensor)
-        if column is None:
-            return None
-        codes = column.codes[column.start : column.end]
+        times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
         actual = np.flatnonzero(codes != PREDICTED_CODE)
         if actual.size == 0:
             return None
-        return self._entry_from(column, int(actual[-1]))
+        return _entry(times, values, stds, codes, int(actual[-1]))
 
     def coverage_fraction(
         self, sensor: int, start: float, end: float, sample_period_s: float
@@ -577,13 +563,9 @@ class SummaryCache:
         if end < start:
             raise ValueError(f"empty window [{start}, {end}]")
         expected = max(int((end - start) / sample_period_s + 1e-9) + 1, 1)
-        column = self._column(sensor)
-        if column is None:
-            return 0.0
-        times = column.times[column.start : column.end]
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="right"))
-        return min((hi - lo) / expected, 1.0)
+        column = self._columns.get(sensor, _EMPTY)
+        window = _window(column.times[column.start : column.end], start, end)
+        return min((window.stop - window.start) / expected, 1.0)
 
     def size(self, sensor: int | None = None) -> int:
         """Entry count for one sensor, or total."""

@@ -140,23 +140,6 @@ class ContinuousQueryEngine:
         self._latest_ts[sensor] = float(timestamps[-1])
         self._last_value[sensor] = float(values[-1])
 
-    def tightest_threshold_gap(self, sensor: int, current_value: float) -> float | None:
-        """Distance from *current_value* to the nearest armed threshold.
-
-        The matcher uses this to narrow the sensor's push delta when a
-        standing query is about to fire ("arm the tripwire").  None when no
-        level queries are armed on the sensor.
-        """
-        gaps = []
-        for query in self._queries.values():
-            if query.sensor != sensor:
-                continue
-            if query.kind in (TriggerKind.ABOVE, TriggerKind.BELOW):
-                gaps.append(abs(query.threshold - current_value))
-            else:
-                gaps.append(query.threshold)
-        return min(gaps) if gaps else None
-
     def on_entry(self, sensor: int, entry: CacheEntry) -> list[Notification]:
         """Feed one cache update; returns the notifications it fired.
 
@@ -252,7 +235,3 @@ class ContinuousQueryEngine:
         if previous is None:
             return False
         return abs(entry.value - previous) > query.threshold
-
-    def notifications_for(self, query_id: int) -> list[Notification]:
-        """All notifications a query has produced."""
-        return [n for n in self.notifications if n.query_id == query_id]

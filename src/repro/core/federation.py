@@ -40,13 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.coding import CodingCounters, CodingReport, FragmentStore, serialize_payload
-from repro.core.cache import CacheSnapshot
+from repro.core.cache import CacheSnapshot, aggregate
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ForecastTrajectory, ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer, ground_truths
-from repro.core.system import PrestoCell, SystemReport, resolve_config
+from repro.core.system import PrestoCell, SystemReport, event_time, resolve_config
 from repro.index.directory import CacheDirectory
 from repro.index.skipgraph import SkipGraph
 from repro.metrics import fold, merged
@@ -552,12 +552,7 @@ class _RoutingCore:
         if data.size == 0:
             return None
         worst_std = float(state.entries.stds[window].max())
-        if query.aggregate == "mean":
-            value = float(np.mean(data))
-        elif query.aggregate == "min":
-            value = float(np.min(data))
-        else:
-            value = float(np.max(data))
+        value = aggregate(data, query.aggregate)
         all_actual = bool(state.entries.actual_mask()[window].all())
         source = AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION
         return value, worst_std, source
@@ -592,7 +587,6 @@ class FederatedSystem(_RoutingCore):
         config: PrestoConfig | None = None,
         federation: FederationConfig | None = None,
         seed: int = 0,
-        model_clocks: bool = False,
         clock_model: ClockModel | None = None,
         serving: ServingConfig | None = None,
     ) -> None:
@@ -618,7 +612,6 @@ class FederatedSystem(_RoutingCore):
                 for cell_id, ids in enumerate(self.shards)
             ],
         )
-        self.model_clocks = model_clocks
         self.clock_model = clock_model
         self.serving = serving
         #: resolved count of simulation partitions :meth:`run` executes on
@@ -688,12 +681,12 @@ class FederatedSystem(_RoutingCore):
     def schedule_failure(self, proxy_name: str, at_s: float) -> None:
         """Kill *proxy_name* at virtual time *at_s* during :meth:`run`."""
         self._validate_proxy(proxy_name)
-        self._failures.append((float(at_s), proxy_name))
+        self._failures.append((event_time(at_s), proxy_name))
 
     def schedule_recovery(self, proxy_name: str, at_s: float) -> None:
         """Recover *proxy_name* at virtual time *at_s* during :meth:`run`."""
         self._validate_proxy(proxy_name)
-        self._recoveries.append((float(at_s), proxy_name))
+        self._recoveries.append((event_time(at_s), proxy_name))
 
     def schedule_link_change(
         self,
@@ -713,7 +706,7 @@ class FederatedSystem(_RoutingCore):
             for cell_id in cells:
                 if not 0 <= cell_id < self.federation.n_proxies:
                     raise ValueError(f"cell index {cell_id} out of range")
-        self._link_events.append((float(at_s), link_config, cells))
+        self._link_events.append((event_time(at_s), link_config, cells))
 
     # -- main entry ---------------------------------------------------------------------
 
@@ -731,7 +724,6 @@ class FederatedSystem(_RoutingCore):
             config=self.config,
             federation=self.federation,
             seed=self.seed,
-            model_clocks=self.model_clocks,
             clock_model=self.clock_model,
             cells=self.cells,
             horizon=horizon,
@@ -1006,7 +998,6 @@ class _PartitionContext:
     config: PrestoConfig
     federation: FederationConfig
     seed: int
-    model_clocks: bool
     clock_model: ClockModel | None
     cells: list[FederatedCell]
     horizon: float
@@ -1067,7 +1058,6 @@ class _CellPartition(_RoutingCore):
                 self.sim,
                 RandomStreams(seed=context.seed + cell_id),
                 proxy_name=fc.name,
-                model_clocks=context.model_clocks,
                 clock_model=context.clock_model,
             )
         for name in context.initial_down:

@@ -24,6 +24,7 @@ from repro.core.cache import (
     CacheSnapshot,
     EntrySource,
     SummaryCache,
+    aggregate,
 )
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQueryEngine
@@ -543,34 +544,22 @@ class PrestoProxy:
         sensor = query.sensor
         start = min(query.target_time, self.sim.now)
         end = min(start + query.window_s, self.sim.now)
-        times, values, stds, codes = self.cache.arrays_in(sensor, start, end)
+        _, values, stds, codes = self.cache.arrays_in(sensor, start, end)
         coverage = self.cache.coverage_fraction(
             sensor, start, end, self.config.sample_period_s
         )
         worst_std = float(stds.max()) if stds.size else float("inf")
         if coverage >= 0.9 and self._confidence_ok(worst_std, query.precision):
-            value = self._aggregate(values, query.aggregate)
+            value = aggregate(values, query.aggregate)
             all_actual = bool((codes != PREDICTED_CODE).all())
             return QueryAnswer(
                 query=query,
                 value=value,
                 source=AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION,
                 latency_s=PROXY_PROCESSING_S,
-                believed_std=worst_std if times.size else 0.0,
+                believed_std=worst_std,
             )
         return self._pull_past(query, start, end, fallback=None)
-
-    @staticmethod
-    def _aggregate(values: np.ndarray, aggregate: str) -> float:
-        if values.size == 0:
-            raise ValueError("aggregate of empty window")
-        if aggregate == "mean":
-            return float(np.mean(values))
-        if aggregate == "min":
-            return float(np.min(values))
-        if aggregate == "max":
-            return float(np.max(values))
-        raise ValueError(f"unknown aggregate {aggregate!r}")
 
     # -- pull paths --------------------------------------------------------------------
 
@@ -655,7 +644,7 @@ class PrestoProxy:
                 # An aged/coarsened archive reply can retain only timestamps
                 # outside the requested window; degrade, don't crash.
                 return self._pull_failed(query, fallback, latency)
-            value = self._aggregate(in_window, query.aggregate)
+            value = aggregate(in_window, query.aggregate)
         return QueryAnswer(
             query=query,
             value=value,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cache import aggregate
 from repro.metrics import merged
 from repro.traces.intel_lab import TraceSet
 from repro.traces.workload import Query, QueryKind
@@ -130,12 +131,7 @@ def ground_truths(trace: TraceSet, queries: Sequence[Query]) -> list[float | Non
             window = window[~np.isnan(window)]
             if window.size == 0:
                 continue
-            if query.aggregate == "mean":
-                truths[i] = float(np.mean(window))
-            elif query.aggregate == "min":
-                truths[i] = float(np.min(window))
-            else:
-                truths[i] = float(np.max(window))
+            truths[i] = aggregate(window, query.aggregate)
     return truths
 
 

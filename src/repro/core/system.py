@@ -13,6 +13,7 @@ that every existing benchmark uses.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -119,7 +120,9 @@ class PrestoCell:
     simulator — many cells can share one :class:`Simulator`, which is how
     the federation harness runs a whole proxy cluster in a single virtual
     timeline.  Sensor ids are local to the cell (``0 .. trace.n_sensors-1``);
-    any global numbering is the caller's concern.
+    any global numbering is the caller's concern.  With a ``clock_model``
+    each sensor draws its own drifting clock from it; ``None`` means ideal
+    clocks.
     """
 
     def __init__(
@@ -129,7 +132,6 @@ class PrestoCell:
         sim: Simulator,
         streams: RandomStreams,
         proxy_name: str = "proxy",
-        model_clocks: bool = False,
         clock_model: ClockModel | None = None,
     ) -> None:
         self.trace = trace
@@ -167,11 +169,7 @@ class PrestoCell:
         for sensor_id in range(trace.n_sensors):
             name = f"sensor{sensor_id}"
             meter = EnergyMeter(name)
-            clock = (
-                DriftingClock(clock_model or ClockModel(), clock_rng, name)
-                if model_clocks
-                else None
-            )
+            clock = DriftingClock(clock_model, clock_rng, name) if clock_model else None
             node = NetworkNode(name, meter)
             mac = self.network.register_sensor(node)
             flash = FlashDevice(
@@ -359,6 +357,18 @@ class PrestoCell:
         )
 
 
+def event_time(at_s: float) -> float:
+    """*at_s* as the time of a scheduled fault or link change.
+
+    Rejects a NaN, infinite or negative time where it is given, instead of
+    letting it be dropped by a horizon filter or fail a partition later.
+    """
+    at = float(at_s)
+    if not (math.isfinite(at) and at >= 0.0):
+        raise ValueError(f"event time must be finite and non-negative, got {at_s!r}")
+    return at
+
+
 def resolve_config(trace: TraceSet, config: PrestoConfig | None) -> PrestoConfig:
     """*config*, or by default the PRESTO config sampling at *trace*'s epoch."""
     return config or PrestoConfig(sample_period_s=trace.config.epoch_s)
@@ -372,7 +382,6 @@ class PrestoSystem:
         trace: TraceSet,
         config: PrestoConfig | None = None,
         seed: int = 0,
-        model_clocks: bool = False,
         clock_model: ClockModel | None = None,
         proxy_name: str = "proxy",
     ) -> None:
@@ -385,7 +394,6 @@ class PrestoSystem:
             self.sim,
             self.streams,
             proxy_name=proxy_name,
-            model_clocks=model_clocks,
             clock_model=clock_model,
         )
         self.config = self.cell.config
@@ -411,7 +419,7 @@ class PrestoSystem:
         if any(cell_id != 0 for cell_id in cell_indices or ()):
             raise ValueError(f"cell indices {cell_indices} out of range for one cell")
         self.sim.schedule(
-            float(at_s), lambda: self.network.set_link_config(link_config)
+            event_time(at_s), lambda: self.network.set_link_config(link_config)
         )
 
     # -- main entry ---------------------------------------------------------------------

@@ -812,9 +812,13 @@ class CampaignRunner:
         )
         spec = self._apply_sweep(spec, sweep_point)
         presto = self._presto_config(spec, duty_cycle_point)
-        clock_model = ClockModel(
-            offset_std_s=spec.clocks.offset_std_s,
-            skew_ppm_std=spec.clocks.skew_ppm_std,
+        clock_model = (
+            ClockModel(
+                offset_std_s=spec.clocks.offset_std_s,
+                skew_ppm_std=spec.clocks.skew_ppm_std,
+            )
+            if spec.clocks.model_clocks
+            else None
         )
         faults_applied = 0
         if harness == "single":
@@ -822,7 +826,6 @@ class CampaignRunner:
                 trace,
                 presto,
                 seed=seed + 1,
-                model_clocks=spec.clocks.model_clocks,
                 clock_model=clock_model,
             )
             shards = None
@@ -833,7 +836,6 @@ class CampaignRunner:
                 presto,
                 federation=self._federation_config(spec),
                 seed=seed + 1,
-                model_clocks=spec.clocks.model_clocks,
                 clock_model=clock_model,
                 serving=self._serving_config(spec),
             )

@@ -115,9 +115,9 @@ class Simulator:
     def schedule(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* at absolute virtual *time*.
 
-        Raises :class:`SimulationError` if *time* is in the past.
+        Raises :class:`SimulationError` if *time* is in the past or NaN.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, clock already at {self._now:.6f}"
             )
@@ -125,8 +125,8 @@ class Simulator:
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* after *delay* seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         return self._queue.push(self._now + delay, callback)
 
     def run_until(self, horizon: float) -> None:

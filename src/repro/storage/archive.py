@@ -255,11 +255,6 @@ class SensorArchive:
         else:
             self.flash.free(record.pages)
 
-    def read_bytes_for_range(self, start: float, end: float) -> int:
-        """Stored bytes that a range pull would transfer (before paging)."""
-        entries = self.index.range(start, end)
-        return sum(self.records[e.record_id].stored_bytes() for e in entries)
-
     # -- introspection ------------------------------------------------------
 
     @property

@@ -5,7 +5,7 @@ import pytest
 
 from repro.energy.constants import MICA2_FLASH
 from repro.energy.meter import EnergyMeter
-from repro.storage.archive import BYTES_PER_READING, SensorArchive
+from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
 
 
@@ -83,12 +83,6 @@ class TestReads:
         before = meter.category_j("flash.read")
         archive.read_range(0.0, 1000.0)
         assert meter.category_j("flash.read") > before
-
-    def test_read_bytes_for_range(self):
-        archive, _ = make_archive(segment_readings=16)
-        for i in range(32):
-            archive.append(i * 30.0, float(i))
-        assert archive.read_bytes_for_range(0.0, 31 * 30.0) == 32 * BYTES_PER_READING
 
 
 class TestAgingUnderPressure:

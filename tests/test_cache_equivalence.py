@@ -4,12 +4,13 @@ to the original list-based implementation.
 Drives both implementations through the same randomized operation stream —
 interleaved pushed/predicted/pulled inserts with duplicate timestamps, deep
 backfill and eviction overflow — and asserts every read (``entry_at`` /
-``entries_in`` / ``tail`` / ``latest`` / ``latest_actual`` /
-``coverage_fraction`` / ``size``) and every counter agrees, continuously and
-at the end.  ``insert_batch`` is additionally checked against sequential
-single inserts on the reference, over the batch shapes the proxy produces:
-strictly-appending silent runs, sorted runs that overlap the cached stream,
-and unordered pull replies.
+``actual_value_at`` / ``values_on_grid`` / ``entries_in`` / ``arrays_in`` /
+``tail_snapshot`` / ``latest`` / ``latest_actual`` / ``coverage_fraction`` /
+``size``, and a replica snapshot's ``nearest`` / ``window_slice``) and every
+counter agrees, continuously and at the end.  ``insert_batch`` is
+additionally checked against sequential single inserts on the reference,
+over the batch shapes the proxy produces: strictly-appending silent runs,
+sorted runs that overlap the cached stream, and unordered pull replies.
 """
 
 from __future__ import annotations
@@ -41,26 +42,60 @@ def random_entry(rng: np.random.Generator, step: int) -> CacheEntry:
     )
 
 
+def as_entries(times, values, stds, codes) -> list[CacheEntry]:
+    """Columns back to rows, for comparison with the list oracle."""
+    return [
+        CacheEntry(float(t), float(v), float(s), SOURCES[int(c)])
+        for t, v, s, c in zip(times, values, stds, codes)
+    ]
+
+
 def assert_same_reads(
     new: SummaryCache, old: ListSummaryCache, rng: np.random.Generator
 ) -> None:
     assert new.size() == old.size()
     assert sorted(new.sensors) == sorted(old.sensors)
-    for sensor in old.sensors:
+    for sensor in [*old.sensors, 99]:  # 99: a sensor with nothing cached
         assert new.size(sensor) == old.size(sensor)
         assert new.entries_in(sensor, -1.0, 1e12) == old.entries_in(sensor, -1.0, 1e12)
         assert new.latest(sensor) == old.latest(sensor)
         assert new.latest_actual(sensor) == old.latest_actual(sensor)
         for count in (1, 3, 64):
-            assert new.tail(sensor, count) == old.tail(sensor, count)
-        for _ in range(8):
-            probe = float(rng.uniform(-10.0, 2000.0))
+            assert list(new.tail_snapshot(sensor, count)) == old.tail(sensor, count)
+        # a replica's snapshot holds every live entry from its first on
+        snapshot = new.tail_snapshot(sensor, 64)
+        first = float(snapshot.timestamps[0]) if snapshot else -np.inf
+        # quarter-period lattice points land exactly between entries: ties
+        lattice = rng.integers(-4, 2700, size=8) * (PERIOD / 4.0)
+        grid = np.sort(np.concatenate([rng.uniform(-10.0, 2000.0, size=8), lattice]))
+        tolerance = float(rng.uniform(0.1, 3.0 * PERIOD))
+        values, valid = new.values_on_grid(sensor, grid, tolerance)
+        for point, value, ok in zip(grid, values, valid):
+            expected = old.entry_at(sensor, float(point), tolerance)
+            assert ok == (expected is not None), (sensor, point, tolerance)
+            if ok:
+                assert value == expected.value
+        for step in range(8):
+            probe = float(rng.uniform(-10.0, 2000.0) if step % 2 else lattice[step])
             tolerance = float(rng.uniform(0.1, 3.0 * PERIOD))
-            assert new.entry_at(sensor, probe, tolerance) == old.entry_at(
+            expected = old.entry_at(sensor, probe, tolerance)
+            assert new.entry_at(sensor, probe, tolerance) == expected, (
                 sensor, probe, tolerance
-            ), (sensor, probe, tolerance)
+            )
+            assert new.actual_value_at(sensor, probe, tolerance) == (
+                expected.value if expected is not None and expected.is_actual else None
+            )
+            if probe >= first:
+                position = snapshot.nearest(probe, tolerance)
+                assert (None if position is None else snapshot[position]) == expected
             lo, hi = sorted(rng.uniform(-10.0, 2000.0, size=2))
             assert new.entries_in(sensor, lo, hi) == old.entries_in(sensor, lo, hi)
+            assert as_entries(*new.arrays_in(sensor, lo, hi)) == old.entries_in(
+                sensor, lo, hi
+            )
+            assert list(snapshot)[snapshot.window_slice(lo, hi)] == new.entries_in(
+                sensor, max(lo, first), hi
+            )
             assert new.coverage_fraction(sensor, lo, hi, PERIOD) == pytest.approx(
                 old.coverage_fraction(sensor, lo, hi, PERIOD)
             )

@@ -84,21 +84,6 @@ class TestEngine:
         fired = engine.on_entry(0, entry(1.0, 30.0))
         assert len(fired) == 2
 
-    def test_notifications_for(self):
-        engine = ContinuousQueryEngine()
-        qid = engine.register(
-            ContinuousQuery(sensor=0, kind=TriggerKind.ABOVE, threshold=0.0)
-        )
-        engine.on_entry(0, entry(1.0, 1.0))
-        engine.on_entry(0, entry(2.0, 2.0))
-        assert len(engine.notifications_for(qid)) == 2
-
-    def test_threshold_gap(self):
-        engine = ContinuousQueryEngine()
-        engine.register(ContinuousQuery(sensor=0, kind=TriggerKind.ABOVE, threshold=30.0))
-        assert engine.tightest_threshold_gap(0, 22.0) == pytest.approx(8.0)
-        assert engine.tightest_threshold_gap(1, 22.0) is None
-
     def test_invalid_queries(self):
         with pytest.raises(ValueError):
             ContinuousQuery(sensor=0, kind=TriggerKind.DELTA, threshold=0.0)

@@ -247,7 +247,7 @@ class TestSnapshot:
             source = EntrySource.PUSHED if i % 3 else EntrySource.PREDICTED
             cache.insert(0, entry(float(i * 30), float(i), 0.1, source))
         snapshot = cache.tail_snapshot(0, 5)
-        assert list(snapshot) == cache.tail(0, 5)
+        assert list(snapshot) == cache.entries_in(0, -1.0, 1e12)[-5:]
         assert len(snapshot) == 5
         assert snapshot[-1].timestamp == cache.latest(0).timestamp
 

@@ -23,6 +23,7 @@ from repro.core.federation import (
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.queries import AnswerSource, ground_truths
 from repro.core.system import SystemReport
+from repro.radio.link import LinkConfig
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import (
     Query,
@@ -606,3 +607,34 @@ class TestReplicaStaleness:
         summary = report.summary()
         assert summary["max_replica_staleness_s"] == report.max_replica_staleness_s
         assert summary["failover_mean_error"] == report.failover_mean_error
+
+
+BAD_EVENT_TIMES = [float("nan"), -5.0, float("inf")]
+
+
+class TestEventTimesRejected:
+    """A NaN, negative or infinite event time fails where it is given."""
+
+    @pytest.fixture
+    def system(self):
+        return FederatedSystem(
+            make_trace(n_sensors=4, duration_s=3600.0),
+            fast_config(),
+            FederationConfig(n_proxies=2, replication_factor=1),
+            seed=3,
+        )
+
+    @pytest.mark.parametrize("at_s", BAD_EVENT_TIMES)
+    def test_schedule_failure(self, system, at_s):
+        with pytest.raises(ValueError, match="event time"):
+            system.schedule_failure("proxy1", at_s)
+
+    @pytest.mark.parametrize("at_s", BAD_EVENT_TIMES)
+    def test_schedule_recovery(self, system, at_s):
+        with pytest.raises(ValueError, match="event time"):
+            system.schedule_recovery("proxy1", at_s)
+
+    @pytest.mark.parametrize("at_s", BAD_EVENT_TIMES)
+    def test_schedule_link_change(self, system, at_s):
+        with pytest.raises(ValueError, match="event time"):
+            system.schedule_link_change(at_s, LinkConfig(loss_probability=0.9))

@@ -23,6 +23,7 @@ from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.proxy import PrestoProxy
 from repro.core.system import PrestoSystem
+from repro.sync.clock import ClockModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, QueryWorkloadGenerator
 
@@ -82,7 +83,7 @@ class Drive:
         config = PrestoConfig(
             sample_period_s=31.0, cache_entries_per_sensor=CACHE_ENTRIES
         )
-        self.system = PrestoSystem(trace, config, seed=seed, model_clocks=True)
+        self.system = PrestoSystem(trace, config, seed=seed, clock_model=ClockModel())
         self.proxy = self.system.proxy
         self.writes = WriteCounter(self.proxy.cache)
         self.future_actuals: list[tuple[float, float]] = []

@@ -105,6 +105,14 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             Simulator().schedule_after(-1.0, lambda: None)
 
+    def test_nan_time_raises(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(float("nan"), lambda: None)
+
+    def test_nan_delay_raises(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_after(float("nan"), lambda: None)
+
     def test_horizon_before_now_raises(self):
         sim = Simulator()
         sim.run_until(10.0)

@@ -55,7 +55,6 @@ ALLOWLIST = {
     ),
     # -- what tests look through --------------------------------------------
     "src/repro/analysis/rules.py::all_rules": OBSERVER,
-    "src/repro/core/cache.py::SummaryCache.tail": OBSERVER,
     "src/repro/core/federation.py::FederatedSystem.owner_of": OBSERVER,
     "src/repro/core/prediction.py::PredictionEngine.model_for": OBSERVER,
     "src/repro/energy/duty_cycle.py::DutyCycleConfig.duty_fraction": OBSERVER,
@@ -80,8 +79,6 @@ ALLOWLIST = {
         "fail_proxy's inverse"
     ),
     # -- named for deletion, deferred ---------------------------------------
-    "src/repro/core/continuous.py::ContinuousQueryEngine.notifications_for": DEFERRED,
-    "src/repro/core/continuous.py::ContinuousQueryEngine.tightest_threshold_gap": DEFERRED,
     "src/repro/coding/gf256.py::gf_div": DEFERRED,
     "src/repro/energy/duty_cycle.py::listening_energy": DEFERRED,
     "src/repro/energy/lifetime.py::LifetimeEstimate": DEFERRED,
@@ -103,7 +100,6 @@ ALLOWLIST = {
     "src/repro/simulation/process.py::delayed_call": DEFERRED,
     "src/repro/simulation/randomness.py::RandomStreams.fork": DEFERRED,
     "src/repro/storage/aging.py::reconstruction_error_by_level": DEFERRED,
-    "src/repro/storage/archive.py::SensorArchive.read_bytes_for_range": DEFERRED,
     "src/repro/timeseries/base.py::Forecast.interval": DEFERRED,
     "src/repro/timeseries/gaussian.py::MultivariateGaussianModel.correlation_matrix": DEFERRED,
     "src/repro/timeseries/markov.py::MarkovChainModel.stationary_distribution": DEFERRED,

@@ -249,7 +249,6 @@ class TestLazyFitEquivalence:
             small_trace,
             PrestoConfig(sample_period_s=31.0, min_training_epochs=128),
             seed=6,
-            model_clocks=True,
             clock_model=ClockModel(offset_std_s=2.0, skew_ppm_std=100.0),
         )
         system.run()

@@ -162,6 +162,14 @@ class TestLossyLinks:
         assert report.success_rate > 0.6
 
 
+class TestLinkChangeTime:
+    @pytest.mark.parametrize("at_s", [float("nan"), -5.0, float("inf")])
+    def test_bad_time_rejected(self, small_trace, at_s):
+        system = PrestoSystem(small_trace, PrestoConfig(sample_period_s=31.0), seed=5)
+        with pytest.raises(ValueError, match="event time"):
+            system.schedule_link_change(at_s, LinkConfig(loss_probability=0.9))
+
+
 class TestClockedSensors:
     def test_sync_corrects_timestamps(self, small_trace):
         config = PrestoConfig(
@@ -173,7 +181,6 @@ class TestClockedSensors:
             small_trace,
             config,
             seed=6,
-            model_clocks=True,
             clock_model=ClockModel(offset_std_s=2.0, skew_ppm_std=100.0),
         )
         system.run()
