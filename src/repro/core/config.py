@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.radio.link import LinkConfig
 from repro.simulation.pool import resolve_workers
 from repro.storage.offload import STORAGE_POLICIES
+
+#: PrestoConfig's float knobs: a NaN or infinity slips past every range
+#: check below (a NaN compares false) and silently stops the protocol
+FINITE_PRESTO_FIELDS = (
+    "sample_period_s",
+    "push_delta",
+    "batch_interval_s",
+    "refit_interval_s",
+    "retune_interval_s",
+    "default_check_interval_s",
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,10 @@ class PrestoConfig:
     batch_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in FINITE_PRESTO_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.sample_period_s <= 0:
             raise ValueError("sample period must be positive")
         if self.push_delta <= 0:

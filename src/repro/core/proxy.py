@@ -251,7 +251,7 @@ class PrestoProxy:
             proxy_time=self.epoch_time(epoch),
             sensor_local_time=float(payload["local_time"]),
         )
-        self._activate_if_due(state, epoch)
+        self._activate_if_due(sensor, state, epoch)
         if state.tracker is None:
             # Cold start: cache the raw push, no model state to advance.
             state.last_epoch = max(state.last_epoch, epoch)
@@ -301,7 +301,7 @@ class PrestoProxy:
         # apply_push/advance_silent operates on stale model state.
         for timestamp, epoch, value in zip(sorted_times, epochs, sorted_values):
             epoch = int(epoch)
-            self._activate_if_due(state, epoch)
+            self._activate_if_due(sensor, state, epoch)
             if state.tracker is None:
                 state.last_epoch = max(state.last_epoch, epoch)
             elif epoch > state.last_epoch:
@@ -326,18 +326,33 @@ class PrestoProxy:
 
     # -- tracker management ---------------------------------------------------------
 
-    def _activate_if_due(self, state: _SensorState, epoch: int) -> None:
-        if state.pending is not None and epoch >= state.pending.activation_epoch:
-            state.tracker = ProxyModelTracker(state.pending)
-            state.last_epoch = max(state.last_epoch, state.pending.activation_epoch - 1)
-            state.pending = None
+    def _activate_if_due(self, sensor: int, state: _SensorState, epoch: int) -> None:
+        """Switch *sensor* to its pending model once *epoch* reaches activation.
+
+        The tracker is linked to the sensor's checker when that checker was
+        built from the same update, so both start from the same state; it
+        reads the checker's steps in order, verifying each against what the
+        proxy heard, and forks at the first that differs (see
+        :mod:`repro.core.push`).
+        """
+        update = state.pending
+        if update is None or epoch < update.activation_epoch:
+            return
+        sensor_obj = self._sensors.get(sensor)
+        checker = sensor_obj.checker if sensor_obj is not None else None
+        if checker is not None and checker.update is not update:
+            checker = None
+        state.tracker = ProxyModelTracker(update, checker)
+        state.last_epoch = max(state.last_epoch, update.activation_epoch - 1)
+        state.pending = None
 
     def _advance_tracker(self, sensor: int, state: _SensorState, upto_epoch: int) -> None:
         """Insert PREDICTED entries for silent epochs up to *upto_epoch*.
 
-        The tracker advances over the whole silent run, which then lands in
-        the cache as one batch.  The entries' std reflects the protocol's
-        actual guarantee: a silent epoch means the reading was within
+        The tracker advances over the whole silent run (read off the
+        sensor's trajectory while linked), which then lands in the cache as
+        one batch.  The entries' std reflects the protocol's actual
+        guarantee: a silent epoch means the reading was within
         *delta* of the substituted value, so the error bound is delta
         (≈ uniform, std = delta/√3), floored at the model's own one-step
         residual.
@@ -349,8 +364,7 @@ class PrestoProxy:
             state.tracker.delta / np.sqrt(3.0),
         )
         epochs = np.arange(state.last_epoch + 1, upto_epoch + 1)
-        advance = state.tracker.advance_silent
-        values = np.array([advance() for _ in range(epochs.size)])
+        values = state.tracker.silent_run(epochs.size)
         state.last_epoch = upto_epoch
         self._insert_batch(
             sensor,
@@ -364,7 +378,7 @@ class PrestoProxy:
         """Bring *sensor*'s cached view up to the current epoch."""
         state = self._states[sensor]
         target = self.current_epoch()
-        self._activate_if_due(state, target)
+        self._activate_if_due(sensor, state, target)
         self._advance_tracker(sensor, state, target)
 
     # -- model refit & dissemination ---------------------------------------------------

@@ -7,24 +7,45 @@ against the model, transmitting only on failure:
     sensor:  predicted, pushed = model.step(reading, delta)
              #   |reading - predicted| > delta: observe(reading), push it
              #   otherwise:                     observe(predicted)
-    proxy:   on push:    observe(reading)   # same branch, same state
-             on silence: model.step(None, delta)   # observe(predicted)
+    proxy:   on push:    observe(reading)     # same branch, same state
+             on silence: observe(predicted)
 
-Each side takes one model step per epoch
-(:meth:`~repro.timeseries.base.TimeSeriesModel.step`), and both advance the
-*same* model with the *same* values, so silence is
+Both sides advance the *same* model with the *same* values, so silence is
 unambiguous ("the reading was within delta of what we both computed") and
 the proxy's substituted series is exactly the sensor's.  Rare events are
 caught by construction: any reading further than delta from the prediction
 is pushed, no matter how unusual.
+
+Since both replicas start from one :class:`ModelUpdate`, the simulation
+takes one model step per sensor-epoch.  The sensor's
+:class:`SensorModelChecker` records its *trajectory* — per step, the value
+it observed and whether it pushed — and a :class:`ProxyModelTracker` linked
+to it reads its own steps off that trajectory in order: a silent epoch is a
+silent entry, whose value is the prediction the tracker would have
+computed; a push is a pushed entry holding the same reading.  Each read is
+checked, so by induction the tracker holds, step for step, the state it
+would have stepped to.  At the first step it cannot read exactly — a push
+it never received (ARQ exhausted, or overtaken by a query's silent
+advance), a reading the checker did not push (a batch, a late model
+update), or a step the trajectory does not cover — the tracker *forks*: it
+folds the trajectory into its own model up to that step and steps the model
+itself until the next activation, as an unlinked tracker always does.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
+from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.timeseries.base import TimeSeriesModel
+
+#: steps a checker records: more than the ~2 800 epochs between the default
+#: daily refits at 31 s sampling, at 9 bytes each; a tracker forks past them
+TRAJECTORY_EPOCHS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,9 +80,15 @@ class PushDecision:
 
 
 class SensorModelChecker:
-    """Sensor-side replica of the model, running the cheap check loop."""
+    """Sensor-side replica of the model, running the cheap check loop.
+
+    For its first :data:`TRAJECTORY_EPOCHS` steps the checker records what
+    it observed — the reading when it pushed, else its prediction — in
+    :attr:`observed`, and whether it pushed in :attr:`pushed`.
+    """
 
     def __init__(self, update: ModelUpdate) -> None:
+        self.update = update
         self._model = copy.deepcopy(update.model)
         self._model.align_to_time(
             update.activation_epoch * self._model.sample_period_s
@@ -69,6 +96,8 @@ class SensorModelChecker:
         self.delta = float(update.delta)
         self.checks = 0
         self.pushes = 0
+        self.observed = array("d")
+        self.pushed = bytearray()
 
     @property
     def check_cycles(self) -> float:
@@ -81,17 +110,23 @@ class SensorModelChecker:
         self.checks += 1
         if push:
             self.pushes += 1
+        if len(self.pushed) < TRAJECTORY_EPOCHS:
+            self.observed.append(value if push else predicted)
+            self.pushed.append(push)
         return PushDecision(push=push, predicted=predicted, error=abs(value - predicted))
 
     def advance_silent(self) -> float:
         """Advance one epoch with no reading (sensing dropout).
 
-        The replica observes its own prediction — exactly the proxy
-        tracker's :meth:`ProxyModelTracker.advance_silent` — so a missed
-        sample keeps both sides in lockstep.  Returns the substituted value.
+        The replica observes its own prediction — exactly what the proxy
+        substitutes for a silent epoch — so a missed sample keeps both
+        sides in lockstep.  Returns the substituted value.
         """
         predicted, _ = self._model.step(None, self.delta)
         self.checks += 1
+        if len(self.pushed) < TRAJECTORY_EPOCHS:
+            self.observed.append(predicted)
+            self.pushed.append(False)
         return predicted
 
     @property
@@ -109,31 +144,121 @@ class ProxyModelTracker:
     skipped; ``apply_push(value)`` consumes a pushed reading.  The sequence
     of calls must mirror the sensor's epochs, which the proxy guarantees by
     processing epochs in order (see :class:`repro.core.proxy.PrestoProxy`).
+
+    Given the *checker* built from the same *update*, the tracker reads its
+    steps off the checker's trajectory instead of stepping a model (see the
+    module docstring).  :attr:`_model` — what the tracker's pickled state
+    and forecasts are made of — folds the trajectory read so far into the
+    tracker's own model first, so every reader sees the state stepping
+    would have left.
     """
 
-    def __init__(self, update: ModelUpdate) -> None:
-        self._model = copy.deepcopy(update.model)
-        self._model.align_to_time(
-            update.activation_epoch * self._model.sample_period_s
+    def __init__(
+        self, update: ModelUpdate, checker: SensorModelChecker | None = None
+    ) -> None:
+        self._own_model = copy.deepcopy(update.model)
+        self._own_model.align_to_time(
+            update.activation_epoch * self._own_model.sample_period_s
         )
         self.delta = float(update.delta)
         self.substitutions = 0
         self.pushes_applied = 0
+        self._checker = checker
+        self._cursor = 0    # trajectory index of the next epoch
+        self._folded = 0    # trajectory entries already in the own model
+
+    def __getstate__(self) -> dict:
+        """Replica-sync state: the caught-up model and the counters."""
+        return {
+            "_model": self._model,
+            "delta": self.delta,
+            "substitutions": self.substitutions,
+            "pushes_applied": self.pushes_applied,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._own_model = state["_model"]
+        self.delta = state["delta"]
+        self.substitutions = state["substitutions"]
+        self.pushes_applied = state["pushes_applied"]
+        self._checker = None
+        self._cursor = self._folded = 0
+
+    @property
+    def _model(self) -> TimeSeriesModel:
+        """The tracker's model, caught up to its newest epoch."""
+        self._catch_up()
+        return self._own_model
+
+    def _catch_up(self) -> None:
+        """Fold the trajectory read so far into the own model.
+
+        ``observe`` of each epoch's observed value leaves the state ``step``
+        left on the sensor (the :meth:`TimeSeriesModel.step` contract).
+        """
+        checker = self._checker
+        if checker is None or self._folded == self._cursor:
+            return
+        observe = self._own_model.observe
+        for value in checker.observed[self._folded : self._cursor].tolist():
+            observe(value)
+        self._folded = self._cursor
+
+    def _fork(self) -> None:
+        """Leave the trajectory: the own model steps alone from here."""
+        self._catch_up()
+        self._checker = None
+
+    def _silent_prefix(self, count: int) -> int:
+        """How many of the next *count* epochs the trajectory holds as silent."""
+        checker = self._checker
+        if checker is None:
+            return 0
+        start = self._cursor
+        stop = min(start + count, len(checker.pushed))
+        first_push = checker.pushed.find(1, start, stop)
+        return (stop if first_push < 0 else first_push) - start
 
     def advance_silent(self) -> float:
         """Advance one epoch without a push; returns the substituted value."""
-        predicted, _ = self._model.step(None, self.delta)
+        if self._silent_prefix(1):
+            predicted = self._checker.observed[self._cursor]
+            self._cursor += 1
+        else:
+            self._fork()
+            predicted, _ = self._own_model.step(None, self.delta)
         self.substitutions += 1
         return predicted
 
+    def silent_run(self, count: int) -> np.ndarray:
+        """Substituted values for the next *count* epochs, all without a push."""
+        start = self._cursor
+        read = self._silent_prefix(count)
+        values = self._checker.observed[start : start + read] if read else array("d")
+        self._cursor += read
+        self.substitutions += read
+        advance = self.advance_silent
+        values.extend(advance() for _ in range(count - read))
+        return np.frombuffer(values)
+
     def apply_push(self, value: float) -> None:
         """Advance one epoch with the pushed reading."""
-        self._model.observe(float(value))
+        checker, at = self._checker, self._cursor
+        if (
+            checker is not None
+            and at < len(checker.pushed)
+            and checker.pushed[at]
+            and checker.observed[at] == value
+        ):
+            self._cursor = at + 1
+        else:
+            self._fork()
+            self._own_model.observe(float(value))
         self.pushes_applied += 1
 
     def predicted_std(self) -> float:
         """One-step uncertainty of a substitution (model residual std)."""
-        return self._model.residual_std
+        return self._own_model.residual_std
 
 
 class ForecastTrajectory:
@@ -174,5 +299,13 @@ class ForecastTrajectory:
 def verify_replicas_in_sync(
     checker: SensorModelChecker, tracker: ProxyModelTracker
 ) -> bool:
-    """Test hook: do the two replicas predict the same next value?"""
-    return checker._model.predict_next() == tracker._model.predict_next()
+    """Test hook: do the two replicas hold the same state at the same epoch?
+
+    The tracker is caught up to its newest epoch, and the models compare
+    by their pickled bytes — the form a replica sync ships.
+    """
+    if checker.checks != tracker.substitutions + tracker.pushes_applied:
+        return False
+    return pickle.dumps(checker._model, protocol=4) == pickle.dumps(
+        tracker._model, protocol=4
+    )

@@ -75,6 +75,12 @@ class PrestoSensor:
 
         self.epoch = -1                      # last sampled epoch index
         self.checker: SensorModelChecker | None = None
+        # CPU joules per reading and per model check (the latter set with
+        # each checker): the same cycles on the same CPU every epoch
+        self._sample_j = config.node_profile.cpu.energy_for_cycles(
+            SAMPLE_ACQUIRE_CYCLES
+        )
+        self._check_j = 0.0
         self._pending_update: ModelUpdate | None = None
         self.operating_point = SensorOperatingPoint(
             check_interval_s=config.default_check_interval_s,
@@ -99,8 +105,7 @@ class PrestoSensor:
         """Process one reading: archive it, then decide whether to transmit."""
         self.epoch += 1
         self.samples_taken += 1
-        cpu = self.config.node_profile.cpu
-        self.meter.charge("cpu.sample", cpu.energy_for_cycles(SAMPLE_ACQUIRE_CYCLES))
+        self.meter.charge("cpu.sample", self._sample_j)
         local_time = self.clock.read(true_time) if self.clock else true_time
         self._last_reading = (true_time, float(value))
         self.archive.append(true_time, value)
@@ -118,10 +123,7 @@ class PrestoSensor:
                 self.cold_pushes += 1
             return
 
-        self.meter.charge(
-            "cpu.model_check",
-            cpu.energy_for_cycles(max(self.checker.check_cycles, MODEL_CHECK_CYCLES)),
-        )
+        self.meter.charge("cpu.model_check", self._check_j)
         decision = self.checker.process(value)
         if decision.push:
             if self._send_push(value, local_time):
@@ -141,17 +143,16 @@ class PrestoSensor:
         self._maybe_activate_model()
         if self.operating_point.batch_interval_s > 0 or self.checker is None:
             return
-        cpu = self.config.node_profile.cpu
-        self.meter.charge(
-            "cpu.model_check",
-            cpu.energy_for_cycles(max(self.checker.check_cycles, MODEL_CHECK_CYCLES)),
-        )
+        self.meter.charge("cpu.model_check", self._check_j)
         self.checker.advance_silent()
 
     def _maybe_activate_model(self) -> None:
         update = self._pending_update
         if update is not None and self.epoch >= update.activation_epoch:
             self.checker = SensorModelChecker(update)
+            self._check_j = self.config.node_profile.cpu.energy_for_cycles(
+                max(self.checker.check_cycles, MODEL_CHECK_CYCLES)
+            )
             self._pending_update = None
 
     def _send_push(self, value: float, local_time: float) -> bool:

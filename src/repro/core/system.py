@@ -17,8 +17,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import PrestoConfig
 from repro.core.proxy import PrestoProxy
 from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truths
@@ -232,12 +230,13 @@ class PrestoCell:
         if self._epoch >= self.trace.n_epochs:
             return
         now = self.sim.now
+        column = self.trace.values[:, self._epoch].tolist()
         for sensor in self.sensors:
-            value = self.trace.values[sensor.sensor_id, self._epoch]
-            if np.isnan(value):
+            value = column[sensor.sensor_id]
+            if value != value:  # NaN: a sensing dropout
                 sensor.on_missed_sample()
                 continue
-            sensor.on_sample(now, float(value))
+            sensor.on_sample(now, value)
         self._epoch += 1
 
     def account_idle(self) -> None:

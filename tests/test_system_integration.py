@@ -170,6 +170,28 @@ class TestLinkChangeTime:
             system.schedule_link_change(at_s, LinkConfig(loss_probability=0.9))
 
 
+class TestConfigRejectsNonFinite:
+    """A NaN or infinite float knob is refused where it is given: before,
+    ``push_delta=nan`` silently stopped every push, ``batch_interval_s=nan``
+    acted as 0 and a NaN period or refit interval failed mid-run."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "sample_period_s",
+            "push_delta",
+            "batch_interval_s",
+            "refit_interval_s",
+            "retune_interval_s",
+            "default_check_interval_s",
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PrestoConfig(**{field: value})
+
+
 class TestClockedSensors:
     def test_sync_corrects_timestamps(self, small_trace):
         config = PrestoConfig(
