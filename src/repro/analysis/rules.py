@@ -727,6 +727,57 @@ class NoProcessGlobalCounter(Rule):
 
 
 # ---------------------------------------------------------------------------
+# no-pickle-wire
+
+#: the pickle module under both its import names
+_PICKLE_MODULES = {"pickle", "_pickle"}
+
+#: the replica wire path: what replica sync ships and what it replicates
+_WIRE_PREFIXES = ("coding/", "core/")
+
+
+class NoPickleWire(Rule):
+    """``pickle`` in the replica path.
+
+    What a replica sync ships is an explicit, versioned byte layout
+    (``repro.coding.wire``): every field is declared, so payload bytes
+    depend on the shipped values alone.  A pickle's bytes depend on
+    whatever attributes an object happens to carry and on the Python
+    types holding its floats, which is how a stray attribute once moved
+    ``coding.payload_bytes``.  The coding layer and the core it
+    replicates import no serializer of object graphs at all.
+    """
+
+    id = "no-pickle-wire"
+    summary = "pickle imported under repro/coding or repro/core (replica wire path)"
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        # outside the package (rel None) is strict mode, as for fixtures
+        return ctx.rel is None or ctx.rel.startswith(_WIRE_PREFIXES)
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):  # type: ignore[arg-type]
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in _PICKLE_MODULES:
+                    findings.append(
+                        self.finding(
+                            ctx,
+                            node,
+                            f"{name} imported on the replica wire path; ship "
+                            "declared state in the repro.coding.wire layout",
+                        )
+                    )
+        return findings
+
+
+# ---------------------------------------------------------------------------
 # registry — populated at module level (import time), so pool workers that
 # re-import this module rebuild it identically; no function ever writes it
 
@@ -740,6 +791,7 @@ RULES: dict[str, Rule] = {
         MutableDefaultArg(),
         WorkerSharedState(),
         NoProcessGlobalCounter(),
+        NoPickleWire(),
     )
 }
 

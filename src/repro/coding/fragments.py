@@ -1,44 +1,42 @@
 """Fragmented replica storage: the federation's one replica representation.
 
-The serialized hot snapshot one owner ships in one sync — one
-*generation* — is padded to a multiple of k, striped into a ``(k, L)``
-byte matrix and encoded into n fragments, one per planned host slot
-(``CacheDirectory.plan_fragment_placement``).  Whole-copy replication
-with factor r is the (k = 1, n = r) member of the family: every fragment
-is the payload under an invertible byte map, and it is encoded, held,
-reconstructed and counted like any other generation.  A host keeps only
-its newest fragments per owner, so the store's footprint is bounded by
-the host count, not the sync count.
+What one owner ships in one sync — one *generation*, its per-sensor
+records in the :mod:`repro.coding.wire` layout — is padded to a multiple
+of k, striped into a ``(k, L)`` byte matrix and encoded into n fragments,
+one per planned host slot (``CacheDirectory.plan_fragment_placement``).
+Whole-copy replication with factor r is the (k = 1, n = r) member of the
+family: every fragment is the payload under an invertible byte map, and
+it is encoded, held, reconstructed and counted like any other generation.
 
-Reconstruction for failover gathers the surviving fragments on live
-hosts, decodes every generation that still has >= k distinct fragments
-(memoised per generation — the MDS decode is independent of *which* k
-fragments are used) and merges the decoded snapshot dicts oldest-first,
-so the newest surviving state of every sensor wins.  Fragments held but
-fewer than k of every generation means the owner's replicated state is
-irrecoverable; live hosts that hold nothing yet (a death before the
+A generation is a delta against the owner's previous one, so generations
+form *chains*: a keyframe (a delta with no base) and the deltas after it.
+The store decides which generation is a keyframe: the owner's first, any
+whose live host set differs from its predecessor's, and any after the
+chain's deltas have outgrown its keyframe.  So every generation of a
+chain lives on the same host slots, and a host keeps exactly one chain
+per owner — the one since the newest keyframe it received — which bounds
+its footprint by about twice a keyframe, not by the sync count.
+
+Reconstruction for failover gathers the chains held on live hosts, folds
+each that still has >= k distinct fragments (keyframe plus deltas, the
+newest fold memoised per chain — the MDS decode is independent of
+*which* k fragments are used) and merges the folded states oldest-first,
+so the newest surviving state of every sensor wins.  Chains held but
+fewer than k fragments of every one means the owner's replicated state
+is irrecoverable; live hosts that hold nothing yet (a death before the
 first sync) merely have nothing to answer from.
 """
 
 from __future__ import annotations
 
-import pickle
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from repro.coding.rs import rs_decode, rs_encode
+from repro.coding.wire import SensorRecord, apply_delta, parse_payload, serialize_payload
 from repro.metrics import Metrics, merged
-
-#: pickle protocol pinned for deterministic payload sizing across runs
-PAYLOAD_PICKLE_PROTOCOL = 4
-
-
-def serialize_payload(snapshot: Any) -> bytes:
-    """One sync generation's wire form (pinned pickle protocol)."""
-    return pickle.dumps(snapshot, protocol=PAYLOAD_PICKLE_PROTOCOL)
 
 
 def payload_matrix(payload: bytes, k: int) -> np.ndarray:
@@ -54,15 +52,15 @@ def payload_matrix(payload: bytes, k: int) -> np.ndarray:
 class CodingCounters:
     """Per-run replica-sync byte/decode accounting.
 
-    ``payload_bytes`` counts each owner's serialized snapshot once per
+    ``payload_bytes`` counts each owner's serialized generation once per
     sync; ``shipped_bytes`` is what actually crossed the backhaul (the
     fragments of live hosts); ``full_copy_bytes`` is the whole-copy cost
     at the same survivability — the ``payload x min(n - k + 1, live
     hosts)`` a replication factor of n - k + 1 would have shipped, which
     at k = 1 is the shipped bytes themselves.  ``decodes`` counts the
-    generations materialised from held fragments (decode-cache misses),
+    generations decoded from held fragments and folded into their chain,
     ``irrecoverable`` the failover attempts that found fragments but
-    fewer than k of every generation.
+    fewer than k of every chain.
     """
 
     payload_bytes: int = 0
@@ -108,16 +106,27 @@ class CodingReport(CodingCounters, Metrics):
 
 
 @dataclass
-class _HeldFragments:
-    """What one host currently stores for one owner (its newest sync)."""
+class _Chain:
+    """One owner's keyframe and the deltas since, all on the same slots.
 
-    generation: int
-    fragments: tuple[tuple[int, bytes], ...]   # (fragment index, row bytes)
+    ``keyframe`` is the keyframe's generation number and ``slots`` the
+    live fragment indices every generation was shipped to.  Each entry of
+    ``generations`` is a payload length and that generation's fragments
+    at ``slots``, in slot order; ``folded`` memoises the state after the
+    first *count* generations.
+    """
+
+    keyframe: int
+    slots: tuple[int, ...]
+    keyframe_bytes: int
+    delta_bytes: int = 0
+    generations: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    folded: tuple[int, dict[int, SensorRecord]] = field(default_factory=lambda: (0, {}))
 
 
 @dataclass
 class FragmentStore:
-    """Per-owner fragment state shared by a routing core's sync/failover.
+    """Per-owner fragment chains shared by a routing core's sync/failover.
 
     *assignment* maps each owner to its n fragment host slots (entry i
     hosts fragment i; hosts repeat only when the wired pool is smaller
@@ -130,9 +139,8 @@ class FragmentStore:
     assignment: dict[str, list[str]]
     decodes: int = 0
     _generation: dict[str, int] = field(default_factory=dict)
-    _lengths: dict[tuple[str, int], int] = field(default_factory=dict)
-    _held: dict[tuple[str, str], _HeldFragments] = field(default_factory=dict)
-    _decoded: dict[tuple[str, int], dict[int, Any]] = field(default_factory=dict)
+    _newest: dict[str, _Chain] = field(default_factory=dict)
+    _held: dict[tuple[str, str], _Chain] = field(default_factory=dict)
 
     def live_slots(self, owner: str, alive: Callable[[str], bool]) -> list[str]:
         """The owner's distinct live fragment hosts, slot order."""
@@ -143,94 +151,81 @@ class FragmentStore:
         return live
 
     def sync(
-        self, owner: str, payload: bytes, alive: Callable[[str], bool]
-    ) -> tuple[int, int]:
-        """Encode one generation and store fragments on live hosts.
+        self,
+        owner: str,
+        export: Callable[[bool], Sequence[SensorRecord]],
+        alive: Callable[[str], bool],
+    ) -> tuple[int, int, int]:
+        """Export, encode and store one generation on the live hosts.
 
-        Returns ``(shipped_bytes, live_host_count)``; ``(0, 0)`` without
-        consuming a generation when no assigned host is alive (nowhere to
-        ship).
+        ``export(keyframe)`` returns the owner's records: whole tails for
+        a keyframe, else the delta against its previous generation.
+        Returns ``(payload_bytes, shipped_bytes, live_host_count)``;
+        ``(0, 0, 0)`` without exporting or consuming a generation when no
+        assigned host is alive (nowhere to ship).
         """
         slots = self.assignment.get(owner, [])
-        live = [(i, host) for i, host in enumerate(slots) if alive(host)]
+        live = tuple(index for index, host in enumerate(slots) if alive(host))
         if not live:
-            return 0, 0
+            return 0, 0, 0
+        hosts = list(dict.fromkeys(slots[index] for index in live))
+        chain = self._newest.get(owner)
+        keyframe = (
+            chain is None or chain.slots != live or chain.delta_bytes > chain.keyframe_bytes
+        )
+        payload = serialize_payload(export(keyframe))
         generation = self._generation.get(owner, 0) + 1
         self._generation[owner] = generation
-        fragments = rs_encode(payload_matrix(payload, self.k), self.n)
-        self._lengths[(owner, generation)] = len(payload)
-        fragment_bytes = fragments.shape[1]
-        by_host: dict[str, list[tuple[int, bytes]]] = {}
-        for index, host in live:
-            by_host.setdefault(host, []).append((index, fragments[index].tobytes()))
-        shipped = 0
-        for host, rows in by_host.items():
-            self._held[(owner, host)] = _HeldFragments(generation, tuple(rows))
-            shipped += fragment_bytes * len(rows)
-        self._prune(owner)
-        return shipped, len(by_host)
-
-    def _prune(self, owner: str) -> None:
-        """Drop decode caches/lengths of generations no host still holds."""
-        held_generations = {
-            held.generation
-            for (held_owner, _), held in self._held.items()
-            if held_owner == owner
-        }
-        for table in (self._lengths, self._decoded):
-            stale = [
-                key
-                for key in table
-                if key[0] == owner and key[1] not in held_generations
-            ]
-            for key in stale:
-                del table[key]
+        if keyframe:
+            chain = self._newest[owner] = _Chain(generation, live, len(payload))
+            for host in hosts:
+                self._held[(owner, host)] = chain
+        else:
+            chain.delta_bytes += len(payload)
+        fragments = rs_encode(payload_matrix(payload, self.k), self.n)[list(live)]
+        chain.generations.append((len(payload), fragments))
+        return len(payload), fragments.size, len(hosts)
 
     def reconstruct(
         self, owner: str, alive: Callable[[str], bool]
-    ) -> dict[int, Any] | None:
+    ) -> dict[int, SensorRecord] | None:
         """The owner's merged replica state from surviving fragments.
 
-        Decodable generations merge oldest-first, so a sensor's newest
-        surviving state wins.  Judged by what live hosts hold: empty when
-        none of them holds a fragment of the owner (nothing synced to them
-        yet); ``None`` when they hold some but no generation has >= k
-        distinct ones — the stripe is lost.
+        Each decodable chain folds to its newest generation, and chains
+        merge oldest-first, so a sensor's newest surviving state wins.
+        Judged by what live hosts hold: empty when none of them holds a
+        fragment of the owner (nothing synced to them yet); ``None`` when
+        they hold some but no chain has >= k distinct ones — the stripe
+        is lost.
         """
-        by_generation: dict[int, dict[int, bytes]] = {}
+        slots = self.assignment.get(owner, [])
+        chains: dict[int, tuple[_Chain, set[int]]] = {}
         for host in self.live_slots(owner, alive):
-            held = self._held.get((owner, host))
-            if held is None:
+            chain = self._held.get((owner, host))
+            if chain is None:
                 continue
-            rows = by_generation.setdefault(held.generation, {})
-            for index, blob in held.fragments:
-                rows[index] = blob
+            _, indices = chains.setdefault(chain.keyframe, (chain, set()))
+            indices.update(index for index in chain.slots if slots[index] == host)
         decodable = sorted(
-            generation
-            for generation, rows in by_generation.items()
-            if len(rows) >= self.k
+            keyframe for keyframe, (_, indices) in chains.items() if len(indices) >= self.k
         )
-        if by_generation and not decodable:
+        if chains and not decodable:
             return None
-        merged: dict[int, Any] = {}
-        for generation in decodable:
-            merged.update(self._decode(owner, generation, by_generation[generation]))
+        merged: dict[int, SensorRecord] = {}
+        for keyframe in decodable:
+            merged.update(self._fold(*chains[keyframe]))
         return merged
 
-    def _decode(
-        self, owner: str, generation: int, rows: dict[int, bytes]
-    ) -> dict[int, Any]:
-        cached = self._decoded.get((owner, generation))
-        if cached is not None:
-            return cached
-        indices = sorted(rows)[: self.k]
-        stacked = np.stack(
-            [np.frombuffer(rows[index], dtype=np.uint8) for index in indices]
-        )
-        data = rs_decode(stacked, self.k, indices)
-        length = self._lengths[(owner, generation)]
-        payload = data.reshape(-1)[:length].tobytes()
-        decoded: dict[int, Any] = pickle.loads(payload)
-        self._decoded[(owner, generation)] = decoded
-        self.decodes += 1
-        return decoded
+    def _fold(self, chain: _Chain, indices: set[int]) -> dict[int, SensorRecord]:
+        """*chain*'s newest state, folding what the memo lacks from *indices*."""
+        count, state = chain.folded
+        if count == len(chain.generations):
+            return state
+        chosen = sorted(indices)[: self.k]
+        positions = [chain.slots.index(index) for index in chosen]
+        for length, rows in chain.generations[count:]:
+            data = rs_decode(rows[positions], self.k, chosen)
+            state = apply_delta(state, parse_payload(data.reshape(-1)[:length].tobytes()))
+            self.decodes += 1
+        chain.folded = (len(chain.generations), state)
+        return state

@@ -17,6 +17,7 @@ than k distinct fragments raise :class:`IrrecoverableError`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -39,14 +40,19 @@ def _validate_kn(k: int, n: int) -> None:
         raise ValueError(f"n={n} exceeds GF(256) capacity ({MAX_FRAGMENTS})")
 
 
+@functools.lru_cache(maxsize=None)
 def encoding_matrix(k: int, n: int) -> np.ndarray:
-    """The ``(n, k)`` systematic generator ``[I_k ; Cauchy]``."""
+    """The ``(n, k)`` systematic generator ``[I_k ; Cauchy]``.
+
+    Built once per ``(k, n)`` and shared, so it is read-only.
+    """
     _validate_kn(k, n)
     matrix = np.zeros((n, k), dtype=np.uint8)
     matrix[:k] = np.eye(k, dtype=np.uint8)
     for i in range(n - k):
         for j in range(k):
             matrix[k + i, j] = gf_inv((k + i) ^ j)
+    matrix.setflags(write=False)
     return matrix
 
 

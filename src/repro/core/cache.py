@@ -18,6 +18,7 @@ The row-oriented :class:`CacheEntry` remains the public unit of exchange.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,10 +200,11 @@ class _Column:
     Appends go at the physical end; evictions advance ``start`` without
     copying; the live region is compacted to the front (or the arrays
     doubled) only when the physical tail runs out — amortized O(1) per
-    append.
+    append.  ``written_from`` is the oldest timestamp any write touched
+    since the last replica export: every entry before it is unchanged.
     """
 
-    __slots__ = ("times", "values", "stds", "codes", "start", "length")
+    __slots__ = ("times", "values", "stds", "codes", "start", "length", "written_from")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         self.times = np.empty(capacity, dtype=np.float64)
@@ -211,6 +213,8 @@ class _Column:
         self.codes = np.empty(capacity, dtype=np.int8)
         self.start = 0
         self.length = 0
+        # the oldest timestamp written since the last replica export
+        self.written_from = math.inf
 
     @property
     def end(self) -> int:
@@ -260,10 +264,14 @@ class _Column:
             new_actual = code != PREDICTED_CODE
             if existing_actual and not new_actual:
                 return _SKIPPED  # never degrade actual data to a guess
+            if timestamp < self.written_from:
+                self.written_from = timestamp
             self.values[position] = value
             self.stds[position] = std
             self.codes[position] = code
             return _REFINED if not existing_actual and new_actual else _REPLACED
+        if timestamp < self.written_from:
+            self.written_from = timestamp
         self.reserve(1)
         position = self.start + relative
         hi = self.end
@@ -296,6 +304,8 @@ class _Column:
         follow the single-insert refinement policy and new timestamps are
         merged in one vectorized pass.
         """
+        if timestamps[0] < self.written_from:
+            self.written_from = float(timestamps[0])
         if self.length == 0 or timestamps[0] > self.times[self.end - 1]:
             count = timestamps.size
             self.reserve(count)
@@ -522,8 +532,8 @@ class SummaryCache:
 
     def tail_snapshot(self, sensor: int, count: int) -> CacheSnapshot:
         """Columnar copy of the newest *count* entries (for replication)."""
-        if count < 1:
-            raise ValueError(f"need a positive tail size, got {count}")
+        if count < 0:
+            raise ValueError(f"need a non-negative tail size, got {count}")
         times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
         tail = slice(max(times.size - count, 0), times.size)
         return CacheSnapshot(
@@ -532,6 +542,30 @@ class SummaryCache:
             stds=stds[tail].copy(),
             codes=codes[tail].copy(),
         )
+
+    def export_tail(
+        self, sensor: int, count: int, keyframe: bool
+    ) -> tuple[float, int, CacheSnapshot]:
+        """The newest *count* entries, as a delta against the previous export.
+
+        Returns ``(first_s, kept, rows)``: the tail is the previous
+        export's entries from ``first_s`` on — ``kept`` of them — followed
+        by ``rows``.  Entries before the oldest timestamp written since the
+        previous export are unchanged since then, so that export's tail
+        holds them too and only the entries from there on are copied.  A
+        *keyframe* copies the whole tail (``kept == 0``).  Either way the
+        next export is against this one.
+        """
+        if count < 1:
+            raise ValueError(f"need a positive tail size, got {count}")
+        column = self._columns.get(sensor)
+        if column is None:
+            return 0.0, 0, self.tail_snapshot(sensor, count)
+        times = column.times[column.start + max(column.length - count, 0) : column.end]
+        kept = 0 if keyframe else int(np.searchsorted(times, column.written_from))
+        column.written_from = math.inf
+        first_s = float(times[0]) if times.size else 0.0
+        return first_s, kept, self.tail_snapshot(sensor, times.size - kept)
 
     def latest(self, sensor: int) -> CacheEntry | None:
         """Most recent entry for *sensor*."""

@@ -163,8 +163,11 @@ class FederationConfig:
             raise ValueError("replication factor must be >= 0")
         if not 0.0 <= self.wired_fraction <= 1.0:
             raise ValueError("wired fraction must be in [0, 1]")
-        if self.replica_sync_interval_s <= 0:
-            raise ValueError("replica sync interval must be positive")
+        if not 0 < self.replica_sync_interval_s < math.inf:
+            raise ValueError(
+                "replica sync interval must be positive and finite, got "
+                f"{self.replica_sync_interval_s}"
+            )
         if self.hot_entries_per_sensor < 1:
             raise ValueError("must replicate at least one entry per sensor")
         if self.replica_coding not in REPLICA_CODINGS:

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding import CodingCounters, CodingReport, FragmentStore, serialize_payload
+from repro.coding import CodingCounters, CodingReport, FragmentStore, SensorRecord
 from repro.core.cache import CacheSnapshot, aggregate
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
@@ -161,16 +162,31 @@ class FederatedCell:
 
 @dataclass
 class SensorReplica:
-    """Replicated hot state of one sensor at sync time.
+    """Replicated hot state of one sensor at sync time, as failover reads it.
 
+    Built from a folded :class:`~repro.coding.wire.SensorRecord`.
     ``entries`` is a columnar :class:`CacheSnapshot` — replica queries
     aggregate over its arrays directly; row iteration stays available for
     consumers that want :class:`~repro.core.cache.CacheEntry` views.
+    ``trajectory`` is the forecast of the tracker rebuilt from its declared
+    state (None when no model was replicated), computed once and read
+    further along by every query against this replica.
     """
 
     entries: CacheSnapshot
-    tracker: ProxyModelTracker | None
-    synced_at_s: float
+    trajectory: ForecastTrajectory | None
+
+    @classmethod
+    def from_record(cls, record: SensorRecord) -> SensorReplica:
+        """The read view of one folded wire record."""
+        return cls(
+            entries=CacheSnapshot(record.timestamps, record.values, record.stds, record.codes),
+            trajectory=ForecastTrajectory(
+                ProxyModelTracker.from_state(record.family, record.state)
+            )
+            if record.family
+            else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -307,10 +323,10 @@ class _RoutingCore:
         self.replication_plan = self.directory.plan_fragment_placement(k, n)
         self._fragments = FragmentStore(k, n, self.replication_plan)
         self._coding = CodingCounters()
-        # Per sensor, the replica failover last forecast from and its
-        # trajectory.  Decoded generations are memoised, so reconstruct hands
-        # back the *same* replica object until a newer one supersedes it.
-        self._trajectories: dict[int, tuple[SensorReplica, ForecastTrajectory]] = {}
+        # Per sensor, the record failover last answered from and its read
+        # view.  Folded chains are memoised, so reconstruct hands back the
+        # *same* record until a newer generation supersedes it.
+        self._replicas: dict[int, tuple[SensorRecord, SensorReplica]] = {}
 
         # Ownership lookup: one skip-graph node per contiguous run of sensors
         # owned by the same proxy, so "who owns sensor s" is a floor search —
@@ -347,60 +363,69 @@ class _RoutingCore:
         """Directory liveness, in predicate form for the fragment store."""
         return self.directory.proxy(name).alive
 
-    def _snapshot_owner(self, owner: str, now: float) -> dict[int, SensorReplica]:
-        """One owner's hot state at sync time."""
+    def _export_owner(self, owner: str, keyframe: bool) -> list[SensorRecord]:
+        """One owner's hot state at sync time: whole tails for a *keyframe*,
+        else each sensor's delta against the previous export."""
         hot = self.federation.hot_entries_per_sensor
         proxy = self._built[owner].proxy
-        snapshot: dict[int, SensorReplica] = {}
+        records: list[SensorRecord] = []
         for local, global_id in enumerate(self._by_name[owner].sensor_ids):
-            tail, tracker = proxy.export_replica_state(local, hot)
-            if not tail and tracker is None:
+            first_s, kept, rows, tracker = proxy.export_replica_state(local, hot, keyframe)
+            if not kept and not rows and tracker is None:
                 continue
-            snapshot[global_id] = SensorReplica(
-                entries=tail, tracker=tracker, synced_at_s=now
+            family, state = tracker or (0, ())
+            records.append(
+                SensorRecord(
+                    sensor=global_id,
+                    first_s=first_s,
+                    kept=kept,
+                    timestamps=rows.timestamps,
+                    values=rows.values,
+                    stds=rows.stds,
+                    codes=rows.codes,
+                    family=family,
+                    state=state,
+                )
             )
-        return snapshot
+        return records
 
     def _sync_replicas(self) -> None:
         """Ship each live wireless proxy's hot state to its wired replicas.
 
         A replica only ever holds state from *before* a failure — sync skips
         dead owners (nothing to ship) and dead hosts (nowhere to ship).
-        Each owner this core executes is snapshotted once per sync; the
-        serialized snapshot is striped into a k-of-n generation and only
-        the live hosts' fragments are shipped.  Payload and shipped bytes
-        land in the coding ledger — fragment bytes are what the per-sync
-        radio/flash accounting prices, which is the byte claim
-        ``bench_coding`` gates.
+        Each owner this core executes is exported once per sync — a delta
+        against its previous generation, or a keyframe when the store asks
+        for one — and the serialized generation is striped into a k-of-n
+        generation of which only the live hosts' fragments are shipped.
+        Payload and shipped bytes land in the coding ledger — fragment
+        bytes are what the per-sync radio/flash accounting prices, which is
+        the byte claim ``bench_coding`` gates.
         """
-        now = self.sim.now
         store = self._fragments
         for owner in self._built:
             if not self._proxy_alive(owner):
                 continue
-            if not store.live_slots(owner, self._proxy_alive):
-                continue
-            payload = serialize_payload(self._snapshot_owner(owner, now))
-            shipped, live_hosts = store.sync(owner, payload, self._proxy_alive)
-            self._coding.payload_bytes += len(payload)
-            self._coding.shipped_bytes += shipped
-            self._coding.full_copy_bytes += len(payload) * min(
-                store.n - store.k + 1, live_hosts
+            payload, shipped, live_hosts = store.sync(
+                owner, functools.partial(self._export_owner, owner), self._proxy_alive
             )
+            self._coding.payload_bytes += payload
+            self._coding.shipped_bytes += shipped
+            self._coding.full_copy_bytes += payload * min(store.n - store.k + 1, live_hosts)
             self.routing.replica_syncs += live_hosts
 
     def _replica_staleness(self, proxy_name: str) -> float:
         """Age of the newest entry live hosts hold for *proxy_name* now.
 
-        Read off the reconstructed snapshot (decodable generations merged
+        Read off the reconstructed state (decodable chains merged
         oldest-first); ``inf`` when nothing is held or nothing decodes.
         """
         merged = self._fragments.reconstruct(proxy_name, self._proxy_alive)
         newest = max(
             (
-                state.entries[-1].timestamp
-                for state in (merged or {}).values()
-                if state.entries
+                float(record.timestamps[-1])
+                for record in (merged or {}).values()
+                if record.timestamps.size
             ),
             default=float("-inf"),
         )
@@ -499,9 +524,13 @@ class _RoutingCore:
                 source=AnswerSource.FAILED,
                 latency_s=base_latency,
             )
-        state = merged.get(query.sensor)
+        record = merged.get(query.sensor)
         latency = base_latency + best.response_latency_s
-        estimate = self._replica_estimate(state, query) if state else None
+        estimate = (
+            self._replica_estimate(self._replica(query.sensor, record), query)
+            if record is not None
+            else None
+        )
         if estimate is None:
             return QueryAnswer(
                 query=query,
@@ -529,8 +558,8 @@ class _RoutingCore:
             if last is None:
                 return None
             steps = int(round((query.arrival_time - last.timestamp) / period))
-            if state.tracker is not None and steps >= 1:
-                value, std = self._trajectory(query.sensor, state).at(steps)
+            if state.trajectory is not None and steps >= 1:
+                value, std = state.trajectory.at(steps)
                 return value, max(std, last.std), AnswerSource.PREDICTION
             # No model replicated: serve the last synced value, widened by
             # its age (random-walk growth at the push tolerance scale).
@@ -557,12 +586,12 @@ class _RoutingCore:
         source = AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION
         return value, worst_std, source
 
-    def _trajectory(self, sensor: int, state: SensorReplica) -> ForecastTrajectory:
-        """The forecast of *state*'s frozen tracker, built once per replica."""
-        held = self._trajectories.get(sensor)
-        if held is None or held[0] is not state:
-            held = (state, ForecastTrajectory(state.tracker))
-            self._trajectories[sensor] = held
+    def _replica(self, sensor: int, record: SensorRecord) -> SensorReplica:
+        """The read view of *record*, built once per folded record."""
+        held = self._replicas.get(sensor)
+        if held is None or held[0] is not record:
+            held = (record, SensorReplica.from_record(record))
+            self._replicas[sensor] = held
         return held[1]
 
 

@@ -700,17 +700,18 @@ class PrestoProxy:
     # -- replication ------------------------------------------------------------
 
     def export_replica_state(
-        self, sensor: int, max_entries: int
-    ) -> tuple[CacheSnapshot, ProxyModelTracker | None]:
-        """Snapshot one sensor's hot state for replication to another proxy.
+        self, sensor: int, max_entries: int, keyframe: bool
+    ) -> tuple[float, int, CacheSnapshot, tuple[int, tuple] | None]:
+        """One sensor's hot state for replication to another proxy.
 
-        Returns a columnar snapshot of the newest *max_entries* summary-cache
-        entries (array copies, not per-entry deep copies) plus the sensor's
-        *live* model tracker (or None before the first model activates) —
-        the "caches and prediction models ... further replicated at the
-        wired proxies" of Section 5.  The tracker is not copied here: every
-        replica crosses ``serialize_payload`` on its way to a host, and the
-        serializer makes the copy.
+        Returns the newest *max_entries* summary-cache entries as a delta
+        against this sensor's previous export (the whole tail for a
+        *keyframe*; ``first_s``, ``kept`` and ``rows`` as
+        :meth:`SummaryCache.export_tail` reads them) plus the declared
+        state of its model tracker (None before the first model
+        activates) — the "caches and prediction models ... further
+        replicated at the wired proxies" of Section 5.
         """
-        snapshot = self.cache.tail_snapshot(sensor, max_entries)
-        return snapshot, self._states[sensor].tracker
+        tracker = self._states[sensor].tracker
+        first_s, kept, rows = self.cache.export_tail(sensor, max_entries, keyframe)
+        return first_s, kept, rows, None if tracker is None else tracker.state()

@@ -35,12 +35,12 @@ itself until the next activation, as an unlinked tracker always does.
 from __future__ import annotations
 
 import copy
-import pickle
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.timeseries import MODEL_FAMILIES
 from repro.timeseries.base import TimeSeriesModel
 
 #: steps a checker records: more than the ~2 800 epochs between the default
@@ -147,7 +147,7 @@ class ProxyModelTracker:
 
     Given the *checker* built from the same *update*, the tracker reads its
     steps off the checker's trajectory instead of stepping a model (see the
-    module docstring).  :attr:`_model` — what the tracker's pickled state
+    module docstring).  :attr:`_model` — what the tracker's declared state
     and forecasts are made of — folds the trajectory read so far into the
     tracker's own model first, so every reader sees the state stepping
     would have left.
@@ -167,22 +167,32 @@ class ProxyModelTracker:
         self._cursor = 0    # trajectory index of the next epoch
         self._folded = 0    # trajectory entries already in the own model
 
-    def __getstate__(self) -> dict:
-        """Replica-sync state: the caught-up model and the counters."""
-        return {
-            "_model": self._model,
-            "delta": self.delta,
-            "substitutions": self.substitutions,
-            "pushes_applied": self.pushes_applied,
-        }
+    def state(self) -> tuple[int, tuple]:
+        """Replica-sync state: ``(family tag, (delta, substitutions,
+        pushes applied, *model state))`` of the caught-up model.
 
-    def __setstate__(self, state: dict) -> None:
-        self._own_model = state["_model"]
-        self.delta = state["delta"]
-        self.substitutions = state["substitutions"]
-        self.pushes_applied = state["pushes_applied"]
-        self._checker = None
-        self._cursor = self._folded = 0
+        The tag indexes :data:`repro.timeseries.MODEL_FAMILIES` from 1.
+        """
+        model = self._model
+        return MODEL_FAMILIES.index(type(model)) + 1, (
+            self.delta,
+            float(self.substitutions),
+            float(self.pushes_applied),
+            *model.state(),
+        )
+
+    @classmethod
+    def from_state(cls, family: int, state: tuple) -> "ProxyModelTracker":
+        """An unlinked tracker holding what :meth:`state` declared."""
+        delta, substitutions, pushes_applied, *model_state = state
+        tracker = cls.__new__(cls)
+        tracker._own_model = MODEL_FAMILIES[family - 1].from_state(tuple(model_state))
+        tracker.delta = float(delta)
+        tracker.substitutions = int(substitutions)
+        tracker.pushes_applied = int(pushes_applied)
+        tracker._checker = None
+        tracker._cursor = tracker._folded = 0
+        return tracker
 
     @property
     def _model(self) -> TimeSeriesModel:
@@ -302,10 +312,13 @@ def verify_replicas_in_sync(
     """Test hook: do the two replicas hold the same state at the same epoch?
 
     The tracker is caught up to its newest epoch, and the models compare
-    by their pickled bytes — the form a replica sync ships.
+    by the bytes of their declared state — what a replica sync ships.
     """
     if checker.checks != tracker.substitutions + tracker.pushes_applied:
         return False
-    return pickle.dumps(checker._model, protocol=4) == pickle.dumps(
-        tracker._model, protocol=4
+    ours, theirs = checker._model, tracker._model
+    return type(ours) is type(theirs) and all(
+        np.asarray(a, dtype=np.float64).tobytes()
+        == np.asarray(b, dtype=np.float64).tobytes()
+        for a, b in zip(ours.state(), theirs.state(), strict=True)
     )

@@ -19,7 +19,18 @@ from repro.timeseries.sarima import SeasonalArimaModel
 from repro.timeseries.seasonal import SeasonalProfileModel
 from repro.timeseries.selection import aic, bic, select_best_model
 
+#: the model families a replica can carry, by wire tag: family ``i`` is
+#: tag ``i + 1``, and tag 0 stands for no model
+MODEL_FAMILIES: tuple[type[TimeSeriesModel], ...] = (
+    ARModel,
+    ARIMAModel,
+    SeasonalProfileModel,
+    MarkovChainModel,
+    SeasonalArimaModel,
+)
+
 __all__ = [
+    "MODEL_FAMILIES",
     "Forecast",
     "ModelSpec",
     "TimeSeriesModel",

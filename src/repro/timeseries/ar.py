@@ -81,6 +81,10 @@ def fit_ar_ols(values: np.ndarray, order: int) -> tuple[np.ndarray, float, float
     return np.asarray(coeffs, dtype=np.float64), intercept, variance
 
 
+#: fit methods, in their declared-state order
+_METHODS = ("yule-walker", "ols")
+
+
 class ARModel(TimeSeriesModel):
     """AR(p) model with a mean term.
 
@@ -98,7 +102,7 @@ class ARModel(TimeSeriesModel):
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if method not in ("yule-walker", "ols"):
+        if method not in _METHODS:
             raise ValueError(f"unknown fit method {method!r}")
         self.order = int(order)
         self.sample_period_s = float(sample_period_s)
@@ -184,6 +188,28 @@ class ARModel(TimeSeriesModel):
             upto = min(j, self.order)
             psi[j] = float(np.dot(phi[:upto], psi[j - 1 :: -1][:upto]))
         return psi
+
+    def state(self) -> tuple:
+        """``(order, period, method, mu, sigma, phi, history)``; phi empty unfitted."""
+        return (
+            float(self.order),
+            self.sample_period_s,
+            float(_METHODS.index(self.method)),
+            self._mu,
+            self._sigma,
+            np.array([] if self._phi is None else self._phi, dtype=np.float64),
+            np.array(self._history, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "ARModel":
+        """The AR model whose :meth:`state` is *state*."""
+        order, period, method, mu, sigma, phi, history = state
+        model = cls(int(order), float(period), _METHODS[int(method)])
+        model._mu, model._sigma = float(mu), float(sigma)
+        model._phi = np.array(phi, dtype=np.float64) if len(phi) else None
+        model._history.extend(np.asarray(history, dtype=np.float64).tolist())
+        return model
 
     def spec(self) -> ModelSpec:
         """Describe the model ("ar(p)")."""

@@ -217,7 +217,8 @@ class ARIMAModel(TimeSeriesModel):
         *one_step* and *tails* are read before the state moves: the
         innovation is measured against the one-step prediction, and the
         level is differenced down against the old tails.  The innovation is
-        held as an ``np.float64``, the type the replica-sync payload pins.
+        held as an ``np.float64``, as the reference recursion in the tests
+        holds it; :meth:`state` carries values, not Python types.
         """
         current = value
         new_tails: list[float] = []
@@ -245,9 +246,9 @@ class ARIMAModel(TimeSeriesModel):
         """One protocol epoch: :meth:`predict_next`, decide, :meth:`observe`.
 
         The two halves fused on Python floats, with the one-step term and
-        the tails computed once.  The streaming state is pickled into every
-        replica-sync payload, so the float types held by the deques are
-        part of the contract (see :meth:`_advance`).
+        the tails computed once, leaving the state — float types held by
+        the deques included — that the two halves leave (see
+        :meth:`_advance`).
         """
         if not self._fitted:
             raise RuntimeError("model not fitted")
@@ -323,6 +324,43 @@ class ARIMAModel(TimeSeriesModel):
                 value += self._phi[i - 1] * psi[j - i]
             psi[j] = value
         return psi
+
+    # -- declared state ---------------------------------------------------------
+
+    def state(self) -> tuple:
+        """``(p, d, q, period, long AR order, mu, sigma, fitted, phi, theta,
+        w, eps, level tail)``; a long AR order of 0 means the default."""
+        return (
+            float(self.p),
+            float(self.d),
+            float(self.q),
+            self.sample_period_s,
+            float(self._long_ar_order or 0),
+            self._mu,
+            self._sigma,
+            float(self._fitted),
+            np.array(self._phi, dtype=np.float64),
+            np.array(self._theta, dtype=np.float64),
+            np.array(self._recent_w, dtype=np.float64),
+            np.array(self._recent_eps, dtype=np.float64),
+            np.array(self._level_tail, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "ARIMAModel":
+        """The ARIMA model whose :meth:`state` is *state*."""
+        p, d, q, period, long_order, mu, sigma, fitted, phi, theta, w, eps, tail = state
+        model = cls((int(p), int(d), int(q)), float(period), int(long_order) or None)
+        model._mu, model._sigma, model._fitted = float(mu), float(sigma), bool(fitted)
+        model._phi = np.array(phi, dtype=np.float64)
+        model._theta = np.array(theta, dtype=np.float64)
+        for deque_, values in (
+            (model._recent_w, w),
+            (model._recent_eps, eps),
+            (model._level_tail, tail),
+        ):
+            deque_.extend(np.asarray(values, dtype=np.float64).tolist())
+        return model
 
     # -- metadata ---------------------------------------------------------------
 

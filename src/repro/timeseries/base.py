@@ -116,6 +116,21 @@ class TimeSeriesModel(abc.ABC):
         ``E`` but activated at epoch ``A > E`` predicts the right bin.
         """
 
+    def state(self) -> tuple:
+        """The model's declared state: float64 arrays and scalars.
+
+        Everything :meth:`from_state` needs to rebuild a model that
+        predicts, steps and forecasts bit for bit like this one — the
+        parameters and the one-step loop's streaming state.  A replica
+        sync ships it; nothing else about the object crosses the wire.
+        """
+        raise NotImplementedError(f"{type(self).__name__} declares no state")
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "TimeSeriesModel":
+        """The model whose :meth:`state` is *state* (arrays are copied)."""
+        raise NotImplementedError(f"{cls.__name__} declares no state")
+
     @abc.abstractmethod
     def spec(self) -> ModelSpec:
         """Describe the fitted model."""

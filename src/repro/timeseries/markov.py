@@ -137,6 +137,41 @@ class MarkovChainModel(TimeSeriesModel):
             distribution = nxt
         return distribution
 
+    # -- declared state ---------------------------------------------------------
+
+    def state(self) -> tuple:
+        """``(states, period, smoothing, low, high, residual std, current
+        state, transition (row-major), centres)``; both arrays empty before
+        :meth:`fit`."""
+        return (
+            float(self.n_states),
+            self.sample_period_s,
+            self.smoothing,
+            self._low,
+            self._high,
+            self._residual_std,
+            float(self._current_state),
+            np.array(
+                [] if self._transition is None else self._transition.ravel(),
+                dtype=np.float64,
+            ),
+            np.array([] if self._centres is None else self._centres, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "MarkovChainModel":
+        """The Markov chain model whose :meth:`state` is *state*."""
+        n, period, smoothing, low, high, residual_std, current, transition, centres = state
+        model = cls(int(n), float(period), float(smoothing))
+        model._low, model._high = float(low), float(high)
+        model._residual_std, model._current_state = float(residual_std), int(current)
+        if len(transition):
+            model._transition = np.array(transition, dtype=np.float64).reshape(
+                model.n_states, model.n_states
+            )
+            model._centres = np.array(centres, dtype=np.float64)
+        return model
+
     # -- metadata --------------------------------------------------------------
 
     def spec(self) -> ModelSpec:

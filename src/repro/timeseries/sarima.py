@@ -185,6 +185,38 @@ class SeasonalArimaModel(TimeSeriesModel):
         std = self._sigma * np.sqrt(np.cumsum(np.ones(steps)))
         return Forecast(mean=mean, std=std)
 
+    # -- declared state -----------------------------------------------------------
+
+    def state(self) -> tuple:
+        """``(season length, q, Q, period, sigma, fitted, theta, seasonal
+        theta, levels, innovations)``."""
+        return (
+            float(self.season_length),
+            float(self.q),
+            float(self.seasonal_q),
+            self.sample_period_s,
+            self._sigma,
+            float(self._fitted),
+            np.array(self._theta, dtype=np.float64),
+            np.array(self._seasonal_theta, dtype=np.float64),
+            np.array(self._levels, dtype=np.float64),
+            np.array(self._eps, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "SeasonalArimaModel":
+        """The seasonal ARIMA model whose :meth:`state` is *state*."""
+        season, q, seasonal_q, period, sigma, fitted, theta, seasonal_theta, levels, eps = (
+            state
+        )
+        model = cls(int(season), int(q), int(seasonal_q), float(period))
+        model._sigma, model._fitted = float(sigma), bool(fitted)
+        model._theta = np.array(theta, dtype=np.float64)
+        model._seasonal_theta = np.array(seasonal_theta, dtype=np.float64)
+        model._levels.extend(np.asarray(levels, dtype=np.float64).tolist())
+        model._eps.extend(np.asarray(eps, dtype=np.float64).tolist())
+        return model
+
     # -- metadata -----------------------------------------------------------------
 
     def spec(self) -> ModelSpec:

@@ -166,6 +166,32 @@ class SeasonalProfileModel(TimeSeriesModel):
         """Advance the clock; the profile itself is static between refits."""
         self._clock += self.sample_period_s
 
+    # -- declared state ----------------------------------------------------
+
+    def state(self) -> tuple:
+        """``(bins, period, fit_trend, trend, intercept, residual std, clock,
+        profile)``; the profile is empty before :meth:`fit`."""
+        return (
+            float(self.bins),
+            self.sample_period_s,
+            float(self.fit_trend),
+            self._trend_per_s,
+            self._intercept,
+            self._residual_std,
+            self._clock,
+            np.array([] if self._profile is None else self._profile, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "SeasonalProfileModel":
+        """The seasonal profile model whose :meth:`state` is *state*."""
+        bins, period, fit_trend, trend, intercept, residual_std, clock, profile = state
+        model = cls(int(bins), float(period), bool(fit_trend))
+        model._trend_per_s, model._intercept = float(trend), float(intercept)
+        model._residual_std, model._clock = float(residual_std), float(clock)
+        model._profile = np.array(profile, dtype=np.float64) if len(profile) else None
+        return model
+
     # -- metadata ----------------------------------------------------------
 
     def spec(self) -> ModelSpec:

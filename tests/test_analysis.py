@@ -33,6 +33,7 @@ EXPECTED_RULE_IDS = {
     "mutable-default-arg",
     "worker-shared-state",
     "no-process-global-counter",
+    "no-pickle-wire",
 }
 
 
@@ -263,6 +264,33 @@ class TestNoProcessGlobalCounter:
         )
         findings, _ = lint_source(tmp_path, code, "no-process-global-counter")
         assert findings == []
+
+
+class TestNoPickleWire:
+    def test_flags_every_import_spelling(self, tmp_path):
+        code = (
+            "import pickle\n"
+            "import pickle as wire\n"
+            "from pickle import dumps\n"
+            "import _pickle\n"
+            "import json\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-pickle-wire")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("no-pickle-wire", 1),
+            ("no-pickle-wire", 2),
+            ("no-pickle-wire", 3),
+            ("no-pickle-wire", 4),
+        ]
+
+    def test_scoped_to_coding_and_core(self, tmp_path):
+        code = "import pickle\n"
+        for package, flagged in (("coding", True), ("core", True), ("scenarios", False)):
+            target = tmp_path / "src" / "repro" / package / "snippet.py"
+            target.parent.mkdir(parents=True)
+            target.write_text(code)
+            findings, _ = lint_file(target, rules=[RULES["no-pickle-wire"]])
+            assert bool(findings) is flagged, package
 
 
 class TestSuppressions:

@@ -17,10 +17,13 @@ from repro.coding import (
     MAX_FRAGMENTS,
     FragmentStore,
     IrrecoverableError,
+    SensorRecord,
+    apply_delta,
     encoding_matrix,
     gf_div,
     gf_inv,
     gf_mul,
+    parse_payload,
     payload_matrix,
     rs_decode,
     rs_encode,
@@ -35,6 +38,7 @@ from repro.coding.gf256 import (
     gf_inv_matrix,
     gf_matmul,
 )
+from repro.coding.wire import WIRE_VERSION
 
 #: (k, n) shapes small enough to enumerate every loss pattern exhaustively
 EXHAUSTIVE_SHAPES = ((1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (3, 5), (4, 6))
@@ -208,7 +212,95 @@ def alive_fn(dead=()):
     return lambda host: host not in dead
 
 
+def record(sensor, times, values=None, *, kept=0, first_s=None, family=0, state=()):
+    """A wire record shipping rows at *times* (values default to the times)."""
+    times = np.asarray(times, dtype=np.float64)
+    values = times.copy() if values is None else np.asarray(values, dtype=np.float64)
+    if first_s is None:
+        first_s = float(times[0]) if times.size else 0.0
+    return SensorRecord(
+        sensor=sensor,
+        first_s=first_s,
+        kept=kept,
+        timestamps=times,
+        values=values,
+        stds=np.full(times.size, 0.5),
+        codes=np.zeros(times.size, dtype=np.int8),
+        family=family,
+        state=state,
+    )
+
+
+def tails(merged):
+    """``{sensor: (timestamps, values)}`` of a reconstructed state, as lists."""
+    return {
+        sensor: (r.timestamps.tolist(), r.values.tolist()) for sensor, r in merged.items()
+    }
+
+
+class Exports:
+    """An ``export`` callback shipping prepared records, logging each keyframe flag."""
+
+    def __init__(self):
+        self.keyframes = []
+
+    def __call__(self, *records):
+        def export(keyframe):
+            self.keyframes.append(keyframe)
+            return list(records)
+
+        return export
+
+
+class TestWireLayout:
+    def test_round_trip(self):
+        records = [
+            record(3, [31.0, 62.0], [1.5, -2.25], kept=4, first_s=0.0, family=2,
+                   state=(0.3, 7.0, np.array([1.0, 2.0]), np.array([]), -0.0)),
+            record(9, [], family=0),
+        ]
+        payload = serialize_payload(records)
+        parsed = parse_payload(payload)
+        assert len(parsed) == 2
+        for ours, theirs in zip(records, parsed):
+            for name in ("sensor", "first_s", "kept", "family"):
+                assert getattr(ours, name) == getattr(theirs, name)
+            for name in ("timestamps", "values", "stds", "codes"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert [np.ndim(e) for e in ours.state] == [np.ndim(e) for e in theirs.state]
+            assert [np.asarray(e).tobytes() for e in ours.state] == [
+                np.asarray(e).tobytes() for e in theirs.state
+            ]
+        assert serialize_payload(parsed) == payload
+
+    def test_layout_is_little_endian_and_versioned(self):
+        payload = serialize_payload([record(1, [2.0])])
+        assert payload[:6] == WIRE_VERSION.to_bytes(2, "little") + (1).to_bytes(4, "little")
+        # header (27) + no state lengths + one row of 8 + 8 + 8 + 1 bytes
+        assert len(payload) == 6 + 27 + 25
+        with pytest.raises(ValueError, match="wire version"):
+            parse_payload(b"\x02\x00" + payload[2:])
+        with pytest.raises(ValueError, match="trailing"):
+            parse_payload(payload + b"\x00")
+
+    def test_apply_delta_keeps_base_rows_from_first_s(self):
+        base = apply_delta({}, [record(1, [0.0, 1.0, 2.0, 3.0])])
+        delta = [record(1, [3.0, 4.0], [30.0, 40.0], kept=2, first_s=1.0)]
+        folded = apply_delta(base, delta)
+        assert tails(folded) == {1: ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 30.0, 40.0])}
+        assert folded[1].kept == 0
+
+    def test_apply_delta_drops_unlisted_sensors_and_rejects_a_missing_base(self):
+        base = apply_delta({}, [record(1, [0.0]), record(2, [0.0])])
+        assert set(apply_delta(base, [record(2, [1.0])])) == {2}
+        with pytest.raises(ValueError, match="base holds no"):
+            apply_delta(base, [record(1, [5.0], kept=2, first_s=0.0)])
+
+
 class TestFragmentStore:
+    """Generations form chains: a keyframe and the deltas after it."""
+
     def make_store(self, k=2, n=3):
         return FragmentStore(
             k, n, {"wifi0": [f"wired{i}" for i in range(n)]}
@@ -216,60 +308,117 @@ class TestFragmentStore:
 
     def test_sync_and_reconstruct(self):
         store = self.make_store()
-        payload = serialize_payload({1: "state"})
-        shipped, hosts = store.sync("wifi0", payload, alive_fn())
-        assert hosts == 3
+        exports = Exports()
+        payload, shipped, hosts = store.sync("wifi0", exports(record(1, [5.0])), alive_fn())
+        assert hosts == 3 and exports.keyframes == [True]
+        assert payload == len(serialize_payload([record(1, [5.0])]))
         # 3 fragments of ceil(len/2) bytes each: strictly under 2 copies.
-        assert shipped < 2 * len(payload)
-        assert store.reconstruct("wifi0", alive_fn()) == {1: "state"}
+        assert shipped < 2 * payload
+        assert tails(store.reconstruct("wifi0", alive_fn())) == {1: ([5.0], [5.0])}
 
     def test_reconstruct_with_any_k_survivors(self):
         store = self.make_store()
-        store.sync("wifi0", serialize_payload({7: "x"}), alive_fn())
+        store.sync("wifi0", Exports()(record(7, [1.0, 2.0])), alive_fn())
         for dead in (["wired0"], ["wired1"], ["wired2"]):
-            assert store.reconstruct("wifi0", alive_fn(dead)) == {7: "x"}
+            merged = store.reconstruct("wifi0", alive_fn(dead))
+            assert tails(merged) == {7: ([1.0, 2.0], [1.0, 2.0])}
 
     def test_irrecoverable_below_k(self):
         store = self.make_store()
-        store.sync("wifi0", serialize_payload({7: "x"}), alive_fn())
+        store.sync("wifi0", Exports()(record(7, [1.0])), alive_fn())
         assert store.reconstruct("wifi0", alive_fn(["wired0", "wired1"])) is None
 
     def test_generations_merge_oldest_first(self):
         # k=1 keeps a single surviving fragment decodable, so a host that
-        # missed the newest sync still contributes its older generation.
+        # missed the newest sync still contributes its older chain.
         store = FragmentStore(1, 2, {"wifi0": ["wired0", "wired1"]})
-        store.sync("wifi0", serialize_payload({1: "old", 2: "old"}), alive_fn())
-        store.sync("wifi0", serialize_payload({2: "new"}), alive_fn(["wired1"]))
-        # wired1 still holds generation 1; wired0 holds generation 2 —
-        # newest generation wins per key, older keys survive the merge.
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0]), record(2, [0.0])), alive_fn())
+        store.sync("wifi0", exports(record(2, [9.0])), alive_fn(["wired1"]))
+        assert exports.keyframes == [True, True]   # the host set changed
+        # wired1 still holds chain 1; wired0 holds chain 2 — newest chain
+        # wins per sensor, older sensors survive the merge.
         merged = store.reconstruct("wifi0", alive_fn())
-        assert merged == {1: "old", 2: "new"}
+        assert tails(merged) == {1: ([0.0], [0.0]), 2: ([9.0], [9.0])}
 
     def test_partial_sync_drops_stale_keys_once_upgraded(self):
         store = self.make_store()
-        store.sync("wifi0", serialize_payload({1: "old", 2: "old"}), alive_fn())
-        store.sync("wifi0", serialize_payload({2: "new"}), alive_fn(["wired2"]))
-        # Generation 1 keeps only wired2's fragment (< k survive) — the
-        # merge is generation 2 alone, like a full-copy host that synced.
-        assert store.reconstruct("wifi0", alive_fn()) == {2: "new"}
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0]), record(2, [0.0])), alive_fn())
+        store.sync("wifi0", exports(record(2, [9.0])), alive_fn(["wired2"]))
+        # Chain 1 survives only on wired2 (< k fragments): the merge is
+        # chain 2 alone, like a full-copy host that synced.
+        assert tails(store.reconstruct("wifi0", alive_fn())) == {2: ([9.0], [9.0])}
 
     def test_no_live_hosts_skips_generation(self):
         store = self.make_store()
+        exports = Exports()
         dead_all = alive_fn(["wired0", "wired1", "wired2"])
-        assert store.sync("wifi0", serialize_payload({}), dead_all) == (0, 0)
+        assert store.sync("wifi0", exports(record(1, [0.0])), dead_all) == (0, 0, 0)
+        assert exports.keyframes == []             # nothing exported either
         # Nothing held is not a lost stripe: empty, not None.
         assert store.reconstruct("wifi0", alive_fn()) == {}
 
     def test_decode_memoised(self):
         store = self.make_store()
-        store.sync("wifi0", serialize_payload({3: "v"}), alive_fn())
+        store.sync("wifi0", Exports()(record(3, [1.0])), alive_fn())
         store.reconstruct("wifi0", alive_fn())
         store.reconstruct("wifi0", alive_fn(["wired0"]))
-        assert store.decodes == 1  # same generation, cached decode
+        assert store.decodes == 1  # same generation, cached fold
 
     def test_wrapped_slots_die_together(self):
         # n=3 slots over 2 hosts: wired0 holds fragments 0 and 2.
         store = FragmentStore(2, 3, {"wifi0": ["wired0", "wired1", "wired0"]})
-        store.sync("wifi0", serialize_payload({5: "y"}), alive_fn())
-        assert store.reconstruct("wifi0", alive_fn(["wired1"])) == {5: "y"}
+        store.sync("wifi0", Exports()(record(5, [1.0])), alive_fn())
+        assert tails(store.reconstruct("wifi0", alive_fn(["wired1"]))) == {
+            5: ([1.0], [1.0])
+        }
         assert store.reconstruct("wifi0", alive_fn(["wired0"])) is None
+
+    def test_deltas_fold_onto_the_keyframe(self):
+        store = self.make_store()
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0, 1.0, 2.0])), alive_fn())
+        store.sync("wifi0", exports(record(1, [3.0], kept=2, first_s=1.0)), alive_fn())
+        store.sync("wifi0", exports(record(1, [2.0, 4.0], [-2.0, 4.0], kept=1, first_s=1.0)),
+                   alive_fn())
+        assert exports.keyframes == [True, False, False]
+        merged = store.reconstruct("wifi0", alive_fn(["wired1"]))
+        assert tails(merged) == {1: ([1.0, 2.0, 4.0], [1.0, -2.0, 4.0])}
+        assert store.decodes == 3
+
+    def test_memo_folds_only_the_new_generations(self):
+        store = self.make_store()
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0])), alive_fn())
+        store.reconstruct("wifi0", alive_fn())
+        for t in (1.0, 2.0):
+            store.sync("wifi0", exports(record(1, [t], kept=1, first_s=t - 1.0)), alive_fn())
+        assert tails(store.reconstruct("wifi0", alive_fn())) == {1: ([1.0, 2.0], [1.0, 2.0])}
+        assert store.decodes == 3
+
+    def test_keyframe_once_deltas_outgrow_it(self):
+        store = self.make_store()
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0, 1.0])), alive_fn())
+        keyframe_bytes = len(serialize_payload([record(1, [0.0, 1.0])]))
+        delta_bytes = len(serialize_payload([record(1, [2.0], kept=1, first_s=1.0)]))
+        deltas = keyframe_bytes // delta_bytes + 1   # just past the keyframe's size
+        for t in range(2, 2 + deltas):
+            store.sync("wifi0", exports(record(1, [float(t)], kept=1, first_s=t - 1.0)),
+                       alive_fn())
+        assert exports.keyframes == [True] + [False] * deltas
+        store.sync("wifi0", exports(record(1, [0.0])), alive_fn())
+        assert exports.keyframes[-1] is True
+
+    def test_a_recovered_host_gets_a_fresh_keyframe(self):
+        store = self.make_store(k=1, n=3)
+        exports = Exports()
+        store.sync("wifi0", exports(record(1, [0.0])), alive_fn())
+        store.sync("wifi0", exports(record(1, [1.0])), alive_fn(["wired0"]))
+        # wired0 slept through generation 2 and still holds chain 1 alone
+        only_wired0 = alive_fn(["wired1", "wired2"])
+        assert tails(store.reconstruct("wifi0", only_wired0)) == {1: ([0.0], [0.0])}
+        store.sync("wifi0", exports(record(1, [2.0])), alive_fn())
+        assert exports.keyframes == [True, True, True]
+        assert tails(store.reconstruct("wifi0", only_wired0)) == {1: ([2.0], [2.0])}

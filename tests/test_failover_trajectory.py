@@ -20,7 +20,7 @@ from reference_failover import PerQueryTrajectory, forecast_value
 from test_model_step import FAMILIES, fitted_family
 
 from repro.core.config import FederationConfig, PrestoConfig
-from repro.core.federation import FederatedSystem, _RoutingCore
+from repro.core.federation import FederatedSystem
 from repro.core.push import ForecastTrajectory, ModelUpdate, ProxyModelTracker
 from repro.core.queries import AnswerSource
 from repro.timeseries.arima import ARIMAModel
@@ -103,9 +103,9 @@ def failover_run(monkeypatch, per_query: bool):
     """Two deaths of one wireless owner with a recovery (and fresh syncs)
     between them, so failover reads two generations of its replicas.
 
-    With *per_query* every failover read builds the oracle afresh from the
-    replica ``reconstruct`` returned, bypassing the routing core's
-    trajectories.  Returns the report, how many failover reads the run made
+    With *per_query* every failover read runs the oracle afresh on the
+    replica ``reconstruct`` returned, instead of reading the replica's
+    trajectory further along.  Returns the report, how many failover reads the run made
     and how many ``forecast`` calls those reads cost.
     """
     counts = {"reads": 0, "forecasts": 0}
@@ -126,12 +126,7 @@ def failover_run(monkeypatch, per_query: bool):
                 reading[0] = False
 
     monkeypatch.setattr(ARIMAModel, "forecast", counted_forecast)
-    if per_query:
-        monkeypatch.setattr(
-            _RoutingCore, "_trajectory", lambda self, sensor, state: Counted(state.tracker)
-        )
-    else:
-        monkeypatch.setattr("repro.core.federation.ForecastTrajectory", Counted)
+    monkeypatch.setattr("repro.core.federation.ForecastTrajectory", Counted)
     trace = IntelLabGenerator(
         IntelLabConfig(n_sensors=8, duration_s=DURATION_S, epoch_s=31.0), seed=7
     ).generate()

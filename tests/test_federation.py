@@ -103,6 +103,17 @@ class TestFederationConfig:
         assert FederationConfig(n_proxies=1, wired_fraction=0.0).n_wired == 1
         assert FederationConfig(n_proxies=4, wired_fraction=0.5).n_wired == 2
 
+    def test_rejects_nan_sync_interval(self):
+        # NaN compares false with everything: it used to pass the check
+        # and fail the run later as a negative-or-NaN event delay.
+        with pytest.raises(ValueError, match="sync interval"):
+            FederationConfig(replica_sync_interval_s=float("nan"))
+
+    def test_rejects_infinite_sync_interval(self):
+        # An infinite interval used to disable replication silently.
+        with pytest.raises(ValueError, match="sync interval"):
+            FederationConfig(replica_sync_interval_s=float("inf"))
+
 
 @pytest.fixture(scope="module")
 def equivalence_runs():
@@ -279,9 +290,9 @@ class TestFailover:
             "proxy3", partition._proxy_alive
         )
         assert set(replica) == set(system.cell_for("proxy3").sensor_ids)
-        for state in replica.values():
-            assert state.entries
-            assert state.synced_at_s < kill_at
+        for record in replica.values():
+            assert record.timestamps.size
+            assert record.timestamps[-1] < kill_at
 
     def test_dead_shard_keeps_answering(self, federated_run):
         system, report, kill_at = federated_run

@@ -8,13 +8,12 @@ epoch it cannot read exactly.  The reference is the tracker as it was
 before: never linked, stepping its own model every epoch.  Each scenario
 below drives one seeded cell twice, once each way, through one fork
 trigger, and compares the two every epoch: the proxy's per-sensor counters
-and newest cache entry, the tracker's pickled bytes (what replica sync
-ships) on a stride of epochs and at the end, and the whole cache at the end.
+and newest cache entry, the bytes of the tracker's declared state (what
+replica sync ships) on a stride of epochs and at the end, and the whole cache at the end.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,9 +32,15 @@ from repro.traces.workload import Query, QueryKind
 PERIOD = 31.0
 HORIZON_S = 0.4 * 86_400.0
 N_SENSORS = 2
-#: epochs between pickled-tracker comparisons: coprime with everything, so
+#: epochs between tracker-state comparisons: coprime with everything, so
 #: the linked tracker folds runs of every length in between
 PICKLE_EVERY = 13
+
+
+def shipped(tracker: ProxyModelTracker) -> tuple[int, list[bytes]]:
+    """The tracker's declared state as bytes — what a replica sync ships."""
+    family, state = tracker.state()
+    return family, [np.asarray(element, dtype=np.float64).tobytes() for element in state]
 
 
 def make_system(seed: int = 3, loss: float = 0.1, dropout: float = 0.0) -> PrestoSystem:
@@ -157,7 +162,7 @@ def probe(system: PrestoSystem, log: list) -> None:
                     None if tracker is None else tracker.substitutions,
                     None if tracker is None else tracker.pushes_applied,
                     None if latest is None else (latest.timestamp, latest.value, latest.std),
-                    pickle.dumps(tracker, protocol=4)
+                    shipped(tracker)
                     if tracker is not None and epoch % PICKLE_EVERY == 0
                     else None,
                 )
@@ -183,9 +188,9 @@ def assert_same_run(script, monkeypatch) -> Run:
             theirs.system.proxy.cache.arrays_in(sensor, -1.0, 1e12),
         ):
             np.testing.assert_array_equal(a, b)
-        assert pickle.dumps(
-            ours.system.proxy._states[sensor].tracker, protocol=4
-        ) == pickle.dumps(theirs.system.proxy._states[sensor].tracker, protocol=4)
+        assert shipped(ours.system.proxy._states[sensor].tracker) == shipped(
+            theirs.system.proxy._states[sensor].tracker
+        )
     assert repr(ours.system.cell.report(HORIZON_S).summary()) == repr(
         theirs.system.cell.report(HORIZON_S).summary()
     )
@@ -281,7 +286,7 @@ def test_a_push_the_trajectory_does_not_hold_forks():
     for replica in (tracker, eager):
         replica.apply_push(reading + 0.25)
     assert tracker._checker is None
-    assert pickle.dumps(tracker, protocol=4) == pickle.dumps(eager, protocol=4)
+    assert shipped(tracker) == shipped(eager)
 
 
 def test_full_trajectory_forks(monkeypatch):
@@ -332,8 +337,8 @@ def test_lossless_trace_never_forks_or_steps_the_tracker(monkeypatch):
 
 
 def test_pickled_mid_silent_run_matches_eager(monkeypatch):
-    """A NOW query's catch-up stops inside a silent run; the tracker pickled
-    there carries the state an eagerly stepped tracker has, and keeps its
+    """A NOW query's catch-up stops inside a silent run; the tracker's state
+    read there carries the state an eagerly stepped tracker has, and keeps its
     link."""
 
     def tracker_at(linked: bool):
@@ -349,7 +354,7 @@ def test_pickled_mid_silent_run_matches_eager(monkeypatch):
     _, theirs = tracker_at(False)
     assert ours._checker is system.sensors[0].checker
     assert ours._cursor - ours._folded > 50       # nothing folded yet
-    assert pickle.dumps(ours, protocol=4) == pickle.dumps(theirs, protocol=4)
+    assert shipped(ours) == shipped(theirs)
     assert ours._folded == ours._cursor
     assert ours._checker is system.sensors[0].checker
 
@@ -361,7 +366,7 @@ def fitted_update(order: tuple[int, int, int], seed: int) -> push.ModelUpdate:
 
 
 def test_verify_replicas_in_sync_compares_state():
-    """The same next prediction is not enough: the hook compares pickled
+    """The same next prediction is not enough: the hook compares declared
     state, at the same epoch."""
     update = fitted_update((1, 1, 0), seed=5)
     checker = SensorModelChecker(update)
@@ -400,4 +405,4 @@ def test_silent_run_forks_at_the_first_pushed_epoch(after):
     assert values.tolist() == [eager.advance_silent() for _ in range(epochs)]
     assert tracker._checker is None
     assert tracker.substitutions == eager.substitutions == epochs
-    assert pickle.dumps(tracker, protocol=4) == pickle.dumps(eager, protocol=4)
+    assert shipped(tracker) == shipped(eager)

@@ -4,9 +4,9 @@ The push protocol's sensor checker and proxy tracker advance their model
 replicas through ``step`` alone.  The reference below is the sequence it
 fused (``predict_next``, decide, ``observe``); every model family must
 leave exactly the state that sequence leaves, down to the pickled bytes
-of its state: the replicas travel in every replica-sync payload, so a
-float that silently became an ``np.float64`` (or the reverse) would move
-``coding.payload_bytes``.  :class:`ARIMAModel` builds ``predict_next`` and
+of its attributes — stricter than the declared ``state()`` a replica sync
+ships, since it also pins which Python type holds each float.
+:class:`ARIMAModel` builds ``predict_next`` and
 ``observe`` from ``step``'s own helpers, so its reference is the frozen
 copy in ``tests/reference_arima.py``, not the code under test.
 """
@@ -41,7 +41,7 @@ def random_walk(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def state_bytes(model: TimeSeriesModel) -> bytes:
-    """The pickled attribute dict: a model's payload bytes minus its class path."""
+    """The pickled attribute dict: every attribute, Python float types included."""
     return pickle.dumps(vars(model), protocol=4)
 
 
