@@ -156,10 +156,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     trace = IntelLabGenerator(trace_config, seed=args.seed).generate()
     queries = _workload(trace, args.seed)
-    config = PrestoConfig(
-        sample_period_s=31.0,
-        model_kind=args.model,
-        refit_interval_s=6 * 3600.0,
+    config = PrestoConfig.for_model(
+        args.model, sample_period_s=31.0, refit_interval_s=6 * 3600.0
     )
     report = PrestoSystem(trace, config, seed=args.seed).run(queries=queries)
     for key, value in report.summary().items():
@@ -182,11 +180,8 @@ def cmd_models(args: argparse.Namespace) -> int:
     if args.days >= 3:
         kinds.append("sarima")  # needs two full seasons of training
     for kind in kinds:
-        config = PrestoConfig(
-            sample_period_s=31.0,
-            model_kind=kind,
-            refit_interval_s=6 * 3600.0,
-            retune_interval_s=1e12,
+        config = PrestoConfig.for_model(
+            kind, sample_period_s=31.0, refit_interval_s=6 * 3600.0, retune_interval_s=1e12
         )
         report = PrestoSystem(trace, config, seed=args.seed).run()
         total = report.n_sensors * trace.n_epochs

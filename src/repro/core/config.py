@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.energy.constants import MICA2_PROFILE, NodeEnergyProfile
 from repro.radio.link import LinkConfig
 from repro.simulation.pool import resolve_workers
 from repro.storage.offload import STORAGE_POLICIES
+from repro.timeseries.sarima import daily_season, two_season_minimum
 
 #: PrestoConfig's float knobs: a NaN or infinity slips past every range
 #: check below (a NaN compares false) and silently stops the protocol
@@ -20,6 +22,11 @@ FINITE_PRESTO_FIELDS = (
     "retune_interval_s",
     "default_check_interval_s",
 )
+
+
+def sarima_training_epochs(sample_period_s: float) -> int:
+    """The fit window ``model_kind="sarima"`` needs: two daily seasons and 16."""
+    return two_season_minimum(daily_season(sample_period_s))
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class PrestoConfig:
     # sampling & modelling
     sample_period_s: float = 31.0
     push_delta: float = 1.0              # model-failure threshold (signal units)
-    model_kind: str = "arima"            # seasonal | ar | arima | markov
+    model_kind: str = "arima"            # seasonal | ar | arima | markov | sarima
     seasonal_bins: int = 48
     training_epochs: int = 2_880         # fit window (~1 day at 30 s)
     refit_interval_s: float = 86_400.0   # ship a fresh model daily
@@ -60,6 +67,17 @@ class PrestoConfig:
     # batching (0 = push immediately on model failure)
     batch_interval_s: float = 0.0
 
+    @classmethod
+    def for_model(cls, model_kind: str, **fields: Any) -> "PrestoConfig":
+        """A config running *model_kind*; for ``sarima`` the fit window
+        (unless *fields* set it) widens to the two daily seasons it needs."""
+        if model_kind == "sarima" and "training_epochs" not in fields:
+            period = fields.get("sample_period_s", cls.sample_period_s)
+            fields["training_epochs"] = max(
+                cls.training_epochs, sarima_training_epochs(period)
+            )
+        return cls(model_kind=model_kind, **fields)
+
     def __post_init__(self) -> None:
         for name in FINITE_PRESTO_FIELDS:
             value = getattr(self, name)
@@ -73,6 +91,14 @@ class PrestoConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.training_epochs < 32:
             raise ValueError("training window unreasonably small")
+        if self.model_kind == "sarima":
+            needed = sarima_training_epochs(self.sample_period_s)
+            if self.training_epochs < needed:
+                raise ValueError(
+                    f"sarima at {self.sample_period_s:g} s sampling fits on two daily "
+                    f"seasons: needs training_epochs >= {needed}, "
+                    f"got {self.training_epochs}"
+                )
         if self.min_training_epochs < 2:
             raise ValueError("min training epochs must be >= 2")
         if self.batch_interval_s < 0:

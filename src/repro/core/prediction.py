@@ -25,6 +25,7 @@ from repro.timeseries.arima import ARIMAModel
 from repro.timeseries.base import TimeSeriesModel
 from repro.timeseries.gaussian import MultivariateGaussianModel
 from repro.timeseries.markov import MarkovChainModel
+from repro.timeseries.sarima import SeasonalArimaModel, daily_season
 from repro.timeseries.seasonal import SeasonalProfileModel
 
 #: model orders of the families ``PrestoConfig.model_kind`` selects
@@ -69,11 +70,9 @@ class PredictionEngine:
                 n_states=MARKOV_STATES, sample_period_s=cfg.sample_period_s
             )
         if cfg.model_kind == "sarima":
-            from repro.timeseries.sarima import SeasonalArimaModel
-
-            season = max(int(round(86_400.0 / cfg.sample_period_s)), 2)
             return SeasonalArimaModel(
-                season_length=season, sample_period_s=cfg.sample_period_s
+                season_length=daily_season(cfg.sample_period_s),
+                sample_period_s=cfg.sample_period_s,
             )
         raise ValueError(f"unknown model kind {cfg.model_kind!r}")
 

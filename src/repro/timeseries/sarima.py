@@ -31,6 +31,16 @@ from repro.timeseries.base import (
 )
 
 
+def daily_season(sample_period_s: float) -> int:
+    """Samples per day at *sample_period_s*: the season a deployment uses."""
+    return max(int(round(86_400.0 / sample_period_s)), 2)
+
+
+def two_season_minimum(season_length: int) -> int:
+    """The fewest samples a fit accepts: two seasons and 16 more."""
+    return 2 * season_length + 16
+
+
 class SeasonalArimaModel(TimeSeriesModel):
     """ARIMA(0,1,q)x(0,1,Q)_S with q = Q = 1 by default.
 
@@ -75,9 +85,9 @@ class SeasonalArimaModel(TimeSeriesModel):
         """Fit MA terms on the doubly differenced window."""
         values = as_float_array(values)
         s = self.season_length
-        if values.size < 2 * s + 16:
+        if values.size < two_season_minimum(s):
             raise ValueError(
-                f"need >= {2 * s + 16} samples (two seasons), got {values.size}"
+                f"need >= {two_season_minimum(s)} samples (two seasons), got {values.size}"
             )
         # w(t) = x(t) - x(t-1) - x(t-S) + x(t-S-1)
         x = values

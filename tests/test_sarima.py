@@ -173,3 +173,31 @@ class TestEngineIntegration:
         values = np.full(100, 20.0)
         times = np.arange(100) * 300.0
         assert engine.refit(0, values, times) is None  # needs two seasons
+
+    def test_config_rejects_a_window_shorter_than_two_seasons(self):
+        """At 31 s a day is 2787 samples, and the 2880-sample default window
+        holds barely one: every fit would fail and every reading push cold."""
+        from repro.core.config import PrestoConfig, sarima_training_epochs
+
+        with pytest.raises(ValueError, match="training_epochs >= 5590"):
+            PrestoConfig(sample_period_s=31.0, model_kind="sarima")
+        assert sarima_training_epochs(31.0) == 2 * 2787 + 16
+        PrestoConfig(sample_period_s=31.0, model_kind="sarima", training_epochs=5590)
+        # at 300 s two seasons (592 samples) fit in the default window
+        assert PrestoConfig.for_model("sarima", sample_period_s=300.0).training_epochs == 2880
+
+    def test_system_fits_and_pushes_at_the_computed_window(self):
+        from repro.core import PrestoSystem
+        from repro.core.config import PrestoConfig
+        from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
+
+        trace = IntelLabGenerator(
+            IntelLabConfig(n_sensors=4, duration_s=3 * 86_400.0, epoch_s=31.0), seed=7
+        ).generate()
+        config = PrestoConfig.for_model(
+            "sarima", sample_period_s=31.0, refit_interval_s=6 * 3600.0
+        )
+        assert config.training_epochs == 5590
+        report = PrestoSystem(trace, config, seed=7).run()
+        assert report.pushes > 0                  # model-driven pushes, not only cold
+        assert report.pushes + report.cold_pushes < report.n_sensors * trace.n_epochs
