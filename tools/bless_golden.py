@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the golden outputs ``tests/test_golden.py`` holds the tree to.
 
-Two families live under ``tests/golden/``:
+Three families live under ``tests/golden/``:
 
 ``scenarios/<slug>.json``
     Each built-in scenario's smoke-campaign rows as
@@ -11,6 +11,13 @@ Two families live under ``tests/golden/``:
     Each perf workload's quick-scale ``report.summary()``, built through
     ``benchmarks/perf/workloads.build`` (imported read-only), in the
     summary's own key order — so the order is gated too.
+``models/<kind>.json``
+    Each ``PrestoConfig.model_kind`` on one seeded 3-day, 4-sensor trace:
+    fitted on sensor 0's first ``training_epochs`` samples, the epochs
+    and predictions of :data:`MODEL_STEPS` protocol steps after it, the
+    32-step forecast that follows (mean and std; json writes each float's
+    shortest round-trip repr, so the bits are pinned), and the summary of
+    a ``PrestoSystem`` run over the whole trace at that kind.
 
 A change that moves a golden file re-blesses it and says why in CHANGES.
 
@@ -38,6 +45,10 @@ if str(SRC) not in sys.path:
 GOLDEN = REPO / "tests" / "golden"
 WORKLOADS = REPO / "benchmarks" / "perf" / "workloads.py"
 PERF_SEED = 1105
+MODEL_KINDS = ("ar", "arima", "seasonal", "markov", "sarima")
+MODEL_SEED = 7
+MODEL_STEPS = 256
+MODEL_DELTA = 0.2
 
 
 def slug(name: str) -> str:
@@ -56,7 +67,7 @@ def perf_workloads():
 
 
 def entries() -> list[tuple[str, str, Path]]:
-    """Every golden output as ``(kind, name, path)``, scenarios first."""
+    """Every golden output as ``(kind, name, path)``: scenarios, perf, models."""
     from repro.scenarios import all_scenarios
 
     scenarios = [
@@ -67,7 +78,53 @@ def entries() -> list[tuple[str, str, Path]]:
         ("perf", name, GOLDEN / "perf" / f"{name}.json")
         for name in perf_workloads().WORKLOADS
     ]
-    return scenarios + perf
+    models = [("models", kind, GOLDEN / "models" / f"{kind}.json") for kind in MODEL_KINDS]
+    return scenarios + perf + models
+
+
+@functools.cache
+def model_trace():
+    """The one trace every model golden runs on (3 days: two seasons + one)."""
+    from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
+
+    config = IntelLabConfig(n_sensors=4, duration_s=3 * 86_400.0, epoch_s=31.0)
+    return IntelLabGenerator(config, seed=MODEL_SEED).generate()
+
+
+def model_rows(model_kind: str) -> dict:
+    """One model family's steps, forecast and system summary on :func:`model_trace`."""
+    import numpy as np
+
+    from repro.core import PrestoConfig, PrestoSystem
+    from repro.core.prediction import PredictionEngine
+
+    trace = model_trace()
+    config = PrestoConfig.for_model(
+        model_kind, sample_period_s=31.0, refit_interval_s=6 * 3600.0
+    )
+    fit_end = config.training_epochs
+    readings, clean, times = trace.values[0], trace.clean_values[0], trace.timestamps
+    model = PredictionEngine(config, 1).make_model()
+    training = readings[:fit_end]
+    model.fit(np.where(np.isnan(training), clean[:fit_end], training), times[:fit_end])
+    model.align_to_time(float(times[fit_end]))
+    push_epochs, predictions = [], []
+    for epoch in range(fit_end, fit_end + MODEL_STEPS):
+        reading = float(readings[epoch])
+        # a dropout or every fifth epoch is silent: the prediction is observed
+        silent = epoch % 5 == 0 or reading != reading
+        predicted, pushed = model.step(None if silent else reading, MODEL_DELTA)
+        predictions.append(predicted)
+        if pushed:
+            push_epochs.append(epoch)
+    forecast = model.forecast(32)
+    return {
+        "push_epochs": push_epochs,
+        "predictions": predictions,
+        "forecast_mean": forecast.mean.tolist(),
+        "forecast_std": forecast.std.tolist(),
+        "system": PrestoSystem(trace, config, seed=MODEL_SEED).run().summary(),
+    }
 
 
 def render(kind: str, name: str) -> str:
@@ -76,6 +133,8 @@ def render(kind: str, name: str) -> str:
         from repro.analysis.runtime import canonical_rows
 
         rows = json.loads(canonical_rows(name, jobs=1))
+    elif kind == "models":
+        rows = model_rows(name)
     else:
         system, queries, _ = perf_workloads().build(name, PERF_SEED, "quick")
         rows = system.run(queries=queries).summary()
