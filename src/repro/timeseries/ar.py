@@ -3,21 +3,17 @@
 AR(p) is the workhorse "time-series analysis technique" of Section 3: the
 proxy fits the coefficients, ships ``p`` floats to the sensor, and both
 sides run the same ``p``-tap inner product per reading — cheap enough to
-satisfy the paper's asymmetry requirement.
+satisfy the paper's asymmetry requirement.  The fitted model is a
+:class:`~repro.timeseries.linear.LinearRecursion` with no MA lags and no
+differencing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.timeseries.base import (
-    Forecast,
-    ModelSpec,
-    TimeSeriesModel,
-    as_float_array,
-)
+from repro.timeseries.base import ModelSpec, as_float_array
+from repro.timeseries.linear import LinearRecursion
 
 
 def autocovariance(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -85,13 +81,13 @@ def fit_ar_ols(values: np.ndarray, order: int) -> tuple[np.ndarray, float, float
 _METHODS = ("yule-walker", "ols")
 
 
-class ARModel(TimeSeriesModel):
+class ARModel(LinearRecursion):
     """AR(p) model with a mean term.
 
     ``x_t - mu = sum_i phi_i (x_{t-i} - mu) + eps_t``.
 
-    The one-step loop keeps the last ``p`` observed (or substituted) values
-    in a deque — this is exactly the state a PRESTO sensor maintains.
+    The one-step loop keeps the last ``p`` observed (or substituted) values,
+    centred — exactly the state a PRESTO sensor maintains.
     """
 
     def __init__(
@@ -107,10 +103,7 @@ class ARModel(TimeSeriesModel):
         self.order = int(order)
         self.sample_period_s = float(sample_period_s)
         self.method = method
-        self._phi: np.ndarray | None = None
-        self._mu: float = 0.0
-        self._sigma: float = 0.0
-        self._history: deque[float] = deque(maxlen=order)
+        super().__init__(self.order, (), ())
 
     def fit(self, values: np.ndarray, timestamps: np.ndarray | None = None) -> "ARModel":
         """Fit coefficients on *values*; timestamps are ignored (even spacing)."""
@@ -122,94 +115,23 @@ class ARModel(TimeSeriesModel):
         self._mu = float(values.mean())
         if self.method == "yule-walker":
             phi, variance = fit_ar_yule_walker(values, self.order)
-            self._phi = phi
-            self._sigma = float(np.sqrt(variance))
         else:
             phi, intercept, variance = fit_ar_ols(values, self.order)
-            self._phi = phi
             denom = 1.0 - float(np.sum(phi))
-            self._mu = intercept / denom if abs(denom) > 1e-9 else float(values.mean())
-            self._sigma = float(np.sqrt(variance))
-        self._history = deque(
-            (float(v) for v in values[-self.order :]), maxlen=self.order
-        )
+            self._mu = intercept / denom if abs(denom) > 1e-9 else self._mu
+        self._phi = np.asarray(phi, dtype=np.float64)
+        self._sigma = float(np.sqrt(variance))
+        self._start(values, values - self._mu, np.zeros(0))
         return self
 
-    def _require_fit(self) -> np.ndarray:
-        if self._phi is None:
-            raise RuntimeError("model not fitted")
-        return self._phi
-
-    def predict_next(self) -> float:
-        """One-step prediction from the rolling history."""
-        phi = self._require_fit()
-        history = list(self._history)
-        if len(history) < self.order:
-            return self._mu
-        centred = np.asarray(history[::-1], dtype=np.float64) - self._mu
-        return float(self._mu + np.dot(phi, centred))
-
-    def observe(self, value: float) -> None:
-        """Append the realised (or substituted) value to the history."""
-        self._history.append(float(value))
-
-    def forecast(self, steps: int) -> Forecast:
-        """Iterated multi-step forecast with cumulative error growth.
-
-        Forecast variance uses the standard psi-weight recursion for AR
-        processes: ``var_h = sigma^2 * sum_{j<h} psi_j^2``.
-        """
-        phi = self._require_fit()
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        history = list(self._history)[::-1]  # most recent first
-        centred = [h - self._mu for h in history]
-        mean = np.empty(steps, dtype=np.float64)
-        for step in range(steps):
-            lagged = np.asarray(centred[: self.order][: self.order], dtype=np.float64)
-            if lagged.size < self.order:
-                lagged = np.concatenate(
-                    [lagged, np.zeros(self.order - lagged.size)]
-                )
-            prediction = float(np.dot(phi, lagged))
-            mean[step] = self._mu + prediction
-            centred.insert(0, prediction)
-        psi = self._psi_weights(steps)
-        cumulative = np.cumsum(psi**2)
-        std = self._sigma * np.sqrt(cumulative)
-        return Forecast(mean=mean, std=std)
-
-    def _psi_weights(self, count: int) -> np.ndarray:
-        """MA(inf) weights psi_0..psi_{count-1} from the AR recursion."""
-        phi = self._require_fit()
-        psi = np.zeros(count, dtype=np.float64)
-        psi[0] = 1.0
-        for j in range(1, count):
-            upto = min(j, self.order)
-            psi[j] = float(np.dot(phi[:upto], psi[j - 1 :: -1][:upto]))
-        return psi
-
-    def state(self) -> tuple:
-        """``(order, period, method, mu, sigma, phi, history)``; phi empty unfitted."""
-        return (
-            float(self.order),
-            self.sample_period_s,
-            float(_METHODS.index(self.method)),
-            self._mu,
-            self._sigma,
-            np.array([] if self._phi is None else self._phi, dtype=np.float64),
-            np.array(self._history, dtype=np.float64),
-        )
+    def _state_header(self) -> tuple:
+        """``(order, period, method)``."""
+        return (float(self.order), self.sample_period_s, float(_METHODS.index(self.method)))
 
     @classmethod
-    def from_state(cls, state: tuple) -> "ARModel":
-        """The AR model whose :meth:`state` is *state*."""
-        order, period, method, mu, sigma, phi, history = state
-        model = cls(int(order), float(period), _METHODS[int(method)])
-        model._mu, model._sigma = float(mu), float(sigma)
-        model._phi = np.array(phi, dtype=np.float64) if len(phi) else None
-        model._history.extend(np.asarray(history, dtype=np.float64).tolist())
-        return model
+    def _from_header(cls, header: tuple) -> "ARModel":
+        order, period, method = header
+        return cls(int(order), float(period), _METHODS[int(method)])
 
     def spec(self) -> ModelSpec:
         """Describe the model ("ar(p)")."""
@@ -219,11 +141,6 @@ class ARModel(TimeSeriesModel):
     def parameter_bytes(self) -> int:
         """p coefficients + mean + sigma at 4 bytes each, plus 2 meta bytes."""
         return 4 * (self.order + 2) + 2
-
-    @property
-    def residual_std(self) -> float:
-        """Innovation standard deviation."""
-        return self._sigma
 
     @property
     def check_cycles(self) -> float:

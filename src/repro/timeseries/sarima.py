@@ -14,21 +14,18 @@ seasonal profiles and plain ARs respectively.
 Estimation: the doubly differenced series
 ``w(t) = (1-B)(1-B^S) X(t)`` is computed, and the two MA coefficients are
 fitted by the innovations-style regression used in
-:mod:`repro.timeseries.arima` (long-AR residual proxies, then OLS).
+:mod:`repro.timeseries.arima` (long-AR residual proxies, then OLS).  The
+fitted model is a :class:`~repro.timeseries.linear.LinearRecursion` with
+MA lags ``1..q`` and ``S, 2S, .., QS`` and the factors ``(1 - B)`` and
+``(1 - B^S)``; its forecast variance comes from those psi weights.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.timeseries.base import (
-    Forecast,
-    ModelSpec,
-    TimeSeriesModel,
-    as_float_array,
-)
+from repro.timeseries.base import ModelSpec, as_float_array
+from repro.timeseries.linear import LinearRecursion
 
 
 def daily_season(sample_period_s: float) -> int:
@@ -41,7 +38,7 @@ def two_season_minimum(season_length: int) -> int:
     return 2 * season_length + 16
 
 
-class SeasonalArimaModel(TimeSeriesModel):
+class SeasonalArimaModel(LinearRecursion):
     """ARIMA(0,1,q)x(0,1,Q)_S with q = Q = 1 by default.
 
     Parameters
@@ -63,19 +60,15 @@ class SeasonalArimaModel(TimeSeriesModel):
             raise ValueError(f"season length must be >= 2, got {season_length}")
         if q < 0 or seasonal_q < 0:
             raise ValueError("MA orders must be >= 0")
+        if q >= season_length:
+            raise ValueError(f"q = {q} reaches the seasonal MA lag {season_length}")
         self.season_length = int(season_length)
         self.q = int(q)
         self.seasonal_q = int(seasonal_q)
         self.sample_period_s = float(sample_period_s)
-        self._theta = np.zeros(self.q)
-        self._seasonal_theta = np.zeros(self.seasonal_q)
-        self._sigma = 0.0
-        self._fitted = False
-        # streaming state: the last S+1 level values and recent innovations
-        self._levels: deque[float] = deque(maxlen=self.season_length + 1)
-        self._eps: deque[float] = deque(
-            maxlen=max(self.q, self.seasonal_q * self.season_length, 1)
-        )
+        s = self.season_length
+        seasonal_lags = range(s, self.seasonal_q * s + 1, s)
+        super().__init__(0, (*range(1, self.q + 1), *seasonal_lags), (1, s))
 
     # -- estimation -----------------------------------------------------------
 
@@ -90,23 +83,10 @@ class SeasonalArimaModel(TimeSeriesModel):
                 f"need >= {two_season_minimum(s)} samples (two seasons), got {values.size}"
             )
         # w(t) = x(t) - x(t-1) - x(t-S) + x(t-S-1)
-        x = values
-        w = x[s + 1:] - x[s : -1] - x[1 : -s] + x[: -s - 1]
-
-        if self.q == 0 and self.seasonal_q == 0:
-            eps = w.copy()
-        else:
-            eps = self._fit_ma(w)
+        w = values[s + 1 :] - values[s:-1] - values[1:-s] + values[: -s - 1]
+        eps = self._fit_ma(w) if self._theta.size else w
         self._sigma = float(np.sqrt(np.mean(eps**2)))
-        self._fitted = True
-
-        self._levels.clear()
-        for value in values[-(s + 1):]:
-            self._levels.append(float(value))
-        self._eps.clear()
-        needed = self._eps.maxlen or 1
-        for e in eps[-needed:]:
-            self._eps.append(float(e))
+        self._start(values, w, eps)
         return self
 
     def _fit_ma(self, w: np.ndarray) -> np.ndarray:
@@ -134,98 +114,23 @@ class SeasonalArimaModel(TimeSeriesModel):
         design2 = np.stack(columns, axis=1)
         target = w[start:]
         solution, *_ = np.linalg.lstsq(design2, target, rcond=None)
-        self._theta = np.asarray(solution[: self.q])
-        self._seasonal_theta = np.asarray(solution[self.q :])
+        self._theta = np.asarray(solution, dtype=np.float64)
         residual = target - design2 @ solution
         eps = np.zeros_like(w)
         eps[start:] = residual
         return eps
 
-    # -- streaming ---------------------------------------------------------------
-
-    def _require_fit(self) -> None:
-        if not self._fitted:
-            raise RuntimeError("model not fitted")
-
-    def predict_next(self) -> float:
-        """X̂(t) = X(t-1) + X(t-S) - X(t-S-1) + MA corrections."""
-        self._require_fit()
-        levels = self._levels
-        if len(levels) < self.season_length + 1:
-            return levels[-1] if levels else 0.0
-        x_prev = levels[-1]
-        x_season = levels[1]        # x(t-S)
-        x_season_prev = levels[0]   # x(t-S-1)
-        prediction = x_prev + x_season - x_season_prev
-        eps = list(self._eps)[::-1]  # most recent first
-        for lag in range(1, self.q + 1):
-            if lag - 1 < len(eps):
-                prediction += self._theta[lag - 1] * eps[lag - 1]
-        for lag in range(1, self.seasonal_q + 1):
-            index = lag * self.season_length - 1
-            if index < len(eps):
-                prediction += self._seasonal_theta[lag - 1] * eps[index]
-        return float(prediction)
-
-    def observe(self, value: float) -> None:
-        """Record the realised (or substituted) level."""
-        self._require_fit()
-        innovation = float(value) - self.predict_next()
-        self._levels.append(float(value))
-        self._eps.append(innovation)
-
-    def forecast(self, steps: int) -> Forecast:
-        """Iterated forecast; variance via the integrated random-walk bound."""
-        self._require_fit()
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        saved_levels = list(self._levels)
-        saved_eps = list(self._eps)
-        mean = np.empty(steps)
-        for step in range(steps):
-            prediction = self.predict_next()
-            mean[step] = prediction
-            self._levels.append(prediction)
-            self._eps.append(0.0)
-        # restore streaming state
-        self._levels.clear()
-        self._levels.extend(saved_levels)
-        self._eps.clear()
-        self._eps.extend(saved_eps)
-        std = self._sigma * np.sqrt(np.cumsum(np.ones(steps)))
-        return Forecast(mean=mean, std=std)
-
     # -- declared state -----------------------------------------------------------
 
-    def state(self) -> tuple:
-        """``(season length, q, Q, period, sigma, fitted, theta, seasonal
-        theta, levels, innovations)``."""
-        return (
-            float(self.season_length),
-            float(self.q),
-            float(self.seasonal_q),
-            self.sample_period_s,
-            self._sigma,
-            float(self._fitted),
-            np.array(self._theta, dtype=np.float64),
-            np.array(self._seasonal_theta, dtype=np.float64),
-            np.array(self._levels, dtype=np.float64),
-            np.array(self._eps, dtype=np.float64),
-        )
+    def _state_header(self) -> tuple:
+        """``(season length, q, Q, period)``."""
+        return (float(self.season_length), float(self.q), float(self.seasonal_q),
+                self.sample_period_s)
 
     @classmethod
-    def from_state(cls, state: tuple) -> "SeasonalArimaModel":
-        """The seasonal ARIMA model whose :meth:`state` is *state*."""
-        season, q, seasonal_q, period, sigma, fitted, theta, seasonal_theta, levels, eps = (
-            state
-        )
-        model = cls(int(season), int(q), int(seasonal_q), float(period))
-        model._sigma, model._fitted = float(sigma), bool(fitted)
-        model._theta = np.array(theta, dtype=np.float64)
-        model._seasonal_theta = np.array(seasonal_theta, dtype=np.float64)
-        model._levels.extend(np.asarray(levels, dtype=np.float64).tolist())
-        model._eps.extend(np.asarray(eps, dtype=np.float64).tolist())
-        return model
+    def _from_header(cls, header: tuple) -> "SeasonalArimaModel":
+        season, q, seasonal_q, period = header
+        return cls(int(season), int(q), int(seasonal_q), float(period))
 
     # -- metadata -----------------------------------------------------------------
 
@@ -241,11 +146,6 @@ class SeasonalArimaModel(TimeSeriesModel):
     def parameter_bytes(self) -> int:
         """thetas + sigma + season length, 4 bytes each + meta."""
         return 4 * (self.q + self.seasonal_q + 2) + 3
-
-    @property
-    def residual_std(self) -> float:
-        """Innovation standard deviation."""
-        return self._sigma
 
     @property
     def check_cycles(self) -> float:

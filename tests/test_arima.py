@@ -97,7 +97,7 @@ class TestEstimation:
         assert len(passes) == 1
         residuals = passes[0]
         assert model.residual_std == float(np.sqrt(np.mean(residuals**2)))
-        assert list(model._recent_eps) == [float(e) for e in residuals[-max(order[2], 1):]]
+        assert list(model._eps) == [float(e) for e in residuals[-max(order[2], 1):]]
 
 
 class TestStreaming:
@@ -139,8 +139,8 @@ def front_insert_forecast(model: ARIMAModel, steps: int) -> Forecast:
     front insert shuffled the whole history once per step).  Same
     multiply-add order, same operand types.
     """
-    w_hist = list(model._recent_w)[::-1]
-    eps_hist = list(model._recent_eps)[::-1]
+    w_hist = list(model._w)[::-1]
+    eps_hist = list(model._eps)[::-1]
     w_forecast = np.empty(steps, dtype=np.float64)
     for step in range(steps):
         prediction = 0.0
@@ -154,10 +154,16 @@ def front_insert_forecast(model: ARIMAModel, steps: int) -> Forecast:
         w_hist.insert(0, prediction)
         eps_hist.insert(0, 0.0)  # future innovations have zero mean
     w_forecast = w_forecast + model._mu
-    tails = np.asarray(list(model._level_tail), dtype=np.float64)
+    tails = np.asarray([level for tail in model._tails for level in tail])
     mean = undifference(w_forecast, tails, model.d)
 
-    psi = model._psi_weights(steps)
+    psi = np.zeros(steps)
+    psi[0] = 1.0
+    for j in range(1, steps):
+        value = model._theta[j - 1] if j - 1 < model.q else 0.0
+        for i in range(1, min(j, model.p) + 1):
+            value += model._phi[i - 1] * psi[j - i]
+        psi[j] = value
     if model.d == 0:
         cumulative = np.cumsum(psi**2)
     else:
@@ -180,13 +186,13 @@ class TestForecast:
         model = ARIMAModel(order=(p, d, q)).fit(series)
         for value in series[-5:]:
             model.observe(value)
-        state = (list(model._recent_w), list(model._recent_eps))
+        state = (list(model._w), list(model._eps))
         for steps in range(1, 301):
             got = model.forecast(steps)
             want = front_insert_forecast(model, steps)
             assert got.mean.tobytes() == want.mean.tobytes(), steps
             assert got.std.tobytes() == want.std.tobytes(), steps
-        assert (list(model._recent_w), list(model._recent_eps)) == state
+        assert (list(model._w), list(model._eps)) == state
 
     def test_forecast_horizon_shape(self):
         model = ARIMAModel(order=(1, 0, 1)).fit(make_arma11())

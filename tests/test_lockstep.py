@@ -383,7 +383,7 @@ def test_verify_replicas_in_sync_compares_state():
     tracker.advance_silent()
     assert push.verify_replicas_in_sync(checker, tracker)
     # an AR(1) innovation is state no prediction reads
-    tracker._model._recent_eps[-1] += 1e-9
+    tracker._model._eps[-1] += 1e-9
     assert tracker._model.predict_next() == checker._model.predict_next()
     assert not push.verify_replicas_in_sync(checker, tracker)
 

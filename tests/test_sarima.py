@@ -51,6 +51,8 @@ class TestFit:
             SeasonalArimaModel(season_length=1)
         with pytest.raises(ValueError):
             SeasonalArimaModel(q=-1)
+        with pytest.raises(ValueError, match="seasonal MA lag"):
+            SeasonalArimaModel(season_length=4, q=4)
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):

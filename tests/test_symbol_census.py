@@ -70,6 +70,9 @@ ALLOWLIST = {
     "src/repro/signal/codecs.py::delta_decode": ORACLE,
     "src/repro/signal/codecs.py::dequantize": ORACLE,
     "src/repro/sync/clock.py::DriftingClock.invert": ORACLE,
+    "src/repro/timeseries/arima.py::undifference": (
+        ORACLE + " (the frozen tests/reference_arima.py forecasts through it)"
+    ),
     # -- public API only tests drive today ----------------------------------
     "src/repro/core/federation.py::FederatedSystem.fail_proxy": (
         "pre-run fault API (a death before the first sync); the CLI and "
