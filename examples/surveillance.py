@@ -79,7 +79,7 @@ def main() -> None:
         latency_bound_s=60.0,
         aggregate="max",
     )
-    answer = system.proxy.process_query(query)
+    answer = system.proxy.process_query(query, query.sensor)
     print(f"\nforensic query: max reading around event 0 "
           f"(sensor {event.sensor}, window {query.window_s / 60:.0f} min)")
     print(f"  answer: {answer.value:.2f} C via {answer.source.value} "

@@ -12,7 +12,9 @@ Storage layout: the cache is *columnar*.  Each sensor's series lives in
 four parallel NumPy arrays (timestamps / values / stds / source codes)
 kept sorted by timestamp, with a lazy start offset so appends and
 evictions are amortized O(1) and window reads are contiguous array views.
-The row-oriented :class:`CacheEntry` remains the public unit of exchange.
+The row-oriented :class:`CacheEntry` remains the public unit of exchange;
+the point read :meth:`SummaryCache.entry_at` hands back the bare
+:class:`CacheRow` instead, since it runs once per answered query.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,19 +63,56 @@ class CacheEntry:
         return self.source in (EntrySource.PUSHED, EntrySource.PULLED)
 
 
+class CacheRow(NamedTuple):
+    """One cached cell as :meth:`SummaryCache.entry_at` reads it: the raw
+    columns' row, with the provenance left as its integer code."""
+
+    timestamp: float
+    value: float
+    std: float
+    code: int
+
+    @property
+    def is_actual(self) -> bool:
+        """Whether the value is sensor ground truth (vs a model guess)."""
+        return self.code != PREDICTED_CODE
+
+
 # -- read rules -----------------------------------------------------------------
 #
 # The live cache, a replica's CacheSnapshot and the failover answer path all
-# read a sorted timestamp column through these: one window, one nearest-entry
-# rule (a scalar and a grid shape), one CacheEntry view and one aggregate.
+# read a sorted timestamp column through these: one window, one coverage
+# rule, one nearest-entry rule (a scalar and a grid shape), one CacheEntry
+# view and one aggregate.  The scalar reads call ``ndarray.searchsorted``
+# directly: ``np.searchsorted``'s dispatch wrapper costs more than the search
+# on a query's short column.
 
 
 def _window(times: np.ndarray, start: float, end: float) -> slice:
     """Index slice of the sorted *times* that fall in ``[start, end]``."""
     return slice(
-        int(np.searchsorted(times, start, side="left")),
-        int(np.searchsorted(times, end, side="right")),
+        int(times.searchsorted(start, side="left")),
+        int(times.searchsorted(end, side="right")),
     )
+
+
+def coverage_fraction(
+    present: int, start: float, end: float, sample_period_s: float
+) -> float:
+    """Fraction of the expected epochs in ``[start, end]`` that *present*
+    cached entries (the window's count) cover.
+
+    The expected count truncates with an epsilon, not bare ``int()``: a
+    window spanning an exact multiple of the period whose float ratio
+    lands at ``k - ε`` must still expect ``k + 1`` epochs, or full
+    coverage with one cell genuinely missing silently reads as 100%.
+    (Plain rounding would instead over-expect on genuinely fractional
+    windows — e.g. 6.6 periods can only ever hold 7 grid epochs.)
+    """
+    if end < start:
+        raise ValueError(f"empty window [{start}, {end}]")
+    expected = max(int((end - start) / sample_period_s + 1e-9) + 1, 1)
+    return min(present / expected, 1.0)
 
 
 def _nearest_position(times: np.ndarray, timestamp: float, tolerance_s: float) -> int | None:
@@ -83,7 +123,7 @@ def _nearest_position(times: np.ndarray, timestamp: float, tolerance_s: float) -
     is the same rule over a whole grid.
     """
     n = times.size
-    position = int(np.searchsorted(times, timestamp, side="left"))
+    position = int(times.searchsorted(timestamp, side="left"))
     best: int | None = None
     best_gap = tolerance_s
     for candidate in (position - 1, position):
@@ -399,12 +439,15 @@ class SummaryCache:
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column()
-        outcome = column.insert_one(
-            entry.timestamp,
-            entry.value,
-            entry.std,
-            _CODE_OF_SOURCE[entry.source],
+        self._insert_one(
+            column, entry.timestamp, entry.value, entry.std, _CODE_OF_SOURCE[entry.source]
         )
+
+    def _insert_one(
+        self, column: _Column, timestamp: float, value: float, std: float, code: int
+    ) -> int:
+        """One scalar insert into *column*, counted; returns its outcome."""
+        outcome = column.insert_one(timestamp, value, std, code)
         if outcome == _REFINED:
             self.refinements += 1
         elif outcome == _INSERTED:
@@ -412,6 +455,7 @@ class SummaryCache:
             if column.length > self.max_entries_per_sensor:
                 column.evict_front(1)
                 self.evictions += 1
+        return outcome
 
     def insert_batch(
         self,
@@ -429,16 +473,37 @@ class SummaryCache:
         one searchsorted merge instead of per-entry bisect — and no sort or
         merge at all for an ascending batch newer than everything cached.
         Returns the number of genuinely new timestamps.
+
+        A one-row batch — most of a proxy's silent runs between two
+        queries — is the scalar insert instead, which skips the merge's
+        array preamble.  Like the merge it marks the row written even when
+        the refinement policy drops it.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if timestamps.size == 0:
             return 0
-        if np.isscalar(stds) or getattr(stds, "ndim", 1) == 0:
+        scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
+        if timestamps.size == 1:
+            column = self._columns.get(sensor)
+            if column is None:
+                column = self._columns[sensor] = _Column()
+            timestamp = float(timestamps[0])
+            if timestamp < column.written_from:
+                column.written_from = timestamp
+            outcome = self._insert_one(
+                column,
+                timestamp,
+                float(values[0]),
+                float(stds) if scalar_std else float(stds[0]),
+                _CODE_OF_SOURCE[source],
+            )
+            return int(outcome == _INSERTED)
+        if scalar_std:
             stds = np.full(timestamps.size, float(stds), dtype=np.float64)
         else:
             stds = np.ascontiguousarray(stds, dtype=np.float64)
-        if timestamps.size > 1 and not (timestamps[1:] > timestamps[:-1]).all():
+        if not (timestamps[1:] > timestamps[:-1]).all():
             order = np.argsort(timestamps, kind="stable")
             timestamps = timestamps[order]
             values = values[order]
@@ -448,14 +513,24 @@ class SummaryCache:
             last = np.ones(timestamps.size, dtype=bool)
             last[:-1] = timestamps[1:] != timestamps[:-1]
             timestamps, values, stds = timestamps[last], values[last], stds[last]
+        return self._merge(sensor, timestamps, values, stds, _CODE_OF_SOURCE[source])
+
+    def _merge(
+        self,
+        sensor: int,
+        timestamps: np.ndarray,
+        values: np.ndarray,
+        stds: np.ndarray,
+        code: int,
+    ) -> int:
+        """The vectorized merge of a sorted, deduplicated batch, counted;
+        returns the number of new timestamps."""
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column(
                 max(_MIN_CAPACITY, 2 * timestamps.size)
             )
-        inserted, refined = column.merge_batch(
-            timestamps, values, stds, _CODE_OF_SOURCE[source]
-        )
+        inserted, refined = column.merge_batch(timestamps, values, stds, code)
         self.insertions += inserted
         self.refinements += refined
         overflow = column.length - self.max_entries_per_sensor
@@ -471,29 +546,20 @@ class SummaryCache:
 
     def entry_at(
         self, sensor: int, timestamp: float, tolerance_s: float
-    ) -> CacheEntry | None:
-        """Entry nearest *timestamp* within ±*tolerance_s*, or None."""
+    ) -> CacheRow | None:
+        """Row nearest *timestamp* within ±*tolerance_s*, or None."""
         column = self._columns.get(sensor, _EMPTY)
         start = column.start
         position = _nearest_position(column.times[start : column.end], timestamp, tolerance_s)
         if position is None:
             return None
-        return _entry(column.times, column.values, column.stds, column.codes, start + position)
-
-    def actual_value_at(
-        self, sensor: int, timestamp: float, tolerance_s: float
-    ) -> float | None:
-        """Value of the nearest entry within tolerance, if it is actual.
-
-        Same candidate selection as :meth:`entry_at` — the nearest entry of
-        *any* provenance is picked first, then discarded unless it holds
-        ground truth — without materializing a :class:`CacheEntry`.
-        """
-        times, values, _, codes = self._columns.get(sensor, _EMPTY).views()
-        position = _nearest_position(times, timestamp, tolerance_s)
-        if position is None or codes[position] == PREDICTED_CODE:
-            return None
-        return float(values[position])
+        position += start
+        return CacheRow(
+            float(column.times[position]),
+            float(column.values[position]),
+            float(column.stds[position]),
+            int(column.codes[position]),
+        )
 
     def arrays_in(
         self, sensor: int, start: float, end: float
@@ -581,25 +647,6 @@ class SummaryCache:
         if actual.size == 0:
             return None
         return _entry(times, values, stds, codes, int(actual[-1]))
-
-    def coverage_fraction(
-        self, sensor: int, start: float, end: float, sample_period_s: float
-    ) -> float:
-        """Fraction of expected epochs in ``[start, end]`` present.
-
-        The expected count truncates with an epsilon, not bare ``int()``: a
-        window spanning an exact multiple of the period whose float ratio
-        lands at ``k - ε`` must still expect ``k + 1`` epochs, or full
-        coverage with one cell genuinely missing silently reads as 100%.
-        (Plain rounding would instead over-expect on genuinely fractional
-        windows — e.g. 6.6 periods can only ever hold 7 grid epochs.)
-        """
-        if end < start:
-            raise ValueError(f"empty window [{start}, {end}]")
-        expected = max(int((end - start) / sample_period_s + 1e-9) + 1, 1)
-        column = self._columns.get(sensor, _EMPTY)
-        window = _window(column.times[column.start : column.end], start, end)
-        return min((window.stop - window.start) / expected, 1.0)
 
     def size(self, sensor: int | None = None) -> int:
         """Entry count for one sensor, or total."""

@@ -459,17 +459,8 @@ class _RoutingCore:
         if owner.alive:
             if hops > 0:
                 routing_latency += owner.response_latency_s
-            local = self._built[owner_name].proxy.process_query(
-                self._rewrite(query, self._by_name[owner_name])
-            )
-            answer = QueryAnswer(
-                query=query,
-                value=local.value,
-                source=local.source,
-                latency_s=local.latency_s + routing_latency,
-                believed_std=local.believed_std,
-                sensor_energy_j=local.sensor_energy_j,
-                pulled_bytes=local.pulled_bytes,
+            answer = self._built[owner_name].proxy.process_query(
+                query, self._by_name[owner_name].to_local(query.sensor), routing_latency
             )
         else:
             self.routing.failovers += 1
@@ -479,26 +470,13 @@ class _RoutingCore:
         return answer
 
     @staticmethod
-    def _rewrite(query: Query, fc: FederatedCell) -> Query:
-        """Rewrite a global query into the cell's local sensor numbering.
+    def _rewrite(query: ContinuousQuery, fc: FederatedCell) -> ContinuousQuery:
+        """Rewrite a standing query into the cell's local sensor numbering.
 
-        Standing queries come through here too, once each; only the routed
-        :class:`Query` — one per answer — is worth building field by field.
+        Each is registered once; a routed :class:`Query` is never rewritten —
+        its owner answers it with the local index beside it.
         """
-        local = fc.to_local(query.sensor)
-        if type(query) is not Query:
-            return dataclasses.replace(query, sensor=local)
-        return Query(
-            query_id=query.query_id,
-            kind=query.kind,
-            sensor=local,
-            arrival_time=query.arrival_time,
-            target_time=query.target_time,
-            window_s=query.window_s,
-            precision=query.precision,
-            latency_bound_s=query.latency_bound_s,
-            aggregate=query.aggregate,
-        )
+        return dataclasses.replace(query, sensor=fc.to_local(query.sensor))
 
     def _failover_answer(
         self, query: Query, owner_name: str, routing_latency: float

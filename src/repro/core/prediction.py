@@ -174,9 +174,11 @@ class PredictionEngine:
         for other in range(self.n_sensors):
             if other == sensor:
                 continue
-            value = cache.actual_value_at(other, target_time, tolerance_s=tolerance)
-            if value is not None:
-                observed[other] = value
+            # the nearest entry of any provenance is picked first, then
+            # dropped unless it holds ground truth
+            row = cache.entry_at(other, target_time, tolerance_s=tolerance)
+            if row is not None and row.is_actual:
+                observed[other] = row.value
         if not observed:
             return None
         try:

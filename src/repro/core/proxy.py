@@ -25,6 +25,7 @@ from repro.core.cache import (
     EntrySource,
     SummaryCache,
     aggregate,
+    coverage_fraction,
 )
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQueryEngine
@@ -474,93 +475,99 @@ class PrestoProxy:
 
     # -- query processing ------------------------------------------------------------
 
-    def process_query(self, query: Query) -> QueryAnswer:
-        """Answer one query, trying cache → prediction → spatial → pull."""
+    def process_query(
+        self, query: Query, sensor: int, routing_latency_s: float = 0.0
+    ) -> QueryAnswer:
+        """Answer one query, trying cache → prediction → spatial → pull.
+
+        *sensor* is the queried sensor in this cell's own numbering (a
+        federation routes global queries here unchanged; a lone cell's
+        numbering is the query's).  The answer carries *query* itself, and
+        its latency is the cell's plus *routing_latency_s*, what getting
+        the query here cost.
+        """
         self.matcher.observe_query(query)
         self.queries_processed += 1
         if query.kind is QueryKind.NOW:
-            return self._answer_now(query)
+            return self._answer_now(query, sensor, routing_latency_s)
         if query.kind is QueryKind.PAST_POINT:
-            return self._answer_past_point(query)
-        return self._answer_past_window(query)
+            return self._answer_past_point(query, sensor, routing_latency_s)
+        return self._answer_past_window(query, sensor, routing_latency_s)
 
     def _confidence_ok(self, std: float, precision: float) -> bool:
         return std * CONFIDENCE_Z <= precision
 
-    def _answer_now(self, query: Query) -> QueryAnswer:
-        self.advance_to_now(query.sensor)
+    def _answer_now(self, query: Query, sensor: int, routing_s: float) -> QueryAnswer:
+        self.advance_to_now(sensor)
         return self._answer_point(
             query,
+            sensor,
             query.arrival_time,
-            lambda estimate: self._pull_now(query, fallback=estimate),
+            routing_s,
+            lambda estimate: self._pull_now(query, sensor, routing_s, fallback=estimate),
         )
 
-    def _answer_past_point(self, query: Query) -> QueryAnswer:
-        sensor = query.sensor
+    def _answer_past_point(
+        self, query: Query, sensor: int, routing_s: float
+    ) -> QueryAnswer:
         target = min(query.target_time, self.sim.now)
         if target > self.epoch_time(self._states[sensor].last_epoch):
             self.advance_to_now(sensor)
         period = self.config.sample_period_s
         return self._answer_point(
             query,
+            sensor,
             target,
+            routing_s,
             lambda estimate: self._pull_past(
-                query, target - period, target + period, fallback=estimate
+                query, sensor, routing_s, target - period, target + period, fallback=estimate
             ),
         )
 
     def _answer_point(
         self,
         query: Query,
+        sensor: int,
         target: float,
+        routing_s: float,
         pull: Callable[[tuple[Estimate, str] | None], QueryAnswer],
     ) -> QueryAnswer:
         """Answer the reading at *target*: an actual cache entry, else a
         confident cached prediction, else a confident model estimate, else
         *pull*, which is handed the estimate to degrade to."""
-        sensor = query.sensor
-        entry = self.cache.entry_at(
-            sensor, target, tolerance_s=self.config.sample_period_s
-        )
-        if entry is not None and (
-            entry.is_actual or self._confidence_ok(entry.std, query.precision)
+        row = self.cache.entry_at(sensor, target, tolerance_s=self.config.sample_period_s)
+        if row is not None and (
+            row.is_actual or self._confidence_ok(row.std, query.precision)
         ):
             return QueryAnswer(
                 query=query,
-                value=entry.value,
-                source=AnswerSource.CACHE if entry.is_actual else AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S,
-                believed_std=entry.std,
+                value=row.value,
+                source=AnswerSource.CACHE if row.is_actual else AnswerSource.PREDICTION,
+                latency_s=PROXY_PROCESSING_S + routing_s,
+                believed_std=row.std,
             )
         estimate = self.engine.best_estimate(sensor, target, self.cache)
         if estimate is not None and self._confidence_ok(
             estimate[0].std, query.precision
         ):
-            return self._answer_from_estimate(query, estimate)
+            value, method = estimate
+            return QueryAnswer(
+                query=query,
+                value=value.value,
+                source=AnswerSource.SPATIAL if method == "spatial" else AnswerSource.PREDICTION,
+                latency_s=PROXY_PROCESSING_S + routing_s,
+                believed_std=value.std,
+            )
         return pull(estimate)
 
-    def _answer_from_estimate(
-        self, query: Query, estimate: tuple[Estimate, str]
+    def _answer_past_window(
+        self, query: Query, sensor: int, routing_s: float
     ) -> QueryAnswer:
-        value, method = estimate
-        source = (
-            AnswerSource.SPATIAL if method == "spatial" else AnswerSource.PREDICTION
-        )
-        return QueryAnswer(
-            query=query,
-            value=value.value,
-            source=source,
-            latency_s=PROXY_PROCESSING_S,
-            believed_std=value.std,
-        )
-
-    def _answer_past_window(self, query: Query) -> QueryAnswer:
-        sensor = query.sensor
         start = min(query.target_time, self.sim.now)
         end = min(start + query.window_s, self.sim.now)
         _, values, stds, codes = self.cache.arrays_in(sensor, start, end)
-        coverage = self.cache.coverage_fraction(
-            sensor, start, end, self.config.sample_period_s
+        coverage = coverage_fraction(
+            values.size, start, end, self.config.sample_period_s
         )
         worst_std = float(stds.max()) if stds.size else float("inf")
         if coverage >= 0.9 and self._confidence_ok(worst_std, query.precision):
@@ -570,35 +577,43 @@ class PrestoProxy:
                 query=query,
                 value=value,
                 source=AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S,
+                latency_s=PROXY_PROCESSING_S + routing_s,
                 believed_std=worst_std,
             )
-        return self._pull_past(query, start, end, fallback=None)
+        return self._pull_past(query, sensor, routing_s, start, end, fallback=None)
 
     # -- pull paths --------------------------------------------------------------------
+    #
+    # Each takes the query, the cell-local sensor and the routing latency
+    # process_query was handed; the answer's latency is the cell's, then
+    # the routing latency added last.
 
     def _pull_now(
-        self, query: Query, fallback: tuple[Estimate, str] | None
+        self,
+        query: Query,
+        sensor: int,
+        routing_s: float,
+        fallback: tuple[Estimate, str] | None,
     ) -> QueryAnswer:
         """Round-trip to the sensor for its current reading."""
-        sensor_obj = self._sensors[query.sensor]
+        sensor_obj = self._sensors[sensor]
         before = sensor_obj.meter.total_j
         self.pull_stats.requests += 1
         mac = self.network.mac_for(sensor_obj.name)
         request = mac.send_downlink(PULL_REQUEST_BYTES, "radio.pull_request")
         if not request.delivered:
-            return self._pull_failed(query, fallback, request.latency_s)
+            return self._pull_failed(query, routing_s, fallback, request.latency_s)
         reading = sensor_obj.current_reading()
         if reading is None:
-            return self._pull_failed(query, fallback, request.latency_s)
+            return self._pull_failed(query, routing_s, fallback, request.latency_s)
         timestamp, value = reading
         reply = mac.send_uplink(8, "radio.pull_reply")
         if not reply.delivered:
             return self._pull_failed(
-                query, fallback, request.latency_s + reply.latency_s
+                query, routing_s, fallback, request.latency_s + reply.latency_s
             )
         self._insert_entry(
-            query.sensor,
+            sensor,
             CacheEntry(
                 timestamp=timestamp, value=value, std=0.0, source=EntrySource.PULLED
             ),
@@ -609,7 +624,7 @@ class PrestoProxy:
             query=query,
             value=value,
             source=AnswerSource.SENSOR_PULL,
-            latency_s=latency,
+            latency_s=latency + routing_s,
             believed_std=0.0,
             sensor_energy_j=sensor_obj.meter.total_j - before,
             pulled_bytes=8,
@@ -618,21 +633,23 @@ class PrestoProxy:
     def _pull_past(
         self,
         query: Query,
+        sensor: int,
+        routing_s: float,
         start: float,
         end: float,
         fallback: tuple[Estimate, str] | None,
     ) -> QueryAnswer:
         """Round-trip to the sensor archive for a historical window."""
-        sensor_obj = self._sensors[query.sensor]
+        sensor_obj = self._sensors[sensor]
         before = sensor_obj.meter.total_j
         self.pull_stats.requests += 1
         mac = self.network.mac_for(sensor_obj.name)
         request = mac.send_downlink(PULL_REQUEST_BYTES, "radio.pull_request")
         if not request.delivered:
-            return self._pull_failed(query, fallback, request.latency_s)
+            return self._pull_failed(query, routing_s, fallback, request.latency_s)
         times, values, level, reply_bytes = sensor_obj.serve_pull(start, end)
         if values.size == 0:
-            return self._pull_failed(query, fallback, request.latency_s)
+            return self._pull_failed(query, routing_s, fallback, request.latency_s)
         latency = PROXY_PROCESSING_S + request.latency_s
         # Fragment the reply at the radio MTU; all fragments must arrive.
         mtu = self.config.node_profile.radio.max_payload_bytes
@@ -642,12 +659,10 @@ class PrestoProxy:
             fragment = mac.send_uplink(chunk, "radio.pull_reply")
             latency += fragment.latency_s
             if not fragment.delivered:
-                return self._pull_failed(query, fallback, latency)
+                return self._pull_failed(query, routing_s, fallback, latency)
             remaining -= chunk
         aged_std = 0.0 if level == 0 else 0.05 * (2.0 ** level)
-        self._insert_batch(
-            query.sensor, times, values, aged_std, EntrySource.PULLED
-        )
+        self._insert_batch(sensor, times, values, aged_std, EntrySource.PULLED)
         self.pull_stats.bytes_pulled += reply_bytes
         if query.kind is QueryKind.PAST_POINT:
             offset = int(np.argmin(np.abs(times - query.target_time)))
@@ -657,13 +672,13 @@ class PrestoProxy:
             if in_window.size == 0:
                 # An aged/coarsened archive reply can retain only timestamps
                 # outside the requested window; degrade, don't crash.
-                return self._pull_failed(query, fallback, latency)
+                return self._pull_failed(query, routing_s, fallback, latency)
             value = aggregate(in_window, query.aggregate)
         return QueryAnswer(
             query=query,
             value=value,
             source=AnswerSource.SENSOR_PULL,
-            latency_s=latency,
+            latency_s=latency + routing_s,
             believed_std=aged_std,
             sensor_energy_j=sensor_obj.meter.total_j - before,
             pulled_bytes=reply_bytes,
@@ -672,11 +687,13 @@ class PrestoProxy:
     def _pull_failed(
         self,
         query: Query,
+        routing_s: float,
         fallback: tuple[Estimate, str] | None,
         latency_so_far: float,
     ) -> QueryAnswer:
         """Pull gave up: degrade to the best model estimate, else fail."""
         self.pull_stats.failures += 1
+        latency = PROXY_PROCESSING_S + latency_so_far + routing_s
         if fallback is not None:
             estimate, method = fallback
             return QueryAnswer(
@@ -687,14 +704,14 @@ class PrestoProxy:
                     if method == "spatial"
                     else AnswerSource.PREDICTION
                 ),
-                latency_s=PROXY_PROCESSING_S + latency_so_far,
+                latency_s=latency,
                 believed_std=estimate.std,
             )
         return QueryAnswer(
             query=query,
             value=None,
             source=AnswerSource.FAILED,
-            latency_s=PROXY_PROCESSING_S + latency_so_far,
+            latency_s=latency,
         )
 
     # -- replication ------------------------------------------------------------

@@ -437,7 +437,7 @@ class PrestoSystem:
             if query.arrival_time < horizon:
                 self.sim.schedule(
                     query.arrival_time,
-                    lambda q=query: answers.append(self.proxy.process_query(q)),
+                    lambda q=query: answers.append(self.proxy.process_query(q, q.sensor)),
                 )
         self.sim.run_until(horizon)
         self.cell.stop_tasks()

@@ -4,7 +4,7 @@ to the original list-based implementation.
 Drives both implementations through the same randomized operation stream —
 interleaved pushed/predicted/pulled inserts with duplicate timestamps, deep
 backfill and eviction overflow — and asserts every read (``entry_at`` /
-``actual_value_at`` / ``values_on_grid`` / ``entries_in`` / ``arrays_in`` /
+``values_on_grid`` / ``entries_in`` / ``arrays_in`` /
 ``tail_snapshot`` / ``latest`` / ``latest_actual`` / ``coverage_fraction`` /
 ``size``, and a replica snapshot's ``nearest`` / ``window_slice``) and every
 counter agrees, continuously and at the end.  ``insert_batch`` is
@@ -17,9 +17,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_cache import ListSummaryCache
 
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache
+from repro.core.cache import (
+    _CODE_OF_SOURCE,
+    CacheEntry,
+    EntrySource,
+    SummaryCache,
+    coverage_fraction,
+)
 
 SOURCES = (EntrySource.PUSHED, EntrySource.PREDICTED, EntrySource.PULLED)
 PERIOD = 3.0
@@ -48,6 +56,13 @@ def as_entries(times, values, stds, codes) -> list[CacheEntry]:
         CacheEntry(float(t), float(v), float(s), SOURCES[int(c)])
         for t, v, s, c in zip(times, values, stds, codes)
     ]
+
+
+def as_row(entry: CacheEntry | None) -> tuple | None:
+    """An oracle entry as the point read's row, for comparison."""
+    if entry is None:
+        return None
+    return (entry.timestamp, entry.value, entry.std, SOURCES.index(entry.source))
 
 
 def assert_same_reads(
@@ -79,11 +94,8 @@ def assert_same_reads(
             probe = float(rng.uniform(-10.0, 2000.0) if step % 2 else lattice[step])
             tolerance = float(rng.uniform(0.1, 3.0 * PERIOD))
             expected = old.entry_at(sensor, probe, tolerance)
-            assert new.entry_at(sensor, probe, tolerance) == expected, (
+            assert new.entry_at(sensor, probe, tolerance) == as_row(expected), (
                 sensor, probe, tolerance
-            )
-            assert new.actual_value_at(sensor, probe, tolerance) == (
-                expected.value if expected is not None and expected.is_actual else None
             )
             if probe >= first:
                 position = snapshot.nearest(probe, tolerance)
@@ -96,7 +108,8 @@ def assert_same_reads(
             assert list(snapshot)[snapshot.window_slice(lo, hi)] == new.entries_in(
                 sensor, max(lo, first), hi
             )
-            assert new.coverage_fraction(sensor, lo, hi, PERIOD) == pytest.approx(
+            present = new.arrays_in(sensor, lo, hi)[0].size
+            assert coverage_fraction(present, lo, hi, PERIOD) == pytest.approx(
                 old.coverage_fraction(sensor, lo, hi, PERIOD)
             )
 
@@ -219,3 +232,68 @@ def test_eviction_overflow_equivalence():
     assert new.size(1) == old.size(1) == 16
     assert new.entries_in(1, -1.0, 1e12) == old.entries_in(1, -1.0, 1e12)
     assert new.evictions == old.evictions
+
+
+# -- one-row batches ----------------------------------------------------------------
+#
+# insert_batch takes a one-row batch through the scalar insert instead of
+# the vectorized merge; the two must leave a cache in the same state.
+
+LATTICE = st.integers(0, 40).map(lambda i: i * PERIOD / 2.0)   # collisions, backfill
+SOURCE = st.sampled_from(SOURCES)
+VALUE = st.floats(-50.0, 50.0, allow_nan=False)
+STD = st.floats(0.0, 2.0, allow_nan=False)
+CACHE_OP = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 1), LATTICE, VALUE, STD, SOURCE),
+    st.tuples(st.just("batch"), st.integers(0, 1), st.lists(LATTICE, min_size=2, max_size=6),
+              STD, SOURCE),
+    st.tuples(st.just("export"), st.integers(0, 1)),
+)
+
+
+def apply(cache: SummaryCache, operation: tuple) -> None:
+    kind, sensor, *rest = operation
+    if kind == "insert":
+        timestamp, value, std, source = rest
+        cache.insert(sensor, CacheEntry(timestamp, value, std, source))
+    elif kind == "batch":
+        timestamps, std, source = rest
+        cache.insert_batch(sensor, np.asarray(timestamps), np.arange(len(timestamps)) * 0.5,
+                           std, source)
+    else:
+        cache.export_tail(sensor, 8, keyframe=False)   # resets written_from
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefix=st.lists(CACHE_OP, max_size=40),
+    sensor=st.integers(0, 2),
+    row=st.tuples(VALUE, STD, SOURCE),
+    std_as_array=st.booleans(),
+    data=st.data(),
+)
+def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data):
+    scalar, merged = SummaryCache(16), SummaryCache(16)   # 16: overflow is common
+    for operation in prefix:
+        apply(scalar, operation)
+        apply(merged, operation)
+    cached = scalar.arrays_in(sensor, -np.inf, np.inf)[0].tolist()
+    # half the rows land on a cached instant: refinement, overwrite or skip
+    timestamp = data.draw(st.sampled_from(cached) if cached and data.draw(st.booleans())
+                          else LATTICE)
+    value, std, source = row
+    stds = np.asarray([std]) if std_as_array else std
+    returned = scalar.insert_batch(sensor, np.asarray([timestamp]), np.asarray([value]),
+                                   stds, source)
+    expected = merged._merge(sensor, np.asarray([timestamp]), np.asarray([value]),
+                             np.asarray([std]), _CODE_OF_SOURCE[source])
+    assert returned == expected
+    counters = ("insertions", "refinements", "evictions")
+    assert [getattr(scalar, name) for name in counters] == [
+        getattr(merged, name) for name in counters
+    ]
+    for column, twin in zip(scalar.arrays_in(sensor, -np.inf, np.inf),
+                            merged.arrays_in(sensor, -np.inf, np.inf)):
+        assert column.dtype == twin.dtype
+        assert np.array_equal(column, twin)
+    assert scalar._columns[sensor].written_from == merged._columns[sensor].written_from

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache
+from repro.core.cache import CacheEntry, EntrySource, SummaryCache, coverage_fraction
 
 
 def entry(t, value=20.0, std=0.1, source=EntrySource.PREDICTED):
     return CacheEntry(timestamp=t, value=value, std=std, source=source)
+
+
+def covered(cache, sensor, start, end, period):
+    """The proxy's window coverage: the count its window read found, judged
+    against the epochs ``[start, end]`` should hold."""
+    return coverage_fraction(cache.arrays_in(sensor, start, end)[0].size, start, end, period)
 
 
 @pytest.fixture
@@ -99,14 +105,14 @@ class TestQueries:
     def test_coverage_fraction(self, cache):
         for i in range(5):
             cache.insert(0, entry(float(i * 30)))
-        coverage = cache.coverage_fraction(0, 0.0, 120.0, sample_period_s=30.0)
+        coverage = covered(cache, 0, 0.0, 120.0, 30.0)
         assert coverage == pytest.approx(1.0)
-        sparse = cache.coverage_fraction(0, 0.0, 300.0, sample_period_s=30.0)
+        sparse = covered(cache, 0, 0.0, 300.0, 30.0)
         assert sparse < 0.5
 
     def test_coverage_invalid_window(self, cache):
         with pytest.raises(ValueError):
-            cache.coverage_fraction(0, 10.0, 0.0, 30.0)
+            coverage_fraction(0, 10.0, 0.0, 30.0)
 
     def test_per_sensor_isolation(self, cache):
         cache.insert(0, entry(10.0, 1.0))
@@ -135,13 +141,13 @@ class TestCoverageBoundary:
         for i in range(7):
             full.insert(0, entry(i * period))
         full.insert(0, entry(0.7))
-        assert full.coverage_fraction(0, 0.0, 0.7, period) == pytest.approx(1.0)
+        assert covered(full, 0, 0.0, 0.7, period) == pytest.approx(1.0)
         partial = SummaryCache(100)
         for i in range(7):
             if i != 3:
                 partial.insert(0, entry(i * period))
         partial.insert(0, entry(0.7))
-        assert partial.coverage_fraction(0, 0.0, 0.7, period) < 1.0
+        assert covered(partial, 0, 0.0, 0.7, period) < 1.0
 
     def test_fractional_window_expects_achievable_count(self):
         """A 6.6-period window can only ever hold 7 grid epochs.
@@ -153,18 +159,16 @@ class TestCoverageBoundary:
         cache = SummaryCache(100)
         for i in range(7):
             cache.insert(0, entry(i * period))
-        assert cache.coverage_fraction(
-            0, 0.0, 6.6 * period, period
-        ) == pytest.approx(1.0)
+        assert covered(cache, 0, 0.0, 6.6 * period, period) == pytest.approx(1.0)
 
     def test_point_window(self):
         cache = SummaryCache(100)
         cache.insert(0, entry(10.0))
-        assert cache.coverage_fraction(0, 10.0, 10.0, 30.0) == pytest.approx(1.0)
+        assert covered(cache, 0, 10.0, 10.0, 30.0) == pytest.approx(1.0)
 
     def test_empty_sensor(self):
         cache = SummaryCache(100)
-        assert cache.coverage_fraction(3, 0.0, 100.0, 10.0) == 0.0
+        assert covered(cache, 3, 0.0, 100.0, 10.0) == 0.0
 
 
 class TestBatchInsert:

@@ -7,7 +7,7 @@ each protocol interaction can be asserted in isolation.
 import numpy as np
 import pytest
 
-from repro.core.cache import EntrySource
+from repro.core.cache import PREDICTED_CODE, PUSHED_CODE, EntrySource
 from repro.core.config import PrestoConfig
 from repro.core.proxy import PrestoProxy
 from repro.core.queries import AnswerSource
@@ -136,7 +136,7 @@ class TestModelLifecycle:
         feed(sim, sensors, [[event_value], [values[-1]]], start_epoch=event_epoch)
         entry = proxy.cache.entry_at(0, event_epoch * 31.0, tolerance_s=16.0)
         assert entry is not None
-        assert entry.source is EntrySource.PUSHED
+        assert entry.code == PUSHED_CODE
         assert entry.value == pytest.approx(event_value)
 
 
@@ -146,7 +146,7 @@ class TestQueryPaths:
         values = np.linspace(20, 21, 32)
         feed(sim, sensors, [values, values])
         query = Query(0, QueryKind.NOW, 0, sim.now, sim.now, precision=0.5)
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert answer.source in (AnswerSource.CACHE, AnswerSource.PREDICTION)
         assert answer.value == pytest.approx(values[-1], abs=0.5)
         assert answer.latency_s < 1.0
@@ -157,7 +157,7 @@ class TestQueryPaths:
         feed(sim, sensors, [values, values])
         target = 10 * 31.0
         query = Query(1, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.5)
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert answer.value == pytest.approx(values[10], abs=0.2)
 
     def test_past_point_pull_on_miss(self, cell):
@@ -171,7 +171,7 @@ class TestQueryPaths:
         query = Query(
             2, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.3
         )
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert answer.source is AnswerSource.SENSOR_PULL
         assert answer.value == pytest.approx(values[10], abs=0.3)
         assert answer.sensor_energy_j > 0
@@ -191,7 +191,7 @@ class TestQueryPaths:
             precision=0.5,
             aggregate="mean",
         )
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert answer.value == pytest.approx(float(np.mean(values)), abs=0.3)
 
     def test_pull_refines_cache(self, cell):
@@ -201,12 +201,12 @@ class TestQueryPaths:
         proxy.cache = type(proxy.cache)(proxy.cache.max_entries_per_sensor)
         target = 10 * 31.0
         proxy.process_query(
-            Query(4, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.3)
+            Query(4, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.3), 0
         )
         # second identical query is now a cache hit — no new pull
         pulls_before = proxy.pull_stats.requests
         answer = proxy.process_query(
-            Query(5, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.3)
+            Query(5, QueryKind.PAST_POINT, 0, sim.now, target, precision=0.3), 0
         )
         assert proxy.pull_stats.requests == pulls_before
         assert answer.source is AnswerSource.CACHE
@@ -303,7 +303,7 @@ class TestBatchTrackerSync:
         for e in epochs:
             entry = proxy.cache.entry_at(0, e * 31.0, tolerance_s=1.0)
             assert entry is not None
-            assert entry.source is EntrySource.PUSHED
+            assert entry.code == PUSHED_CODE
 
     def test_batch_gap_substitutes_silent_epochs(self, cell):
         sim, proxy, state = self._activate(cell, seed=6)
@@ -325,7 +325,7 @@ class TestBatchTrackerSync:
         # silent epochs were substituted into the cache as predictions
         gap_entry = proxy.cache.entry_at(0, (base + 3) * 31.0, tolerance_s=1.0)
         assert gap_entry is not None
-        assert gap_entry.source is EntrySource.PREDICTED
+        assert gap_entry.code == PREDICTED_CODE
 
     def test_armed_continuous_queries_see_time_order(self, cell):
         from repro.core.continuous import ContinuousQuery, TriggerKind
@@ -396,7 +396,7 @@ class TestPullPastEmptyWindow:
             window_s=10 * 31.0,
             precision=0.5,
         )
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert proxy.pull_stats.failures == failures_before + 1
         assert answer.source is AnswerSource.FAILED
         assert answer.value is None
@@ -422,7 +422,7 @@ class TestPullPastEmptyWindow:
             window_s=10 * 31.0,
             precision=0.5,
         )
-        answer = proxy.process_query(query)
+        answer = proxy.process_query(query, query.sensor)
         assert answer.source is AnswerSource.SENSOR_PULL
         assert answer.value == pytest.approx(21.5)
 

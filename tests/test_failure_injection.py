@@ -146,7 +146,7 @@ class TestQueryEdgeCases:
             0.0,  # the very first epoch — likely evicted from cache
             precision=0.5,
         )
-        answer = system.proxy.process_query(query)
+        answer = system.proxy.process_query(query, query.sensor)
         assert answer.answered  # archive still has it
 
     def test_aggregate_of_future_window_clamped(self):
@@ -161,5 +161,5 @@ class TestQueryEdgeCases:
             precision=1.0,
             aggregate="max",
         )
-        answer = system.proxy.process_query(query)
+        answer = system.proxy.process_query(query, query.sensor)
         assert answer.answered

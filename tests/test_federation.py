@@ -20,7 +20,7 @@ from repro.core.federation import (
     _CellPartition,
     _RoutingCore,
 )
-from repro.core.proxy import PROXY_PROCESSING_S
+from repro.core.proxy import PROXY_PROCESSING_S, PrestoProxy
 from repro.core.queries import AnswerSource, ground_truths
 from repro.core.system import SystemReport
 from repro.radio.link import LinkConfig
@@ -221,23 +221,69 @@ class TestRouting:
             cell_id=1, name="proxy1", sensor_ids=[4, 6, 9], wired=False,
             response_latency_s=0.25,
         )
-        # No field at its default: one added to Query without its line in
-        # the field-by-field copy of _rewrite shows up as a difference here.
-        routed = Query(
-            query_id=17, kind=QueryKind.PAST_AGG, sensor=9, arrival_time=120.0,
-            target_time=40.0, window_s=30.0, precision=0.125, latency_bound_s=2.5,
-            aggregate="max",
+        # Only standing queries are rewritten (routed ones travel unchanged,
+        # see the next test); no field at its default, so a dropped one shows.
+        standing = ContinuousQuery(
+            sensor=6, kind=TriggerKind.BELOW, threshold=25.0, min_interval_s=60.0, query_id=3
         )
         assert all(
-            getattr(routed, f.name) != f.default for f in dataclasses.fields(Query)
-        )
-        assert _RoutingCore._rewrite(routed, fc) == dataclasses.replace(routed, sensor=2)
-        standing = ContinuousQuery(
-            sensor=6, kind=TriggerKind.ABOVE, threshold=25.0, query_id=3
+            getattr(standing, f.name) != f.default
+            for f in dataclasses.fields(ContinuousQuery)
+            if f.default is not dataclasses.MISSING
         )
         assert _RoutingCore._rewrite(standing, fc) == dataclasses.replace(
             standing, sensor=1
         )
+
+    def test_routed_answer_is_the_cells_answer_plus_routing(self, monkeypatch):
+        """A routed query is answered once, by its owner: the logged answer
+        is the object the cell returned, it holds the submitted Query
+        itself, and its latency is the cell's own plus the routing latency
+        (the cell's own read off a twin run whose routing latency is 0)."""
+        original = PrestoProxy.process_query
+
+        def run(zero_routing):
+            calls = []
+
+            def spy(proxy, query, sensor, routing_latency_s):
+                answer = original(
+                    proxy, query, sensor, 0.0 if zero_routing else routing_latency_s
+                )
+                calls.append((query, sensor, routing_latency_s, answer))
+                return answer
+
+            monkeypatch.setattr(PrestoProxy, "process_query", spy)
+            trace = make_trace(n_sensors=8, duration_s=4 * 3600.0)
+            system = FederatedSystem(
+                trace, fast_config(), FederationConfig(n_proxies=4), seed=3
+            )
+            queries = ShardedWorkloadGenerator(
+                system.shards,
+                QueryWorkloadConfig(arrival_rate_per_s=1 / 120.0),
+                np.random.default_rng(3),
+            ).generate(3600.0, trace.config.duration_s)
+            return system, queries, system.run(queries=queries).answers, calls
+
+        system, queries, answers, calls = run(zero_routing=False)
+        *_, cell_answers, _ = run(zero_routing=True)
+        by_id = {query.query_id: query for query in queries}
+        assert len(by_id) == len(queries) == len(answers) == len(calls)
+        routed = 0.0
+        for answer, (query, sensor, routing_s, returned), cell in zip(
+            answers, calls, cell_answers
+        ):
+            assert answer is returned
+            assert answer.query is query is by_id[query.query_id]
+            owner, hops = system._route[query.sensor]
+            fc = next(fc for fc in system.cells if fc.name == owner)
+            assert sensor == fc.to_local(query.sensor)
+            assert routing_s == hops * HOP_LATENCY_S + (
+                fc.response_latency_s if hops else 0.0
+            )
+            assert (answer.value, answer.source) == (cell.value, cell.source)
+            assert answer.latency_s == cell.latency_s + routing_s
+            routed += routing_s
+        assert routed > 0.0  # some queries did pay routing
 
     def test_owner_table_is_the_skipgraph_walk(self, federated_run):
         system, _, _ = federated_run

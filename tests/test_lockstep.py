@@ -219,7 +219,9 @@ def test_push_overtaken_by_a_now_query_forks(monkeypatch):
                 # a NOW query lands while the push is in flight
                 now = system.sim.now + 5.0
                 query = Query(0, QueryKind.NOW, 1, now, now, precision=100.0)
-                system.sim.schedule(now, lambda: system.proxy.process_query(query))
+                system.sim.schedule(
+                    now, lambda: system.proxy.process_query(query, query.sensor)
+                )
             return verdict
 
         intercept(system, delay_and_query)

@@ -18,7 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache
+from repro.core.cache import PULLED_CODE, CacheEntry, EntrySource, SummaryCache
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.proxy import PrestoProxy
@@ -200,7 +200,7 @@ def test_prediction_never_overwrites_a_future_actual(drives):
         if timestamp < oldest_kept:
             continue  # long since evicted
         entry = batched.proxy.cache.entry_at(UNARMED, timestamp, tolerance_s=0.0)
-        assert (entry.value, entry.source) == (value, EntrySource.PULLED)
+        assert (entry.value, entry.code) == (value, PULLED_CODE)
         checked += 1
     assert checked
     # and the tracker did run past them
