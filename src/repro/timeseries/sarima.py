@@ -84,13 +84,19 @@ class SeasonalArimaModel(LinearRecursion):
             )
         # w(t) = x(t) - x(t-1) - x(t-S) + x(t-S-1)
         w = values[s + 1 :] - values[s:-1] - values[1:-s] + values[: -s - 1]
-        eps = self._fit_ma(w) if self._theta.size else w
-        self._sigma = float(np.sqrt(np.mean(eps**2)))
+        eps, first = self._fit_ma(w) if self._theta.size else (w, 0)
+        # sigma is the RMS of the residuals the fit produced, not of the
+        # zero padding in front of them
+        self._sigma = float(np.sqrt(np.mean(eps[first:] ** 2)))
         self._start(values, w, eps)
         return self
 
-    def _fit_ma(self, w: np.ndarray) -> np.ndarray:
-        """Hannan–Rissanen-style MA estimation on the differenced series."""
+    def _fit_ma(self, w: np.ndarray) -> tuple[np.ndarray, int]:
+        """Hannan–Rissanen-style MA estimation on the differenced series.
+
+        Returns the residuals, zero before the first row the regression
+        fitted, and that row.
+        """
         s = self.season_length
         long_order = min(max(16, s // 64), w.size // 4)
         rows = w.size - long_order
@@ -105,7 +111,7 @@ class SeasonalArimaModel(LinearRecursion):
         start = max(self.q, self.seasonal_q * s, long_order)
         if start >= w.size - 8:
             # window too short for the seasonal MA term: keep zero thetas
-            return eps_hat
+            return eps_hat, long_order
         columns = []
         for lag in range(1, self.q + 1):
             columns.append(eps_hat[start - lag : w.size - lag])
@@ -118,7 +124,7 @@ class SeasonalArimaModel(LinearRecursion):
         residual = target - design2 @ solution
         eps = np.zeros_like(w)
         eps[start:] = residual
-        return eps
+        return eps, start
 
     # -- declared state -----------------------------------------------------------
 

@@ -42,6 +42,21 @@ class TestFit:
         # double differencing + MA should leave ~sqrt(4)x noise at worst
         assert fitted.residual_std < 0.6
 
+    @pytest.mark.parametrize("season", [96, 288])
+    def test_sigma_is_the_fitted_rows_rms_at_the_minimum_window(self, season):
+        # (1-B)(1-B^S) X = e with e ~ N(0, 1): the differenced series is the
+        # innovations themselves, so sigma must come out near 1.  At the
+        # two-season minimum only 15 rows are fitted; an RMS over the whole
+        # zero-padded window shrinks it by sqrt(15 / (S + 15)).
+        rng = np.random.default_rng(season)
+        n = 2 * season + 16
+        x = np.zeros(n)
+        x[: season + 1] = 4.0 * np.sin(2 * np.pi * np.arange(season + 1) / season)
+        for t in range(season + 1, n):
+            x[t] = x[t - 1] + x[t - season] - x[t - season - 1] + rng.normal()
+        model = SeasonalArimaModel(season_length=season).fit(x)
+        assert 0.6 < model.residual_std < 1.5
+
     def test_too_short_window_rejected(self, series):
         with pytest.raises(ValueError):
             SeasonalArimaModel(season_length=SEASON).fit(series[: SEASON + 10])
