@@ -778,6 +778,66 @@ class NoPickleWire(Rule):
 
 
 # ---------------------------------------------------------------------------
+# no-swallowed-exception
+
+#: handler types broad enough to catch a bug along with the expected failure
+_BROAD_EXCEPTIONS = {"Exception", "BaseException", "builtins.Exception",
+                     "builtins.BaseException"}
+
+
+def _raises(body: list[ast.stmt]) -> bool:
+    """Whether *body* holds a ``raise`` of its own (nested scopes excluded)."""
+    pending: list[ast.AST] = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Raise):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return False
+
+
+class NoSwallowedException(Rule):
+    """A broad ``except`` whose body does not re-raise.
+
+    A bare ``except``, ``except Exception`` or ``except BaseException``
+    catches a programming error as readily as the failure it was written
+    for; if the handler then carries on, a crashed partition or campaign
+    variant turns into a silently different (and still "deterministic")
+    result.  Broad handlers are fine when they re-raise — wrapped to name
+    the failing unit, as the partition and campaign workers do — and narrow
+    handlers (``except ValueError``) are not this rule's business.
+    """
+
+    id = "no-swallowed-exception"
+    summary = "bare except / except Exception / except BaseException that does not re-raise"
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):  # type: ignore[arg-type]
+            if not isinstance(node, ast.ExceptHandler) or _raises(node.body):
+                continue
+            if node.type is None:
+                caught = "bare except"
+            else:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                broad = [name for name in map(dotted_name, types) if name in _BROAD_EXCEPTIONS]
+                if not broad:
+                    continue
+                caught = f"except {broad[0]}"
+            findings.append(
+                self.finding(
+                    ctx,
+                    node,
+                    f"{caught} swallows the error; re-raise it (wrapped to name "
+                    "the failing unit) or catch the specific exception expected",
+                )
+            )
+        return findings
+
+
+# ---------------------------------------------------------------------------
 # registry — populated at module level (import time), so pool workers that
 # re-import this module rebuild it identically; no function ever writes it
 
@@ -792,6 +852,7 @@ RULES: dict[str, Rule] = {
         WorkerSharedState(),
         NoProcessGlobalCounter(),
         NoPickleWire(),
+        NoSwallowedException(),
     )
 }
 

@@ -34,6 +34,7 @@ EXPECTED_RULE_IDS = {
     "worker-shared-state",
     "no-process-global-counter",
     "no-pickle-wire",
+    "no-swallowed-exception",
 }
 
 
@@ -291,6 +292,35 @@ class TestNoPickleWire:
             target.write_text(code)
             findings, _ = lint_file(target, rules=[RULES["no-pickle-wire"]])
             assert bool(findings) is flagged, package
+
+
+class TestNoSwallowedException:
+    def test_flags_broad_handlers_that_carry_on(self, tmp_path):
+        code = (
+            "try:\n    work()\nexcept:\n    pass\n"                      # 3
+            "try:\n    work()\nexcept Exception:\n    log()\n"           # 7
+            "try:\n    work()\nexcept BaseException as e:\n    keep(e)\n"  # 11
+            "try:\n    work()\nexcept (KeyError, Exception):\n    pass\n"  # 15
+            "try:\n    work()\nexcept Exception:\n"                       # 19
+            "    def later():\n        raise\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-swallowed-exception")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("no-swallowed-exception", line) for line in (3, 7, 11, 15, 19)
+        ]
+        assert "bare except" in findings[0].message
+
+    def test_allows_reraise_and_narrow_handlers(self, tmp_path):
+        code = (
+            "try:\n    work()\nexcept Exception as error:\n"
+            "    raise RuntimeError('unit 3 failed') from error\n"
+            "try:\n    work()\nexcept BaseException:\n    cleanup()\n    raise\n"
+            "try:\n    work()\nexcept:\n    if retry():\n        raise\n"
+            "try:\n    work()\nexcept ValueError:\n    pass\n"
+            "try:\n    work()\nexcept (KeyError, IndexError):\n    pass\n"
+        )
+        findings, _ = lint_source(tmp_path, code, "no-swallowed-exception")
+        assert findings == []
 
 
 class TestSuppressions:
