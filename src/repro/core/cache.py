@@ -330,6 +330,31 @@ class _Column:
         self.start += count
         self.length -= count
 
+    def append(
+        self,
+        timestamps: np.ndarray,
+        values: np.ndarray,
+        stds: np.ndarray | float,
+        code: int,
+        pushed: bool,
+    ) -> None:
+        """Append an ascending batch strictly newer than the tail, by slice
+        assignment; with *pushed* its last row is a PUSHED reading (std 0)."""
+        if timestamps[0] < self.written_from:
+            self.written_from = float(timestamps[0])
+        count = timestamps.size
+        self.reserve(count)
+        end = self.end
+        tail = slice(end, end + count)
+        self.times[tail] = timestamps
+        self.values[tail] = values
+        self.stds[tail] = stds
+        self.codes[tail] = code
+        if pushed:
+            self.stds[end + count - 1] = 0.0
+            self.codes[end + count - 1] = PUSHED_CODE
+        self.length += count
+
     def merge_batch(
         self,
         timestamps: np.ndarray,
@@ -337,25 +362,14 @@ class _Column:
         stds: np.ndarray,
         code: int,
     ) -> tuple[int, int]:
-        """Merge a sorted, deduplicated batch; returns (inserted, refined).
+        """Merge a sorted, deduplicated batch that does not append;
+        returns (inserted, refined).
 
-        A batch strictly newer than the tail — the common case — is
-        appended by slice assignment.  Otherwise exact-timestamp collisions
-        follow the single-insert refinement policy and new timestamps are
-        merged in one vectorized pass.
+        Exact-timestamp collisions follow the single-insert refinement
+        policy and new timestamps are merged in one vectorized pass.
         """
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
-        if self.length == 0 or timestamps[0] > self.times[self.end - 1]:
-            count = timestamps.size
-            self.reserve(count)
-            tail = slice(self.end, self.end + count)
-            self.times[tail] = timestamps
-            self.values[tail] = values
-            self.stds[tail] = stds
-            self.codes[tail] = code
-            self.length += count
-            return count, 0
         times, vals, sds, codes = self.views()
         n = times.size
         positions = np.searchsorted(times, timestamps, side="left")
@@ -464,43 +478,67 @@ class SummaryCache:
         values: np.ndarray,
         stds: np.ndarray | float,
         source: EntrySource,
+        pushed: bool = False,
     ) -> int:
-        """Insert many same-provenance cells in one vectorized merge.
+        """Insert many cells in one write.
 
         Equivalent to inserting each cell individually (duplicates within
         the batch keep the last value; collisions with cached cells follow
-        the refinement policy; overflow evicts the oldest cells), but with
-        one searchsorted merge instead of per-entry bisect — and no sort or
-        merge at all for an ascending batch newer than everything cached.
-        Returns the number of genuinely new timestamps.
+        the refinement policy; overflow evicts the oldest cells).  An
+        ascending batch newer than everything cached — the common case — is
+        appended by slice assignment; any other batch takes one
+        searchsorted merge instead of per-entry bisect.  Returns the number
+        of genuinely new timestamps.
 
-        A one-row batch — most of a proxy's silent runs between two
-        queries — is the scalar insert instead, which skips the merge's
-        array preamble.  Like the merge it marks the row written even when
-        the refinement policy drops it.
+        With *pushed* the batch is a proxy's silent run landed together
+        with the push that ended it: ascending by construction, its last
+        row the pushed reading (PUSHED, std 0) and the rest *source* rows.
+        That equals inserting the rest as a batch, then the reading alone.
+
+        A one-row batch — a lone push, or a silent run of one epoch — is
+        the scalar insert instead, which skips the array preamble.  Like
+        the merge it marks the row written even when the refinement policy
+        drops it.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if timestamps.size == 0:
+        count = timestamps.size
+        if count == 0:
             return 0
-        scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
-        if timestamps.size == 1:
-            column = self._columns.get(sensor)
-            if column is None:
-                column = self._columns[sensor] = _Column()
+        column = self._columns.get(sensor)
+        if column is None:
+            column = self._columns[sensor] = _Column(max(_MIN_CAPACITY, 2 * count))
+        code = _CODE_OF_SOURCE[source]
+        if count == 1:
             timestamp = float(timestamps[0])
             if timestamp < column.written_from:
                 column.written_from = timestamp
-            outcome = self._insert_one(
-                column,
-                timestamp,
-                float(values[0]),
-                float(stds) if scalar_std else float(stds[0]),
-                _CODE_OF_SOURCE[source],
-            )
+            if pushed:
+                std, code = 0.0, PUSHED_CODE
+            else:
+                scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
+                std = float(stds) if scalar_std else float(stds[0])
+            outcome = self._insert_one(column, timestamp, float(values[0]), std, code)
             return int(outcome == _INSERTED)
+        if (column.length == 0 or timestamps[0] > column.times[column.end - 1]) and (
+            pushed or (timestamps[1:] > timestamps[:-1]).all()
+        ):
+            column.append(timestamps, values, stds, code, pushed)
+            self.insertions += count
+            self._evict_overflow(column)
+            return count
+        scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
+        if pushed:
+            # the run merges as a batch, then the reading lands alone
+            run = slice(0, count - 1)
+            run_stds = np.full(count - 1, float(stds)) if scalar_std else stds[run]
+            inserted = self._merge(sensor, timestamps[run], values[run], run_stds, code)
+            outcome = self._insert_one(
+                column, float(timestamps[-1]), float(values[-1]), 0.0, PUSHED_CODE
+            )
+            return inserted + (outcome == _INSERTED)
         if scalar_std:
-            stds = np.full(timestamps.size, float(stds), dtype=np.float64)
+            stds = np.full(count, float(stds), dtype=np.float64)
         else:
             stds = np.ascontiguousarray(stds, dtype=np.float64)
         if not (timestamps[1:] > timestamps[:-1]).all():
@@ -513,7 +551,7 @@ class SummaryCache:
             last = np.ones(timestamps.size, dtype=bool)
             last[:-1] = timestamps[1:] != timestamps[:-1]
             timestamps, values, stds = timestamps[last], values[last], stds[last]
-        return self._merge(sensor, timestamps, values, stds, _CODE_OF_SOURCE[source])
+        return self._merge(sensor, timestamps, values, stds, code)
 
     def _merge(
         self,
@@ -523,21 +561,29 @@ class SummaryCache:
         stds: np.ndarray,
         code: int,
     ) -> int:
-        """The vectorized merge of a sorted, deduplicated batch, counted;
+        """A sorted, deduplicated batch appended or merged, counted;
         returns the number of new timestamps."""
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column(
                 max(_MIN_CAPACITY, 2 * timestamps.size)
             )
-        inserted, refined = column.merge_batch(timestamps, values, stds, code)
+        if column.length == 0 or timestamps[0] > column.times[column.end - 1]:
+            column.append(timestamps, values, stds, code, pushed=False)
+            inserted, refined = timestamps.size, 0
+        else:
+            inserted, refined = column.merge_batch(timestamps, values, stds, code)
         self.insertions += inserted
         self.refinements += refined
+        self._evict_overflow(column)
+        return inserted
+
+    def _evict_overflow(self, column: _Column) -> None:
+        """Evict *column*'s oldest entries beyond the per-sensor bound."""
         overflow = column.length - self.max_entries_per_sensor
         if overflow > 0:
             column.evict_front(overflow)
             self.evictions += overflow
-        return inserted
 
     # -- reads ------------------------------------------------------------------
     #

@@ -12,6 +12,7 @@ grace period so an in-flight push is not preempted by a silent advance).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -112,6 +113,8 @@ class PrestoProxy:
         self.pull_stats = PullStats()
         self.queries_processed = 0
         self._operating_points: dict[int, SensorOperatingPoint] = {}
+        #: ``epoch * sample_period_s`` for every epoch so far (see _epoch_times)
+        self._epoch_grid = np.empty(0)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -192,29 +195,39 @@ class PrestoProxy:
         values: np.ndarray,
         std: float,
         source: EntrySource,
+        pushed: bool = False,
     ) -> None:
-        """Insert many same-provenance entries, batched when possible.
+        """Land many entries in the cache as one write.
 
-        With standing queries armed on the sensor each entry must still be
+        A tracker's silent run is PREDICTED; with *pushed* its last row is
+        the reading whose push ended it (PUSHED, std 0), so a push and the
+        silent run before it land together.  A pull reply is PULLED.  With
+        standing queries armed on the sensor each entry must still be
         evaluated individually (notification order matters); otherwise the
-        whole batch lands in one vectorized cache merge.
+        whole batch is one :meth:`SummaryCache.insert_batch` call.
         """
         if self.continuous.armed_for(sensor):
-            for timestamp, value in zip(times, values):
+            last = len(times) - 1
+            for index, (timestamp, value) in enumerate(zip(times, values)):
+                reading = pushed and index == last
                 self._insert_entry(
                     sensor,
                     CacheEntry(
                         timestamp=float(timestamp),
                         value=float(value),
-                        std=std,
-                        source=source,
+                        std=0.0 if reading else std,
+                        source=EntrySource.PUSHED if reading else source,
                     ),
                 )
             return
-        self.cache.insert_batch(sensor, times, values, std, source)
+        self.cache.insert_batch(sensor, times, values, std, source, pushed)
         if source is EntrySource.PREDICTED:
             # a tracker's silent run: ascending, and never a refinement
-            self.continuous.note_predictions(sensor, times, values)
+            run = len(times) - pushed
+            if run:
+                self.continuous.note_predictions(sensor, times[:run], values[:run])
+            if pushed:
+                self.continuous.note_value(sensor, float(times[-1]), float(values[-1]))
         else:
             newest = int(np.argmax(times))
             self.continuous.note_value(
@@ -226,6 +239,16 @@ class PrestoProxy:
     def epoch_time(self, epoch: int) -> float:
         """Sampling instant of *epoch*."""
         return epoch * self.config.sample_period_s
+
+    def _epoch_times(self, first: int, last: int) -> np.ndarray:
+        """Sampling instants of epochs *first* through *last*: a read-only
+        view of one grid of instants, grown by doubling as epochs pass."""
+        grid = self._epoch_grid
+        if last >= grid.size:
+            grid = np.arange(max(2 * grid.size, last + 1)) * self.config.sample_period_s
+            grid.flags.writeable = False
+            self._epoch_grid = grid
+        return grid[first : last + 1]
 
     def current_epoch(self, grace_s: float = PUSH_GRACE_S) -> int:
         """Largest epoch safely assumed complete at the current time."""
@@ -242,39 +265,43 @@ class PrestoProxy:
         else:
             raise ValueError(f"proxy cannot handle {packet.kind}")
 
-    def _handle_push(self, payload: dict) -> None:
-        sensor = int(payload["sensor"])
-        epoch = int(payload["epoch"])
-        value = float(payload["value"])
+    def _handle_push(self, payload: tuple[int, int, float, float]) -> None:
+        sensor, epoch, value, local_time = payload
         state = self._states[sensor]
         self.sync.record_exchange(
             self._sync_key(sensor),
             proxy_time=self.epoch_time(epoch),
-            sensor_local_time=float(payload["local_time"]),
+            sensor_local_time=local_time,
         )
         self._activate_if_due(sensor, state, epoch)
-        if state.tracker is None:
+        tracker = state.tracker
+        first, std, readings = epoch, 0.0, array("d")
+        if tracker is None:
             # Cold start: cache the raw push, no model state to advance.
             state.last_epoch = max(state.last_epoch, epoch)
         elif epoch > state.last_epoch:
             # Substitute predictions for any silent epochs, then apply.
-            self._advance_tracker(sensor, state, epoch - 1)
-            state.tracker.apply_push(value)
+            first = state.last_epoch + 1
+            if first < epoch:
+                std = self._silent_std(tracker)
+                readings = tracker.silent_run(epoch - first)
+            tracker.apply_push(value)
             state.last_epoch = epoch
         else:
             # The tracker already advanced past this epoch (in-flight push
-            # overtaken by a query's silent advance).  The cache entry below
-            # still refines the guess; the replicas repair at the next refit.
+            # overtaken by a query's silent advance).  The reading landed
+            # below still refines the guess; the replicas repair at the next
+            # refit.
             state.push_losses_detected += 1
         state.pushes_received += 1
-        self._insert_entry(
+        readings.append(value)
+        self._insert_batch(
             sensor,
-            CacheEntry(
-                timestamp=self.epoch_time(epoch),
-                value=value,
-                std=0.0,
-                source=EntrySource.PUSHED,
-            ),
+            self._epoch_times(first, epoch),
+            np.frombuffer(readings),
+            std,
+            EntrySource.PREDICTED,
+            pushed=True,
         )
 
     def _handle_batch(self, payload: dict) -> None:
@@ -352,28 +379,35 @@ class PrestoProxy:
 
         The tracker advances over the whole silent run (read off the
         sensor's trajectory while linked), which then lands in the cache as
-        one batch.  The entries' std reflects the protocol's actual
-        guarantee: a silent epoch means the reading was within
-        *delta* of the substituted value, so the error bound is delta
-        (≈ uniform, std = delta/√3), floored at the model's own one-step
-        residual.
+        one batch.  A push lands its own silent run with it instead (see
+        :meth:`_handle_push`).
         """
-        if state.tracker is None or state.last_epoch >= upto_epoch:
+        tracker = state.tracker
+        if tracker is None or state.last_epoch >= upto_epoch:
             return
-        std = max(
-            state.tracker.predicted_std(),
-            state.tracker.delta / np.sqrt(3.0),
-        )
-        epochs = np.arange(state.last_epoch + 1, upto_epoch + 1)
-        values = state.tracker.silent_run(epochs.size)
+        first = state.last_epoch + 1
+        std = self._silent_std(tracker)
+        values = tracker.silent_run(upto_epoch - first + 1)
         state.last_epoch = upto_epoch
         self._insert_batch(
             sensor,
-            epochs * self.config.sample_period_s,
-            values,
-            max(std, 1e-6),
+            self._epoch_times(first, upto_epoch),
+            np.frombuffer(values),
+            std,
             EntrySource.PREDICTED,
         )
+
+    @staticmethod
+    def _silent_std(tracker: ProxyModelTracker) -> float:
+        """Std of a substituted (silent-epoch) entry.
+
+        It reflects the protocol's actual guarantee: a silent epoch means
+        the reading was within *delta* of the substituted value, so the
+        error bound is delta (≈ uniform, std = delta/√3), floored at the
+        model's own one-step residual.
+        """
+        std = max(tracker.predicted_std(), tracker.delta / np.sqrt(3.0))
+        return max(std, 1e-6)
 
     def advance_to_now(self, sensor: int) -> None:
         """Bring *sensor*'s cached view up to the current epoch."""

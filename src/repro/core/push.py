@@ -37,6 +37,7 @@ from __future__ import annotations
 import copy
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class ModelUpdate:
         return self.model.parameter_bytes + 4  # + delta
 
 
-@dataclass(frozen=True)
-class PushDecision:
+class PushDecision(NamedTuple):
     """Outcome of one sensor-side model check."""
 
     push: bool
@@ -113,7 +113,7 @@ class SensorModelChecker:
         if len(self.pushed) < TRAJECTORY_EPOCHS:
             self.observed.append(value if push else predicted)
             self.pushed.append(push)
-        return PushDecision(push=push, predicted=predicted, error=abs(value - predicted))
+        return PushDecision(push, predicted, abs(value - predicted))
 
     def advance_silent(self) -> float:
         """Advance one epoch with no reading (sensing dropout).
@@ -240,8 +240,12 @@ class ProxyModelTracker:
         self.substitutions += 1
         return predicted
 
-    def silent_run(self, count: int) -> np.ndarray:
-        """Substituted values for the next *count* epochs, all without a push."""
+    def silent_run(self, count: int) -> array:
+        """Substituted values for the next *count* epochs, all without a push.
+
+        An ``array("d")`` the caller may extend (the proxy appends the
+        reading whose push ends the run) before viewing it as NumPy.
+        """
         start = self._cursor
         read = self._silent_prefix(count)
         values = self._checker.observed[start : start + read] if read else array("d")
@@ -249,7 +253,7 @@ class ProxyModelTracker:
         self.substitutions += read
         advance = self.advance_silent
         values.extend(advance() for _ in range(count - read))
-        return np.frombuffer(values)
+        return values
 
     def apply_push(self, value: float) -> None:
         """Advance one epoch with the pushed reading."""

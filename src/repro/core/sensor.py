@@ -161,12 +161,7 @@ class PrestoSensor:
             src=self.name,
             dst=self.proxy_name,
             payload_bytes=PUSH_PAYLOAD_BYTES,
-            payload={
-                "sensor": self.sensor_id,
-                "epoch": self.epoch,
-                "value": float(value),
-                "local_time": float(local_time),
-            },
+            payload=(self.sensor_id, self.epoch, float(value), float(local_time)),
         )
         outcome = self.network.send(packet, energy_category="radio.push")
         return outcome.delivered

@@ -11,6 +11,7 @@ including retransmission backoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class LinkStats:
     bytes_delivered: int = 0
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
+class TransferOutcome(NamedTuple):
     """Result of one logical transfer over the link."""
 
     delivered: bool
@@ -62,6 +62,16 @@ class TransferOutcome:
     latency_s: float
     sender_energy_j: float
     receiver_energy_j: float
+
+
+class _Frame(NamedTuple):
+    """Per-attempt costs of one frame shape, from the radio's constants."""
+
+    tx_j: float         # sender: startup + airtime at TX power
+    airtime_s: float
+    rx_j: float         # receiver: the normal frame (no LPL preamble body)
+    ack_j: float        # sender: listening to the ACK
+    ack_s: float        # ACK preamble + ACK on the air
 
 
 class LossyLink:
@@ -81,6 +91,27 @@ class LossyLink:
         self.sender_meter = sender_meter
         self.receiver_meter = receiver_meter
         self.stats = LinkStats()
+        #: per ``(payload_bytes, lpl_preamble_bytes)``: what every attempt costs
+        self._frames: dict[tuple[int, int], _Frame] = {}
+
+    def _frame(self, payload_bytes: int, lpl_preamble_bytes: int) -> _Frame:
+        """The per-attempt costs of a frame shape, computed once per shape."""
+        key = (payload_bytes, lpl_preamble_bytes)
+        frame = self._frames.get(key)
+        if frame is None:
+            radio = self.radio
+            frame = self._frames[key] = _Frame(
+                tx_j=transmit_energy(radio, payload_bytes, lpl_preamble_bytes),
+                airtime_s=packet_airtime(radio, payload_bytes, lpl_preamble_bytes),
+                # The receiver wakes at the tail of a stretched LPL preamble,
+                # so it never pays RX for the preamble body — only for the
+                # normal frame (its periodic channel checks are accounted
+                # separately by the MAC's idle bookkeeping).
+                rx_j=receive_energy(radio, payload_bytes, 0),
+                ack_j=ack_rx_energy(radio),
+                ack_s=(radio.preamble_bytes + radio.ack_bytes) * radio.byte_time_s,
+            )
+        return frame
 
     def transfer(
         self,
@@ -92,47 +123,39 @@ class LossyLink:
 
         The *sender* pays TX energy plus the ACK listen on success; the
         *receiver* pays RX energy for attempts it actually hears.  Lost
-        attempts still cost the sender in full.
+        attempts still cost the sender in full.  The link regime
+        (:attr:`config`) is read per transfer, so a swap applies from the
+        next one.
         """
+        frame = self._frame(payload_bytes, lpl_preamble_bytes)
+        config, stats, draw = self.config, self.stats, self._rng.random
         attempts = 0
         latency = 0.0
         sender_energy = 0.0
         receiver_energy = 0.0
         delivered = False
-        while attempts <= self.config.max_retries:
+        while attempts <= config.max_retries:
             attempts += 1
-            self.stats.attempts += 1
-            tx = transmit_energy(self.radio, payload_bytes, lpl_preamble_bytes)
-            sender_energy += tx
-            latency += packet_airtime(self.radio, payload_bytes, lpl_preamble_bytes)
-            latency += self.config.propagation_s
-            if self._rng.random() >= self.config.loss_probability:
+            stats.attempts += 1
+            sender_energy += frame.tx_j
+            latency += frame.airtime_s
+            latency += config.propagation_s
+            if draw() >= config.loss_probability:
                 delivered = True
-                # The receiver wakes at the tail of a stretched LPL preamble,
-                # so it never pays RX for the preamble body — only for the
-                # normal frame (its periodic channel checks are accounted
-                # separately by the MAC's idle bookkeeping).
-                rx = receive_energy(self.radio, payload_bytes, 0)
-                receiver_energy += rx
-                ack = ack_rx_energy(self.radio)
-                sender_energy += ack
-                latency += (self.radio.preamble_bytes + self.radio.ack_bytes) * \
-                    self.radio.byte_time_s
-                self.stats.deliveries += 1
-                self.stats.bytes_delivered += payload_bytes
+                receiver_energy += frame.rx_j
+                sender_energy += frame.ack_j
+                latency += frame.ack_s
+                stats.deliveries += 1
+                stats.bytes_delivered += payload_bytes
                 break
-            self.stats.losses += 1
-            latency += self.config.backoff_s
+            stats.losses += 1
+            latency += config.backoff_s
         if not delivered:
-            self.stats.drops += 1
+            stats.drops += 1
         self.sender_meter.charge(energy_category, sender_energy)
         self.receiver_meter.charge("radio.rx", receiver_energy)
         return TransferOutcome(
-            delivered=delivered,
-            attempts=attempts,
-            latency_s=latency,
-            sender_energy_j=sender_energy,
-            receiver_energy_j=receiver_energy,
+            delivered, attempts, latency, sender_energy, receiver_energy
         )
 
     def expected_attempts(self) -> float:

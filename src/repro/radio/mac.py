@@ -111,13 +111,7 @@ class LplMac:
             energy_category=energy_category,
         )
         wakeup_wait = self.duty_cycle.check_interval_s / 2.0
-        return TransferOutcome(
-            delivered=outcome.delivered,
-            attempts=outcome.attempts,
-            latency_s=outcome.latency_s + wakeup_wait,
-            sender_energy_j=outcome.sender_energy_j,
-            receiver_energy_j=outcome.receiver_energy_j,
-        )
+        return outcome._replace(latency_s=outcome.latency_s + wakeup_wait)
 
     def account_idle(self, duration_s: float) -> float:
         """Charge the sensor for *duration_s* of LPL idle listening."""

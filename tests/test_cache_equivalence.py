@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_cache import ListSummaryCache
 
@@ -264,6 +264,22 @@ def apply(cache: SummaryCache, operation: tuple) -> None:
         cache.export_tail(sensor, 8, keyframe=False)   # resets written_from
 
 
+def assert_same_cache(ours: SummaryCache, theirs: SummaryCache, sensor: int) -> None:
+    """Same counters, live columns and ``written_from`` for *sensor*."""
+    counters = ("insertions", "refinements", "evictions")
+    assert [getattr(ours, name) for name in counters] == [
+        getattr(theirs, name) for name in counters
+    ]
+    for column, twin in zip(ours.arrays_in(sensor, -np.inf, np.inf),
+                            theirs.arrays_in(sensor, -np.inf, np.inf)):
+        assert column.dtype == twin.dtype
+        assert np.array_equal(column, twin)
+    column, twin = ours._columns.get(sensor), theirs._columns.get(sensor)
+    assert (column is None) == (twin is None)
+    if column is not None:
+        assert column.written_from == twin.written_from
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     prefix=st.lists(CACHE_OP, max_size=40),
@@ -288,12 +304,74 @@ def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data
     expected = merged._merge(sensor, np.asarray([timestamp]), np.asarray([value]),
                              np.asarray([std]), _CODE_OF_SOURCE[source])
     assert returned == expected
-    counters = ("insertions", "refinements", "evictions")
-    assert [getattr(scalar, name) for name in counters] == [
-        getattr(merged, name) for name in counters
-    ]
-    for column, twin in zip(scalar.arrays_in(sensor, -np.inf, np.inf),
-                            merged.arrays_in(sensor, -np.inf, np.inf)):
-        assert column.dtype == twin.dtype
-        assert np.array_equal(column, twin)
-    assert scalar._columns[sensor].written_from == merged._columns[sensor].written_from
+    assert_same_cache(scalar, merged, sensor)
+
+
+# -- a push landed with its silent run ---------------------------------------------
+#
+# insert_batch(..., pushed=True) lands a proxy's silent run of PREDICTED rows
+# and the PUSHED reading that ended it in one write; it must leave a cache
+# exactly as the two writes it replaced: the run as a batch, then the reading
+# alone.  A pulled actual ahead of or inside the run sends the write down the
+# merge, which marks ``written_from`` at the run's first row even where the
+# actual keeps its cell.
+
+RUN_LENGTH = st.one_of(st.just(0), st.just(1), st.integers(2, 24))   # 24 > capacity
+
+
+def run_case(sensor=0, count=0, actuals=(), exported=True):
+    return example(prefix=[("insert", 0, 0.0, 1.0, 0.1, EntrySource.PUSHED)], sensor=sensor,
+                   first=4, count=count, pushed=True, actuals=list(actuals),
+                   exported=exported, std=0.3, std_as_array=False, reading=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@run_case(sensor=2)                         # a lone push, empty column
+@run_case(count=1, actuals=[0])             # one epoch under an actual
+@run_case(count=24)                         # overflow on append
+@run_case(count=6, actuals=[0])             # the written_from trap
+@run_case(count=6, actuals=[3, 9])          # inside and ahead
+@run_case(count=20, actuals=[6])            # the push lands on it
+@given(
+    prefix=st.lists(CACHE_OP, max_size=40),
+    sensor=st.integers(0, 2),                      # 2: a column nothing wrote
+    first=st.integers(0, 24),
+    count=RUN_LENGTH,
+    pushed=st.booleans(),
+    actuals=st.lists(st.integers(0, 26), max_size=3),   # epochs past `first`
+    exported=st.booleans(),                        # written_from reset after them
+    std=STD,
+    std_as_array=st.booleans(),
+    reading=VALUE,
+)
+def test_run_with_its_push_is_the_batch_then_the_insert(
+    prefix, sensor, first, count, pushed, actuals, exported, std, std_as_array, reading
+):
+    run, sequence = SummaryCache(16), SummaryCache(16)
+    for operation in prefix:
+        apply(run, operation)
+        apply(sequence, operation)
+    for offset in actuals:
+        actual = CacheEntry((first + offset) * PERIOD, 100.0 + offset, 0.0,
+                            EntrySource.PULLED)
+        run.insert(sensor, actual)
+        sequence.insert(sensor, actual)
+    if exported:
+        run.export_tail(sensor, 8, keyframe=False)
+        sequence.export_tail(sensor, 8, keyframe=False)
+    rows = count + pushed
+    times = np.arange(first, first + rows) * PERIOD
+    values = np.arange(rows) * 0.25 + reading
+    stds = np.full(rows, std) if std_as_array else std
+    returned = run.insert_batch(sensor, times, values, stds, EntrySource.PREDICTED,
+                                pushed=pushed)
+    expected = sequence.insert_batch(sensor, times[:count], values[:count],
+                                     stds[:count] if std_as_array else std,
+                                     EntrySource.PREDICTED)
+    if pushed:
+        before = sequence.insertions
+        sequence.insert(sensor, CacheEntry(float(times[-1]), float(values[-1]), 0.0,
+                                           EntrySource.PUSHED))
+        expected += sequence.insertions - before
+    assert returned == expected
+    assert_same_cache(run, sequence, sensor)

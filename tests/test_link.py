@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.energy.constants import MICA2_RADIO
+from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
-from repro.radio.link import LinkConfig, LossyLink
+from repro.energy.radio_energy import (
+    ack_rx_energy,
+    packet_airtime,
+    receive_energy,
+    transmit_energy,
+)
+from repro.radio.link import LinkConfig, LinkStats, LossyLink, TransferOutcome
+from repro.radio.mac import LplMac
 
 
 def make_link(loss=0.0, max_retries=5, seed=0):
@@ -101,3 +109,98 @@ class TestLossy:
         assert link.expected_attempts() == pytest.approx(2.0)
         lossless, _, _ = make_link(loss=0.0)
         assert lossless.expected_attempts() == 1.0
+
+
+# -- memoised frame costs ----------------------------------------------------------
+#
+# LossyLink.transfer computes each frame shape's joules and airtime once; the
+# reference below is the loop it replaced, every attempt's costs computed
+# afresh from the radio_energy functions, in the same float addition order.
+
+
+def per_attempt_transfer(radio, config, rng, stats, meters, payload_bytes, lpl_preamble_bytes):
+    """``LossyLink.transfer`` as it was."""
+    attempts = 0
+    latency = 0.0
+    sender_energy = 0.0
+    receiver_energy = 0.0
+    delivered = False
+    while attempts <= config.max_retries:
+        attempts += 1
+        stats.attempts += 1
+        sender_energy += transmit_energy(radio, payload_bytes, lpl_preamble_bytes)
+        latency += packet_airtime(radio, payload_bytes, lpl_preamble_bytes)
+        latency += config.propagation_s
+        if rng.random() >= config.loss_probability:
+            delivered = True
+            receiver_energy += receive_energy(radio, payload_bytes, 0)
+            sender_energy += ack_rx_energy(radio)
+            latency += (radio.preamble_bytes + radio.ack_bytes) * radio.byte_time_s
+            stats.deliveries += 1
+            stats.bytes_delivered += payload_bytes
+            break
+        stats.losses += 1
+        latency += config.backoff_s
+    if not delivered:
+        stats.drops += 1
+    sender, receiver = meters
+    sender.charge("radio.tx", sender_energy)
+    receiver.charge("radio.rx", receiver_energy)
+    return TransferOutcome(delivered, attempts, latency, sender_energy, receiver_energy)
+
+
+REGIMES = (
+    LinkConfig(loss_probability=0.3, max_retries=4, backoff_s=0.05),
+    LinkConfig(loss_probability=0.8, max_retries=2, backoff_s=0.013),
+    LinkConfig(loss_probability=0.0, max_retries=0, backoff_s=0.2, propagation_s=3e-4),
+)
+SIZES = (12, 8, 29, 12, 100, 12)
+
+
+class TestMemoisedFrames:
+    def test_uplink_matches_per_attempt_across_link_changes(self):
+        link, sender, receiver = make_link(loss=REGIMES[0].loss_probability, seed=21)
+        rng = np.random.default_rng(21)
+        stats, meters = LinkStats(), (EnergyMeter("s"), EnergyMeter("r"))
+        for regime in REGIMES:
+            link.config = regime          # what LplMac.set_link_config does
+            for payload in SIZES * 5:
+                ours = link.transfer(payload)
+                theirs = per_attempt_transfer(
+                    MICA2_RADIO, regime, rng, stats, meters, payload, 0
+                )
+                assert ours == theirs     # bit for bit, latency included
+        assert link.stats == stats
+        assert (sender.total_j, receiver.total_j) == tuple(m.total_j for m in meters)
+        assert stats.losses and stats.drops and stats.deliveries
+
+    def test_downlink_matches_per_attempt_across_check_intervals(self):
+        sensor, proxy = EnergyMeter("sensor"), EnergyMeter("proxy")
+        mac = LplMac(
+            MICA2_RADIO,
+            REGIMES[0],
+            DutyCycleConfig(check_interval_s=1.0),
+            np.random.default_rng(5),
+            sensor_meter=sensor,
+            proxy_meter=proxy,
+        )
+        rng = np.random.default_rng(5)
+        stats, meters = LinkStats(), (EnergyMeter("p"), EnergyMeter("s"))
+        preambles = set()
+        for interval, regime in ((1.0, REGIMES[0]), (4.0, REGIMES[0]), (0.25, REGIMES[1]),
+                                 (1.0, REGIMES[1])):
+            mac.set_check_interval(interval)
+            mac.set_link_config(regime)
+            preamble = DutyCycleConfig(check_interval_s=interval).lpl_preamble_bytes(
+                MICA2_RADIO
+            )
+            preambles.add(preamble)
+            for payload in SIZES * 3:
+                ours = mac.send_downlink(payload)
+                theirs = per_attempt_transfer(
+                    MICA2_RADIO, regime, rng, stats, meters, payload, preamble
+                )
+                assert ours == theirs._replace(latency_s=theirs.latency_s + interval / 2.0)
+        assert len(preambles) == 3
+        assert mac._downlink.stats == stats
+        assert (proxy.total_j, sensor.total_j) == tuple(m.total_j for m in meters)

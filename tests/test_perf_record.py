@@ -1,12 +1,21 @@
-"""``tools/perf_pairs.py --record``: what the trajectory file keeps."""
+"""``tools/perf_pairs.py --record``: what the trajectory file keeps, and
+that every perf claim in CHANGES.md is in it."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "perf_pairs.py"
+
+#: ``--record`` stores the number of the CHANGES entry (``--pr``) from this
+#: entry on; the trajectory entries recorded before it stay unnumbered
+NUMBERED_FROM = 40
 
 
 def load_tool():
@@ -65,3 +74,45 @@ def test_every_host_metric_is_judged_alike(monkeypatch, tmp_path):
     path = tmp_path / "BENCH_perf.json"
     tool.record(path, {"change": "rev0", "workloads": {"query_storm": measured}})
     assert json.loads(path.read_text())["trajectory"][0]["workloads"]["query_storm"] == measured
+
+
+def perf_claims(changes: str) -> list[int]:
+    """Numbers of the CHANGES entries tagged ``perf_opt`` (the first
+    parenthesised ``tag;`` of an entry's line)."""
+    return [
+        int(number)
+        for number, tag in re.findall(r"^- PR (\d+): [^\n]*?\((\w+);", changes, re.M)
+        if tag == "perf_opt"
+    ]
+
+
+def test_perf_claims_reads_each_entry_tag():
+    changes = (
+        "- PR 3: Faster (perf_opt; claims `wall_s`) — a (simplicity; aside)\n"
+        "- PR 4: Smaller (simplicity; claims no gain; see PR 3 (perf_opt; x))\n"
+        "  - PR 5: (perf_opt; an indented line is not an entry)\n"
+        "- PR 6: Two passes, one (perf_opt; claims `sim_s_per_wall_s`)\n"
+    )
+    assert perf_claims(changes) == [3, 6]
+
+
+def test_every_numbered_perf_claim_has_a_trajectory_entry():
+    claims = [
+        number
+        for number in perf_claims((REPO / "CHANGES.md").read_text())
+        if number >= NUMBERED_FROM
+    ]
+    trajectory = json.loads((REPO / "BENCH_perf.json").read_text())["trajectory"]
+    recorded = {entry["pr"]: entry for entry in trajectory if "pr" in entry}
+    assert claims, "no numbered perf claim yet"
+    assert [number for number in claims if number not in recorded] == []
+    for number in claims:
+        assert recorded[number]["pairs"] >= 10
+
+
+def test_record_needs_the_entry_number(tmp_path, capsys):
+    tool = load_tool()
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--record", str(tmp_path / "BENCH_perf.json")])
+    assert exit_.value.code == 2
+    assert "--record needs --pr" in capsys.readouterr().err

@@ -1,28 +1,40 @@
-"""The proxy's batched catch-up against the per-entry loop it replaced.
+"""The proxy's batched cache writes against the per-entry loop they replaced.
 
 ``PrestoProxy._advance_tracker`` advances a sensor's model tracker over a
-whole silent run and lands the run in the cache as one batch.  The
-reference below is the sequence it replaced — one ``CacheEntry`` →
+whole silent run, and ``PrestoProxy._handle_push`` lands a push together
+with the silent run before it; both write through one seam,
+``PrestoProxy._insert_batch``, as one ``SummaryCache.insert_batch`` call.
+The reference below is the sequence they replaced — one ``CacheEntry`` →
 ``SummaryCache.insert`` → ``ContinuousQueryEngine.on_entry`` per silent
-epoch.  One seeded cell (drifting clocks, lossy link, a small cache) is
-driven twice, once each way, through the cases where a careless batch
-diverges: a pulled actual sitting at a future epoch, runs that overflow the
-cache, mote-stamped detections among compacted columns, and an armed
-standing query.
+epoch and per pushed reading — patched over both.  One seeded cell
+(drifting clocks, lossy link, a small cache) is driven twice, once each
+way, through the cases where a careless batch diverges: a pulled actual
+sitting at a future epoch, runs that overflow the cache, mote-stamped
+detections among compacted columns, and an armed standing query.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.cache import PULLED_CODE, CacheEntry, EntrySource, SummaryCache
+from repro.core.cache import (
+    PREDICTED_CODE,
+    PULLED_CODE,
+    PUSHED_CODE,
+    CacheEntry,
+    EntrySource,
+    SummaryCache,
+)
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.proxy import PrestoProxy
+from repro.core.sensor import PUSH_PAYLOAD_BYTES
 from repro.core.system import PrestoSystem
+from repro.radio.packet import Packet, PacketKind
 from repro.sync.clock import ClockModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, QueryWorkloadGenerator
@@ -52,22 +64,58 @@ def per_entry_advance(self, sensor, state, upto_epoch):
         )
 
 
+batched_insert = PrestoProxy._insert_batch
+
+
+def per_entry_insert(self, sensor, times, values, std, source, pushed=False):
+    """``_insert_batch`` as it was for a silent run, with or without the push
+    that ended it: one cache insert per row, the pushed reading last.  Pull
+    replies keep the batched write."""
+    if source is not EntrySource.PREDICTED:
+        return batched_insert(self, sensor, times, values, std, source, pushed)
+    last = len(times) - 1
+    for index, (timestamp, value) in enumerate(zip(times, values)):
+        reading = pushed and index == last
+        self._insert_entry(
+            sensor,
+            CacheEntry(
+                timestamp=float(timestamp),
+                value=float(value),
+                std=0.0 if reading else std,
+                source=EntrySource.PUSHED if reading else source,
+            ),
+        )
+
+
 class WriteCounter:
-    """Counts a cache's write calls and the longest batch it was handed."""
+    """Counts a cache's write calls, the rows they land by provenance, the
+    longest batch, which ``insert_batch`` calls land a push (with its silent
+    run) or a catch-up run alone, and the silent epochs those two carry."""
 
     def __init__(self, cache: SummaryCache) -> None:
         self.calls = 0
         self.longest_batch = 0
+        self.pushes = 0
+        self.catch_ups = 0
+        self.run_rows = 0
+        self.rows: Counter[EntrySource] = Counter()
         insert, insert_batch = cache.insert, cache.insert_batch
 
-        def counted_insert(*args, **kwargs):
+        def counted_insert(sensor, entry):
             self.calls += 1
-            return insert(*args, **kwargs)
+            self.rows[entry.source] += 1
+            return insert(sensor, entry)
 
-        def counted_batch(sensor, timestamps, *args, **kwargs):
+        def counted_batch(sensor, timestamps, values, stds, source, pushed=False):
             self.calls += 1
             self.longest_batch = max(self.longest_batch, len(timestamps))
-            return insert_batch(sensor, timestamps, *args, **kwargs)
+            self.pushes += pushed
+            self.catch_ups += source is EntrySource.PREDICTED and not pushed
+            if source is EntrySource.PREDICTED:
+                self.run_rows += len(timestamps) - pushed
+            self.rows[source] += len(timestamps) - pushed
+            self.rows[EntrySource.PUSHED] += pushed
+            return insert_batch(sensor, timestamps, values, stds, source, pushed)
 
         cache.insert, cache.insert_batch = counted_insert, counted_batch
 
@@ -136,6 +184,7 @@ def drives():
     batched = Drive(seed=5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PrestoProxy, "_advance_tracker", per_entry_advance)
+        patch.setattr(PrestoProxy, "_insert_batch", per_entry_insert)
         reference = Drive(seed=5)
     return batched, reference
 
@@ -158,11 +207,28 @@ def test_cache_columns_and_counters_match(drives):
 
 
 def test_silent_runs_land_as_one_write(drives):
+    """One write per push — its silent gap included — or catch-up run."""
     batched, reference = drives
     substitutions = sum(
         state.tracker.substitutions for state in batched.proxy._states.values()
     )
     assert substitutions > 500
+    # the armed sensor's rows are inserted one by one either way
+    pushes = sum(
+        state.pushes_received
+        for sensor, state in batched.proxy._states.items()
+        if sensor != ARMED
+    )
+    assert batched.writes.pushes == pushes > 100
+    assert reference.writes.pushes == 0
+    # the same rows of every provenance land either way ...
+    assert batched.writes.rows == reference.writes.rows
+    # ... and the reference's one write per silent epoch and per push became
+    # one per catch-up run or push, each push's silent gap riding with it
+    assert reference.writes.calls - batched.writes.calls == (
+        batched.writes.run_rows - batched.writes.catch_ups
+    )
+    assert batched.writes.run_rows > 2 * batched.writes.catch_ups
     assert batched.writes.calls < reference.writes.calls - substitutions // 2
 
 
@@ -238,7 +304,8 @@ def test_armed_sensor_is_notified_once_per_entry_in_time_order(drives):
 
 
 def test_unarmed_run_is_one_insert_batch_call():
-    """Direct check of the shape: one silent run, one ``insert_batch``."""
+    """Direct check of the shape: one silent run, one ``insert_batch``; one
+    push with a gap behind it, one ``insert_batch`` ending in the reading."""
     system = PrestoSystem(
         IntelLabGenerator(
             IntelLabConfig(n_sensors=1, duration_s=40_000.0, epoch_s=31.0), seed=2
@@ -254,7 +321,20 @@ def test_unarmed_run_is_one_insert_batch_call():
     target = proxy.current_epoch() + 50
     behind = target - state.last_epoch
     proxy._advance_tracker(0, state, target)
-    assert (writes.calls, writes.longest_batch) == (1, behind)
+    assert (writes.calls, writes.longest_batch, writes.catch_ups) == (1, behind, 1)
     assert state.last_epoch == target
     proxy._advance_tracker(0, state, target)  # nothing left: no write at all
     assert writes.calls == 1
+    epoch = target + 7
+    at = proxy.epoch_time(epoch)
+    proxy.on_receive(
+        Packet(PacketKind.PUSH, "sensor0", proxy.name, PUSH_PAYLOAD_BYTES, (0, epoch, 21.5, at))
+    )
+    assert (writes.calls, writes.longest_batch, writes.pushes) == (2, behind, 1)
+    assert writes.rows == {EntrySource.PREDICTED: behind + 6, EntrySource.PUSHED: 1}
+    assert state.last_epoch == epoch
+    times, values, stds, codes = proxy.cache.arrays_in(0, proxy.epoch_time(target + 1), at)
+    assert times.tolist() == [proxy.epoch_time(e) for e in range(target + 1, epoch + 1)]
+    assert codes.tolist() == [PREDICTED_CODE] * 6 + [PUSHED_CODE]
+    assert (values[-1], stds[-1]) == (21.5, 0.0)
+    assert (stds[:-1] > 0.0).all()

@@ -13,9 +13,9 @@ median, quartiles and best, and the pairs in which the change was lower and
 tied; then whether every repetition's ``summary`` (everything simulated) is
 byte-identical across the two sides.  It exits non-zero when one is not.
 
-``--record FILE`` also appends the invocation to the host-time trajectory
-(``BENCH_perf.json`` at the repo root): both revisions and, per workload,
-exactly the numbers printed.  The file keeps the newest
+``--record FILE --pr N`` also appends the invocation to the host-time
+trajectory (``BENCH_perf.json`` at the repo root): the PR number, both
+revisions and, per workload, exactly the numbers printed.  The file keeps the newest
 :data:`TRAJECTORY_ENTRIES` entries and a hand-written ``"negative"`` list —
 experiments that measured flat or were dropped, so that they are a row and
 not a silence — which recording carries over untouched.
@@ -24,7 +24,7 @@ Usage::
 
     python tools/perf_pairs.py --parent HEAD~1 --workload fed_armed --pairs 10
     python tools/perf_pairs.py --parent HEAD --pairs 1 --scale quick --workload cell_day
-    python tools/perf_pairs.py --parent HEAD --pairs 10 --record BENCH_perf.json
+    python tools/perf_pairs.py --parent HEAD --pairs 10 --record BENCH_perf.json --pr 40
 
 The change side is the working tree this file lives in.
 """
@@ -173,9 +173,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=("full", "quick"), default="full")
     parser.add_argument("--record", type=Path, metavar="FILE",
                         help="append this invocation to the trajectory in FILE")
+    parser.add_argument("--pr", type=int, metavar="N",
+                        help="the PR the recorded claim belongs to (required with --record)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.record is not None and args.pr is None:
+        parser.error("--record needs --pr")
     env = {**os.environ, **perf_run.CHILD_ENV}
     measured: dict[str, dict] = {}
     # the benchmark's own lock: never measure while another run is measuring
@@ -196,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         record(
             args.record,
             {
+                "pr": args.pr,
                 "date": datetime.date.today().isoformat(),
                 "parent": git("rev-parse", "--short", args.parent),
                 # the working tree: a "-dirty" suffix means "on top of", not "at"
