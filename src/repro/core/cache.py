@@ -336,10 +336,11 @@ class _Column:
         values: np.ndarray,
         stds: np.ndarray | float,
         code: int,
-        pushed: bool,
+        pushed: float | None,
     ) -> None:
         """Append an ascending batch strictly newer than the tail, by slice
-        assignment; with *pushed* its last row is a PUSHED reading (std 0)."""
+        assignment; with *pushed* not None its last row is a PUSHED reading
+        of std *pushed*."""
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
         count = timestamps.size
@@ -350,8 +351,8 @@ class _Column:
         self.values[tail] = values
         self.stds[tail] = stds
         self.codes[tail] = code
-        if pushed:
-            self.stds[end + count - 1] = 0.0
+        if pushed is not None:
+            self.stds[end + count - 1] = pushed
             self.codes[end + count - 1] = PUSHED_CODE
         self.length += count
 
@@ -478,7 +479,7 @@ class SummaryCache:
         values: np.ndarray,
         stds: np.ndarray | float,
         source: EntrySource,
-        pushed: bool = False,
+        pushed: float | None = None,
     ) -> int:
         """Insert many cells in one write.
 
@@ -490,12 +491,13 @@ class SummaryCache:
         searchsorted merge instead of per-entry bisect.  Returns the number
         of genuinely new timestamps.
 
-        With *pushed* the batch is a proxy's silent run landed together
-        with the push that ended it: ascending by construction, its last
-        row the pushed reading (PUSHED, std 0) and the rest *source* rows.
-        That equals inserting the rest as a batch, then the reading alone.
+        With *pushed* not None the batch is a proxy's silent run landed
+        together with the reading that ended it (a push, or a batched
+        reading): ascending by construction, its last row that reading
+        (PUSHED, std *pushed*) and the rest *source* rows.  That equals
+        inserting the rest as a batch, then the reading alone.
 
-        A one-row batch — a lone push, or a silent run of one epoch — is
+        A one-row batch — a lone reading, or a silent run of one epoch — is
         the scalar insert instead, which skips the array preamble.  Like
         the merge it marks the row written even when the refinement policy
         drops it.
@@ -513,28 +515,28 @@ class SummaryCache:
             timestamp = float(timestamps[0])
             if timestamp < column.written_from:
                 column.written_from = timestamp
-            if pushed:
-                std, code = 0.0, PUSHED_CODE
+            if pushed is not None:
+                std, code = float(pushed), PUSHED_CODE
             else:
                 scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
                 std = float(stds) if scalar_std else float(stds[0])
             outcome = self._insert_one(column, timestamp, float(values[0]), std, code)
             return int(outcome == _INSERTED)
         if (column.length == 0 or timestamps[0] > column.times[column.end - 1]) and (
-            pushed or (timestamps[1:] > timestamps[:-1]).all()
+            pushed is not None or (timestamps[1:] > timestamps[:-1]).all()
         ):
             column.append(timestamps, values, stds, code, pushed)
             self.insertions += count
             self._evict_overflow(column)
             return count
         scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
-        if pushed:
+        if pushed is not None:
             # the run merges as a batch, then the reading lands alone
             run = slice(0, count - 1)
             run_stds = np.full(count - 1, float(stds)) if scalar_std else stds[run]
             inserted = self._merge(sensor, timestamps[run], values[run], run_stds, code)
             outcome = self._insert_one(
-                column, float(timestamps[-1]), float(values[-1]), 0.0, PUSHED_CODE
+                column, float(timestamps[-1]), float(values[-1]), float(pushed), PUSHED_CODE
             )
             return inserted + (outcome == _INSERTED)
         if scalar_std:
@@ -569,7 +571,7 @@ class SummaryCache:
                 max(_MIN_CAPACITY, 2 * timestamps.size)
             )
         if column.length == 0 or timestamps[0] > column.times[column.end - 1]:
-            column.append(timestamps, values, stds, code, pushed=False)
+            column.append(timestamps, values, stds, code, pushed=None)
             inserted, refined = timestamps.size, 0
         else:
             inserted, refined = column.merge_batch(timestamps, values, stds, code)

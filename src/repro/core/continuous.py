@@ -19,10 +19,13 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.cache import CacheEntry, EntrySource
+import numpy as np
+
+from repro.core.cache import EntrySource
 
 
 class TriggerKind(enum.Enum):
@@ -72,6 +75,8 @@ class ContinuousQueryEngine:
 
     def __init__(self) -> None:
         self._queries: dict[int, ContinuousQuery] = {}
+        #: armed queries per sensor (see _index)
+        self._watching: dict[int, list[ContinuousQuery]] = {}
         self._next_id = 0
         self._last_value: dict[int, float] = {}
         self._latest_ts: dict[int, float] = {}
@@ -86,129 +91,142 @@ class ContinuousQueryEngine:
             query = dataclasses.replace(query, query_id=self._next_id)
         self._next_id = max(self._next_id, query.query_id + 1)
         self._queries[query.query_id] = query
+        self._index()
         return query.query_id
 
     def cancel(self, query_id: int) -> None:
         """Disarm a standing query."""
         self._queries.pop(query_id, None)
+        self._index()
+
+    def _index(self) -> None:
+        """Rebuild the per-sensor index; queries fire in ``_queries`` order."""
+        self._watching = {}
+        for query in self._queries.values():
+            self._watching.setdefault(query.sensor, []).append(query)
 
     @property
     def active(self) -> list[ContinuousQuery]:
         """Currently armed queries."""
         return list(self._queries.values())
 
-    def armed_for(self, sensor: int) -> bool:
-        """Whether any standing query watches *sensor*.
+    def on_run(
+        self,
+        sensor: int,
+        times: np.ndarray,
+        values: np.ndarray,
+        source: EntrySource,
+        pushed: float | None = None,
+    ) -> list[Notification]:
+        """Feed one cache write; returns the notifications it fired.
 
-        Cheap guard for batched cache inserts: when nothing is armed the
-        proxy may skip per-entry evaluation entirely.
-        """
-        return any(q.sensor == sensor for q in self._queries.values())
+        The run is what :meth:`SummaryCache.insert_batch` just landed, in
+        write order: *source* rows, the last a PUSHED reading when *pushed*
+        is not None.  A PREDICTED run is ascending, as a silent run is.
+        Each row follows one rule, decided by provenance:
 
-    def note_value(self, sensor: int, timestamp: float, value: float) -> None:
-        """Record the sensor's newest value without evaluating queries.
-
-        Keeps delta-trigger history warm across batched inserts that were
-        not individually evaluated (no queries were armed at the time).
-        Stale values — a pull backfilling history the engine has already
-        moved past — are ignored, exactly as :meth:`on_entry` ignores
-        them (noted values are always actual readings, so an equal
-        timestamp refines the history just as it would in ``on_entry``).
-        """
-        latest = self._latest_ts.get(sensor)
-        if latest is not None and timestamp < latest:
-            return
-        self._latest_ts[sensor] = timestamp
-        self._last_value[sensor] = value
-
-    def note_predictions(
-        self, sensor: int, timestamps: Sequence[float], values: Sequence[float]
-    ) -> None:
-        """Record an ascending run of PREDICTED entries without evaluating.
-
-        The unarmed counterpart of feeding each substitution to
-        :meth:`on_entry`: a prediction at or before the latest timestamp is
-        stale (counted, never a refinement — only actuals refine), the rest
-        advance the history to the run's newest entry.
-        """
-        latest = self._latest_ts.get(sensor)
-        if latest is not None:
-            stale = bisect.bisect_right(timestamps, latest)
-            self.stale_entries_skipped += stale
-            if stale == len(timestamps):
-                return
-        self._latest_ts[sensor] = float(timestamps[-1])
-        self._last_value[sensor] = float(values[-1])
-
-    def on_entry(self, sensor: int, entry: CacheEntry) -> list[Notification]:
-        """Feed one cache update; returns the notifications it fired.
-
-        Staleness is decided by provenance, not timestamp alone:
-
-        * **PULLED** entries strictly before the latest evaluated
-          timestamp are proxy-initiated backfills of history the engine
-          has already moved past — they neither fire (their crossing, if
-          any, is stale news) nor clobber the delta-trigger history with
-          an old value, both of which the pre-fix engine did (making
-          DELTA triggers fire spuriously on the next fresh entry).  A
-          pulled *actual* at exactly the latest timestamp is the
-          progressive-refinement path (the pull replacing a prediction
-          for the same instant) and is evaluated like any refinement.
-        * **PREDICTED** entries are proxy-generated and in-order by
-          construction; a duplicate at or before the latest timestamp is
+        * **PULLED** rows strictly before the latest timestamp backfill
+          history the engine has moved past: they neither fire (stale
+          news) nor clobber the delta-trigger history.  A pulled actual at
+          exactly the latest timestamp refines it and is evaluated.
+        * **PREDICTED** rows at or before the latest timestamp are
           redundant and skipped.
-        * **PUSHED** entries are *sensor-initiated* and always evaluated,
-          however late they arrive: a push delayed past a query's silent
-          advance (or a batched reading up to a batch interval old) is
-          fresh information — the event the model failed to predict —
-          and the paper's "rare events are never missed" guarantee
-          forbids dropping it.  Late entries still never rewind the
-          history: ``_last_value`` only advances on monotonically-new
-          timestamps.
+        * **PUSHED** rows are sensor-initiated and always evaluated,
+          however late: a push overtaken by a query's silent advance, or
+          a batched reading, is the event the model failed to predict, and
+          "rare events are never missed" forbids dropping it.  A late row
+          still never rewinds the history.
+
+        Skipped rows count in ``stale_entries_skipped``.  A run of several
+        rows that no query watches moves straight to the end state.
         """
+        queries = self._watching.get(sensor, ())
+        first_new = len(self.notifications)
+        if len(times) == 1:  # a lone reading or pulled value, a one-epoch run
+            row_source = EntrySource.PUSHED if pushed is not None else source
+            self._on_row(sensor, queries, float(times[0]), float(values[0]), row_source)
+        elif queries:
+            last = len(times) - 1
+            for index, (timestamp, value) in enumerate(zip(times.tolist(), values.tolist())):
+                reading = pushed is not None and index == last
+                row_source = EntrySource.PUSHED if reading else source
+                self._on_row(sensor, queries, timestamp, value, row_source)
+        else:
+            self._skip_to_end(sensor, times, values, source, pushed)
+        return self.notifications[first_new:]
+
+    def _on_row(
+        self,
+        sensor: int,
+        queries: Sequence[ContinuousQuery],
+        timestamp: float,
+        value: float,
+        source: EntrySource,
+    ) -> None:
+        """One row under :meth:`on_run`'s rule, evaluated against *queries*."""
         latest = self._latest_ts.get(sensor)
-        fresh = latest is None or entry.timestamp > latest
-        refinement = (
-            latest is not None and entry.timestamp == latest and entry.is_actual
-        )
-        late_push = entry.source is EntrySource.PUSHED
-        if not fresh and not refinement and not late_push:
+        actual = source is not EntrySource.PREDICTED
+        fresh = latest is None or timestamp > latest
+        refinement = actual and timestamp == latest
+        if not fresh and not refinement and source is not EntrySource.PUSHED:
             self.stale_entries_skipped += 1
-            return []
+            return
         if fresh:
-            self._latest_ts[sensor] = entry.timestamp
-        fired: list[Notification] = []
-        for query in self._queries.values():
-            if query.sensor != sensor:
-                continue
+            self._latest_ts[sensor] = timestamp
+        for query in queries:
             self.evaluations += 1
-            if not self._matches(query, sensor, entry):
+            if not self._matches(query, sensor, value):
                 continue
             # Rate limit against the *nearest* prior firing in data time:
             # late pushes land before earlier firings (and between each
             # other), so a single forward anchor would let a delayed batch
-            # fire once per entry.  min_interval_s=0 means "every hit".
-            if self._rate_limited(query, entry.timestamp):
+            # fire once per row.  min_interval_s=0 means "every hit".
+            if self._rate_limited(query, timestamp):
                 continue
-            notification = Notification(
-                query_id=query.query_id,
-                sensor=sensor,
-                timestamp=entry.timestamp,
-                value=entry.value,
-                from_actual=entry.is_actual,
-            )
             if query.min_interval_s > 0:
                 # Unlimited queries never read the firing history — don't
                 # grow it once per notification for nothing.
-                bisect.insort(
-                    self._fired_times.setdefault(query.query_id, []),
-                    entry.timestamp,
+                bisect.insort(self._fired_times.setdefault(query.query_id, []), timestamp)
+            self.notifications.append(
+                Notification(
+                    query_id=query.query_id,
+                    sensor=sensor,
+                    timestamp=timestamp,
+                    value=value,
+                    from_actual=actual,
                 )
-            self.notifications.append(notification)
-            fired.append(notification)
+            )
         if fresh or refinement:
-            self._last_value[sensor] = entry.value
-        return fired
+            self._last_value[sensor] = value
+
+    def _skip_to_end(
+        self,
+        sensor: int,
+        times: np.ndarray,
+        values: np.ndarray,
+        source: EntrySource,
+        pushed: float | None,
+    ) -> None:
+        """What :meth:`_on_row` leaves after every row of an unwatched
+        run: the newest timestamp, the value of the last row that advanced
+        or refined the history, and the stale count."""
+        latest = self._latest_ts.get(sensor, -math.inf)
+        if source is EntrySource.PREDICTED and times[0] > latest:
+            # an ascending run newer than everything seen: every row is fresh
+            self._latest_ts[sensor] = float(times[-1])
+            self._last_value[sensor] = float(values[-1])
+            return
+        # the newest timestamp before each row: the engine's or an earlier row's
+        prior = np.maximum.accumulate(np.concatenate(([latest], times[:-1])))
+        pushed_rows = np.full(times.size, source is EntrySource.PUSHED)
+        pushed_rows[-1] |= pushed is not None
+        actual = pushed_rows | (source is EntrySource.PULLED)
+        advances = (times > prior) | (actual & (times == prior))
+        self.stale_entries_skipped += int((~advances & ~pushed_rows).sum())
+        if advances.any():
+            last = advances.size - 1 - int(np.argmax(advances[::-1]))
+            self._latest_ts[sensor] = max(latest, float(times.max()))
+            self._last_value[sensor] = float(values[last])
 
     def _rate_limited(self, query: ContinuousQuery, timestamp: float) -> bool:
         """Whether a firing at *timestamp* sits within ``min_interval_s``
@@ -226,12 +244,12 @@ class ContinuousQueryEngine:
         )
         return min(gaps) < query.min_interval_s
 
-    def _matches(self, query: ContinuousQuery, sensor: int, entry: CacheEntry) -> bool:
+    def _matches(self, query: ContinuousQuery, sensor: int, value: float) -> bool:
         if query.kind is TriggerKind.ABOVE:
-            return entry.value > query.threshold
+            return value > query.threshold
         if query.kind is TriggerKind.BELOW:
-            return entry.value < query.threshold
+            return value < query.threshold
         previous = self._last_value.get(sensor)
         if previous is None:
             return False
-        return abs(entry.value - previous) > query.threshold
+        return abs(value - previous) > query.threshold

@@ -180,13 +180,14 @@ class PrestoProxy:
                 maxlen=self.cache.max_entries_per_sensor
             )
         log.append((entry.timestamp, entry.value, estimate))
-        self._insert_entry(sensor, entry)
+        self._insert_batch(
+            sensor,
+            np.array([entry.timestamp]),
+            np.array([entry.value]),
+            entry.std,
+            EntrySource.PUSHED,
+        )
         return entry
-
-    def _insert_entry(self, sensor: int, entry: CacheEntry) -> None:
-        """Insert into the cache and evaluate standing queries."""
-        self.cache.insert(sensor, entry)
-        self.continuous.on_entry(sensor, entry)
 
     def _insert_batch(
         self,
@@ -195,44 +196,17 @@ class PrestoProxy:
         values: np.ndarray,
         std: float,
         source: EntrySource,
-        pushed: bool = False,
+        pushed: float | None = None,
     ) -> None:
-        """Land many entries in the cache as one write.
+        """The one cache write: land a run, then let standing queries read it.
 
-        A tracker's silent run is PREDICTED; with *pushed* its last row is
-        the reading whose push ended it (PUSHED, std 0), so a push and the
-        silent run before it land together.  A pull reply is PULLED.  With
-        standing queries armed on the sensor each entry must still be
-        evaluated individually (notification order matters); otherwise the
-        whole batch is one :meth:`SummaryCache.insert_batch` call.
+        A tracker's silent run is PREDICTED; with *pushed* not None its last
+        row is the reading that ended it (PUSHED, std *pushed*), so a push
+        or a batched reading and the silent run before it land together.
+        A pull reply is PULLED, a detection PUSHED.
         """
-        if self.continuous.armed_for(sensor):
-            last = len(times) - 1
-            for index, (timestamp, value) in enumerate(zip(times, values)):
-                reading = pushed and index == last
-                self._insert_entry(
-                    sensor,
-                    CacheEntry(
-                        timestamp=float(timestamp),
-                        value=float(value),
-                        std=0.0 if reading else std,
-                        source=EntrySource.PUSHED if reading else source,
-                    ),
-                )
-            return
         self.cache.insert_batch(sensor, times, values, std, source, pushed)
-        if source is EntrySource.PREDICTED:
-            # a tracker's silent run: ascending, and never a refinement
-            run = len(times) - pushed
-            if run:
-                self.continuous.note_predictions(sensor, times[:run], values[:run])
-            if pushed:
-                self.continuous.note_value(sensor, float(times[-1]), float(values[-1]))
-        else:
-            newest = int(np.argmax(times))
-            self.continuous.note_value(
-                sensor, float(times[newest]), float(values[newest])
-            )
+        self.continuous.on_run(sensor, times, values, source, pushed)
 
     # -- epoch arithmetic ----------------------------------------------------------
 
@@ -267,90 +241,30 @@ class PrestoProxy:
 
     def _handle_push(self, payload: tuple[int, int, float, float]) -> None:
         sensor, epoch, value, local_time = payload
-        state = self._states[sensor]
         self.sync.record_exchange(
             self._sync_key(sensor),
             proxy_time=self.epoch_time(epoch),
             sensor_local_time=local_time,
         )
-        self._activate_if_due(sensor, state, epoch)
-        tracker = state.tracker
-        first, std, readings = epoch, 0.0, array("d")
-        if tracker is None:
-            # Cold start: cache the raw push, no model state to advance.
-            state.last_epoch = max(state.last_epoch, epoch)
-        elif epoch > state.last_epoch:
-            # Substitute predictions for any silent epochs, then apply.
-            first = state.last_epoch + 1
-            if first < epoch:
-                std = self._silent_std(tracker)
-                readings = tracker.silent_run(epoch - first)
-            tracker.apply_push(value)
-            state.last_epoch = epoch
-        else:
-            # The tracker already advanced past this epoch (in-flight push
-            # overtaken by a query's silent advance).  The reading landed
-            # below still refines the guess; the replicas repair at the next
-            # refit.
-            state.push_losses_detected += 1
+        state = self._states[sensor]
         state.pushes_received += 1
-        readings.append(value)
-        self._insert_batch(
-            sensor,
-            self._epoch_times(first, epoch),
-            np.frombuffer(readings),
-            std,
-            EntrySource.PREDICTED,
-            pushed=True,
-        )
+        if not self._bring_forward(sensor, epoch, value):
+            state.push_losses_detected += 1
 
     def _handle_batch(self, payload: dict) -> None:
+        """Land a batch's readings in time order, each as a push lands at
+        its epoch (the silent gap before it, then the reading), with the
+        batch's quantisation noise as its std."""
         sensor = int(payload["sensor"])
-        state = self._states[sensor]
+        self._states[sensor].batches_received += 1
         quant = float(payload["quant_step"])
-        std = float(quant / np.sqrt(12.0))  # quantisation noise
+        std = float(quant / np.sqrt(12.0))
         times = np.asarray(payload["timestamps"], dtype=np.float64)
         values = np.asarray(payload["values"], dtype=np.float64)
-        state.batches_received += 1
-        if times.size == 0:
-            return
         order = np.argsort(times, kind="stable")
-        sorted_times = times[order]
-        sorted_values = values[order]
-        epochs = np.rint(sorted_times / self.config.sample_period_s).astype(np.int64)
-        # With standing queries armed, every entry — silent-epoch
-        # substitution or batched push — must reach the continuous engine
-        # in time order, so the pushes are interleaved into the tracker
-        # loop; otherwise the whole batch lands in one vectorized merge.
-        armed = self.continuous.armed_for(sensor)
-        # A batched reading is a push that arrived late: it must advance the
-        # model tracker exactly as _handle_push would, or the tracker's
-        # stream state desynchronises from last_epoch and every subsequent
-        # apply_push/advance_silent operates on stale model state.
-        for timestamp, epoch, value in zip(sorted_times, epochs, sorted_values):
-            epoch = int(epoch)
-            self._activate_if_due(sensor, state, epoch)
-            if state.tracker is None:
-                state.last_epoch = max(state.last_epoch, epoch)
-            elif epoch > state.last_epoch:
-                self._advance_tracker(sensor, state, epoch - 1)
-                state.tracker.apply_push(float(value))
-                state.last_epoch = epoch
-            if armed:
-                self._insert_entry(
-                    sensor,
-                    CacheEntry(
-                        timestamp=float(timestamp),
-                        value=float(value),
-                        std=std,
-                        source=EntrySource.PUSHED,
-                    ),
-                )
-        if not armed:
-            self.cache.insert_batch(sensor, times, values, std, EntrySource.PUSHED)
-            self.continuous.note_value(
-                sensor, float(sorted_times[-1]), float(sorted_values[-1])
-            )
+        epochs = np.rint(times[order] / self.config.sample_period_s).astype(np.int64)
+        for epoch, value in zip(epochs.tolist(), values[order].tolist()):
+            self._bring_forward(sensor, epoch, value, std)
 
     # -- tracker management ---------------------------------------------------------
 
@@ -374,28 +288,49 @@ class PrestoProxy:
         state.last_epoch = max(state.last_epoch, update.activation_epoch - 1)
         state.pending = None
 
-    def _advance_tracker(self, sensor: int, state: _SensorState, upto_epoch: int) -> None:
-        """Insert PREDICTED entries for silent epochs up to *upto_epoch*.
+    def _bring_forward(
+        self, sensor: int, epoch: int, reading: float | None = None, std: float = 0.0
+    ) -> bool:
+        """Bring *sensor*'s cached view forward to *epoch* as one write.
 
-        The tracker advances over the whole silent run (read off the
-        sensor's trajectory while linked), which then lands in the cache as
-        one batch.  A push lands its own silent run with it instead (see
-        :meth:`_handle_push`).
+        The tracker substitutes its predictions for the silent epochs
+        before *epoch* — through *epoch* itself without a *reading* — and
+        a *reading* (a push, or one batched reading) is applied to the
+        tracker and lands after them as the run's last row, std *std*.
+        Before any model is active a reading lands alone.  Returns False
+        when the tracker had already advanced past *epoch*: the reading (a
+        push overtaken by a query's silent advance) still refines the
+        guess, and the replicas repair at the next refit.
         """
+        state = self._states[sensor]
+        self._activate_if_due(sensor, state, epoch)
         tracker = state.tracker
-        if tracker is None or state.last_epoch >= upto_epoch:
-            return
-        first = state.last_epoch + 1
-        std = self._silent_std(tracker)
-        values = tracker.silent_run(upto_epoch - first + 1)
-        state.last_epoch = upto_epoch
+        overtaken = tracker is not None and epoch <= state.last_epoch
+        if reading is None and (tracker is None or overtaken):
+            return True  # nothing to bring forward
+        first, run_std, values = epoch, 0.0, array("d")
+        if tracker is None:
+            state.last_epoch = max(state.last_epoch, epoch)  # cold start
+        elif not overtaken:
+            first = state.last_epoch + 1
+            silent = epoch - first + (reading is None)
+            if silent:
+                run_std = self._silent_std(tracker)
+                values = tracker.silent_run(silent)
+            if reading is not None:
+                tracker.apply_push(reading)
+            state.last_epoch = epoch
+        if reading is not None:
+            values.append(reading)
         self._insert_batch(
             sensor,
-            self._epoch_times(first, upto_epoch),
+            self._epoch_times(first, epoch),
             np.frombuffer(values),
-            std,
+            run_std,
             EntrySource.PREDICTED,
+            None if reading is None else std,
         )
+        return not overtaken
 
     @staticmethod
     def _silent_std(tracker: ProxyModelTracker) -> float:
@@ -411,10 +346,7 @@ class PrestoProxy:
 
     def advance_to_now(self, sensor: int) -> None:
         """Bring *sensor*'s cached view up to the current epoch."""
-        state = self._states[sensor]
-        target = self.current_epoch()
-        self._activate_if_due(sensor, state, target)
-        self._advance_tracker(sensor, state, target)
+        self._bring_forward(sensor, self.current_epoch())
 
     # -- model refit & dissemination ---------------------------------------------------
 
@@ -646,11 +578,8 @@ class PrestoProxy:
             return self._pull_failed(
                 query, routing_s, fallback, request.latency_s + reply.latency_s
             )
-        self._insert_entry(
-            sensor,
-            CacheEntry(
-                timestamp=timestamp, value=value, std=0.0, source=EntrySource.PULLED
-            ),
+        self._insert_batch(
+            sensor, np.array([timestamp]), np.array([value]), 0.0, EntrySource.PULLED
         )
         latency = PROXY_PROCESSING_S + request.latency_s + reply.latency_s
         self.pull_stats.bytes_pulled += 8

@@ -309,8 +309,9 @@ def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data
 
 # -- a push landed with its silent run ---------------------------------------------
 #
-# insert_batch(..., pushed=True) lands a proxy's silent run of PREDICTED rows
-# and the PUSHED reading that ended it in one write; it must leave a cache
+# insert_batch(..., pushed=std) lands a proxy's silent run of PREDICTED rows
+# and the PUSHED reading that ended it (std 0 for a push, the quantisation
+# std for a batched reading) in one write; it must leave a cache
 # exactly as the two writes it replaced: the run as a batch, then the reading
 # alone.  A pulled actual ahead of or inside the run sends the write down the
 # merge, which marks ``written_from`` at the run's first row even where the
@@ -321,7 +322,7 @@ RUN_LENGTH = st.one_of(st.just(0), st.just(1), st.integers(2, 24))   # 24 > capa
 
 def run_case(sensor=0, count=0, actuals=(), exported=True):
     return example(prefix=[("insert", 0, 0.0, 1.0, 0.1, EntrySource.PUSHED)], sensor=sensor,
-                   first=4, count=count, pushed=True, actuals=list(actuals),
+                   first=4, count=count, pushed=0.0, actuals=list(actuals),
                    exported=exported, std=0.3, std_as_array=False, reading=1.0)
 
 
@@ -337,7 +338,7 @@ def run_case(sensor=0, count=0, actuals=(), exported=True):
     sensor=st.integers(0, 2),                      # 2: a column nothing wrote
     first=st.integers(0, 24),
     count=RUN_LENGTH,
-    pushed=st.booleans(),
+    pushed=st.one_of(st.none(), STD),             # None: no reading ends the run
     actuals=st.lists(st.integers(0, 26), max_size=3),   # epochs past `first`
     exported=st.booleans(),                        # written_from reset after them
     std=STD,
@@ -359,7 +360,7 @@ def test_run_with_its_push_is_the_batch_then_the_insert(
     if exported:
         run.export_tail(sensor, 8, keyframe=False)
         sequence.export_tail(sensor, 8, keyframe=False)
-    rows = count + pushed
+    rows = count + (pushed is not None)
     times = np.arange(first, first + rows) * PERIOD
     values = np.arange(rows) * 0.25 + reading
     stds = np.full(rows, std) if std_as_array else std
@@ -368,9 +369,9 @@ def test_run_with_its_push_is_the_batch_then_the_insert(
     expected = sequence.insert_batch(sensor, times[:count], values[:count],
                                      stds[:count] if std_as_array else std,
                                      EntrySource.PREDICTED)
-    if pushed:
+    if pushed is not None:
         before = sequence.insertions
-        sequence.insert(sensor, CacheEntry(float(times[-1]), float(values[-1]), 0.0,
+        sequence.insert(sensor, CacheEntry(float(times[-1]), float(values[-1]), pushed,
                                            EntrySource.PUSHED))
         expected += sequence.insertions - before
     assert returned == expected

@@ -1,25 +1,30 @@
-"""The proxy's batched cache writes against the per-entry loop they replaced.
+"""The proxy's run writes against the per-entry loop they replaced.
 
-``PrestoProxy._advance_tracker`` advances a sensor's model tracker over a
-whole silent run, and ``PrestoProxy._handle_push`` lands a push together
-with the silent run before it; both write through one seam,
-``PrestoProxy._insert_batch``, as one ``SummaryCache.insert_batch`` call.
-The reference below is the sequence they replaced — one ``CacheEntry`` →
-``SummaryCache.insert`` → ``ContinuousQueryEngine.on_entry`` per silent
-epoch and per pushed reading — patched over both.  One seeded cell
-(drifting clocks, lossy link, a small cache) is driven twice, once each
-way, through the cases where a careless batch diverges: a pulled actual
-sitting at a future epoch, runs that overflow the cache, mote-stamped
-detections among compacted columns, and an armed standing query.
+Every cache write of ``PrestoProxy`` — a catch-up run, a push or a batched
+reading with the silent run before it, a pull reply, a detection — lands
+through one seam, ``PrestoProxy._insert_batch``: one
+``SummaryCache.insert_batch`` call, then one
+``ContinuousQueryEngine.on_run`` over the same run.  The reference below is
+the sequence they replaced — one ``CacheEntry`` → ``SummaryCache.insert``
+→ ``on_entry`` of the per-entry engine in ``tests/reference_continuous.py``
+per row, and the tracker stepped one silent epoch at a time — patched over
+the seam and ``ProxyModelTracker.silent_run``.  One seeded cell (drifting
+clocks, lossy link, a small cache) is driven twice, once each way, through
+the cases where a careless batch diverges: a pulled actual sitting at a
+future epoch, runs that overflow the cache, mote-stamped detections among
+compacted columns, an armed standing query, and batch delivery.
 """
 
 from __future__ import annotations
 
 import pickle
+from array import array
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_continuous import PerEntryQueryEngine
 
 from repro.core.cache import (
     PREDICTED_CODE,
@@ -32,6 +37,7 @@ from repro.core.cache import (
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.proxy import PrestoProxy
+from repro.core.push import ProxyModelTracker
 from repro.core.sensor import PUSH_PAYLOAD_BYTES
 from repro.core.system import PrestoSystem
 from repro.radio.packet import Packet, PacketKind
@@ -43,61 +49,43 @@ N_SENSORS = 3
 UNARMED, ARMED = 0, 2       # sensor 1 is left entirely to the query stream
 CACHE_ENTRIES = 300
 HORIZON_S = 0.6 * 86_400.0
+BATCHING_S = (HORIZON_S - 8_000.0, HORIZON_S - 3_000.0)  # the batch drive batches
 
 
-def per_entry_advance(self, sensor, state, upto_epoch):
-    """``_advance_tracker`` as it was: one cache insert per silent epoch."""
-    if state.tracker is None:
-        return
-    std = max(state.tracker.predicted_std(), state.tracker.delta / np.sqrt(3.0))
-    while state.last_epoch < upto_epoch:
-        state.last_epoch += 1
-        predicted = state.tracker.advance_silent()
-        self._insert_entry(
-            sensor,
-            CacheEntry(
-                timestamp=self.epoch_time(state.last_epoch),
-                value=predicted,
-                std=max(std, 1e-6),
-                source=EntrySource.PREDICTED,
-            ),
-        )
+def per_epoch_silent_run(self, count):
+    """``silent_run`` as it was: one ``advance_silent`` per silent epoch."""
+    return array("d", [self.advance_silent() for _ in range(count)])
 
 
-batched_insert = PrestoProxy._insert_batch
-
-
-def per_entry_insert(self, sensor, times, values, std, source, pushed=False):
-    """``_insert_batch`` as it was for a silent run, with or without the push
-    that ended it: one cache insert per row, the pushed reading last.  Pull
-    replies keep the batched write."""
-    if source is not EntrySource.PREDICTED:
-        return batched_insert(self, sensor, times, values, std, source, pushed)
+def per_entry_insert(self, sensor, times, values, std, source, pushed=None):
+    """The seam as a per-entry loop: one cache insert and one engine
+    evaluation per row, the reading that ends a run last."""
     last = len(times) - 1
     for index, (timestamp, value) in enumerate(zip(times, values)):
-        reading = pushed and index == last
-        self._insert_entry(
-            sensor,
-            CacheEntry(
-                timestamp=float(timestamp),
-                value=float(value),
-                std=0.0 if reading else std,
-                source=EntrySource.PUSHED if reading else source,
-            ),
+        reading = pushed is not None and index == last
+        entry = CacheEntry(
+            timestamp=float(timestamp),
+            value=float(value),
+            std=pushed if reading else std,
+            source=EntrySource.PUSHED if reading else source,
         )
+        self.cache.insert(sensor, entry)
+        self.continuous.on_entry(sensor, entry)
 
 
 class WriteCounter:
     """Counts a cache's write calls, the rows they land by provenance, the
-    longest batch, which ``insert_batch`` calls land a push (with its silent
-    run) or a catch-up run alone, and the silent epochs those two carry."""
+    longest batch, which ``insert_batch`` calls land a reading (with its
+    silent run) or a catch-up run alone, per sensor, the silent epochs
+    those two carry, and the calls and rows of every other write."""
 
     def __init__(self, cache: SummaryCache) -> None:
         self.calls = 0
         self.longest_batch = 0
-        self.pushes = 0
-        self.catch_ups = 0
+        self.pushes: Counter[int] = Counter()
+        self.catch_ups: Counter[int] = Counter()
         self.run_rows = 0
+        self.other_calls = self.other_rows = 0
         self.rows: Counter[EntrySource] = Counter()
         insert, insert_batch = cache.insert, cache.insert_batch
 
@@ -106,24 +94,32 @@ class WriteCounter:
             self.rows[entry.source] += 1
             return insert(sensor, entry)
 
-        def counted_batch(sensor, timestamps, values, stds, source, pushed=False):
+        def counted_batch(sensor, timestamps, values, stds, source, pushed=None):
+            reading = pushed is not None
             self.calls += 1
             self.longest_batch = max(self.longest_batch, len(timestamps))
-            self.pushes += pushed
-            self.catch_ups += source is EntrySource.PREDICTED and not pushed
             if source is EntrySource.PREDICTED:
-                self.run_rows += len(timestamps) - pushed
-            self.rows[source] += len(timestamps) - pushed
-            self.rows[EntrySource.PUSHED] += pushed
+                (self.pushes if reading else self.catch_ups)[sensor] += 1
+                self.run_rows += len(timestamps) - reading
+            else:
+                self.other_calls += 1
+                self.other_rows += len(timestamps)
+            self.rows[source] += len(timestamps) - reading
+            self.rows[EntrySource.PUSHED] += reading
             return insert_batch(sensor, timestamps, values, stds, source, pushed)
 
         cache.insert, cache.insert_batch = counted_insert, counted_batch
 
 
 class Drive:
-    """One run of the scripted cell and everything observed about it."""
+    """One run of the scripted cell and everything observed about it.
 
-    def __init__(self, seed: int) -> None:
+    The *reference* drive evaluates standing queries with the per-entry
+    engine; with *batching* the armed and one unarmed sensor deliver their
+    readings in batches for a while.
+    """
+
+    def __init__(self, seed: int, reference: bool = False, batching: bool = False) -> None:
         trace = IntelLabGenerator(
             IntelLabConfig(n_sensors=N_SENSORS, duration_s=HORIZON_S, epoch_s=31.0),
             seed=seed,
@@ -135,6 +131,8 @@ class Drive:
         self.proxy = self.system.proxy
         self.writes = WriteCounter(self.proxy.cache)
         self.future_actuals: list[tuple[float, float]] = []
+        if reference:
+            self.proxy.continuous = self.system.continuous = PerEntryQueryEngine()
         self.proxy.continuous.register(
             ContinuousQuery(
                 sensor=ARMED, kind=TriggerKind.ABOVE, threshold=-1e9, query_id=7
@@ -151,7 +149,18 @@ class Drive:
             sim.schedule(float(at), self.record_detection)
         for at in rng.uniform(12_000.0, HORIZON_S - 2_000.0, size=6):
             sim.schedule(float(at), self.backfill_future_actual)
+        if batching:
+            start, stop = BATCHING_S
+            sim.schedule(start, lambda: self.batching(600.0))
+            sim.schedule(stop, lambda: self.batching(0.0))
         self.report = self.system.run(queries=queries)
+
+    def batching(self, interval_s: float) -> None:
+        for sensor in (UNARMED, ARMED):
+            node = self.system.sensors[sensor]
+            node.apply_operating_point(
+                replace(node.operating_point, batch_interval_s=interval_s)
+            )
 
     def record_detection(self) -> None:
         """A mote-stamped detection, logged with the sync fit in effect."""
@@ -167,9 +176,8 @@ class Drive:
         timestamp = self.proxy.epoch_time(state.last_epoch + 3)
         value = 40.0 + len(self.future_actuals)
         self.future_actuals.append((timestamp, value))
-        self.proxy._insert_entry(
-            UNARMED,
-            CacheEntry(timestamp=timestamp, value=value, std=0.0, source=EntrySource.PULLED),
+        self.proxy._insert_batch(
+            UNARMED, np.array([timestamp]), np.array([value]), 0.0, EntrySource.PULLED
         )
 
     def columns(self, sensor: int):
@@ -179,14 +187,48 @@ class Drive:
         return list(self.proxy.detections.get(sensor, ()))
 
 
+def drive_pair(batching: bool) -> tuple[Drive, Drive]:
+    batched = Drive(seed=5, batching=batching)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProxyModelTracker, "silent_run", per_epoch_silent_run)
+        patch.setattr(PrestoProxy, "_insert_batch", per_entry_insert)
+        reference = Drive(seed=5, reference=True, batching=batching)
+    return batched, reference
+
+
 @pytest.fixture(scope="module")
 def drives():
-    batched = Drive(seed=5)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PrestoProxy, "_advance_tracker", per_entry_advance)
-        patch.setattr(PrestoProxy, "_insert_batch", per_entry_insert)
-        reference = Drive(seed=5)
-    return batched, reference
+    return drive_pair(batching=False)
+
+
+@pytest.fixture(scope="module")
+def batch_drives():
+    return drive_pair(batching=True)
+
+
+def assert_same_cell(batched: Drive, reference: Drive) -> None:
+    """Cache columns and counters, trackers, answers, standing-query
+    bookkeeping and notifications all equal."""
+    for sensor in range(N_SENSORS):
+        for ours, theirs in zip(batched.columns(sensor), reference.columns(sensor)):
+            np.testing.assert_array_equal(ours, theirs)
+        ours, theirs = batched.proxy._states[sensor], reference.proxy._states[sensor]
+        assert ours.last_epoch == theirs.last_epoch
+        assert ours.push_losses_detected == theirs.push_losses_detected
+        assert pickle.dumps(ours.tracker._model) == pickle.dumps(theirs.tracker._model)
+    for counter in ("insertions", "refinements", "evictions"):
+        assert getattr(batched.proxy.cache, counter) == getattr(
+            reference.proxy.cache, counter
+        )
+    assert batched.report.summary() == reference.report.summary()
+    assert [(a.value, a.source) for a in batched.report.answers] == [
+        (a.value, a.source) for a in reference.report.answers
+    ]
+    ours, theirs = batched.proxy.continuous, reference.proxy.continuous
+    for field in ("_latest_ts", "_last_value", "_fired_times", "notifications"):
+        assert getattr(ours, field) == getattr(theirs, field)
+    assert ours.stale_entries_skipped == theirs.stale_entries_skipped
+    assert ours.evaluations == theirs.evaluations
 
 
 def test_cache_columns_and_counters_match(drives):
@@ -213,22 +255,22 @@ def test_silent_runs_land_as_one_write(drives):
         state.tracker.substitutions for state in batched.proxy._states.values()
     )
     assert substitutions > 500
-    # the armed sensor's rows are inserted one by one either way
-    pushes = sum(
-        state.pushes_received
-        for sensor, state in batched.proxy._states.items()
-        if sensor != ARMED
-    )
-    assert batched.writes.pushes == pushes > 100
-    assert reference.writes.pushes == 0
-    # the same rows of every provenance land either way ...
+    # armed or not, every push is one write ...
+    for sensor, state in batched.proxy._states.items():
+        assert batched.writes.pushes[sensor] == state.pushes_received > 100
+    assert batched.writes.catch_ups[ARMED] > 0
+    assert not reference.writes.pushes
+    # ... the same rows of every provenance land either way ...
     assert batched.writes.rows == reference.writes.rows
+    assert reference.writes.calls == sum(reference.writes.rows.values())
     # ... and the reference's one write per silent epoch and per push became
-    # one per catch-up run or push, each push's silent gap riding with it
+    # one per catch-up run or push, each push's silent gap riding with it,
+    # and one per pull reply or detection
+    catch_ups = batched.writes.catch_ups.total()
     assert reference.writes.calls - batched.writes.calls == (
-        batched.writes.run_rows - batched.writes.catch_ups
-    )
-    assert batched.writes.run_rows > 2 * batched.writes.catch_ups
+        batched.writes.run_rows - catch_ups
+    ) + (batched.writes.other_rows - batched.writes.other_calls)
+    assert batched.writes.run_rows > 2 * catch_ups
     assert batched.writes.calls < reference.writes.calls - substitutions // 2
 
 
@@ -245,12 +287,13 @@ def test_trackers_and_answers_match(drives):
 
 
 def test_standing_query_bookkeeping_matches(drives):
-    """Unarmed sensors: latest timestamp/value and the stale count are what
-    per-entry evaluation would have left — a prediction at or before the
-    latest timestamp is stale, not a refinement."""
+    """Armed or not, latest timestamp/value, the firing history and the
+    stale count are what per-entry evaluation leaves — a prediction at or
+    before the latest timestamp is stale, not a refinement."""
     ours, theirs = drives[0].proxy.continuous, drives[1].proxy.continuous
     assert ours._latest_ts == theirs._latest_ts
     assert ours._last_value == theirs._last_value
+    assert ours._fired_times == theirs._fired_times
     assert ours.stale_entries_skipped == theirs.stale_entries_skipped
     assert ours.evaluations == theirs.evaluations
     # every backfilled future actual staled the predictions up to its epoch
@@ -320,17 +363,17 @@ def test_unarmed_run_is_one_insert_batch_call():
     writes = WriteCounter(proxy.cache)
     target = proxy.current_epoch() + 50
     behind = target - state.last_epoch
-    proxy._advance_tracker(0, state, target)
-    assert (writes.calls, writes.longest_batch, writes.catch_ups) == (1, behind, 1)
+    proxy._bring_forward(0, target)
+    assert (writes.calls, writes.longest_batch, writes.catch_ups[0]) == (1, behind, 1)
     assert state.last_epoch == target
-    proxy._advance_tracker(0, state, target)  # nothing left: no write at all
+    proxy._bring_forward(0, target)  # nothing left: no write at all
     assert writes.calls == 1
     epoch = target + 7
     at = proxy.epoch_time(epoch)
     proxy.on_receive(
         Packet(PacketKind.PUSH, "sensor0", proxy.name, PUSH_PAYLOAD_BYTES, (0, epoch, 21.5, at))
     )
-    assert (writes.calls, writes.longest_batch, writes.pushes) == (2, behind, 1)
+    assert (writes.calls, writes.longest_batch, writes.pushes[0]) == (2, behind, 1)
     assert writes.rows == {EntrySource.PREDICTED: behind + 6, EntrySource.PUSHED: 1}
     assert state.last_epoch == epoch
     times, values, stds, codes = proxy.cache.arrays_in(0, proxy.epoch_time(target + 1), at)
@@ -338,3 +381,24 @@ def test_unarmed_run_is_one_insert_batch_call():
     assert codes.tolist() == [PREDICTED_CODE] * 6 + [PUSHED_CODE]
     assert (values[-1], stds[-1]) == (21.5, 0.0)
     assert (stds[:-1] > 0.0).all()
+
+
+def test_batched_readings_match_per_entry(batch_drives):
+    """Batch delivery on an armed and an unarmed sensor: each batched
+    reading lands as a push does, its silent gap first, and the cell ends
+    where the per-entry loop leaves it."""
+    batched, reference = batch_drives
+    assert_same_cell(batched, reference)
+    for sensor in (UNARMED, ARMED):
+        assert batched.proxy._states[sensor].batches_received >= 4
+    assert batched.proxy._states[1].batches_received == 0
+    # every batched reading was one write ending in the reading, which keeps
+    # the batch's quantisation noise as its std
+    start, stop = BATCHING_S
+    times, values, stds, codes = batched.proxy.cache.arrays_in(ARMED, start, stop)
+    pushed = codes == PUSHED_CODE
+    quant_step = batched.system.sensors[ARMED].operating_point.quant_step
+    quantised = stds == quant_step / np.sqrt(12.0)
+    assert quantised.sum() > 100 and (pushed[quantised]).all()
+    notified = {n.timestamp for n in batched.proxy.continuous.notifications}
+    assert set(times[quantised]) <= notified
