@@ -137,22 +137,23 @@ class ContinuousQueryEngine:
           "rare events are never missed" forbids dropping it.  A late row
           still never rewinds the history.
 
-        Skipped rows count in ``stale_entries_skipped``.  A run of several
-        rows that no query watches moves straight to the end state.
+        Skipped rows count in ``stale_entries_skipped``.  An ascending run
+        newer than everything seen, on a sensor no query watches, moves
+        straight to its last row: every row of it is fresh.
         """
         queries = self._watching.get(sensor, ())
+        if not queries and times[0] > self._latest_ts.get(sensor, -math.inf) and (
+            len(times) == 1 or source is EntrySource.PREDICTED
+        ):
+            self._latest_ts[sensor] = float(times[-1])
+            self._last_value[sensor] = float(values[-1])
+            return []
         first_new = len(self.notifications)
-        if len(times) == 1:  # a lone reading or pulled value, a one-epoch run
-            row_source = EntrySource.PUSHED if pushed is not None else source
-            self._on_row(sensor, queries, float(times[0]), float(values[0]), row_source)
-        elif queries:
-            last = len(times) - 1
-            for index, (timestamp, value) in enumerate(zip(times.tolist(), values.tolist())):
-                reading = pushed is not None and index == last
-                row_source = EntrySource.PUSHED if reading else source
-                self._on_row(sensor, queries, timestamp, value, row_source)
-        else:
-            self._skip_to_end(sensor, times, values, source, pushed)
+        last = len(times) - 1
+        for index, (timestamp, value) in enumerate(zip(times.tolist(), values.tolist())):
+            reading = pushed is not None and index == last
+            row_source = EntrySource.PUSHED if reading else source
+            self._on_row(sensor, queries, timestamp, value, row_source)
         return self.notifications[first_new:]
 
     def _on_row(
@@ -198,35 +199,6 @@ class ContinuousQueryEngine:
             )
         if fresh or refinement:
             self._last_value[sensor] = value
-
-    def _skip_to_end(
-        self,
-        sensor: int,
-        times: np.ndarray,
-        values: np.ndarray,
-        source: EntrySource,
-        pushed: float | None,
-    ) -> None:
-        """What :meth:`_on_row` leaves after every row of an unwatched
-        run: the newest timestamp, the value of the last row that advanced
-        or refined the history, and the stale count."""
-        latest = self._latest_ts.get(sensor, -math.inf)
-        if source is EntrySource.PREDICTED and times[0] > latest:
-            # an ascending run newer than everything seen: every row is fresh
-            self._latest_ts[sensor] = float(times[-1])
-            self._last_value[sensor] = float(values[-1])
-            return
-        # the newest timestamp before each row: the engine's or an earlier row's
-        prior = np.maximum.accumulate(np.concatenate(([latest], times[:-1])))
-        pushed_rows = np.full(times.size, source is EntrySource.PUSHED)
-        pushed_rows[-1] |= pushed is not None
-        actual = pushed_rows | (source is EntrySource.PULLED)
-        advances = (times > prior) | (actual & (times == prior))
-        self.stale_entries_skipped += int((~advances & ~pushed_rows).sum())
-        if advances.any():
-            last = advances.size - 1 - int(np.argmax(advances[::-1]))
-            self._latest_ts[sensor] = max(latest, float(times.max()))
-            self._last_value[sensor] = float(values[last])
 
     def _rate_limited(self, query: ContinuousQuery, timestamp: float) -> bool:
         """Whether a firing at *timestamp* sits within ``min_interval_s``

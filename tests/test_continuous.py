@@ -247,8 +247,9 @@ class TestOutOfOrderEntries:
 # -- runs against the per-entry oracle ------------------------------------------
 #
 # on_run must leave exactly what feeding tests/reference_continuous.py each
-# row of the run, in write order, leaves — on watched sensors (row by row)
-# and unwatched ones (the end state) alike, across register / cancel.
+# row of the run, in write order, leaves — on watched sensors and unwatched
+# ones (where a fresh ascending run skips to its last row) alike, across
+# register / cancel.
 
 TIME = st.integers(0, 12).map(float)          # a coarse grid: collisions are common
 VALUE = st.integers(-4, 4).map(float)
