@@ -47,6 +47,7 @@ from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notifi
 from repro.core.proxy import PROXY_PROCESSING_S
 from repro.core.push import ForecastTrajectory, ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer, ground_truths
+from repro.core.fleet import SensorFleet
 from repro.core.system import PrestoCell, SystemReport, event_time, resolve_config
 from repro.index.directory import CacheDirectory
 from repro.index.skipgraph import SkipGraph
@@ -1057,6 +1058,7 @@ class _CellPartition(_RoutingCore):
             context.cells,
         )
         self.context = context
+        self.fleet = SensorFleet(self.sim)
         for cell_id in cell_ids:
             fc = self.cells[cell_id]
             self._built[fc.name] = PrestoCell(
@@ -1064,6 +1066,7 @@ class _CellPartition(_RoutingCore):
                 context.config,
                 self.sim,
                 RandomStreams(seed=context.seed + cell_id),
+                self.fleet,
                 proxy_name=fc.name,
                 clock_model=context.clock_model,
             )

@@ -35,6 +35,7 @@ itself until the next activation, as an unlinked tracker always does.
 from __future__ import annotations
 
 import copy
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,10 +44,13 @@ import numpy as np
 
 from repro.timeseries import MODEL_FAMILIES
 from repro.timeseries.base import TimeSeriesModel
+from repro.timeseries.linear import LinearBatch, batch_shape
 
 #: steps a checker records: more than the ~2 800 epochs between the default
 #: daily refits at 31 s sampling, at 9 bytes each; a tracker forks past them
 TRAJECTORY_EPOCHS = 4096
+#: the push flag of a trajectory step not recorded (yet, or ever)
+UNRECORDED = 2
 
 
 @dataclass(frozen=True)
@@ -79,40 +83,241 @@ class PushDecision(NamedTuple):
     error: float
 
 
+#: a new bank's columns, replaced by its first row
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_STEPS = np.zeros((0, 1))
+_NO_FLAGS = np.zeros((0, 1), dtype=np.uint8)
+
+
+class CheckBank:
+    """Sensor-side model replicas checked together: the one check loop.
+
+    Each row is one :class:`SensorModelChecker`'s model, its *delta*, its
+    check and push counts and its recorded trajectory.  :meth:`step` runs
+    one protocol epoch — predict, compare, observe — on every row at once:
+    a bank of one :class:`~repro.timeseries.linear.LinearBatch` *shape*
+    steps its rows as columns, a bank of shape None steps each row's model
+    by its own ``step``.  A checker built alone gets a bank of its own,
+    of shape None; the sensor fleet moves checkers into shared banks, one
+    per shape.
+    """
+
+    def __init__(self, shape: tuple | None) -> None:
+        self.shape = shape
+        self._batch = LinearBatch(shape) if shape is not None else None
+        # each row's checker (weakly: a checker owns its own bank) and model
+        self._checkers: list[weakref.ref[SensorModelChecker]] = []
+        self._models: list[TimeSeriesModel] = []
+        #: caller-assigned id per row (the fleet's sensor row), -1 if none
+        self.owners = self.checks = self.pushes = self._rows = _NO_ROWS
+        self.delta = _NO_ROWS.astype(np.float64)
+        self._observed = _NO_STEPS
+        self._pushed = _NO_FLAGS
+        self._width = 0     # trajectory entries a row has room for
+        self._longest = 0   # the most checks any row has made
+
+    @property
+    def size(self) -> int:
+        """Rows in the bank."""
+        return len(self._models)
+
+    def _fit(self, rows: int, epochs: int) -> None:
+        """Room for *rows* rows and trajectories of *epochs* entries."""
+        capacity, width = self.delta.size, self._width
+        if rows <= capacity and (epochs <= width or width == TRAJECTORY_EPOCHS):
+            return
+        capacity = max(capacity, 1)
+        while capacity < rows:
+            capacity *= 2
+        while width < min(epochs, TRAJECTORY_EPOCHS):
+            width = min(max(2 * width, 64), TRAJECTORY_EPOCHS)
+        # one spare column takes the writes of rows past TRAJECTORY_EPOCHS
+        observed = np.zeros((capacity, width + 1))
+        pushed = np.full((capacity, width + 1), UNRECORDED, dtype=np.uint8)
+        old = self._observed.shape
+        observed[: old[0], : old[1] - 1] = self._observed[:, :-1]
+        pushed[: old[0], : old[1] - 1] = self._pushed[:, :-1]
+        self._observed, self._pushed, self._width = observed, pushed, width
+        for row in range(self.size):
+            self._show(row)
+        for name in ("owners", "delta", "checks", "pushes"):
+            column = getattr(self, name)
+            grown = np.zeros(capacity, dtype=column.dtype)
+            grown[: column.size] = column
+            setattr(self, name, grown)
+
+    def _append(self, checker: SensorModelChecker, owner: int, delta: float) -> int:
+        """A new row for *checker*, its model in the state it holds."""
+        self._fit(self.size + 1, self._longest)
+        new = self.size
+        if self._batch is not None:
+            self._batch.add(checker._own_model)
+        self._checkers.append(weakref.ref(checker))
+        self._models.append(checker._own_model)
+        self._rows = np.arange(self.size)
+        self._pushed[new] = UNRECORDED
+        self._show(new)
+        self.owners[new] = owner
+        self.delta[new] = delta
+        self.checks[new] = self.pushes[new] = 0
+        return new
+
+    def adopt(self, checker: SensorModelChecker, owner: int = -1) -> None:
+        """Move *checker*'s row — model, delta, counts, trajectory — here."""
+        source, row = checker.bank, checker.row
+        source.model(row)   # the model object takes the row's state
+        recorded = min(int(source.checks[row]), TRAJECTORY_EPOCHS)
+        self._fit(self.size + 1, recorded)
+        new = self._append(checker, owner, float(source.delta[row]))
+        self.checks[new] = source.checks[row]
+        self.pushes[new] = source.pushes[row]
+        self._observed[new, :recorded] = source._observed[row, :recorded]
+        self._pushed[new, :recorded] = source._pushed[row, :recorded]
+        self._longest = max(self._longest, int(source.checks[row]))
+        source._remove(row)
+        checker.bank, checker.row = self, new
+
+    def _remove(self, row: int) -> None:
+        """Drop *row*; the last row moves into its place."""
+        last = self.size - 1
+        if self._batch is not None:
+            self._batch.remove(row)
+        for column in (self.owners, self.delta, self.checks, self.pushes):
+            column[row] = column[last]
+        self._observed[row] = self._observed[last]
+        self._pushed[row] = self._pushed[last]
+        moved, model = self._checkers.pop(), self._models.pop()
+        if row != last:
+            self._checkers[row], self._models[row] = moved, model
+            checker = moved()
+            if checker is not None:
+                checker.row = row
+            self._show(row)
+        self._rows = np.arange(self.size)
+        self._longest = int(self.checks[:last].max()) if last else 0
+
+    def model(self, row: int) -> TimeSeriesModel:
+        """Row *row*'s model object, holding the row's current state."""
+        model = self._models[row]
+        if self._batch is not None:
+            self._batch.store(row, model)
+        return model
+
+    def _show(self, row: int) -> None:
+        """Point row *row*'s checker at the row's trajectory storage."""
+        checker, width = self._checkers[row](), self._width
+        if checker is None:
+            return
+        checker.trajectory = (
+            memoryview(self._observed[row, :width]),
+            memoryview(self._pushed[row, :width]),
+        )
+
+    def step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One epoch on every row; ``values[i]`` is row *i*'s reading, NaN
+        for none.  Returns the predictions and which rows pushed.
+
+        A reading further than *delta* from the prediction is pushed and
+        observed; otherwise the row observes its prediction.
+        """
+        n = self.size
+        delta = self.delta[:n]
+        if self._batch is not None:
+            one_step, predicted = self._batch.predict()
+            pushed = np.abs(values - predicted) > delta
+            observed = np.where(pushed, values, predicted)
+            self._batch.advance(observed, one_step)
+        else:
+            steps = [
+                model.step(value if value == value else None, bound)
+                for model, value, bound in zip(self._models, values.tolist(), delta.tolist())
+            ]
+            predicted = np.array([step[0] for step in steps])
+            pushed = np.array([step[1] for step in steps], dtype=bool)
+            observed = np.where(pushed, values, predicted)
+        self._longest += 1
+        if self._longest > self._width:
+            self._fit(n, self._longest)
+        at = self.checks[:n]
+        if self._longest > TRAJECTORY_EPOCHS:
+            at = np.minimum(at, TRAJECTORY_EPOCHS)
+        self._observed[self._rows, at] = observed
+        self._pushed[self._rows, at] = pushed
+        self.checks[:n] += 1
+        self.pushes[:n] += pushed
+        return predicted, pushed
+
+
 class SensorModelChecker:
     """Sensor-side replica of the model, running the cheap check loop.
 
-    For its first :data:`TRAJECTORY_EPOCHS` steps the checker records what
-    it observed — the reading when it pushed, else its prediction — in
-    :attr:`observed`, and whether it pushed in :attr:`pushed`.
+    The checker is a view of its row in a :class:`CheckBank`.  For its
+    first :data:`TRAJECTORY_EPOCHS` steps the row records what it observed
+    — the reading when it pushed, else its prediction — and whether it
+    pushed; :attr:`trajectory` reads them in place.
     """
 
-    def __init__(self, update: ModelUpdate) -> None:
+    def __init__(
+        self, update: ModelUpdate, bank: CheckBank | None = None, owner: int = -1
+    ) -> None:
+        """A replica of *update*'s model, a new row of *bank* (by default
+        a bank of its own) on behalf of *owner*."""
         self.update = update
-        self._model = copy.deepcopy(update.model)
-        self._model.align_to_time(
-            update.activation_epoch * self._model.sample_period_s
+        self._own_model = copy.deepcopy(update.model)
+        self._own_model.align_to_time(
+            update.activation_epoch * self._own_model.sample_period_s
         )
-        self.delta = float(update.delta)
-        self.checks = 0
-        self.pushes = 0
-        self.observed = array("d")
-        self.pushed = bytearray()
+        self.bank = bank if bank is not None else CheckBank(None)
+        #: the trajectory, read in place: per step what the checker
+        #: observed, and whether it pushed (1), stayed silent (0) or has
+        #: not recorded the step (:data:`UNRECORDED`, or past the end)
+        self.trajectory: tuple[memoryview, memoryview]
+        self.row = self.bank._append(self, owner, float(update.delta))
+
+    @property
+    def delta(self) -> float:
+        """The push threshold (retunable without a new model)."""
+        return float(self.bank.delta[self.row])
+
+    @delta.setter
+    def delta(self, value: float) -> None:
+        self.bank.delta[self.row] = float(value)
+
+    @property
+    def checks(self) -> int:
+        """Epochs checked so far."""
+        return int(self.bank.checks[self.row])
+
+    @property
+    def pushes(self) -> int:
+        """Readings pushed so far."""
+        return int(self.bank.pushes[self.row])
+
+    @property
+    def _model(self) -> TimeSeriesModel:
+        """The replica's model, holding its current state."""
+        return self.bank.model(self.row)
 
     @property
     def check_cycles(self) -> float:
         """CPU cycles per verification (for the energy model)."""
-        return self._model.check_cycles
+        return self._own_model.check_cycles
+
+    @property
+    def shape(self) -> tuple | None:
+        """The shape of the shared bank the checker steps in, if batched."""
+        return batch_shape(self._own_model) if self.bank._batch is None else self.bank.shape
+
+    def _step_alone(self, value: float) -> tuple[float, bool]:
+        """One epoch of the bank this checker has to itself."""
+        if self.bank.size != 1:
+            raise RuntimeError("a checker in a shared bank steps with its bank")
+        predicted, pushed = self.bank.step(np.array([value], dtype=np.float64))
+        return float(predicted[0]), bool(pushed[0])
 
     def process(self, value: float) -> PushDecision:
         """Check one reading; advances the replica identically to the proxy."""
-        predicted, push = self._model.step(value, self.delta)
-        self.checks += 1
-        if push:
-            self.pushes += 1
-        if len(self.pushed) < TRAJECTORY_EPOCHS:
-            self.observed.append(value if push else predicted)
-            self.pushed.append(push)
+        predicted, push = self._step_alone(float(value))
         return PushDecision(push, predicted, abs(value - predicted))
 
     def advance_silent(self) -> float:
@@ -122,12 +327,7 @@ class SensorModelChecker:
         substitutes for a silent epoch — so a missed sample keeps both
         sides in lockstep.  Returns the substituted value.
         """
-        predicted, _ = self._model.step(None, self.delta)
-        self.checks += 1
-        if len(self.pushed) < TRAJECTORY_EPOCHS:
-            self.observed.append(predicted)
-            self.pushed.append(False)
-        return predicted
+        return self._step_alone(float("nan"))[0]
 
     @property
     def push_fraction(self) -> float:
@@ -210,7 +410,7 @@ class ProxyModelTracker:
         if checker is None or self._folded == self._cursor:
             return
         observe = self._own_model.observe
-        for value in checker.observed[self._folded : self._cursor].tolist():
+        for value in checker.trajectory[0][self._folded : self._cursor].tolist():
             observe(value)
         self._folded = self._cursor
 
@@ -219,20 +419,20 @@ class ProxyModelTracker:
         self._catch_up()
         self._checker = None
 
-    def _silent_prefix(self, count: int) -> int:
-        """How many of the next *count* epochs the trajectory holds as silent."""
-        checker = self._checker
-        if checker is None:
-            return 0
-        start = self._cursor
-        stop = min(start + count, len(checker.pushed))
-        first_push = checker.pushed.find(1, start, stop)
-        return (stop if first_push < 0 else first_push) - start
+    def _silent_prefix(self, count: int) -> tuple[int, memoryview]:
+        """How many of the next *count* epochs the trajectory holds as
+        silent, and the trajectory's observed values."""
+        if self._checker is None:
+            return 0, memoryview(b"")
+        observed, pushed = self._checker.trajectory
+        window = pushed[self._cursor : self._cursor + count].tobytes()
+        return len(window) - len(window.lstrip(b"\0")), observed
 
     def advance_silent(self) -> float:
         """Advance one epoch without a push; returns the substituted value."""
-        if self._silent_prefix(1):
-            predicted = self._checker.observed[self._cursor]
+        silent, observed = self._silent_prefix(1)
+        if silent:
+            predicted = observed[self._cursor]
             self._cursor += 1
         else:
             self._fork()
@@ -247,8 +447,8 @@ class ProxyModelTracker:
         reading whose push ends the run) before viewing it as NumPy.
         """
         start = self._cursor
-        read = self._silent_prefix(count)
-        values = self._checker.observed[start : start + read] if read else array("d")
+        read, observed = self._silent_prefix(count)
+        values = array("d", observed[start : start + read].tobytes())
         self._cursor += read
         self.substitutions += read
         advance = self.advance_silent
@@ -258,12 +458,8 @@ class ProxyModelTracker:
     def apply_push(self, value: float) -> None:
         """Advance one epoch with the pushed reading."""
         checker, at = self._checker, self._cursor
-        if (
-            checker is not None
-            and at < len(checker.pushed)
-            and checker.pushed[at]
-            and checker.observed[at] == value
-        ):
+        observed, pushed = checker.trajectory if checker is not None else ((), ())
+        if at < len(pushed) and pushed[at] == 1 and observed[at] == value:
             self._cursor = at + 1
         else:
             self._fork()

@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.config import PrestoConfig
+from repro.core.fleet import SensorFleet
 from repro.core.proxy import PrestoProxy
 from repro.core.queries import QueryAnswer, ScoredAnswers, ground_truths
 from repro.core.sensor import PrestoSensor
@@ -114,13 +115,14 @@ class SystemReport(ScoredAnswers, Metrics):
 class PrestoCell:
     """One proxy and its sensors, built over a (sub-)trace.
 
-    A cell owns its star network, proxy and sensor fleet but *not* the
+    A cell owns its star network, proxy and sensors but *not* the
     simulator — many cells can share one :class:`Simulator`, which is how
     the federation harness runs a whole proxy cluster in a single virtual
-    timeline.  Sensor ids are local to the cell (``0 .. trace.n_sensors-1``);
-    any global numbering is the caller's concern.  With a ``clock_model``
-    each sensor draws its own drifting clock from it; ``None`` means ideal
-    clocks.
+    timeline — nor the :class:`SensorFleet` that samples every sensor on
+    that simulator, which the simulator's owner builds beside it.  Sensor
+    ids are local to the cell (``0 .. trace.n_sensors-1``); any global
+    numbering is the caller's concern.  With a ``clock_model`` each sensor
+    draws its own drifting clock from it; ``None`` means ideal clocks.
     """
 
     def __init__(
@@ -129,11 +131,13 @@ class PrestoCell:
         config: PrestoConfig,
         sim: Simulator,
         streams: RandomStreams,
+        fleet: SensorFleet,
         proxy_name: str = "proxy",
         clock_model: ClockModel | None = None,
     ) -> None:
         self.trace = trace
         self.config = config
+        self.fleet = fleet
         if abs(config.sample_period_s - trace.config.epoch_s) > 1e-9:
             raise ValueError(
                 f"config sample period {config.sample_period_s} != trace "
@@ -191,10 +195,12 @@ class PrestoCell:
                 archive=archive,
                 proxy_name=proxy_name,
                 clock=clock,
+                fleet=fleet,
             )
             node.on_receive = sensor.handle_packet
             self.sensors.append(sensor)
             self.proxy.register_sensor(sensor)
+        fleet.load(self.sensors, trace.values)
         self.offload: OffloadCoordinator | None = None
         if config.storage_policy != "local_aging":
             self.offload = OffloadCoordinator(
@@ -204,7 +210,6 @@ class PrestoCell:
             )
             for sensor in self.sensors:
                 self.offload.register(sensor.archive)
-        self._epoch = 0
         self._tasks: list[PeriodicTask] = []
 
     @staticmethod
@@ -225,20 +230,6 @@ class PrestoCell:
 
     # -- simulation activities ----------------------------------------------------
 
-    def sample_all(self) -> None:
-        """Feed the next trace epoch to every sensor."""
-        if self._epoch >= self.trace.n_epochs:
-            return
-        now = self.sim.now
-        column = self.trace.values[:, self._epoch].tolist()
-        for sensor in self.sensors:
-            value = column[sensor.sensor_id]
-            if value != value:  # NaN: a sensing dropout
-                sensor.on_missed_sample()
-                continue
-            sensor.on_sample(now, value)
-        self._epoch += 1
-
     def account_idle(self) -> None:
         """Charge one period of bulk idle-listening energy."""
         self.network.account_idle_all(IDLE_ACCOUNTING_PERIOD_S)
@@ -255,10 +246,11 @@ class PrestoCell:
     # -- lifecycle ---------------------------------------------------------------
 
     def start_tasks(self) -> None:
-        """Arm the cell's periodic activities on the shared simulator."""
+        """Arm the cell's periodic activities on the shared simulator
+        (sampling is the fleet's, armed by the first cell to start)."""
         period = self.config.sample_period_s
+        self.fleet.start(period)
         self._tasks = [
-            PeriodicTask(self.sim, period, self.sample_all, start_offset=0.0),
             PeriodicTask(
                 self.sim,
                 IDLE_ACCOUNTING_PERIOD_S,
@@ -283,6 +275,7 @@ class PrestoCell:
 
     def stop_tasks(self) -> None:
         """Disarm all periodic activities."""
+        self.fleet.stop()
         for task in self._tasks:
             task.stop()
         self._tasks = []
@@ -387,11 +380,13 @@ class PrestoSystem:
         self.trace = trace
         self.streams = RandomStreams(seed=seed)
         self.sim = Simulator()
+        self.fleet = SensorFleet(self.sim)
         self.cell = PrestoCell(
             trace,
             resolve_config(trace, config),
             self.sim,
             self.streams,
+            self.fleet,
             proxy_name=proxy_name,
             clock_model=clock_model,
         )

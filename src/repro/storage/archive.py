@@ -11,6 +11,7 @@ segments with wavelet summaries (:mod:`repro.storage.aging`).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -137,19 +138,33 @@ class SensorArchive:
         # Set by OffloadCoordinator.register(); when present, full flushes
         # try collaborative offload before degrading data with aging.
         self.offload: "OffloadCoordinator | None" = None
+        #: set by the sensor fleet, which holds readings until a segment
+        #: fills: hands them over before anything reads the RAM buffer
+        self.pending: Callable[[], None] | None = None
 
     # -- writes -----------------------------------------------------------
 
     def append(self, timestamp: float, value: float) -> None:
         """Buffer one reading; flushes a segment when the buffer fills."""
-        if self._buffer_start is None:
-            self._buffer_start = float(timestamp)
-        self._buffer_values.append(float(value))
-        if len(self._buffer_values) >= self.segment_readings:
-            self.flush()
+        self.extend([float(timestamp)], [float(value)])
+
+    def extend(self, timestamps: list[float], values: list[float]) -> None:
+        """Buffer readings (floats, in order), flushing a segment each time
+        the buffer fills."""
+        start = 0
+        while start < len(values):
+            if self._buffer_start is None:
+                self._buffer_start = timestamps[start]
+            stop = start + self.segment_room
+            self._buffer_values.extend(values[start:stop])
+            start = stop
+            if len(self._buffer_values) >= self.segment_readings:
+                self.flush()
 
     def flush(self) -> ArchiveRecord | None:
         """Write the buffered readings to flash as one segment."""
+        if self.pending is not None:
+            self.pending()
         if not self._buffer_values or self._buffer_start is None:
             return None
         values = np.asarray(self._buffer_values, dtype=np.float64)
@@ -265,7 +280,14 @@ class SensorArchive:
     @property
     def buffered_readings(self) -> int:
         """Readings accumulated in RAM but not yet flushed."""
+        if self.pending is not None:
+            self.pending()
         return len(self._buffer_values)
+
+    @property
+    def segment_room(self) -> int:
+        """Readings the RAM buffer takes before the segment is flushed."""
+        return self.segment_readings - len(self._buffer_values)
 
     @property
     def coverage(self) -> tuple[float, float] | None:

@@ -17,6 +17,11 @@ and runs everything after the fit: the fused protocol ``step`` and its two
 halves, the non-mutating multi-step ``forecast``, the psi weights of its
 variance, and the declared ``state``.  A family supplies ``fit``, its
 metadata and its state header.
+
+:class:`LinearBatch` is the same one-step loop over many models of one
+shape at once: their streaming states are rows of matrices, and each
+column operation runs the scalar code's float operations in the scalar
+code's order, so every row steps bit for bit as its model would.
 """
 
 from __future__ import annotations
@@ -222,3 +227,117 @@ class LinearRecursion(TimeSeriesModel):
     def residual_std(self) -> float:
         """Innovation standard deviation (in the differenced domain)."""
         return self._sigma
+
+
+def batch_shape(model: TimeSeriesModel) -> tuple | None:
+    """The :class:`LinearBatch` shape *model* steps in, or None when it has
+    no batched form (another family, or a streaming state not yet full)."""
+    if not isinstance(model, LinearRecursion) or not model._fitted:
+        return None
+    deques = (model._w, model._eps, *model._tails)
+    if any(len(values) != values.maxlen for values in deques):
+        return None
+    return model._phi.size, model._ma_lags, model._factors
+
+
+class LinearBatch:
+    """The one-step loop of many :class:`LinearRecursion` models of one
+    shape — AR order, MA lags, differencing factors — stepped together.
+
+    Row *i* holds one model's coefficients and streaming state.  Each
+    history (centred ``w``, innovations, each factor's tail) is a ring of
+    columns: every row steps on every call, so one head per ring serves
+    all rows, and a column read replaces the deque index of the scalar
+    code.  Rows are added and removed freely; removal moves the last row
+    into the gap.
+    """
+
+    def __init__(self, shape: tuple) -> None:
+        p, ma_lags, factors = shape
+        self.shape = shape
+        self.size = 0
+        self._p, self._ma_lags, self._factors = p, ma_lags, factors
+        self._lengths = (max(p, 1), max((*ma_lags, 1)), *factors)
+        self._heads = [0] * len(self._lengths)
+        self._phi = np.zeros((0, p))
+        self._theta = np.zeros((0, len(ma_lags)))
+        self._mu = np.zeros(0)
+        self._rings = [np.zeros((0, length)) for length in self._lengths]
+
+    def _grow(self) -> None:
+        capacity = max(2 * self._mu.size, 1)
+
+        def grown(array: np.ndarray) -> np.ndarray:
+            bigger = np.zeros((capacity, *array.shape[1:]))
+            bigger[: array.shape[0]] = array
+            return bigger
+
+        self._phi, self._theta, self._mu = grown(self._phi), grown(self._theta), grown(self._mu)
+        self._rings = [grown(ring) for ring in self._rings]
+
+    def add(self, model: LinearRecursion) -> int:
+        """Append *model*'s coefficients and state as a new row; returns it."""
+        if batch_shape(model) != self.shape:
+            raise ValueError(f"model shape {batch_shape(model)} is not {self.shape}")
+        if self.size == self._mu.size:
+            self._grow()
+        row = self.size
+        self.size += 1
+        self._phi[row] = model._phi
+        self._theta[row] = model._theta
+        self._mu[row] = model._mu
+        histories = (model._w, model._eps, *model._tails)
+        for ring, head, values in zip(self._rings, self._heads, histories):
+            # the oldest value at the head, as the deque holds it oldest first
+            ordered = list(values)
+            ring[row, head:] = ordered[: len(ordered) - head]
+            ring[row, :head] = ordered[len(ordered) - head :]
+        return row
+
+    def store(self, row: int, model: LinearRecursion) -> None:
+        """Write row *row*'s streaming state back into *model*."""
+        histories = (model._w, model._eps, *model._tails)
+        for ring, head, values in zip(self._rings, self._heads, histories):
+            values.clear()
+            values.extend(ring[row, head:].tolist())
+            values.extend(ring[row, :head].tolist())
+
+    def remove(self, row: int) -> None:
+        """Drop row *row*; the last row moves into its place."""
+        last = self.size - 1
+        for array in (self._phi, self._theta, self._mu, *self._rings):
+            array[row] = array[last]
+        self.size = last
+
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`LinearRecursion._predict` of every row: centred ``w``'s
+        one-step prediction, and the level's."""
+        n = self.size
+        w, eps, *tails = self._rings
+        w_head, eps_head, *tail_heads = self._heads
+        one_step = np.zeros(n)
+        for i in range(self._p):
+            one_step = one_step + self._phi[:n, i] * w[:n, (w_head - 1 - i) % w.shape[1]]
+        for j, lag in enumerate(self._ma_lags):
+            one_step = one_step + self._theta[:n, j] * eps[:n, (eps_head - lag) % eps.shape[1]]
+        level = one_step + self._mu[:n]
+        for tail, head in zip(reversed(tails), reversed(tail_heads)):
+            level = tail[:n, head] + level
+        return one_step, level
+
+    def advance(self, level: np.ndarray, one_step: np.ndarray) -> None:
+        """:meth:`LinearRecursion._advance` of every row with its observed *level*."""
+        n = self.size
+        heads = self._heads
+        for k in range(2, len(heads)):
+            tail, head = self._rings[k], heads[k]
+            previous = tail[:n, head]
+            differenced = level - previous
+            tail[:n, head] = level
+            heads[k] = (head + 1) % tail.shape[1]
+            level = differenced
+        w = level - self._mu[:n]
+        for k, values in ((0, w), (1, w - one_step)):
+            ring = self._rings[k]
+            ring[:n, heads[k]] = values
+            heads[k] = (heads[k] + 1) % ring.shape[1]

@@ -301,7 +301,8 @@ def test_full_trajectory_forks(monkeypatch):
 def test_lossless_trace_never_forks_or_steps_the_tracker(monkeypatch):
     """With every push delivered (and sensing dropouts, which the checker
     records as silent), the tracker only reads: no fork, and no model step
-    or observe beyond the checkers' own steps."""
+    or observe at all — the checkers step in the fleet's batched pass, so
+    any ``step`` or ``observe`` would be the tracker's."""
     checkers: list[SensorModelChecker] = []
     calls = {"step": 0, "observe": 0}
     init = SensorModelChecker.__init__
@@ -335,7 +336,8 @@ def test_lossless_trace_never_forks_or_steps_the_tracker(monkeypatch):
     assert len(run.trackers) >= 2 * N_SENSORS   # several activations per sensor
     assert all(linked for _, linked in run.trackers)
     assert run.forks == 0
-    assert calls == {"step": sum(c.checks for c in checkers), "observe": 0}
+    assert sum(c.checks for c in checkers) > 200
+    assert calls == {"step": 0, "observe": 0}
 
 
 def test_pickled_mid_silent_run_matches_eager(monkeypatch):
@@ -402,7 +404,7 @@ def test_silent_run_forks_at_the_first_pushed_epoch(after):
     for epoch in range(epochs):
         predicted = checker._model.predict_next()
         checker.process(predicted + (5.0 if epoch == 3 else 0.0))
-    assert list(checker.pushed) == [0, 0, 0, 1] + [0] * after
+    assert list(checker.trajectory[1][:epochs]) == [0, 0, 0, 1] + [0] * after
     values = tracker.silent_run(epochs)
     assert values.tolist() == [eager.advance_silent() for _ in range(epochs)]
     assert tracker._checker is None
