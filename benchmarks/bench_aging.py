@@ -53,7 +53,6 @@ def run_capacity(series, capacity_fraction, max_level):
         flash,
         segment_readings=1024,
         aging_policy=AgingPolicy(max_level=max_level),
-        sample_period_s=31.0,
     )
     for t, v in zip(timestamps, values):
         archive.append(float(t), float(v))
@@ -143,9 +142,7 @@ class TestAgingBench:
             flash = FlashDevice(
                 MICA2_FLASH, meter, capacity_bytes=MICA2_FLASH.page_bytes * 64
             )
-            archive = SensorArchive(
-                flash, segment_readings=256, sample_period_s=31.0
-            )
+            archive = SensorArchive(flash, segment_readings=256)
             for t, v in zip(timestamps[day], values[day]):
                 archive.append(float(t), float(v))
             archive.flush()

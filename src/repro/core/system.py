@@ -183,7 +183,6 @@ class PrestoCell:
                 flash,
                 segment_readings=config.segment_readings,
                 aging_policy=AgingPolicy(max_level=config.aging_max_level),
-                sample_period_s=config.sample_period_s,
             )
             sensor = PrestoSensor(
                 sensor_id=sensor_id,

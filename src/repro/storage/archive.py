@@ -40,6 +40,20 @@ def peak_deviation(values) -> float:
     return float(np.max(np.abs(stored - float(np.mean(stored)))))
 
 
+def _nearest(times: np.ndarray, timestamp: float) -> int:
+    """Index of the instant in ascending *times* nearest *timestamp*; a
+    tie goes to the even index, as ``round`` of evenly spaced offsets."""
+    after = int(np.searchsorted(times, timestamp))
+    if after == 0:
+        return 0
+    if after == times.size:
+        return after - 1
+    below, above = timestamp - times[after - 1], times[after] - timestamp
+    if below < above or (below == above and after % 2 == 1):
+        return after - 1
+    return after
+
+
 @dataclass
 class ArchiveRecord:
     """One stored segment: raw readings or an aged summary."""
@@ -47,7 +61,8 @@ class ArchiveRecord:
     record_id: int
     start_time: float
     end_time: float
-    sample_period_s: float
+    #: each reading's own sampling instant (a missed epoch leaves a gap)
+    times: np.ndarray
     n_readings: int
     raw: np.ndarray | None            # None once aged
     summary: MultiResolutionSummary | None = None
@@ -87,8 +102,8 @@ class ArchiveRecord:
         return reconstruct(self.summary)
 
     def timestamps(self) -> np.ndarray:
-        """Evenly spaced timestamps matching :meth:`values`."""
-        return self.start_time + np.arange(self.n_readings) * self.sample_period_s
+        """The sampling instants matching :meth:`values`."""
+        return self.times
 
     def stored_bytes(self) -> int:
         """Bytes this record occupies on flash."""
@@ -116,18 +131,16 @@ class SensorArchive:
         flash: FlashDevice,
         segment_readings: int = 128,
         aging_policy: "AgingPolicy | None" = None,
-        sample_period_s: float = 30.0,
     ) -> None:
         if segment_readings < 2:
             raise ValueError(f"segment must hold >= 2 readings, got {segment_readings}")
         self.flash = flash
         self.segment_readings = int(segment_readings)
-        self.sample_period_s = float(sample_period_s)
         self.index = TimeIndex()
         self.records: dict[int, ArchiveRecord] = {}
         self._ids = itertools.count()
+        self._buffer_times: list[float] = []
         self._buffer_values: list[float] = []
-        self._buffer_start: float | None = None
         self.readings_archived = 0
         self.readings_dropped = 0
         if aging_policy is None:
@@ -153,9 +166,8 @@ class SensorArchive:
         the buffer fills."""
         start = 0
         while start < len(values):
-            if self._buffer_start is None:
-                self._buffer_start = timestamps[start]
             stop = start + self.segment_room
+            self._buffer_times.extend(timestamps[start:stop])
             self._buffer_values.extend(values[start:stop])
             start = stop
             if len(self._buffer_values) >= self.segment_readings:
@@ -165,27 +177,26 @@ class SensorArchive:
         """Write the buffered readings to flash as one segment."""
         if self.pending is not None:
             self.pending()
-        if not self._buffer_values or self._buffer_start is None:
+        if not self._buffer_values:
             return None
         values = np.asarray(self._buffer_values, dtype=np.float64)
-        start = self._buffer_start
-        end = start + (values.size - 1) * self.sample_period_s
+        times = np.asarray(self._buffer_times, dtype=np.float64)
+        start, end = float(times[0]), float(times[-1])
         n_bytes = values.size * BYTES_PER_READING
+        self._buffer_times, self._buffer_values = [], []
 
         pages = self._write_with_aging(n_bytes)
         if pages is None:
             # Even aggressive aging could not make room; drop the segment
             # (counted — tests assert this never happens in sized configs).
             self.readings_dropped += values.size
-            self._buffer_values = []
-            self._buffer_start = None
             return None
 
         record = ArchiveRecord(
             record_id=next(self._ids),
             start_time=start,
             end_time=end,
-            sample_period_s=self.sample_period_s,
+            times=times,
             n_readings=values.size,
             raw=values,
             pages=pages,
@@ -195,8 +206,6 @@ class SensorArchive:
             IndexEntry(start_time=start, end_time=end, record_id=record.record_id)
         )
         self.readings_archived += values.size
-        self._buffer_values = []
-        self._buffer_start = None
         return record
 
     def _write_with_aging(self, n_bytes: int) -> int | None:
@@ -226,10 +235,7 @@ class SensorArchive:
             return None
         record = self.records[entry.record_id]
         self._charge_read(record)
-        values = record.values()
-        offset = int(round((timestamp - record.start_time) / record.sample_period_s))
-        offset = min(max(offset, 0), values.size - 1)
-        return float(values[offset]), record.level
+        return float(record.values()[_nearest(record.times, timestamp)]), record.level
 
     def read_range(
         self, start: float, end: float

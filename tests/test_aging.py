@@ -19,7 +19,6 @@ def tiny_archive(capacity_pages=4, segment_readings=64, max_level=3):
         flash,
         segment_readings=segment_readings,
         aging_policy=AgingPolicy(max_level=max_level),
-        sample_period_s=30.0,
     )
 
 

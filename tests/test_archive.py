@@ -9,14 +9,12 @@ from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
 
 
-def make_archive(capacity_pages=1000, segment_readings=32, period=30.0):
+def make_archive(capacity_pages=1000, segment_readings=32):
     meter = EnergyMeter("sensor")
     flash = FlashDevice(
         MICA2_FLASH, meter, capacity_bytes=capacity_pages * MICA2_FLASH.page_bytes
     )
-    archive = SensorArchive(
-        flash, segment_readings=segment_readings, sample_period_s=period
-    )
+    archive = SensorArchive(flash, segment_readings=segment_readings)
     return archive, meter
 
 
@@ -122,3 +120,29 @@ class TestAgingUnderPressure:
     def test_invalid_segment_size(self):
         with pytest.raises(ValueError):
             make_archive(segment_readings=1)
+
+
+class TestDropoutTiming:
+    """A missed epoch archives nothing; every archived reading must still
+    carry its own sampling instant."""
+
+    def test_readings_after_a_dropout_keep_their_epoch(self):
+        from repro.core.config import PrestoConfig
+        from repro.core.system import PrestoSystem
+        from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
+
+        period = 31.0
+        trace = IntelLabGenerator(
+            IntelLabConfig(n_sensors=2, duration_s=20_000.0, epoch_s=period, dropout_rate=0.1),
+            seed=3,
+        ).generate()
+        system = PrestoSystem(trace, PrestoConfig(sample_period_s=period), seed=3)
+        system.run()
+        archive = system.sensors[0].archive
+        archive.flush()
+        times, values, _ = archive.read_range(0.0, trace.config.duration_s)
+        assert times.size == np.count_nonzero(~np.isnan(trace.values[0]))
+        epochs = np.rint(times / period).astype(int)
+        assert np.array_equal(values, trace.values[0, epochs])
+        for at, value in zip(times[::37].tolist(), values[::37].tolist()):
+            assert archive.read_point(at) == (value, 0)

@@ -49,7 +49,7 @@ def cell():
         node = NetworkNode(f"sensor{sensor_id}", meter)
         mac = network.register_sensor(node)
         flash = FlashDevice(MICA2_PROFILE.flash, meter)
-        archive = SensorArchive(flash, segment_readings=32, sample_period_s=31.0)
+        archive = SensorArchive(flash, segment_readings=32)
         sensor = PrestoSensor(
             sensor_id, f"sensor{sensor_id}", config, network, mac, meter, archive
         )

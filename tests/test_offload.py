@@ -41,7 +41,6 @@ def make_fleet(
                 flash,
                 segment_readings=segment_readings,
                 aging_policy=AgingPolicy(max_level=max_level),
-                sample_period_s=30.0,
             )
         )
     coordinator = OffloadCoordinator(policy=policy, radio=MICA2_RADIO)

@@ -64,7 +64,6 @@ def build_fleet(coordinator_class, capacities, segment_readings, max_level, poli
             flash,
             segment_readings=segment_readings,
             aging_policy=AgingPolicy(max_level=max_level),
-            sample_period_s=EPOCH_S,
         )
         coordinator.register(archive)
         archives.append(archive)
