@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # the sensor builds its fleet; annotate lazily to avoid the c
 NEVER = np.iinfo(np.int64).max
 
 #: the per-row columns: dtype, and the value a new row starts with
-_COLUMNS: dict[str, tuple[type, object]] = {
+_COLUMNS: dict[str, tuple[type, float]] = {
     "_sample_j": (np.float64, 0.0),        # joules per reading
     "_sample_energy": (np.float64, 0.0),   # "cpu.sample" joules so far
     "_check_j": (np.float64, 0.0),         # joules per check of the checker
@@ -131,6 +131,7 @@ class SensorFleet:
     def start(self, period_s: float) -> None:
         """Arm the sampling task: the first pass now, then every *period_s*."""
         if self._task is not None:
+            self._task.start()   # re-armed after a stop; a no-op while armed
             return
         if self.sim is None:
             raise RuntimeError("a fleet without a simulator is fed by its sensor")
@@ -160,8 +161,8 @@ class SensorFleet:
 
     def feed(self, time: float, value: float) -> None:
         """One reading (NaN: a missed one) for a fleet of one sensor."""
-        if len(self.sensors) != 1 or self._task is not None:
-            raise RuntimeError("a sensor on a shared fleet samples with its fleet")
+        if len(self.sensors) != 1 or self.sim is not None:
+            raise RuntimeError("a sensor on a simulator's fleet samples with its fleet")
         epoch = self.epoch + 1
         if epoch >= self._times.size:
             size = max(2 * epoch, 64)

@@ -17,10 +17,12 @@ caught by construction: any reading further than delta from the prediction
 is pushed, no matter how unusual.
 
 Since both replicas start from one :class:`ModelUpdate`, the simulation
-takes one model step per sensor-epoch.  The sensor's
-:class:`SensorModelChecker` records its *trajectory* — per step, the value
-it observed and whether it pushed — and a :class:`ProxyModelTracker` linked
-to it reads its own steps off that trajectory in order: a silent epoch is a
+takes one model step per sensor-epoch, in a :class:`CheckBank` that steps
+every checker of one model shape at once (the sensor fleet's pass).  The
+sensor's :class:`SensorModelChecker` records its *trajectory* — per step,
+the value it observed and whether it pushed — and a
+:class:`ProxyModelTracker` linked to it reads its own steps off that
+trajectory in order: a silent epoch is a
 silent entry, whose value is the prediction the tracker would have
 computed; a push is a pushed entry holding the same reading.  Each read is
 checked, so by induction the tracker holds, step for step, the state it
@@ -109,7 +111,7 @@ class CheckBank:
         self._checkers: list[weakref.ref[SensorModelChecker]] = []
         self._models: list[TimeSeriesModel] = []
         #: caller-assigned id per row (the fleet's sensor row), -1 if none
-        self.owners = self.checks = self.pushes = self._rows = _NO_ROWS
+        self.owners = self.checks = self.pushes = _NO_ROWS
         self.delta = _NO_ROWS.astype(np.float64)
         self._observed = _NO_STEPS
         self._pushed = _NO_FLAGS
@@ -138,6 +140,9 @@ class CheckBank:
         observed[: old[0], : old[1] - 1] = self._observed[:, :-1]
         pushed[: old[0], : old[1] - 1] = self._pushed[:, :-1]
         self._observed, self._pushed, self._width = observed, pushed, width
+        # row-major flat views: step writes row i's entry at _starts[i] + checks
+        self._observed_flat, self._pushed_flat = observed.reshape(-1), pushed.reshape(-1)
+        self._starts = np.arange(capacity) * (width + 1)
         for row in range(self.size):
             self._show(row)
         for name in ("owners", "delta", "checks", "pushes"):
@@ -154,7 +159,6 @@ class CheckBank:
             self._batch.add(checker._own_model)
         self._checkers.append(weakref.ref(checker))
         self._models.append(checker._own_model)
-        self._rows = np.arange(self.size)
         self._pushed[new] = UNRECORDED
         self._show(new)
         self.owners[new] = owner
@@ -193,7 +197,6 @@ class CheckBank:
             if checker is not None:
                 checker.row = row
             self._show(row)
-        self._rows = np.arange(self.size)
         self._longest = int(self.checks[:last].max()) if last else 0
 
     def model(self, row: int) -> TimeSeriesModel:
@@ -241,8 +244,9 @@ class CheckBank:
         at = self.checks[:n]
         if self._longest > TRAJECTORY_EPOCHS:
             at = np.minimum(at, TRAJECTORY_EPOCHS)
-        self._observed[self._rows, at] = observed
-        self._pushed[self._rows, at] = pushed
+        at = self._starts[:n] + at
+        self._observed_flat[at] = observed
+        self._pushed_flat[at] = pushed
         self.checks[:n] += 1
         self.pushes[:n] += pushed
         return predicted, pushed

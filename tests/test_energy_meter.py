@@ -23,6 +23,13 @@ class TestEnergyMeter:
         with pytest.raises(ValueError):
             meter.charge("radio.tx", -1.0)
 
+    @pytest.mark.parametrize("joules", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_charge_rejected(self, meter, joules):
+        meter.charge("radio.tx", 1.0)
+        with pytest.raises(ValueError):
+            meter.charge("radio.tx", joules)
+        assert meter.total_j == 1.0
+
     def test_unknown_category_reads_zero(self, meter):
         assert meter.category_j("nothing") == 0.0
 
