@@ -278,8 +278,8 @@ class SensorFleet:
         sensor = self.sensors[row]
         old, update = sensor.checker, sensor._pending_update
         assert update is not None  # rows are activated only with one pending
-        if old is not None and old.bank.owners[old.row] >= 0:
-            CheckBank(None).adopt(old)
+        if old is not None and old.bank is self._banks.get(old.bank.shape):
+            CheckBank(old.bank.shape).adopt(old)
         shape = batch_shape(update.model)
         batching = sensor.operating_point.batch_interval_s > 0
         checker = SensorModelChecker(update, None if batching else self._bank(shape), row)
@@ -313,11 +313,11 @@ class SensorFleet:
         self._steady[row] = checking and bool(self._sample_bound[row] and self._check_bound[row])
         if checker is None:
             return
-        shared = self._bank(checker.shape)
+        shared = self._bank(checker.bank.shape)
         if checking and checker.bank is not shared:
             shared.adopt(checker, row)
         elif not checking and checker.bank is shared:
-            CheckBank(None).adopt(checker)
+            CheckBank(shared.shape).adopt(checker)
 
     # -- row reads ------------------------------------------------------------
 

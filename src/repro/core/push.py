@@ -99,9 +99,8 @@ class CheckBank:
     one protocol epoch — predict, compare, observe — on every row at once:
     a bank of one :class:`~repro.timeseries.linear.LinearBatch` *shape*
     steps its rows as columns, a bank of shape None steps each row's model
-    by its own ``step``.  A checker built alone gets a bank of its own,
-    of shape None; the sensor fleet moves checkers into shared banks, one
-    per shape.
+    by its own ``step``.  A checker built alone gets a bank of its own;
+    the sensor fleet keeps one shared bank per shape.
     """
 
     def __init__(self, shape: tuple | None) -> None:
@@ -271,7 +270,7 @@ class SensorModelChecker:
         self._own_model.align_to_time(
             update.activation_epoch * self._own_model.sample_period_s
         )
-        self.bank = bank if bank is not None else CheckBank(None)
+        self.bank = bank if bank is not None else CheckBank(batch_shape(self._own_model))
         #: the trajectory, read in place: per step what the checker
         #: observed, and whether it pushed (1), stayed silent (0) or has
         #: not recorded the step (:data:`UNRECORDED`, or past the end)
@@ -306,11 +305,6 @@ class SensorModelChecker:
     def check_cycles(self) -> float:
         """CPU cycles per verification (for the energy model)."""
         return self._own_model.check_cycles
-
-    @property
-    def shape(self) -> tuple | None:
-        """The shape of the shared bank the checker steps in, if batched."""
-        return batch_shape(self._own_model) if self.bank._batch is None else self.bank.shape
 
     def _step_alone(self, value: float) -> tuple[float, bool]:
         """One epoch of the bank this checker has to itself."""
