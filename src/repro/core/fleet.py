@@ -98,9 +98,10 @@ class SensorFleet:
         self._gaps: list[bool] = []   # per epoch: does any row miss its reading?
         self._watched = True   # any row with _eager or _flagged set
         self._next_activation = NEVER   # the earliest pending activation
-        #: per row: checking, with both joule categories bound — an event
-        #: at such a row is a push, or a full archive segment
-        self._steady: list[bool] = []
+        #: per row, an event at a row whose joule categories are bound and
+        #: whose segment is not full is a push: False while it checks, True
+        #: while it has no model (a cold push); None for any other row
+        self._pushes: list[bool | None] = []
         for name, (dtype, _) in _COLUMNS.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
 
@@ -112,7 +113,7 @@ class SensorFleet:
             raise RuntimeError("sensors join a fleet before its first epoch")
         row = len(self.sensors)
         self.sensors.append(sensor)
-        self._steady.append(False)
+        self._pushes.append(None)
         for name, (_, initial) in _COLUMNS.items():
             setattr(self, name, np.append(getattr(self, name), initial))
         self._sample_j[row] = sample_j
@@ -215,11 +216,12 @@ class SensorFleet:
         rows = events.nonzero()[0].tolist()
         if rows:
             readings, pushes = values.tolist(), pushed.tolist()
-            steady, sensors = self._steady, self.sensors
+            kinds, sensors = self._pushes, self.sensors
             full_rows = full.nonzero()[0].tolist()
             for row in rows:
-                if steady[row] and row not in full_rows:
-                    sensors[row]._push(now, readings[row], cold=False)
+                cold = kinds[row]
+                if cold is not None and row not in full_rows:
+                    sensors[row]._push(now, readings[row], cold)
                 else:
                     self._visit(row, now, readings[row], pushes[row])
 
@@ -310,7 +312,8 @@ class SensorFleet:
         self._eager[row] = not checking or not self._sample_bound[row]
         self._flagged[row] = checking and not self._check_bound[row]
         self._watched = bool(self._eager.any() or self._flagged.any())
-        self._steady[row] = checking and bool(self._sample_bound[row] and self._check_bound[row])
+        bound = bool(self._sample_bound[row] and (self._check_bound[row] or checker is None))
+        self._pushes[row] = None if batching or not bound else checker is None
         if checker is None:
             return
         shared = self._bank(checker.bank.shape)
