@@ -233,7 +233,7 @@ class SensorFleet:
             if not self._sample_bound[row]:
                 sensor.meter.bind("cpu.sample", self._sample_energy, row)
                 self._sample_bound[row] = True
-                self._refresh(row)
+                self.refresh(row)
             if self._room[row] == 0:
                 self._settle(row)
             if batching:
@@ -247,7 +247,7 @@ class SensorFleet:
         if not self._check_bound[row]:
             sensor.meter.bind("cpu.model_check", self._check_energy, row)
             self._check_bound[row] = True
-            self._refresh(row)
+            self.refresh(row)
         if pushed:
             sensor._push(now, value, cold=False)
 
@@ -292,7 +292,7 @@ class SensorFleet:
         self._check_j[row] = sensor.config.node_profile.cpu.energy_for_cycles(
             max(checker.check_cycles, MODEL_CHECK_CYCLES)
         )
-        self._refresh(row)
+        self.refresh(row)
 
     def _bank(self, shape: tuple | None) -> CheckBank:
         """The shared bank of *shape*."""
@@ -301,7 +301,7 @@ class SensorFleet:
             bank = self._banks[shape] = CheckBank(shape)
         return bank
 
-    def _refresh(self, row: int) -> None:
+    def refresh(self, row: int) -> None:
         """Re-derive *row*'s pass flags, check joules and bank after its
         model, operating point or bound categories changed."""
         sensor = self.sensors[row]
