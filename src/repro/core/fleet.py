@@ -98,10 +98,6 @@ class SensorFleet:
         self._gaps: list[bool] = []   # per epoch: does any row miss its reading?
         self._watched = True   # any row with _eager or _flagged set
         self._next_activation = NEVER   # the earliest pending activation
-        #: per row, an event at a row whose joule categories are bound and
-        #: whose segment is not full is a push: False while it checks, True
-        #: while it has no model (a cold push); None for any other row
-        self._pushes: list[bool | None] = []
         for name, (dtype, _) in _COLUMNS.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
 
@@ -113,7 +109,6 @@ class SensorFleet:
             raise RuntimeError("sensors join a fleet before its first epoch")
         row = len(self.sensors)
         self.sensors.append(sensor)
-        self._pushes.append(None)
         for name, (_, initial) in _COLUMNS.items():
             setattr(self, name, np.append(getattr(self, name), initial))
         self._sample_j[row] = sample_j
@@ -202,8 +197,7 @@ class SensorFleet:
             self._sample_energy += self._sample_j
             self._last_epoch.fill(epoch)
             self._room -= 1
-        full = self._room == 0
-        events = full.copy()
+        events = self._room == 0   # full archive segments
         if self._watched:
             events |= self._eager & valid
             events |= self._flagged
@@ -216,14 +210,8 @@ class SensorFleet:
         rows = events.nonzero()[0].tolist()
         if rows:
             readings, pushes = values.tolist(), pushed.tolist()
-            kinds, sensors = self._pushes, self.sensors
-            full_rows = full.nonzero()[0].tolist()
             for row in rows:
-                cold = kinds[row]
-                if cold is not None and row not in full_rows:
-                    sensors[row]._push(now, readings[row], cold)
-                else:
-                    self._visit(row, now, readings[row], pushes[row])
+                self._visit(row, now, readings[row], pushes[row])
 
     def _visit(self, row: int, now: float, value: float, pushed: bool) -> None:
         """One row's events this epoch, in the order a sensor meets them."""
@@ -312,8 +300,6 @@ class SensorFleet:
         self._eager[row] = not checking or not self._sample_bound[row]
         self._flagged[row] = checking and not self._check_bound[row]
         self._watched = bool(self._eager.any() or self._flagged.any())
-        bound = bool(self._sample_bound[row] and (self._check_bound[row] or checker is None))
-        self._pushes[row] = None if batching or not bound else checker is None
         if checker is None:
             return
         shared = self._bank(checker.bank.shape)
