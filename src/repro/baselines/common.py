@@ -73,22 +73,18 @@ class BaselineArchitecture:
 
     def charge_uplink(self, sensor: int, payload_bytes: int, category: str) -> None:
         """Sensor→server transfer (short preamble, server always on)."""
-        self.meters[sensor].charge(
-            category, transfer_energy(self.profile.radio, payload_bytes)
-        )
+        self.meters[sensor].record(category, transfer_energy(self.profile.radio, payload_bytes))
         self.messages += 1
 
     def charge_downlink_rx(self, sensor: int, payload_bytes: int) -> None:
         """Sensor-side RX cost of hearing a server message."""
-        self.meters[sensor].charge(
-            "radio.rx", receive_energy(self.profile.radio, payload_bytes)
-        )
+        self.meters[sensor].record("radio.rx", receive_energy(self.profile.radio, payload_bytes))
 
     def charge_idle(self, duration_s: float) -> None:
         """LPL idle listening for the whole fleet."""
         power = lpl_average_power(self.profile.radio, self.duty_cycle)
         for meter in self.meters:
-            meter.charge("radio.lpl", power * duration_s)
+            meter.record("radio.lpl", power, duration_s)
 
     def downlink_latency_s(self, payload_bytes: int = QUERY_BYTES) -> float:
         """Mean latency to wake + deliver a message to a duty-cycled sensor."""

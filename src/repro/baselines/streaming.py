@@ -36,7 +36,7 @@ class StreamingArchitecture(BaselineArchitecture):
         for sensor in range(self.trace.n_sensors):
             series = self.trace.values[sensor, :horizon_epochs]
             sent = int(np.count_nonzero(~np.isnan(series)))
-            self.meters[sensor].charge("radio.stream", sent * per_reading)
+            self.meters[sensor].record("radio.stream", per_reading, sent)
             self.messages += sent
         self.charge_idle(duration_s)
 

@@ -57,7 +57,7 @@ class ValuePushArchitecture(BaselineArchitecture):
                     values.append(last)
             self._log_times[sensor] = np.asarray(times)
             self._log_values[sensor] = np.asarray(values)
-            self.meters[sensor].charge("radio.push", len(times) * per_push)
+            self.meters[sensor].record("radio.push", per_push, len(times))
             self.messages += len(times)
         self.charge_idle(duration_s)
 

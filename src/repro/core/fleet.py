@@ -7,21 +7,23 @@ fleet holds it as columns — one row per sensor of every cell on the
 simulator — and runs each epoch as one pass:
 
 1. model activations that fall due this epoch switch their rows' checkers;
-2. the sample and check joules, the sample count, the latest reading and
-   the archive buffer's fill are column operations over all rows;
+2. the latest reading and the archive buffer's fill are column operations
+   over all rows;
 3. each :class:`~repro.core.push.CheckBank` of shared checkers steps all
    its rows at once (predict, compare, observe);
 4. only rows with an event are then visited, in row order — which is the
    cells' order, then each cell's sensor order, as sensors were sampled
-   one by one: a push, a full archive segment, a cold-start push, a
-   batched reading, or the first charge of a joule category (which fixes
-   the category's place in its meter).
+   one by one: a push, a full archive segment, a cold-start push or a
+   batched reading.
 
 A :class:`~repro.core.sensor.PrestoSensor` is a view of its row: what it
 reports is read from the columns when asked for.  A reading waits in the
 fleet's copy of the trace until its archive segment fills or something
-reads the archive's RAM buffer; a meter reads its bound categories from
-the joule columns.  A sensor built without a fleet gets one of its own,
+reads the archive's RAM buffer.  The sample and check energy is counts ×
+constants: a meter reads the row's readings taken and its checker's
+checks, against the row's joules per reading and per check, whenever it
+is read; an activation records the retired checker's checks in the meter.
+A sensor built without a fleet gets one of its own,
 which :meth:`~repro.core.sensor.PrestoSensor.on_sample` feeds one reading
 at a time through the same pass.
 """
@@ -47,18 +49,12 @@ NEVER = np.iinfo(np.int64).max
 #: the per-row columns: dtype, and the value a new row starts with
 _COLUMNS: dict[str, tuple[type, float]] = {
     "_sample_j": (np.float64, 0.0),        # joules per reading
-    "_sample_energy": (np.float64, 0.0),   # "cpu.sample" joules so far
     "_check_j": (np.float64, 0.0),         # joules per check of the checker
-    "_check_rate": (np.float64, 0.0),      # _check_j while checking, else 0
-    "_check_energy": (np.float64, 0.0),    # "cpu.model_check" joules so far
     "_last_epoch": (np.int64, -1),         # epoch of the latest reading
     "_room": (np.int64, 0),                # readings until the archive segment fills
     "_pending_from": (np.int64, 0),        # first epoch not yet handed to the archive
     "_activation": (np.int64, NEVER),      # epoch the pending model activates
-    "_eager": (np.bool_, True),            # visit on every reading
-    "_flagged": (np.bool_, False),         # visit every epoch
-    "_sample_bound": (np.bool_, False),    # "cpu.sample" bound in the meter
-    "_check_bound": (np.bool_, False),     # "cpu.model_check" bound in the meter
+    "_eager": (np.bool_, True),            # not checking: visit on every reading
 }
 
 
@@ -71,18 +67,12 @@ class SensorFleet:
 
     # the per-row columns (see _COLUMNS)
     _sample_j: np.ndarray
-    _sample_energy: np.ndarray
     _check_j: np.ndarray
-    _check_rate: np.ndarray
-    _check_energy: np.ndarray
     _last_epoch: np.ndarray
     _room: np.ndarray
     _pending_from: np.ndarray
     _activation: np.ndarray
     _eager: np.ndarray
-    _flagged: np.ndarray
-    _sample_bound: np.ndarray
-    _check_bound: np.ndarray
 
     def __init__(self, sim: Simulator | None = None) -> None:
         self.sim = sim
@@ -96,7 +86,7 @@ class SensorFleet:
         self._times = np.zeros(0)
         self._stale: list[int] = []
         self._gaps: list[bool] = []   # per epoch: does any row miss its reading?
-        self._watched = True   # any row with _eager or _flagged set
+        self._watched = True   # any row with _eager set
         self._next_activation = NEVER   # the earliest pending activation
         for name, (dtype, _) in _COLUMNS.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
@@ -114,6 +104,7 @@ class SensorFleet:
         self._sample_j[row] = sample_j
         self._room[row] = sensor.archive.segment_room
         sensor.archive.pending = lambda: self._settle(row)
+        sensor.meter.counted = lambda: self._counts(row)
         return row
 
     def load(self, sensors: list[PrestoSensor], values: np.ndarray) -> None:
@@ -186,21 +177,17 @@ class SensorFleet:
         if epoch >= self._next_activation:
             for row in (self._activation <= epoch).nonzero()[0].tolist():
                 self._activate(row)
-        self._check_energy += self._check_rate
         if self._gaps[epoch]:
             valid = values == values
-            self._sample_energy += self._sample_j * valid
             np.copyto(self._last_epoch, epoch, where=valid)
             self._room -= valid
         else:
             valid = True
-            self._sample_energy += self._sample_j
             self._last_epoch.fill(epoch)
             self._room -= 1
         events = self._room == 0   # full archive segments
         if self._watched:
             events |= self._eager & valid
-            events |= self._flagged
         pushed = np.zeros(values.size, dtype=bool)
         for bank in self._banks.values():
             if bank.size:
@@ -218,10 +205,6 @@ class SensorFleet:
         sensor = self.sensors[row]
         batching = sensor.operating_point.batch_interval_s > 0
         if value == value:
-            if not self._sample_bound[row]:
-                sensor.meter.bind("cpu.sample", self._sample_energy, row)
-                self._sample_bound[row] = True
-                self.refresh(row)
             if self._room[row] == 0:
                 self._settle(row)
             if batching:
@@ -230,12 +213,6 @@ class SensorFleet:
             if sensor.checker is None:
                 sensor._push(now, value, cold=True)
                 return
-        if sensor.checker is None or batching:
-            return
-        if not self._check_bound[row]:
-            sensor.meter.bind("cpu.model_check", self._check_energy, row)
-            self._check_bound[row] = True
-            self.refresh(row)
         if pushed:
             sensor._push(now, value, cold=False)
 
@@ -268,8 +245,11 @@ class SensorFleet:
         sensor = self.sensors[row]
         old, update = sensor.checker, sensor._pending_update
         assert update is not None  # rows are activated only with one pending
-        if old is not None and old.bank is self._banks.get(old.bank.shape):
-            CheckBank(old.bank.shape).adopt(old)
+        if old is not None:
+            if old.bank is self._banks.get(old.bank.shape):
+                CheckBank(old.bank.shape).adopt(old)
+            if old.checks:
+                sensor.meter.record("cpu.model_check", float(self._check_j[row]), old.checks)
         shape = batch_shape(update.model)
         batching = sensor.operating_point.batch_interval_s > 0
         checker = SensorModelChecker(update, None if batching else self._bank(shape), row)
@@ -290,16 +270,14 @@ class SensorFleet:
         return bank
 
     def refresh(self, row: int) -> None:
-        """Re-derive *row*'s pass flags, check joules and bank after its
-        model, operating point or bound categories changed."""
+        """Re-derive *row*'s pass flag and bank after its model or
+        operating point changed."""
         sensor = self.sensors[row]
         checker = sensor.checker
         batching = sensor.operating_point.batch_interval_s > 0
         checking = checker is not None and not batching
-        self._check_rate[row] = self._check_j[row] if checking else 0.0
-        self._eager[row] = not checking or not self._sample_bound[row]
-        self._flagged[row] = checking and not self._check_bound[row]
-        self._watched = bool(self._eager.any() or self._flagged.any())
+        self._eager[row] = not checking
+        self._watched = bool(self._eager.any())
         if checker is None:
             return
         shared = self._bank(checker.bank.shape)
@@ -310,8 +288,22 @@ class SensorFleet:
 
     # -- row reads ------------------------------------------------------------
 
+    def _counts(self, row: int) -> list[tuple[str, float, int]]:
+        """*row*'s readings and its checker's checks, each against its
+        joules (what the row's meter reads with its own)."""
+        counts = []
+        samples = self.samples(row)
+        if samples:
+            counts.append(("cpu.sample", float(self._sample_j[row]), samples))
+        checker = self.sensors[row].checker
+        if checker is not None and checker.checks:
+            counts.append(("cpu.model_check", float(self._check_j[row]), checker.checks))
+        return counts
+
     def samples(self, row: int) -> int:
         """Readings *row* has taken."""
+        if self.epoch < 0:
+            return 0
         values = self._values[row, : self.epoch + 1]
         return int(np.count_nonzero(values == values))
 

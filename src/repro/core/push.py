@@ -85,6 +85,13 @@ class PushDecision(NamedTuple):
     error: float
 
 
+def _replica(update: ModelUpdate) -> TimeSeriesModel:
+    """A copy of *update*'s model, aligned to its activation epoch."""
+    model = copy.deepcopy(update.model)
+    model.align_to_time(update.activation_epoch * model.sample_period_s)
+    return model
+
+
 #: a new bank's columns, replaced by its first row
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _NO_STEPS = np.zeros((0, 1))
@@ -266,10 +273,7 @@ class SensorModelChecker:
         """A replica of *update*'s model, a new row of *bank* (by default
         a bank of its own) on behalf of *owner*."""
         self.update = update
-        self._own_model = copy.deepcopy(update.model)
-        self._own_model.align_to_time(
-            update.activation_epoch * self._own_model.sample_period_s
-        )
+        self._own_model = _replica(update)
         self.bank = bank if bank is not None else CheckBank(batch_shape(self._own_model))
         #: the trajectory, read in place: per step what the checker
         #: observed, and whether it pushed (1), stayed silent (0) or has
@@ -348,16 +352,15 @@ class ProxyModelTracker:
     module docstring).  :attr:`_model` — what the tracker's declared state
     and forecasts are made of — folds the trajectory read so far into the
     tracker's own model first, so every reader sees the state stepping
-    would have left.
+    would have left.  A linked tracker copies the update's model only then
+    (no reader mutates a shipped update's model).
     """
 
     def __init__(
         self, update: ModelUpdate, checker: SensorModelChecker | None = None
     ) -> None:
-        self._own_model = copy.deepcopy(update.model)
-        self._own_model.align_to_time(
-            update.activation_epoch * self._own_model.sample_period_s
-        )
+        self._update = update
+        self._own_model = None if checker is not None else _replica(update)
         self.delta = float(update.delta)
         self.substitutions = 0
         self.pushes_applied = 0
@@ -395,22 +398,24 @@ class ProxyModelTracker:
     @property
     def _model(self) -> TimeSeriesModel:
         """The tracker's model, caught up to its newest epoch."""
-        self._catch_up()
-        return self._own_model
+        return self._catch_up()
 
-    def _catch_up(self) -> None:
-        """Fold the trajectory read so far into the own model.
+    def _catch_up(self) -> TimeSeriesModel:
+        """Fold the trajectory read so far into the own model (copied from
+        the update at first need); returns the model.
 
         ``observe`` of each epoch's observed value leaves the state ``step``
         left on the sensor (the :meth:`TimeSeriesModel.step` contract).
         """
+        if self._own_model is None:
+            self._own_model = _replica(self._update)
         checker = self._checker
-        if checker is None or self._folded == self._cursor:
-            return
-        observe = self._own_model.observe
-        for value in checker.trajectory[0][self._folded : self._cursor].tolist():
-            observe(value)
-        self._folded = self._cursor
+        if checker is not None and self._folded < self._cursor:
+            observe = self._own_model.observe
+            for value in checker.trajectory[0][self._folded : self._cursor].tolist():
+                observe(value)
+            self._folded = self._cursor
+        return self._own_model
 
     def _fork(self) -> None:
         """Leave the trajectory: the own model steps alone from here."""
@@ -434,7 +439,7 @@ class ProxyModelTracker:
             self._cursor += 1
         else:
             self._fork()
-            predicted, _ = self._own_model.step(None, self.delta)
+            predicted, _ = self._model.step(None, self.delta)
         self.substitutions += 1
         return predicted
 
@@ -461,12 +466,14 @@ class ProxyModelTracker:
             self._cursor = at + 1
         else:
             self._fork()
-            self._own_model.observe(float(value))
+            self._model.observe(float(value))
         self.pushes_applied += 1
 
     def predicted_std(self) -> float:
-        """One-step uncertainty of a substitution (model residual std)."""
-        return self._own_model.residual_std
+        """One-step uncertainty of a substitution (model residual std,
+        which stepping leaves as fitted)."""
+        model = self._own_model if self._own_model is not None else self._update.model
+        return model.residual_std
 
 
 class ForecastTrajectory:

@@ -13,7 +13,8 @@ The sensor does exactly four things, all proxy-directed:
 4. applies operating-point retunes (duty cycle, delta, batching,
    compression) shipped by the proxy.
 
-Every radio byte, flash page and CPU cycle charges the node's energy meter.
+Every radio frame, flash page and CPU cycle is counted on the node's energy
+meter.
 
 Steps 1 and 2 run for every sensor on a simulator at once, in the
 :class:`~repro.core.fleet.SensorFleet`'s one pass per epoch; a sensor is
@@ -166,23 +167,17 @@ class PrestoSensor:
             return
         values = np.asarray(self._batch_values, dtype=np.float64)
         times = np.asarray(self._batch_times, dtype=np.float64)
-        cpu = self.config.node_profile.cpu
+        cycle_j = self.config.node_profile.cpu.energy_per_cycle_j
         point = self.operating_point
         if values.size >= 4:
-            self.meter.charge(
-                "cpu.compress",
-                cpu.energy_for_cycles(WAVELET_CYCLES_PER_SAMPLE * values.size),
-            )
+            self.meter.record("cpu.compress", cycle_j, WAVELET_CYCLES_PER_SAMPLE * values.size)
             block = compress_block(values, quant_step=point.quant_step)
             payload_bytes = compressed_size_bytes(block)
             decoded = decompress_block(block)
         else:
             payload_bytes = encoded_size_bytes(values, step=point.quant_step)
             decoded = values
-        self.meter.charge(
-            "cpu.compress",
-            cpu.energy_for_cycles(COMPRESS_CYCLES_PER_BYTE * payload_bytes),
-        )
+        self.meter.record("cpu.compress", cycle_j, COMPRESS_CYCLES_PER_BYTE * payload_bytes)
         packet = Packet(
             kind=PacketKind.BATCH,
             src=self.name,

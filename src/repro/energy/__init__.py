@@ -23,7 +23,6 @@ from repro.energy.radio_energy import (
     ack_rx_energy,
     burst_transfer_energy,
     packet_airtime,
-    packet_overhead_bytes,
     packets_for_payload,
     receive_energy,
     transfer_energy,
@@ -48,7 +47,6 @@ __all__ = [
     "ack_rx_energy",
     "burst_transfer_energy",
     "packet_airtime",
-    "packet_overhead_bytes",
     "packets_for_payload",
     "receive_energy",
     "transmit_energy",

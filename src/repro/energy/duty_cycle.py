@@ -60,12 +60,3 @@ def lpl_average_power(radio: RadioConstants, config: DutyCycleConfig) -> float:
     sleep_time = config.check_interval_s - config.check_duration_s
     sleep_energy = sleep_time * radio.sleep_power_w
     return (per_check + sleep_energy) / config.check_interval_s
-
-
-def listening_energy(
-    radio: RadioConstants, config: DutyCycleConfig, duration_s: float
-) -> float:
-    """Idle-listening joules over *duration_s* seconds under *config*."""
-    if duration_s < 0:
-        raise ValueError(f"negative duration {duration_s!r}")
-    return lpl_average_power(radio, config) * duration_s

@@ -1,23 +1,31 @@
-"""Per-node energy accounting.
+"""Per-node energy accounting as counts × constants.
 
-Every sensor and proxy in the simulation owns an :class:`EnergyMeter`;
-substrates charge it under named categories (``radio.tx``, ``flash.write``,
-``cpu.model_check``...).  Benchmarks then read category breakdowns to produce
-the paper's plots, and tests assert invariants such as "radio dominates" or
-"batching reduces per-packet overhead".
+Every sensor and proxy in the simulation owns an :class:`EnergyMeter`.
+Almost every cost on a node is a count times a per-unit constant — frames
+× joules per frame, pages × joules per page, readings or checks × joules
+per CPU job — so substrates :meth:`~EnergyMeter.record` quantities under a
+named category (``radio.tx``, ``flash.write``, ``cpu.model_check``...) and
+the unit constant they are counted against.  Low-power-listening idle time
+is the one continuous quantity: seconds against an average power.
 
-A category charged every epoch by the sensor fleet is *bound* to one of
-the fleet's columns instead: the fleet adds to the column, and the meter
-reads it whenever anything reads the meter.
+Joules are worked out only when the meter is read, summed in one fixed
+order — category name, then unit — so no caller's charge order can change
+a total.  Benchmarks read category breakdowns to produce the paper's plots,
+and tests assert invariants such as "radio dominates" or "batching reduces
+per-packet overhead".
+
+Counts a node keeps elsewhere (the sensor fleet's readings and checks) are
+read through :attr:`EnergyMeter.counted` with the meter's own.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+from math import inf
+from typing import Callable, Iterable
 
-import numpy as np
+#: one counted quantity: ``(category, joules per unit, units)``
+Count = tuple[str, float, float]
 
 
 @dataclass
@@ -42,56 +50,71 @@ class EnergyBreakdown:
 
 @dataclass
 class EnergyMeter:
-    """Accumulates joules under hierarchical category names."""
+    """Quantities per category and unit joules; joules derived when read."""
 
     name: str = "node"
-    _categories: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: ``(category, column, row)``: categories whose joules live in a column
-    _bound: list[tuple[str, np.ndarray, int]] = field(
-        default_factory=list, repr=False, compare=False
+    #: category -> {joules per unit: units}
+    _quantities: dict[str, dict[float, float]] = field(default_factory=dict)
+    #: counts kept outside the meter, read with its own at every read
+    counted: Callable[[], Iterable[Count]] | None = field(
+        default=None, repr=False, compare=False
     )
 
-    def charge(self, category: str, joules: float) -> None:
-        """Add *joules* under *category*.  Negative, NaN and infinite
-        charges are rejected."""
-        if not 0.0 <= joules < math.inf:
-            raise ValueError(f"invalid energy charge {joules!r} for {category!r}")
-        self._categories[category] += joules
+    def record(self, category: str, unit_j: float, quantity: float = 1) -> None:
+        """Add *quantity* units of *unit_j* joules each under *category*.
+        Negative, NaN and infinite units or quantities are rejected."""
+        if not (0.0 <= unit_j < inf and 0 <= quantity < inf):
+            raise ValueError(
+                f"invalid energy record {quantity!r} × {unit_j!r} J for {category!r}"
+            )
+        units = self._quantities.get(category)
+        if units is None:
+            units = self._quantities[category] = {}
+        units[unit_j] = units.get(unit_j, 0) + quantity
 
-    def bind(self, category: str, column: np.ndarray, row: int) -> None:
-        """Read *category* from ``column[row]`` from now on.
+    def _all_quantities(self) -> dict[str, dict[float, float]]:
+        """The meter's quantities with the :attr:`counted` ones added."""
+        if self.counted is None:
+            return self._quantities
+        combined = EnergyMeter(
+            self.name, {category: dict(units) for category, units in self._quantities.items()}
+        )
+        for count in self.counted():
+            combined.record(*count)
+        return combined._quantities
 
-        Call it at the category's first charge: the category takes its
-        place in the charge order there, which :attr:`total_j` sums in.
-        """
-        self._categories.setdefault(category, 0.0)
-        self._bound.append((category, column, row))
-
-    def _read_bound(self) -> dict[str, float]:
-        """The categories, bound ones read from their columns."""
-        for category, column, row in self._bound:
-            self._categories[category] = float(column[row])
-        return self._categories
+    def _joules(self) -> dict[str, float]:
+        """Joules per category, in category-name order; each category sums
+        its units in ascending order."""
+        quantities = self._all_quantities()
+        joules: dict[str, float] = {}
+        for category in sorted(quantities):
+            units, total = quantities[category], 0.0
+            for unit_j in sorted(units):
+                total += units[unit_j] * unit_j
+            joules[category] = total
+        return joules
 
     @property
     def total_j(self) -> float:
-        """Total joules charged so far."""
-        return sum(self._read_bound().values())
+        """Total joules recorded so far."""
+        return sum(self._joules().values())
 
     def category_j(self, category: str) -> float:
-        """Joules charged under exactly *category* (0.0 if never charged)."""
-        return self._read_bound().get(category, 0.0)
+        """Joules recorded under exactly *category* (0.0 if never recorded)."""
+        return self._joules().get(category, 0.0)
 
     def group_j(self, prefix: str) -> float:
-        """Joules charged under *prefix* and any dotted subcategory of it."""
+        """Joules recorded under *prefix* and any dotted subcategory of it."""
         return self.snapshot().group(prefix)
 
     def snapshot(self) -> EnergyBreakdown:
         """Copy out the current breakdown."""
-        return EnergyBreakdown(total_j=self.total_j, by_category=dict(self._read_bound()))
+        joules = self._joules()
+        return EnergyBreakdown(total_j=sum(joules.values()), by_category=joules)
 
     def merge(self, other: "EnergyMeter") -> None:
-        """Fold *other*'s charges into this meter (fleet-level totals)."""
-        categories = self._read_bound()
-        for category, joules in other._read_bound().items():
-            categories[category] += joules
+        """Fold *other*'s quantities into this meter (fleet-level totals)."""
+        for category, units in other._all_quantities().items():
+            for unit_j, quantity in units.items():
+                self.record(category, unit_j, quantity)

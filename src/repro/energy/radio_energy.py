@@ -14,11 +14,6 @@ import math
 from repro.energy.constants import RadioConstants
 
 
-def packet_overhead_bytes(radio: RadioConstants) -> int:
-    """Fixed bytes sent per frame beyond payload: preamble + header + CRC."""
-    return radio.preamble_bytes + radio.header_bytes + radio.crc_bytes
-
-
 def packets_for_payload(radio: RadioConstants, payload_bytes: int) -> int:
     """Number of frames needed to carry *payload_bytes* (>= 1 packet)."""
     if payload_bytes < 0:

@@ -3,9 +3,9 @@
 Sensor-network links are unreliable (Ganesan et al. [4] measured loss well
 above 10% at scale); PRESTO's pushes must survive anyway.  The link model
 applies an independent loss probability per transmission attempt, retries up
-to a cap, charges energy for *every* attempt (including lost ones — the
-sender pays whether or not anyone hears), and reports delivery latency
-including retransmission backoffs.
+to a cap, counts *every* attempt on the sender's meter (including lost
+ones — the sender pays whether or not anyone hears), and reports delivery
+latency including retransmission backoffs.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class TransferOutcome(NamedTuple):
     delivered: bool
     attempts: int
     latency_s: float
-    sender_energy_j: float
-    receiver_energy_j: float
 
 
 class _Frame(NamedTuple):
@@ -119,11 +117,12 @@ class LossyLink:
         lpl_preamble_bytes: int = 0,
         energy_category: str = "radio.tx",
     ) -> TransferOutcome:
-        """Send one frame with ARQ; charges meters and returns the outcome.
+        """Send one frame with ARQ; counts it on both meters and returns
+        the outcome.
 
-        The *sender* pays TX energy plus the ACK listen on success; the
-        *receiver* pays RX energy for attempts it actually hears.  Lost
-        attempts still cost the sender in full.  The link regime
+        The *sender* pays a frame's TX energy per attempt plus the ACK
+        listen on success; the *receiver* pays RX energy for the attempt it
+        hears.  Lost attempts still cost the sender in full.  The link regime
         (:attr:`config`) is read per transfer, so a swap applies from the
         next one.
         """
@@ -131,19 +130,14 @@ class LossyLink:
         config, stats, draw = self.config, self.stats, self._rng.random
         attempts = 0
         latency = 0.0
-        sender_energy = 0.0
-        receiver_energy = 0.0
         delivered = False
         while attempts <= config.max_retries:
             attempts += 1
             stats.attempts += 1
-            sender_energy += frame.tx_j
             latency += frame.airtime_s
             latency += config.propagation_s
             if draw() >= config.loss_probability:
                 delivered = True
-                receiver_energy += frame.rx_j
-                sender_energy += frame.ack_j
                 latency += frame.ack_s
                 stats.deliveries += 1
                 stats.bytes_delivered += payload_bytes
@@ -152,15 +146,8 @@ class LossyLink:
             latency += config.backoff_s
         if not delivered:
             stats.drops += 1
-        self.sender_meter.charge(energy_category, sender_energy)
-        self.receiver_meter.charge("radio.rx", receiver_energy)
-        return TransferOutcome(
-            delivered, attempts, latency, sender_energy, receiver_energy
-        )
-
-    def expected_attempts(self) -> float:
-        """Mean transmissions per delivered frame (geometric, truncated)."""
-        p = 1.0 - self.config.loss_probability
-        if p >= 1.0:
-            return 1.0
-        return min(1.0 / p, float(self.config.max_retries + 1))
+        # a delivery is one ACK heard and one frame received (bool counts 0 or 1)
+        self.sender_meter.record(energy_category, frame.tx_j, attempts)
+        self.sender_meter.record(energy_category, frame.ack_j, delivered)
+        self.receiver_meter.record("radio.rx", frame.rx_j, delivered)
+        return TransferOutcome(delivered, attempts, latency)

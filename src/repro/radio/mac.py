@@ -26,12 +26,10 @@ from repro.radio.link import LinkConfig, LossyLink, TransferOutcome
 
 @dataclass
 class MacStats:
-    """Counters and accumulated idle-listening energy."""
+    """Frames sent each way."""
 
     uplink_frames: int = 0
     downlink_frames: int = 0
-    idle_listen_j: float = 0.0
-    idle_seconds_accounted: float = 0.0
 
 
 class LplMac:
@@ -113,12 +111,9 @@ class LplMac:
         wakeup_wait = self.duty_cycle.check_interval_s / 2.0
         return outcome._replace(latency_s=outcome.latency_s + wakeup_wait)
 
-    def account_idle(self, duration_s: float) -> float:
-        """Charge the sensor for *duration_s* of LPL idle listening."""
-        if duration_s < 0:
-            raise ValueError(f"negative duration {duration_s!r}")
-        joules = lpl_average_power(self.radio, self.duty_cycle) * duration_s
-        self._sensor_meter.charge("radio.lpl", joules)
-        self.stats.idle_listen_j += joules
-        self.stats.idle_seconds_accounted += duration_s
-        return joules
+    def account_idle(self, duration_s: float) -> None:
+        """Record *duration_s* of the sensor's LPL idle listening, at the
+        average power of its current duty cycle (a negative duration is
+        rejected by the meter)."""
+        power = lpl_average_power(self.radio, self.duty_cycle)
+        self._sensor_meter.record("radio.lpl", power, duration_s)

@@ -1,8 +1,8 @@
 """Page-oriented flash device model with energy accounting.
 
 Models the dataflash part on a PRESTO sensor: writes and reads happen in
-whole pages, erases in blocks, and every operation charges the node's
-:class:`~repro.energy.meter.EnergyMeter`.  The paper's storage-vs-radio
+whole pages, erases in blocks, and every operation counts its pages or
+blocks on the node's :class:`~repro.energy.meter.EnergyMeter`.  The paper's storage-vs-radio
 trade-off (storage is ~two orders of magnitude cheaper than communication
 [8]) emerges directly from these constants.
 """
@@ -93,7 +93,7 @@ class FlashDevice:
         self._used_pages += pages
         self.stats.pages_written += pages
         self.stats.bytes_written += n_bytes
-        self.meter.charge("flash.write", pages * self.constants.write_page_energy_j)
+        self.meter.record("flash.write", self.constants.write_page_energy_j, pages)
         return pages
 
     def read(self, n_bytes: int) -> int:
@@ -101,7 +101,7 @@ class FlashDevice:
         pages = self.pages_for(n_bytes)
         self.stats.pages_read += pages
         self.stats.bytes_read += n_bytes
-        self.meter.charge("flash.read", pages * self.constants.read_page_energy_j)
+        self.meter.record("flash.read", self.constants.read_page_energy_j, pages)
         return pages
 
     def free(self, pages: int) -> None:
@@ -115,4 +115,4 @@ class FlashDevice:
         self._used_pages -= pages
         blocks = math.ceil(pages / self.constants.pages_per_block)
         self.stats.blocks_erased += blocks
-        self.meter.charge("flash.erase", blocks * self.constants.erase_block_energy_j)
+        self.meter.record("flash.erase", self.constants.erase_block_energy_j, blocks)

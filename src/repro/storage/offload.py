@@ -372,10 +372,10 @@ class OffloadCoordinator:
         self._guests[host][(source, record.record_id)] = record
         # Relay costs over intermediate hops are folded into the source's
         # transmit charge; the host pays one delivery's receive cost.
-        tx_j = transfer_energy(self.radio, payload) * hops
+        tx_j = transfer_energy(self.radio, payload)
         rx_j = receive_transfer_energy(self.radio, payload)
-        src_archive.flash.meter.charge("radio.offload_tx", tx_j)
-        host_archive.flash.meter.charge("radio.offload_rx", rx_j)
+        src_archive.flash.meter.record("radio.offload_tx", tx_j, hops)
+        host_archive.flash.meter.record("radio.offload_rx", rx_j)
         self.stats.segments_offloaded += 1
         self.stats.bytes_offloaded += payload
         self.stats.pages_offloaded += host_pages
@@ -386,7 +386,7 @@ class OffloadCoordinator:
                 host=host,
                 pages=host_pages,
                 hops=hops,
-                radio_j=tx_j + rx_j,
+                radio_j=tx_j * hops + rx_j,
             )
         )
 
@@ -407,10 +407,10 @@ class OffloadCoordinator:
         host_archive.flash.read(payload)
         src_meter = archive.flash.meter
         host_meter = host_archive.flash.meter
-        src_meter.charge("radio.offload_tx", transfer_energy(self.radio, REQUEST_BYTES) * hops)
-        host_meter.charge("radio.offload_rx", receive_transfer_energy(self.radio, REQUEST_BYTES))
-        host_meter.charge("radio.offload_tx", transfer_energy(self.radio, payload) * hops)
-        src_meter.charge("radio.offload_rx", receive_transfer_energy(self.radio, payload))
+        src_meter.record("radio.offload_tx", transfer_energy(self.radio, REQUEST_BYTES), hops)
+        host_meter.record("radio.offload_rx", receive_transfer_energy(self.radio, REQUEST_BYTES))
+        host_meter.record("radio.offload_tx", transfer_energy(self.radio, payload), hops)
+        src_meter.record("radio.offload_rx", receive_transfer_energy(self.radio, payload))
         self.stats.remote_reads += 1
 
     def release(self, archive: SensorArchive, record: ArchiveRecord) -> None:

@@ -173,7 +173,7 @@ class ReferenceSensor:
         """Process one reading: archive it, then decide whether to transmit."""
         self.epoch += 1
         self.samples_taken += 1
-        self.meter.charge("cpu.sample", self._sample_j)
+        self.meter.record("cpu.sample", self._sample_j)
         local_time = self.clock.read(true_time) if self.clock else true_time
         self._last_reading = (true_time, float(value))
         self.archive.append(true_time, value)
@@ -191,7 +191,7 @@ class ReferenceSensor:
                 self.cold_pushes += 1
             return
 
-        self.meter.charge("cpu.model_check", self._check_j)
+        self.meter.record("cpu.model_check", self._check_j)
         decision = self.checker.process(value)
         if decision.push:
             if self._send_push(value, local_time):
@@ -211,7 +211,7 @@ class ReferenceSensor:
         self._maybe_activate_model()
         if self.operating_point.batch_interval_s > 0 or self.checker is None:
             return
-        self.meter.charge("cpu.model_check", self._check_j)
+        self.meter.record("cpu.model_check", self._check_j)
         self.checker.advance_silent()
 
     def _maybe_activate_model(self) -> None:
@@ -253,9 +253,8 @@ class ReferenceSensor:
         cpu = self.config.node_profile.cpu
         point = self.operating_point
         if values.size >= 4:
-            self.meter.charge(
-                "cpu.compress",
-                cpu.energy_for_cycles(WAVELET_CYCLES_PER_SAMPLE * values.size),
+            self.meter.record(
+                "cpu.compress", cpu.energy_per_cycle_j, WAVELET_CYCLES_PER_SAMPLE * values.size
             )
             block = compress_block(values, quant_step=point.quant_step)
             payload_bytes = compressed_size_bytes(block)
@@ -263,9 +262,8 @@ class ReferenceSensor:
         else:
             payload_bytes = encoded_size_bytes(values, step=point.quant_step)
             decoded = values
-        self.meter.charge(
-            "cpu.compress",
-            cpu.energy_for_cycles(COMPRESS_CYCLES_PER_BYTE * payload_bytes),
+        self.meter.record(
+            "cpu.compress", cpu.energy_per_cycle_j, COMPRESS_CYCLES_PER_BYTE * payload_bytes
         )
         packet = Packet(
             kind=PacketKind.BATCH,

@@ -5,7 +5,6 @@ import pytest
 from repro.energy.constants import MICA2_RADIO
 from repro.energy.duty_cycle import (
     DutyCycleConfig,
-    listening_energy,
     lpl_average_power,
     lpl_check_energy,
 )
@@ -47,19 +46,9 @@ class TestLplPower:
     def test_check_energy_positive(self):
         assert lpl_check_energy(MICA2_RADIO, DutyCycleConfig(1.0)) > 0
 
-    def test_listening_energy_linear_in_time(self):
-        config = DutyCycleConfig(1.0)
-        one = listening_energy(MICA2_RADIO, config, 100.0)
-        two = listening_energy(MICA2_RADIO, config, 200.0)
-        assert two == pytest.approx(2.0 * one)
-
-    def test_listening_energy_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            listening_energy(MICA2_RADIO, DutyCycleConfig(1.0), -1.0)
-
     def test_paper_magnitude_day_of_listening(self):
         """At a 1 s check interval a Mica2 spends ~10-20 J/day idle —
         the magnitude the architecture comparison shows being saved."""
         config = DutyCycleConfig(1.0)
-        per_day = listening_energy(MICA2_RADIO, config, 86_400.0)
+        per_day = lpl_average_power(MICA2_RADIO, config) * 86_400.0
         assert 5.0 < per_day < 40.0

@@ -1,17 +1,17 @@
 """The sensor fleet's one pass per epoch, against sensors sampled one by one.
 
 :class:`~repro.core.fleet.SensorFleet` samples every sensor on a
-simulator in one pass per epoch: column operations for the joules, the
-archive fill and the latest reading, one batched model step per shape,
-and a visit only to rows with an event.  The reference is
+simulator in one pass per epoch: column operations for the archive fill
+and the latest reading, one batched model step per shape, and a visit
+only to rows with an event.  The reference is
 ``tests/reference_sensor.py``: the same cells built of sensors each
 sampled by its cell's own task, each checker stepping its own model.  The
 property drives both through 1–3 small cells sharing one kernel — with
 sensing dropouts, lossy links, refits and late model updates, delta
 retunes, batching switched on and off, drifting clocks and queries — and
 compares everything a sensor leaves: packets and pushes, each checker's
-counts, trajectory and model state, every meter's categories in charge
-order by their bytes, every archive record, the cells' reports and the
+counts, trajectory and model state, every meter's categories by their
+bytes, every archive record, the cells' reports and the
 answers.
 
 A second property holds :class:`~repro.timeseries.linear.LinearBatch` to
@@ -109,8 +109,8 @@ class Plan:
         return 300 * PERIOD
 
 
-def run(plan: Plan, reference: bool) -> dict:
-    """Build and run *plan*'s cells; what they leave."""
+def simulate(plan: Plan, reference: bool) -> tuple[list, list]:
+    """Build and run *plan*'s cells; the cells and the answers."""
     n_sensors = sum(plan.cell_sizes)
     trace = IntelLabGenerator(
         IntelLabConfig(
@@ -180,6 +180,13 @@ def run(plan: Plan, reference: bool) -> dict:
     for cell in cells:
         cell.stop_tasks()
         cell.finalise(plan.horizon_s)
+    return cells, answers
+
+
+def run(plan: Plan, reference: bool) -> dict:
+    """Build and run *plan*'s cells; what they leave."""
+    cells, answers = simulate(plan, reference)
+    sensors = [sensor for cell in cells for sensor in cell.sensors]
     return {
         "sensors": [sensor_view(sensor) for sensor in sensors],
         "packets": [(cell.network.packets_sent, cell.network.packets_delivered)

@@ -10,7 +10,7 @@ from repro.energy.meter import EnergyMeter
 def metered(joules_by_category, window_s=86_400.0):
     meter = EnergyMeter("node")
     for category, joules in joules_by_category.items():
-        meter.charge(category, joules)
+        meter.record(category, joules)
     return project_lifetime(meter, window_s, MICA2_PROFILE)
 
 
@@ -33,7 +33,7 @@ class TestProjection:
 
     def test_sleep_floor_optional(self):
         meter = EnergyMeter("node")
-        meter.charge("radio.tx", 1.0)
+        meter.record("radio.tx", 1.0)
         with_floor = project_lifetime(meter, 86_400.0, MICA2_PROFILE)
         without = project_lifetime(
             meter, 86_400.0, MICA2_PROFILE, baseline_sleep=False

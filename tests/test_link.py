@@ -104,37 +104,31 @@ class TestLossy:
         assert stats.attempts == stats.deliveries + stats.losses \
             or stats.attempts >= stats.deliveries
 
-    def test_expected_attempts(self):
-        link, _, _ = make_link(loss=0.5)
-        assert link.expected_attempts() == pytest.approx(2.0)
-        lossless, _, _ = make_link(loss=0.0)
-        assert lossless.expected_attempts() == 1.0
-
 
 # -- memoised frame costs ----------------------------------------------------------
 #
 # LossyLink.transfer computes each frame shape's joules and airtime once; the
 # reference below is the loop it replaced, every attempt's costs computed
-# afresh from the radio_energy functions, in the same float addition order.
+# afresh from the radio_energy functions and recorded one attempt at a time.
 
 
 def per_attempt_transfer(radio, config, rng, stats, meters, payload_bytes, lpl_preamble_bytes):
     """``LossyLink.transfer`` as it was."""
+    sender, receiver = meters
     attempts = 0
     latency = 0.0
-    sender_energy = 0.0
-    receiver_energy = 0.0
     delivered = False
+    receiver.record("radio.rx", receive_energy(radio, payload_bytes, 0), 0)
     while attempts <= config.max_retries:
         attempts += 1
         stats.attempts += 1
-        sender_energy += transmit_energy(radio, payload_bytes, lpl_preamble_bytes)
+        sender.record("radio.tx", transmit_energy(radio, payload_bytes, lpl_preamble_bytes))
         latency += packet_airtime(radio, payload_bytes, lpl_preamble_bytes)
         latency += config.propagation_s
         if rng.random() >= config.loss_probability:
             delivered = True
-            receiver_energy += receive_energy(radio, payload_bytes, 0)
-            sender_energy += ack_rx_energy(radio)
+            receiver.record("radio.rx", receive_energy(radio, payload_bytes, 0))
+            sender.record("radio.tx", ack_rx_energy(radio))
             latency += (radio.preamble_bytes + radio.ack_bytes) * radio.byte_time_s
             stats.deliveries += 1
             stats.bytes_delivered += payload_bytes
@@ -143,10 +137,7 @@ def per_attempt_transfer(radio, config, rng, stats, meters, payload_bytes, lpl_p
         latency += config.backoff_s
     if not delivered:
         stats.drops += 1
-    sender, receiver = meters
-    sender.charge("radio.tx", sender_energy)
-    receiver.charge("radio.rx", receiver_energy)
-    return TransferOutcome(delivered, attempts, latency, sender_energy, receiver_energy)
+    return TransferOutcome(delivered, attempts, latency)
 
 
 REGIMES = (
@@ -171,7 +162,7 @@ class TestMemoisedFrames:
                 )
                 assert ours == theirs     # bit for bit, latency included
         assert link.stats == stats
-        assert (sender.total_j, receiver.total_j) == tuple(m.total_j for m in meters)
+        assert (sender.snapshot(), receiver.snapshot()) == tuple(m.snapshot() for m in meters)
         assert stats.losses and stats.drops and stats.deliveries
 
     def test_downlink_matches_per_attempt_across_check_intervals(self):
@@ -203,4 +194,4 @@ class TestMemoisedFrames:
                 assert ours == theirs._replace(latency_s=theirs.latency_s + interval / 2.0)
         assert len(preambles) == 3
         assert mac._downlink.stats == stats
-        assert (proxy.total_j, sensor.total_j) == tuple(m.total_j for m in meters)
+        assert (proxy.snapshot(), sensor.snapshot()) == tuple(m.snapshot() for m in meters)

@@ -79,10 +79,10 @@ def intercept(system: PrestoSystem, rule) -> None:
         if verdict is None:
             return send(packet, energy_category=energy_category)
         if verdict == "drop":
-            return TransferOutcome(False, 6, 0.0, 0.0, 0.0)
+            return TransferOutcome(False, 6, 0.0)
         receiver = network._nodes[packet.dst].on_receive
         system.sim.schedule_after(verdict, lambda: receiver(packet))
-        return TransferOutcome(True, 1, verdict, 0.0, 0.0)
+        return TransferOutcome(True, 1, verdict)
 
     network.send = routed
 

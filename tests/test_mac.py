@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.energy.constants import MICA2_RADIO
-from repro.energy.duty_cycle import DutyCycleConfig
+from repro.energy.duty_cycle import DutyCycleConfig, lpl_average_power
 from repro.energy.meter import EnergyMeter
 from repro.radio.link import LinkConfig
 from repro.radio.mac import LplMac
@@ -26,9 +26,9 @@ def make_mac(check_interval=1.0, loss=0.0, seed=0):
 class TestUplink:
     def test_uses_short_preamble(self):
         mac, sensor, _ = make_mac(check_interval=10.0)
-        outcome = mac.send_uplink(16)
+        mac.send_uplink(16)
         # a 10 s LPL preamble would cost ~0.8 J; short preamble is ~1 mJ
-        assert outcome.sender_energy_j < 0.01
+        assert 0 < sensor.category_j("radio.tx") < 0.01
 
     def test_charges_sensor_for_tx(self):
         mac, sensor, proxy = make_mac()
@@ -41,9 +41,9 @@ class TestDownlink:
     def test_pays_stretched_preamble(self):
         mac_fast, _, proxy_fast = make_mac(check_interval=0.125)
         mac_slow, _, proxy_slow = make_mac(check_interval=4.0)
-        fast = mac_fast.send_downlink(16)
-        slow = mac_slow.send_downlink(16)
-        assert slow.sender_energy_j > 4 * fast.sender_energy_j
+        mac_fast.send_downlink(16)
+        mac_slow.send_downlink(16)
+        assert proxy_slow.category_j("radio.tx") > 4 * proxy_fast.category_j("radio.tx") > 0
 
     def test_latency_includes_wakeup_wait(self):
         mac, _, _ = make_mac(check_interval=8.0)
@@ -59,15 +59,18 @@ class TestDownlink:
 class TestIdleAccounting:
     def test_idle_energy_linear(self):
         mac, sensor, _ = make_mac(check_interval=1.0)
-        one = mac.account_idle(3600.0)
-        assert sensor.category_j("radio.lpl") == pytest.approx(one)
-        two = mac.account_idle(3600.0)
-        assert two == pytest.approx(one)
+        mac.account_idle(3600.0)
+        one = sensor.category_j("radio.lpl")
+        assert one == pytest.approx(3600.0 * lpl_average_power(MICA2_RADIO, mac.duty_cycle))
+        mac.account_idle(3600.0)
+        assert sensor.category_j("radio.lpl") == pytest.approx(2 * one)
 
     def test_longer_interval_cheaper_idle(self):
-        mac_fast, _, _ = make_mac(check_interval=0.25)
-        mac_slow, _, _ = make_mac(check_interval=8.0)
-        assert mac_slow.account_idle(3600.0) < mac_fast.account_idle(3600.0)
+        mac_fast, fast, _ = make_mac(check_interval=0.25)
+        mac_slow, slow, _ = make_mac(check_interval=8.0)
+        mac_fast.account_idle(3600.0)
+        mac_slow.account_idle(3600.0)
+        assert slow.category_j("radio.lpl") < fast.category_j("radio.lpl")
 
     def test_negative_duration_rejected(self):
         mac, _, _ = make_mac()
@@ -77,10 +80,12 @@ class TestIdleAccounting:
 
 class TestRetune:
     def test_set_check_interval_changes_costs(self):
-        mac, _, _ = make_mac(check_interval=1.0)
-        before = mac.account_idle(3600.0)
+        mac, sensor, _ = make_mac(check_interval=1.0)
+        mac.account_idle(3600.0)
+        before = sensor.category_j("radio.lpl")
         mac.set_check_interval(30.0)
-        after = mac.account_idle(3600.0)
+        mac.account_idle(3600.0)
+        after = sensor.category_j("radio.lpl") - before
         assert after < before / 5
 
     def test_stats_track_frames(self):

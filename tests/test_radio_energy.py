@@ -7,7 +7,6 @@ from repro.energy.radio_energy import (
     ack_rx_energy,
     burst_transfer_energy,
     packet_airtime,
-    packet_overhead_bytes,
     packets_for_payload,
     receive_energy,
     transfer_energy,
@@ -16,14 +15,6 @@ from repro.energy.radio_energy import (
 
 
 class TestPacketArithmetic:
-    def test_overhead_bytes(self):
-        expected = (
-            MICA2_RADIO.preamble_bytes
-            + MICA2_RADIO.header_bytes
-            + MICA2_RADIO.crc_bytes
-        )
-        assert packet_overhead_bytes(MICA2_RADIO) == expected
-
     def test_zero_payload_needs_one_packet(self):
         assert packets_for_payload(MICA2_RADIO, 0) == 1
 

@@ -83,14 +83,11 @@ ALLOWLIST = {
     ),
     # -- named for deletion, deferred ---------------------------------------
     "src/repro/coding/gf256.py::gf_div": DEFERRED,
-    "src/repro/energy/duty_cycle.py::listening_energy": DEFERRED,
     "src/repro/energy/lifetime.py::LifetimeEstimate": DEFERRED,
     "src/repro/energy/lifetime.py::lifetime_gain": DEFERRED,
     "src/repro/energy/lifetime.py::project_lifetime": DEFERRED,
-    "src/repro/energy/radio_energy.py::packet_overhead_bytes": DEFERRED,
     "src/repro/index/interval.py::IntervalIndex.lookup_range": DEFERRED,
     "src/repro/index/skipgraph.py::SkipGraph.delete": DEFERRED,
-    "src/repro/radio/link.py::LossyLink.expected_attempts": DEFERRED,
     "src/repro/signal/codecs.py::rle_decode": DEFERRED,
     "src/repro/signal/codecs.py::rle_encode": DEFERRED,
     "src/repro/signal/codecs.py::rle_encoded_size_bytes": DEFERRED,

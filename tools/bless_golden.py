@@ -20,6 +20,10 @@ Three families live under ``tests/golden/``:
     a ``PrestoSystem`` run over the whole trace at that kind.
 
 A change that moves a golden file re-blesses it and says why in CHANGES.
+For every file it rewrites with new text, the tool prints each key whose
+value moved and that key's largest relative change over the file (a key
+names one metric across rows and steps: list positions are not part of
+it; ``inf`` marks a value that was zero, non-numeric or reshaped).
 
 Usage::
 
@@ -33,6 +37,7 @@ import argparse
 import functools
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -143,6 +148,32 @@ def render(kind: str, name: str) -> str:
     return json.dumps(rows, indent=1) + "\n"
 
 
+def _relative(old, new) -> float:
+    """|new - old| / |old| for two numbers, else inf."""
+    numeric = (int, float)
+    if isinstance(old, bool) or isinstance(new, bool):
+        return math.inf
+    if isinstance(old, numeric) and isinstance(new, numeric) and old:
+        return abs(new - old) / abs(old)
+    return math.inf
+
+
+def moved_keys(old, new, key: str = "", moves: dict | None = None) -> dict[str, float]:
+    """Each key whose value differs between two golden documents, with its
+    largest relative change (dotted for nested dicts, list positions
+    dropped), in the order the keys first appear."""
+    moves = {} if moves is None else moves
+    if isinstance(old, dict) and isinstance(new, dict):
+        for name in [*old, *(name for name in new if name not in old)]:
+            moved_keys(old.get(name), new.get(name), f"{key}.{name}" if key else name, moves)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            moved_keys(a, b, key, moves)
+    elif not (old == new and type(old) is type(new) or old != old and new != new):
+        moves[key] = max(moves.get(key, 0.0), _relative(old, new))
+    return moves
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -158,12 +189,16 @@ def main(argv: list[str] | None = None) -> int:
     for kind, name, path in chosen:
         path.parent.mkdir(parents=True, exist_ok=True)
         text = render(kind, name)
-        if not path.exists():
-            status = "new"
-        else:
-            status = "kept" if path.read_text() == text else "moved"
+        old = path.read_text() if path.exists() else None
+        status = "new" if old is None else "kept" if old == text else "moved"
         path.write_text(text)
         print(f"{status:5s} {path.relative_to(REPO)}")
+        if status == "moved":
+            moves = moved_keys(json.loads(old), json.loads(text))
+            for key, change in moves.items():
+                print(f"      {key}  {change:.3g}")
+            if not moves:
+                print("      (key order only)")
     return 0
 
 
