@@ -335,12 +335,12 @@ class _Column:
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray | float,
-        code: int,
+        code: int | np.ndarray,
         pushed: float | None,
     ) -> None:
         """Append an ascending batch strictly newer than the tail, by slice
-        assignment; with *pushed* not None its last row is a PUSHED reading
-        of std *pushed*."""
+        assignment, its rows of *code* (one, or one per row); with *pushed*
+        not None its last row is a PUSHED reading of std *pushed*."""
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
         count = timestamps.size
@@ -480,6 +480,7 @@ class SummaryCache:
         stds: np.ndarray | float,
         source: EntrySource,
         pushed: float | None = None,
+        codes: np.ndarray | None = None,
     ) -> int:
         """Insert many cells in one write.
 
@@ -501,6 +502,9 @@ class SummaryCache:
         the scalar insert instead, which skips the array preamble.  Like
         the merge it marks the row written even when the refinement policy
         drops it.
+
+        With per-row *codes* (*source*, *pushed* unused) it must append (or
+        ``ValueError``): a proxy's drained pushes with their silent gaps.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -510,8 +514,8 @@ class SummaryCache:
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column(max(_MIN_CAPACITY, 2 * count))
-        code = _CODE_OF_SOURCE[source]
-        if count == 1:
+        code = _CODE_OF_SOURCE[source] if codes is None else codes
+        if count == 1 and codes is None:
             timestamp = float(timestamps[0])
             if timestamp < column.written_from:
                 column.written_from = timestamp
@@ -523,12 +527,14 @@ class SummaryCache:
             outcome = self._insert_one(column, timestamp, float(values[0]), std, code)
             return int(outcome == _INSERTED)
         if (column.length == 0 or timestamps[0] > column.times[column.end - 1]) and (
-            pushed is not None or (timestamps[1:] > timestamps[:-1]).all()
+            pushed is not None or codes is not None or (timestamps[1:] > timestamps[:-1]).all()
         ):
             column.append(timestamps, values, stds, code, pushed)
             self.insertions += count
             self._evict_overflow(column)
             return count
+        if codes is not None:
+            raise ValueError("a run with per-row codes must append")
         scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
         if pushed is not None:
             # the run merges as a batch, then the reading lands alone
@@ -579,6 +585,11 @@ class SummaryCache:
         self.refinements += refined
         self._evict_overflow(column)
         return inserted
+
+    def newest_time(self, sensor: int) -> float:
+        """Timestamp of *sensor*'s newest row (-inf with none)."""
+        column = self._columns.get(sensor, _EMPTY)
+        return float(column.times[column.end - 1]) if column.length else -math.inf
 
     def _evict_overflow(self, column: _Column) -> None:
         """Evict *column*'s oldest entries beyond the per-sensor bound."""

@@ -5,13 +5,16 @@ engine driving model-driven push, extrapolation-based cache-miss masking,
 pull-on-miss against sensor archives, and query–sensor matching.
 
 Epoch bookkeeping: sensor ``k`` samples at ``t = epoch * sample_period``.
-The proxy advances each sensor's model tracker lazily — on pushes (up to the
-pushed epoch) and at query time (up to the current epoch minus a small
-grace period so an in-flight push is not preempted by a silent advance).
+Delivered pushes and batches wait in a per-sensor inbox until a read or
+mutation lands them (:meth:`PrestoProxy.drain`); the proxy advances each
+sensor's model tracker lazily — on landing pushes (up to the pushed epoch)
+and at query time (up to the current epoch minus a small grace period so
+an in-flight push is not preempted by a silent advance).
 """
 
 from __future__ import annotations
 
+import bisect
 from array import array
 from collections import deque
 from collections.abc import Callable
@@ -21,6 +24,7 @@ import numpy as np
 
 from repro.core.cache import (
     PREDICTED_CODE,
+    PUSHED_CODE,
     CacheEntry,
     CacheSnapshot,
     EntrySource,
@@ -115,6 +119,8 @@ class PrestoProxy:
         self._operating_points: dict[int, SensorOperatingPoint] = {}
         #: ``epoch * sample_period_s`` for every epoch so far (see _epoch_times)
         self._epoch_grid = np.empty(0)
+        #: per sensor, uplinks not landed yet: (arrival, kernel ticket, packet)
+        self._inbox: dict[int, list[tuple[float, int, Packet]]] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -141,6 +147,7 @@ class PrestoProxy:
         Identity until enough exchanges have been collected to fit the
         sensor's clock.
         """
+        self.drain(sensor)
         return self.sync.correct(self._sync_key(sensor), timestamp)
 
     def record_detection(
@@ -159,6 +166,7 @@ class PrestoProxy:
         like any push.  A non-finite or zero-rate fit raises
         ``ValueError`` before anything is recorded.
         """
+        self.drain(sensor)
         estimate = self.sync.estimate_for(self._sync_key(sensor))
         if estimate is not None and not (
             np.isfinite(estimate.rate)
@@ -230,14 +238,99 @@ class PrestoProxy:
 
     # -- receive path ------------------------------------------------------------
 
+    def accept(self, packet: Packet, at: float) -> None:
+        """Queue a delivered push or batch, arriving at *at*, with the kernel
+        ticket its delivery event would have had; while a standing query is
+        armed, deliver it by that event (notifications keep arrival order)."""
+        if self.continuous.active:
+            self.sim.schedule(at, lambda: self.on_receive(packet))
+        else:
+            arrival = (at, self.sim.ticket(), packet)
+            self._inbox.setdefault(self._origin(packet), []).append(arrival)
+
     def on_receive(self, packet: Packet) -> None:
-        """Network delivery callback (pushes, batches)."""
+        """Land *packet* now, after its sensor's earlier arrivals."""
+        self.drain(self._origin(packet))
         if packet.kind is PacketKind.PUSH:
             self._handle_push(packet.payload)
-        elif packet.kind is PacketKind.BATCH:
-            self._handle_batch(packet.payload)
         else:
+            self._handle_batch(packet.payload)
+
+    @staticmethod
+    def _origin(packet: Packet) -> int:
+        if packet.kind not in (PacketKind.PUSH, PacketKind.BATCH):
             raise ValueError(f"proxy cannot handle {packet.kind}")
+        return packet.payload[0] if packet.kind is PacketKind.PUSH else packet.payload["sensor"]
+
+    def drain(self, sensor: int | None = None) -> None:
+        """Land, in arrival order, every queued uplink — *sensor*'s, or all
+        sensors' — that arrived before the running event (between events:
+        by now), as its delivery events would have; an empty inbox costs
+        one test.  Standing queries must be armed before uplinks queue."""
+        inbox = self._inbox
+        if not inbox or (sensor is not None and sensor not in inbox):
+            return
+        position = self.sim.position
+        for each in sorted(inbox) if sensor is None else (sensor,):
+            queue = inbox[each]
+            queue.sort()
+            due = bisect.bisect_left(queue, position)
+            if due and self.continuous.active:
+                raise RuntimeError("standing queries must be armed before uplinks queue")
+            arrivals, queue[:due] = queue[:due], []
+            if not queue:
+                del inbox[each]
+            start = 0
+            while start < due:
+                landed = self._land_run(each, arrivals[start:])
+                if not landed:
+                    self.on_receive(arrivals[start][2])
+                start += landed or 1
+
+    def _land_run(self, sensor: int, arrivals: list[tuple[float, int, Packet]]) -> int:
+        """Land the leading pushes of *arrivals* — of rising epochs past the
+        newest, short of a pending activation — as one append, each with its
+        silent gap; returns how many (0: none).  No standing query is armed."""
+        state = self._states[sensor]
+        stop = float("inf") if state.pending is None else state.pending.activation_epoch
+        newest, pushes = state.last_epoch, []
+        for _, _, packet in arrivals:
+            if packet.kind is not PacketKind.PUSH or not newest < packet.payload[1] < stop:
+                break
+            pushes.append(packet.payload)
+            newest = packet.payload[1]
+        if not pushes:
+            return 0
+        tracker = state.tracker  # before any model, the pushed rows land alone
+        first = pushes[0][1] if tracker is None else state.last_epoch + 1
+        if not self.epoch_time(first) > self.cache.newest_time(sensor):
+            return 0
+        key = self._sync_key(sensor)
+        values, stds, codes = array("d"), array("d"), bytearray()
+        for _, epoch, reading, local_time in pushes:
+            self.sync.record_exchange(key, self.epoch_time(epoch), local_time)
+            if tracker is not None:
+                silent = epoch - state.last_epoch - 1
+                if silent:
+                    stds.extend([self._silent_std(tracker)] * silent)
+                    values.extend(tracker.silent_run(silent))
+                    codes.extend([PREDICTED_CODE] * silent)
+                tracker.apply_push(reading)
+            values.append(reading)
+            stds.append(0.0)
+            codes.append(PUSHED_CODE)
+            state.last_epoch = epoch
+        state.pushes_received += len(pushes)
+        times = self._epoch_times(first, state.last_epoch)
+        if tracker is None:
+            times = times[[epoch - first for _, epoch, _, _ in pushes]]
+        values_np = np.frombuffer(values)
+        rows = np.frombuffer(codes, dtype=np.int8)
+        self.cache.insert_batch(
+            sensor, times, values_np, np.frombuffer(stds), EntrySource.PREDICTED, codes=rows
+        )
+        self.continuous.on_run(sensor, times, values_np, EntrySource.PREDICTED)
+        return len(pushes)
 
     def _handle_push(self, payload: tuple[int, int, float, float]) -> None:
         sensor, epoch, value, local_time = payload
@@ -275,7 +368,8 @@ class PrestoProxy:
         built from the same update, so both start from the same state; it
         reads the checker's steps in order, verifying each against what the
         proxy heard, and forks at the first that differs (see
-        :mod:`repro.core.push`).
+        :mod:`repro.core.push`) — by order, not epoch, so even a checker
+        built late, before a queued arrival lands, reads exactly.
         """
         update = state.pending
         if update is None or epoch < update.activation_epoch:
@@ -346,6 +440,7 @@ class PrestoProxy:
 
     def advance_to_now(self, sensor: int) -> None:
         """Bring *sensor*'s cached view up to the current epoch."""
+        self.drain(sensor)
         self._bring_forward(sensor, self.current_epoch())
 
     # -- model refit & dissemination ---------------------------------------------------
@@ -355,6 +450,7 @@ class PrestoProxy:
 
         Returns True when a model update was shipped and accepted.
         """
+        self.drain(sensor)
         all_times, all_values, _, _ = self.cache.arrays_in(sensor, 0.0, self.sim.now)
         if all_times.size < self.config.min_training_epochs:
             return False
@@ -419,6 +515,7 @@ class PrestoProxy:
         current = self._operating_points.get(sensor)
         if current == point:
             return None
+        self.drain(sensor)
         name = self.sensor_name(sensor)
         packet = Packet(
             kind=PacketKind.OPERATING_POINT,
@@ -452,6 +549,7 @@ class PrestoProxy:
         its latency is the cell's plus *routing_latency_s*, what getting
         the query here cost.
         """
+        self.drain(sensor)
         self.matcher.observe_query(query)
         self.queries_processed += 1
         if query.kind is QueryKind.NOW:
@@ -512,6 +610,8 @@ class PrestoProxy:
                 latency_s=PROXY_PROCESSING_S + routing_s,
                 believed_std=row.std,
             )
+        if self.config.spatial_extrapolation:
+            self.drain()  # a spatial estimate reads every sensor's cache
         estimate = self.engine.best_estimate(sensor, target, self.cache)
         if estimate is not None and self._confidence_ok(
             estimate[0].std, query.precision
@@ -563,7 +663,7 @@ class PrestoProxy:
     ) -> QueryAnswer:
         """Round-trip to the sensor for its current reading."""
         sensor_obj = self._sensors[sensor]
-        before = sensor_obj.meter.total_j
+        spent = sensor_obj.meter.since()
         self.pull_stats.requests += 1
         mac = self.network.mac_for(sensor_obj.name)
         request = mac.send_downlink(PULL_REQUEST_BYTES, "radio.pull_request")
@@ -589,7 +689,7 @@ class PrestoProxy:
             source=AnswerSource.SENSOR_PULL,
             latency_s=latency + routing_s,
             believed_std=0.0,
-            sensor_energy_j=sensor_obj.meter.total_j - before,
+            sensor_energy_j=spent(),
             pulled_bytes=8,
         )
 
@@ -604,7 +704,7 @@ class PrestoProxy:
     ) -> QueryAnswer:
         """Round-trip to the sensor archive for a historical window."""
         sensor_obj = self._sensors[sensor]
-        before = sensor_obj.meter.total_j
+        spent = sensor_obj.meter.since()
         self.pull_stats.requests += 1
         mac = self.network.mac_for(sensor_obj.name)
         request = mac.send_downlink(PULL_REQUEST_BYTES, "radio.pull_request")
@@ -643,7 +743,7 @@ class PrestoProxy:
             source=AnswerSource.SENSOR_PULL,
             latency_s=latency + routing_s,
             believed_std=aged_std,
-            sensor_energy_j=sensor_obj.meter.total_j - before,
+            sensor_energy_j=spent(),
             pulled_bytes=reply_bytes,
         )
 
@@ -692,6 +792,7 @@ class PrestoProxy:
         activates) — the "caches and prediction models ... further
         replicated at the wired proxies" of Section 5.
         """
+        self.drain(sensor)
         tracker = self._states[sensor].tracker
         first_s, kept, rows = self.cache.export_tail(sensor, max_entries, keyframe)
         return first_s, kept, rows, None if tracker is None else tracker.state()

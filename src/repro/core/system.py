@@ -164,7 +164,7 @@ class PrestoCell:
             n_sensors=trace.n_sensors,
         )
         self.network.register_proxy(
-            NetworkNode(proxy_name, self.proxy_meter, on_receive=self.proxy.on_receive)
+            NetworkNode(proxy_name, self.proxy_meter, self.proxy.on_receive, self.proxy.accept)
         )
         self.sensors: list[PrestoSensor] = []
         clock_rng = streams.get("sync.clocks")
@@ -298,6 +298,7 @@ class PrestoCell:
         took the queries, scored here against the cell's own trace.  The
         federation scores its global log itself and takes only the ledger.
         """
+        self.proxy.drain()
         fleet = EnergyMeter("fleet")
         per_sensor: list[float] = []
         aged_segments = 0

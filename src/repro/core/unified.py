@@ -56,6 +56,7 @@ def ordered_view(
     merged: list[tuple[float, int, float]] = []
     for cell in cells:
         proxy = cell.proxy
+        proxy.drain()
         for local in range(proxy.n_sensors):
             global_id = cell.first_sensor + local
             if not cell.sensor_stamped:

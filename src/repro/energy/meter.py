@@ -72,6 +72,18 @@ class EnergyMeter:
             units = self._quantities[category] = {}
         units[unit_j] = units.get(unit_j, 0) + quantity
 
+    def since(self) -> Callable[[], float]:
+        """A function giving the joules of the quantities recorded after
+        this call (not :attr:`counted` ones), summed in the meter's order."""
+        before = {category: dict(units) for category, units in self._quantities.items()}
+        return lambda: sum(
+            sum(
+                (quantity - before.get(category, {}).get(unit_j, 0)) * unit_j
+                for unit_j, quantity in sorted(units.items())
+            )
+            for category, units in sorted(self._quantities.items())
+        )
+
     def _all_quantities(self) -> dict[str, dict[float, float]]:
         """The meter's quantities with the :attr:`counted` ones added."""
         if self.counted is None:

@@ -3,8 +3,9 @@
 The PRESTO middle tier manages "several tens of lower-tier sensors in its
 vicinity"; within one cell the topology is a star (sensor ↔ proxy, one hop).
 The network object owns one :class:`~repro.radio.mac.LplMac` per sensor,
-delivers packets through simulator events with the latency the MAC computed,
-and keeps fleet-level statistics for the benchmarks.
+runs each transfer's ARQ when the packet is sent (a proxy's ``accept``
+takes a delivery then, with its arrival instant; any other ``on_receive``
+runs as a simulator event at it), and keeps fleet-level statistics.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class NetworkNode:
     name: str
     meter: EnergyMeter
     on_receive: Callable[[Packet], None] | None = None
+    #: takes a delivery at send time with its arrival instant, not by event
+    accept: Callable[[Packet, float], None] | None = None
 
 
 class Network:
@@ -87,10 +90,6 @@ class Network:
         """The MAC serving *sensor_name*."""
         return self._macs[sensor_name]
 
-    def node(self, name: str) -> NetworkNode:
-        """Lookup an endpoint by name."""
-        return self._nodes[name]
-
     @property
     def sensor_names(self) -> list[str]:
         """All registered sensor names."""
@@ -99,12 +98,12 @@ class Network:
     # -- transfer ----------------------------------------------------------------
 
     def send(self, packet: Packet, energy_category: str = "radio.tx"):
-        """Send *packet*; schedules delivery if the ARQ succeeded.
+        """Send *packet*; hands it to its receiver if the ARQ succeeded.
 
         Returns the :class:`~repro.radio.link.TransferOutcome` so callers can
         read both ``delivered`` and the latency (the proxy's pull path sums
-        round-trip latencies analytically).  The receiver's callback still
-        runs via the simulator at the delivery time.
+        round-trip latencies analytically).  The receiver's ``accept`` takes
+        it now, else its callback runs via the simulator at delivery time.
         """
         self.packets_sent += 1
         self.bytes_sent += packet.payload_bytes
@@ -125,7 +124,9 @@ class Network:
             return outcome
         self.packets_delivered += 1
         receiver = self._nodes[packet.dst]
-        if receiver.on_receive is not None:
+        if receiver.accept is not None:
+            receiver.accept(packet, self.sim.now + outcome.latency_s)
+        elif receiver.on_receive is not None:
             callback = receiver.on_receive
             self.sim.schedule_after(outcome.latency_s, lambda: callback(packet))
         return outcome

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -96,6 +97,7 @@ class Simulator:
         self._queue = EventQueue()
         self._events_fired = 0
         self._running = False
+        self._seq: float = math.inf   # the running event's; inf between events
 
     @property
     def now(self) -> float:
@@ -106,6 +108,16 @@ class Simulator:
     def events_fired(self) -> int:
         """Number of callbacks executed so far (for tests and stats)."""
         return self._events_fired
+
+    @property
+    def position(self) -> tuple[float, float]:
+        """``(time, seq)`` of the running event; ``(now, inf)`` between events."""
+        return self._now, self._seq
+
+    def ticket(self) -> int:
+        """Take the sequence number an event scheduled now would, queueing
+        none: work kept outside the queue (a proxy's inbox) ties as it would."""
+        return next(self._queue._counter)
 
     @property
     def pending(self) -> int:
@@ -148,23 +160,11 @@ class Simulator:
                 event = self._queue.pop()
                 assert event is not None  # peek said there was one
                 self._now = event.time
+                self._seq = event.seq
                 event.callback()
                 self._events_fired += 1
             self._now = max(self._now, horizon)
         finally:
             self._running = False
-
-    def run(self) -> None:
-        """Fire every queued event (including ones they schedule) until empty."""
-        self._running = True
-        try:
-            while True:
-                event = self._queue.pop()
-                if event is None:
-                    break
-                self._now = event.time
-                event.callback()
-                self._events_fired += 1
-        finally:
-            self._running = False
+            self._seq = math.inf
 

@@ -42,6 +42,11 @@ class PerEntryQueryEngine:
         """Disarm a standing query."""
         self._queries.pop(query_id, None)
 
+    @property
+    def active(self) -> list[ContinuousQuery]:
+        """Currently armed queries."""
+        return list(self._queries.values())
+
     def on_entry(self, sensor: int, entry: CacheEntry) -> list[Notification]:
         """Feed one cache update; returns the notifications it fired.
 

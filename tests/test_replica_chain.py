@@ -62,7 +62,10 @@ class Owner:
                 model, _ = fitted_family("arima" if local == 1 else "seasonal", rng)
                 tracker = ProxyModelTracker(ModelUpdate(model=model, delta=0.2))
             self.states.append(SimpleNamespace(tracker=tracker))
-        proxy = SimpleNamespace(cache=self.cache, _states=self.states)
+        # no uplinks queue here: the drain every proxy read starts with is a no-op
+        proxy = SimpleNamespace(
+            cache=self.cache, _states=self.states, drain=lambda sensor=None: None
+        )
         proxy.export_replica_state = functools.partial(PrestoProxy.export_replica_state, proxy)
         self.core = SimpleNamespace(
             federation=SimpleNamespace(hot_entries_per_sensor=hot),

@@ -134,15 +134,6 @@ class TestSimulator:
         sim.run_until(2.5)
         assert sim.events_fired == 2
 
-    def test_run_drains_everything(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(1e9, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1, 2]
-        assert sim.pending == 0
-
     def test_clock_equals_event_time_during_callback(self):
         sim = Simulator()
         seen = []

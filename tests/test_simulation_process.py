@@ -1,26 +1,9 @@
-"""Unit tests for PeriodicTask and delayed_call."""
+"""Unit tests for PeriodicTask."""
 
 import pytest
 
 from repro.simulation.kernel import SimulationError, Simulator
-from repro.simulation.process import PeriodicTask, delayed_call
-
-
-class TestDelayedCall:
-    def test_fires_after_delay(self):
-        sim = Simulator()
-        fired = []
-        delayed_call(sim, 3.0, lambda: fired.append(sim.now))
-        sim.run_until(10.0)
-        assert fired == [3.0]
-
-    def test_cancellable(self):
-        sim = Simulator()
-        fired = []
-        handle = delayed_call(sim, 3.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run_until(10.0)
-        assert fired == []
+from repro.simulation.process import PeriodicTask
 
 
 class TestPeriodicTask:
@@ -59,29 +42,6 @@ class TestPeriodicTask:
         sim.run_until(100.0)
         assert times == [0.0]
 
-    def test_set_period_from_callback(self):
-        sim = Simulator()
-        times = []
-
-        def tick():
-            times.append(sim.now)
-            if len(times) == 2:
-                task.set_period(20.0)
-
-        task = PeriodicTask(sim, 10.0, tick)
-        task.start()
-        sim.run_until(60.0)
-        assert times == [0.0, 10.0, 30.0, 50.0]
-
-    def test_set_period_while_armed_reschedules(self):
-        sim = Simulator()
-        times = []
-        task = PeriodicTask(sim, 100.0, lambda: times.append(sim.now), start_offset=100.0)
-        task.start()
-        task.set_period(10.0)
-        sim.run_until(25.0)
-        assert times == [10.0, 20.0]
-
     def test_double_start_is_noop(self):
         sim = Simulator()
         times = []
@@ -95,9 +55,8 @@ class TestPeriodicTask:
         sim = Simulator()
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
-        task = PeriodicTask(sim, 1.0, lambda: None)
         with pytest.raises(SimulationError):
-            task.set_period(-1.0)
+            PeriodicTask(sim, -1.0, lambda: None)
 
     def test_fire_count(self):
         sim = Simulator()

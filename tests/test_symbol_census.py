@@ -96,8 +96,6 @@ ALLOWLIST = {
     "src/repro/signal/denoise.py::denoised_nonzero_fraction": DEFERRED,
     "src/repro/signal/multires.py::MultiResolutionSummary.compression_ratio": DEFERRED,
     "src/repro/signal/multires.py::reconstruction_rmse": DEFERRED,
-    "src/repro/simulation/process.py::PeriodicTask.set_period": DEFERRED,
-    "src/repro/simulation/process.py::delayed_call": DEFERRED,
     "src/repro/simulation/randomness.py::RandomStreams.fork": DEFERRED,
     "src/repro/storage/aging.py::reconstruction_error_by_level": DEFERRED,
     "src/repro/timeseries/base.py::Forecast.interval": DEFERRED,
