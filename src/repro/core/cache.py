@@ -501,10 +501,8 @@ class SummaryCache:
         A one-row batch — a lone reading, or a silent run of one epoch — is
         the scalar insert instead, which skips the array preamble.  Like
         the merge it marks the row written even when the refinement policy
-        drops it.
-
-        With per-row *codes* (*source*, *pushed* unused) it must append (or
-        ``ValueError``): a proxy's drained pushes with their silent gaps.
+        drops it.  A batch with per-row *codes* (*source*, *pushed* unused)
+        must append (else ``ValueError``): a proxy's drained pushes and gaps.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)

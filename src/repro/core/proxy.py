@@ -245,8 +245,7 @@ class PrestoProxy:
         if self.continuous.active:
             self.sim.schedule(at, lambda: self.on_receive(packet))
         else:
-            arrival = (at, self.sim.ticket(), packet)
-            self._inbox.setdefault(self._origin(packet), []).append(arrival)
+            self._inbox.setdefault(self._origin(packet), []).append((at, self.sim.ticket(), packet))
 
     def on_receive(self, packet: Packet) -> None:
         """Land *packet* now, after its sensor's earlier arrivals."""
@@ -299,38 +298,34 @@ class PrestoProxy:
                 break
             pushes.append(packet.payload)
             newest = packet.payload[1]
-        if not pushes:
-            return 0
+        if len(pushes) < 2:
+            return 0  # a lone push lands cheaper alone
         tracker = state.tracker  # before any model, the pushed rows land alone
         first = pushes[0][1] if tracker is None else state.last_epoch + 1
         if not self.epoch_time(first) > self.cache.newest_time(sensor):
             return 0
-        key = self._sync_key(sensor)
-        values, stds, codes = array("d"), array("d"), bytearray()
-        for _, epoch, reading, local_time in pushes:
-            self.sync.record_exchange(key, self.epoch_time(epoch), local_time)
-            if tracker is not None:
-                silent = epoch - state.last_epoch - 1
-                if silent:
-                    stds.extend([self._silent_std(tracker)] * silent)
-                    values.extend(tracker.silent_run(silent))
-                    codes.extend([PREDICTED_CODE] * silent)
-                tracker.apply_push(reading)
-            values.append(reading)
-            stds.append(0.0)
-            codes.append(PUSHED_CODE)
-            state.last_epoch = epoch
-        state.pushes_received += len(pushes)
-        times = self._epoch_times(first, state.last_epoch)
+        _, epochs, readings, local_times = zip(*pushes)
+        offsets = [epoch - first for epoch in epochs]
         if tracker is None:
-            times = times[[epoch - first for _, epoch, _, _ in pushes]]
-        values_np = np.frombuffer(values)
-        rows = np.frombuffer(codes, dtype=np.int8)
-        self.cache.insert_batch(
-            sensor, times, values_np, np.frombuffer(stds), EntrySource.PREDICTED, codes=rows
-        )
-        self.continuous.on_run(sensor, times, values_np, EntrySource.PREDICTED)
-        return len(pushes)
+            count, values = len(epochs), np.array(readings)
+            times = self._epoch_times(first, epochs[-1])[offsets]
+            codes, silent_std = np.full(count, PUSHED_CODE, dtype=np.int8), 0.0
+        else:
+            silent_std = self._silent_std(tracker)
+            count, values = tracker.read_pushes(offsets, readings)
+            if not count:
+                return 0
+            times = self._epoch_times(first, epochs[count - 1])
+            codes = np.full(times.size, PREDICTED_CODE, dtype=np.int8)
+            codes[offsets[:count]] = PUSHED_CODE
+        stds = np.where(codes == PUSHED_CODE, 0.0, silent_std)
+        state.last_epoch = epochs[count - 1]
+        state.pushes_received += count
+        for epoch, local_time in zip(epochs[:count], local_times):
+            self.sync.record_exchange(self._sync_key(sensor), self.epoch_time(epoch), local_time)
+        self.cache.insert_batch(sensor, times, values, stds, EntrySource.PREDICTED, codes=codes)
+        self.continuous.on_run(sensor, times, values, EntrySource.PREDICTED)
+        return count
 
     def _handle_push(self, payload: tuple[int, int, float, float]) -> None:
         sensor, epoch, value, local_time = payload

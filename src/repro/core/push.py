@@ -458,6 +458,30 @@ class ProxyModelTracker:
         values.extend(advance() for _ in range(count - read))
         return values
 
+    def read_pushes(self, offsets: list[int], readings: tuple) -> tuple[int, np.ndarray]:
+        """Read a run — pushes of *readings* at *offsets*, other epochs
+        silent — off the trajectory as :meth:`silent_run` and
+        :meth:`apply_push` would, up to the first push it does not show:
+        how many pushes it read (0 unlinked), and the run's values so far."""
+        if self._checker is None:
+            return 0, np.zeros(0)
+        observed, pushed = self._checker.trajectory
+        start = read = self._cursor
+        count = 0
+        for offset, reading in zip(offsets, readings):
+            at = start + offset
+            if not (
+                at < len(pushed)
+                and pushed[read : at + 1].tobytes().lstrip(b"\0") == b"\1"
+                and observed[at] == reading
+            ):
+                break
+            read, count = at + 1, count + 1
+        self._cursor = read
+        self.substitutions += read - start - count
+        self.pushes_applied += count
+        return count, np.frombuffer(observed[start:read], dtype=np.float64)
+
     def apply_push(self, value: float) -> None:
         """Advance one epoch with the pushed reading."""
         checker, at = self._checker, self._cursor

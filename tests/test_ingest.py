@@ -449,3 +449,34 @@ def test_a_pull_answer_spends_its_own_frames_and_pages():
         assert (heard, acks) == (1, 1) and (read > 0) is (query.kind is not QueryKind.NOW)
         assert answer.sensor_energy_j == pulled_joules(counts)
 
+
+
+def test_read_pushes_lands_only_the_prefix_the_trajectory_holds():
+    """A drained run's pushes are read off the trajectory up to the first
+    that is not there as pushed (or pushed with another reading); the
+    tracker then stands where stepping over that prefix leaves one."""
+    from test_lockstep import fitted_update, shipped
+
+    from repro.core.push import ProxyModelTracker, SensorModelChecker
+
+    update = fitted_update((2, 1, 1), seed=8)
+    checker = SensorModelChecker(update)
+    pushed = {}
+    for epoch in range(9):
+        predicted = checker._model.predict_next()
+        reading = predicted + (5.0 if epoch in (2, 5) else 0.0)
+        if checker.process(reading).push:
+            pushed[epoch] = reading
+    assert sorted(pushed) == [2, 5]
+    tracker, eager = ProxyModelTracker(update, checker), ProxyModelTracker(update)
+    count, values = tracker.read_pushes([1], (pushed[2],))   # epoch 1 was silent
+    assert (count, values.size, tracker._cursor) == (0, 0, 0)
+    count, values = tracker.read_pushes([2, 5, 7], (pushed[2], pushed[5] + 0.25, 1.0))
+    assert count == 1 and tracker._cursor == 3
+    expected = list(eager.silent_run(2)) + [pushed[2]]
+    eager.apply_push(pushed[2])
+    assert values.tolist() == expected
+    assert (tracker.substitutions, tracker.pushes_applied) == (2, 1)
+    assert shipped(tracker) == shipped(eager)
+    count, values = tracker.read_pushes([2], (pushed[5],))
+    assert count == 1 and tracker._cursor == 6 and values[-1] == pushed[5]
