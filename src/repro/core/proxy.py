@@ -287,9 +287,9 @@ class PrestoProxy:
                 start += landed or 1
 
     def _land_run(self, sensor: int, arrivals: list[tuple[float, int, Packet]]) -> int:
-        """Land the leading pushes of *arrivals* — of rising epochs past the
-        newest, short of a pending activation — as one append, each with its
-        silent gap; returns how many (0: none).  No standing query is armed."""
+        """Land two or more leading pushes of *arrivals* — rising epochs past
+        the newest, short of a pending activation; with a tracker, those its
+        trajectory shows — as one append; returns how many (0: none)."""
         state = self._states[sensor]
         stop = float("inf") if state.pending is None else state.pending.activation_epoch
         newest, pushes = state.last_epoch, []
@@ -324,7 +324,7 @@ class PrestoProxy:
         for epoch, local_time in zip(epochs[:count], local_times):
             self.sync.record_exchange(self._sync_key(sensor), self.epoch_time(epoch), local_time)
         self.cache.insert_batch(sensor, times, values, stds, EntrySource.PREDICTED, codes=codes)
-        self.continuous.on_run(sensor, times, values, EntrySource.PREDICTED)
+        self.continuous.on_run(sensor, times, values, EntrySource.PREDICTED)  # unarmed
         return count
 
     def _handle_push(self, payload: tuple[int, int, float, float]) -> None:

@@ -27,12 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_ingest import per_arrival
 from test_fleet import hexes, plans, simulate
+from test_lockstep import fitted_update, shipped
 
 from repro.core import federation as federation_module
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.federation import FederatedSystem
 from repro.core.proxy import PrestoProxy
+from repro.core.push import ProxyModelTracker, SensorModelChecker
 from repro.core.queries import AnswerSource
 from repro.core.sensor import PUSH_PAYLOAD_BYTES, PULL_REQUEST_BYTES
 from repro.core.system import PrestoSystem
@@ -455,10 +457,6 @@ def test_read_pushes_lands_only_the_prefix_the_trajectory_holds():
     """A drained run's pushes are read off the trajectory up to the first
     that is not there as pushed (or pushed with another reading); the
     tracker then stands where stepping over that prefix leaves one."""
-    from test_lockstep import fitted_update, shipped
-
-    from repro.core.push import ProxyModelTracker, SensorModelChecker
-
     update = fitted_update((2, 1, 1), seed=8)
     checker = SensorModelChecker(update)
     pushed = {}
