@@ -335,25 +335,19 @@ class _Column:
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray | float,
-        code: int | np.ndarray,
-        pushed: float | None,
+        codes: np.ndarray | int,
     ) -> None:
         """Append an ascending batch strictly newer than the tail, by slice
-        assignment, its rows of *code* (one, or one per row); with *pushed*
-        not None its last row is a PUSHED reading of std *pushed*."""
+        assignment (*stds* and *codes* one per row, or one for all)."""
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
         count = timestamps.size
         self.reserve(count)
-        end = self.end
-        tail = slice(end, end + count)
+        tail = slice(self.end, self.end + count)
         self.times[tail] = timestamps
         self.values[tail] = values
         self.stds[tail] = stds
-        self.codes[tail] = code
-        if pushed is not None:
-            self.stds[end + count - 1] = pushed
-            self.codes[end + count - 1] = PUSHED_CODE
+        self.codes[tail] = codes
         self.length += count
 
     def merge_batch(
@@ -361,17 +355,19 @@ class _Column:
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray,
-        code: int,
+        codes: np.ndarray | int,
     ) -> tuple[int, int]:
         """Merge a sorted, deduplicated batch that does not append;
         returns (inserted, refined).
 
         Exact-timestamp collisions follow the single-insert refinement
-        policy and new timestamps are merged in one vectorized pass.
+        policy row by row (*codes* one per row, or one for all) and new
+        timestamps are merged in one vectorized pass.
         """
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
-        times, vals, sds, codes = self.views()
+        codes = np.broadcast_to(np.asarray(codes, dtype=np.int8), timestamps.shape)
+        times, vals, sds, cached_codes = self.views()
         n = times.size
         positions = np.searchsorted(times, timestamps, side="left")
         in_range = positions < n
@@ -382,33 +378,32 @@ class _Column:
         refined = 0
         if matched.any():
             hit = positions[matched]
-            new_actual = code != PREDICTED_CODE
-            existing_actual = codes[hit] != PREDICTED_CODE
-            writable = ~(existing_actual & (not new_actual))
+            new_actual = codes[matched] != PREDICTED_CODE
+            existing_actual = cached_codes[hit] != PREDICTED_CODE
+            writable = new_actual | ~existing_actual  # never degrade an actual
             target = hit[writable]
             vals[target] = values[matched][writable]
             sds[target] = stds[matched][writable]
-            refined = int((~existing_actual[writable]).sum()) if new_actual else 0
-            codes[target] = code
+            cached_codes[target] = codes[matched][writable]
+            refined = int((new_actual & ~existing_actual).sum())
         fresh = ~matched
         inserted = int(fresh.sum())
         if inserted:
             new_times = timestamps[fresh]
             self.reserve(inserted)
-            times, vals, sds, codes = self.views()
+            times, vals, sds, cached_codes = self.views()
             merged = self.length + inserted
             place = np.searchsorted(times, new_times, side="left") + np.arange(
                 inserted
             )
             keep = np.ones(merged, dtype=bool)
             keep[place] = False
-            new_codes = np.full(inserted, code, dtype=np.int8)
             lo = self.start
             for array, column, batch in (
                 (self.times, times, new_times),
                 (self.values, vals, values[fresh]),
                 (self.stds, sds, stds[fresh]),
-                (self.codes, codes, new_codes),
+                (self.codes, cached_codes, codes[fresh]),
             ):
                 merged_column = np.empty(merged, dtype=array.dtype)
                 merged_column[keep] = column
@@ -478,86 +473,60 @@ class SummaryCache:
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray | float,
-        source: EntrySource,
-        pushed: float | None = None,
-        codes: np.ndarray | None = None,
+        codes: np.ndarray | int,
     ) -> int:
-        """Insert many cells in one write.
+        """Insert many cells in one write, each with its std and source
+        code (*stds* and *codes* one per row, or one for every row).
 
         Equivalent to inserting each cell individually (duplicates within
         the batch keep the last value; collisions with cached cells follow
         the refinement policy; overflow evicts the oldest cells).  An
-        ascending batch newer than everything cached — the common case — is
+        ascending batch newer than everything cached — the common case, a
+        proxy's run of silent epochs and pushed readings among them — is
         appended by slice assignment; any other batch takes one
         searchsorted merge instead of per-entry bisect.  Returns the number
         of genuinely new timestamps.
 
-        With *pushed* not None the batch is a proxy's silent run landed
-        together with the reading that ended it (a push, or a batched
-        reading): ascending by construction, its last row that reading
-        (PUSHED, std *pushed*) and the rest *source* rows.  That equals
-        inserting the rest as a batch, then the reading alone.
-
-        A one-row batch — a lone reading, or a silent run of one epoch — is
-        the scalar insert instead, which skips the array preamble.  Like
-        the merge it marks the row written even when the refinement policy
-        drops it.  A batch with per-row *codes* (*source*, *pushed* unused)
-        must append (else ``ValueError``): a proxy's drained pushes and gaps.
+        A one-row batch is the scalar insert instead, which skips the array
+        preamble.  Like the merge it marks the row written even when the
+        refinement policy drops it.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
+        stds = np.asarray(stds, dtype=np.float64)   # 0-d: one for all rows
+        codes = np.asarray(codes, dtype=np.int8)
         count = timestamps.size
         if count == 0:
             return 0
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column(max(_MIN_CAPACITY, 2 * count))
-        code = _CODE_OF_SOURCE[source] if codes is None else codes
-        if count == 1 and codes is None:
+        if count == 1:
             timestamp = float(timestamps[0])
             if timestamp < column.written_from:
                 column.written_from = timestamp
-            if pushed is not None:
-                std, code = float(pushed), PUSHED_CODE
-            else:
-                scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
-                std = float(stds) if scalar_std else float(stds[0])
+            std = float(stds[0] if stds.ndim else stds)
+            code = int(codes[0] if codes.ndim else codes)
             outcome = self._insert_one(column, timestamp, float(values[0]), std, code)
             return int(outcome == _INSERTED)
-        if (column.length == 0 or timestamps[0] > column.times[column.end - 1]) and (
-            pushed is not None or codes is not None or (timestamps[1:] > timestamps[:-1]).all()
-        ):
-            column.append(timestamps, values, stds, code, pushed)
+        ascending = (timestamps[1:] > timestamps[:-1]).all()
+        if ascending and (column.length == 0 or timestamps[0] > column.times[column.end - 1]):
+            column.append(timestamps, values, stds, codes)
             self.insertions += count
             self._evict_overflow(column)
             return count
-        if codes is not None:
-            raise ValueError("a run with per-row codes must append")
-        scalar_std = np.isscalar(stds) or getattr(stds, "ndim", 1) == 0
-        if pushed is not None:
-            # the run merges as a batch, then the reading lands alone
-            run = slice(0, count - 1)
-            run_stds = np.full(count - 1, float(stds)) if scalar_std else stds[run]
-            inserted = self._merge(sensor, timestamps[run], values[run], run_stds, code)
-            outcome = self._insert_one(
-                column, float(timestamps[-1]), float(values[-1]), float(pushed), PUSHED_CODE
-            )
-            return inserted + (outcome == _INSERTED)
-        if scalar_std:
-            stds = np.full(count, float(stds), dtype=np.float64)
-        else:
-            stds = np.ascontiguousarray(stds, dtype=np.float64)
-        if not (timestamps[1:] > timestamps[:-1]).all():
+        stds, codes = np.broadcast_to(stds, (count,)), np.broadcast_to(codes, (count,))
+        if not ascending:
             order = np.argsort(timestamps, kind="stable")
-            timestamps = timestamps[order]
-            values = values[order]
-            stds = stds[order]
+            timestamps, values = timestamps[order], values[order]
+            stds, codes = stds[order], codes[order]
             # Deduplicate within the batch: the last occurrence wins, exactly
-            # as sequential same-source inserts would resolve it.
+            # as sequential inserts would resolve it.
             last = np.ones(timestamps.size, dtype=bool)
             last[:-1] = timestamps[1:] != timestamps[:-1]
-            timestamps, values, stds = timestamps[last], values[last], stds[last]
-        return self._merge(sensor, timestamps, values, stds, code)
+            timestamps, values = timestamps[last], values[last]
+            stds, codes = stds[last], codes[last]
+        return self._merge(sensor, timestamps, values, stds, codes)
 
     def _merge(
         self,
@@ -565,7 +534,7 @@ class SummaryCache:
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray,
-        code: int,
+        codes: np.ndarray | int,
     ) -> int:
         """A sorted, deduplicated batch appended or merged, counted;
         returns the number of new timestamps."""
@@ -575,19 +544,14 @@ class SummaryCache:
                 max(_MIN_CAPACITY, 2 * timestamps.size)
             )
         if column.length == 0 or timestamps[0] > column.times[column.end - 1]:
-            column.append(timestamps, values, stds, code, pushed=None)
+            column.append(timestamps, values, stds, codes)
             inserted, refined = timestamps.size, 0
         else:
-            inserted, refined = column.merge_batch(timestamps, values, stds, code)
+            inserted, refined = column.merge_batch(timestamps, values, stds, codes)
         self.insertions += inserted
         self.refinements += refined
         self._evict_overflow(column)
         return inserted
-
-    def newest_time(self, sensor: int) -> float:
-        """Timestamp of *sensor*'s newest row (-inf with none)."""
-        column = self._columns.get(sensor, _EMPTY)
-        return float(column.times[column.end - 1]) if column.length else -math.inf
 
     def _evict_overflow(self, column: _Column) -> None:
         """Evict *column*'s oldest entries beyond the per-sensor bound."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import EntrySource
+from repro.core.cache import PREDICTED_CODE, PUSHED_CODE
 
 
 class TriggerKind(enum.Enum):
@@ -77,6 +77,8 @@ class ContinuousQueryEngine:
         self._queries: dict[int, ContinuousQuery] = {}
         #: armed queries per sensor (see _index)
         self._watching: dict[int, list[ContinuousQuery]] = {}
+        #: the sensors some query watches, a new set whenever queries change
+        self.watched: frozenset[int] = frozenset()
         self._next_id = 0
         self._last_value: dict[int, float] = {}
         self._latest_ts: dict[int, float] = {}
@@ -104,6 +106,7 @@ class ContinuousQueryEngine:
         self._watching = {}
         for query in self._queries.values():
             self._watching.setdefault(query.sensor, []).append(query)
+        self.watched = frozenset(self._watching)
 
     @property
     def active(self) -> list[ContinuousQuery]:
@@ -115,15 +118,13 @@ class ContinuousQueryEngine:
         sensor: int,
         times: np.ndarray,
         values: np.ndarray,
-        source: EntrySource,
-        pushed: float | None = None,
+        codes: np.ndarray | int,
     ) -> list[Notification]:
         """Feed one cache write; returns the notifications it fired.
 
         The run is what :meth:`SummaryCache.insert_batch` just landed, in
-        write order: *source* rows, the last a PUSHED reading when *pushed*
-        is not None.  A PREDICTED run is ascending, as a silent run is.
-        Each row follows one rule, decided by provenance:
+        write order, with its rows' source codes (*codes* one per row, or
+        one for all).  Each row follows one rule, decided by provenance:
 
         * **PULLED** rows strictly before the latest timestamp backfill
           history the engine has moved past: they neither fire (stale
@@ -143,17 +144,15 @@ class ContinuousQueryEngine:
         """
         queries = self._watching.get(sensor, ())
         if not queries and times[0] > self._latest_ts.get(sensor, -math.inf) and (
-            len(times) == 1 or source is EntrySource.PREDICTED
+            len(times) == 1 or (times[1:] > times[:-1]).all()
         ):
             self._latest_ts[sensor] = float(times[-1])
             self._last_value[sensor] = float(values[-1])
             return []
         first_new = len(self.notifications)
-        last = len(times) - 1
-        for index, (timestamp, value) in enumerate(zip(times.tolist(), values.tolist())):
-            reading = pushed is not None and index == last
-            row_source = EntrySource.PUSHED if reading else source
-            self._on_row(sensor, queries, timestamp, value, row_source)
+        rows = zip(times.tolist(), values.tolist(), np.broadcast_to(codes, len(times)).tolist())
+        for timestamp, value, code in rows:
+            self._on_row(sensor, queries, timestamp, value, code)
         return self.notifications[first_new:]
 
     def _on_row(
@@ -162,14 +161,14 @@ class ContinuousQueryEngine:
         queries: Sequence[ContinuousQuery],
         timestamp: float,
         value: float,
-        source: EntrySource,
+        code: int,
     ) -> None:
         """One row under :meth:`on_run`'s rule, evaluated against *queries*."""
         latest = self._latest_ts.get(sensor)
-        actual = source is not EntrySource.PREDICTED
+        actual = code != PREDICTED_CODE
         fresh = latest is None or timestamp > latest
         refinement = actual and timestamp == latest
-        if not fresh and not refinement and source is not EntrySource.PUSHED:
+        if not fresh and not refinement and code != PUSHED_CODE:
             self.stale_entries_skipped += 1
             return
         if fresh:

@@ -6,16 +6,21 @@ pull-on-miss against sensor archives, and query–sensor matching.
 
 Epoch bookkeeping: sensor ``k`` samples at ``t = epoch * sample_period``.
 Delivered pushes and batches wait in a per-sensor inbox until a read or
-mutation lands them (:meth:`PrestoProxy.drain`); the proxy advances each
-sensor's model tracker lazily — on landing pushes (up to the pushed epoch)
-and at query time (up to the current epoch minus a small grace period so
-an in-flight push is not preempted by a silent advance).
+mutation lands them (:meth:`PrestoProxy.drain`, the one way an uplink
+lands): a sensor's due arrivals land as runs, each the silent epochs and
+pushed readings its model tracker reads at once, and while standing queries
+are armed the watched sensors' arrivals land merged in arrival order.  The
+proxy advances each sensor's tracker lazily — on landing readings (up to
+the newest reading's epoch) and at query time (up to the current epoch
+minus a small grace period so an in-flight push is not preempted by a
+silent advance).
 """
 
 from __future__ import annotations
 
 import bisect
-from array import array
+import itertools
+import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -24,6 +29,7 @@ import numpy as np
 
 from repro.core.cache import (
     PREDICTED_CODE,
+    PULLED_CODE,
     PUSHED_CODE,
     CacheEntry,
     CacheSnapshot,
@@ -119,8 +125,9 @@ class PrestoProxy:
         self._operating_points: dict[int, SensorOperatingPoint] = {}
         #: ``epoch * sample_period_s`` for every epoch so far (see _epoch_times)
         self._epoch_grid = np.empty(0)
-        #: per sensor, uplinks not landed yet: (arrival, kernel ticket, packet)
-        self._inbox: dict[int, list[tuple[float, int, Packet]]] = {}
+        #: per sensor, uplinks not landed yet: (arrival, kernel ticket,
+        #: packet, the watched sensors when it queued)
+        self._inbox: dict[int, list[tuple[float, int, Packet, frozenset[int]]]] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -189,11 +196,7 @@ class PrestoProxy:
             )
         log.append((entry.timestamp, entry.value, estimate))
         self._insert_batch(
-            sensor,
-            np.array([entry.timestamp]),
-            np.array([entry.value]),
-            entry.std,
-            EntrySource.PUSHED,
+            sensor, np.array([entry.timestamp]), np.array([entry.value]), entry.std, PUSHED_CODE
         )
         return entry
 
@@ -202,19 +205,15 @@ class PrestoProxy:
         sensor: int,
         times: np.ndarray,
         values: np.ndarray,
-        std: float,
-        source: EntrySource,
-        pushed: float | None = None,
+        stds: np.ndarray | float,
+        codes: np.ndarray | int,
     ) -> None:
-        """The one cache write: land a run, then let standing queries read it.
-
-        A tracker's silent run is PREDICTED; with *pushed* not None its last
-        row is the reading that ended it (PUSHED, std *pushed*), so a push
-        or a batched reading and the silent run before it land together.
-        A pull reply is PULLED, a detection PUSHED.
-        """
-        self.cache.insert_batch(sensor, times, values, std, source, pushed)
-        self.continuous.on_run(sensor, times, values, source, pushed)
+        """The one cache write: land a run — its rows' stds and source
+        codes, each one per row or one for all — then let standing queries
+        read it.  A tracker's run is PREDICTED silent epochs and PUSHED
+        readings, a pull reply PULLED, a detection PUSHED."""
+        self.cache.insert_batch(sensor, times, values, stds, codes)
+        self.continuous.on_run(sensor, times, values, codes)
 
     # -- epoch arithmetic ----------------------------------------------------------
 
@@ -239,21 +238,18 @@ class PrestoProxy:
     # -- receive path ------------------------------------------------------------
 
     def accept(self, packet: Packet, at: float) -> None:
-        """Queue a delivered push or batch, arriving at *at*, with the kernel
-        ticket its delivery event would have had; while a standing query is
-        armed, deliver it by that event (notifications keep arrival order)."""
-        if self.continuous.active:
-            self.sim.schedule(at, lambda: self.on_receive(packet))
-        else:
-            self._inbox.setdefault(self._origin(packet), []).append((at, self.sim.ticket(), packet))
+        """Queue a delivered push or batch arriving at *at*, with the kernel
+        ticket its delivery event would have had and the watched sensors
+        of the standing queries armed when it queued."""
+        self._inbox.setdefault(self._origin(packet), []).append(
+            (at, self.sim.ticket(), packet, self.continuous.watched)
+        )
 
     def on_receive(self, packet: Packet) -> None:
         """Land *packet* now, after its sensor's earlier arrivals."""
-        self.drain(self._origin(packet))
-        if packet.kind is PacketKind.PUSH:
-            self._handle_push(packet.payload)
-        else:
-            self._handle_batch(packet.payload)
+        sensor = self._origin(packet)
+        self.drain(sensor)
+        self._land(sensor, [packet])
 
     @staticmethod
     def _origin(packet: Packet) -> int:
@@ -262,97 +258,137 @@ class PrestoProxy:
         return packet.payload[0] if packet.kind is PacketKind.PUSH else packet.payload["sensor"]
 
     def drain(self, sensor: int | None = None) -> None:
-        """Land, in arrival order, every queued uplink — *sensor*'s, or all
-        sensors' — that arrived before the running event (between events:
-        by now), as its delivery events would have; an empty inbox costs
-        one test.  Standing queries must be armed before uplinks queue."""
+        """Land every queued uplink — *sensor*'s, or all sensors' — that
+        arrived before the running event (between events: by now), as its
+        delivery event would have; an empty inbox costs one test.
+
+        A sensor no standing query watches lands its own arrivals; draining
+        a watched sensor lands every watched sensor's, merged in arrival
+        order, so notifications keep the order one event per uplink gives.
+        Standing queries must be armed (or cancelled) before uplinks queue.
+        """
         inbox = self._inbox
-        if not inbox or (sensor is not None and sensor not in inbox):
+        if not inbox:
+            return
+        watched = self.continuous.watched
+        if sensor is None:
+            sensors = sorted(inbox)
+        elif sensor in watched:
+            sensors = sorted(watched.intersection(inbox))
+        elif sensor in inbox:
+            sensors = [sensor]
+        else:
             return
         position = self.sim.position
-        for each in sorted(inbox) if sensor is None else (sensor,):
+        merged: list[tuple[float, int, int, Packet]] = []
+        for each in sensors:
             queue = inbox[each]
             queue.sort()
-            due = bisect.bisect_left(queue, position)
-            if due and self.continuous.active:
+            arrivals = queue[: bisect.bisect_left(queue, position)]
+            if any(arrival[3] is not watched for arrival in arrivals):
                 raise RuntimeError("standing queries must be armed before uplinks queue")
-            arrivals, queue[:due] = queue[:due], []
+            del queue[: len(arrivals)]
             if not queue:
                 del inbox[each]
-            start = 0
-            while start < due:
-                landed = self._land_run(each, arrivals[start:])
-                if not landed:
-                    self.on_receive(arrivals[start][2])
-                start += landed or 1
+            if each in watched:
+                merged += [(at, ticket, each, packet) for at, ticket, packet, _ in arrivals]
+            elif arrivals:
+                self._land(each, [arrival[2] for arrival in arrivals])
+        merged.sort()
+        for each, run in itertools.groupby(merged, key=lambda arrival: arrival[2]):
+            self._land(each, [arrival[3] for arrival in run])
 
-    def _land_run(self, sensor: int, arrivals: list[tuple[float, int, Packet]]) -> int:
-        """Land two or more leading pushes of *arrivals* — rising epochs past
-        the newest, short of a pending activation; with a tracker, those its
-        trajectory shows — as one append; returns how many (0: none)."""
+    def _land(self, sensor: int, packets: list[Packet]) -> None:
+        """Land *sensor*'s arrivals *packets*, in order, as runs.
+
+        A push (counted, its sync exchange recorded) is a reading at its
+        epoch, and so is each of a batch's readings, in time order, with
+        the batch's quantisation noise as its std.  Readings of rising
+        epochs short of a pending activation land together: before any
+        model as PUSHED rows alone, with one — past the sensor's newest
+        epoch — as one tracker run (:meth:`ProxyModelTracker.read_pushes`),
+        every epoch between them silent, PREDICTED, each reading PUSHED.  A
+        reading the tracker has already passed (overtaken by a query's
+        silent advance) refines its one row, and a push so overtaken counts
+        as a loss; the replicas repair at the next refit.  The rows land as
+        one write per stretch that ascends, which equals landing them one
+        by one.
+        """
         state = self._states[sensor]
-        stop = float("inf") if state.pending is None else state.pending.activation_epoch
-        newest, pushes = state.last_epoch, []
-        for _, _, packet in arrivals:
-            if packet.kind is not PacketKind.PUSH or not newest < packet.payload[1] < stop:
-                break
-            pushes.append(packet.payload)
-            newest = packet.payload[1]
-        if len(pushes) < 2:
-            return 0  # a lone push lands cheaper alone
-        tracker = state.tracker  # before any model, the pushed rows land alone
-        first = pushes[0][1] if tracker is None else state.last_epoch + 1
-        if not self.epoch_time(first) > self.cache.newest_time(sensor):
-            return 0
-        _, epochs, readings, local_times = zip(*pushes)
-        offsets = [epoch - first for epoch in epochs]
-        if tracker is None:
-            count, values = len(epochs), np.array(readings)
-            times = self._epoch_times(first, epochs[-1])[offsets]
-            codes, silent_std = np.full(count, PUSHED_CODE, dtype=np.int8), 0.0
-        else:
-            silent_std = self._silent_std(tracker)
-            count, values = tracker.read_pushes(offsets, readings)
-            if not count:
-                return 0
-            times = self._epoch_times(first, epochs[count - 1])
-            codes = np.full(times.size, PREDICTED_CODE, dtype=np.int8)
-            codes[offsets[:count]] = PUSHED_CODE
-        stds = np.where(codes == PUSHED_CODE, 0.0, silent_std)
-        state.last_epoch = epochs[count - 1]
-        state.pushes_received += count
-        for epoch, local_time in zip(epochs[:count], local_times):
-            self.sync.record_exchange(self._sync_key(sensor), self.epoch_time(epoch), local_time)
-        self.cache.insert_batch(sensor, times, values, stds, EntrySource.PREDICTED, codes=codes)
-        self.continuous.on_run(sensor, times, values, EntrySource.PREDICTED)  # unarmed
-        return count
+        epochs, readings, stds, pushes = self._readings(sensor, state, packets)
+        pieces: list[tuple[np.ndarray, ...]] = []
+        start = 0
+        while start < len(epochs):
+            self._activate_if_due(sensor, state, epochs[start])
+            tracker = state.tracker
+            if tracker is not None and epochs[start] <= state.last_epoch:
+                stop, alone = start + 1, True   # overtaken
+                state.push_losses_detected += pushes[start]
+            else:
+                pending = state.pending
+                limit = math.inf if pending is None else pending.activation_epoch
+                first = end = epochs[start] if tracker is None else state.last_epoch + 1
+                stop, alone = start, tracker is None   # cold start: the readings alone
+                while stop < len(epochs) and end <= epochs[stop] < limit:
+                    end = epochs[stop] + 1
+                    stop += 1
+                state.last_epoch = max(state.last_epoch, end - 1)
+            run = epochs[start:stop]
+            if alone:
+                times = self._epoch_times(0, run[-1])[run]
+                values, row_stds = np.array(readings[start:stop]), np.array(stds[start:stop])
+                codes = np.full(len(run), PUSHED_CODE, dtype=np.int8)
+            else:   # the run: epochs first..end - 1
+                offsets = [epoch - first for epoch in run]
+                row_stds = np.full(end - first, self._silent_std(tracker))
+                row_stds[offsets] = stds[start:stop]
+                values = tracker.read_pushes(offsets, readings[start:stop])
+                times = self._epoch_times(first, end - 1)
+                codes = np.full(end - first, PREDICTED_CODE, dtype=np.int8)
+                codes[offsets] = PUSHED_CODE
+            if pieces and times[0] <= pieces[-1][0][-1]:
+                self._write(sensor, pieces)
+                pieces = []
+            pieces.append((times, values, row_stds, codes))
+            start = stop
+        if pieces:
+            self._write(sensor, pieces)
 
-    def _handle_push(self, payload: tuple[int, int, float, float]) -> None:
-        sensor, epoch, value, local_time = payload
-        self.sync.record_exchange(
-            self._sync_key(sensor),
-            proxy_time=self.epoch_time(epoch),
-            sensor_local_time=local_time,
-        )
-        state = self._states[sensor]
-        state.pushes_received += 1
-        if not self._bring_forward(sensor, epoch, value):
-            state.push_losses_detected += 1
+    def _readings(
+        self, sensor: int, state: _SensorState, packets: list[Packet]
+    ) -> tuple[list[int], list[float], list[float], list[bool]]:
+        """*packets*' readings in landing order: epochs, values, stds and
+        whether each is a push."""
+        epochs: list[int] = []
+        readings: list[float] = []
+        stds: list[float] = []
+        pushes: list[bool] = []
+        key, period = self._sync_key(sensor), self.config.sample_period_s
+        for packet in packets:
+            if packet.kind is PacketKind.PUSH:
+                _, epoch, value, local_time = packet.payload
+                self.sync.record_exchange(key, epoch * period, local_time)
+                state.pushes_received += 1
+                epochs.append(epoch)
+                readings.append(value)
+                stds.append(0.0)
+                pushes.append(True)
+                continue
+            payload = packet.payload
+            state.batches_received += 1
+            times = np.asarray(payload["timestamps"], dtype=np.float64)
+            order = np.argsort(times, kind="stable")
+            batch = np.rint(times[order] / period).astype(np.int64)
+            epochs += batch.tolist()
+            readings += np.asarray(payload["values"], dtype=np.float64)[order].tolist()
+            stds += [float(float(payload["quant_step"]) / np.sqrt(12.0))] * batch.size
+            pushes += [False] * batch.size
+        return epochs, readings, stds, pushes
 
-    def _handle_batch(self, payload: dict) -> None:
-        """Land a batch's readings in time order, each as a push lands at
-        its epoch (the silent gap before it, then the reading), with the
-        batch's quantisation noise as its std."""
-        sensor = int(payload["sensor"])
-        self._states[sensor].batches_received += 1
-        quant = float(payload["quant_step"])
-        std = float(quant / np.sqrt(12.0))
-        times = np.asarray(payload["timestamps"], dtype=np.float64)
-        values = np.asarray(payload["values"], dtype=np.float64)
-        order = np.argsort(times, kind="stable")
-        epochs = np.rint(times[order] / self.config.sample_period_s).astype(np.int64)
-        for epoch, value in zip(epochs.tolist(), values[order].tolist()):
-            self._bring_forward(sensor, epoch, value, std)
+    def _write(self, sensor: int, pieces: list[tuple[np.ndarray, ...]]) -> None:
+        """Land *pieces*, an ascending stretch of runs, as one write."""
+        columns = pieces[0] if len(pieces) == 1 else [np.concatenate(c) for c in zip(*pieces)]
+        self._insert_batch(sensor, *columns)
 
     # -- tracker management ---------------------------------------------------------
 
@@ -377,49 +413,19 @@ class PrestoProxy:
         state.last_epoch = max(state.last_epoch, update.activation_epoch - 1)
         state.pending = None
 
-    def _bring_forward(
-        self, sensor: int, epoch: int, reading: float | None = None, std: float = 0.0
-    ) -> bool:
-        """Bring *sensor*'s cached view forward to *epoch* as one write.
-
-        The tracker substitutes its predictions for the silent epochs
-        before *epoch* — through *epoch* itself without a *reading* — and
-        a *reading* (a push, or one batched reading) is applied to the
-        tracker and lands after them as the run's last row, std *std*.
-        Before any model is active a reading lands alone.  Returns False
-        when the tracker had already advanced past *epoch*: the reading (a
-        push overtaken by a query's silent advance) still refines the
-        guess, and the replicas repair at the next refit.
-        """
+    def _bring_forward(self, sensor: int, epoch: int) -> None:
+        """Bring *sensor*'s cached view forward through *epoch*: the
+        tracker's predictions for the silent epochs not landed yet, as one
+        PREDICTED write (none before any model, or with nothing left)."""
         state = self._states[sensor]
         self._activate_if_due(sensor, state, epoch)
         tracker = state.tracker
-        overtaken = tracker is not None and epoch <= state.last_epoch
-        if reading is None and (tracker is None or overtaken):
-            return True  # nothing to bring forward
-        first, run_std, values = epoch, 0.0, array("d")
-        if tracker is None:
-            state.last_epoch = max(state.last_epoch, epoch)  # cold start
-        elif not overtaken:
-            first = state.last_epoch + 1
-            silent = epoch - first + (reading is None)
-            if silent:
-                run_std = self._silent_std(tracker)
-                values = tracker.silent_run(silent)
-            if reading is not None:
-                tracker.apply_push(reading)
-            state.last_epoch = epoch
-        if reading is not None:
-            values.append(reading)
-        self._insert_batch(
-            sensor,
-            self._epoch_times(first, epoch),
-            np.frombuffer(values),
-            run_std,
-            EntrySource.PREDICTED,
-            None if reading is None else std,
-        )
-        return not overtaken
+        if tracker is None or epoch <= state.last_epoch:
+            return
+        first, state.last_epoch = state.last_epoch + 1, epoch
+        std = self._silent_std(tracker)
+        values = np.frombuffer(tracker.silent_run(epoch - first + 1))
+        self._insert_batch(sensor, self._epoch_times(first, epoch), values, std, PREDICTED_CODE)
 
     @staticmethod
     def _silent_std(tracker: ProxyModelTracker) -> float:
@@ -673,9 +679,7 @@ class PrestoProxy:
             return self._pull_failed(
                 query, routing_s, fallback, request.latency_s + reply.latency_s
             )
-        self._insert_batch(
-            sensor, np.array([timestamp]), np.array([value]), 0.0, EntrySource.PULLED
-        )
+        self._insert_batch(sensor, np.array([timestamp]), np.array([value]), 0.0, PULLED_CODE)
         latency = PROXY_PROCESSING_S + request.latency_s + reply.latency_s
         self.pull_stats.bytes_pulled += 8
         return QueryAnswer(
@@ -720,7 +724,7 @@ class PrestoProxy:
                 return self._pull_failed(query, routing_s, fallback, latency)
             remaining -= chunk
         aged_std = 0.0 if level == 0 else 0.05 * (2.0 ** level)
-        self._insert_batch(sensor, times, values, aged_std, EntrySource.PULLED)
+        self._insert_batch(sensor, times, values, aged_std, PULLED_CODE)
         self.pull_stats.bytes_pulled += reply_bytes
         if query.kind is QueryKind.PAST_POINT:
             offset = int(np.argmin(np.abs(times - query.target_time)))

@@ -446,8 +446,7 @@ class ProxyModelTracker:
     def silent_run(self, count: int) -> array:
         """Substituted values for the next *count* epochs, all without a push.
 
-        An ``array("d")`` the caller may extend (the proxy appends the
-        reading whose push ends the run) before viewing it as NumPy.
+        An ``array("d")`` the caller may extend before viewing it as NumPy.
         """
         start = self._cursor
         read, observed = self._silent_prefix(count)
@@ -458,29 +457,42 @@ class ProxyModelTracker:
         values.extend(advance() for _ in range(count - read))
         return values
 
-    def read_pushes(self, offsets: list[int], readings: tuple) -> tuple[int, np.ndarray]:
-        """Read a run — pushes of *readings* at *offsets*, other epochs
-        silent — off the trajectory as :meth:`silent_run` and
-        :meth:`apply_push` would, up to the first push it does not show:
-        how many pushes it read (0 unlinked), and the run's values so far."""
-        if self._checker is None:
-            return 0, np.zeros(0)
-        observed, pushed = self._checker.trajectory
+    def read_pushes(self, offsets: list[int], readings: list[float]) -> np.ndarray:
+        """Advance through a run — *readings* pushed at *offsets* (rising,
+        counted from the next epoch), every other epoch silent — as
+        :meth:`silent_run` and :meth:`apply_push` would; returns the run's
+        values, each silent epoch's substitute and each push's reading.
+
+        The prefix the trajectory shows — silent epochs, then each push with
+        its reading — is read at once; the rest steps epoch by epoch, so a
+        tracker forks where the trajectory differs, and an unlinked one
+        steps the whole run.
+        """
         start = read = self._cursor
         count = 0
-        for offset, reading in zip(offsets, readings):
-            at = start + offset
-            if not (
-                at < len(pushed)
-                and pushed[read : at + 1].tobytes().lstrip(b"\0") == b"\1"
-                and observed[at] == reading
-            ):
-                break
-            read, count = at + 1, count + 1
+        values = array("d")
+        if self._checker is not None:
+            observed, pushed = self._checker.trajectory
+            for offset, reading in zip(offsets, readings):
+                at = start + offset
+                if not (
+                    at < len(pushed)
+                    and pushed[read : at + 1].tobytes().lstrip(b"\0") == b"\1"
+                    and observed[at] == reading
+                ):
+                    break
+                read, count = at + 1, count + 1
+            values.frombytes(observed[start:read].tobytes())
         self._cursor = read
         self.substitutions += read - start - count
         self.pushes_applied += count
-        return count, np.frombuffer(observed[start:read], dtype=np.float64)
+        step = read - start
+        for offset, reading in zip(offsets[count:], readings[count:]):
+            values.extend(self.silent_run(offset - step))
+            self.apply_push(reading)
+            values.append(reading)
+            step = offset + 1
+        return np.frombuffer(values)
 
     def apply_push(self, value: float) -> None:
         """Advance one epoch with the pushed reading."""

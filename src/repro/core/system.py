@@ -164,7 +164,7 @@ class PrestoCell:
             n_sensors=trace.n_sensors,
         )
         self.network.register_proxy(
-            NetworkNode(proxy_name, self.proxy_meter, self.proxy.on_receive, self.proxy.accept)
+            NetworkNode(proxy_name, self.proxy_meter, accept=self.proxy.accept)
         )
         self.sensors: list[PrestoSensor] = []
         clock_rng = streams.get("sync.clocks")

@@ -3,9 +3,10 @@
 The PRESTO middle tier manages "several tens of lower-tier sensors in its
 vicinity"; within one cell the topology is a star (sensor ↔ proxy, one hop).
 The network object owns one :class:`~repro.radio.mac.LplMac` per sensor,
-runs each transfer's ARQ when the packet is sent (a proxy's ``accept``
-takes a delivery then, with its arrival instant; any other ``on_receive``
-runs as a simulator event at it), and keeps fleet-level statistics.
+runs each transfer's ARQ when the packet is sent (the proxy's ``accept``
+takes an uplink then, with its arrival instant; a sensor's ``on_receive``
+runs as a simulator event at it, so such an event serves sensors only),
+and keeps fleet-level statistics.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from repro.signal.codecs import (
     dequantize,
     encoded_size_bytes,
     quantize,
-    rle_decode,
-    rle_encode,
     varint_size,
 )
 from repro.signal.compress import (
@@ -56,8 +54,6 @@ __all__ = [
     "delta_decode",
     "quantize",
     "dequantize",
-    "rle_encode",
-    "rle_decode",
     "varint_size",
     "encoded_size_bytes",
 ]

@@ -2,7 +2,7 @@
 
 PRESTO never ships raw floats over the radio: readings are quantised to the
 sensor's ADC precision, delta-encoded (consecutive readings of a physical
-process are close), and run-length/varint-packed.  These codecs are exact —
+process are close), and varint-packed.  These codecs are exact —
 encode/decode round-trips are property-tested — and the *size* functions are
 what the energy model multiplies by joules-per-byte.
 """
@@ -46,35 +46,6 @@ def delta_decode(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
-def rle_encode(values: np.ndarray) -> list[tuple[int, int]]:
-    """Run-length encode an integer array into ``(value, run)`` pairs."""
-    values = np.asarray(values, dtype=np.int64)
-    runs: list[tuple[int, int]] = []
-    if values.size == 0:
-        return runs
-    current = int(values[0])
-    length = 1
-    for value in values[1:]:
-        value = int(value)
-        if value == current:
-            length += 1
-        else:
-            runs.append((current, length))
-            current = value
-            length = 1
-    runs.append((current, length))
-    return runs
-
-
-def rle_decode(runs: list[tuple[int, int]]) -> np.ndarray:
-    """Inverse of :func:`rle_encode`."""
-    if not runs:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(
-        [np.full(length, value, dtype=np.int64) for value, length in runs]
-    )
-
-
 def _zigzag(value: int) -> int:
     """Map signed to unsigned so small magnitudes get small codes."""
     return (value << 1) ^ (value >> 63) if value < 0 else value << 1
@@ -101,10 +72,3 @@ def encoded_size_bytes(values: np.ndarray, step: float) -> int:
         return 0
     deltas = delta_encode(quantize(values, step))
     return int(sum(varint_size(int(d)) for d in deltas))
-
-
-def rle_encoded_size_bytes(runs: list[tuple[int, int]]) -> int:
-    """Bytes for an RLE stream: varint(value) + varint(run) per pair."""
-    return int(
-        sum(varint_size(value) + varint_size(length) for value, length in runs)
-    )

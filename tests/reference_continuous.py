@@ -29,6 +29,8 @@ class PerEntryQueryEngine:
         self.notifications: list[Notification] = []
         self.evaluations = 0
         self.stale_entries_skipped = 0
+        #: the sensors some query watches, a new set whenever queries change
+        self.watched: frozenset[int] = frozenset()
 
     def register(self, query: ContinuousQuery) -> int:
         """Arm a standing query; returns its id (assigned here if it has none)."""
@@ -36,16 +38,13 @@ class PerEntryQueryEngine:
             query = dataclasses.replace(query, query_id=self._next_id)
         self._next_id = max(self._next_id, query.query_id + 1)
         self._queries[query.query_id] = query
+        self.watched = frozenset(q.sensor for q in self._queries.values())
         return query.query_id
 
     def cancel(self, query_id: int) -> None:
         """Disarm a standing query."""
         self._queries.pop(query_id, None)
-
-    @property
-    def active(self) -> list[ContinuousQuery]:
-        """Currently armed queries."""
-        return list(self._queries.values())
+        self.watched = frozenset(q.sensor for q in self._queries.values())
 
     def on_entry(self, sensor: int, entry: CacheEntry) -> list[Notification]:
         """Feed one cache update; returns the notifications it fired.

@@ -23,6 +23,8 @@ from reference_cache import ListSummaryCache
 
 from repro.core.cache import (
     _CODE_OF_SOURCE,
+    PREDICTED_CODE,
+    PUSHED_CODE,
     CacheEntry,
     EntrySource,
     SummaryCache,
@@ -193,7 +195,7 @@ def check_batches_against_sequential(seed: int, capacity: int, unordered: bool) 
         appended += bool(timestamps[0] > newest and (np.diff(timestamps) > 0).all())
         values = rng.normal(20.0, 2.0, size=timestamps.size)
         std = float(abs(rng.normal(0.0, 0.1)))
-        new.insert_batch(0, timestamps, values, std, source)
+        new.insert_batch(0, timestamps, values, std, _CODE_OF_SOURCE[source])
         for timestamp, value in zip(timestamps, values):
             old.insert(
                 0,
@@ -259,7 +261,7 @@ def apply(cache: SummaryCache, operation: tuple) -> None:
     elif kind == "batch":
         timestamps, std, source = rest
         cache.insert_batch(sensor, np.asarray(timestamps), np.arange(len(timestamps)) * 0.5,
-                           std, source)
+                           std, _CODE_OF_SOURCE[source])
     else:
         cache.export_tail(sensor, 8, keyframe=False)   # resets written_from
 
@@ -300,7 +302,7 @@ def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data
     value, std, source = row
     stds = np.asarray([std]) if std_as_array else std
     returned = scalar.insert_batch(sensor, np.asarray([timestamp]), np.asarray([value]),
-                                   stds, source)
+                                   stds, _CODE_OF_SOURCE[source])
     expected = merged._merge(sensor, np.asarray([timestamp]), np.asarray([value]),
                              np.asarray([std]), _CODE_OF_SOURCE[source])
     assert returned == expected
@@ -309,13 +311,13 @@ def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data
 
 # -- a push landed with its silent run ---------------------------------------------
 #
-# insert_batch(..., pushed=std) lands a proxy's silent run of PREDICTED rows
-# and the PUSHED reading that ended it (std 0 for a push, the quantisation
-# std for a batched reading) in one write; it must leave a cache
-# exactly as the two writes it replaced: the run as a batch, then the reading
-# alone.  A pulled actual ahead of or inside the run sends the write down the
-# merge, which marks ``written_from`` at the run's first row even where the
-# actual keeps its cell.
+# A proxy lands a run of PREDICTED rows and the PUSHED reading that ended it
+# (std 0 for a push, the quantisation std for a batched reading) as one
+# write with per-row codes and stds; it must leave a cache exactly as the
+# two writes it replaced: the run as a batch, then the reading alone.  A
+# pulled actual ahead of or inside the run sends the write down the merge,
+# which marks ``written_from`` at the run's first row even where the actual
+# keeps its cell.
 
 RUN_LENGTH = st.one_of(st.just(0), st.just(1), st.integers(2, 24))   # 24 > capacity
 
@@ -363,12 +365,13 @@ def test_run_with_its_push_is_the_batch_then_the_insert(
     rows = count + (pushed is not None)
     times = np.arange(first, first + rows) * PERIOD
     values = np.arange(rows) * 0.25 + reading
-    stds = np.full(rows, std) if std_as_array else std
-    returned = run.insert_batch(sensor, times, values, stds, EntrySource.PREDICTED,
-                                pushed=pushed)
+    stds, codes = np.full(rows, std), np.full(rows, PREDICTED_CODE, dtype=np.int8)
+    if pushed is not None:
+        stds[-1], codes[-1] = pushed, PUSHED_CODE
+    returned = run.insert_batch(sensor, times, values, stds, codes)
     expected = sequence.insert_batch(sensor, times[:count], values[:count],
                                      stds[:count] if std_as_array else std,
-                                     EntrySource.PREDICTED)
+                                     PREDICTED_CODE)
     if pushed is not None:
         before = sequence.insertions
         sequence.insert(sensor, CacheEntry(float(times[-1]), float(values[-1]), pushed,

@@ -11,9 +11,6 @@ from repro.signal.codecs import (
     dequantize,
     encoded_size_bytes,
     quantize,
-    rle_decode,
-    rle_encode,
-    rle_encoded_size_bytes,
     varint_size,
 )
 
@@ -51,32 +48,6 @@ class TestDelta:
     def test_property_roundtrip(self, values):
         arr = np.asarray(values, dtype=np.int64)
         np.testing.assert_array_equal(delta_decode(delta_encode(arr)), arr)
-
-
-class TestRle:
-    def test_roundtrip(self):
-        values = np.asarray([1, 1, 1, 2, 2, 3, 1, 1], dtype=np.int64)
-        np.testing.assert_array_equal(rle_decode(rle_encode(values)), values)
-
-    def test_empty(self):
-        assert rle_encode(np.zeros(0, dtype=np.int64)) == []
-        assert rle_decode([]).size == 0
-
-    def test_runs_collapse(self):
-        runs = rle_encode(np.full(100, 5, dtype=np.int64))
-        assert runs == [(5, 100)]
-
-    @given(st.lists(st.integers(-100, 100), min_size=0, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_property_roundtrip(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        np.testing.assert_array_equal(rle_decode(rle_encode(arr)), arr)
-
-    def test_size_estimate_counts_pairs(self):
-        runs = [(1, 3), (-1, 2)]
-        assert rle_encoded_size_bytes(runs) == sum(
-            varint_size(v) + varint_size(r) for v, r in runs
-        )
 
 
 class TestVarint:

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from reference_continuous import PerEntryQueryEngine
 
 from repro.core import PrestoConfig, PrestoSystem
-from repro.core.cache import CacheEntry, EntrySource
+from repro.core.cache import (
+    _CODE_OF_SOURCE,
+    _SOURCE_OF_CODE,
+    PREDICTED_CODE,
+    PULLED_CODE,
+    PUSHED_CODE,
+    CacheEntry,
+    EntrySource,
+)
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, TriggerKind
 from repro.traces.events import inject_events
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
@@ -15,13 +23,13 @@ from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 
 def row(engine, sensor, t, value, source=EntrySource.PUSHED):
     """Feed *engine* a one-row run; returns the notifications it fired."""
-    return engine.on_run(sensor, np.array([t]), np.array([value]), source)
+    return engine.on_run(sensor, np.array([t]), np.array([value]), _CODE_OF_SOURCE[source])
 
 
-def run(engine, sensor, times, values, source, pushed=None):
+def run(engine, sensor, times, values, codes):
     return engine.on_run(
-        sensor, np.asarray(times, dtype=float), np.asarray(values, dtype=float), source,
-        pushed,
+        sensor, np.asarray(times, dtype=float), np.asarray(values, dtype=float),
+        np.asarray(codes, dtype=np.int8),
     )
 
 
@@ -224,14 +232,14 @@ class TestOutOfOrderEntries:
         """Runs no query watches still advance the delta history, and a
         stale pull backfill neither clobbers it nor escapes the count."""
         engine = ContinuousQueryEngine()
-        run(engine, 0, [100.0, 131.0], [20.0, 20.5], EntrySource.PREDICTED)
-        run(engine, 0, [40.0, 50.0], [4.0, 5.0], EntrySource.PULLED)  # backfill
+        run(engine, 0, [100.0, 131.0], [20.0, 20.5], PREDICTED_CODE)
+        run(engine, 0, [40.0, 50.0], [4.0, 5.0], PULLED_CODE)  # backfill
         assert engine.stale_entries_skipped == 2
         delta = ContinuousQuery(sensor=0, kind=TriggerKind.DELTA, threshold=2.0)
         qid = engine.register(delta)
         assert row(engine, 0, 162.0, 21.0) == []  # against 20.5, not 5.0
         engine.cancel(qid)
-        run(engine, 0, [193.0, 224.0], [25.0, 30.0], EntrySource.PULLED)
+        run(engine, 0, [193.0, 224.0], [25.0, 30.0], PULLED_CODE)
         engine.register(delta)
         assert row(engine, 0, 255.0, 30.5) == []  # the fresh run's tail counts
         assert engine.notifications == []
@@ -253,29 +261,29 @@ class TestOutOfOrderEntries:
 
 TIME = st.integers(0, 12).map(float)          # a coarse grid: collisions are common
 VALUE = st.integers(-4, 4).map(float)
-ROW_STD = st.sampled_from([0.0, 0.0144])
 
 
 @st.composite
 def ascending_run(draw):
-    """A tracker's silent run, or one with the reading that ended it."""
+    """A tracker's run: silent epochs and the readings among them."""
     first = draw(TIME)
     count = draw(st.integers(1, 6))
     times = [first + offset for offset in range(count)]
     values = draw(st.lists(VALUE, min_size=count, max_size=count))
-    pushed = draw(st.one_of(st.none(), ROW_STD))
-    return times, values, EntrySource.PREDICTED, pushed
+    codes = draw(st.lists(st.sampled_from([PREDICTED_CODE, PUSHED_CODE]),
+                          min_size=count, max_size=count))
+    return times, values, codes
 
 
 @st.composite
 def reply_run(draw):
     """A pull reply, in any order, or a one-row push or detection."""
-    source = draw(st.sampled_from([EntrySource.PULLED, EntrySource.PUSHED]))
-    size = st.integers(1, 6) if source is EntrySource.PULLED else st.just(1)
+    code = draw(st.sampled_from([PULLED_CODE, PUSHED_CODE]))
+    size = st.integers(1, 6) if code == PULLED_CODE else st.just(1)
     count = draw(size)
     times = draw(st.lists(TIME, min_size=count, max_size=count))
     values = draw(st.lists(VALUE, min_size=count, max_size=count))
-    return times, values, source, None
+    return times, values, [code] * count
 
 
 QUERY = st.builds(
@@ -316,15 +324,11 @@ def test_runs_equal_the_per_entry_oracle(queries, operations):
             engine.cancel(operation[1])
             oracle.cancel(operation[1])
         else:
-            _, sensor, (times, values, source, pushed) = operation
-            fired = run(engine, sensor, times, values, source, pushed)
+            _, sensor, (times, values, codes) = operation
+            fired = run(engine, sensor, times, values, codes)
             expected = []
-            for index, (timestamp, value) in enumerate(zip(times, values)):
-                reading = pushed is not None and index == len(times) - 1
-                entry = CacheEntry(
-                    timestamp, value, pushed if reading else 0.1,
-                    EntrySource.PUSHED if reading else source,
-                )
+            for timestamp, value, code in zip(times, values, codes):
+                entry = CacheEntry(timestamp, value, 0.1, _SOURCE_OF_CODE[code])
                 expected += oracle.on_entry(sensor, entry)
             assert fired == expected
         assert engine.notifications == oracle.notifications
@@ -358,7 +362,7 @@ def test_pull_reply_counts_stale_rows_armed_or_not():
         assert proxy._states[sensor].last_epoch == epoch
         times = proxy.epoch_time(np.arange(epoch - 5, epoch + 3))
         before = proxy.continuous.stale_entries_skipped
-        proxy._insert_batch(sensor, times, np.full(times.size, 20.0), 0.0, EntrySource.PULLED)
+        proxy._insert_batch(sensor, times, np.full(times.size, 20.0), 0.0, PULLED_CODE)
         counts.append(proxy.continuous.stale_entries_skipped - before)
     # five rows before the latest timestamp; the one at it refines
     assert counts == [5, 5]

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache, coverage_fraction
+from repro.core.cache import (
+    PREDICTED_CODE,
+    PULLED_CODE,
+    PUSHED_CODE,
+    CacheEntry,
+    EntrySource,
+    SummaryCache,
+    coverage_fraction,
+)
 
 
 def entry(t, value=20.0, std=0.1, source=EntrySource.PREDICTED):
@@ -178,7 +186,7 @@ class TestBatchInsert:
         batched, sequential = SummaryCache(100), SummaryCache(100)
         times = np.arange(20, dtype=float) * 30.0
         values = np.sin(times)
-        batched.insert_batch(0, times, values, 0.05, EntrySource.PUSHED)
+        batched.insert_batch(0, times, values, 0.05, PUSHED_CODE)
         for t, v in zip(times, values):
             sequential.insert(0, entry(float(t), float(v), 0.05, EntrySource.PUSHED))
         assert batched.entries_in(0, -1.0, 1e9) == sequential.entries_in(0, -1.0, 1e9)
@@ -195,7 +203,7 @@ class TestBatchInsert:
             np.asarray([30.0, 45.0, 60.0]),
             np.asarray([1.5, 9.0, 2.5]),
             0.0,
-            EntrySource.PULLED,
+            PULLED_CODE,
         )
         found = cache.entries_in(0, 0.0, 100.0)
         assert [e.timestamp for e in found] == [30.0, 45.0, 60.0]
@@ -213,7 +221,7 @@ class TestBatchInsert:
             np.asarray([30.0, 60.0]),
             np.asarray([7.0, 8.0]),
             0.3,
-            EntrySource.PREDICTED,
+            PREDICTED_CODE,
         )
         assert cache.entry_at(0, 30.0, 1.0).value == 1.0
         assert cache.entry_at(0, 60.0, 1.0).value == 8.0
@@ -227,7 +235,7 @@ class TestBatchInsert:
             np.asarray([10.0, 10.0, 20.0]),
             np.asarray([1.0, 2.0, 3.0]),
             0.0,
-            EntrySource.PUSHED,
+            PUSHED_CODE,
         )
         assert cache.entry_at(0, 10.0, 0.5).value == 2.0
         assert cache.insertions == 2
@@ -237,7 +245,7 @@ class TestBatchInsert:
 
         cache = SummaryCache(16)
         times = np.arange(40, dtype=float)
-        cache.insert_batch(0, times, times, 0.0, EntrySource.PUSHED)
+        cache.insert_batch(0, times, times, 0.0, PUSHED_CODE)
         assert cache.size(0) == 16
         assert cache.evictions == 24
         assert cache.entry_at(0, 23.0, 0.25) is None

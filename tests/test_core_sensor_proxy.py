@@ -17,10 +17,16 @@ from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network, NetworkNode
+from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
 from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
 from repro.traces.workload import Query, QueryKind
+
+
+def deliver_batch(proxy, payload):
+    """Land a batch as its delivery event does."""
+    proxy.on_receive(Packet(PacketKind.BATCH, "sensor0", proxy.name, 0, payload))
 
 
 @pytest.fixture
@@ -286,7 +292,8 @@ class TestBatchTrackerSync:
         applied = state.tracker.pushes_applied
         substituted = state.tracker.substitutions
         epochs = [base + 1, base + 2, base + 3]
-        proxy._handle_batch(
+        deliver_batch(
+            proxy,
             {
                 "sensor": 0,
                 "timestamps": np.asarray([e * 31.0 for e in epochs]),
@@ -311,7 +318,8 @@ class TestBatchTrackerSync:
         applied = state.tracker.pushes_applied
         substituted = state.tracker.substitutions
         epochs = [base + 2, base + 5]  # epochs +1, +3, +4 are silent
-        proxy._handle_batch(
+        deliver_batch(
+            proxy,
             {
                 "sensor": 0,
                 "timestamps": np.asarray([e * 31.0 for e in epochs]),
@@ -336,7 +344,8 @@ class TestBatchTrackerSync:
         )
         base = state.last_epoch
         epochs = [base + 2, base + 5]  # epochs +1, +3, +4 are substituted
-        proxy._handle_batch(
+        deliver_batch(
+            proxy,
             {
                 "sensor": 0,
                 "timestamps": np.asarray([e * 31.0 for e in epochs]),
@@ -358,7 +367,8 @@ class TestBatchTrackerSync:
         sim, proxy, state = self._activate(cell, seed=7)
         base = state.last_epoch
         applied = state.tracker.pushes_applied
-        proxy._handle_batch(
+        deliver_batch(
+            proxy,
             {
                 "sensor": 0,
                 "timestamps": np.asarray([(base - 2) * 31.0, (base - 1) * 31.0]),

@@ -8,7 +8,8 @@ only to rows with an event.  The reference is
 sampled by its cell's own task, each checker stepping its own model.  The
 property drives both through 1–3 small cells sharing one kernel — with
 sensing dropouts, lossy links, refits and late model updates, delta
-retunes, batching switched on and off, drifting clocks and queries — and
+retunes, batching switched on and off, drifting clocks, queries and
+standing queries — and
 compares everything a sensor leaves: packets and pushes, each checker's
 counts, trajectory and model state, every meter's categories by their
 bytes, every archive record, the cells' reports and the
@@ -31,6 +32,7 @@ from reference_sensor import ReferenceFleet, ReferenceSensor
 
 from repro.core import system as system_module
 from repro.core.config import PrestoConfig
+from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.fleet import SensorFleet
 from repro.core.matching import BATCH_QUANT_STEP, SensorOperatingPoint
 from repro.core.system import PrestoCell
@@ -103,10 +105,20 @@ class Plan:
     clocks: bool
     retunes: tuple[tuple[float, int, float, float], ...]   # (at, sensor, delta, batch)
     queries: tuple[tuple[float, int, int], ...]            # (at, sensor, kind)
+    watched: tuple[int, ...]                               # standing queries' sensors
 
     @property
     def horizon_s(self) -> float:
         return 300 * PERIOD
+
+
+def locate(cells: list, sensor: int) -> tuple:
+    """The cell of global sensor *sensor*, and its index there."""
+    for cell in cells:
+        if sensor < len(cell.sensors):
+            return cell, sensor
+        sensor -= len(cell.sensors)
+    raise IndexError(sensor)
 
 
 def simulate(plan: Plan, reference: bool) -> tuple[list, list]:
@@ -151,6 +163,11 @@ def simulate(plan: Plan, reference: bool) -> tuple[list, list]:
         cells.append(cell)
         first += size
     sensors = [sensor for cell in cells for sensor in cell.sensors]
+    for index in plan.watched:
+        cell, local = locate(cells, index)
+        cell.proxy.continuous.register(
+            ContinuousQuery(sensor=local, kind=TriggerKind.ABOVE, threshold=21.0)
+        )
     for cell in cells:
         cell.start_tasks()
     for at, index, delta, batch in plan.retunes:
@@ -158,21 +175,14 @@ def simulate(plan: Plan, reference: bool) -> tuple[list, list]:
         sim.schedule(at, lambda s=sensors[index % n_sensors], p=point: s.apply_operating_point(p))
     answers = []
     for number, (at, index, kind) in enumerate(plan.queries):
-        sensor = index % n_sensors
-        # the cell and the cell-local index of global sensor *sensor*
-        offset = 0
-        for cell_index, cell in enumerate(cells):
-            if sensor < offset + len(cell.sensors):
-                break
-            offset += len(cell.sensors)
-        local = sensor - offset
+        cell, local = locate(cells, index % n_sensors)
         query_kind = (QueryKind.NOW, QueryKind.PAST_POINT, QueryKind.PAST_RANGE)[kind]
         target = at if query_kind is QueryKind.NOW else at / 2
         query = Query(number, query_kind, local, at, target,
                       window_s=0.0 if kind < 2 else 20 * PERIOD)
         sim.schedule(
             at,
-            lambda q=query, c=cells[cell_index]: answers.append(
+            lambda q=query, c=cell: answers.append(
                 c.proxy.process_query(q, q.sensor)
             ),
         )
@@ -227,6 +237,7 @@ def plans(draw) -> Plan:
             draw(st.lists(st.tuples(times, st.integers(0, n_sensors - 1), st.integers(0, 2)),
                           max_size=6))
         ),
+        watched=tuple(sorted(draw(st.sets(st.integers(0, n_sensors - 1), max_size=3)))),
     )
 
 

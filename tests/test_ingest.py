@@ -3,14 +3,15 @@
 A delivered push or batch no longer schedules a kernel event: it waits in
 its proxy's per-sensor inbox, stamped with its arrival instant and a kernel
 ticket, and every read or mutation of the proxy first lands what arrived
-before it (``PrestoProxy.drain``) — a sensor's pushes as one write where
-its trajectory vouches for them.  The reference is ``tests/
-reference_ingest.py``: each uplink landed at its own event through the
-per-arrival path, as before.  Both must leave the same cache columns,
-counters, trackers, sync estimates and standing-query notifications (order
-included) over drawn multi-cell systems, drawn federations with standing
-queries and a proxy death, and the five perf workloads; and every delivered
-uplink must be landed exactly once.
+before it (``PrestoProxy.drain``) — a sensor's due arrivals as runs, and
+while standing queries are armed the watched sensors' merged in arrival
+order.  The reference is ``tests/reference_ingest.py``: each uplink landed
+at its own event, each push and each batched reading one write, as before.
+Both must leave the same cache columns, counters, trackers, sync estimates
+and standing-query notifications (order included) over drawn multi-cell
+systems with standing queries, drawn federations with standing queries and
+a proxy death, and the five perf workloads; and every delivered uplink must
+be landed exactly once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -102,7 +104,7 @@ def assert_conserved(proxy: PrestoProxy, network: Network, delivered: int, horiz
     assert network.packets_sent == network.packets_delivered + network.packets_dropped
     proxy.drain()
     landed = sum(s.pushes_received + s.batches_received for s in proxy._states.values())
-    waiting = [at for queue in proxy._inbox.values() for at, _, _ in queue]
+    waiting = [arrival[0] for queue in proxy._inbox.values() for arrival in queue]
     assert landed + len(waiting) == delivered
     assert all(at > horizon for at in waiting)
 
@@ -342,6 +344,41 @@ def test_arming_a_standing_query_over_a_queued_uplink_is_refused():
         system.proxy.advance_to_now(0)
 
 
+def test_watched_sensors_drain_merged_in_arrival_order():
+    """Two watched sensors' pushes interleave in time; a query on one of
+    them mid-stream drains both, merged, so the notifications come out in
+    the order one event per uplink gives them.  Drained one sensor at a
+    time, all of sensor 0's queued pushes would notify before sensor 1's."""
+
+    def notified() -> tuple[dict, list]:
+        system = small_system()
+        for sensor in (0, 1):
+            system.continuous.register(
+                ContinuousQuery(sensor=sensor, kind=TriggerKind.ABOVE, threshold=-1e9)
+            )
+        proxy, sim = system.proxy, system.sim
+        waiting = {}
+
+        def query():
+            waiting.update((sensor, len(queue)) for sensor, queue in proxy._inbox.items())
+            proxy.process_query(Query(0, QueryKind.NOW, 0, 3_000.0, 3_000.0, precision=100.0), 0)
+
+        system.cell.start_tasks()
+        sim.schedule(3_000.0, query)
+        sim.run_until(6_000.0)
+        proxy.drain()
+        return waiting, [(n.sensor, n.timestamp) for n in proxy.continuous.notifications]
+
+    waiting, ours = notified()
+    with pytest.MonkeyPatch.context() as patch:
+        per_arrival(patch)
+        _, theirs = notified()
+    assert waiting[0] > 10 and waiting[1] > 10
+    assert ours == theirs
+    before = [sensor for sensor, timestamp in ours if timestamp < 3_000.0]
+    assert before[:4] == [0, 1, 0, 1]
+
+
 def test_kernel_ticket_keeps_the_tie_order_of_later_events():
     sim = Simulator()
     order = []
@@ -452,11 +489,11 @@ def test_a_pull_answer_spends_its_own_frames_and_pages():
         assert answer.sensor_energy_j == pulled_joules(counts)
 
 
-
 def test_read_pushes_lands_only_the_prefix_the_trajectory_holds():
-    """A drained run's pushes are read off the trajectory up to the first
-    that is not there as pushed (or pushed with another reading); the
-    tracker then stands where stepping over that prefix leaves one."""
+    """``read_pushes`` is the one run reader: a linked tracker reads the run
+    off the trajectory at once, one whose run leaves the trajectory forks
+    there, and a ``from_state`` tracker steps it all — and each returns, bit
+    for bit, what the silent runs and pushes it replaces return."""
     update = fitted_update((2, 1, 1), seed=8)
     checker = SensorModelChecker(update)
     pushed = {}
@@ -466,15 +503,35 @@ def test_read_pushes_lands_only_the_prefix_the_trajectory_holds():
         if checker.process(reading).push:
             pushed[epoch] = reading
     assert sorted(pushed) == [2, 5]
-    tracker, eager = ProxyModelTracker(update, checker), ProxyModelTracker(update)
-    count, values = tracker.read_pushes([1], (pushed[2],))   # epoch 1 was silent
-    assert (count, values.size, tracker._cursor) == (0, 0, 0)
-    count, values = tracker.read_pushes([2, 5, 7], (pushed[2], pushed[5] + 0.25, 1.0))
-    assert count == 1 and tracker._cursor == 3
-    expected = list(eager.silent_run(2)) + [pushed[2]]
-    eager.apply_push(pushed[2])
-    assert values.tolist() == expected
-    assert (tracker.substitutions, tracker.pushes_applied) == (2, 1)
-    assert shipped(tracker) == shipped(eager)
-    count, values = tracker.read_pushes([2], (pushed[5],))
-    assert count == 1 and tracker._cursor == 6 and values[-1] == pushed[5]
+    declared = ProxyModelTracker(update).state()
+    runs = {
+        # every push is on the trajectory: read at once, still linked
+        "linked": (ProxyModelTracker(update, checker), [2, 5], [pushed[2], pushed[5]]),
+        # a reading the checker never pushed (a batch's) at epoch 4: fork there
+        "forked": (ProxyModelTracker(update, checker), [2, 4, 5, 7],
+                   [pushed[2], 21.0, pushed[5], 20.5]),
+        "from_state": (ProxyModelTracker.from_state(*declared), [2, 5], [pushed[2], pushed[5]]),
+    }
+    for name, (tracker, offsets, readings) in runs.items():
+        eager = (
+            ProxyModelTracker.from_state(*declared)
+            if name == "from_state"
+            else ProxyModelTracker(update, checker)
+        )
+        expected, step = array("d"), 0
+        for offset, reading in zip(offsets, readings):
+            expected.extend(eager.silent_run(offset - step))
+            eager.apply_push(reading)
+            expected.append(reading)
+            step = offset + 1
+        values = tracker.read_pushes(offsets, readings)
+        if name == "linked":   # read off the trajectory: nothing stepped
+            assert tracker._cursor == 6 and tracker._own_model is None
+        assert hexes(values) == hexes(expected), name
+        assert (tracker.substitutions, tracker.pushes_applied) == (
+            eager.substitutions,
+            eager.pushes_applied,
+        ), name
+        assert tracker.pushes_applied == len(offsets)
+        assert shipped(tracker) == shipped(eager), name
+        assert (tracker._checker is not None) is (name == "linked"), name

@@ -80,8 +80,11 @@ def intercept(system: PrestoSystem, rule) -> None:
             return send(packet, energy_category=energy_category)
         if verdict == "drop":
             return TransferOutcome(False, 6, 0.0)
-        receiver = network._nodes[packet.dst].on_receive
-        system.sim.schedule_after(verdict, lambda: receiver(packet))
+        receiver = network._nodes[packet.dst]
+        if receiver.accept is not None:   # as Network.send hands it over
+            receiver.accept(packet, system.sim.now + verdict)
+        else:
+            system.sim.schedule_after(verdict, lambda: receiver.on_receive(packet))
         return TransferOutcome(True, 1, verdict)
 
     network.send = routed

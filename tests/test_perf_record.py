@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,35 @@ def test_every_host_metric_is_judged_alike(monkeypatch, tmp_path):
     path = tmp_path / "BENCH_perf.json"
     tool.record(path, {"change": "rev0", "workloads": {"query_storm": measured}})
     assert json.loads(path.read_text())["trajectory"][0]["workloads"]["query_storm"] == measured
+
+
+def test_both_trees_hold_bytecode_before_the_first_child(monkeypatch):
+    """Children run with ``PYTHONDONTWRITEBYTECODE`` (when the host sets it)
+    and never cache bytecode, so an unpacked parent that nothing compiled
+    would compile ``repro`` inside every child's timed setup."""
+    tool = load_tool()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def unpack_revision(revision, into):
+        shutil.copytree(REPO / "src", into / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    uncompiled = {}
+
+    def run_child(root, workload, seed, scale, env):
+        modules = sorted((root / "src" / "repro").rglob("*.py"))
+        uncompiled[root] = [
+            module for module in modules
+            if not Path(importlib.util.cache_from_source(str(module))).exists()
+        ]
+        assert len(modules) > 50
+        return {"end_to_end": dict.fromkeys(tool.HOST_METRICS, 1.0), "summary": "{}"}
+
+    monkeypatch.setattr(tool, "unpack_revision", unpack_revision)
+    monkeypatch.setattr(tool, "run_child", run_child)
+    assert tool.main(["--parent", "HEAD", "--pairs", "1", "--workload", "cell_day"]) == 0
+    assert len(uncompiled) == 2 and REPO in uncompiled
+    assert all(missing == [] for missing in uncompiled.values())
 
 
 def perf_claims(changes: str) -> list[int]:

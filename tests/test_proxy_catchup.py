@@ -1,10 +1,11 @@
 """The proxy's run writes against the per-entry loop they replaced.
 
-Every cache write of ``PrestoProxy`` — a catch-up run, a push or a batched
-reading with the silent run before it, a pull reply, a detection — lands
-through one seam, ``PrestoProxy._insert_batch``: one
-``SummaryCache.insert_batch`` call, then one
-``ContinuousQueryEngine.on_run`` over the same run.  The reference below is
+Every cache write of ``PrestoProxy`` — a catch-up run, a drained stretch of
+pushes and batched readings with the silent runs between them, a pull
+reply, a detection — lands through one seam,
+``PrestoProxy._insert_batch``: one ``SummaryCache.insert_batch`` call, then
+one ``ContinuousQueryEngine.on_run`` over the same run, rows carrying their
+own stds and source codes.  The reference below is
 the sequence they replaced — one ``CacheEntry`` → ``SummaryCache.insert``
 → ``on_entry`` of the per-entry engine in ``tests/reference_continuous.py``
 per row, and the tracker stepped one silent epoch at a time — patched over
@@ -27,6 +28,7 @@ import pytest
 from reference_continuous import PerEntryQueryEngine
 
 from repro.core.cache import (
+    _SOURCE_OF_CODE,
     PREDICTED_CODE,
     PULLED_CODE,
     PUSHED_CODE,
@@ -57,17 +59,16 @@ def per_epoch_silent_run(self, count):
     return array("d", [self.advance_silent() for _ in range(count)])
 
 
-def per_entry_insert(self, sensor, times, values, std, source, pushed=None):
+def per_entry_insert(self, sensor, times, values, stds, codes):
     """The seam as a per-entry loop: one cache insert and one engine
-    evaluation per row, the reading that ends a run last."""
-    last = len(times) - 1
-    for index, (timestamp, value) in enumerate(zip(times, values)):
-        reading = pushed is not None and index == last
+    evaluation per row, in write order."""
+    rows = zip(times, values, np.broadcast_to(stds, len(times)), np.broadcast_to(codes, len(times)))
+    for timestamp, value, std, code in rows:
         entry = CacheEntry(
             timestamp=float(timestamp),
             value=float(value),
-            std=pushed if reading else std,
-            source=EntrySource.PUSHED if reading else source,
+            std=float(std),
+            source=_SOURCE_OF_CODE[int(code)],
         )
         self.cache.insert(sensor, entry)
         self.continuous.on_entry(sensor, entry)
@@ -75,9 +76,10 @@ def per_entry_insert(self, sensor, times, values, std, source, pushed=None):
 
 class WriteCounter:
     """Counts a cache's write calls, the rows they land by provenance, the
-    longest batch, which ``insert_batch`` calls land a reading (with its
-    silent run) or a catch-up run alone, per sensor, the silent epochs
-    those two carry, and the calls and rows of every other write."""
+    longest batch, which ``insert_batch`` calls land drained readings (the
+    only writes with per-row codes) or a catch-up run alone, per sensor,
+    the silent epochs those two carry, and the calls and rows of every
+    other write."""
 
     def __init__(self, cache: SummaryCache) -> None:
         self.calls = 0
@@ -94,19 +96,20 @@ class WriteCounter:
             self.rows[entry.source] += 1
             return insert(sensor, entry)
 
-        def counted_batch(sensor, timestamps, values, stds, source, pushed=None):
-            reading = pushed is not None
+        def counted_batch(sensor, timestamps, values, stds, codes):
+            rows = np.broadcast_to(codes, len(timestamps))
             self.calls += 1
             self.longest_batch = max(self.longest_batch, len(timestamps))
-            if source is EntrySource.PREDICTED:
-                (self.pushes if reading else self.catch_ups)[sensor] += 1
-                self.run_rows += len(timestamps) - reading
+            for code, count in Counter(rows.tolist()).items():
+                self.rows[_SOURCE_OF_CODE[code]] += count
+            predicted = int((rows == PREDICTED_CODE).sum())
+            if np.ndim(codes) or predicted:
+                (self.pushes if np.ndim(codes) else self.catch_ups)[sensor] += 1
+                self.run_rows += predicted
             else:
                 self.other_calls += 1
                 self.other_rows += len(timestamps)
-            self.rows[source] += len(timestamps) - reading
-            self.rows[EntrySource.PUSHED] += reading
-            return insert_batch(sensor, timestamps, values, stds, source, pushed)
+            return insert_batch(sensor, timestamps, values, stds, codes)
 
         cache.insert, cache.insert_batch = counted_insert, counted_batch
 
@@ -177,7 +180,7 @@ class Drive:
         value = 40.0 + len(self.future_actuals)
         self.future_actuals.append((timestamp, value))
         self.proxy._insert_batch(
-            UNARMED, np.array([timestamp]), np.array([value]), 0.0, EntrySource.PULLED
+            UNARMED, np.array([timestamp]), np.array([value]), 0.0, PULLED_CODE
         )
 
     def columns(self, sensor: int):
@@ -249,28 +252,26 @@ def test_cache_columns_and_counters_match(drives):
 
 
 def test_silent_runs_land_as_one_write(drives):
-    """One write per push — its silent gap included — or catch-up run."""
+    """One write per drained stretch — its pushes, each with its silent gap
+    — or catch-up run."""
     batched, reference = drives
     substitutions = sum(
         state.tracker.substitutions for state in batched.proxy._states.values()
     )
     assert substitutions > 500
-    # armed or not, every push is one write ...
+    # armed or not, a drain lands many pushes per write ...
     for sensor, state in batched.proxy._states.items():
-        assert batched.writes.pushes[sensor] == state.pushes_received > 100
+        assert 0 < 4 * batched.writes.pushes[sensor] < state.pushes_received
     assert batched.writes.catch_ups[ARMED] > 0
     assert not reference.writes.pushes
     # ... the same rows of every provenance land either way ...
     assert batched.writes.rows == reference.writes.rows
     assert reference.writes.calls == sum(reference.writes.rows.values())
-    # ... and the reference's one write per silent epoch and per push became
-    # one per catch-up run or push, each push's silent gap riding with it,
-    # and one per pull reply or detection
-    catch_ups = batched.writes.catch_ups.total()
-    assert reference.writes.calls - batched.writes.calls == (
-        batched.writes.run_rows - catch_ups
-    ) + (batched.writes.other_rows - batched.writes.other_calls)
-    assert batched.writes.run_rows > 2 * catch_ups
+    # ... and the reference's one write per row became one per drained
+    # stretch or catch-up run, and one per pull reply or detection
+    runs = batched.writes.pushes.total() + batched.writes.catch_ups.total()
+    assert batched.writes.calls == runs + batched.writes.other_calls
+    assert batched.writes.run_rows > 10 * runs
     assert batched.writes.calls < reference.writes.calls - substitutions // 2
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from test_model_step import fitted_family
 
 from repro.coding import FragmentStore
-from repro.core.cache import CacheEntry, EntrySource, SummaryCache
+from repro.core.cache import PREDICTED_CODE, PULLED_CODE, CacheEntry, EntrySource, SummaryCache
 from repro.core.federation import _RoutingCore
 from repro.core.proxy import PrestoProxy
 from repro.core.push import ModelUpdate, ProxyModelTracker
@@ -88,7 +88,7 @@ class Owner:
         elif kind == "batch":
             sensor, count = args
             times = self.clock[sensor] + PERIOD * np.arange(count)
-            self.cache.insert_batch(sensor, times, times / 100.0, 0.2, EntrySource.PREDICTED)
+            self.cache.insert_batch(sensor, times, times / 100.0, 0.2, PREDICTED_CODE)
             self.clock[sensor] += PERIOD * count
         elif kind == "pull":
             sensor, back, between, single = args
@@ -96,11 +96,11 @@ class Owner:
             if single:
                 self.cache.insert(sensor, CacheEntry(at, self.value, 0.0, EntrySource.PULLED))
             else:
-                self.cache.insert_batch(sensor, [at], [self.value], 0.0, EntrySource.PULLED)
+                self.cache.insert_batch(sensor, [at], [self.value], 0.0, PULLED_CODE)
         elif kind == "guess":
             sensor, back = args
             at = self.clock[sensor] - PERIOD * (back + 1)
-            self.cache.insert_batch(sensor, [at], [-self.value], 0.3, EntrySource.PREDICTED)
+            self.cache.insert_batch(sensor, [at], [-self.value], 0.3, PREDICTED_CODE)
         elif kind == "step":
             sensor, push = args
             tracker = self.states[sensor].tracker

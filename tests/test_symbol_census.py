@@ -88,9 +88,6 @@ ALLOWLIST = {
     "src/repro/energy/lifetime.py::project_lifetime": DEFERRED,
     "src/repro/index/interval.py::IntervalIndex.lookup_range": DEFERRED,
     "src/repro/index/skipgraph.py::SkipGraph.delete": DEFERRED,
-    "src/repro/signal/codecs.py::rle_decode": DEFERRED,
-    "src/repro/signal/codecs.py::rle_encode": DEFERRED,
-    "src/repro/signal/codecs.py::rle_encoded_size_bytes": DEFERRED,
     "src/repro/signal/compress.py::compression_error": DEFERRED,
     "src/repro/signal/denoise.py::denoise": DEFERRED,
     "src/repro/signal/denoise.py::denoised_nonzero_fraction": DEFERRED,

@@ -4,7 +4,10 @@
 ``benchmarks/perf/run.py --compare`` diffs two *sequential* runs, which on a
 host whose speed drifts over tens of seconds measures the host.  This tool
 interleaves the two sides instead: the parent revision's committed files are
-unpacked into a temporary directory, and for every pair each side's *own*
+unpacked into a temporary directory, both sides' ``src`` are byte-compiled
+(so that no child compiles ``repro`` inside its timed setup: with
+``PYTHONDONTWRITEBYTECODE`` set, an unpacked tree would otherwise never get
+bytecode), and for every pair each side's *own*
 ``benchmarks/perf/child.py`` runs once — in the child environment ``run.py``
 uses — with the order flipped from pair to pair.  Per workload and per
 host-side metric (:data:`HOST_METRICS`: ``wall_s``, ``setup_s``,
@@ -32,6 +35,7 @@ The change side is the working tree this file lives in.
 from __future__ import annotations
 
 import argparse
+import compileall
 import datetime
 import fcntl
 import io
@@ -66,6 +70,12 @@ def unpack_revision(revision: str, into: Path) -> None:
     )
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into, filter="data")
+
+
+def compile_sources(root: Path) -> None:
+    """Byte-compile *root*'s ``src`` (``compileall`` writes bytecode even
+    under ``PYTHONDONTWRITEBYTECODE``)."""
+    compileall.compile_dir(root / "src", quiet=1)
 
 
 def run_child(root: Path, workload: str, seed: int, scale: str, env: dict) -> dict:
@@ -191,6 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix="perf_pairs_parent_") as parent_root:
             unpack_revision(args.parent, Path(parent_root))
             sides = {"parent": Path(parent_root), "change": REPO}
+            for root in sides.values():
+                compile_sources(root)
             for workload in args.workload or list(workloads.WORKLOADS):
                 measured[workload] = pair_workload(
                     sides, workload, args.seed, args.scale, args.pairs, env
