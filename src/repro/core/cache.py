@@ -12,9 +12,14 @@ Storage layout: the cache is *columnar*.  Each sensor's series lives in
 four parallel NumPy arrays (timestamps / values / stds / source codes)
 kept sorted by timestamp, with a lazy start offset so appends and
 evictions are amortized O(1) and window reads are contiguous array views.
-The row-oriented :class:`CacheEntry` remains the public unit of exchange;
-the point read :meth:`SummaryCache.entry_at` hands back the bare
-:class:`CacheRow` instead, since it runs once per answered query.
+Every write is one strictly ascending run of cells
+(:meth:`SummaryCache.insert_batch`): a tracker's silent epochs with the
+pushed readings among them, a pull reply, a detection.  A run newer than
+the cached tail is appended by slice assignment; any other run merges,
+cell by cell under the refinement rule.  The row-oriented
+:class:`CacheEntry` remains the public unit of exchange; the point read
+:meth:`SummaryCache.entry_at` hands back the bare :class:`CacheRow`
+instead, since it runs once per answered query.
 """
 
 from __future__ import annotations
@@ -226,12 +231,6 @@ class CacheSnapshot:
 #: initial per-sensor array capacity (doubles as needed)
 _MIN_CAPACITY = 64
 
-# insert outcomes (internal)
-_SKIPPED = 0     # degrade attempt: actual kept, prediction dropped
-_REPLACED = 1    # same-instant overwrite, no provenance upgrade
-_REFINED = 2     # prediction upgraded to an actual
-_INSERTED = 3    # new timestamp
-
 
 class _Column:
     """One sensor's sorted columnar store.
@@ -290,93 +289,47 @@ class _Column:
                 new[: self.length] = previous[live]
         self.start = 0
 
-    def insert_one(self, timestamp: float, value: float, std: float, code: int) -> int:
-        """Insert or refine one cell; returns the outcome code."""
-        times = self.times
-        lo, hi = self.start, self.end
-        if hi == lo or timestamp > times[hi - 1]:
-            relative = hi - lo  # the common case: strictly newer than the tail
-        else:
-            relative = int(np.searchsorted(times[lo:hi], timestamp, side="left"))
-        position = lo + relative
-        if position < hi and times[position] == timestamp:
-            existing_actual = self.codes[position] != PREDICTED_CODE
-            new_actual = code != PREDICTED_CODE
-            if existing_actual and not new_actual:
-                return _SKIPPED  # never degrade actual data to a guess
-            if timestamp < self.written_from:
-                self.written_from = timestamp
-            self.values[position] = value
-            self.stds[position] = std
-            self.codes[position] = code
-            return _REFINED if not existing_actual and new_actual else _REPLACED
-        if timestamp < self.written_from:
-            self.written_from = timestamp
-        self.reserve(1)
-        position = self.start + relative
-        hi = self.end
-        if position < hi:  # backfill: shift the tail right by one
-            for array in self._arrays():
-                array[position + 1 : hi + 1] = array[position:hi]
-        self.times[position] = timestamp
-        self.values[position] = value
-        self.stds[position] = std
-        self.codes[position] = code
-        self.length += 1
-        return _INSERTED
-
     def evict_front(self, count: int) -> None:
         """Drop the *count* oldest entries (lazy — no copying)."""
         self.start += count
         self.length -= count
 
-    def append(
-        self,
-        timestamps: np.ndarray,
-        values: np.ndarray,
-        stds: np.ndarray | float,
-        codes: np.ndarray | int,
-    ) -> None:
-        """Append an ascending batch strictly newer than the tail, by slice
-        assignment (*stds* and *codes* one per row, or one for all)."""
-        if timestamps[0] < self.written_from:
-            self.written_from = float(timestamps[0])
-        count = timestamps.size
-        self.reserve(count)
-        tail = slice(self.end, self.end + count)
-        self.times[tail] = timestamps
-        self.values[tail] = values
-        self.stds[tail] = stds
-        self.codes[tail] = codes
-        self.length += count
-
-    def merge_batch(
+    def write(
         self,
         timestamps: np.ndarray,
         values: np.ndarray,
         stds: np.ndarray,
-        codes: np.ndarray | int,
+        codes: np.ndarray,
     ) -> tuple[int, int]:
-        """Merge a sorted, deduplicated batch that does not append;
-        returns (inserted, refined).
+        """Write a strictly ascending run (*stds* and *codes* one per row,
+        or 0-d for all); returns (inserted, refined).
 
-        Exact-timestamp collisions follow the single-insert refinement
-        policy row by row (*codes* one per row, or one for all) and new
-        timestamps are merged in one vectorized pass.
+        A run newer than the tail is appended by slice assignment.  Any
+        other run merges in one vectorized pass: a row at a cached instant
+        refines it unless it would degrade an actual to a prediction, and
+        new instants are interleaved.  Either way the run's first instant
+        marks ``written_from``, even where the refinement rule drops it.
         """
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
-        codes = np.broadcast_to(np.asarray(codes, dtype=np.int8), timestamps.shape)
+        count = timestamps.size
+        if self.length == 0 or timestamps[0] > self.times[self.end - 1]:
+            self.reserve(count)
+            tail = slice(self.end, self.end + count)
+            self.times[tail] = timestamps
+            self.values[tail] = values
+            self.stds[tail] = stds
+            self.codes[tail] = codes
+            self.length += count
+            return count, 0
+        stds = np.full(timestamps.shape, stds)
+        codes = np.full(timestamps.shape, codes)
         times, vals, sds, cached_codes = self.views()
-        n = times.size
-        positions = np.searchsorted(times, timestamps, side="left")
-        in_range = positions < n
-        matched = np.zeros(timestamps.size, dtype=bool)
-        matched[in_range] = (
-            times[positions[in_range]] == timestamps[in_range]
-        )
+        positions = times.searchsorted(timestamps, side="left")
+        matched = times[np.minimum(positions, times.size - 1)] == timestamps
         refined = 0
-        if matched.any():
+        inserted = count - np.count_nonzero(matched)
+        if inserted < count:
             hit = positions[matched]
             new_actual = codes[matched] != PREDICTED_CODE
             existing_actual = cached_codes[hit] != PREDICTED_CODE
@@ -385,17 +338,14 @@ class _Column:
             vals[target] = values[matched][writable]
             sds[target] = stds[matched][writable]
             cached_codes[target] = codes[matched][writable]
-            refined = int((new_actual & ~existing_actual).sum())
-        fresh = ~matched
-        inserted = int(fresh.sum())
+            refined = np.count_nonzero(new_actual & ~existing_actual)
         if inserted:
+            fresh = ~matched
             new_times = timestamps[fresh]
             self.reserve(inserted)
             times, vals, sds, cached_codes = self.views()
             merged = self.length + inserted
-            place = np.searchsorted(times, new_times, side="left") + np.arange(
-                inserted
-            )
+            place = times.searchsorted(new_times, side="left") + np.arange(inserted)
             keep = np.ones(merged, dtype=bool)
             keep[place] = False
             lo = self.start
@@ -420,11 +370,11 @@ _EMPTY = _Column(0)
 class SummaryCache:
     """Per-sensor time-ordered cache with bounded footprint.
 
-    Entries are appended mostly in time order (pushes/predictions advance
-    monotonically); pulls may backfill, handled by searchsorted insertion.
-    When a sensor's series exceeds ``max_entries_per_sensor``, the oldest
-    entries are evicted — the archive at the sensor remains the system of
-    record for deep history.
+    Every write is one strictly ascending run (:meth:`insert_batch`):
+    pushes and predictions advance monotonically and append; pull replies
+    may backfill and merge.  When a sensor's series exceeds
+    ``max_entries_per_sensor``, the oldest entries are evicted — the
+    archive at the sensor remains the system of record for deep history.
     """
 
     def __init__(self, max_entries_per_sensor: int = 20_000) -> None:
@@ -441,31 +391,14 @@ class SummaryCache:
     # -- writes ---------------------------------------------------------------
 
     def insert(self, sensor: int, entry: CacheEntry) -> None:
-        """Insert or refine the cell at ``entry.timestamp``.
-
-        An actual value always replaces a predicted one at the same instant
-        (progressive refinement); a prediction never overwrites an actual.
-        """
-        column = self._columns.get(sensor)
-        if column is None:
-            column = self._columns[sensor] = _Column()
-        self._insert_one(
-            column, entry.timestamp, entry.value, entry.std, _CODE_OF_SOURCE[entry.source]
+        """Write the one cell *entry*: a one-row :meth:`insert_batch`."""
+        self.insert_batch(
+            sensor,
+            np.array([entry.timestamp]),
+            np.array([entry.value]),
+            entry.std,
+            _CODE_OF_SOURCE[entry.source],
         )
-
-    def _insert_one(
-        self, column: _Column, timestamp: float, value: float, std: float, code: int
-    ) -> int:
-        """One scalar insert into *column*, counted; returns its outcome."""
-        outcome = column.insert_one(timestamp, value, std, code)
-        if outcome == _REFINED:
-            self.refinements += 1
-        elif outcome == _INSERTED:
-            self.insertions += 1
-            if column.length > self.max_entries_per_sensor:
-                column.evict_front(1)
-                self.evictions += 1
-        return outcome
 
     def insert_batch(
         self,
@@ -475,79 +408,36 @@ class SummaryCache:
         stds: np.ndarray | float,
         codes: np.ndarray | int,
     ) -> int:
-        """Insert many cells in one write, each with its std and source
-        code (*stds* and *codes* one per row, or one for every row).
+        """Write one run of cells, each with its std and source code
+        (*stds* and *codes* one per row, or one for every row); returns the
+        number of genuinely new timestamps.
 
-        Equivalent to inserting each cell individually (duplicates within
-        the batch keep the last value; collisions with cached cells follow
-        the refinement policy; overflow evicts the oldest cells).  An
-        ascending batch newer than everything cached — the common case, a
-        proxy's run of silent epochs and pushed readings among them — is
-        appended by slice assignment; any other batch takes one
-        searchsorted merge instead of per-entry bisect.  Returns the number
-        of genuinely new timestamps.
-
-        A one-row batch is the scalar insert instead, which skips the array
-        preamble.  Like the merge it marks the row written even when the
-        refinement policy drops it.
+        The run's timestamps must strictly ascend and every per-row column
+        must match them in length; anything else raises ``ValueError``
+        before any state changes.  The run equals inserting its cells one
+        by one: an actual value replaces a predicted one at the same
+        instant (progressive refinement), a prediction never overwrites an
+        actual, and overflow evicts the oldest cells.
         """
         timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         stds = np.asarray(stds, dtype=np.float64)   # 0-d: one for all rows
         codes = np.asarray(codes, dtype=np.int8)
+        shape = timestamps.shape
+        if values.shape != shape or {stds.shape, codes.shape} - {(), shape}:
+            raise ValueError(
+                f"run of {shape} timestamps with values {values.shape}, "
+                f"stds {stds.shape} and codes {codes.shape}"
+            )
         count = timestamps.size
         if count == 0:
             return 0
+        if count > 1 and not (timestamps[1:] > timestamps[:-1]).all():
+            raise ValueError("a cache write must be a strictly ascending run")
         column = self._columns.get(sensor)
         if column is None:
             column = self._columns[sensor] = _Column(max(_MIN_CAPACITY, 2 * count))
-        if count == 1:
-            timestamp = float(timestamps[0])
-            if timestamp < column.written_from:
-                column.written_from = timestamp
-            std = float(stds[0] if stds.ndim else stds)
-            code = int(codes[0] if codes.ndim else codes)
-            outcome = self._insert_one(column, timestamp, float(values[0]), std, code)
-            return int(outcome == _INSERTED)
-        ascending = (timestamps[1:] > timestamps[:-1]).all()
-        if ascending and (column.length == 0 or timestamps[0] > column.times[column.end - 1]):
-            column.append(timestamps, values, stds, codes)
-            self.insertions += count
-            self._evict_overflow(column)
-            return count
-        stds, codes = np.broadcast_to(stds, (count,)), np.broadcast_to(codes, (count,))
-        if not ascending:
-            order = np.argsort(timestamps, kind="stable")
-            timestamps, values = timestamps[order], values[order]
-            stds, codes = stds[order], codes[order]
-            # Deduplicate within the batch: the last occurrence wins, exactly
-            # as sequential inserts would resolve it.
-            last = np.ones(timestamps.size, dtype=bool)
-            last[:-1] = timestamps[1:] != timestamps[:-1]
-            timestamps, values = timestamps[last], values[last]
-            stds, codes = stds[last], codes[last]
-        return self._merge(sensor, timestamps, values, stds, codes)
-
-    def _merge(
-        self,
-        sensor: int,
-        timestamps: np.ndarray,
-        values: np.ndarray,
-        stds: np.ndarray,
-        codes: np.ndarray | int,
-    ) -> int:
-        """A sorted, deduplicated batch appended or merged, counted;
-        returns the number of new timestamps."""
-        column = self._columns.get(sensor)
-        if column is None:
-            column = self._columns[sensor] = _Column(
-                max(_MIN_CAPACITY, 2 * timestamps.size)
-            )
-        if column.length == 0 or timestamps[0] > column.times[column.end - 1]:
-            column.append(timestamps, values, stds, codes)
-            inserted, refined = timestamps.size, 0
-        else:
-            inserted, refined = column.merge_batch(timestamps, values, stds, codes)
+        inserted, refined = column.write(timestamps, values, stds, codes)
         self.insertions += inserted
         self.refinements += refined
         self._evict_overflow(column)

@@ -122,9 +122,10 @@ class ContinuousQueryEngine:
     ) -> list[Notification]:
         """Feed one cache write; returns the notifications it fired.
 
-        The run is what :meth:`SummaryCache.insert_batch` just landed, in
-        write order, with its rows' source codes (*codes* one per row, or
-        one for all).  Each row follows one rule, decided by provenance:
+        The run is what :meth:`SummaryCache.insert_batch` just landed —
+        strictly ascending timestamps, the cache's one write shape — with
+        its rows' source codes (*codes* one per row, or one for all).  Each
+        row, in order, follows one rule, decided by provenance:
 
         * **PULLED** rows strictly before the latest timestamp backfill
           history the engine has moved past: they neither fire (stale
@@ -138,14 +139,12 @@ class ContinuousQueryEngine:
           "rare events are never missed" forbids dropping it.  A late row
           still never rewinds the history.
 
-        Skipped rows count in ``stale_entries_skipped``.  An ascending run
-        newer than everything seen, on a sensor no query watches, moves
-        straight to its last row: every row of it is fresh.
+        Skipped rows count in ``stale_entries_skipped``.  A run newer than
+        everything seen, on a sensor no query watches, moves straight to
+        its last row: every row of it is fresh.
         """
         queries = self._watching.get(sensor, ())
-        if not queries and times[0] > self._latest_ts.get(sensor, -math.inf) and (
-            len(times) == 1 or (times[1:] > times[:-1]).all()
-        ):
+        if not queries and times[0] > self._latest_ts.get(sensor, -math.inf):
             self._latest_ts[sensor] = float(times[-1])
             self._last_value[sensor] = float(values[-1])
             return []

@@ -208,9 +208,9 @@ class PrestoProxy:
         stds: np.ndarray | float,
         codes: np.ndarray | int,
     ) -> None:
-        """The one cache write: land a run — its rows' stds and source
-        codes, each one per row or one for all — then let standing queries
-        read it.  A tracker's run is PREDICTED silent epochs and PUSHED
+        """The one cache write: land a strictly ascending run — its rows'
+        stds and source codes, each one per row or one for all — then let
+        standing queries read it.  A tracker's run is PREDICTED silent epochs and PUSHED
         readings, a pull reply PULLED, a detection PUSHED."""
         self.cache.insert_batch(sensor, times, values, stds, codes)
         self.continuous.on_run(sensor, times, values, codes)

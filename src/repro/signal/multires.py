@@ -43,13 +43,6 @@ class MultiResolutionSummary:
         """Number of stored values (the footprint unit used by aging)."""
         return len(self.approx)
 
-    @property
-    def compression_ratio(self) -> float:
-        """Original samples per stored value."""
-        if not self.approx:
-            return float("inf")
-        return self.original_length / len(self.approx)
-
 
 def summarize(
     x: np.ndarray, level: int, wavelet: Wavelet = HAAR

@@ -46,10 +46,6 @@ class RandomStreams:
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]
 
-    def fork(self, sub_seed: int) -> "RandomStreams":
-        """Derive an independent registry, e.g. one per sweep point."""
-        return RandomStreams(seed=(self._seed * 1_000_003 + int(sub_seed)) & 0x7FFFFFFF)
-
 
 def seeded_rng(seed: int = 0) -> np.random.Generator:
     """The sanctioned construction site for a standalone seeded generator.

@@ -43,10 +43,6 @@ class Forecast:
         """Number of forecast steps."""
         return int(self.mean.shape[0])
 
-    def interval(self, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric confidence band at *z* standard deviations."""
-        return self.mean - z * self.std, self.mean + z * self.std
-
 
 @dataclass(frozen=True)
 class ModelSpec:

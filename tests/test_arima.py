@@ -212,13 +212,6 @@ class TestForecast:
         forecast = model.forecast(300)
         assert abs(forecast.mean[-1] - np.mean(x)) < 0.5
 
-    def test_interval_widens(self):
-        model = ARIMAModel(order=(1, 1, 0)).fit(make_random_walk_with_drift())
-        forecast = model.forecast(30)
-        low, high = forecast.interval(z=1.96)
-        assert np.all(high - low >= 0)
-        assert (high - low)[-1] > (high - low)[0]
-
 
 class TestMetadata:
     def test_spec(self):

@@ -9,8 +9,9 @@ backfill and eviction overflow — and asserts every read (``entry_at`` /
 ``size``, and a replica snapshot's ``nearest`` / ``window_slice``) and every
 counter agrees, continuously and at the end.  ``insert_batch`` is
 additionally checked against sequential single inserts on the reference,
-over the batch shapes the proxy produces: strictly-appending silent runs,
-sorted runs that overlap the cached stream, and unordered pull replies.
+over the run shapes the proxy produces — every one strictly ascending:
+silent runs newer than the cached stream, runs that overlap it, and pull
+replies that backfill it with gaps.
 """
 
 from __future__ import annotations
@@ -134,46 +135,39 @@ def test_randomized_operation_stream(seed):
     assert new.evictions == old.evictions
 
 
-def random_batch(
-    rng: np.random.Generator, newest_epoch: int, unordered: bool
-) -> np.ndarray:
-    """Batch timestamps in one of the shapes the proxy produces.
+def random_batch(rng: np.random.Generator, newest_epoch: int) -> np.ndarray:
+    """Strictly ascending run timestamps in one of the shapes the proxy
+    produces.
 
-    A tracker's silent run (ascending, strictly newer than everything
-    cached — the append branch), an ascending run that overlaps the cached
-    stream (sorted already, but must merge), or — when *unordered* — a
-    pull reply with duplicates and backfill.
+    A tracker's silent run (strictly newer than everything cached — the
+    append branch), a run of consecutive epochs that overlaps the cached
+    stream, or a pull reply: distinct epochs with gaps, backfilling the
+    cached stream and reaching past it.
     """
     size = int(rng.integers(1, 24))
     roll = rng.random()
     if roll < 0.4:
         epochs = newest_epoch + 1 + int(rng.integers(0, 3)) + np.arange(size)
-    elif roll < 0.6 or not unordered:
+    elif roll < 0.6:
         epochs = int(rng.integers(0, newest_epoch + 1)) + np.arange(size)
     else:
-        epochs = rng.integers(0, newest_epoch + 40, size=size)
+        epochs = np.unique(rng.integers(0, newest_epoch + 40, size=size))
     return epochs.astype(np.float64) * PERIOD
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_insert_equals_sequential(seed):
     """insert_batch ≡ the same cells inserted one by one on the reference."""
-    check_batches_against_sequential(seed, capacity=4096, unordered=True)
+    check_batches_against_sequential(seed, capacity=4096)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ascending_batches_equal_sequential_while_evicting(seed):
-    """The same with a capacity one batch overflows several times over.
-
-    Ascending batches only: an unordered batch is sorted before it merges,
-    so once cells are being evicted its counters can legitimately differ
-    from arrival-order inserts (a duplicate of an already-evicted cell
-    counts twice there).
-    """
-    check_batches_against_sequential(seed, capacity=32, unordered=False)
+    """The same with a capacity one batch overflows several times over."""
+    check_batches_against_sequential(seed, capacity=32)
 
 
-def check_batches_against_sequential(seed: int, capacity: int, unordered: bool) -> None:
+def check_batches_against_sequential(seed: int, capacity: int) -> None:
     """Drive both caches through 40 batches interleaved with single inserts."""
     rng = np.random.default_rng(100 + seed)
     new, old = SummaryCache(capacity), ListSummaryCache(capacity)
@@ -191,7 +185,7 @@ def check_batches_against_sequential(seed: int, capacity: int, unordered: bool) 
     for _ in range(40):
         newest = new.latest(0).timestamp
         source = SOURCES[int(rng.integers(0, 3))]
-        timestamps = random_batch(rng, int(round(newest / PERIOD)), unordered)
+        timestamps = random_batch(rng, int(round(newest / PERIOD)))
         appended += bool(timestamps[0] > newest and (np.diff(timestamps) > 0).all())
         values = rng.normal(20.0, 2.0, size=timestamps.size)
         std = float(abs(rng.normal(0.0, 0.1)))
@@ -236,10 +230,15 @@ def test_eviction_overflow_equivalence():
     assert new.evictions == old.evictions
 
 
-# -- one-row batches ----------------------------------------------------------------
+# -- a push landed with its silent run ---------------------------------------------
 #
-# insert_batch takes a one-row batch through the scalar insert instead of
-# the vectorized merge; the two must leave a cache in the same state.
+# A proxy lands a run of PREDICTED rows and the PUSHED reading that ended it
+# (std 0 for a push, the quantisation std for a batched reading) as one
+# write with per-row codes and stds; it must leave a cache exactly as the
+# two writes it replaced: the run as a batch, then the reading alone.  A
+# pulled actual ahead of or inside the run sends the write down the merge,
+# which marks ``written_from`` at the run's first row even where the actual
+# keeps its cell.  The prefix draws single cells and ascending runs.
 
 LATTICE = st.integers(0, 40).map(lambda i: i * PERIOD / 2.0)   # collisions, backfill
 SOURCE = st.sampled_from(SOURCES)
@@ -247,8 +246,8 @@ VALUE = st.floats(-50.0, 50.0, allow_nan=False)
 STD = st.floats(0.0, 2.0, allow_nan=False)
 CACHE_OP = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 1), LATTICE, VALUE, STD, SOURCE),
-    st.tuples(st.just("batch"), st.integers(0, 1), st.lists(LATTICE, min_size=2, max_size=6),
-              STD, SOURCE),
+    st.tuples(st.just("batch"), st.integers(0, 1),
+              st.lists(LATTICE, min_size=2, max_size=6, unique=True).map(sorted), STD, SOURCE),
     st.tuples(st.just("export"), st.integers(0, 1)),
 )
 
@@ -281,43 +280,6 @@ def assert_same_cache(ours: SummaryCache, theirs: SummaryCache, sensor: int) -> 
     if column is not None:
         assert column.written_from == twin.written_from
 
-
-@settings(max_examples=300, deadline=None)
-@given(
-    prefix=st.lists(CACHE_OP, max_size=40),
-    sensor=st.integers(0, 2),
-    row=st.tuples(VALUE, STD, SOURCE),
-    std_as_array=st.booleans(),
-    data=st.data(),
-)
-def test_one_row_batch_matches_the_merge(prefix, sensor, row, std_as_array, data):
-    scalar, merged = SummaryCache(16), SummaryCache(16)   # 16: overflow is common
-    for operation in prefix:
-        apply(scalar, operation)
-        apply(merged, operation)
-    cached = scalar.arrays_in(sensor, -np.inf, np.inf)[0].tolist()
-    # half the rows land on a cached instant: refinement, overwrite or skip
-    timestamp = data.draw(st.sampled_from(cached) if cached and data.draw(st.booleans())
-                          else LATTICE)
-    value, std, source = row
-    stds = np.asarray([std]) if std_as_array else std
-    returned = scalar.insert_batch(sensor, np.asarray([timestamp]), np.asarray([value]),
-                                   stds, _CODE_OF_SOURCE[source])
-    expected = merged._merge(sensor, np.asarray([timestamp]), np.asarray([value]),
-                             np.asarray([std]), _CODE_OF_SOURCE[source])
-    assert returned == expected
-    assert_same_cache(scalar, merged, sensor)
-
-
-# -- a push landed with its silent run ---------------------------------------------
-#
-# A proxy lands a run of PREDICTED rows and the PUSHED reading that ended it
-# (std 0 for a push, the quantisation std for a batched reading) as one
-# write with per-row codes and stds; it must leave a cache exactly as the
-# two writes it replaced: the run as a batch, then the reading alone.  A
-# pulled actual ahead of or inside the run sends the write down the merge,
-# which marks ``written_from`` at the run's first row even where the actual
-# keeps its cell.
 
 RUN_LENGTH = st.one_of(st.just(0), st.just(1), st.integers(2, 24))   # 24 > capacity
 

@@ -277,11 +277,12 @@ def ascending_run(draw):
 
 @st.composite
 def reply_run(draw):
-    """A pull reply, in any order, or a one-row push or detection."""
+    """A pull reply — distinct instants in time order, anywhere in the seen
+    history or past it — or a one-row push or detection."""
     code = draw(st.sampled_from([PULLED_CODE, PUSHED_CODE]))
     size = st.integers(1, 6) if code == PULLED_CODE else st.just(1)
     count = draw(size)
-    times = draw(st.lists(TIME, min_size=count, max_size=count))
+    times = draw(st.lists(TIME, min_size=count, max_size=count, unique=True).map(sorted))
     values = draw(st.lists(VALUE, min_size=count, max_size=count))
     return times, values, [code] * count
 

@@ -1,5 +1,7 @@
 """Unit tests for the proxy summary cache."""
 
+import math
+
 import pytest
 
 from repro.core.cache import (
@@ -226,19 +228,32 @@ class TestBatchInsert:
         assert cache.entry_at(0, 30.0, 1.0).value == 1.0
         assert cache.entry_at(0, 60.0, 1.0).value == 8.0
 
-    def test_batch_duplicates_keep_last(self):
+    @pytest.mark.parametrize(
+        "times, values, stds, codes",
+        [
+            ([90.0, 80.0], [1.0, 2.0], 0.0, PUSHED_CODE),           # descending
+            ([90.0, 90.0], [1.0, 2.0], 0.0, PUSHED_CODE),           # a duplicate
+            ([90.0, 120.0], [1.0], 0.0, PUSHED_CODE),               # one value for two
+            ([90.0, 120.0], [1.0, 2.0], [0.0, 0.1, 0.2], PUSHED_CODE),
+            ([90.0, 120.0], [1.0, 2.0], 0.0, [PUSHED_CODE]),
+        ],
+    )
+    def test_malformed_run_is_refused_untouched(self, times, values, stds, codes):
         import numpy as np
 
-        cache = SummaryCache(100)
-        cache.insert_batch(
-            0,
-            np.asarray([10.0, 10.0, 20.0]),
-            np.asarray([1.0, 2.0, 3.0]),
-            0.0,
-            PUSHED_CODE,
-        )
-        assert cache.entry_at(0, 10.0, 0.5).value == 2.0
-        assert cache.insertions == 2
+        cache = SummaryCache(16)
+        cache.insert_batch(0, np.arange(20.0) * 30.0, np.arange(20.0), 0.1, PREDICTED_CODE)
+        cache.insert(0, entry(60.0, 5.0, source=EntrySource.PULLED))
+        column = cache._columns[0]
+        column.written_from = math.inf     # as a replica export leaves it
+        before = [array.copy() for array in cache.arrays_in(0, -1.0, 1e9)]
+        counters = (cache.insertions, cache.refinements, cache.evictions)
+        with pytest.raises(ValueError):
+            cache.insert_batch(0, np.asarray(times), np.asarray(values), stds, codes)
+        after = cache.arrays_in(0, -1.0, 1e9)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert (cache.insertions, cache.refinements, cache.evictions) == counters
+        assert column.written_from == math.inf
 
     def test_batch_overflow_evicts_oldest(self):
         import numpy as np

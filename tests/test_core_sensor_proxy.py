@@ -417,9 +417,9 @@ class TestPullPastEmptyWindow:
         values = 20.0 + np.cumsum(rng.normal(0, 0.05, 40))
         feed(sim, sensors, [values, values])
         window_start = 38 * 31.0
-        sensors[0].serve_pull = lambda start, end: (
-            np.asarray([1.0e7, window_start + 31.0]),
-            np.asarray([99.0, 21.5]),
+        sensors[0].serve_pull = lambda start, end: (   # in time order, as archived
+            np.asarray([window_start + 31.0, 1.0e7]),
+            np.asarray([21.5, 99.0]),
             1,
             16,
         )

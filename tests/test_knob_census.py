@@ -1,12 +1,15 @@
-"""Knob census: every configuration field has a caller that sets it.
+"""Knob census: every configuration field has a product caller that sets it.
 
 A field nobody sets is a constant wearing an option's clothes — it doubles
 the configurations a reader must consider and nothing exercises its other
 values.  This scan keeps such fields from regrowing: for each field of the
 configuration dataclasses below it looks for the field's name passed as a
 keyword argument or written as a string dict key (``**kwargs`` tables)
-anywhere in ``src``, ``tests``, ``benchmarks``, ``examples`` or ``tools``
-outside the module that defines the class.
+anywhere in ``src``, ``benchmarks``, ``examples`` or ``tools`` outside the
+module that defines the class.  A setter in ``tests`` does not count: a
+test does not justify an option.  The few knobs only tests set are named
+in :data:`TESTS_ONLY`, each with its reason, and an entry that goes stale
+fails the census like a new unset knob does.
 
 Pure AST — nothing scanned is imported — and by *name*: a same-named field
 of another class can mask an unset one, so this is a floor, not a proof.
@@ -20,7 +23,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests", "benchmarks", "examples", "tools")
+SCANNED = ("src", "benchmarks", "examples", "tools")
 
 #: defining module -> configuration dataclasses whose fields are knobs
 CONFIG_CLASSES = {
@@ -36,6 +39,22 @@ CONFIG_CLASSES = {
         "WorkloadSpec",
         "FederationRegime",
         "ServingRegime",
+    ),
+}
+
+#: knobs only tests set, kept on purpose: ``Class.field`` -> why
+TESTS_ONLY = {
+    "PrestoConfig.node_profile": (
+        "the paper's two mote platforms: tests run a cell on TELOS against the "
+        "MICA2 default; pending a scenario that compares platforms"
+    ),
+    "WorkloadSpec.surge_profile": (
+        "ramp and decay surge shapes the scenario tests exercise; no built-in "
+        "campaign shapes its surge yet"
+    ),
+    "WorkloadSpec.surge_hotspot_zipf": (
+        "re-skewed surge hotspots the scenario tests exercise; no built-in "
+        "campaign re-skews its surge yet"
     ),
 }
 
@@ -91,11 +110,12 @@ def never_set_fields(root: Path = ROOT) -> list[str]:
 
 
 def test_every_config_field_has_a_setter():
-    assert never_set_fields() == []
+    assert sorted(never_set_fields()) == sorted(TESTS_ONLY)
 
 
 def test_census_catches_a_never_set_field(tmp_path):
-    """The scan itself works: a knob with no caller is named."""
+    """The scan itself works: a knob with no product caller is named,
+    however many tests set it."""
     module = tmp_path / "src/repro/serving/config.py"
     for name in CONFIG_CLASSES:
         path = tmp_path / name
@@ -107,9 +127,12 @@ def test_census_catches_a_never_set_field(tmp_path):
             "    offered_qps: float = 200.0\n    census_canary_s: float = 1.0\n",
         )
     )
-    caller = tmp_path / "tests/test_caller.py"
-    caller.parent.mkdir()
-    caller.write_text("ServingConfig(offered_qps=5.0)\n")
+    for name, source in (
+        ("tools/caller.py", "ServingConfig(offered_qps=5.0)\n"),
+        ("tests/test_caller.py", "ServingConfig(census_canary_s=2.0)\n"),
+    ):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_text(source)
     unset = never_set_fields(tmp_path)
     assert "ServingConfig.census_canary_s" in unset
     assert "ServingConfig.offered_qps" not in unset

@@ -26,9 +26,6 @@ class TestSummarize:
         sizes = [summarize(segment, k).size_values for k in range(4)]
         assert sizes == [256, 128, 64, 32]
 
-    def test_compression_ratio(self, segment):
-        assert summarize(segment, 3).compression_ratio == pytest.approx(8.0)
-
     def test_reconstruction_length_preserved(self, segment):
         for level in (1, 2, 4):
             assert reconstruct(summarize(segment, level)).shape == segment.shape

@@ -79,7 +79,8 @@ class WriteCounter:
     longest batch, which ``insert_batch`` calls land drained readings (the
     only writes with per-row codes) or a catch-up run alone, per sensor,
     the silent epochs those two carry, and the calls and rows of every
-    other write."""
+    other write.  An ``insert`` is one call: the one-row ``insert_batch``
+    it makes is not counted again."""
 
     def __init__(self, cache: SummaryCache) -> None:
         self.calls = 0
@@ -89,14 +90,21 @@ class WriteCounter:
         self.run_rows = 0
         self.other_calls = self.other_rows = 0
         self.rows: Counter[EntrySource] = Counter()
+        self.nested = False
         insert, insert_batch = cache.insert, cache.insert_batch
 
         def counted_insert(sensor, entry):
             self.calls += 1
             self.rows[entry.source] += 1
-            return insert(sensor, entry)
+            self.nested = True
+            try:
+                return insert(sensor, entry)
+            finally:
+                self.nested = False
 
         def counted_batch(sensor, timestamps, values, stds, codes):
+            if self.nested:
+                return insert_batch(sensor, timestamps, values, stds, codes)
             rows = np.broadcast_to(codes, len(timestamps))
             self.calls += 1
             self.longest_batch = max(self.longest_batch, len(timestamps))
