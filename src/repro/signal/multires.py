@@ -118,24 +118,3 @@ def age_once(
         approx=tuple(float(v) for v in coeffs[0]),
         wavelet_name=summary.wavelet_name,
     )
-
-
-def reconstruction_rmse(summary: MultiResolutionSummary, x: np.ndarray) -> float:
-    """RMS error of a summary against the original segment."""
-    recon = reconstruct(
-        summary, wavelet=HAAR if summary.wavelet_name == "haar" else _lookup(summary)
-    )
-    x = np.asarray(x, dtype=np.float64)
-    if recon.shape != x.shape:
-        raise ValueError(f"shape mismatch: {recon.shape} vs {x.shape}")
-    return float(np.sqrt(np.mean((recon - x) ** 2)))
-
-
-def _lookup(summary: MultiResolutionSummary) -> Wavelet:
-    from repro.signal.wavelets import DB4, HAAR
-
-    table = {"haar": HAAR, "db4": DB4}
-    try:
-        return table[summary.wavelet_name]
-    except KeyError:
-        raise ValueError(f"unknown wavelet {summary.wavelet_name!r}") from None

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.signal.multires import age_once, reconstruct, summarize
+from repro.signal.multires import age_once, summarize
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.storage.archive import SensorArchive
@@ -85,6 +83,7 @@ class AgingPolicy:
             return self._evict_oldest(archive)
         old_level = record.level
         record.age_to(summary)
+        archive.version += 1
         # Re-programming the summary is a real flash write: release the whole
         # old allocation, then program the new one so pages_written /
         # bytes_written and write energy cover every aging step.  The write
@@ -114,25 +113,9 @@ class AgingPolicy:
         if entry is None:
             return False
         record = archive.records.pop(entry.record_id)
+        archive.version += 1
         archive.index.remove(entry.record_id)
         archive.release_record(record)
         self.evictions += 1
         return True
 
-
-def reconstruction_error_by_level(
-    values: np.ndarray, max_level: int = 6
-) -> list[tuple[int, float]]:
-    """RMS reconstruction error of a segment at each aging level.
-
-    Used by the aging benchmark to plot the paper's resolution/footprint
-    trade-off on real generated data.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    out: list[tuple[int, float]] = []
-    for level in range(0, max_level + 1):
-        summary = summarize(values, level=level)
-        recon = reconstruct(summary)
-        rms = float(np.sqrt(np.mean((recon - values) ** 2)))
-        out.append((summary.level, rms))
-    return out

@@ -70,6 +70,9 @@ class ArchiveRecord:
     hosted_by: int | None = None      # offload host's cell-local index, None = local
     #: :func:`peak_deviation` of the stored payload, refreshed by :meth:`age_to`
     activity: float = field(init=False, repr=False, compare=False)
+    #: set by an offload host when coarsening this guest gains no page;
+    #: cleared by :meth:`age_to`, the one place the payload changes
+    unshrinkable: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.raw is not None:
@@ -83,6 +86,7 @@ class ArchiveRecord:
         self.raw = None
         self.summary = summary
         self.activity = peak_deviation(summary.approx)
+        self.unshrinkable = False
 
     @property
     def aged(self) -> bool:
@@ -138,6 +142,10 @@ class SensorArchive:
         self.segment_readings = int(segment_readings)
         self.index = TimeIndex()
         self.records: dict[int, ArchiveRecord] = {}
+        #: bumped whenever the local record set changes (a flush, an aging
+        #: step, an eviction, an offload move); keys the offload planner's
+        #: memo of this archive's lowest-value segments
+        self.version = 0
         self._ids = itertools.count()
         self._buffer_times: list[float] = []
         self._buffer_values: list[float] = []
@@ -202,6 +210,7 @@ class SensorArchive:
             pages=pages,
         )
         self.records[record.record_id] = record
+        self.version += 1
         self.index.append(
             IndexEntry(start_time=start, end_time=end, record_id=record.record_id)
         )

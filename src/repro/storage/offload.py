@@ -28,7 +28,13 @@ per-cell :class:`OffloadCoordinator` with two planners:
 *In range* means inside the hop window: on the cell's line of sensors,
 the hosts of sensor *i* are ``i - MAX_OFFLOAD_HOPS … i + MAX_OFFLOAD_HOPS``
 (clipped to the cell, *i* itself excluded), so planning costs what the
-neighbourhood holds, not what the cell holds.
+neighbourhood holds, not what the cell holds.  An ``mcf_offload`` round
+costs in proportion to what can move: it walks, cheapest first, only the
+arcs into hosts that can take a page (a full host rejects every arc until
+it ships a segment of its own), ranks a pressured archive's segments only
+when one of its hosts opens, and reuses that ranking across rounds at one
+instant while the archive's record set is unchanged.  Guests whose
+coarsening gains no page are skipped until their payload changes.
 
 Segment *value* combines age (old data is cheap), resolution (aged
 summaries are cheap) and event proximity (bursty segments are precious) —
@@ -52,7 +58,7 @@ import numpy as np
 from repro.energy.constants import RadioConstants
 from repro.energy.radio_energy import packets_for_payload, receive_energy, transfer_energy
 from repro.signal.multires import age_once, summarize
-from repro.storage.archive import ArchiveRecord, SensorArchive
+from repro.storage.archive import BYTES_PER_READING, ArchiveRecord, SensorArchive
 
 #: storage policies selectable per run; index+1 is the sweep-axis code
 STORAGE_POLICIES = ("local_aging", "greedy_offload", "mcf_offload")
@@ -168,6 +174,10 @@ class OffloadCoordinator:
         # radio joules to move one flash page over h hops, indexed by h;
         # priced at the first registration (it needs the page size)
         self._page_cost_j: tuple[float, ...] = ()
+        # per archive: pages of one full segment of its own
+        self._own_segment_pages: list[int] = []
+        # per archive: ((now, version), its MCF supplies) — see _supplies
+        self._supply_memo: list[tuple[tuple[float, int], list] | None] = []
 
     # -- registration ------------------------------------------------------
 
@@ -177,6 +187,10 @@ class OffloadCoordinator:
         self.archives.append(archive)
         self._index_of[id(archive)] = index
         self._guests.append({})
+        self._own_segment_pages.append(
+            archive.flash.pages_for(archive.segment_readings * BYTES_PER_READING)
+        )
+        self._supply_memo.append(None)
         if not self._page_cost_j:
             page_bytes = archive.flash.constants.page_bytes
             one_hop_page_j = transfer_energy(
@@ -224,14 +238,6 @@ class OffloadCoordinator:
             return self._mcf_make_room(source)
         return self._greedy_make_room(source)
 
-    def _hosted_on(self, host: int) -> list[tuple[float, int, int, ArchiveRecord]]:
-        """Guest records stored on *host*'s flash, lowest value first."""
-        now = self._now(self.archives[host])
-        return sorted(
-            (segment_value(record, now), owner, record_id, record)
-            for (owner, record_id), record in self._guests[host].items()
-        )
-
     def _coarsen_hosted(self, host: int) -> bool:
         """Age the lowest-value guest segment on *host*'s flash in place.
 
@@ -240,24 +246,29 @@ class OffloadCoordinator:
         would stay frozen at their offload-time resolution and wedge the
         host under its own pressure.  The summary is computed where the
         bytes live, so only host flash operations are charged; no radio.
+        A guest whose coarsening gains no page is marked
+        ``unshrinkable`` and left out until its payload next changes.
         """
         host_archive = self.archives[host]
         flash = host_archive.flash
         max_level = host_archive.aging_policy.max_level
-        for _value, _owner, _record_id, record in self._hosted_on(host):
-            if record.level >= max_level or record.n_readings < 2:
-                continue
+        now = self._now(host_archive)
+        ranked = sorted(
+            (segment_value(record, now), owner, record_id, record)
+            for (owner, record_id), record in self._guests[host].items()
+            if record.level < max_level and record.n_readings >= 2
+            and not record.unshrinkable
+        )
+        for _value, _owner, _record_id, record in ranked:
             if record.raw is not None:
                 summary = summarize(record.raw, level=1)
             else:
                 assert record.summary is not None
                 summary = age_once(record.summary)
-                if summary.level == record.summary.level:
-                    continue
             new_bytes = summary.size_values * 8
-            new_pages = flash.pages_for(new_bytes)
-            if new_pages >= record.pages:
-                continue  # page rounding ate the gain; try the next guest
+            if summary.level == record.level or flash.pages_for(new_bytes) >= record.pages:
+                record.unshrinkable = True  # no page gained; try the next guest
+                continue
             record.age_to(summary)
             flash.free(record.pages)
             record.pages = flash.write(new_bytes)
@@ -279,23 +290,20 @@ class OffloadCoordinator:
             if record.hosted_by is None
         )
 
-    def _host_can_take(self, host: int, pages: int) -> bool:
-        """Whether *host* can store *pages* without robbing its own room.
+    def _take_limit(self, host: int) -> int:
+        """Most pages *host* can store without robbing its own room.
 
         A host may give up free pages only when either (a) enough room for
         one of its own full segments remains afterwards, or (b) its free
         space was already too small for a full segment — dead slack that
         local writes could never use anyway.  The guard prevents offload
-        ping-pong under uniform storage pressure.
+        ping-pong under uniform storage pressure.  *host* can take
+        ``pages`` exactly when ``0 < pages <= limit``, and taking them
+        lowers the limit by ``pages``.
         """
-        flash = self.archives[host].flash
-        if pages <= 0 or pages > flash.free_pages:
-            return False
-        own_segment_pages = flash.pages_for(
-            self.archives[host].segment_readings * 8
-        )
-        remaining = flash.free_pages - pages
-        return remaining >= own_segment_pages or flash.free_pages < own_segment_pages
+        free = self.archives[host].flash.free_pages
+        own_segment_pages = self._own_segment_pages[host]
+        return free if free < own_segment_pages else free - own_segment_pages
 
     def _greedy_make_room(self, source: int) -> bool:
         for _value, _record_id, record in sorted(self._local_candidates(source)):
@@ -312,13 +320,53 @@ class OffloadCoordinator:
         best: tuple[int, int, int] | None = None
         best_host = None
         for host in self._window(source):
-            if host == source or not self._host_can_take(host, pages):
+            if host == source or not 0 < pages <= self._take_limit(host):
                 continue
             key = (-self.archives[host].flash.free_pages, abs(host - source), host)
             if best is None or key < best:
                 best = key
                 best_host = host
         return best_host
+
+    def _supplies(self, src: int) -> list[tuple[float, int, int, ArchiveRecord]]:
+        """``(value, record id, pages, record)`` of archive *src*'s
+        ``MCF_BATCH_PER_ARCHIVE`` lowest-value local segments.
+
+        Memoised on ``(now, archive.version)``: every round at one instant
+        that finds the archive's record set unchanged reuses the ranking.
+        """
+        archive = self.archives[src]
+        key = (self._now(archive), archive.version)
+        memo = self._supply_memo[src]
+        if memo is None or memo[0] != key:
+            pages_for = archive.flash.pages_for
+            memo = self._supply_memo[src] = (key, [
+                (value, record_id, pages_for(record.stored_bytes()), record)
+                for value, record_id, record in heapq.nsmallest(
+                    MCF_BATCH_PER_ARCHIVE, self._local_candidates(src)
+                )
+            ])
+        return memo[1]
+
+    def _arcs_into(
+        self,
+        host: int,
+        pressured: list[bool],
+        supplies: dict[int, list[tuple[float, int, int, ArchiveRecord]]],
+    ) -> Iterator[tuple[float, float, int, int, int, int, ArchiveRecord]]:
+        """Every arc from a pressured archive in *host*'s hop window to *host*.
+
+        *supplies* holds each archive's supplies as first computed this
+        round: a later move from it must not change what its arcs were.
+        """
+        for src in self._window(host):
+            if src == host or not pressured[src]:
+                continue
+            if src not in supplies:
+                supplies[src] = self._supplies(src)
+            page_cost_j = self._page_cost_j[abs(host - src)]
+            for value, record_id, pages, record in supplies[src]:
+                yield (page_cost_j * pages, value, src, record_id, host, pages, record)
 
     def _mcf_make_room(self, source: int) -> bool:
         """Network-wide greedy cheapest-arc assignment of pressured segments.
@@ -330,29 +378,54 @@ class OffloadCoordinator:
         distance and are taken greedily, cheapest feasible arc first, whole
         segments at a time — an approximation, not an optimal assignment
         (see the module docstring).  ``(cost, value, src, record id,
-        host)`` is unique, so the arcs sort in plain tuple order.
+        host)`` is unique, so the arcs order in plain tuple order.
+
+        The walk is the full cheapest-first scan of every arc, done in
+        proportion to what can move.  A host whose take limit is 0 rejects
+        every arc, and its limit stays 0 until it ships one of its own
+        segments away (taking pages only lowers a limit), so the heap
+        starts with the arcs into hosts that can take a page.  When a move
+        frees a source that was left out, its arcs join the heap — only
+        those ordered after the arc just taken, since the full scan had
+        already rejected the earlier ones at limit 0.  An archive's
+        supplies are ranked when a host in its window first opens (its
+        records cannot change before one of its own arcs is taken), so a
+        round costs the open hosts' arcs plus the arcs it pops.
         """
-        arcs: list[tuple[float, float, int, int, int, int, ArchiveRecord]] = []
-        for src, archive in enumerate(self.archives):
-            if src != source and archive.flash.free_pages != 0:
-                continue  # not pressured
-            supplies = heapq.nsmallest(MCF_BATCH_PER_ARCHIVE, self._local_candidates(src))
-            for value, record_id, record in supplies:
-                pages = archive.flash.pages_for(record.stored_bytes())
-                for host in self._window(src):
-                    if host != src:
-                        cost = self._page_cost_j[abs(host - src)] * pages
-                        arcs.append((cost, value, src, record_id, host, pages, record))
-        arcs.sort()
+        archives = self.archives
+        pressured = [
+            src == source or archive.flash.free_pages == 0
+            for src, archive in enumerate(archives)
+        ]
+        limits = [self._take_limit(host) for host in range(len(archives))]
+        opened = [limit > 0 for limit in limits]
+        supplies: dict[int, list[tuple[float, int, int, ArchiveRecord]]] = {}
+        arcs = [
+            arc
+            for host, is_open in enumerate(opened)
+            if is_open
+            for arc in self._arcs_into(host, pressured, supplies)
+        ]
+        heapq.heapify(arcs)
         moved_from_source = False
-        for _cost, _value, src, _record_id, host, pages, record in arcs:
+        while arcs:
+            arc = heapq.heappop(arcs)
+            _cost, _value, src, _record_id, host, pages, record = arc
             if record.hosted_by is not None:
                 continue  # already placed via a cheaper arc this round
-            if not self._host_can_take(host, pages):
+            if not 0 < pages <= limits[host]:
                 continue
             self._move(src, record, host)
+            limits[host] = self._take_limit(host)
+            limits[src] = self._take_limit(src)
             if src == source:
                 moved_from_source = True
+            if not opened[src] and limits[src] > 0:
+                opened[src] = True
+                taken = arc[:5]
+                for later in self._arcs_into(src, pressured, supplies):
+                    if later[:5] > taken:
+                        heapq.heappush(arcs, later)
         return moved_from_source
 
     # -- execution ---------------------------------------------------------
@@ -370,6 +443,7 @@ class OffloadCoordinator:
         record.pages = host_pages
         record.hosted_by = host
         self._guests[host][(source, record.record_id)] = record
+        src_archive.version += 1
         # Relay costs over intermediate hops are folded into the source's
         # transmit charge; the host pays one delivery's receive cost.
         tx_j = transfer_energy(self.radio, payload)

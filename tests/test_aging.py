@@ -1,11 +1,10 @@
 """Unit tests for the aging policy."""
 
-import numpy as np
 import pytest
 
 from repro.energy.constants import MICA2_FLASH
 from repro.energy.meter import EnergyMeter
-from repro.storage.aging import AgingPolicy, reconstruction_error_by_level
+from repro.storage.aging import AgingPolicy
 from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
 
@@ -139,17 +138,3 @@ class TestAgingFloorPaths:
             MICA2_FLASH.erase_block_energy_j
         )
 
-
-class TestReconstructionError:
-    def test_error_grows_monotonically_with_level(self, rng):
-        t = np.arange(512)
-        segment = 20.0 + 3.0 * np.sin(2 * np.pi * t / 128) + rng.normal(0, 0.2, 512)
-        points = reconstruction_error_by_level(segment, max_level=5)
-        errors = [e for _, e in points]
-        assert errors[0] == pytest.approx(0.0, abs=1e-12)
-        assert all(a <= b + 1e-9 for a, b in zip(errors, errors[1:]))
-
-    def test_constant_segment_ages_losslessly(self):
-        points = reconstruction_error_by_level(np.full(256, 21.5), max_level=4)
-        for _, error in points:
-            assert error < 1e-9

@@ -168,12 +168,14 @@ class TestGreedyOffload:
         # host 1 keeps exactly one own-segment's room: 2 used, 2 free
         fill(archives[1], 1, offset=10_000)
         assert archives[1].flash.free_pages == 2
-        assert not coordinator._host_can_take(1, 1)
+        assert coordinator._take_limit(1) == 0
         # but a host whose free space can't fit a full segment anyway
         # (dead slack) may give it up
         fill(archives[2], 1, offset=20_000)
         archives[2].flash.write(MICA2_FLASH.page_bytes)  # free = 1 < 2
-        assert coordinator._host_can_take(2, 1)
+        assert coordinator._take_limit(2) == 1
+        # and a roomy host keeps one own segment's room back: 4 free, 2 spare
+        assert coordinator._take_limit(0) == 2
 
     def test_falls_back_to_aging_when_no_host_fits(self):
         archives, _ = make_fleet(capacities_pages=(4, 4, 4))

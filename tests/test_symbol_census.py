@@ -91,8 +91,6 @@ ALLOWLIST = {
     "src/repro/signal/compress.py::compression_error": DEFERRED,
     "src/repro/signal/denoise.py::denoise": DEFERRED,
     "src/repro/signal/denoise.py::denoised_nonzero_fraction": DEFERRED,
-    "src/repro/signal/multires.py::reconstruction_rmse": DEFERRED,
-    "src/repro/storage/aging.py::reconstruction_error_by_level": DEFERRED,
     "src/repro/timeseries/gaussian.py::MultivariateGaussianModel.correlation_matrix": DEFERRED,
     "src/repro/timeseries/markov.py::MarkovChainModel.stationary_distribution": DEFERRED,
 }
