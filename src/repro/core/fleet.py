@@ -14,7 +14,13 @@ simulator — and runs each epoch as one pass:
 4. only rows with an event are then visited, in row order — which is the
    cells' order, then each cell's sensor order, as sensors were sampled
    one by one: a push, a full archive segment, a cold-start push or a
-   batched reading.
+   batched reading (while every row checks, its events are only a full
+   segment, settled, and a push, so no row is visited);
+5. the pass's pushes leave together: each cell's run of pushing rows in
+   one :meth:`~repro.radio.network.Network.send_uplinks` call.  A visit
+   that may send by itself (a batching row's flush) first sends the pushes
+   pending before it, so the cell's loss stream and the kernel's tickets
+   are drawn in the order one send per push drew them.
 
 A :class:`~repro.core.sensor.PrestoSensor` is a view of its row: what it
 reports is read from the columns when asked for.  A reading waits in the
@@ -30,6 +36,8 @@ at a time through the same pass.
 
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +50,9 @@ from repro.simulation.process import PeriodicTask
 
 if TYPE_CHECKING:  # the sensor builds its fleet; annotate lazily to avoid the cycle
     from repro.core.sensor import PrestoSensor
+
+#: bytes of a single pushed reading: epoch (4) + value (4) + local time (4)
+PUSH_PAYLOAD_BYTES = 12
 
 #: activation epoch of a row with no model update pending
 NEVER = np.iinfo(np.int64).max
@@ -88,6 +99,7 @@ class SensorFleet:
         self._gaps: list[bool] = []   # per epoch: does any row miss its reading?
         self._watched = True   # any row with _eager set
         self._next_activation = NEVER   # the earliest pending activation
+        self._pushing: list[int] = []   # this pass's pushing rows not sent yet
         for name, (dtype, _) in _COLUMNS.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
 
@@ -104,7 +116,7 @@ class SensorFleet:
         self._sample_j[row] = sample_j
         self._room[row] = sensor.archive.segment_room
         sensor.archive.pending = lambda: self._settle(row)
-        sensor.meter.counted = lambda: self._counts(row)
+        sensor.meter.counted.append(lambda: self._counts(row))
         return row
 
     def load(self, sensors: list[PrestoSensor], values: np.ndarray) -> None:
@@ -185,36 +197,66 @@ class SensorFleet:
             valid = True
             self._last_epoch.fill(epoch)
             self._room -= 1
-        events = self._room == 0   # full archive segments
-        if self._watched:
-            events |= self._eager & valid
+        full = self._room == 0   # full archive segments
         pushed = np.zeros(values.size, dtype=bool)
         for bank in self._banks.values():
             if bank.size:
                 rows = bank.owners[: bank.size]
                 pushed[rows[bank.step(values[rows])[1]]] = True
-        events |= pushed
-        rows = events.nonzero()[0].tolist()
-        if rows:
+        if self._watched:
+            rows = (full | pushed | (self._eager & valid)).nonzero()[0].tolist()
+            if not rows:
+                return
             readings, pushes = values.tolist(), pushed.tolist()
             for row in rows:
-                self._visit(row, now, readings[row], pushes[row])
+                self._visit(row, now, readings, pushes[row])
+        else:   # every row checks: its events are a full segment and a push
+            readings = values.tolist()
+            for row in full.nonzero()[0].tolist():
+                if readings[row] == readings[row]:
+                    self._settle(row)
+            self._pushing += pushed.nonzero()[0].tolist()
+        if self._pushing:
+            self._send(now, readings)
 
-    def _visit(self, row: int, now: float, value: float, pushed: bool) -> None:
-        """One row's events this epoch, in the order a sensor meets them."""
+    def _visit(self, row: int, now: float, readings: list[float], pushed: bool) -> None:
+        """One row's events this epoch, in the order a sensor meets them; a
+        push (a cold one before any model) joins the pass's pending run."""
         sensor = self.sensors[row]
-        batching = sensor.operating_point.batch_interval_s > 0
+        value = readings[row]
         if value == value:
             if self._room[row] == 0:
                 self._settle(row)
-            if batching:
+            if sensor.operating_point.batch_interval_s > 0:
+                if self._pushing:
+                    self._send(now, readings)   # they leave before this batch can
                 sensor._batch(now, value)
                 return
             if sensor.checker is None:
-                sensor._push(now, value, cold=True)
+                self._pushing.append(row)
                 return
         if pushed:
-            sensor._push(now, value, cold=False)
+            self._pushing.append(row)
+
+    def _send(self, now: float, readings: list[float]) -> None:
+        """Send the pending pushes in row order: each cell's run of them —
+        ``(sensor id, epoch, reading, local time)`` payloads — in one
+        :meth:`~repro.radio.network.Network.send_uplinks` call."""
+        epoch = self.epoch
+        pushing = map(self.sensors.__getitem__, self._pushing)
+        for network, cell in itertools.groupby(pushing, attrgetter("network")):
+            run = list(cell)
+            network.send_uplinks(
+                [sensor.name for sensor in run],
+                [
+                    (sensor.sensor_id, epoch, readings[sensor.row],
+                     now if sensor.clock is None else float(sensor.clock.read(now)))
+                    for sensor in run
+                ],
+                PUSH_PAYLOAD_BYTES,
+                "radio.push",
+            )
+        self._pushing.clear()
 
     # -- row state ------------------------------------------------------------
 
@@ -245,7 +287,9 @@ class SensorFleet:
         sensor = self.sensors[row]
         old, update = sensor.checker, sensor._pending_update
         assert update is not None  # rows are activated only with one pending
-        if old is not None:
+        if old is None:   # the first model: the row's cold pushes are over
+            sensor._cold_pushes = sensor.pushes_delivered
+        else:
             if old.bank is self._banks.get(old.bank.shape):
                 CheckBank(old.bank.shape).adopt(old)
             if old.checks:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import deque
+import operator
+from collections import defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -65,6 +66,11 @@ PROXY_PROCESSING_S = 0.02
 
 #: std multiplier compared against a query's precision bound
 CONFIDENCE_Z = 1.0
+
+#: a delivered uplink's payload: a push's ``(sensor, epoch, reading, local
+#: time)``, or a batch's dict (``sensor``, ``timestamps``, ``values``,
+#: ``quant_step``)
+Uplink = tuple[int, int, float, float] | dict
 
 
 @dataclass
@@ -126,8 +132,10 @@ class PrestoProxy:
         #: ``epoch * sample_period_s`` for every epoch so far (see _epoch_times)
         self._epoch_grid = np.empty(0)
         #: per sensor, uplinks not landed yet: (arrival, kernel ticket,
-        #: packet, the watched sensors when it queued)
-        self._inbox: dict[int, list[tuple[float, int, Packet, frozenset[int]]]] = {}
+        #: payload, the watched sensors when it queued)
+        self._inbox: defaultdict[int, list[tuple[float, int, Uplink, frozenset[int]]]] = (
+            defaultdict(list)
+        )
 
     # -- wiring ---------------------------------------------------------------
 
@@ -237,25 +245,25 @@ class PrestoProxy:
 
     # -- receive path ------------------------------------------------------------
 
-    def accept(self, packet: Packet, at: float) -> None:
-        """Queue a delivered push or batch arriving at *at*, with the kernel
-        ticket its delivery event would have had and the watched sensors
-        of the standing queries armed when it queued."""
-        self._inbox.setdefault(self._origin(packet), []).append(
-            (at, self.sim.ticket(), packet, self.continuous.watched)
-        )
+    def accept(self, arrivals: list[tuple[float, Uplink]]) -> None:
+        """Queue delivered uplinks, ``(arrival instant, payload)`` each in
+        send order, each with the kernel ticket its delivery event would
+        have had and the watched sensors of the standing queries armed when
+        it queued.  A push's payload is ``(sensor, epoch, reading, local
+        time)``; a batch's is a dict."""
+        inbox, watched = self._inbox, self.continuous.watched
+        for (at, payload), ticket in zip(arrivals, self.sim.tickets(len(arrivals))):
+            sensor = payload[0] if type(payload) is tuple else payload["sensor"]
+            inbox[sensor].append((at, ticket, payload, watched))
 
     def on_receive(self, packet: Packet) -> None:
         """Land *packet* now, after its sensor's earlier arrivals."""
-        sensor = self._origin(packet)
-        self.drain(sensor)
-        self._land(sensor, [packet])
-
-    @staticmethod
-    def _origin(packet: Packet) -> int:
         if packet.kind not in (PacketKind.PUSH, PacketKind.BATCH):
             raise ValueError(f"proxy cannot handle {packet.kind}")
-        return packet.payload[0] if packet.kind is PacketKind.PUSH else packet.payload["sensor"]
+        payload = packet.payload
+        sensor = payload[0] if packet.kind is PacketKind.PUSH else payload["sensor"]
+        self.drain(sensor)
+        self._land(sensor, [payload])
 
     def drain(self, sensor: int | None = None) -> None:
         """Land every queued uplink — *sensor*'s, or all sensors' — that
@@ -280,26 +288,27 @@ class PrestoProxy:
         else:
             return
         position = self.sim.position
-        merged: list[tuple[float, int, int, Packet]] = []
+        merged: list[tuple[float, int, int, Uplink]] = []
         for each in sensors:
             queue = inbox[each]
             queue.sort()
             arrivals = queue[: bisect.bisect_left(queue, position)]
-            if any(arrival[3] is not watched for arrival in arrivals):
+            queued_under = map(operator.itemgetter(3), arrivals)
+            if any(map(operator.is_not, queued_under, itertools.repeat(watched))):
                 raise RuntimeError("standing queries must be armed before uplinks queue")
             del queue[: len(arrivals)]
             if not queue:
                 del inbox[each]
             if each in watched:
-                merged += [(at, ticket, each, packet) for at, ticket, packet, _ in arrivals]
+                merged += [(at, ticket, each, payload) for at, ticket, payload, _ in arrivals]
             elif arrivals:
-                self._land(each, [arrival[2] for arrival in arrivals])
+                self._land(each, list(map(operator.itemgetter(2), arrivals)))
         merged.sort()
         for each, run in itertools.groupby(merged, key=lambda arrival: arrival[2]):
             self._land(each, [arrival[3] for arrival in run])
 
-    def _land(self, sensor: int, packets: list[Packet]) -> None:
-        """Land *sensor*'s arrivals *packets*, in order, as runs.
+    def _land(self, sensor: int, payloads: list[Uplink]) -> None:
+        """Land *sensor*'s arrivals *payloads*, in order, as runs.
 
         A push (counted, its sync exchange recorded) is a reading at its
         epoch, and so is each of a batch's readings, in time order, with
@@ -315,7 +324,7 @@ class PrestoProxy:
         by one.
         """
         state = self._states[sensor]
-        epochs, readings, stds, pushes = self._readings(sensor, state, packets)
+        epochs, readings, stds, pushes = self._readings(sensor, state, payloads)
         pieces: list[tuple[np.ndarray, ...]] = []
         start = 0
         while start < len(epochs):
@@ -355,34 +364,40 @@ class PrestoProxy:
             self._write(sensor, pieces)
 
     def _readings(
-        self, sensor: int, state: _SensorState, packets: list[Packet]
+        self, sensor: int, state: _SensorState, payloads: list[Uplink]
     ) -> tuple[list[int], list[float], list[float], list[bool]]:
-        """*packets*' readings in landing order: epochs, values, stds and
-        whether each is a push."""
+        """*payloads*' readings in landing order: epochs, values, stds and
+        whether each is a push.  Each stretch of pushes is read as columns,
+        and their sync exchanges are recorded as one run."""
         epochs: list[int] = []
         readings: list[float] = []
         stds: list[float] = []
         pushes: list[bool] = []
-        key, period = self._sync_key(sensor), self.config.sample_period_s
-        for packet in packets:
-            if packet.kind is PacketKind.PUSH:
-                _, epoch, value, local_time = packet.payload
-                self.sync.record_exchange(key, epoch * period, local_time)
-                state.pushes_received += 1
-                epochs.append(epoch)
-                readings.append(value)
-                stds.append(0.0)
-                pushes.append(True)
+        proxy_times: list[float] = []
+        local_times: list[float] = []
+        period = self.config.sample_period_s
+        for kind, stretch in itertools.groupby(payloads, type):
+            if kind is tuple:   # pushes: (sensor, epoch, reading, local time)
+                _, pushed_epochs, pushed, pushed_local = zip(*stretch)
+                epochs += pushed_epochs
+                readings += pushed
+                stds += [0.0] * len(pushed)
+                pushes += [True] * len(pushed)
+                proxy_times += map(operator.mul, pushed_epochs, itertools.repeat(period))
+                local_times += pushed_local
                 continue
-            payload = packet.payload
-            state.batches_received += 1
-            times = np.asarray(payload["timestamps"], dtype=np.float64)
-            order = np.argsort(times, kind="stable")
-            batch = np.rint(times[order] / period).astype(np.int64)
-            epochs += batch.tolist()
-            readings += np.asarray(payload["values"], dtype=np.float64)[order].tolist()
-            stds += [float(float(payload["quant_step"]) / np.sqrt(12.0))] * batch.size
-            pushes += [False] * batch.size
+            for payload in stretch:   # batches
+                state.batches_received += 1
+                times = np.asarray(payload["timestamps"], dtype=np.float64)
+                order = np.argsort(times, kind="stable")
+                batch = np.rint(times[order] / period).astype(np.int64)
+                epochs += batch.tolist()
+                readings += np.asarray(payload["values"], dtype=np.float64)[order].tolist()
+                stds += [float(float(payload["quant_step"]) / np.sqrt(12.0))] * batch.size
+                pushes += [False] * batch.size
+        if proxy_times:
+            self.sync.record_exchanges(self._sync_key(sensor), proxy_times, local_times)
+            state.pushes_received += len(proxy_times)
         return epochs, readings, stds, pushes
 
     def _write(self, sensor: int, pieces: list[tuple[np.ndarray, ...]]) -> None:

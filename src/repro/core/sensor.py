@@ -47,8 +47,6 @@ from repro.signal.compress import (
 from repro.storage.archive import SensorArchive
 from repro.sync.clock import DriftingClock
 
-#: bytes of a single pushed reading: epoch (4) + value (4) + local time (4)
-PUSH_PAYLOAD_BYTES = 12
 #: bytes of a pull request: window start/end (8) + kind/flags (4)
 PULL_REQUEST_BYTES = 12
 
@@ -92,10 +90,10 @@ class PrestoSensor:
         self._batch_values: list[float] = []
         self._batch_started_at: float | None = None
 
-        self.pushes_sent = 0
         self.batches_sent = 0
         self.pulls_served = 0
-        self.cold_pushes = 0
+        #: pushes delivered before the first model activated (None: not yet)
+        self._cold_pushes: int | None = None
         self.fleet = fleet if fleet is not None else SensorFleet()
         # CPU joules per reading: the same cycles on the same CPU every epoch
         self.row = self.fleet.add(
@@ -111,6 +109,23 @@ class PrestoSensor:
     def samples_taken(self) -> int:
         """Readings taken (missed epochs excluded)."""
         return self.fleet.samples(self.row)
+
+    @property
+    def pushes_delivered(self) -> int:
+        """Pushed readings the proxy received: the uplink's delivered
+        ``radio.push`` frames."""
+        return self.mac.uplink.deliveries("radio.push")
+
+    @property
+    def cold_pushes(self) -> int:
+        """Pushes delivered before any model was active (every reading is
+        pushed then)."""
+        return self.pushes_delivered if self._cold_pushes is None else self._cold_pushes
+
+    @property
+    def pushes_sent(self) -> int:
+        """Pushes delivered for breaking the active model."""
+        return self.pushes_delivered - self.cold_pushes
 
     # -- sampling ----------------------------------------------------------
 
@@ -133,23 +148,6 @@ class PrestoSensor:
         model loop free.
         """
         self.fleet.feed(float("nan"), float("nan"))
-
-    def _push(self, true_time: float, value: float, cold: bool) -> None:
-        """Transmit one reading the pass decided to push (*cold*: before
-        any model is active)."""
-        local_time = self.clock.read(true_time) if self.clock else true_time
-        packet = Packet(
-            kind=PacketKind.PUSH,
-            src=self.name,
-            dst=self.proxy_name,
-            payload_bytes=PUSH_PAYLOAD_BYTES,
-            payload=(self.sensor_id, self.epoch, float(value), float(local_time)),
-        )
-        if self.network.send(packet, energy_category="radio.push").delivered:
-            if cold:
-                self.cold_pushes += 1
-            else:
-                self.pushes_sent += 1
 
     # -- batching ---------------------------------------------------------------
 

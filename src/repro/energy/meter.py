@@ -8,14 +8,22 @@ named category (``radio.tx``, ``flash.write``, ``cpu.model_check``...) and
 the unit constant they are counted against.  Low-power-listening idle time
 is the one continuous quantity: seconds against an average power.
 
-Joules are worked out only when the meter is read, summed in one fixed
-order — category name, then unit — so no caller's charge order can change
-a total.  Benchmarks read category breakdowns to produce the paper's plots,
-and tests assert invariants such as "radio dominates" or "batching reduces
-per-packet overhead".
+A substrate that keeps its counts anyway is a *counted source* instead: a
+function listed in :attr:`EnergyMeter.counted` that yields ``(category,
+joules per unit, units)`` whenever the meter is read.  The sensor fleet's
+readings and checks are one per sensor; every radio link
+(:class:`~repro.radio.link.LossyLink`) is one on each of its two endpoints'
+meters — its attempts, ACKs and receptions per frame shape — so a frame
+sent costs the link two counter bumps and no write here.  Every read sees
+the meter's own quantities and every source's, :meth:`~EnergyMeter.since`
+included (a pull's energy is mostly link frames).
 
-Counts a node keeps elsewhere (the sensor fleet's readings and checks) are
-read through :attr:`EnergyMeter.counted` with the meter's own.
+Joules are worked out only when the meter is read, summed in one fixed
+order — category name, then unit — so no caller's charge order, and no
+split between recorded and counted quantities, can change a total.
+Benchmarks read category breakdowns to produce the paper's plots, and
+tests assert invariants such as "radio dominates" or "batching reduces
+per-packet overhead".
 """
 
 from __future__ import annotations
@@ -55,9 +63,10 @@ class EnergyMeter:
     name: str = "node"
     #: category -> {joules per unit: units}
     _quantities: dict[str, dict[float, float]] = field(default_factory=dict)
-    #: counts kept outside the meter, read with its own at every read
-    counted: Callable[[], Iterable[Count]] | None = field(
-        default=None, repr=False, compare=False
+    #: counted sources: counts kept outside the meter, read with its own
+    #: at every read
+    counted: list[Callable[[], Iterable[Count]]] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     def record(self, category: str, unit_j: float, quantity: float = 1) -> None:
@@ -73,27 +82,31 @@ class EnergyMeter:
         units[unit_j] = units.get(unit_j, 0) + quantity
 
     def since(self) -> Callable[[], float]:
-        """A function giving the joules of the quantities recorded after
-        this call (not :attr:`counted` ones), summed in the meter's order."""
-        before = {category: dict(units) for category, units in self._quantities.items()}
-        return lambda: sum(
-            sum(
-                (quantity - before.get(category, {}).get(unit_j, 0)) * unit_j
-                for unit_j, quantity in sorted(units.items())
+        """A function giving the joules of the quantities recorded or
+        counted after this call, summed in the meter's order."""
+        before = {category: dict(units) for category, units in self._all_quantities().items()}
+
+        def spent() -> float:
+            return sum(
+                sum(
+                    (quantity - before.get(category, {}).get(unit_j, 0)) * unit_j
+                    for unit_j, quantity in sorted(units.items())
+                )
+                for category, units in sorted(self._all_quantities().items())
             )
-            for category, units in sorted(self._quantities.items())
-        )
+
+        return spent
 
     def _all_quantities(self) -> dict[str, dict[float, float]]:
-        """The meter's quantities with the :attr:`counted` ones added."""
-        if self.counted is None:
+        """The meter's quantities with every counted source's added."""
+        if not self.counted:
             return self._quantities
-        combined = EnergyMeter(
-            self.name, {category: dict(units) for category, units in self._quantities.items()}
-        )
-        for count in self.counted():
-            combined.record(*count)
-        return combined._quantities
+        combined = {category: dict(units) for category, units in self._quantities.items()}
+        for source in self.counted:
+            for category, unit_j, quantity in source():
+                units = combined.setdefault(category, {})
+                units[unit_j] = units.get(unit_j, 0) + quantity
+        return combined
 
     def _joules(self) -> dict[str, float]:
         """Joules per category, in category-name order; each category sums

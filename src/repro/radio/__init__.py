@@ -3,13 +3,14 @@
 Models the lower-tier wireless hops of the PRESTO hierarchy: lossy links
 with retransmission, a B-MAC-style low-power-listening MAC whose check
 interval is *tunable by the proxy* (the knob query–sensor matching turns),
-and a star network connecting each proxy to its sensors.  Every transmitted
-byte charges the sender's (and receiver's) energy meter through the models
-in :mod:`repro.energy`.
+and a star network connecting each proxy to its sensors.  Every link counts
+its frames per energy category and frame shape, and the sender's and
+receiver's energy meters read those counts against the per-frame joules of
+:mod:`repro.energy`.
 """
 
 from repro.radio.link import LinkConfig, LinkStats, LossyLink
-from repro.radio.mac import LplMac, MacStats
+from repro.radio.mac import LplMac
 from repro.radio.network import Network, NetworkNode
 from repro.radio.packet import Packet, PacketKind
 
@@ -20,7 +21,6 @@ __all__ = [
     "LinkStats",
     "LossyLink",
     "LplMac",
-    "MacStats",
     "Network",
     "NetworkNode",
 ]

@@ -1,22 +1,28 @@
-"""Lossy link with ARQ (stop-and-wait retransmission).
+"""Lossy link with ARQ (stop-and-wait retransmission), and its own energy ledger.
 
 Sensor-network links are unreliable (Ganesan et al. [4] measured loss well
 above 10% at scale); PRESTO's pushes must survive anyway.  The link model
 applies an independent loss probability per transmission attempt, retries up
-to a cap, counts *every* attempt on the sender's meter (including lost
-ones — the sender pays whether or not anyone hears), and reports delivery
-latency including retransmission backoffs.
+to a cap, and reports delivery latency including retransmission backoffs.
+
+A frame's energy is a count times a per-frame constant, so the link keeps
+the counts and its endpoints' meters read them (``EnergyMeter.counted``):
+per (energy category, frame shape) the attempts, deliveries and drops.  The
+sender pays every attempt's TX energy — lost ones too: the sender pays
+whether or not anyone hears — plus an ACK listen per delivery; the receiver
+pays RX per delivery.  :attr:`LossyLink.stats` is the same ledger summed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.energy.constants import RadioConstants
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import Count, EnergyMeter
 from repro.energy.radio_energy import (
     ack_rx_energy,
     packet_airtime,
@@ -72,6 +78,19 @@ class _Frame(NamedTuple):
     ack_s: float        # ACK preamble + ACK on the air
 
 
+class _Tally:
+    """The ledger row of one (energy category, frame shape): its frame's
+    costs, and the attempts, deliveries and drops counted against them."""
+
+    __slots__ = ("frame", "attempts", "deliveries", "drops")
+
+    def __init__(self, frame: _Frame) -> None:
+        self.frame = frame
+        self.attempts = 0
+        self.deliveries = 0
+        self.drops = 0
+
+
 class LossyLink:
     """One direction of a radio link between two named endpoints."""
 
@@ -86,11 +105,12 @@ class LossyLink:
         self.radio = radio
         self.config = config
         self._rng = rng
-        self.sender_meter = sender_meter
-        self.receiver_meter = receiver_meter
-        self.stats = LinkStats()
         #: per ``(payload_bytes, lpl_preamble_bytes)``: what every attempt costs
         self._frames: dict[tuple[int, int], _Frame] = {}
+        #: per ``(energy category, payload_bytes, lpl_preamble_bytes)``
+        self._ledger: dict[tuple[str, int, int], _Tally] = {}
+        sender_meter.counted.append(self._sent)
+        receiver_meter.counted.append(self._heard)
 
     def _frame(self, payload_bytes: int, lpl_preamble_bytes: int) -> _Frame:
         """The per-attempt costs of a frame shape, computed once per shape."""
@@ -111,43 +131,73 @@ class LossyLink:
             )
         return frame
 
+    def arq(
+        self, energy_category: str, payload_bytes: int, lpl_preamble_bytes: int
+    ) -> tuple[bool, int, float]:
+        """Send one frame with stop-and-wait ARQ on the link's loss stream:
+        ``(delivered, attempts, latency_s)``.  The attempts and the delivery
+        or drop are counted in the frame's ledger row; the link regime
+        (:attr:`config`) is read per frame, so a swap applies from the next.
+        The latency is summed term by term, attempt after attempt."""
+        key = (energy_category, payload_bytes, lpl_preamble_bytes)
+        tally = self._ledger.get(key)
+        if tally is None:
+            tally = self._ledger[key] = _Tally(self._frame(payload_bytes, lpl_preamble_bytes))
+        frame, config, draw = tally.frame, self.config, self._rng.random
+        attempts = 0
+        latency = 0.0
+        while attempts <= config.max_retries:
+            attempts += 1
+            latency += frame.airtime_s
+            latency += config.propagation_s
+            if draw() >= config.loss_probability:
+                latency += frame.ack_s
+                tally.attempts += attempts
+                tally.deliveries += 1
+                return True, attempts, latency
+            latency += config.backoff_s
+        tally.attempts += attempts
+        tally.drops += 1
+        return False, attempts, latency
+
     def transfer(
         self,
         payload_bytes: int,
         lpl_preamble_bytes: int = 0,
         energy_category: str = "radio.tx",
     ) -> TransferOutcome:
-        """Send one frame with ARQ; counts it on both meters and returns
-        the outcome.
+        """Send one frame with ARQ (see :meth:`arq`) and return the outcome."""
+        return TransferOutcome(*self.arq(energy_category, payload_bytes, lpl_preamble_bytes))
 
-        The *sender* pays a frame's TX energy per attempt plus the ACK
-        listen on success; the *receiver* pays RX energy for the attempt it
-        hears.  Lost attempts still cost the sender in full.  The link regime
-        (:attr:`config`) is read per transfer, so a swap applies from the
-        next one.
-        """
-        frame = self._frame(payload_bytes, lpl_preamble_bytes)
-        config, stats, draw = self.config, self.stats, self._rng.random
-        attempts = 0
-        latency = 0.0
-        delivered = False
-        while attempts <= config.max_retries:
-            attempts += 1
-            stats.attempts += 1
-            latency += frame.airtime_s
-            latency += config.propagation_s
-            if draw() >= config.loss_probability:
-                delivered = True
-                latency += frame.ack_s
-                stats.deliveries += 1
-                stats.bytes_delivered += payload_bytes
-                break
-            stats.losses += 1
-            latency += config.backoff_s
-        if not delivered:
-            stats.drops += 1
-        # a delivery is one ACK heard and one frame received (bool counts 0 or 1)
-        self.sender_meter.record(energy_category, frame.tx_j, attempts)
-        self.sender_meter.record(energy_category, frame.ack_j, delivered)
-        self.receiver_meter.record("radio.rx", frame.rx_j, delivered)
-        return TransferOutcome(delivered, attempts, latency)
+    # -- the ledger ------------------------------------------------------------
+
+    def _sent(self) -> Iterator[Count]:
+        """The sender's counts: every attempt's TX, each delivery's ACK listen."""
+        for (category, _, _), tally in self._ledger.items():
+            yield category, tally.frame.tx_j, tally.attempts
+            yield category, tally.frame.ack_j, tally.deliveries
+
+    def _heard(self) -> Iterator[Count]:
+        """The receiver's counts: each delivered frame's RX."""
+        for tally in self._ledger.values():
+            yield "radio.rx", tally.frame.rx_j, tally.deliveries
+
+    def deliveries(self, energy_category: str) -> int:
+        """Frames delivered under *energy_category*."""
+        return sum(
+            tally.deliveries
+            for (category, _, _), tally in self._ledger.items()
+            if category == energy_category
+        )
+
+    @property
+    def stats(self) -> LinkStats:
+        """The ledger summed over categories and frame shapes."""
+        stats = LinkStats()
+        for (_, payload_bytes, _), tally in self._ledger.items():
+            stats.attempts += tally.attempts
+            stats.deliveries += tally.deliveries
+            stats.drops += tally.drops
+            stats.bytes_delivered += tally.deliveries * payload_bytes
+        stats.losses = stats.attempts - stats.deliveries
+        return stats

@@ -14,22 +14,12 @@ the proxy is happy to accept since it is not energy constrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.energy.constants import RadioConstants
 from repro.energy.duty_cycle import DutyCycleConfig, lpl_average_power
 from repro.energy.meter import EnergyMeter
 from repro.radio.link import LinkConfig, LossyLink, TransferOutcome
-
-
-@dataclass
-class MacStats:
-    """Frames sent each way."""
-
-    uplink_frames: int = 0
-    downlink_frames: int = 0
 
 
 class LplMac:
@@ -40,6 +30,8 @@ class LplMac:
     preamble.  Idle listening at the sensor is accounted in bulk via
     :meth:`account_idle`, called by the simulation harness once per
     accounting period (exactness does not require per-check events).
+    Frames are counted where they are paid for, in the two links' ledgers
+    (:attr:`uplink`, :attr:`downlink`).
     """
 
     def __init__(
@@ -53,12 +45,11 @@ class LplMac:
     ) -> None:
         self.radio = radio
         self.duty_cycle = duty_cycle
-        self.stats = MacStats()
         self._sensor_meter = sensor_meter
-        self._uplink = LossyLink(
+        self.uplink = LossyLink(
             radio, link_config, rng, sender_meter=sensor_meter, receiver_meter=proxy_meter
         )
-        self._downlink = LossyLink(
+        self.downlink = LossyLink(
             radio, link_config, rng, sender_meter=proxy_meter, receiver_meter=sensor_meter
         )
 
@@ -76,20 +67,19 @@ class LplMac:
         objects and their statistics persist, only the loss/retry regime
         changes from the next transfer on.
         """
-        self._uplink.config = link_config
-        self._downlink.config = link_config
+        self.uplink.config = link_config
+        self.downlink.config = link_config
 
     @property
     def link_config(self) -> LinkConfig:
         """The link regime currently governing both directions."""
-        return self._uplink.config
+        return self.uplink.config
 
     def send_uplink(
         self, payload_bytes: int, energy_category: str = "radio.tx"
     ) -> TransferOutcome:
         """Sensor → proxy frame (short preamble; proxy always on)."""
-        self.stats.uplink_frames += 1
-        return self._uplink.transfer(
+        return self.uplink.transfer(
             payload_bytes, lpl_preamble_bytes=0, energy_category=energy_category
         )
 
@@ -101,9 +91,8 @@ class LplMac:
         Latency additionally includes the expected wait for the sensor's
         next channel check (half the interval on average).
         """
-        self.stats.downlink_frames += 1
         preamble = self.duty_cycle.lpl_preamble_bytes(self.radio)
-        outcome = self._downlink.transfer(
+        outcome = self.downlink.transfer(
             payload_bytes,
             lpl_preamble_bytes=preamble,
             energy_category=energy_category,

@@ -2,17 +2,26 @@
 
 The PRESTO middle tier manages "several tens of lower-tier sensors in its
 vicinity"; within one cell the topology is a star (sensor ↔ proxy, one hop).
-The network object owns one :class:`~repro.radio.mac.LplMac` per sensor,
-runs each transfer's ARQ when the packet is sent (the proxy's ``accept``
-takes an uplink then, with its arrival instant; a sensor's ``on_receive``
-runs as a simulator event at it, so such an event serves sensors only),
-and keeps fleet-level statistics.
+The network object owns one :class:`~repro.radio.mac.LplMac` per sensor and
+runs each transfer's ARQ when it is sent, every MAC drawing from the star's
+one loss stream.  A receiver that takes deliveries at send time (the
+proxy's ``accept``) is handed ``(arrival instant, payload)`` pairs; a
+sensor's ``on_receive`` runs as a simulator event at the arrival, so such
+an event serves sensors only.
+
+Pushes leave as runs: :meth:`Network.send_uplinks` sends a sampling pass's
+pushes of one cell in one call — each frame's ARQ on its sensor's uplink,
+in order, and every delivered payload handed to the proxy at once — which
+is what one :meth:`Network.send` per push did, without a packet or an
+outcome per push.  The network counts packets sent, delivered and dropped;
+frames and their energy are the links' ledgers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -32,8 +41,9 @@ class NetworkNode:
     name: str
     meter: EnergyMeter
     on_receive: Callable[[Packet], None] | None = None
-    #: takes a delivery at send time with its arrival instant, not by event
-    accept: Callable[[Packet, float], None] | None = None
+    #: takes deliveries at send time, as ``(arrival instant, payload)``
+    #: pairs in send order, not by event
+    accept: Callable[[list[tuple[float, Any]]], None] | None = None
 
 
 class Network:
@@ -58,7 +68,6 @@ class Network:
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
-        self.bytes_sent = 0
 
     # -- topology ------------------------------------------------------------
 
@@ -107,7 +116,6 @@ class Network:
         it now, else its callback runs via the simulator at delivery time.
         """
         self.packets_sent += 1
-        self.bytes_sent += packet.payload_bytes
         packet.created_at = self.sim.now
         if packet.src == self._proxy_name:
             mac = self._macs[packet.dst]
@@ -126,11 +134,40 @@ class Network:
         self.packets_delivered += 1
         receiver = self._nodes[packet.dst]
         if receiver.accept is not None:
-            receiver.accept(packet, self.sim.now + outcome.latency_s)
+            receiver.accept([(self.sim.now + outcome.latency_s, packet.payload)])
         elif receiver.on_receive is not None:
             callback = receiver.on_receive
             self.sim.schedule_after(outcome.latency_s, lambda: callback(packet))
         return outcome
+
+    def send_uplinks(
+        self,
+        senders: list[str],
+        payloads: list[Any],
+        payload_bytes: int,
+        energy_category: str,
+    ) -> None:
+        """Send one *payload_bytes* frame from each of *senders* (sensor
+        names) to the proxy, carrying the matching payload of *payloads*.
+
+        Each frame runs its sensor's uplink ARQ in order, so the star's
+        loss stream is drawn as one :meth:`send` per frame would draw it;
+        the delivered payloads go to the proxy's ``accept`` in one call.
+        """
+        macs, now = self._macs, self.sim.now
+        arrivals = []
+        for sender, payload in zip(senders, payloads):
+            delivered, _, latency = macs[sender].uplink.arq(energy_category, payload_bytes, 0)
+            if delivered:
+                arrivals.append((now + latency, payload))
+        self.packets_sent += len(payloads)
+        self.packets_delivered += len(arrivals)
+        self.packets_dropped += len(payloads) - len(arrivals)
+        if arrivals:
+            accept = self._nodes[self._proxy_name].accept
+            if accept is None:
+                raise ValueError("a run of uplinks needs a proxy that accepts at send time")
+            accept(arrivals)
 
     def account_idle_all(self, duration_s: float) -> None:
         """Charge every sensor's idle-listening for *duration_s*."""

@@ -15,10 +15,6 @@ class PacketKind(enum.Enum):
     MODEL_UPDATE = "model_update"    # proxy -> sensor: new model parameters
     OPERATING_POINT = "operating_point"  # proxy -> sensor: duty cycle / batching
     PULL_REQUEST = "pull_request"    # proxy -> sensor: archive read request
-    PULL_REPLY = "pull_reply"        # sensor -> proxy: archived data
-    QUERY = "query"                  # user/proxy -> sensor (direct architectures)
-    QUERY_REPLY = "query_reply"      # sensor -> user/proxy
-    TIME_SYNC = "time_sync"          # proxy -> sensors: reference broadcast
 
 
 @dataclass

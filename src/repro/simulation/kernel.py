@@ -114,10 +114,11 @@ class Simulator:
         """``(time, seq)`` of the running event; ``(now, inf)`` between events."""
         return self._now, self._seq
 
-    def ticket(self) -> int:
-        """Take the sequence number an event scheduled now would, queueing
-        none: work kept outside the queue (a proxy's inbox) ties as it would."""
-        return next(self._queue._counter)
+    def tickets(self, count: int) -> list[int]:
+        """Take the sequence numbers *count* events scheduled now, one after
+        another, would, queueing none: work kept outside the queue (a
+        proxy's inbox) ties as they would."""
+        return list(itertools.islice(self._queue._counter, count))
 
     @property
     def pending(self) -> int:

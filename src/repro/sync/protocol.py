@@ -10,6 +10,9 @@ error is bounded by the (small) broadcast jitter.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +43,12 @@ class SyncEstimate:
 class TimeSyncProtocol:
     """Per-sensor sample collection and least-squares clock fitting.
 
-    Recording an exchange only appends to the sensor's window; the fit
-    runs on the first read (:meth:`estimate_for`, :meth:`correct`,
-    :meth:`project`, :meth:`max_residual_s`) after new samples, so a run
-    that never asks for corrected time never fits.  Every read sees the
-    estimate a fit after each exchange would have produced.
+    Recording an exchange, or a run of them, only appends to the sensor's
+    window; the fit runs on the first read (:meth:`estimate_for`,
+    :meth:`correct`, :meth:`project`, :meth:`max_residual_s`) after new
+    samples, so a run that never asks for corrected time never fits.
+    Every read sees the estimate a fit after each exchange would have
+    produced.
     """
 
     def __init__(self, min_samples: int = 2, window: int = 32) -> None:
@@ -65,17 +69,38 @@ class TimeSyncProtocol:
         self, sensor: str, proxy_time: float, sensor_local_time: float
     ) -> None:
         """Store one (proxy, local) observation for *sensor*."""
-        proxy_time = float(proxy_time)
+        self.record_exchanges(sensor, [proxy_time], [sensor_local_time])
+
+    def record_exchanges(
+        self, sensor: str, proxy_times: list[float], local_times: list[float]
+    ) -> None:
+        """Store a run of (proxy, local) observations for *sensor*, in order:
+        what one :meth:`record_exchange` per observation stores."""
+        times = list(map(float, proxy_times))
+        pairs = list(zip(times, map(float, local_times)))
         bucket = self._samples.setdefault(sensor, [])
-        if bucket and bucket[-1][0] == proxy_time:
-            # A repeated proxy time can leave the window with no spread, and
-            # such a window keeps the estimate of the window before it:
-            # settle that one while its samples are still here.  (A new
-            # proxy time always leaves a fittable window, which overwrites.)
+        previous = itertools.chain([bucket[-1][0] if bucket else math.nan], times)
+        start = 0
+        # A repeated proxy time can leave the window with no spread, and such
+        # a window keeps the estimate of the window before it: settle that
+        # one while its samples are still here.  (A new proxy time always
+        # leaves a fittable window, which overwrites.)
+        for repeat in itertools.compress(itertools.count(), map(operator.eq, times, previous)):
+            self._append(sensor, bucket, pairs[start:repeat])
             self._flush(sensor)
-        bucket.append((proxy_time, float(sensor_local_time)))
+            start = repeat
+        self._append(sensor, bucket, pairs[start:])
+
+    def _append(
+        self, sensor: str, bucket: list[tuple[float, float]], pairs: list[tuple[float, float]]
+    ) -> None:
+        """Append *pairs* to *sensor*'s window, keeping its newest
+        :attr:`window`; it is fittable (dirty) with :attr:`min_samples`."""
+        if not pairs:
+            return
+        bucket += pairs
         if len(bucket) > self.window:
-            del bucket[0]
+            del bucket[: len(bucket) - self.window]
         if len(bucket) >= self.min_samples:
             self._dirty.add(sensor)
 

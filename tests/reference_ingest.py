@@ -1,13 +1,29 @@
-"""The proxy's ingest as it was: one kernel event and one write per uplink.
+"""The uplink as it was: one send per push, one event and one write per arrival.
 
-A delivered push or batch used to be scheduled as a simulator event at its
+Two oracles, each restoring one per-item path its batched form replaced.
+
+**One send per push** (:func:`per_push`).  A sampling pass used to send
+each push at its row's visit: ``PrestoSensor._push`` built a ``Packet``
+and handed it to :meth:`Network.send`, whose ARQ ran the link's transfer
+and whose delivery queued it in the proxy's inbox.
+:func:`visit_sending_each_push` is the fleet's visit as it was, and
+:func:`send_push` that send, its ARQ loop a frozen copy of the one the
+link ran then (so a change to the link's loop shows against it).  It must
+leave what :meth:`SensorFleet._send` leaves with one
+:meth:`Network.send_uplinks` call per cell per pass: the same loss-stream
+draws, kernel tickets, arrival instants, inbox order, link ledgers, meters
+and landed rows.
+
+**One event and one write per arrival** (:func:`per_arrival`).  A
+delivered push or batch used to be scheduled as a simulator event at its
 arrival instant, which landed it through :meth:`PrestoProxy.on_receive`:
 a push, or each of a batch's readings in time order, brought its sensor's
 cached view forward to its epoch — the tracker's silent run before it
-(``silent_run``), then the reading (``apply_push``) — as one write.
-:func:`per_arrival` restores both: with it the proxy's inbox never holds
-anything, so every drain is a no-op, and every uplink lands at its own
-event through the functions below instead of ``PrestoProxy._land``.
+(``silent_run``), then the reading (``apply_push``) — as one write, and a
+push recorded its sync exchange on its own (``record_exchange``).  With it
+the proxy's inbox never holds anything, so every drain is a no-op, and
+every uplink lands at its own event through the functions below instead
+of ``PrestoProxy._land``.
 
 Patch before the systems are built: a cell's network keeps the proxy's
 bound ``accept``.
@@ -20,22 +36,97 @@ from array import array
 import numpy as np
 
 from repro.core.cache import PREDICTED_CODE, PUSHED_CODE
+from repro.core.fleet import PUSH_PAYLOAD_BYTES, SensorFleet
 from repro.core.proxy import PrestoProxy
+from repro.energy.radio_energy import packet_airtime
+from repro.radio.link import _Tally
 from repro.radio.packet import Packet, PacketKind
 
-
-def accept_at_arrival(self: PrestoProxy, packet: Packet, at: float) -> None:
-    """Deliver *packet* by a kernel event at its arrival instant."""
-    self.sim.schedule(at, lambda: self.on_receive(packet))
+# -- one send per push ------------------------------------------------------------------
 
 
-def land_one_by_one(self: PrestoProxy, sensor: int, packets: list[Packet]) -> None:
+def visit_sending_each_push(
+    fleet: SensorFleet, row: int, now: float, readings: list[float], pushed: bool
+) -> None:
+    """``SensorFleet._visit`` as it was: a push (a cold one before any
+    model) leaves at its row's visit, through :func:`send_push`."""
+    sensor = fleet.sensors[row]
+    value = readings[row]
+    batching = sensor.operating_point.batch_interval_s > 0
+    if value == value:
+        if fleet._room[row] == 0:
+            fleet._settle(row)
+        if batching:
+            sensor._batch(now, value)
+            return
+        if sensor.checker is None:
+            send_push(sensor, now, value)
+            return
+    if pushed:
+        send_push(sensor, now, value)
+
+
+def send_push(sensor, true_time: float, value: float) -> None:
+    """``PrestoSensor._push``, ``Network.send`` and ``LossyLink.transfer``
+    as they were for one push: its own ARQ loop on the sensor's uplink —
+    each attempt's airtime worked out afresh, the latency summed term by
+    term — then the link's and the network's counts, and a delivery handed
+    to the proxy with its arrival instant."""
+    local_time = sensor.clock.read(true_time) if sensor.clock else true_time
+    payload = (sensor.sensor_id, sensor.epoch, float(value), float(local_time))
+    network = sensor.network
+    link = network.mac_for(sensor.name).uplink
+    radio, config, draw = link.radio, link.config, link._rng.random
+    key = ("radio.push", PUSH_PAYLOAD_BYTES, 0)
+    tally = link._ledger.get(key)
+    if tally is None:
+        tally = link._ledger[key] = _Tally(link._frame(PUSH_PAYLOAD_BYTES, 0))
+    network.packets_sent += 1
+    attempts = 0
+    latency = 0.0
+    delivered = False
+    while attempts <= config.max_retries:
+        attempts += 1
+        latency += packet_airtime(radio, PUSH_PAYLOAD_BYTES, 0)
+        latency += config.propagation_s
+        if draw() >= config.loss_probability:
+            delivered = True
+            latency += (radio.preamble_bytes + radio.ack_bytes) * radio.byte_time_s
+            break
+        latency += config.backoff_s
+    tally.attempts += attempts
+    if not delivered:
+        tally.drops += 1
+        network.packets_dropped += 1
+        return
+    tally.deliveries += 1
+    network.packets_delivered += 1
+    network._nodes[sensor.proxy_name].accept([(network.sim.now + latency, payload)])
+
+
+def per_push(patch) -> None:
+    """Make every fleet send each push at its row's visit, one packet each."""
+    patch.setattr(SensorFleet, "_visit", visit_sending_each_push)
+
+
+# -- one event and one write per arrival ---------------------------------------------
+
+
+def accept_at_arrival(self: PrestoProxy, arrivals: list) -> None:
+    """Deliver each arrival by a kernel event at its arrival instant."""
+    for at, payload in arrivals:
+        kind = PacketKind.PUSH if type(payload) is tuple else PacketKind.BATCH
+        packet = Packet(kind, "", self.name, 0, payload)
+        self.sim.schedule(at, lambda packet=packet: self.on_receive(packet))
+
+
+def land_one_by_one(self: PrestoProxy, sensor: int, payloads: list) -> None:
     """Land each push, and each batched reading, as a write of its own."""
-    for packet in packets:
-        if packet.kind is PacketKind.PUSH:
-            handle_push(self, packet.payload)
+    for payload in payloads:
+        if type(payload) is tuple:
+            handle_push(self, payload)
         else:
-            handle_batch(self, packet.payload)
+            handle_batch(self, payload)
 
 
 def handle_push(proxy: PrestoProxy, payload: tuple[int, int, float, float]) -> None:

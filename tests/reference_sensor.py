@@ -17,9 +17,9 @@ from array import array
 import numpy as np
 
 from repro.core.config import PrestoConfig
+from repro.core.fleet import PUSH_PAYLOAD_BYTES
 from repro.core.matching import BATCH_QUANT_STEP, SensorOperatingPoint
 from repro.core.push import TRAJECTORY_EPOCHS, ModelUpdate, PushDecision
-from repro.core.sensor import PUSH_PAYLOAD_BYTES
 from repro.energy.constants import (
     COMPRESS_CYCLES_PER_BYTE,
     MODEL_CHECK_CYCLES,

@@ -1,7 +1,9 @@
 """Unit tests for PrestoSensor and PrestoProxy wired through a real network.
 
 These use a miniature two-sensor cell driven by hand (no PrestoSystem) so
-each protocol interaction can be asserted in isolation.
+each protocol interaction can be asserted in isolation.  The proxy takes
+uplinks into its inbox as a cell's does; a test that reads ``proxy.cache``
+directly drains it first.
 """
 
 import numpy as np
@@ -48,7 +50,7 @@ def cell():
         np.random.default_rng(0),
     )
     proxy = PrestoProxy("proxy", config, sim, network, proxy_meter, n_sensors=2)
-    network.register_proxy(NetworkNode("proxy", proxy_meter, proxy.on_receive))
+    network.register_proxy(NetworkNode("proxy", proxy_meter, accept=proxy.accept))
     sensors = []
     for sensor_id in range(2):
         meter = EnergyMeter(f"sensor{sensor_id}")
@@ -83,6 +85,7 @@ class TestColdStart:
         sim, _, _, proxy, sensors = cell
         values = 20.0 + np.zeros(32)
         feed(sim, sensors, [values, values + 1])
+        proxy.drain()
         assert sensors[0].cold_pushes == 32
         assert proxy.cache.size(0) == 32
         for entry in proxy.cache.entries_in(0, 0.0, 1e9):
@@ -140,6 +143,7 @@ class TestModelLifecycle:
         event_epoch = 140
         event_value = values[-1] + 6.0
         feed(sim, sensors, [[event_value], [values[-1]]], start_epoch=event_epoch)
+        proxy.drain()
         entry = proxy.cache.entry_at(0, event_epoch * 31.0, tolerance_s=16.0)
         assert entry is not None
         assert entry.code == PUSHED_CODE
@@ -171,6 +175,7 @@ class TestQueryPaths:
         sim, _, _, proxy, sensors = cell
         values = np.linspace(20, 24, 64)
         feed(sim, sensors, [values, values])
+        proxy.drain()
         # wipe the proxy cache to force a miss
         proxy.cache = type(proxy.cache)(proxy.cache.max_entries_per_sensor)
         target = 10 * 31.0
@@ -263,6 +268,7 @@ class TestBatchingMode:
         feed(sim, sensors, [values, values])
         sensors[0].flush_batch()
         sim.run_until(sim.now + 5.0)
+        proxy.drain()
         assert sensors[0].batches_sent >= 3
         assert proxy.cache.size(0) >= 24
         entry = proxy.cache.entry_at(0, 31.0 * 5, tolerance_s=16.0)

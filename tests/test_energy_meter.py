@@ -110,7 +110,7 @@ class TestEnergyMeter:
         """Counts kept elsewhere add to the same (category, unit) before the
         product, and are read afresh at every read."""
         outside = {"checks": 3}
-        meter.counted = lambda: [("cpu.model_check", 0.1, outside["checks"])]
+        meter.counted.append(lambda: [("cpu.model_check", 0.1, outside["checks"])])
         meter.record("cpu.model_check", 0.1, 7)
         assert meter.category_j("cpu.model_check") == 10 * 0.1
         outside["checks"] = 13

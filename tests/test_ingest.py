@@ -1,17 +1,36 @@
-"""The proxy's inbox against one kernel event per delivered uplink.
+"""The uplink's two batched paths against their per-item oracles.
 
-A delivered push or batch no longer schedules a kernel event: it waits in
-its proxy's per-sensor inbox, stamped with its arrival instant and a kernel
-ticket, and every read or mutation of the proxy first lands what arrived
-before it (``PrestoProxy.drain``) — a sensor's due arrivals as runs, and
-while standing queries are armed the watched sensors' merged in arrival
-order.  The reference is ``tests/reference_ingest.py``: each uplink landed
-at its own event, each push and each batched reading one write, as before.
-Both must leave the same cache columns, counters, trackers, sync estimates
-and standing-query notifications (order included) over drawn multi-cell
+**The inbox against one kernel event per delivered uplink.**  A delivered
+push or batch no longer schedules a kernel event: it waits in its proxy's
+per-sensor inbox, stamped with its arrival instant and a kernel ticket, and
+every read or mutation of the proxy first lands what arrived before it
+(``PrestoProxy.drain``) — a sensor's due arrivals as runs, and while
+standing queries are armed the watched sensors' merged in arrival order.
+The reference (``reference_ingest.per_arrival``) lands each uplink at its
+own event, each push and each batched reading one write, as before.  Both
+must leave the same cache columns, counters, trackers, sync estimates and
+standing-query notifications (order included) over drawn multi-cell
 systems with standing queries, drawn federations with standing queries and
 a proxy death, and the five perf workloads; and every delivered uplink must
 be landed exactly once.
+
+**One send per pass against one send per push.**  A sampling pass sends
+its pushes as one ``Network.send_uplinks`` call per cell, no packet or
+outcome built per push; the reference (``reference_ingest.per_push``) sends
+each at its row's visit through ``Network.send``, as before.  Both must
+queue the same uplinks in the same order — arrival instants bit for bit,
+kernel tickets and payloads — and leave the same cache columns, link
+ledgers, meter breakdowns and summaries, over drawn cells (cold pushes,
+batching rows that flush between pushes in one pass, a mid-run link swap,
+drifting clocks), drawn partitioned federations (several cells on one
+fleet) and the five perf workloads.
+
+Three mutants of the batched send must each fail a test here: a batching
+row's flush sent *after* the pushes pending before it (the loss stream
+and tickets drawn out of order), a closed-form latency instead of the ARQ
+loop's term-by-term sum (arrival instants move in the last bit), and
+``EnergyMeter.since`` ignoring a counted source (a pull's energy loses its
+link frames).
 """
 
 from __future__ import annotations
@@ -25,21 +44,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_ingest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ingest import per_arrival
-from test_fleet import hexes, plans, simulate
+from reference_ingest import per_arrival, per_push
+from test_fleet import Plan, hexes, plans, simulate
 from test_lockstep import fitted_update, shipped
 
 from repro.core import federation as federation_module
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.federation import FederatedSystem
+from repro.core.fleet import PUSH_PAYLOAD_BYTES
 from repro.core.proxy import PrestoProxy
 from repro.core.push import ProxyModelTracker, SensorModelChecker
 from repro.core.queries import AnswerSource
-from repro.core.sensor import PUSH_PAYLOAD_BYTES, PULL_REQUEST_BYTES
-from repro.core.system import PrestoSystem
+from repro.core.sensor import PULL_REQUEST_BYTES, PrestoSensor
+from repro.core.system import PrestoCell, PrestoSystem
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network
 from repro.radio.packet import Packet, PacketKind
@@ -48,7 +69,6 @@ from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import Query, QueryKind
 
 PERIOD = 31.0
-UPLINKS = (PacketKind.PUSH, PacketKind.BATCH)
 PERF = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
 
@@ -86,15 +106,13 @@ def proxy_view(proxy: PrestoProxy) -> dict:
 def tally_uplinks(patch) -> Counter:
     """Count each proxy's delivered uplinks, by proxy name."""
     delivered: Counter = Counter()
-    send = Network.send
+    accept = PrestoProxy.accept
 
-    def counted(self, packet, energy_category="radio.tx"):
-        outcome = send(self, packet, energy_category)
-        if outcome.delivered and packet.kind in UPLINKS:
-            delivered[packet.dst] += 1
-        return outcome
+    def counted(self, arrivals):
+        delivered[self.name] += len(arrivals)
+        accept(self, arrivals)
 
-    patch.setattr(Network, "send", counted)
+    patch.setattr(PrestoProxy, "accept", counted)
     return delivered
 
 
@@ -299,6 +317,218 @@ def test_perf_workloads_land_what_per_arrival_delivery_lands(workload):
     assert ours == theirs
 
 
+# -- one send per pass against one send per push --------------------------------------
+
+
+def plain(payload) -> tuple:
+    """An uplink's payload as comparable plain data."""
+    if type(payload) is tuple:
+        sensor, epoch, value, local_time = payload
+        return sensor, epoch, value.hex(), local_time.hex()
+    return (
+        payload["sensor"], hexes(payload["timestamps"]), hexes(payload["values"]),
+        float(payload["quant_step"]).hex(),
+    )
+
+
+def uplink_log(patch) -> list:
+    """Log every uplink a proxy queues — proxy, arrival instant, kernel
+    ticket, payload — in the order the proxies queue them."""
+    log: list = []
+    accept = PrestoProxy.accept
+
+    def logged(self, arrivals):
+        sizes = {sensor: len(queue) for sensor, queue in self._inbox.items()}
+        accept(self, arrivals)
+        queued = sorted(
+            (entry for sensor, queue in self._inbox.items()
+             for entry in queue[sizes.get(sensor, 0):]),
+            key=lambda entry: entry[1],
+        )
+        log.extend(
+            (self.name, at.hex(), ticket, plain(payload)) for at, ticket, payload, _ in queued
+        )
+
+    patch.setattr(PrestoProxy, "accept", logged)
+    return log
+
+
+def breakdown(meter) -> list:
+    return [(name, joules.hex()) for name, joules in meter.snapshot().by_category.items()]
+
+
+def radio_view(cells) -> list:
+    """Every cell's packets, link ledgers, push counts and meter breakdowns."""
+    view: list = []
+    for cell in cells:
+        network = cell.network
+        view.append((network.packets_sent, network.packets_delivered, network.packets_dropped))
+        for sensor in cell.sensors:
+            mac = network.mac_for(sensor.name)
+            view.append((
+                mac.uplink.stats, mac.downlink.stats, sorted(
+                    (key, tally.attempts, tally.deliveries, tally.drops)
+                    for link in (mac.uplink, mac.downlink)
+                    for key, tally in link._ledger.items()
+                ),
+                sensor.pushes_sent, sensor.cold_pushes, breakdown(sensor.meter),
+            ))
+        view.append(breakdown(cell.proxy_meter))
+    return view
+
+
+REGIMES = (
+    LinkConfig(loss_probability=0.6, max_retries=1),
+    LinkConfig(loss_probability=0.3, max_retries=3, backoff_s=0.013),
+    LinkConfig(loss_probability=0.0, max_retries=0, backoff_s=0.2, propagation_s=3e-4),
+)
+
+
+def swap_links(patch, at: float, regime: LinkConfig, first_only: bool) -> None:
+    """Every cell swaps its link regime at *at* — its first sensor's only,
+    or the whole star's."""
+    start = PrestoCell.start_tasks
+
+    def started(self):
+        start(self)
+        names = self.network.sensor_names[:1] if first_only else None
+        self.sim.schedule(at, lambda: self.network.set_link_config(regime, names))
+
+    patch.setattr(PrestoCell, "start_tasks", started)
+
+
+def sent_per_pass_and_per_push(plan, swap=None) -> tuple:
+    """What *plan*'s cells leave with a pass's pushes sent per cell run,
+    and with each push sent alone."""
+
+    def run(patch) -> tuple:
+        log = uplink_log(patch)
+        if swap is not None:
+            swap_links(patch, *swap)
+        cells, answers = simulate(plan, reference=False)
+        return (
+            log,
+            [proxy_view(cell.proxy) for cell in cells],
+            radio_view(cells),
+            [repr(answer) for answer in answers],
+            [repr(dataclasses.replace(cell.report(plan.horizon_s), answers=[], truths=[]))
+             for cell in cells],
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        ours = run(patch)
+    with pytest.MonkeyPatch.context() as patch:
+        per_push(patch)
+        theirs = run(patch)
+    return ours, theirs
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    plan=plans(),
+    swap=st.tuples(
+        st.floats(0.1, 0.9, allow_nan=False), st.sampled_from(REGIMES), st.booleans()
+    ),
+)
+def test_one_send_per_pass_equals_one_send_per_push(plan, swap):
+    fraction, regime, first_only = swap
+    ours, theirs = sent_per_pass_and_per_push(plan, (fraction * plan.horizon_s, regime, first_only))
+    assert ours == theirs
+
+
+def test_a_batch_flushed_between_pushes_of_one_pass_leaves_between_them():
+    """Sensor 0 pushes every epoch (cold, then on every break of a tight
+    delta) and sensor 2 too; sensor 1 batches between them, flushing every
+    few epochs mid-pass, over a lossy star with drifting clocks."""
+    plan = Plan(
+        cell_sizes=(3,), seed=7, dropout=0.0, loss=0.3, check_interval_s=1.0,
+        batch_interval_s=0.0, retune_interval_s=1e12, clocks=True,
+        retunes=((200.0, 1, 0.3, 150.0), (2_000.0, 0, 0.05, 0.0), (2_000.0, 2, 0.05, 0.0)),
+        queries=((4_000.0, 0, 0), (6_000.0, 1, 1)), watched=(),
+    )
+    flushes: list[bool] = []
+    pushed_at: dict = {}
+    send, flush = reference_ingest.send_push, PrestoSensor.flush_batch
+
+    def noted_send(sensor, true_time, value):
+        pushed_at[sensor.network] = sensor.epoch
+        send(sensor, true_time, value)
+
+    def noted_flush(self):
+        flushes.append(pushed_at.get(self.network) == self.epoch)
+        flush(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_ingest, "send_push", noted_send)
+        patch.setattr(PrestoSensor, "flush_batch", noted_flush)
+        ours, theirs = sent_per_pass_and_per_push(plan)
+    assert sum(flushes) >= 10   # the reference side pushed before a flush in one pass
+    assert ours == theirs
+
+
+@settings(max_examples=6, deadline=None)
+@given(drawn=federations())
+def test_federations_send_per_pass_what_per_push_sends(drawn):
+    def run(patch) -> tuple:
+        log = uplink_log(patch)
+        summary, cells = run_federation(drawn, patch)
+        names = sorted(cells)
+        return (
+            log, summary, [proxy_view(cells[name].proxy) for name in names],
+            radio_view([cells[name] for name in names]),
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        ours = run(patch)
+    with pytest.MonkeyPatch.context() as patch:
+        per_push(patch)
+        theirs = run(patch)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "workload", ["cell_day", "fed_armed", "query_storm", "sync_coded", "flash_pressure"]
+)
+def test_perf_workloads_send_per_pass_what_per_push_sends(workload):
+    sys.path.insert(0, str(PERF))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERF))
+
+    def run(patch) -> tuple:
+        log = uplink_log(patch)
+        partitions = []
+        finish = federation_module._CellPartition.finish
+
+        def kept(self):
+            partitions.append(self)
+            return finish(self)
+
+        patch.setattr(federation_module._CellPartition, "finish", kept)
+        system, queries, _ = workloads.build(workload, workloads.DEFAULT_SEED, "quick")
+        if not isinstance(system, PrestoSystem):
+            system.federation = dataclasses.replace(system.federation, partition_backend="inline")
+        report = system.run(queries=queries)
+        cells = (
+            [system.cell]
+            if isinstance(system, PrestoSystem)
+            else [cell for p in partitions for cell in p._built.values()]
+        )
+        return (
+            log, repr(report.summary()), [proxy_view(cell.proxy) for cell in cells],
+            radio_view(cells),
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        ours = run(patch)
+    with pytest.MonkeyPatch.context() as patch:
+        per_push(patch)
+        theirs = run(patch)
+    assert ours[0] and ours[2]
+    assert ours == theirs
+
+
 # -- drain points ---------------------------------------------------------------------------
 
 
@@ -383,7 +613,7 @@ def test_kernel_ticket_keeps_the_tie_order_of_later_events():
     sim = Simulator()
     order = []
     sim.schedule(5.0, lambda: order.append(("a", sim.position)))
-    ticket = sim.ticket()
+    (ticket,) = sim.tickets(1)
     sim.schedule(5.0, lambda: order.append(("b", sim.position)))
     assert sim.position == (0.0, math.inf)
     sim.run_until(10.0)
@@ -452,7 +682,7 @@ def test_a_pull_answer_spends_its_own_frames_and_pages():
     system.run(duration_s=20_000.0)
     proxy, sensor = system.proxy, system.sensors[0]
     mac = system.network.mac_for(sensor.name)
-    up, down, flash = mac._uplink, mac._downlink, sensor.archive.flash
+    up, down, flash = mac.uplink, mac.downlink, sensor.archive.flash
     constants = flash.constants
     target = 19_000.0
     cases = [

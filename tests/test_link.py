@@ -193,5 +193,5 @@ class TestMemoisedFrames:
                 )
                 assert ours == theirs._replace(latency_s=theirs.latency_s + interval / 2.0)
         assert len(preambles) == 3
-        assert mac._downlink.stats == stats
+        assert mac.downlink.stats == stats
         assert (proxy.snapshot(), sensor.snapshot()) == tuple(m.snapshot() for m in meters)

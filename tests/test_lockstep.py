@@ -24,7 +24,7 @@ from repro.core.config import PrestoConfig
 from repro.core.push import ProxyModelTracker, SensorModelChecker
 from repro.core.system import PrestoSystem
 from repro.radio.link import LinkConfig, TransferOutcome
-from repro.radio.packet import PacketKind
+from repro.radio.packet import Packet, PacketKind
 from repro.timeseries.arima import ARIMAModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import Query, QueryKind
@@ -64,7 +64,8 @@ def make_system(seed: int = 3, loss: float = 0.1, dropout: float = 0.0) -> Prest
 
 
 def intercept(system: PrestoSystem, rule) -> None:
-    """Route the cell's sends through *rule*.
+    """Route the cell's sends through *rule*, a pass's run of pushes one
+    packet at a time.
 
     ``rule(packet)`` returns None to send normally, ``"drop"`` for a push
     whose ARQ gave up, or a delay in seconds after which the packet is
@@ -72,6 +73,11 @@ def intercept(system: PrestoSystem, rule) -> None:
     """
     network = system.network
     send = network.send
+
+    def one_by_one(senders, payloads, payload_bytes, energy_category):
+        for sender, payload in zip(senders, payloads):
+            packet = Packet(PacketKind.PUSH, sender, system.proxy.name, payload_bytes, payload)
+            routed(packet, energy_category)
 
     def routed(packet, energy_category="radio.tx"):
         packet.created_at = system.sim.now
@@ -82,12 +88,13 @@ def intercept(system: PrestoSystem, rule) -> None:
             return TransferOutcome(False, 6, 0.0)
         receiver = network._nodes[packet.dst]
         if receiver.accept is not None:   # as Network.send hands it over
-            receiver.accept(packet, system.sim.now + verdict)
+            receiver.accept([(system.sim.now + verdict, packet.payload)])
         else:
             system.sim.schedule_after(verdict, lambda: receiver.on_receive(packet))
         return TransferOutcome(True, 1, verdict)
 
     network.send = routed
+    network.send_uplinks = one_by_one
 
 
 def first_after(at_s: float, kind: PacketKind, sensor_name: str, verdict, hit: list):

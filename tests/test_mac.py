@@ -93,8 +93,9 @@ class TestRetune:
         mac.send_uplink(8)
         mac.send_uplink(8)
         mac.send_downlink(8)
-        assert mac.stats.uplink_frames == 2
-        assert mac.stats.downlink_frames == 1
+        up, down = mac.uplink.stats, mac.downlink.stats
+        assert up.deliveries + up.drops == 2
+        assert down.deliveries + down.drops == 1
 
 
 class TestLinkSwap:

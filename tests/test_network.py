@@ -104,7 +104,7 @@ class TestDelivery:
     def test_bytes_counted(self):
         sim, network, _, _ = make_network()
         network.send(Packet(PacketKind.PUSH, "s0", "proxy", 100))
-        assert network.bytes_sent == 100
+        assert network.mac_for("s0").uplink.stats.bytes_delivered == 100
 
 
 class TestPacketValidation:

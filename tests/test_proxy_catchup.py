@@ -38,9 +38,9 @@ from repro.core.cache import (
 )
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
+from repro.core.fleet import PUSH_PAYLOAD_BYTES
 from repro.core.proxy import PrestoProxy
 from repro.core.push import ProxyModelTracker
-from repro.core.sensor import PUSH_PAYLOAD_BYTES
 from repro.core.system import PrestoSystem
 from repro.radio.packet import Packet, PacketKind
 from repro.sync.clock import ClockModel

@@ -236,15 +236,18 @@ class TestLazyFitEquivalence:
         assert calls == ["s0"]  # one fit serves every read until the next exchange
 
     def test_system_run_without_reads_never_fits(self, small_trace, monkeypatch):
+        """A landed run of pushes records its exchanges as one run; the eager
+        reference, fed each of them, must end with the same estimates."""
         calls = count_fits(monkeypatch)
         eager = EagerReference()
-        record = TimeSyncProtocol.record_exchange
+        record = TimeSyncProtocol.record_exchanges
 
-        def mirrored_record(self, sensor, proxy_time, sensor_local_time):
-            eager.record_exchange(sensor, proxy_time, sensor_local_time)
-            record(self, sensor, proxy_time, sensor_local_time)
+        def mirrored_record(self, sensor, proxy_times, local_times):
+            for proxy_time, local_time in zip(proxy_times, local_times):
+                eager.record_exchange(sensor, proxy_time, local_time)
+            record(self, sensor, proxy_times, local_times)
 
-        monkeypatch.setattr(TimeSyncProtocol, "record_exchange", mirrored_record)
+        monkeypatch.setattr(TimeSyncProtocol, "record_exchanges", mirrored_record)
         system = PrestoSystem(
             small_trace,
             PrestoConfig(sample_period_s=31.0, min_training_epochs=128),
@@ -258,3 +261,55 @@ class TestLazyFitEquivalence:
             assert system.proxy.sync.estimate_for(sensor.name) == eager.estimate_for(
                 sensor.name
             )
+
+
+class TestExchangeRuns:
+    """``record_exchanges`` stores a run as one ``record_exchange`` per
+    observation would, the repeated-proxy-time flush included."""
+
+    @staticmethod
+    def drawn_runs(rng, window):
+        """Runs of rising proxy times, some opening on the window's tail
+        time and some repeating a time inside them."""
+        now, runs = 0.0, []
+        for _ in range(60):
+            times = []
+            for _ in range(int(rng.integers(1, 2 * window + 2))):
+                if not (times or runs) or rng.random() >= 0.2:
+                    now += float(rng.uniform(1.0, 600.0))
+                times.append(now)   # else: repeats the previous time
+            runs.append(times)
+        return runs
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_runs_equal_one_exchange_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        min_samples, window = ((2, 32), (2, 2), (3, 4), (2, 5))[seed % 4]
+        lazy = TimeSyncProtocol(min_samples=min_samples, window=window)
+        eager = EagerReference(min_samples=min_samples, window=window)
+        rate, offset = 1.0 + rng.normal(0.0, 1e-4), rng.normal(0.0, 2.0)
+        openers = inner = 0
+        for run in self.drawn_runs(rng, window):
+            tail = eager.samples.get("s0", [(None,)])[-1][0]
+            openers += run[0] == tail
+            inner += any(a == b for a, b in zip(run, run[1:]))
+            local = [rate * t + offset + rng.normal(0.0, 0.01) for t in run]
+            lazy.record_exchanges("s0", run, local)
+            for t, reading in zip(run, local):
+                eager.record_exchange("s0", t, reading)
+            assert lazy._samples["s0"] == eager.samples["s0"]
+            if rng.random() < 0.3:
+                TestLazyFitEquivalence.assert_same_read(lazy, eager, "s0", 4321.0)
+        TestLazyFitEquivalence.assert_same_read(lazy, eager, "s0", 12345.678)
+        assert openers and inner
+
+    def test_a_run_opening_on_the_tail_settles_the_window_before_it(self):
+        lazy, eager = TimeSyncProtocol(window=2), EagerReference(window=2)
+        for sync in (lazy, eager):
+            sync.record_exchange("s0", 0.0, 1.0)
+            sync.record_exchange("s0", 10.0, 11.5)
+        lazy.record_exchanges("s0", [10.0, 10.0], [11.7, 11.6])
+        for t, local in ((10.0, 11.7), (10.0, 11.6)):
+            eager.record_exchange("s0", t, local)
+        assert eager.estimate_for("s0").rate == pytest.approx(1.05)
+        TestLazyFitEquivalence.assert_same_read(lazy, eager, "s0", 50.0)
