@@ -281,33 +281,42 @@ def test_a_dead_proxy_keeps_landing_every_delivered_uplink():
 # -- the perf workloads -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "workload", ["cell_day", "fed_armed", "query_storm", "sync_coded", "flash_pressure"]
-)
-def test_perf_workloads_land_what_per_arrival_delivery_lands(workload):
+WORKLOADS = ("cell_day", "fed_armed", "query_storm", "sync_coded", "flash_pressure")
+
+
+def run_workload(workload: str, patch) -> tuple[str, list]:
+    """Run perf *workload* at quick scale, a federation's partitions in
+    this process: its report summary and its cells."""
     sys.path.insert(0, str(PERF))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERF))
+    partitions = []
+    finish = federation_module._CellPartition.finish
 
+    def kept(self):
+        partitions.append(self)
+        return finish(self)
+
+    patch.setattr(federation_module._CellPartition, "finish", kept)
+    system, queries, _ = workloads.build(workload, workloads.DEFAULT_SEED, "quick")
+    if not isinstance(system, PrestoSystem):
+        system.federation = dataclasses.replace(system.federation, partition_backend="inline")
+    report = system.run(queries=queries)
+    cells = (
+        [system.cell]
+        if isinstance(system, PrestoSystem)
+        else [cell for p in partitions for cell in p._built.values()]
+    )
+    return repr(report.summary()), cells
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_perf_workloads_land_what_per_arrival_delivery_lands(workload):
     def run(patch) -> tuple[str, list[dict]]:
-        partitions = []
-        finish = federation_module._CellPartition.finish
-
-        def kept(self):
-            partitions.append(self)
-            return finish(self)
-
-        patch.setattr(federation_module._CellPartition, "finish", kept)
-        system, queries, _ = workloads.build(workload, workloads.DEFAULT_SEED, "quick")
-        report = system.run(queries=queries)
-        proxies = (
-            [system.proxy]
-            if isinstance(system, PrestoSystem)
-            else [cell.proxy for p in partitions for cell in p._built.values()]
-        )
-        return repr(report.summary()), [proxy_view(proxy) for proxy in proxies]
+        summary, cells = run_workload(workload, patch)
+        return summary, [proxy_view(cell.proxy) for cell in cells]
 
     with pytest.MonkeyPatch.context() as patch:
         ours = run(patch)
@@ -486,39 +495,12 @@ def test_federations_send_per_pass_what_per_push_sends(drawn):
     assert ours == theirs
 
 
-@pytest.mark.parametrize(
-    "workload", ["cell_day", "fed_armed", "query_storm", "sync_coded", "flash_pressure"]
-)
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_perf_workloads_send_per_pass_what_per_push_sends(workload):
-    sys.path.insert(0, str(PERF))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERF))
-
     def run(patch) -> tuple:
         log = uplink_log(patch)
-        partitions = []
-        finish = federation_module._CellPartition.finish
-
-        def kept(self):
-            partitions.append(self)
-            return finish(self)
-
-        patch.setattr(federation_module._CellPartition, "finish", kept)
-        system, queries, _ = workloads.build(workload, workloads.DEFAULT_SEED, "quick")
-        if not isinstance(system, PrestoSystem):
-            system.federation = dataclasses.replace(system.federation, partition_backend="inline")
-        report = system.run(queries=queries)
-        cells = (
-            [system.cell]
-            if isinstance(system, PrestoSystem)
-            else [cell for p in partitions for cell in p._built.values()]
-        )
-        return (
-            log, repr(report.summary()), [proxy_view(cell.proxy) for cell in cells],
-            radio_view(cells),
-        )
+        summary, cells = run_workload(workload, patch)
+        return log, summary, [proxy_view(cell.proxy) for cell in cells], radio_view(cells)
 
     with pytest.MonkeyPatch.context() as patch:
         ours = run(patch)

@@ -25,24 +25,19 @@ directly); and each meter's radio quantities are its links' counts.
 
 from __future__ import annotations
 
-import dataclasses
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from test_fleet import plans, simulate
+from test_ingest import WORKLOADS, run_workload
 
-from repro.core import federation as federation_module
-from repro.core.system import PrestoSystem
 from repro.radio.link import LossyLink
 
 #: meter categories that are not frames of a cell link
 NOT_LINK_FRAMES = ("radio.lpl", "radio.offload_tx", "radio.offload_rx")
 #: link categories a pull sends through the MAC, not the network
 PULL_FRAMES = ("radio.pull_request", "radio.pull_reply")
-PERF = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
 
 def ledgers(meter, sending, receiving):
@@ -143,34 +138,11 @@ def count_from_outside(patch) -> tuple[Counter, Counter]:
     return transfers, draws
 
 
-@pytest.mark.parametrize(
-    "workload", ["cell_day", "fed_armed", "query_storm", "sync_coded", "flash_pressure"]
-)
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_radio_is_conserved_on_whole_runs(workload):
-    sys.path.insert(0, str(PERF))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERF))
-    partitions = []
-    finish = federation_module._CellPartition.finish
-
-    def kept(self):
-        partitions.append(self)
-        return finish(self)
-
     with pytest.MonkeyPatch.context() as patch:
         transfers, draws = count_from_outside(patch)
-        patch.setattr(federation_module._CellPartition, "finish", kept)
-        system, queries, _ = workloads.build(workload, workloads.DEFAULT_SEED, "quick")
-        if not isinstance(system, PrestoSystem):
-            system.federation = dataclasses.replace(system.federation, partition_backend="inline")
-        system.run(queries=queries)
-    cells = (
-        [system.cell]
-        if isinstance(system, PrestoSystem)
-        else [cell for p in partitions for cell in p._built.values()]
-    )
+        _, cells = run_workload(workload, patch)
     assert cells
     losses = 0
     for cell in cells:
