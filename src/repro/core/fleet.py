@@ -11,16 +11,15 @@ simulator — and runs each epoch as one pass:
    over all rows;
 3. each :class:`~repro.core.push.CheckBank` of shared checkers steps all
    its rows at once (predict, compare, observe);
-4. only rows with an event are then visited, in row order — which is the
-   cells' order, then each cell's sensor order, as sensors were sampled
-   one by one: a push, a full archive segment, a cold-start push or a
-   batched reading (while every row checks, its events are only a full
-   segment, settled, and a push, so no row is visited);
-5. the pass's pushes leave together: each cell's run of pushing rows in
-   one :meth:`~repro.radio.network.Network.send_uplinks` call.  A visit
-   that may send by itself (a batching row's flush) first sends the pushes
-   pending before it, so the cell's loss stream and the kernel's tickets
-   are drawn in the order one send per push drew them.
+4. the rows whose archive segment filled hand it on; then, in row order
+   — which is the cells' order, then each cell's sensor order, as sensors
+   were sampled one by one — the pushes (a check that failed, or any
+   reading before the first model) leave as runs, each cell's in one
+   :meth:`~repro.radio.network.Network.send_uplinks` call, and a batching
+   row takes its reading.  A batching row may flush, which sends by
+   itself, so the pushes of the rows before it leave first: the cell's
+   loss stream and the kernel's tickets are drawn in the order one send
+   per push drew them.
 
 A :class:`~repro.core.sensor.PrestoSensor` is a view of its row: what it
 reports is read from the columns when asked for.  A reading waits in the
@@ -36,6 +35,7 @@ at a time through the same pass.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -65,7 +65,8 @@ _COLUMNS: dict[str, tuple[type, float]] = {
     "_room": (np.int64, 0),                # readings until the archive segment fills
     "_pending_from": (np.int64, 0),        # first epoch not yet handed to the archive
     "_activation": (np.int64, NEVER),      # epoch the pending model activates
-    "_eager": (np.bool_, True),            # not checking: visit on every reading
+    "_eager": (np.bool_, True),            # not checking: every reading pushed or batched
+    "_batching": (np.bool_, False),        # batching its readings
 }
 
 
@@ -99,7 +100,6 @@ class SensorFleet:
         self._gaps: list[bool] = []   # per epoch: does any row miss its reading?
         self._watched = True   # any row with _eager set
         self._next_activation = NEVER   # the earliest pending activation
-        self._pushing: list[int] = []   # this pass's pushing rows not sent yet
         for name, (dtype, _) in _COLUMNS.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
 
@@ -115,6 +115,7 @@ class SensorFleet:
             setattr(self, name, np.append(getattr(self, name), initial))
         self._sample_j[row] = sample_j
         self._room[row] = sensor.archive.segment_room
+        self._batching[row] = sensor.operating_point.batch_interval_s > 0
         sensor.archive.pending = lambda: self._settle(row)
         sensor.meter.counted.append(lambda: self._counts(row))
         return row
@@ -203,47 +204,38 @@ class SensorFleet:
             if bank.size:
                 rows = bank.owners[: bank.size]
                 pushed[rows[bank.step(values[rows])[1]]] = True
-        if self._watched:
-            rows = (full | pushed | (self._eager & valid)).nonzero()[0].tolist()
-            if not rows:
-                return
-            readings, pushes = values.tolist(), pushed.tolist()
-            for row in rows:
-                self._visit(row, now, readings, pushes[row])
-        else:   # every row checks: its events are a full segment and a push
-            readings = values.tolist()
-            for row in full.nonzero()[0].tolist():
-                if readings[row] == readings[row]:
-                    self._settle(row)
-            self._pushing += pushed.nonzero()[0].tolist()
-        if self._pushing:
-            self._send(now, readings)
-
-    def _visit(self, row: int, now: float, readings: list[float], pushed: bool) -> None:
-        """One row's events this epoch, in the order a sensor meets them; a
-        push (a cold one before any model) joins the pass's pending run."""
-        sensor = self.sensors[row]
-        value = readings[row]
-        if value == value:
-            if self._room[row] == 0:
+        batching: list[int] = []
+        if self._watched:   # before its first model a row pushes every reading
+            pushed |= self._eager & ~self._batching & valid
+            batching = (self._batching & valid).nonzero()[0].tolist()
+        readings = values.tolist()
+        for row in full.nonzero()[0].tolist():
+            if readings[row] == readings[row]:
                 self._settle(row)
-            if sensor.operating_point.batch_interval_s > 0:
-                if self._pushing:
-                    self._send(now, readings)   # they leave before this batch can
-                sensor._batch(now, value)
-                return
-            if sensor.checker is None:
-                self._pushing.append(row)
-                return
-        if pushed:
-            self._pushing.append(row)
+        self._leave(now, readings, pushed.nonzero()[0].tolist(), batching)
 
-    def _send(self, now: float, readings: list[float]) -> None:
-        """Send the pending pushes in row order: each cell's run of them —
-        ``(sensor id, epoch, reading, local time)`` payloads — in one
+    def _leave(
+        self, now: float, readings: list[float], pushing: list[int], batching: list[int]
+    ) -> None:
+        """Send the *pushing* rows' readings and hand the *batching* rows
+        theirs, in row order: the pushes before a batching row, which may
+        flush, leave before it."""
+        start = 0
+        for row in batching:
+            stop = bisect.bisect_left(pushing, row, start)
+            if stop > start:
+                self._send(now, readings, pushing[start:stop])
+            start = stop
+            self.sensors[row]._batch(now, readings[row])
+        if start < len(pushing):
+            self._send(now, readings, pushing[start:])
+
+    def _send(self, now: float, readings: list[float], rows: list[int]) -> None:
+        """Send *rows*' readings as pushes — ``(sensor id, epoch, reading,
+        local time)`` payloads — each cell's run of them in one
         :meth:`~repro.radio.network.Network.send_uplinks` call."""
         epoch = self.epoch
-        pushing = map(self.sensors.__getitem__, self._pushing)
+        pushing = map(self.sensors.__getitem__, rows)
         for network, cell in itertools.groupby(pushing, attrgetter("network")):
             run = list(cell)
             network.send_uplinks(
@@ -256,7 +248,6 @@ class SensorFleet:
                 PUSH_PAYLOAD_BYTES,
                 "radio.push",
             )
-        self._pushing.clear()
 
     # -- row state ------------------------------------------------------------
 
@@ -321,6 +312,7 @@ class SensorFleet:
         batching = sensor.operating_point.batch_interval_s > 0
         checking = checker is not None and not batching
         self._eager[row] = not checking
+        self._batching[row] = batching
         self._watched = bool(self._eager.any())
         if checker is None:
             return

@@ -2,17 +2,17 @@
 
 Two oracles, each restoring one per-item path its batched form replaced.
 
-**One send per push** (:func:`per_push`).  A sampling pass used to send
-each push at its row's visit: ``PrestoSensor._push`` built a ``Packet``
-and handed it to :meth:`Network.send`, whose ARQ ran the link's transfer
-and whose delivery queued it in the proxy's inbox.
-:func:`visit_sending_each_push` is the fleet's visit as it was, and
-:func:`send_push` that send, its ARQ loop a frozen copy of the one the
+**One send per push** (:func:`per_push`).  A sampling pass used to visit
+its rows in order and send each push at its row: ``PrestoSensor._push``
+built a ``Packet`` and handed it to :meth:`Network.send`, whose ARQ ran
+the link's transfer and whose delivery queued it in the proxy's inbox.
+:func:`leave_one_by_one` is that order, a batching row batching in turn,
+and :func:`send_push` that send, its ARQ loop a frozen copy of the one the
 link ran then (so a change to the link's loop shows against it).  It must
-leave what :meth:`SensorFleet._send` leaves with one
-:meth:`Network.send_uplinks` call per cell per pass: the same loss-stream
-draws, kernel tickets, arrival instants, inbox order, link ledgers, meters
-and landed rows.
+leave what :meth:`SensorFleet._leave` leaves with one
+:meth:`Network.send_uplinks` call per cell per stretch of pushes: the
+same loss-stream draws, kernel tickets, arrival instants, inbox order,
+link ledgers, meters and landed rows.
 
 **One event and one write per arrival** (:func:`per_arrival`).  A
 delivered push or batch used to be scheduled as a simulator event at its
@@ -45,25 +45,20 @@ from repro.radio.packet import Packet, PacketKind
 # -- one send per push ------------------------------------------------------------------
 
 
-def visit_sending_each_push(
-    fleet: SensorFleet, row: int, now: float, readings: list[float], pushed: bool
+def leave_one_by_one(
+    fleet: SensorFleet, now: float, readings: list[float], pushing: list[int],
+    batching: list[int],
 ) -> None:
-    """``SensorFleet._visit`` as it was: a push (a cold one before any
-    model) leaves at its row's visit, through :func:`send_push`."""
-    sensor = fleet.sensors[row]
-    value = readings[row]
-    batching = sensor.operating_point.batch_interval_s > 0
-    if value == value:
-        if fleet._room[row] == 0:
-            fleet._settle(row)
-        if batching:
-            sensor._batch(now, value)
-            return
-        if sensor.checker is None:
-            send_push(sensor, now, value)
-            return
-    if pushed:
-        send_push(sensor, now, value)
+    """``SensorFleet._leave`` as the pass's per-row visit had it: the rows
+    in order, a push sent at its row through :func:`send_push`, a batching
+    row's reading batched (its flush sending by itself)."""
+    batches = set(batching)
+    for row in sorted(pushing + batching):
+        sensor = fleet.sensors[row]
+        if row in batches:
+            sensor._batch(now, readings[row])
+        else:
+            send_push(sensor, now, readings[row])
 
 
 def send_push(sensor, true_time: float, value: float) -> None:
@@ -105,8 +100,8 @@ def send_push(sensor, true_time: float, value: float) -> None:
 
 
 def per_push(patch) -> None:
-    """Make every fleet send each push at its row's visit, one packet each."""
-    patch.setattr(SensorFleet, "_visit", visit_sending_each_push)
+    """Make every fleet send each push at its row, one packet each."""
+    patch.setattr(SensorFleet, "_leave", leave_one_by_one)
 
 
 # -- one event and one write per arrival ---------------------------------------------
