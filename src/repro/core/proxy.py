@@ -48,7 +48,6 @@ from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.sensor import PULL_REQUEST_BYTES, PrestoSensor
 from repro.energy.meter import EnergyMeter
 from repro.radio.network import Network
-from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
 from repro.sync.protocol import SyncEstimate, TimeSyncProtocol
 from repro.traces.workload import Query, QueryKind
@@ -256,12 +255,10 @@ class PrestoProxy:
             sensor = payload[0] if type(payload) is tuple else payload["sensor"]
             inbox[sensor].append((at, ticket, payload, watched))
 
-    def on_receive(self, packet: Packet) -> None:
-        """Land *packet* now, after its sensor's earlier arrivals."""
-        if packet.kind not in (PacketKind.PUSH, PacketKind.BATCH):
-            raise ValueError(f"proxy cannot handle {packet.kind}")
-        payload = packet.payload
-        sensor = payload[0] if packet.kind is PacketKind.PUSH else payload["sensor"]
+    def on_receive(self, payload: Uplink) -> None:
+        """Land *payload*, a push or a batch, now, after its sensor's
+        earlier arrivals."""
+        sensor = payload[0] if type(payload) is tuple else payload["sensor"]
         self.drain(sensor)
         self._land(sensor, [payload])
 
@@ -482,15 +479,9 @@ class PrestoProxy:
         update = ModelUpdate(
             model=update.model, delta=update.delta, activation_epoch=activation
         )
-        name = self.sensor_name(sensor)
-        packet = Packet(
-            kind=PacketKind.MODEL_UPDATE,
-            src=self.name,
-            dst=name,
-            payload_bytes=update.parameter_bytes,
-            payload=update,
+        outcome = self.network.send(
+            self.sensor_name(sensor), update, update.parameter_bytes, "radio.model_update"
         )
-        outcome = self.network.send(packet, energy_category="radio.model_update")
         if not outcome.delivered:
             return False
         state = self._states[sensor]
@@ -532,15 +523,9 @@ class PrestoProxy:
         if current == point:
             return None
         self.drain(sensor)
-        name = self.sensor_name(sensor)
-        packet = Packet(
-            kind=PacketKind.OPERATING_POINT,
-            src=self.name,
-            dst=name,
-            payload_bytes=point.wire_bytes,
-            payload=point,
+        outcome = self.network.send(
+            self.sensor_name(sensor), point, point.wire_bytes, "radio.retune"
         )
-        outcome = self.network.send(packet, energy_category="radio.retune")
         if not outcome.delivered:
             return None
         self._operating_points[sensor] = point

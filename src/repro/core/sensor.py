@@ -14,7 +14,11 @@ The sensor does exactly four things, all proxy-directed:
    compression) shipped by the proxy.
 
 Every radio frame, flash page and CPU cycle is counted on the node's energy
-meter.
+meter.  A frame is its payload: a batch leaves as a one-frame run of
+:meth:`~repro.radio.network.Network.send_uplinks`, the proxy's model updates
+and retunes reach :meth:`PrestoSensor.handle_packet` as bare payloads told
+apart by type, and the sensor's push and batch counts are read off its
+uplink's ledger.
 
 Steps 1 and 2 run for every sensor on a simulator at once, in the
 :class:`~repro.core.fleet.SensorFleet`'s one pass per epoch; a sensor is
@@ -37,7 +41,6 @@ from repro.energy.constants import (
 from repro.energy.meter import EnergyMeter
 from repro.radio.mac import LplMac
 from repro.radio.network import Network
-from repro.radio.packet import Packet, PacketKind
 from repro.signal.codecs import encoded_size_bytes
 from repro.signal.compress import (
     compress_block,
@@ -64,7 +67,6 @@ class PrestoSensor:
         mac: LplMac,
         meter: EnergyMeter,
         archive: SensorArchive,
-        proxy_name: str = "proxy",
         clock: DriftingClock | None = None,
         fleet: SensorFleet | None = None,
     ) -> None:
@@ -75,7 +77,6 @@ class PrestoSensor:
         self.mac = mac
         self.meter = meter
         self.archive = archive
-        self.proxy_name = proxy_name
         self.clock = clock
 
         self.checker: SensorModelChecker | None = None
@@ -90,7 +91,6 @@ class PrestoSensor:
         self._batch_values: list[float] = []
         self._batch_started_at: float | None = None
 
-        self.batches_sent = 0
         self.pulls_served = 0
         #: pushes delivered before the first model activated (None: not yet)
         self._cold_pushes: int | None = None
@@ -109,6 +109,12 @@ class PrestoSensor:
     def samples_taken(self) -> int:
         """Readings taken (missed epochs excluded)."""
         return self.fleet.samples(self.row)
+
+    @property
+    def batches_sent(self) -> int:
+        """Batches the proxy received: the uplink's delivered
+        ``radio.batch`` frames."""
+        return self.mac.uplink.deliveries("radio.batch")
 
     @property
     def pushes_delivered(self) -> int:
@@ -176,41 +182,29 @@ class PrestoSensor:
             payload_bytes = encoded_size_bytes(values, step=point.quant_step)
             decoded = values
         self.meter.record("cpu.compress", cycle_j, COMPRESS_CYCLES_PER_BYTE * payload_bytes)
-        packet = Packet(
-            kind=PacketKind.BATCH,
-            src=self.name,
-            dst=self.proxy_name,
-            payload_bytes=payload_bytes + 8,  # + batch header
-            payload={
-                "sensor": self.sensor_id,
-                "timestamps": times,
-                "values": np.asarray(decoded, dtype=np.float64),
-                "quant_step": point.quant_step,
-            },
-        )
-        outcome = self.network.send(packet, energy_category="radio.batch")
-        if outcome.delivered:
-            self.batches_sent += 1
+        payload = {
+            "sensor": self.sensor_id,
+            "timestamps": times,
+            "values": np.asarray(decoded, dtype=np.float64),
+            "quant_step": point.quant_step,
+        }
+        # + batch header
+        self.network.send_uplinks([self.name], [payload], payload_bytes + 8, "radio.batch")
         self._batch_times = []
         self._batch_values = []
         self._batch_started_at = None
 
     # -- proxy-directed control ---------------------------------------------------
 
-    def handle_packet(self, packet: Packet) -> None:
-        """Dispatch a downlink packet from the proxy."""
-        if packet.kind is PacketKind.MODEL_UPDATE:
-            update: ModelUpdate = packet.payload
-            self._pending_update = update
+    def handle_packet(self, payload: ModelUpdate | SensorOperatingPoint) -> None:
+        """Act on a downlink payload from the proxy, by its type."""
+        if isinstance(payload, ModelUpdate):
+            self._pending_update = payload
             self.fleet.expect(self.row)
-        elif packet.kind is PacketKind.OPERATING_POINT:
-            self.apply_operating_point(packet.payload)
-        elif packet.kind is PacketKind.PULL_REQUEST:
-            # Pulls are served synchronously through serve_pull(); packets of
-            # this kind arriving via the event path are acknowledgements only.
-            pass
+        elif isinstance(payload, SensorOperatingPoint):
+            self.apply_operating_point(payload)
         else:
-            raise ValueError(f"sensor cannot handle {packet.kind}")
+            raise ValueError(f"sensor cannot handle {type(payload).__name__}")
 
     def apply_operating_point(self, point: SensorOperatingPoint) -> None:
         """Retune radio duty cycle / delta / batching as the proxy asks."""

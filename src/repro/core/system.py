@@ -192,7 +192,6 @@ class PrestoCell:
                 mac=mac,
                 meter=meter,
                 archive=archive,
-                proxy_name=proxy_name,
                 clock=clock,
                 fleet=fleet,
             )

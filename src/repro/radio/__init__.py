@@ -12,11 +12,8 @@ receiver's energy meters read those counts against the per-frame joules of
 from repro.radio.link import LinkConfig, LinkStats, LossyLink
 from repro.radio.mac import LplMac
 from repro.radio.network import Network, NetworkNode
-from repro.radio.packet import Packet, PacketKind
 
 __all__ = [
-    "Packet",
-    "PacketKind",
     "LinkConfig",
     "LinkStats",
     "LossyLink",

@@ -117,6 +117,8 @@ class LossyLink:
         key = (payload_bytes, lpl_preamble_bytes)
         frame = self._frames.get(key)
         if frame is None:
+            if payload_bytes < 0:
+                raise ValueError(f"negative payload size {payload_bytes!r}")
             radio = self.radio
             frame = self._frames[key] = _Frame(
                 tx_j=transmit_energy(radio, payload_bytes, lpl_preamble_bytes),

@@ -3,18 +3,19 @@
 The PRESTO middle tier manages "several tens of lower-tier sensors in its
 vicinity"; within one cell the topology is a star (sensor ↔ proxy, one hop).
 The network object owns one :class:`~repro.radio.mac.LplMac` per sensor and
-runs each transfer's ARQ when it is sent, every MAC drawing from the star's
-one loss stream.  A receiver that takes deliveries at send time (the
-proxy's ``accept``) is handed ``(arrival instant, payload)`` pairs; a
-sensor's ``on_receive`` runs as a simulator event at the arrival, so such
-an event serves sensors only.
+runs each frame's ARQ when it is sent, every MAC drawing from the star's
+one loss stream.  A frame is its payload: no envelope is built for it.
 
-Pushes leave as runs: :meth:`Network.send_uplinks` sends a sampling pass's
-pushes of one cell in one call — each frame's ARQ on its sensor's uplink,
-in order, and every delivered payload handed to the proxy at once — which
-is what one :meth:`Network.send` per push did, without a packet or an
-outcome per push.  The network counts packets sent, delivered and dropped;
-frames and their energy are the links' ledgers.
+Uplinks leave as runs: :meth:`Network.send_uplinks` sends frames of one
+shape from sensors to the proxy — a sampling pass's pushes of one cell, or
+one sensor's batch — each frame's ARQ on its sensor's uplink, in order, and
+hands every delivered payload to the proxy's ``accept`` with its arrival
+instant, at send time.  A downlink (:meth:`Network.send`) runs the
+sensor's downlink ARQ and, if delivered, schedules the sensor's
+``on_receive`` as a simulator event at the arrival, so the LPL wake-up
+latency holds back what the sensor acts on.  The network counts frames
+sent, delivered and dropped; frames and their energy are the links'
+ledgers.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 from repro.energy.constants import RadioConstants
 from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
-from repro.radio.link import LinkConfig
+from repro.radio.link import LinkConfig, TransferOutcome
 from repro.radio.mac import LplMac
-from repro.radio.packet import Packet
 from repro.simulation.kernel import Simulator
 
 
@@ -40,7 +40,8 @@ class NetworkNode:
 
     name: str
     meter: EnergyMeter
-    on_receive: Callable[[Packet], None] | None = None
+    #: a sensor's: takes each delivered downlink payload, at its arrival
+    on_receive: Callable[[Any], None] | None = None
     #: takes deliveries at send time, as ``(arrival instant, payload)``
     #: pairs in send order, not by event
     accept: Callable[[list[tuple[float, Any]]], None] | None = None
@@ -107,37 +108,25 @@ class Network:
 
     # -- transfer ----------------------------------------------------------------
 
-    def send(self, packet: Packet, energy_category: str = "radio.tx"):
-        """Send *packet*; hands it to its receiver if the ARQ succeeded.
+    def send(
+        self, sensor: str, payload: Any, payload_bytes: int, energy_category: str
+    ) -> TransferOutcome:
+        """Send *payload* from the proxy to *sensor* as one *payload_bytes*
+        downlink frame; the sensor's ``on_receive`` takes it at its arrival,
+        as a simulator event, if the ARQ delivered it.
 
-        Returns the :class:`~repro.radio.link.TransferOutcome` so callers can
-        read both ``delivered`` and the latency (the proxy's pull path sums
-        round-trip latencies analytically).  The receiver's ``accept`` takes
-        it now, else its callback runs via the simulator at delivery time.
+        Returns the :class:`~repro.radio.link.TransferOutcome`, so the
+        caller knows whether the frame got through.
         """
         self.packets_sent += 1
-        packet.created_at = self.sim.now
-        if packet.src == self._proxy_name:
-            mac = self._macs[packet.dst]
-            outcome = mac.send_downlink(packet.payload_bytes, energy_category)
-        elif packet.dst == self._proxy_name:
-            mac = self._macs[packet.src]
-            outcome = mac.send_uplink(packet.payload_bytes, energy_category)
-        else:
-            raise ValueError(
-                f"star topology: one endpoint must be the proxy "
-                f"({packet.src} -> {packet.dst})"
-            )
+        outcome = self._macs[sensor].send_downlink(payload_bytes, energy_category)
         if not outcome.delivered:
             self.packets_dropped += 1
             return outcome
         self.packets_delivered += 1
-        receiver = self._nodes[packet.dst]
-        if receiver.accept is not None:
-            receiver.accept([(self.sim.now + outcome.latency_s, packet.payload)])
-        elif receiver.on_receive is not None:
-            callback = receiver.on_receive
-            self.sim.schedule_after(outcome.latency_s, lambda: callback(packet))
+        callback = self._nodes[sensor].on_receive
+        if callback is not None:
+            self.sim.schedule_after(outcome.latency_s, lambda: callback(payload))
         return outcome
 
     def send_uplinks(
@@ -150,9 +139,9 @@ class Network:
         """Send one *payload_bytes* frame from each of *senders* (sensor
         names) to the proxy, carrying the matching payload of *payloads*.
 
-        Each frame runs its sensor's uplink ARQ in order, so the star's
-        loss stream is drawn as one :meth:`send` per frame would draw it;
-        the delivered payloads go to the proxy's ``accept`` in one call.
+        Each frame runs its sensor's uplink ARQ in order, on the star's
+        loss stream; the delivered payloads go to the proxy's ``accept``
+        in one call, each with its arrival instant.
         """
         macs, now = self._macs, self.sim.now
         arrivals = []

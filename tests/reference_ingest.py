@@ -4,7 +4,7 @@ Two oracles, each restoring one per-item path its batched form replaced.
 
 **One send per push** (:func:`per_push`).  A sampling pass used to visit
 its rows in order and send each push at its row: ``PrestoSensor._push``
-built a ``Packet`` and handed it to :meth:`Network.send`, whose ARQ ran
+built a packet and handed it to :meth:`Network.send`, whose ARQ ran
 the link's transfer and whose delivery queued it in the proxy's inbox.
 :func:`leave_one_by_one` is that order, a batching row batching in turn,
 and :func:`send_push` that send, its ARQ loop a frozen copy of the one the
@@ -40,7 +40,6 @@ from repro.core.fleet import PUSH_PAYLOAD_BYTES, SensorFleet
 from repro.core.proxy import PrestoProxy
 from repro.energy.radio_energy import packet_airtime
 from repro.radio.link import _Tally
-from repro.radio.packet import Packet, PacketKind
 
 # -- one send per push ------------------------------------------------------------------
 
@@ -96,7 +95,7 @@ def send_push(sensor, true_time: float, value: float) -> None:
         return
     tally.deliveries += 1
     network.packets_delivered += 1
-    network._nodes[sensor.proxy_name].accept([(network.sim.now + latency, payload)])
+    network._nodes[network._proxy_name].accept([(network.sim.now + latency, payload)])
 
 
 def per_push(patch) -> None:
@@ -110,9 +109,7 @@ def per_push(patch) -> None:
 def accept_at_arrival(self: PrestoProxy, arrivals: list) -> None:
     """Deliver each arrival by a kernel event at its arrival instant."""
     for at, payload in arrivals:
-        kind = PacketKind.PUSH if type(payload) is tuple else PacketKind.BATCH
-        packet = Packet(kind, "", self.name, 0, payload)
-        self.sim.schedule(at, lambda packet=packet: self.on_receive(packet))
+        self.sim.schedule(at, lambda payload=payload: self.on_receive(payload))
 
 
 def land_one_by_one(self: PrestoProxy, sensor: int, payloads: list) -> None:

@@ -29,7 +29,6 @@ from repro.energy.constants import (
 from repro.energy.meter import EnergyMeter
 from repro.radio.mac import LplMac
 from repro.radio.network import Network
-from repro.radio.packet import Packet, PacketKind
 from repro.signal.codecs import encoded_size_bytes
 from repro.signal.compress import compress_block, compressed_size_bytes, decompress_block
 from repro.simulation.kernel import Simulator
@@ -127,7 +126,6 @@ class ReferenceSensor:
         mac: LplMac,
         meter: EnergyMeter,
         archive: SensorArchive,
-        proxy_name: str = "proxy",
         clock: DriftingClock | None = None,
         fleet: ReferenceFleet | None = None,
     ) -> None:
@@ -138,7 +136,6 @@ class ReferenceSensor:
         self.mac = mac
         self.meter = meter
         self.archive = archive
-        self.proxy_name = proxy_name
         self.clock = clock
 
         self.epoch = -1                      # last sampled epoch index
@@ -224,15 +221,14 @@ class ReferenceSensor:
             self._pending_update = None
 
     def _send_push(self, value: float, local_time: float) -> bool:
-        packet = Packet(
-            kind=PacketKind.PUSH,
-            src=self.name,
-            dst=self.proxy_name,
-            payload_bytes=PUSH_PAYLOAD_BYTES,
-            payload=(self.sensor_id, self.epoch, float(value), float(local_time)),
-        )
-        outcome = self.network.send(packet, energy_category="radio.push")
-        return outcome.delivered
+        payload = (self.sensor_id, self.epoch, float(value), float(local_time))
+        return self._send_uplink(payload, PUSH_PAYLOAD_BYTES, "radio.push")
+
+    def _send_uplink(self, payload, payload_bytes: int, energy_category: str) -> bool:
+        """Send one frame to the proxy; whether it was delivered."""
+        delivered = self.mac.uplink.deliveries(energy_category)
+        self.network.send_uplinks([self.name], [payload], payload_bytes, energy_category)
+        return self.mac.uplink.deliveries(energy_category) > delivered
 
     # -- batching ---------------------------------------------------------------
 
@@ -265,20 +261,13 @@ class ReferenceSensor:
         self.meter.record(
             "cpu.compress", cpu.energy_per_cycle_j, COMPRESS_CYCLES_PER_BYTE * payload_bytes
         )
-        packet = Packet(
-            kind=PacketKind.BATCH,
-            src=self.name,
-            dst=self.proxy_name,
-            payload_bytes=payload_bytes + 8,  # + batch header
-            payload={
-                "sensor": self.sensor_id,
-                "timestamps": times,
-                "values": np.asarray(decoded, dtype=np.float64),
-                "quant_step": point.quant_step,
-            },
-        )
-        outcome = self.network.send(packet, energy_category="radio.batch")
-        if outcome.delivered:
+        payload = {
+            "sensor": self.sensor_id,
+            "timestamps": times,
+            "values": np.asarray(decoded, dtype=np.float64),
+            "quant_step": point.quant_step,
+        }
+        if self._send_uplink(payload, payload_bytes + 8, "radio.batch"):  # + batch header
             self.batches_sent += 1
         self._batch_times = []
         self._batch_values = []
@@ -286,20 +275,15 @@ class ReferenceSensor:
 
     # -- proxy-directed control ---------------------------------------------------
 
-    def handle_packet(self, packet: Packet) -> None:
-        """Dispatch a downlink packet from the proxy."""
-        if packet.kind is PacketKind.MODEL_UPDATE:
-            update: ModelUpdate = packet.payload
-            self._pending_update = update
+    def handle_packet(self, payload: ModelUpdate | SensorOperatingPoint) -> None:
+        """Act on a downlink payload from the proxy, by its type."""
+        if isinstance(payload, ModelUpdate):
+            self._pending_update = payload
             self._maybe_activate_model()
-        elif packet.kind is PacketKind.OPERATING_POINT:
-            self.apply_operating_point(packet.payload)
-        elif packet.kind is PacketKind.PULL_REQUEST:
-            # Pulls are served synchronously through serve_pull(); packets of
-            # this kind arriving via the event path are acknowledgements only.
-            pass
+        elif isinstance(payload, SensorOperatingPoint):
+            self.apply_operating_point(payload)
         else:
-            raise ValueError(f"sensor cannot handle {packet.kind}")
+            raise ValueError(f"sensor cannot handle {type(payload).__name__}")
 
     def apply_operating_point(self, point: SensorOperatingPoint) -> None:
         """Retune radio duty cycle / delta / batching as the proxy asks."""

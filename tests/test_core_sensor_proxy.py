@@ -19,7 +19,6 @@ from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network, NetworkNode
-from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
 from repro.storage.archive import SensorArchive
 from repro.storage.flash import FlashDevice
@@ -28,7 +27,7 @@ from repro.traces.workload import Query, QueryKind
 
 def deliver_batch(proxy, payload):
     """Land a batch as its delivery event does."""
-    proxy.on_receive(Packet(PacketKind.BATCH, "sensor0", proxy.name, 0, payload))
+    proxy.on_receive(payload)
 
 
 @pytest.fixture

@@ -55,7 +55,6 @@ from repro.core import federation as federation_module
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
 from repro.core.federation import FederatedSystem
-from repro.core.fleet import PUSH_PAYLOAD_BYTES
 from repro.core.proxy import PrestoProxy
 from repro.core.push import ProxyModelTracker, SensorModelChecker
 from repro.core.queries import AnswerSource
@@ -63,7 +62,6 @@ from repro.core.sensor import PULL_REQUEST_BYTES, PrestoSensor
 from repro.core.system import PrestoCell, PrestoSystem
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network
-from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import Query, QueryKind
@@ -537,10 +535,7 @@ def test_uplinks_wait_until_read_and_land_in_arrival_order():
     last = proxy._states[1].last_epoch
     epoch = int(14_000.0 // PERIOD) + 1
     pushes = proxy._states[1].pushes_received
-    proxy.on_receive(
-        Packet(PacketKind.PUSH, "sensor1", proxy.name, PUSH_PAYLOAD_BYTES,
-               (1, epoch, 99.0, 14_000.0))
-    )
+    proxy.on_receive((1, epoch, 99.0, 14_000.0))
     assert 1 not in proxy._inbox
     assert proxy._states[1].pushes_received == pushes + waiting[1] + 1
     assert proxy._states[1].last_epoch == epoch > last

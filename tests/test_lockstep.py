@@ -21,10 +21,9 @@ import pytest
 
 from repro.core import push
 from repro.core.config import PrestoConfig
-from repro.core.push import ProxyModelTracker, SensorModelChecker
+from repro.core.push import ModelUpdate, ProxyModelTracker, SensorModelChecker
 from repro.core.system import PrestoSystem
 from repro.radio.link import LinkConfig, TransferOutcome
-from repro.radio.packet import Packet, PacketKind
 from repro.timeseries.arima import ARIMAModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import Query, QueryKind
@@ -64,49 +63,48 @@ def make_system(seed: int = 3, loss: float = 0.1, dropout: float = 0.0) -> Prest
 
 
 def intercept(system: PrestoSystem, rule) -> None:
-    """Route the cell's sends through *rule*, a pass's run of pushes one
-    packet at a time.
+    """Route the cell's frames through *rule*, one at a time (a pass's run
+    of pushes frame by frame).
 
-    ``rule(packet)`` returns None to send normally, ``"drop"`` for a push
-    whose ARQ gave up, or a delay in seconds after which the packet is
-    handed to its receiver.
+    ``rule(sensor name, payload, send time)`` returns None to send
+    normally, ``"drop"`` for a frame whose ARQ gave up, or a delay in
+    seconds after which the payload is handed to its receiver: the proxy's
+    ``accept`` for an uplink, the sensor's ``on_receive`` for a downlink.
     """
-    network = system.network
-    send = network.send
+    network, sim = system.network, system.sim
+    send, send_uplinks = network.send, network.send_uplinks
 
-    def one_by_one(senders, payloads, payload_bytes, energy_category):
-        for sender, payload in zip(senders, payloads):
-            packet = Packet(PacketKind.PUSH, sender, system.proxy.name, payload_bytes, payload)
-            routed(packet, energy_category)
-
-    def routed(packet, energy_category="radio.tx"):
-        packet.created_at = system.sim.now
-        verdict = rule(packet)
+    def downlink(sensor, payload, payload_bytes, energy_category):
+        verdict = rule(sensor, payload, sim.now)
         if verdict is None:
-            return send(packet, energy_category=energy_category)
+            return send(sensor, payload, payload_bytes, energy_category)
         if verdict == "drop":
             return TransferOutcome(False, 6, 0.0)
-        receiver = network._nodes[packet.dst]
-        if receiver.accept is not None:   # as Network.send hands it over
-            receiver.accept([(system.sim.now + verdict, packet.payload)])
-        else:
-            system.sim.schedule_after(verdict, lambda: receiver.on_receive(packet))
+        callback = network._nodes[sensor].on_receive
+        sim.schedule_after(verdict, lambda: callback(payload))
         return TransferOutcome(True, 1, verdict)
 
-    network.send = routed
-    network.send_uplinks = one_by_one
+    def uplinks(senders, payloads, payload_bytes, energy_category):
+        for sender, payload in zip(senders, payloads):
+            verdict = rule(sender, payload, sim.now)
+            if verdict is None:
+                send_uplinks([sender], [payload], payload_bytes, energy_category)
+            elif verdict != "drop":   # as send_uplinks hands it over
+                system.proxy.accept([(sim.now + verdict, payload)])
+
+    network.send = downlink
+    network.send_uplinks = uplinks
 
 
-def first_after(at_s: float, kind: PacketKind, sensor_name: str, verdict, hit: list):
-    """A rule applying *verdict* to the first *kind* packet to or from
-    *sensor_name* sent at or after *at_s*; that packet is appended to *hit*."""
+def first_after(at_s: float, kind: type, sensor_name: str, verdict, hit: list):
+    """A rule applying *verdict* to the first frame with a *kind* payload
+    to or from *sensor_name* sent at or after *at_s*; that frame is
+    appended to *hit* as ``(sensor name, send time, payload)``."""
 
-    def rule(packet):
-        if hit or packet.kind is not kind or packet.created_at < at_s:
+    def rule(sensor, payload, sent_at):
+        if hit or type(payload) is not kind or sent_at < at_s or sensor != sensor_name:
             return None
-        if sensor_name not in (packet.src, packet.dst):
-            return None
-        hit.append(packet)
+        hit.append((sensor, sent_at, payload))
         return verdict
 
     return rule
@@ -121,7 +119,7 @@ class Run:
     forks: int = 0
     #: ``(update, linked)`` per tracker the proxy built, in order
     trackers: list = field(default_factory=list)
-    #: packets the script's rule acted on
+    #: frames the script's rule acted on, ``(sensor name, send time, payload)``
     hit: list = field(default_factory=list)
 
 
@@ -211,20 +209,22 @@ def assert_same_run(script, monkeypatch) -> Run:
 def test_arq_exhausted_push_forks(monkeypatch):
     def script(run):
         intercept(
-            run.system, first_after(20_000.0, PacketKind.PUSH, "sensor0", "drop", run.hit)
+            run.system, first_after(20_000.0, tuple, "sensor0", "drop", run.hit)
         )
 
     ours = assert_same_run(script, monkeypatch)
-    assert ours.hit and ours.forks >= 1
+    # the push of epoch 742
+    assert [(name, at, push[1]) for name, at, push in ours.hit] == [("sensor0", 23_002.0, 742)]
+    assert ours.forks >= 1
 
 
 def test_push_overtaken_by_a_now_query_forks(monkeypatch):
     def script(run):
         system = run.system
-        rule = first_after(20_000.0, PacketKind.PUSH, "sensor1", 20.0, run.hit)
+        rule = first_after(20_000.0, tuple, "sensor1", 20.0, run.hit)
 
-        def delay_and_query(packet):
-            verdict = rule(packet)
+        def delay_and_query(sensor, payload, sent_at):
+            verdict = rule(sensor, payload, sent_at)
             if verdict is not None:
                 # a NOW query lands while the push is in flight
                 now = system.sim.now + 5.0
@@ -237,7 +237,8 @@ def test_push_overtaken_by_a_now_query_forks(monkeypatch):
         intercept(system, delay_and_query)
 
     ours = assert_same_run(script, monkeypatch)
-    assert ours.hit and ours.forks >= 1
+    assert [(name, at, push[1]) for name, at, push in ours.hit] == [("sensor1", 21_018.0, 678)]
+    assert ours.forks >= 1
     assert ours.system.proxy._states[1].push_losses_detected > 0
 
 
@@ -247,11 +248,12 @@ def test_late_model_update_never_links(monkeypatch):
         # its activation epoch
         intercept(
             run.system,
-            first_after(10_000.0, PacketKind.MODEL_UPDATE, "sensor0", 30 * PERIOD, run.hit),
+            first_after(10_000.0, ModelUpdate, "sensor0", 30 * PERIOD, run.hit),
         )
 
     ours = assert_same_run(script, monkeypatch)
-    late = ours.hit[0].payload
+    [(name, sent_at, late)] = ours.hit
+    assert (name, sent_at, late.activation_epoch) == ("sensor0", 14_769.0, 496)
     assert late in [update for update, _ in ours.trackers]
 
 
@@ -273,9 +275,9 @@ def test_batch_mode_closes_the_trajectory(monkeypatch, batches_lost):
         run.system.sim.schedule(18_000.0, lambda: batching(0.0))
         if batches_lost:
 
-            def rule(packet):
-                if packet.kind is PacketKind.BATCH:
-                    run.hit.append(packet)
+            def rule(sensor, payload, sent_at):
+                if type(payload) is dict:
+                    run.hit.append((sensor, sent_at, payload))
                     return "drop"
                 return None
 
@@ -283,7 +285,12 @@ def test_batch_mode_closes_the_trajectory(monkeypatch, batches_lost):
 
     ours = assert_same_run(script, monkeypatch)
     assert ours.forks >= 1
-    assert len(ours.hit) >= 4 if batches_lost else ours.system.sensors[1].batches_sent >= 4
+    if batches_lost:
+        assert [(name, at) for name, at, _ in ours.hit] == [
+            ("sensor1", at) for at in (15_624.0, 16_275.0, 16_926.0, 17_577.0, 18_000.0)
+        ]
+    else:
+        assert ours.system.sensors[1].batches_sent >= 4
 
 
 def test_a_push_the_trajectory_does_not_hold_forks():

@@ -8,7 +8,6 @@ from repro.energy.duty_cycle import DutyCycleConfig
 from repro.energy.meter import EnergyMeter
 from repro.radio.link import LinkConfig
 from repro.radio.network import Network, NetworkNode
-from repro.radio.packet import Packet, PacketKind
 from repro.simulation.kernel import Simulator
 
 
@@ -21,12 +20,19 @@ def make_network(loss=0.0, n_sensors=2, seed=0):
         DutyCycleConfig(check_interval_s=1.0),
         np.random.default_rng(seed),
     )
-    received: list[Packet] = []
-    proxy = NetworkNode("proxy", EnergyMeter("proxy"), received.append)
+    #: ``(simulated time taken, payload)`` per delivery, at either end
+    received: list = []
+    proxy = NetworkNode(
+        "proxy",
+        EnergyMeter("proxy"),
+        accept=lambda arrivals: received.extend((sim.now, arrival) for arrival in arrivals),
+    )
     network.register_proxy(proxy)
     sensors = []
     for i in range(n_sensors):
-        node = NetworkNode(f"s{i}", EnergyMeter(f"s{i}"), received.append)
+        node = NetworkNode(
+            f"s{i}", EnergyMeter(f"s{i}"), lambda payload: received.append((sim.now, payload))
+        )
         network.register_sensor(node)
         sensors.append(node)
     return sim, network, sensors, received
@@ -58,42 +64,48 @@ class TestTopology:
 
 
 class TestDelivery:
-    def test_uplink_delivery_via_event(self):
-        sim, network, _, received = make_network()
-        packet = Packet(PacketKind.PUSH, "s0", "proxy", 16)
-        outcome = network.send(packet)
-        assert outcome.delivered
-        assert received == []  # not yet: scheduled
-        sim.run_until(1.0)
-        assert received == [packet]
-
     def test_downlink_delivery(self):
+        """A delivered downlink reaches the sensor once, at its arrival, by
+        one kernel event."""
         sim, network, _, received = make_network()
-        packet = Packet(PacketKind.MODEL_UPDATE, "proxy", "s1", 64)
-        assert network.send(packet).delivered
-        sim.run_until(10.0)
-        assert received == [packet]
+        sim.run_until(5.0)
+        pending = sim.pending
+        outcome = network.send("s1", "update", 64, "radio.model_update")
+        assert outcome.delivered
+        assert received == []  # not yet: one kernel event at the arrival
+        assert sim.pending == pending + 1
+        sim.run_until(100.0)
+        assert received == [(5.0 + outcome.latency_s, "update")]
 
-    def test_sensor_to_sensor_rejected(self):
-        _, network, _, _ = make_network()
-        with pytest.raises(ValueError):
-            network.send(Packet(PacketKind.PUSH, "s0", "s1", 8))
+    def test_dropped_downlink_never_reaches_the_sensor(self):
+        sim, network, _, received = make_network(loss=0.99, seed=5)
+        pending = sim.pending
+        outcome = network.send("s0", "update", 64, "radio.model_update")
+        assert not outcome.delivered
+        assert sim.pending == pending
+        sim.run_until(100.0)
+        assert received == []
+        assert (network.packets_sent, network.packets_dropped) == (1, 1)
+
+    def test_batch_reaches_the_proxy_at_send_time(self):
+        sim, network, _, received = make_network()
+        sim.run_until(5.0)
+        pending = sim.pending
+        batch = {"sensor": 0}
+        network.send_uplinks(["s0"], [batch], 40, "radio.batch")
+        assert sim.pending == pending
+        [(taken, (arrival, payload))] = received
+        assert (taken, payload) == (5.0, batch) and arrival > 5.0
+        assert network.mac_for("s0").uplink.deliveries("radio.batch") == 1
 
     def test_drop_statistics(self):
         sim, network, _, received = make_network(loss=0.99, seed=5)
         for _ in range(30):
-            network.send(Packet(PacketKind.PUSH, "s0", "proxy", 8))
+            network.send_uplinks(["s0"], [None], 8, "radio.push")
         sim.run_until(100.0)
         assert network.packets_dropped > 0
         assert network.packets_delivered == len(received)
         assert network.delivery_ratio < 1.0
-
-    def test_created_at_stamped(self):
-        sim, network, _, _ = make_network()
-        sim.run_until(5.0)
-        packet = Packet(PacketKind.PUSH, "s0", "proxy", 8)
-        network.send(packet)
-        assert packet.created_at == 5.0
 
     def test_account_idle_all_charges_every_sensor(self):
         _, network, sensors, _ = make_network(n_sensors=3)
@@ -103,14 +115,17 @@ class TestDelivery:
 
     def test_bytes_counted(self):
         sim, network, _, _ = make_network()
-        network.send(Packet(PacketKind.PUSH, "s0", "proxy", 100))
+        network.send_uplinks(["s0"], [None], 100, "radio.push")
         assert network.mac_for("s0").uplink.stats.bytes_delivered == 100
 
 
-class TestPacketValidation:
-    def test_negative_payload_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(PacketKind.PUSH, "a", "b", -1)
+class TestFrameValidation:
+    def test_link_refuses_a_negative_frame_size(self):
+        _, network, _, _ = make_network()
+        with pytest.raises(ValueError, match="negative payload size"):
+            network.send_uplinks(["s0"], [None], -1, "radio.push")
+        with pytest.raises(ValueError, match="negative payload size"):
+            network.send("s0", None, -1, "radio.retune")
 
 
 class TestTargetedLinkConfig:

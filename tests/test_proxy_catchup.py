@@ -38,11 +38,9 @@ from repro.core.cache import (
 )
 from repro.core.config import PrestoConfig
 from repro.core.continuous import ContinuousQuery, TriggerKind
-from repro.core.fleet import PUSH_PAYLOAD_BYTES
 from repro.core.proxy import PrestoProxy
 from repro.core.push import ProxyModelTracker
 from repro.core.system import PrestoSystem
-from repro.radio.packet import Packet, PacketKind
 from repro.sync.clock import ClockModel
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, QueryWorkloadGenerator
@@ -379,9 +377,7 @@ def test_unarmed_run_is_one_insert_batch_call():
     assert writes.calls == 1
     epoch = target + 7
     at = proxy.epoch_time(epoch)
-    proxy.on_receive(
-        Packet(PacketKind.PUSH, "sensor0", proxy.name, PUSH_PAYLOAD_BYTES, (0, epoch, 21.5, at))
-    )
+    proxy.on_receive((0, epoch, 21.5, at))
     assert (writes.calls, writes.longest_batch, writes.pushes[0]) == (2, behind, 1)
     assert writes.rows == {EntrySource.PREDICTED: behind + 6, EntrySource.PUSHED: 1}
     assert state.last_epoch == epoch

@@ -89,3 +89,34 @@ class TestBatchingMode:
             sensor.meter.category_j("radio.batch") for sensor in system.sensors
         )
         assert 0 < batch_cost < stream_cost * 0.8
+
+
+def test_batches_sent_are_the_batches_the_proxy_received():
+    """On a lossy link some batches drop; a sensor's ``batches_sent`` counts
+    exactly the ones that reached the proxy, which is what its uplink's
+    ledger says it delivered."""
+    trace = IntelLabGenerator(
+        IntelLabConfig(n_sensors=3, duration_s=20_000.0, epoch_s=31.0), seed=7
+    ).generate()
+    config = PrestoConfig(
+        sample_period_s=31.0,
+        batch_interval_s=300.0,
+        retune_interval_s=1e12,   # no retune switches batching off
+        link=LinkConfig(loss_probability=0.4, max_retries=1),
+    )
+    system = PrestoSystem(trace, config, seed=7)
+    proxy_node = system.network._nodes[system.proxy.name]
+    accept, received = proxy_node.accept, [0] * trace.n_sensors
+
+    def counted(arrivals):
+        for _, payload in arrivals:
+            if type(payload) is dict:
+                received[payload["sensor"]] += 1
+        accept(arrivals)
+
+    proxy_node.accept = counted
+    report = system.run()
+    assert system.network.packets_dropped > 0
+    delivered = [s.mac.uplink.deliveries("radio.batch") for s in system.sensors]
+    assert [s.batches_sent for s in system.sensors] == delivered == received
+    assert report.batches == sum(received) > 0
