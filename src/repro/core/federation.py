@@ -632,8 +632,8 @@ class FederatedSystem(_RoutingCore):
         #: own cells' share at setup; after :meth:`run`, ``notifications``
         #: holds every cell's firings (global ids, cell order).
         self.continuous = ContinuousQueryEngine()
-        self._prerun_deaths: list[FailoverEvent] = []
-        self._run_deaths: list[FailoverEvent] = []
+        #: every proxy death of the last :meth:`run`, in failure order
+        self.failover_events: list[FailoverEvent] = []
         self._failures: list[tuple[float, str]] = []
         self._recoveries: list[tuple[float, str]] = []
         self._link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]] = []
@@ -645,11 +645,6 @@ class FederatedSystem(_RoutingCore):
         """All proxy names, cell order (wired first)."""
         return [fc.name for fc in self.cells]
 
-    @property
-    def failover_events(self) -> list[FailoverEvent]:
-        """Every proxy death: those staged before the run, then the run's own."""
-        return self._prerun_deaths + self._run_deaths
-
     def cell_for(self, proxy_name: str) -> FederatedCell:
         """Lookup a federated cell's descriptor by proxy name."""
         return self._by_name[proxy_name]
@@ -657,28 +652,6 @@ class FederatedSystem(_RoutingCore):
     def owner_of(self, sensor: int) -> str:
         """Resolve the owning proxy of a global sensor id (skip-graph route)."""
         return self._route[sensor][0]
-
-    def fail_proxy(self, proxy_name: str) -> None:
-        """Take a proxy offline before the run (its queries fail over from t=0).
-
-        Records a :class:`FailoverEvent` like a scheduled death does; with
-        nothing replicated yet its staleness is ``inf``.  Use
-        :meth:`schedule_failure` for a death *during* the run.
-        """
-        self._validate_proxy(proxy_name)
-        self._prerun_deaths.append(
-            FailoverEvent(
-                proxy=proxy_name,
-                at_s=self.sim.now,
-                replica_staleness_s=self._replica_staleness(proxy_name),
-            )
-        )
-        self.directory.mark_down(proxy_name)
-
-    def recover_proxy(self, proxy_name: str) -> None:
-        """Bring a proxy back online."""
-        self._validate_proxy(proxy_name)
-        self.directory.mark_up(proxy_name)
 
     def _validate_proxy(self, proxy_name: str) -> None:
         if proxy_name not in self._by_name:
@@ -737,9 +710,6 @@ class FederatedSystem(_RoutingCore):
             horizon=horizon,
             failures=[(at, name) for at, name in self._failures if at < horizon],
             recoveries=[(at, name) for at, name in self._recoveries if at < horizon],
-            initial_down=tuple(
-                fc.name for fc in self.cells if not self._proxy_alive(fc.name)
-            ),
             link_events=list(self._link_events),
             standing=standing,
         )
@@ -893,7 +863,7 @@ class FederatedSystem(_RoutingCore):
         fault_events = sorted(
             (index, event) for result in results for index, event in result.fault_events
         )
-        self._run_deaths = [event for _, event in fault_events]
+        self.failover_events = [event for _, event in fault_events]
         self.continuous.notifications = [
             notification for result in results for notification in result.notifications
         ]
@@ -1011,7 +981,6 @@ class _PartitionContext:
     horizon: float
     failures: list[tuple[float, str]]       # filtered to < horizon, original order
     recoveries: list[tuple[float, str]]
-    initial_down: tuple[str, ...]
     link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]]
     standing: tuple[ContinuousQuery, ...]   # by global sensor id
 
@@ -1070,8 +1039,6 @@ class _CellPartition(_RoutingCore):
                 proxy_name=fc.name,
                 clock_model=context.clock_model,
             )
-        for name in context.initial_down:
-            self.directory.mark_down(name)
         self._fault_events: list[tuple[int, FailoverEvent]] = []
         self._queries = queries
         self._sync_task: PeriodicTask | None = None

@@ -391,7 +391,6 @@ class PrestoSystem:
         )
         self.config = self.cell.config
         # Aliases kept for every consumer of the pre-federation attribute set.
-        self.proxy_meter = self.cell.proxy_meter
         self.network = self.cell.network
         self.proxy = self.cell.proxy
         self.sensors = self.cell.sensors

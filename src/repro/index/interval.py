@@ -72,18 +72,6 @@ class IntervalIndex:
         covering = self.lookup(key)
         return covering[0] if covering else None
 
-    def lookup_range(self, low: float, high: float) -> list[IntervalAssignment]:
-        """Assignments overlapping ``[low, high]``, deduplicated."""
-        if high < low:
-            raise ValueError(f"empty range [{low}, {high}]")
-        nodes, _ = self._graph.range_query(float("-inf"), high)
-        seen: list[IntervalAssignment] = []
-        for node in nodes:
-            assignment: IntervalAssignment = node.value
-            if assignment.high >= low and assignment not in seen:
-                seen.append(assignment)
-        return seen
-
     @property
     def mean_routing_hops(self) -> float:
         """Average skip-graph hops per lookup so far."""

@@ -425,16 +425,6 @@ class TestFailover:
         assert all(not a.answered for a in post)
         assert report.unroutable == len(post)
 
-    def test_recovery_restores_primary(self):
-        trace = make_trace(n_sensors=4, duration_s=3600.0)
-        system = FederatedSystem(
-            trace, fast_config(), FederationConfig(n_proxies=2), seed=1
-        )
-        system.fail_proxy("proxy1")
-        assert not system.directory.proxy("proxy1").alive
-        system.recover_proxy("proxy1")
-        assert system.directory.proxy("proxy1").alive
-
 
 class TestFederatedReport:
     def test_aggregates_cells(self, federated_run):
@@ -601,9 +591,10 @@ class TestReplicaStaleness:
         # nothing has synced yet: a death right now has no replica to lean on
         partition = _CellPartition(system._context(3600.0), [0, 1], [])
         assert partition._replica_staleness("proxy1") == float("inf")
-        system.fail_proxy("proxy1")
-        assert system.failover_events[-1].replica_staleness_s == float("inf")
+        system.schedule_failure("proxy1", 0.0)
         assert system.run().fault_staleness_s == (float("inf"),)
+        [event] = system.failover_events
+        assert (event.proxy, event.at_s, event.replica_staleness_s) == ("proxy1", 0.0, float("inf"))
 
     def test_staleness_infinite_without_replication(self):
         trace = make_trace(n_sensors=4, duration_s=3600.0)
@@ -624,9 +615,7 @@ class TestReplicaStaleness:
             FederationConfig(n_proxies=2, replication_factor=1),
             seed=3,
         )
-        with pytest.raises(ValueError):
-            system.fail_proxy("proxy9")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown proxy"):
             system.schedule_failure("proxy9", 10.0)
 
     def test_failover_fidelity_bounded(self, federated_run):

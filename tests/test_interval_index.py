@@ -47,14 +47,6 @@ class TestLookup:
         index.assign("backup", 0.0, 29.0)
         assert index.primary(15.0).proxy == "p1"
 
-    def test_lookup_range(self, index):
-        overlapping = {a.proxy for a in index.lookup_range(8.0, 12.0)}
-        assert overlapping == {"p0", "p1"}
-
-    def test_lookup_range_invalid(self, index):
-        with pytest.raises(ValueError):
-            index.lookup_range(5.0, 1.0)
-
     def test_routing_hops_tracked(self, index):
         index.lookup(15.0)
         assert index.mean_routing_hops >= 0.0

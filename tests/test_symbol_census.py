@@ -73,20 +73,11 @@ ALLOWLIST = {
     "src/repro/timeseries/arima.py::undifference": (
         ORACLE + " (the frozen tests/reference_arima.py forecasts through it)"
     ),
-    # -- public API only tests drive today ----------------------------------
-    "src/repro/core/federation.py::FederatedSystem.fail_proxy": (
-        "pre-run fault API (a death before the first sync); the CLI and "
-        "scenarios schedule faults instead"
-    ),
-    "src/repro/core/federation.py::FederatedSystem.recover_proxy": (
-        "fail_proxy's inverse"
-    ),
     # -- named for deletion, deferred ---------------------------------------
     "src/repro/coding/gf256.py::gf_div": DEFERRED,
     "src/repro/energy/lifetime.py::LifetimeEstimate": DEFERRED,
     "src/repro/energy/lifetime.py::lifetime_gain": DEFERRED,
     "src/repro/energy/lifetime.py::project_lifetime": DEFERRED,
-    "src/repro/index/interval.py::IntervalIndex.lookup_range": DEFERRED,
     "src/repro/index/skipgraph.py::SkipGraph.delete": DEFERRED,
     "src/repro/signal/compress.py::compression_error": DEFERRED,
     "src/repro/signal/denoise.py::denoise": DEFERRED,

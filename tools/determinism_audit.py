@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Standalone double-run determinism audit (CI entry point).
 
-Runs one pinned smoke-scale scenario in child interpreters under two
-``PYTHONHASHSEED`` values and serial vs ``--jobs 2``, and fails unless the
-canonically-serialized reports are byte-identical.  Equivalent to
-``repro lint --runtime`` without the static pass; see
+Runs one pinned smoke-scale scenario — or, with ``--scenario all``, every
+registered one in turn — in child interpreters under two
+``PYTHONHASHSEED`` values and serial vs ``--jobs 2``, and fails unless each
+scenario's canonically-serialized reports are byte-identical.  Equivalent
+to ``repro lint --runtime`` without the static pass; see
 :mod:`repro.analysis.runtime` and ``docs/analysis.md``.
 
 Usage::
 
-    PYTHONPATH=src python tools/determinism_audit.py [--scenario NAME]
+    PYTHONPATH=src python tools/determinism_audit.py [--scenario NAME|all]
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.analysis.runtime import DEFAULT_SCENARIO, run_audit  # noqa: E402
+from repro.scenarios import all_scenarios  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,12 +33,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scenario",
         default=DEFAULT_SCENARIO,
-        help="campaign scenario to replay (smoke scale)",
+        help="campaign scenario to replay (smoke scale), or 'all' for every registered one",
     )
     args = parser.parse_args(argv)
-    result = run_audit(scenario=args.scenario)
-    print(result.describe())
-    return 0 if result.identical else 1
+    names = list(all_scenarios()) if args.scenario == "all" else [args.scenario]
+    failed = []
+    for name in names:
+        result = run_audit(scenario=name)
+        print(result.describe())
+        if not result.identical:
+            failed.append(name)
+    if len(names) > 1:
+        print(f"audited {len(names)} scenarios; diverged: {failed or 'none'}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
