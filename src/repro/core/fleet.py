@@ -288,6 +288,8 @@ class SensorFleet:
         shape = batch_shape(update.model)
         batching = sensor.operating_point.batch_interval_s > 0
         checker = SensorModelChecker(update, None if batching else self._bank(shape), row)
+        # a retune shipped after the refit outranks the delta it was fitted with
+        checker.delta = sensor.operating_point.push_delta
         sensor.checker = checker
         sensor._pending_update = None
         self._activation[row] = NEVER

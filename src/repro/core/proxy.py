@@ -422,6 +422,9 @@ class PrestoProxy:
         if checker is not None and checker.update is not update:
             checker = None
         state.tracker = ProxyModelTracker(update, checker)
+        point = self._operating_points.get(sensor)
+        if point is not None:   # a retune shipped after the refit outranks its delta
+            state.tracker.delta = point.push_delta
         state.last_epoch = max(state.last_epoch, update.activation_epoch - 1)
         state.pending = None
 

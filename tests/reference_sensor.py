@@ -215,6 +215,7 @@ class ReferenceSensor:
         update = self._pending_update
         if update is not None and self.epoch >= update.activation_epoch:
             self.checker = ReferenceChecker(update)
+            self.checker.delta = self.operating_point.push_delta
             self._check_j = self.config.node_profile.cpu.energy_for_cycles(
                 max(self.checker.check_cycles, MODEL_CHECK_CYCLES)
             )

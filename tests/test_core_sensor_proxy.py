@@ -237,6 +237,30 @@ class TestOperatingPointControl:
         assert network.mac_for("sensor0").duty_cycle.check_interval_s == \
             point.check_interval_s
 
+    def test_retune_between_refit_and_activation_holds(self, cell):
+        """A retune shipped while a refit's model waits for its activation
+        epoch sets the delta both replicas of that model check against."""
+        sim, _, _, proxy, sensors = cell
+        rng = np.random.default_rng(1)
+        values = 20.0 + np.cumsum(rng.normal(0, 0.05, 100))
+        feed(sim, sensors, [values, values])
+        assert proxy.refit_sensor(0)
+        update = proxy._states[0].pending
+        for _ in range(3):
+            proxy.matcher.observe_query(
+                Query(9, QueryKind.NOW, 0, sim.now, sim.now,
+                      precision=0.4, latency_bound_s=240.0)
+            )
+        point = proxy.retune_sensor(0)
+        assert point is not None and point.push_delta != update.delta
+        assert proxy.current_epoch() < update.activation_epoch
+        more = values[-1] + np.cumsum(rng.normal(0, 0.05, 40))
+        feed(sim, sensors, [more, more], start_epoch=100)
+        proxy.advance_to_now(0)
+        checker, tracker = sensors[0].checker, proxy._states[0].tracker
+        assert checker.update is update and tracker is not None
+        assert checker.delta == tracker.delta == point.push_delta
+
     def test_retune_skipped_when_unchanged(self, cell):
         sim, config, network, proxy, sensors = cell
         values = 20.0 + np.zeros(16)
