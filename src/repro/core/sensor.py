@@ -188,7 +188,7 @@ class PrestoSensor:
             "values": np.asarray(decoded, dtype=np.float64),
             "quant_step": point.quant_step,
         }
-        # + batch header
+        # the frame also carries an 8-byte batch header
         self.network.send_uplinks([self.name], [payload], payload_bytes + 8, "radio.batch")
         self._batch_times = []
         self._batch_values = []
