@@ -36,7 +36,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +46,12 @@ from repro.coding import CodingCounters, CodingReport, FragmentStore, SensorReco
 from repro.core.cache import CacheSnapshot, aggregate
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.continuous import ContinuousQuery, ContinuousQueryEngine, Notification
-from repro.core.proxy import PROXY_PROCESSING_S
+from repro.core.proxy import PROXY_PROCESSING_S, PrestoProxy
 from repro.core.push import ForecastTrajectory, ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer, ground_truths
 from repro.core.fleet import SensorFleet
 from repro.core.system import PrestoCell, SystemReport, event_time, resolve_config
-from repro.index.directory import CacheDirectory
+from repro.index.directory import CacheDirectory, ProxyDescriptor
 from repro.index.skipgraph import SkipGraph
 from repro.metrics import fold, merged
 from repro.radio.link import LinkConfig
@@ -159,6 +161,17 @@ class FederatedCell:
     def to_global(self, local_sensor: int) -> int:
         """Translate a local sensor index back to the global id."""
         return self.sensor_ids[local_sensor]
+
+
+class _Route(NamedTuple):
+    """Where a query on one sensor goes, worked out once per sensor."""
+
+    owner: ProxyDescriptor         # the owner's directory record (its liveness)
+    proxy: PrestoProxy | None      # the owner's proxy, where this core built it
+    local: int                     # the sensor in the owner's numbering
+    hops: int                      # skip-graph hops from the entry node
+    hop_latency_s: float           # what the hops cost: a failover's routing latency
+    latency_s: float               # plus the owner's response latency when hops > 0
 
 
 @dataclass
@@ -352,11 +365,32 @@ class _RoutingCore:
             self._owners.floor_value(float(sensor))
             for sensor in range(trace.n_sensors)
         ]
+        self._routes = self._route_rows()
 
         self.routing = RoutingCounters()
-        # The federation's one answer log (global numbering); cells keep none.
+        # The federation's one answer log (global numbering), as columns:
+        # the answers in firing order and the positions that failed over.
+        # Cells keep none.
         self._query_log: list[QueryAnswer] = []
         self._failover_positions: list[int] = []
+
+    def _route_rows(self) -> dict[int, _Route]:
+        """Each sensor's :class:`_Route`, keyed by global id: a sensor the
+        trace does not have has none."""
+        routes: dict[int, _Route] = {}
+        for sensor, (name, hops) in enumerate(self._route):
+            cell = self._built.get(name)
+            hop_latency = hops * HOP_LATENCY_S
+            owner = self.directory.proxy(name)
+            routes[sensor] = _Route(
+                owner=owner,
+                proxy=cell.proxy if cell is not None else None,
+                local=self._by_name[name].to_local(sensor),
+                hops=hops,
+                hop_latency_s=hop_latency,
+                latency_s=hop_latency + owner.response_latency_s if hops > 0 else hop_latency,
+            )
+        return routes
 
     # -- replication ----------------------------------------------------------------
 
@@ -446,27 +480,19 @@ class _RoutingCore:
         wired replica taking over for it *faster*, the Section 5 argument
         for replicating onto wired proxies.
         """
-        if not 0 <= query.sensor < self.trace.n_sensors:
+        route = self._routes.get(query.sensor)
+        if route is None:   # no such sensor
             self.routing.unroutable += 1
-            answer = QueryAnswer(
-                query=query, value=None, source=AnswerSource.FAILED, latency_s=0.0
-            )
-            self._query_log.append(answer)
-            return answer
-        owner_name, hops = self._route[query.sensor]
-        self.routing.cross_proxy_hops += hops
-        routing_latency = hops * HOP_LATENCY_S
-        owner = self.directory.proxy(owner_name)
-        if owner.alive:
-            if hops > 0:
-                routing_latency += owner.response_latency_s
-            answer = self._built[owner_name].proxy.process_query(
-                query, self._by_name[owner_name].to_local(query.sensor), routing_latency
-            )
+            answer = QueryAnswer(query, None, AnswerSource.FAILED, 0.0)
         else:
-            self.routing.failovers += 1
-            self._failover_positions.append(len(self._query_log))
-            answer = self._failover_answer(query, owner_name, routing_latency)
+            owner, proxy, local, hops, hop_latency, latency = route
+            self.routing.cross_proxy_hops += hops
+            if owner.alive:
+                answer = proxy.process_query(query, local, latency)
+            else:
+                self.routing.failovers += 1
+                self._failover_positions.append(len(self._query_log))
+                answer = self._failover_answer(query, owner.name, hop_latency)
         self._query_log.append(answer)
         return answer
 
@@ -736,21 +762,27 @@ class FederatedSystem(_RoutingCore):
         horizon = float(
             duration_s if duration_s is not None else self.trace.config.duration_s
         )
-        k = self.n_partitions
         due = sorted(
-            (query for query in queries or [] if query.arrival_time < horizon),
-            key=lambda query: query.arrival_time,
+            [query for query in queries or [] if query.arrival_time < horizon],
+            key=operator.attrgetter("arrival_time"),
         )
+        # Each query's rank is its place in *due*.  Sensor ids are checked
+        # here, once: a sensor the trace does not have has no owner, and
+        # partition 0 answers it unroutable at its rank.
         n = self.trace.n_sensors
-        routed: list[list[tuple[int, Query]]] = [[] for _ in range(k)]
-        for rank, query in enumerate(due):
-            # An out-of-range sensor has no owner; any partition's
-            # route_query answers it unroutable at its firing rank.
-            owner = self._route[query.sensor][0] if 0 <= query.sensor < n else None
-            part = self._part_of_cell[self._by_name[owner].cell_id] if owner else 0
-            routed[part].append((rank, query))
+        sensors = np.array([query.sensor for query in due], dtype=np.int64)
+        known = (sensors >= 0) & (sensors < n)
+        part_of_sensor = np.array(
+            [self._part_of_cell[self._by_name[name].cell_id] for name, _ in self._route],
+            dtype=np.int64,
+        )
+        parts = np.zeros(len(due), dtype=np.int64)
+        parts[known] = part_of_sensor[sensors[known]]
         context = self._context(horizon)
-        tasks = [(p, cell_ids, routed[p]) for p, cell_ids in enumerate(self._assign)]
+        tasks = []
+        for p, cell_ids in enumerate(self._assign):
+            ranks = np.flatnonzero(parts == p).tolist()
+            tasks.append((p, cell_ids, ranks, [due[rank] for rank in ranks]))
         # One worker per core at most; the context (trace included) ships
         # to each worker once, each task only its cell ids and queries.
         workers = resolve_workers(0) if self.federation.partition_backend == "process" else 1
@@ -850,14 +882,14 @@ class FederatedSystem(_RoutingCore):
         and partitions hold ascending contiguous cell blocks, so
         concatenating per-cell fields yields cell order.
         """
-        entries = sorted(
-            (entry for result in results for entry in result.log),
-            key=lambda entry: entry[0],
+        # Ranks are 0..N-1, each in one partition: a query's rank is its
+        # place in the merged log.
+        ranks = np.concatenate([np.asarray(r.ranks, dtype=np.int64) for r in results])
+        answers = [answer for result in results for answer in result.answers]
+        self._query_log = list(map(answers.__getitem__, np.argsort(ranks).tolist()))
+        self._failover_positions = sorted(
+            rank for result in results for rank in result.failover_ranks
         )
-        self._query_log = [answer for _, answer, _ in entries]
-        self._failover_positions = [
-            i for i, (_, _, is_failover) in enumerate(entries) if is_failover
-        ]
         self.routing = fold(RoutingCounters, [r.routing for r in results])
         self._coding = fold(CodingCounters, [r.coding for r in results])
         fault_events = sorted(
@@ -992,7 +1024,9 @@ class _PartitionResult:
     Per-cell fields are in the partition's (ascending) cell order.
     """
 
-    log: list[tuple[int, QueryAnswer, bool]]          # (global rank, answer, failover?)
+    ranks: list[int]                                  # each answer's global rank
+    answers: list[QueryAnswer]                        # in firing order
+    failover_ranks: list[int]                         # the ranks that failed over
     fault_events: list[tuple[int, FailoverEvent]]     # keyed by failure index
     routing: RoutingCounters
     coding: CodingCounters
@@ -1017,7 +1051,8 @@ class _CellPartition(_RoutingCore):
         self,
         context: _PartitionContext,
         cell_ids: list[int],
-        queries: list[tuple[int, Query]],
+        ranks: list[int],
+        queries: list[Query],
     ) -> None:
         super().__init__(
             context.trace,
@@ -1039,7 +1074,9 @@ class _CellPartition(_RoutingCore):
                 proxy_name=fc.name,
                 clock_model=context.clock_model,
             )
+        self._routes = self._route_rows()
         self._fault_events: list[tuple[int, FailoverEvent]] = []
+        self._ranks = ranks
         self._queries = queries
         self._sync_task: PeriodicTask | None = None
 
@@ -1048,9 +1085,10 @@ class _CellPartition(_RoutingCore):
 
         Standing queries are armed on the cells that own their sensors;
         then link changes, cell tasks, the replica-sync cadence, the fault
-        timeline and the partition's pre-routed queries are scheduled in
+        timeline and the partition's pre-routed queries are sequenced in
         that fixed order, so equal-time ties fire identically at every
-        partition count.
+        partition count.  The queries, in rank order, are the kernel's
+        stream (:meth:`Simulator.stream`), each routed at its ticket.
         """
         context = self.context
         for query in context.standing:
@@ -1087,10 +1125,15 @@ class _CellPartition(_RoutingCore):
             )
         for at_s, name in context.recoveries:
             self.sim.schedule(at_s, lambda n=name: self.directory.mark_up(n))
-        for _, query in self._queries:
-            self.sim.schedule(
-                query.arrival_time, lambda q=query: self.route_query(q)
-            )
+        queries = self._queries
+        self.sim.stream(
+            zip(
+                [query.arrival_time for query in queries],
+                self.sim.tickets(len(queries)),
+                queries,
+            ),
+            self.route_query,
+        )
 
     def _apply_failure(self, name: str, failure_index: int) -> None:
         """Replay one death: every partition marks the directory; only the
@@ -1120,14 +1163,11 @@ class _CellPartition(_RoutingCore):
         for cell in cells:
             cell.finalise(horizon)
         assert len(self._query_log) == len(self._queries)
-        failover_set = set(self._failover_positions)
-        log = [
-            (self._queries[i][0], answer, i in failover_set)
-            for i, answer in enumerate(self._query_log)
-        ]
         self._coding.decodes = self._fragments.decodes
         return _PartitionResult(
-            log=log,
+            ranks=self._ranks,
+            answers=self._query_log,
+            failover_ranks=[self._ranks[i] for i in self._failover_positions],
             fault_events=self._fault_events,
             routing=self.routing,
             coding=self._coding,
@@ -1145,17 +1185,17 @@ class _CellPartition(_RoutingCore):
 
 def _run_partition(
     context: _PartitionContext,
-    task: tuple[int, list[int], list[tuple[int, Query]]],
+    task: tuple[int, list[int], list[int], list[Query]],
 ) -> _PartitionResult:
     """One partition's whole life — the function every backend executes.
 
-    *task* is ``(partition index, cell ids, pre-routed queries)``.  Any
-    failure inside it is re-raised naming the partition, so a crash
+    *task* is ``(partition index, cell ids, ranks, pre-routed queries)``.
+    Any failure inside it is re-raised naming the partition, so a crash
     surfaces from :meth:`FederatedSystem.run` instead of being retried.
     """
-    index, cell_ids, queries = task
+    index, cell_ids, ranks, queries = task
     try:
-        partition = _CellPartition(context, cell_ids, queries)
+        partition = _CellPartition(context, cell_ids, ranks, queries)
         partition.setup()
         partition.sim.run_until(context.horizon)
         return partition.finish()

@@ -62,6 +62,7 @@ _COLUMNS: dict[str, tuple[type, float]] = {
     "_sample_j": (np.float64, 0.0),        # joules per reading
     "_check_j": (np.float64, 0.0),         # joules per check of the checker
     "_last_epoch": (np.int64, -1),         # epoch of the latest reading
+    "_samples": (np.int64, 0),             # readings taken
     "_room": (np.int64, 0),                # readings until the archive segment fills
     "_pending_from": (np.int64, 0),        # first epoch not yet handed to the archive
     "_activation": (np.int64, NEVER),      # epoch the pending model activates
@@ -81,6 +82,7 @@ class SensorFleet:
     _sample_j: np.ndarray
     _check_j: np.ndarray
     _last_epoch: np.ndarray
+    _samples: np.ndarray
     _room: np.ndarray
     _pending_from: np.ndarray
     _activation: np.ndarray
@@ -194,10 +196,12 @@ class SensorFleet:
             valid = values == values
             np.copyto(self._last_epoch, epoch, where=valid)
             self._room -= valid
+            self._samples += valid
         else:
             valid = True
             self._last_epoch.fill(epoch)
             self._room -= 1
+            self._samples += 1
         full = self._room == 0   # full archive segments
         pushed = np.zeros(values.size, dtype=bool)
         for bank in self._banks.values():
@@ -340,10 +344,7 @@ class SensorFleet:
 
     def samples(self, row: int) -> int:
         """Readings *row* has taken."""
-        if self.epoch < 0:
-            return 0
-        values = self._values[row, : self.epoch + 1]
-        return int(np.count_nonzero(values == values))
+        return int(self._samples[row])
 
     def last_reading(self, row: int) -> tuple[float, float] | None:
         """*row*'s latest ``(time, reading)``, if it has taken one."""

@@ -16,6 +16,7 @@ batching interval (bounded by how stale a NOW answer may be).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.config import PrestoConfig
@@ -40,14 +41,22 @@ class QueryProfile:
 
     def observe(self, query: Query) -> None:
         """Fold one query into the profile."""
-        self.count += 1
-        if query.kind is QueryKind.NOW:
-            self.now_count += 1
-        self.min_precision = min(self.min_precision, query.precision)
-        self.min_latency_bound_s = min(self.min_latency_bound_s, query.latency_bound_s)
+        self.fold([query])
+
+    def fold(self, queries: list[Query]) -> None:
+        """Fold *queries*, in arrival order, into the profile: what
+        observing them one by one leaves."""
+        if not queries:
+            return
+        self.count += len(queries)
+        self.now_count += [query.kind for query in queries].count(QueryKind.NOW)
+        self.min_precision = min([self.min_precision] + [q.precision for q in queries])
+        self.min_latency_bound_s = min(
+            [self.min_latency_bound_s] + [q.latency_bound_s for q in queries]
+        )
         if self._first_arrival is None:
-            self._first_arrival = query.arrival_time
-        self._last_arrival = query.arrival_time
+            self._first_arrival = queries[0].arrival_time
+        self._last_arrival = queries[-1].arrival_time
         span = (self._last_arrival - self._first_arrival) or 1.0
         if self.count > 1:
             self.arrival_rate_per_s = (self.count - 1) / span
@@ -88,12 +97,21 @@ class QuerySensorMatcher:
 
     def __init__(self, config: PrestoConfig) -> None:
         self.config = config
-        self.profile = QueryProfile()
+        self._profile = QueryProfile()
+        #: queries observed since the profile was last read
+        self._unfolded: list[Query] = []
+        #: feed one arriving query into the matcher's profile (it runs once
+        #: per query, so it is the list's own append)
+        self.observe_query: Callable[[Query], None] = self._unfolded.append
         self.retunes = 0
 
-    def observe_query(self, query: Query) -> None:
-        """Feed one arriving query into the matcher's profile."""
-        self.profile.observe(query)
+    @property
+    def profile(self) -> QueryProfile:
+        """The profile of every query observed so far: the queries observed
+        since the last read fold in now, in arrival order."""
+        self._profile.fold(self._unfolded)
+        self._unfolded.clear()
+        return self._profile
 
     def derive_operating_point(self) -> SensorOperatingPoint:
         """Best operating point for the current profile.

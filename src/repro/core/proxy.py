@@ -66,6 +66,9 @@ PROXY_PROCESSING_S = 0.02
 #: std multiplier compared against a query's precision bound
 CONFIDENCE_Z = 1.0
 
+#: a silent epoch's error is within ±delta, about uniform: std delta / √3
+_SQRT3 = np.sqrt(3.0)
+
 #: a delivered uplink's payload: a push's ``(sensor, epoch, reading, local
 #: time)``, or a batch's dict (``sensor``, ``timestamps``, ``values``,
 #: ``quant_step``)
@@ -451,7 +454,7 @@ class PrestoProxy:
         error bound is delta (≈ uniform, std = delta/√3), floored at the
         model's own one-step residual.
         """
-        std = max(tracker.predicted_std(), tracker.delta / np.sqrt(3.0))
+        std = max(tracker.predicted_std(), tracker.delta / _SQRT3)
         return max(std, 1e-6)
 
     def advance_to_now(self, sensor: int) -> None:
@@ -565,8 +568,12 @@ class PrestoProxy:
     def _confidence_ok(self, std: float, precision: float) -> bool:
         return std * CONFIDENCE_Z <= precision
 
+    # Each answer path runs after process_query's one drain: nothing can
+    # arrive within the query's own event, so it brings the cached view
+    # forward without draining again.
+
     def _answer_now(self, query: Query, sensor: int, routing_s: float) -> QueryAnswer:
-        self.advance_to_now(sensor)
+        self._bring_forward(sensor, self.current_epoch())
         return self._answer_point(
             query,
             sensor,
@@ -580,7 +587,7 @@ class PrestoProxy:
     ) -> QueryAnswer:
         target = min(query.target_time, self.sim.now)
         if target > self.epoch_time(self._states[sensor].last_epoch):
-            self.advance_to_now(sensor)
+            self._bring_forward(sensor, self.current_epoch())
         period = self.config.sample_period_s
         return self._answer_point(
             query,
@@ -604,16 +611,13 @@ class PrestoProxy:
         confident cached prediction, else a confident model estimate, else
         *pull*, which is handed the estimate to degrade to."""
         row = self.cache.entry_at(sensor, target, tolerance_s=self.config.sample_period_s)
-        if row is not None and (
-            row.is_actual or self._confidence_ok(row.std, query.precision)
-        ):
-            return QueryAnswer(
-                query=query,
-                value=row.value,
-                source=AnswerSource.CACHE if row.is_actual else AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S + routing_s,
-                believed_std=row.std,
-            )
+        if row is not None:
+            actual = row.is_actual
+            if actual or self._confidence_ok(row.std, query.precision):
+                source = AnswerSource.CACHE if actual else AnswerSource.PREDICTION
+                return QueryAnswer(
+                    query, row.value, source, PROXY_PROCESSING_S + routing_s, row.std
+                )
         if self.config.spatial_extrapolation:
             self.drain()  # a spatial estimate reads every sensor's cache
         estimate = self.engine.best_estimate(sensor, target, self.cache)
@@ -621,12 +625,9 @@ class PrestoProxy:
             estimate[0].std, query.precision
         ):
             value, method = estimate
+            source = AnswerSource.SPATIAL if method == "spatial" else AnswerSource.PREDICTION
             return QueryAnswer(
-                query=query,
-                value=value.value,
-                source=AnswerSource.SPATIAL if method == "spatial" else AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S + routing_s,
-                believed_std=value.std,
+                query, value.value, source, PROXY_PROCESSING_S + routing_s, value.std
             )
         return pull(estimate)
 
@@ -639,17 +640,11 @@ class PrestoProxy:
         coverage = coverage_fraction(
             values.size, start, end, self.config.sample_period_s
         )
-        worst_std = float(stds.max()) if stds.size else float("inf")
+        worst_std = float(np.maximum.reduce(stds)) if stds.size else float("inf")
         if coverage >= 0.9 and self._confidence_ok(worst_std, query.precision):
             value = aggregate(values, query.aggregate)
-            all_actual = bool((codes != PREDICTED_CODE).all())
-            return QueryAnswer(
-                query=query,
-                value=value,
-                source=AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION,
-                latency_s=PROXY_PROCESSING_S + routing_s,
-                believed_std=worst_std,
-            )
+            source = AnswerSource.CACHE if PREDICTED_CODE not in codes else AnswerSource.PREDICTION
+            return QueryAnswer(query, value, source, PROXY_PROCESSING_S + routing_s, worst_std)
         return self._pull_past(query, sensor, routing_s, start, end, fallback=None)
 
     # -- pull paths --------------------------------------------------------------------

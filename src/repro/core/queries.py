@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,12 @@ class AnswerSource(enum.Enum):
     FAILED = "failed"                  # could not answer within bounds
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
-    """Outcome of one query against a PRESTO cell or baseline."""
+class QueryAnswer(NamedTuple):
+    """Outcome of one query against a PRESTO cell or baseline.
+
+    Immutable and built once per query: a named tuple, which constructs
+    several times faster than a frozen dataclass and reads the same.
+    """
 
     query: Query
     value: float | None
@@ -95,33 +99,31 @@ def ground_truths(trace: TraceSet, queries: Sequence[Query]) -> list[float | Non
     window`` that the trace did not drop; all window bounds are located by
     one ``searchsorted`` per side.  ``None`` where there is nothing to
     compare against: a dropped reading, an empty window, or a sensor the
-    trace does not have.
+    trace does not have.  The log is classified as columns, not query by
+    query.
     """
     truths: list[float | None] = [None] * len(queries)
-    points: list[int] = []
-    targets: list[float] = []
-    windows: list[int] = []
-    for i, query in enumerate(queries):
-        if not 0 <= query.sensor < trace.n_sensors:
-            continue
-        if query.kind is QueryKind.NOW:
-            points.append(i)
-            targets.append(query.arrival_time)
-        elif query.kind is QueryKind.PAST_POINT:
-            points.append(i)
-            targets.append(query.target_time)
-        else:
-            windows.append(i)
+    if not queries:
+        return truths
+    kinds = [query.kind for query in queries]
+    now = np.array([kind is QueryKind.NOW for kind in kinds])
+    point = now | np.array([kind is QueryKind.PAST_POINT for kind in kinds])
+    sensors = np.array([query.sensor for query in queries], dtype=np.int64)
+    known = (sensors >= 0) & (sensors < trace.n_sensors)
+    targets = np.array([query.target_time for query in queries], dtype=np.float64)
     timestamps = trace.timestamps
-    if points:
-        clipped = np.minimum(targets, timestamps[-1])
+    points = np.flatnonzero(known & point)
+    if points.size:
+        arrivals = np.array([queries[i].arrival_time for i in points.tolist()], dtype=np.float64)
+        instants = np.where(now[points], arrivals, targets[points])
+        clipped = np.minimum(instants, timestamps[-1])
         epochs = np.searchsorted(timestamps, clipped, side="right") - 1
         np.clip(epochs, 0, trace.n_epochs - 1, out=epochs)
-        sensors = [queries[i].sensor for i in points]
-        for i, value in zip(points, trace.values[sensors, epochs].tolist()):
+        for i, value in zip(points.tolist(), trace.values[sensors[points], epochs].tolist()):
             truths[i] = None if value != value else value  # NaN: a dropped reading
+    windows = np.flatnonzero(known & ~point).tolist()
     if windows:
-        starts = np.array([queries[i].target_time for i in windows])
+        starts = targets[windows]
         ends = starts + np.array([queries[i].window_s for i in windows])
         lows = np.searchsorted(timestamps, starts, side="left").tolist()
         highs = np.searchsorted(timestamps, ends, side="right").tolist()

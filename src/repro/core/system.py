@@ -422,16 +422,15 @@ class PrestoSystem:
         duration_s: float | None = None,
     ) -> SystemReport:
         """Replay the trace (and queries) and collect the report."""
-        queries = queries or []
         horizon = duration_s if duration_s is not None else self.trace.config.duration_s
         self.cell.start_tasks()
+        due = [query for query in queries or [] if query.arrival_time < horizon]
         answers: list[QueryAnswer] = []
-        for query in queries:
-            if query.arrival_time < horizon:
-                self.sim.schedule(
-                    query.arrival_time,
-                    lambda q=query: answers.append(self.proxy.process_query(q, q.sensor)),
-                )
+        process, log = self.proxy.process_query, answers.append
+        self.sim.stream(
+            zip([query.arrival_time for query in due], self.sim.tickets(len(due)), due),
+            lambda query: log(process(query, query.sensor)),
+        )
         self.sim.run_until(horizon)
         self.cell.stop_tasks()
         self.cell.finalise(horizon)

@@ -83,19 +83,40 @@ class EnergyMeter:
 
     def since(self) -> Callable[[], float]:
         """A function giving the joules of the quantities recorded or
-        counted after this call, summed in the meter's order."""
-        before = {category: dict(units) for category, units in self._all_quantities().items()}
+        counted after this call, summed in the meter's order.
+
+        Only the quantities that moved are summed: a term that did not
+        move adds 0.0, which leaves the ordered sum bit-identical."""
+        before = self._flat()
 
         def spent() -> float:
+            moved: dict[str, dict[float, float]] = {}
+            for (category, unit_j), quantity in self._flat().items():
+                difference = quantity - before.get((category, unit_j), 0)
+                if difference:
+                    moved.setdefault(category, {})[unit_j] = difference
             return sum(
-                sum(
-                    (quantity - before.get(category, {}).get(unit_j, 0)) * unit_j
-                    for unit_j, quantity in sorted(units.items())
-                )
-                for category, units in sorted(self._all_quantities().items())
+                (
+                    sum((units[unit_j] * unit_j for unit_j in sorted(units)), 0.0)
+                    for _, units in sorted(moved.items())
+                ),
+                0.0,
             )
 
         return spent
+
+    def _flat(self) -> dict[tuple[str, float], float]:
+        """:meth:`_all_quantities` keyed by ``(category, joules per unit)``."""
+        flat = {
+            (category, unit_j): quantity
+            for category, units in self._quantities.items()
+            for unit_j, quantity in units.items()
+        }
+        for source in self.counted:
+            for category, unit_j, quantity in source():
+                key = (category, unit_j)
+                flat[key] = flat.get(key, 0) + quantity
+        return flat
 
     def _all_quantities(self) -> dict[str, dict[float, float]]:
         """The meter's quantities with every counted source's added."""

@@ -7,6 +7,13 @@ same instant always fire in scheduling order.  Determinism matters here
 because every PRESTO experiment (energy sweeps, architecture comparisons)
 must be exactly reproducible from a seed.
 
+Work known in full before a run starts — a workload's queries — need not
+enter the heap at all: :meth:`Simulator.stream` hands the kernel one sorted
+stream of ``(time, seq, item)`` entries, their sequence numbers taken with
+:meth:`Simulator.tickets` where the events would have been scheduled, and
+:meth:`Simulator.run_until` fires each entry where its event would have
+fired, merged with the heap by ``(time, seq)``.
+
 Typical usage::
 
     sim = Simulator()
@@ -19,8 +26,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable
+import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any, TypeVar
+
+#: what a stream entry carries to its callback
+Item = TypeVar("Item")
 
 
 class SimulationError(RuntimeError):
@@ -75,17 +87,17 @@ class EventQueue:
                 return event
         return None
 
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event without removing it."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0][0]
-        return None
+    def peek(self) -> tuple[float, int, Event] | None:
+        """The earliest live ``(time, seq, event)`` entry, left queued, or
+        ``None`` if empty."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
 
 class Simulator:
-    """Virtual clock plus event queue.
+    """Virtual clock plus event queue, and a stream of pre-sequenced entries.
 
     The clock unit is seconds throughout the repository.  The simulator never
     advances past the time horizon given to :meth:`run_until`, and events may
@@ -98,6 +110,11 @@ class Simulator:
         self._events_fired = 0
         self._running = False
         self._seq: float = math.inf   # the running event's; inf between events
+        #: the stream's ``(time, seq, item)`` entries in order, how many
+        #: have fired, and what fires one
+        self._stream: list[tuple[float, int, Any]] = []
+        self._streamed = 0
+        self._fire: Callable[[Any], object] = _unset
 
     @property
     def now(self) -> float:
@@ -106,7 +123,8 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of callbacks executed so far (for tests and stats)."""
+        """Number of callbacks executed so far, stream entries included
+        (for tests and stats)."""
         return self._events_fired
 
     @property
@@ -122,8 +140,34 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued."""
-        return len(self._queue)
+        """Number of live events still queued, and stream entries not fired."""
+        return len(self._queue) + len(self._stream) - self._streamed
+
+    def stream(
+        self, entries: Iterable[tuple[float, int, Item]], fire: Callable[[Item], object]
+    ) -> None:
+        """Fire ``fire(item)`` for each ``(time, seq, item)`` of *entries* at
+        ``(time, seq)``, as an event scheduled there would fire, without
+        queueing one.
+
+        Each ``seq`` must be a ticket (:meth:`tickets`), so entries and
+        events never tie.  :meth:`run_until` merges the stream with the
+        queue by ``(time, seq)`` — an event a callback schedules before the
+        next entry fires first — and an entry counts in :attr:`events_fired`
+        and :attr:`pending`.  One stream at a time: a new one may be given
+        between runs once the previous has fired.  Raises
+        :class:`SimulationError` for an entry in the past or at NaN.
+        """
+        if self._running or self._streamed < len(self._stream):
+            raise SimulationError("the kernel already holds an unfinished stream")
+        ordered = sorted(entries)
+        if not all(map(self._now.__le__, map(operator.itemgetter(0), ordered))):
+            raise SimulationError(
+                f"cannot stream an entry before t={self._now:.6f} or at NaN"
+            )
+        self._stream = ordered
+        self._streamed = 0
+        self._fire = fire
 
     def schedule(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* at absolute virtual *time*.
@@ -143,7 +187,8 @@ class Simulator:
         return self._queue.push(self._now + delay, callback)
 
     def run_until(self, horizon: float) -> None:
-        """Fire events in order until the queue drains or *horizon* is hit.
+        """Fire events and stream entries in ``(time, seq)`` order until
+        both run out or *horizon* is hit.
 
         On return the clock equals *horizon* (if reached) or the time of the
         last fired event.  Events scheduled exactly at the horizon fire.
@@ -152,20 +197,40 @@ class Simulator:
             raise SimulationError(
                 f"horizon {horizon:.6f} is before current time {self._now:.6f}"
             )
+        queue = self._queue
+        stream, fire, streamed = self._stream, self._fire, self._streamed
         self._running = True
         try:
             while True:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > horizon:
-                    break
-                event = self._queue.pop()
-                assert event is not None  # peek said there was one
-                self._now = event.time
-                self._seq = event.seq
-                event.callback()
+                # The live top is read afresh for every entry, so an event
+                # the last callback scheduled before the next entry fires
+                # first; entries and events never tie (distinct tickets).
+                top = queue.peek()
+                if streamed < len(stream) and (top is None or stream[streamed] < top):
+                    time, seq, item = stream[streamed]
+                    if time > horizon:
+                        break
+                    streamed += 1
+                    self._streamed = streamed
+                    self._now = time
+                    self._seq = seq
+                    fire(item)
+                else:
+                    if top is None or top[0] > horizon:
+                        break
+                    event = queue.pop()
+                    assert event is not None  # peek said there was one
+                    self._now = event.time
+                    self._seq = event.seq
+                    event.callback()
                 self._events_fired += 1
             self._now = max(self._now, horizon)
         finally:
             self._running = False
             self._seq = math.inf
+
+
+def _unset(item: object) -> None:
+    """The callback of a simulator that was never given a stream."""
+    raise SimulationError("no stream to fire")
 

@@ -1,6 +1,10 @@
 """Unit tests for query-sensor matching."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import PrestoConfig
 from repro.core.matching import QueryProfile, QuerySensorMatcher
@@ -45,6 +49,52 @@ class TestQueryProfile:
         profile.observe(make_query(arrival=100.0))
         profile.observe(make_query(arrival=200.0))
         assert profile.arrival_rate_per_s == pytest.approx(0.01)
+
+
+def observed_one_by_one(queries: list[Query]) -> QueryProfile:
+    """The profile as the per-query rule built it, one query at a time."""
+    profile = QueryProfile()
+    for query in queries:
+        profile.count += 1
+        if query.kind is QueryKind.NOW:
+            profile.now_count += 1
+        profile.min_precision = min(profile.min_precision, query.precision)
+        profile.min_latency_bound_s = min(profile.min_latency_bound_s, query.latency_bound_s)
+        if profile._first_arrival is None:
+            profile._first_arrival = query.arrival_time
+        profile._last_arrival = query.arrival_time
+        span = (profile._last_arrival - profile._first_arrival) or 1.0
+        if profile.count > 1:
+            profile.arrival_rate_per_s = (profile.count - 1) / span
+    return profile
+
+
+@given(
+    drawn=st.lists(
+        st.tuples(
+            st.sampled_from(list(QueryKind)),
+            st.floats(0.01, 5.0),
+            st.floats(0.1, 1_000.0),
+            st.floats(0.0, 10_000.0),
+        ),
+        max_size=12,
+    ),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+)
+def test_a_matcher_folds_its_queries_as_observing_them_one_by_one(drawn, cuts):
+    """The matcher folds the queries it observed when its profile is read;
+    however the reads fall, the profile is the per-query rule's."""
+    queries = [
+        make_query(kind, precision, latency, arrival)
+        for kind, precision, latency, arrival in sorted(drawn, key=lambda q: q[3])
+    ]
+    matcher = QuerySensorMatcher(PrestoConfig(sample_period_s=31.0))
+    for index, query in enumerate(queries):
+        if index in cuts:
+            matcher.profile  # noqa: B018  (a read folds what was observed)
+        matcher.observe_query(query)
+    expected = dataclasses.asdict(observed_one_by_one(queries))
+    assert dataclasses.asdict(matcher.profile) == expected
 
 
 class TestDerivation:

@@ -328,7 +328,7 @@ class TestFailover:
         system, report, kill_at = federated_run
         assert report.replica_syncs > 0
         context = system._context(system.trace.config.duration_s)
-        partition = _CellPartition(context, [0, 1, 2, 3], [])
+        partition = _CellPartition(context, [0, 1, 2, 3], [], [])
         partition.setup()
         partition.sim.run_until(kill_at)
         assert not partition.directory.proxy("proxy3").alive
@@ -589,7 +589,7 @@ class TestReplicaStaleness:
             seed=3,
         )
         # nothing has synced yet: a death right now has no replica to lean on
-        partition = _CellPartition(system._context(3600.0), [0, 1], [])
+        partition = _CellPartition(system._context(3600.0), [0, 1], [], [])
         assert partition._replica_staleness("proxy1") == float("inf")
         system.schedule_failure("proxy1", 0.0)
         assert system.run().fault_staleness_s == (float("inf"),)

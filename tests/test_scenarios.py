@@ -500,7 +500,7 @@ class TestRegionalLoss:
         count = runner._schedule_bursts(spec, system, 2)
         assert count == 3  # bursts at 7200, 14400, 21600
         partition = _CellPartition(
-            system._context(runner.config.duration_s), [0, 1], []
+            system._context(runner.config.duration_s), [0, 1], [], []
         )
         partition.setup()
 

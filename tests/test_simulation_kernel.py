@@ -39,12 +39,13 @@ class TestEventQueue:
         handle.cancel()
         assert len(q) == 1
 
-    def test_peek_time_skips_cancelled(self):
+    def test_peek_skips_cancelled(self):
         q = EventQueue()
         early = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        late = q.push(2.0, lambda: None)
         early.cancel()
-        assert q.peek_time() == 2.0
+        assert q.peek() == (2.0, late.seq, late)
+        assert q.pop() is late and q.peek() is None
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
@@ -140,3 +141,106 @@ class TestSimulator:
         sim.schedule(7.5, lambda: seen.append(sim.now))
         sim.run_until(100.0)
         assert seen == [7.5]
+
+
+class TestStream:
+    """Pre-sequenced entries fire where events holding their tickets would."""
+
+    def test_interleaves_with_events_by_time_then_ticket(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("event before"))
+        first, second = sim.tickets(2)
+        sim.schedule(1.0, lambda: fired.append("event after"))
+        sim.schedule(0.5, lambda: fired.append("early event"))
+        sim.stream([(1.0, second, "b"), (1.0, first, "a"), (2.0, sim.tickets(1)[0], "c")],
+                   fired.append)
+        sim.run_until(5.0)
+        assert fired == ["early event", "event before", "a", "b", "event after", "c"]
+
+    def test_position_now_and_count_read_as_for_an_event(self):
+        sim = Simulator()
+        seen = []
+        [ticket] = sim.tickets(1)
+        sim.stream([(3.0, ticket, None)],
+                   lambda _: seen.append((sim.now, sim.position, sim.events_fired)))
+        sim.schedule(1.0, lambda: None)
+        sim.run_until(5.0)
+        assert seen == [(3.0, (3.0, ticket), 1)]
+        assert sim.events_fired == 2 and sim.position == (5.0, float("inf"))
+
+    def test_horizon_cuts_the_stream_and_the_next_run_resumes_it(self):
+        sim = Simulator()
+        fired = []
+        sim.stream(zip([1.0, 2.0, 3.0], sim.tickets(3), "abc"), fired.append)
+        sim.run_until(2.0)
+        assert fired == ["a", "b"] and sim.pending == 1 and sim.now == 2.0
+        sim.run_until(2.5)
+        assert fired == ["a", "b"] and sim.pending == 1
+        sim.run_until(10.0)
+        assert fired == ["a", "b", "c"] and sim.pending == 0
+
+    def test_an_event_scheduled_by_an_entry_before_the_next_one_fires_between(self):
+        sim = Simulator()
+        fired = []
+
+        def fire(name):
+            fired.append(name)
+            if name == "a":
+                sim.schedule(1.5, lambda: fired.append("scheduled by a"))
+                sim.schedule(2.0, lambda: fired.append("tied with b, after it"))
+
+        sim.stream(zip([1.0, 2.0], sim.tickets(2), "ab"), fire)
+        sim.run_until(5.0)
+        assert fired == ["a", "scheduled by a", "b", "tied with b, after it"]
+
+    def test_pending_counts_unfired_entries_and_live_events(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.stream(zip([1.0, 2.0], sim.tickets(2), "ab"), lambda _: None)
+        assert sim.pending == 3
+        handle.cancel()
+        assert sim.pending == 2
+        sim.run_until(1.0)
+        assert sim.pending == 1
+
+    def test_cancelled_events_never_hold_back_the_stream(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.5, lambda: fired.append("cancelled")).cancel()
+        sim.stream(zip([1.0], sim.tickets(1), "a"), fired.append)
+        sim.run_until(5.0)
+        assert fired == ["a"] and sim.events_fired == 1
+
+    def test_entries_in_the_past_or_at_nan_raise(self):
+        sim = Simulator()
+        sim.run_until(10.0)
+        with pytest.raises(SimulationError):
+            sim.stream([(5.0, sim.tickets(1)[0], "a")], print)
+        with pytest.raises(SimulationError):
+            sim.stream([(float("nan"), sim.tickets(1)[0], "a")], print)
+
+    def test_one_stream_at_a_time(self):
+        sim = Simulator()
+        sim.stream(zip([1.0, 3.0], sim.tickets(2), "ab"), lambda _: None)
+        with pytest.raises(SimulationError):
+            sim.stream(zip([2.0], sim.tickets(1), "c"), lambda _: None)
+        sim.run_until(5.0)
+        fired = []
+        sim.stream(zip([6.0], sim.tickets(1), "c"), fired.append)
+        sim.run_until(7.0)
+        assert fired == ["c"]
+
+    def test_an_entry_may_not_start_a_stream(self):
+        sim = Simulator()
+        errors = []
+
+        def fire(_):
+            try:
+                sim.stream([(2.0, sim.tickets(1)[0], "b")], print)
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.stream([(1.0, sim.tickets(1)[0], "a")], fire)
+        sim.run_until(5.0)
+        assert len(errors) == 1
