@@ -468,7 +468,7 @@ class SummaryCache:
         stds = np.asarray(stds, dtype=np.float64)   # 0-d: one for all rows
         codes = np.asarray(codes, dtype=np.int8)
         shape = timestamps.shape
-        if values.shape != shape or {stds.shape, codes.shape} - {(), shape}:
+        if values.shape != shape or stds.shape not in ((), shape) or codes.shape not in ((), shape):
             raise ValueError(
                 f"run of {shape} timestamps with values {values.shape}, "
                 f"stds {stds.shape} and codes {codes.shape}"

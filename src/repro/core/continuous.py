@@ -174,7 +174,7 @@ class ContinuousQueryEngine:
         history moves to the last fresh row, or else to the refinement.
         """
         latest = self._latest_ts.get(sensor, -math.inf)
-        stale = int(times.searchsorted(latest, side="right"))
+        stale = 0 if times[0] > latest else int(times.searchsorted(latest, side="right"))
         if stale:
             stale_codes = (
                 codes[:stale]

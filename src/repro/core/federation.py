@@ -762,15 +762,19 @@ class FederatedSystem(_RoutingCore):
         horizon = float(
             duration_s if duration_s is not None else self.trace.config.duration_s
         )
-        due = sorted(
-            [query for query in queries or [] if query.arrival_time < horizon],
-            key=operator.attrgetter("arrival_time"),
+        # The queries due before the horizon in arrival order, ties in
+        # submission order: each one's rank is its place in *due*.
+        queries = queries or []
+        arrivals = np.fromiter(
+            map(operator.attrgetter("arrival_time"), queries), np.float64, len(queries)
         )
-        # Each query's rank is its place in *due*.  Sensor ids are checked
-        # here, once: a sensor the trace does not have has no owner, and
-        # partition 0 answers it unroutable at its rank.
+        kept = np.flatnonzero(arrivals < horizon)
+        order = kept[np.argsort(arrivals[kept], kind="stable")]
+        due = list(map(queries.__getitem__, order.tolist()))
+        # Sensor ids are checked here, once: a sensor the trace does not
+        # have has no owner, and partition 0 answers it unroutable.
         n = self.trace.n_sensors
-        sensors = np.array([query.sensor for query in due], dtype=np.int64)
+        sensors = np.fromiter(map(operator.attrgetter("sensor"), due), np.int64, len(due))
         known = (sensors >= 0) & (sensors < n)
         part_of_sensor = np.array(
             [self._part_of_cell[self._by_name[name].cell_id] for name, _ in self._route],
@@ -782,7 +786,7 @@ class FederatedSystem(_RoutingCore):
         tasks = []
         for p, cell_ids in enumerate(self._assign):
             ranks = np.flatnonzero(parts == p).tolist()
-            tasks.append((p, cell_ids, ranks, [due[rank] for rank in ranks]))
+            tasks.append((p, cell_ids, ranks, list(map(due.__getitem__, ranks))))
         # One worker per core at most; the context (trace included) ships
         # to each worker once, each task only its cell ids and queries.
         workers = resolve_workers(0) if self.federation.partition_backend == "process" else 1

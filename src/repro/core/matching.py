@@ -16,7 +16,6 @@ batching interval (bounded by how stale a NOW answer may be).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.config import PrestoConfig
@@ -100,10 +99,11 @@ class QuerySensorMatcher:
         self._profile = QueryProfile()
         #: queries observed since the profile was last read
         self._unfolded: list[Query] = []
-        #: feed one arriving query into the matcher's profile (it runs once
-        #: per query, so it is the list's own append)
-        self.observe_query: Callable[[Query], None] = self._unfolded.append
         self.retunes = 0
+
+    def observe_query(self, query: Query) -> None:
+        """Feed one arriving query into the matcher's profile."""
+        self._unfolded.append(query)
 
     @property
     def profile(self) -> QueryProfile:

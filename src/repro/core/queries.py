@@ -17,8 +17,10 @@ within precision and latency", so Table 1's rows share their columns.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -102,20 +104,24 @@ def ground_truths(trace: TraceSet, queries: Sequence[Query]) -> list[float | Non
     trace does not have.  The log is classified as columns, not query by
     query.
     """
-    truths: list[float | None] = [None] * len(queries)
+    n = len(queries)
+    truths: list[float | None] = [None] * n
     if not queries:
         return truths
-    kinds = [query.kind for query in queries]
-    now = np.array([kind is QueryKind.NOW for kind in kinds])
-    point = now | np.array([kind is QueryKind.PAST_POINT for kind in kinds])
-    sensors = np.array([query.sensor for query in queries], dtype=np.int64)
+
+    def column(name: str, dtype: type) -> np.ndarray:
+        return np.fromiter(map(operator.attrgetter(name), queries), dtype, n)
+
+    kinds = list(map(operator.attrgetter("kind"), queries))
+    now = np.fromiter(map(operator.is_, kinds, repeat(QueryKind.NOW)), bool, n)
+    point = now | np.fromiter(map(operator.is_, kinds, repeat(QueryKind.PAST_POINT)), bool, n)
+    sensors = column("sensor", np.int64)
     known = (sensors >= 0) & (sensors < trace.n_sensors)
-    targets = np.array([query.target_time for query in queries], dtype=np.float64)
+    targets = column("target_time", np.float64)
     timestamps = trace.timestamps
     points = np.flatnonzero(known & point)
     if points.size:
-        arrivals = np.array([queries[i].arrival_time for i in points.tolist()], dtype=np.float64)
-        instants = np.where(now[points], arrivals, targets[points])
+        instants = np.where(now, column("arrival_time", np.float64), targets)[points]
         clipped = np.minimum(instants, timestamps[-1])
         epochs = np.searchsorted(timestamps, clipped, side="right") - 1
         np.clip(epochs, 0, trace.n_epochs - 1, out=epochs)

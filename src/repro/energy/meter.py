@@ -85,38 +85,45 @@ class EnergyMeter:
         """A function giving the joules of the quantities recorded or
         counted after this call, summed in the meter's order.
 
-        Only the quantities that moved are summed: a term that did not
-        move adds 0.0, which leaves the ordered sum bit-identical."""
-        before = self._flat()
+        Each side reads the meter's own quantities and every counted
+        source once, as lists of counts; a list that reads the same on both
+        sides moved nothing and is skipped whole.  Only the terms that
+        moved are summed: one that did not adds 0.0, which leaves the
+        ordered sum bit-identical.  (Sources count whole units, so a
+        quantity's moves add up exactly across the lists that hold it.)"""
+        before = self._reads()
 
         def spent() -> float:
-            moved: dict[str, dict[float, float]] = {}
-            for (category, unit_j), quantity in self._flat().items():
-                difference = quantity - before.get((category, unit_j), 0)
+            moved: dict[tuple[str, float], float] = {}
+            for then, now in zip(before, self._reads()):
+                if now == then:
+                    continue
+                for sign, counts in ((1, now), (-1, then)):
+                    for category, unit_j, quantity in counts:
+                        key = (category, unit_j)
+                        moved[key] = moved.get(key, 0) + sign * quantity
+            by_category: dict[str, dict[float, float]] = {}
+            for (category, unit_j), difference in moved.items():
                 if difference:
-                    moved.setdefault(category, {})[unit_j] = difference
+                    by_category.setdefault(category, {})[unit_j] = difference
             return sum(
                 (
                     sum((units[unit_j] * unit_j for unit_j in sorted(units)), 0.0)
-                    for _, units in sorted(moved.items())
+                    for _, units in sorted(by_category.items())
                 ),
                 0.0,
             )
 
         return spent
 
-    def _flat(self) -> dict[tuple[str, float], float]:
-        """:meth:`_all_quantities` keyed by ``(category, joules per unit)``."""
-        flat = {
-            (category, unit_j): quantity
+    def _reads(self) -> list[list[Count]]:
+        """The meter's own quantities, then each counted source's counts."""
+        own = [
+            (category, unit_j, quantity)
             for category, units in self._quantities.items()
             for unit_j, quantity in units.items()
-        }
-        for source in self.counted:
-            for category, unit_j, quantity in source():
-                key = (category, unit_j)
-                flat[key] = flat.get(key, 0) + quantity
-        return flat
+        ]
+        return [own, *(list(source()) for source in self.counted)]
 
     def _all_quantities(self) -> dict[str, dict[float, float]]:
         """The meter's quantities with every counted source's added."""

@@ -114,7 +114,7 @@ class Simulator:
         #: have fired, and what fires one
         self._stream: list[tuple[float, int, Any]] = []
         self._streamed = 0
-        self._fire: Callable[[Any], object] = _unset
+        self._fire: Callable[[Any], object] = print   # never called on no entries
 
     @property
     def now(self) -> float:
@@ -229,8 +229,4 @@ class Simulator:
             self._running = False
             self._seq = math.inf
 
-
-def _unset(item: object) -> None:
-    """The callback of a simulator that was never given a stream."""
-    raise SimulationError("no stream to fire")
 
