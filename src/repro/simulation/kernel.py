@@ -114,7 +114,7 @@ class Simulator:
         #: have fired, and what fires one
         self._stream: list[tuple[float, int, Any]] = []
         self._streamed = 0
-        self._fire: Callable[[Any], object] = print   # never called on no entries
+        self._fire: Callable[[Any], object] = lambda item: None   # no stream yet
 
     @property
     def now(self) -> float:
