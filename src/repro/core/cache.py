@@ -127,20 +127,16 @@ def _nearest_position(times: np.ndarray, timestamp: float, tolerance_s: float) -
     matching the original bisect implementation.  :func:`_nearest_positions`
     is the same rule over a whole grid.
     """
-    last = times.size - 1
-    if last >= 0 and timestamp >= times[last]:
-        # At or past the tail (a NOW read): the tail is the one candidate.
-        return last if abs(float(times[last]) - timestamp) <= tolerance_s else None
+    n = times.size
     position = int(times.searchsorted(timestamp, side="left"))
-    candidate = max(position - 1, 0)
     best: int | None = None
     best_gap = tolerance_s
-    for instant in times[candidate : position + 1].tolist():
-        gap = abs(instant - timestamp)
-        if gap <= best_gap:
-            best_gap = gap
-            best = candidate
-        candidate += 1
+    for candidate in (position - 1, position):
+        if 0 <= candidate < n:
+            gap = abs(float(times[candidate]) - timestamp)
+            if gap <= best_gap:
+                best_gap = gap
+                best = candidate
     return best
 
 
@@ -178,14 +174,7 @@ def _entry(
     )
 
 
-#: the ufuncs' own reductions, not the ``np.*`` or method wrappers: a window
-#: is short, and the wrappers cost more than the reduction.  A mean is
-#: ``np.mean``'s sum and division, in that order.
-_REDUCERS = {
-    "mean": lambda values: np.add.reduce(values) / values.size,
-    "min": np.minimum.reduce,
-    "max": np.maximum.reduce,
-}
+_REDUCERS = {"mean": np.mean, "min": np.min, "max": np.max}
 
 
 def aggregate(values: np.ndarray, kind: str) -> float:
@@ -324,19 +313,15 @@ class _Column:
         if timestamps[0] < self.written_from:
             self.written_from = float(timestamps[0])
         count = timestamps.size
-        end = self.start + self.length
-        if self.length == 0 or timestamps[0] > self.times[end - 1]:
+        if self.length == 0 or timestamps[0] > self.times[self.end - 1]:
             self.reserve(count)
-            end = self.start + self.length
-            tail = slice(end, end + count)
+            tail = slice(self.end, self.end + count)
             self.times[tail] = timestamps
             self.values[tail] = values
             self.stds[tail] = stds
             self.codes[tail] = codes
             self.length += count
             return count, 0
-        if count == 1:
-            return self._merge_one(timestamps[0], values[0], stds.item(), codes.item())
         stds = np.full(timestamps.shape, stds)
         codes = np.full(timestamps.shape, codes)
         times, vals, sds, cached_codes = self.views()
@@ -376,35 +361,6 @@ class _Column:
                 array[lo : lo + merged] = merged_column
             self.length = merged
         return inserted, refined
-
-    def _merge_one(
-        self, timestamp: float, value: float, std: float, code: int
-    ) -> tuple[int, int]:
-        """:meth:`write`'s merge of a one-row run, cell by cell: refine the
-        row at *timestamp* (never degrading an actual), or insert one."""
-        start, end = self.start, self.end
-        position = start + int(self.times[start:end].searchsorted(timestamp, side="left"))
-        if position < end and self.times[position] == timestamp:
-            new_actual = code != PREDICTED_CODE
-            existing_actual = self.codes[position] != PREDICTED_CODE
-            if new_actual or not existing_actual:
-                self.values[position] = value
-                self.stds[position] = std
-                self.codes[position] = code
-            return 0, int(new_actual and not existing_actual)
-        self.reserve(1)   # may move the live region to the front
-        position -= start - self.start
-        end = self.end
-        for array, cell in (
-            (self.times, timestamp),
-            (self.values, value),
-            (self.stds, std),
-            (self.codes, code),
-        ):
-            array[position + 1 : end + 1] = array[position:end]   # overlap-safe
-            array[position] = cell
-        self.length += 1
-        return 1, 0
 
 
 #: what every read sees for a sensor with nothing cached (never written)
@@ -468,7 +424,7 @@ class SummaryCache:
         stds = np.asarray(stds, dtype=np.float64)   # 0-d: one for all rows
         codes = np.asarray(codes, dtype=np.int8)
         shape = timestamps.shape
-        if values.shape != shape or stds.shape not in ((), shape) or codes.shape not in ((), shape):
+        if values.shape != shape or {stds.shape, codes.shape} - {(), shape}:
             raise ValueError(
                 f"run of {shape} timestamps with values {values.shape}, "
                 f"stds {stds.shape} and codes {codes.shape}"
@@ -476,7 +432,7 @@ class SummaryCache:
         count = timestamps.size
         if count == 0:
             return 0
-        if count > 1 and not np.logical_and.reduce(timestamps[1:] > timestamps[:-1]):
+        if count > 1 and not (timestamps[1:] > timestamps[:-1]).all():
             raise ValueError("a cache write must be a strictly ascending run")
         column = self._columns.get(sensor)
         if column is None:
@@ -505,13 +461,12 @@ class SummaryCache:
         """Row nearest *timestamp* within ±*tolerance_s*, or None."""
         column = self._columns.get(sensor, _EMPTY)
         start = column.start
-        times = column.times
-        position = _nearest_position(times[start : start + column.length], timestamp, tolerance_s)
+        position = _nearest_position(column.times[start : column.end], timestamp, tolerance_s)
         if position is None:
             return None
         position += start
         return CacheRow(
-            float(times[position]),
+            float(column.times[position]),
             float(column.values[position]),
             float(column.stds[position]),
             int(column.codes[position]),

@@ -139,59 +139,20 @@ class ContinuousQueryEngine:
           "rare events are never missed" forbids dropping it.  A late row
           still never rewinds the history.
 
-        Skipped rows count in ``stale_entries_skipped``.  On a sensor no
-        query watches the rule is applied to the run as columns
-        (:meth:`_on_unwatched_run`).
+        Skipped rows count in ``stale_entries_skipped``.  A run newer than
+        everything seen, on a sensor no query watches, moves straight to
+        its last row: every row of it is fresh.
         """
         queries = self._watching.get(sensor, ())
-        if not queries:
-            self._on_unwatched_run(sensor, times, values, codes)
+        if not queries and times[0] > self._latest_ts.get(sensor, -math.inf):
+            self._latest_ts[sensor] = float(times[-1])
+            self._last_value[sensor] = float(values[-1])
             return []
         first_new = len(self.notifications)
-        per_row = isinstance(codes, np.ndarray) and codes.ndim
-        rows = zip(
-            times.tolist(),
-            values.tolist(),
-            codes.tolist() if per_row else [int(codes)] * len(times),
-        )
+        rows = zip(times.tolist(), values.tolist(), np.broadcast_to(codes, len(times)).tolist())
         for timestamp, value, code in rows:
             self._on_row(sensor, queries, timestamp, value, code)
         return self.notifications[first_new:]
-
-    def _on_unwatched_run(
-        self,
-        sensor: int,
-        times: np.ndarray,
-        values: np.ndarray,
-        codes: np.ndarray | int,
-    ) -> None:
-        """:meth:`on_run`'s rule on a sensor no query watches, as columns.
-
-        The run ascends, so its rows at or before the latest timestamp come
-        first and every row after them is fresh.  Of those stale rows only
-        an actual at exactly the latest timestamp (the last of them, if
-        any) is a refinement; the others are skipped unless PUSHED.  The
-        history moves to the last fresh row, or else to the refinement.
-        """
-        latest = self._latest_ts.get(sensor, -math.inf)
-        stale = 0 if times[0] > latest else int(times.searchsorted(latest, side="right"))
-        if stale:
-            stale_codes = (
-                codes[:stale]
-                if isinstance(codes, np.ndarray) and codes.ndim
-                else np.full(stale, codes, dtype=np.int8)
-            )
-            last_code = int(stale_codes[-1])
-            refined = times[stale - 1] == latest and last_code != PREDICTED_CODE
-            skipped = int(np.count_nonzero(stale_codes != PUSHED_CODE))
-            if refined and last_code != PUSHED_CODE:
-                skipped -= 1
-            self.stale_entries_skipped += skipped
-            if refined and stale == times.size:
-                self._last_value[sensor] = float(values[stale - 1])
-        if stale < times.size:
-            self._latest_ts[sensor] = float(times[-1])
-            self._last_value[sensor] = float(values[-1])
 
     def _on_row(
         self,

@@ -138,7 +138,8 @@ class PredictionEngine:
         gap_epochs = max(int(abs(target_time - latest.timestamp) / period), 1)
         if model is not None:
             try:
-                std = model.forecast_std(min(gap_epochs, 4096))
+                forecast = model.forecast(min(gap_epochs, 4096))
+                std = float(forecast.std[-1])
             except (RuntimeError, ValueError):
                 std = (latest.std or 0.1) * np.sqrt(gap_epochs)
             # anchor on the cached value rather than the stale stream state

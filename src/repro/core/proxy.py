@@ -66,9 +66,6 @@ PROXY_PROCESSING_S = 0.02
 #: std multiplier compared against a query's precision bound
 CONFIDENCE_Z = 1.0
 
-#: a silent epoch's error is within ±delta, about uniform: std delta / √3
-_SQRT3 = np.sqrt(3.0)
-
 #: a delivered uplink's payload: a push's ``(sensor, epoch, reading, local
 #: time)``, or a batch's dict (``sensor``, ``timestamps``, ``values``,
 #: ``quant_step``)
@@ -454,13 +451,8 @@ class PrestoProxy:
         error bound is delta (≈ uniform, std = delta/√3), floored at the
         model's own one-step residual.
         """
-        std = max(tracker.predicted_std(), tracker.delta / _SQRT3)
+        std = max(tracker.predicted_std(), tracker.delta / np.sqrt(3.0))
         return max(std, 1e-6)
-
-    def advance_to_now(self, sensor: int) -> None:
-        """Bring *sensor*'s cached view up to the current epoch."""
-        self.drain(sensor)
-        self._bring_forward(sensor, self.current_epoch())
 
     # -- model refit & dissemination ---------------------------------------------------
 
@@ -640,10 +632,11 @@ class PrestoProxy:
         coverage = coverage_fraction(
             values.size, start, end, self.config.sample_period_s
         )
-        worst_std = float(np.maximum.reduce(stds)) if stds.size else float("inf")
+        worst_std = float(stds.max()) if stds.size else float("inf")
         if coverage >= 0.9 and self._confidence_ok(worst_std, query.precision):
             value = aggregate(values, query.aggregate)
-            source = AnswerSource.CACHE if PREDICTED_CODE not in codes else AnswerSource.PREDICTION
+            all_actual = bool((codes != PREDICTED_CODE).all())
+            source = AnswerSource.CACHE if all_actual else AnswerSource.PREDICTION
             return QueryAnswer(query, value, source, PROXY_PROCESSING_S + routing_s, worst_std)
         return self._pull_past(query, sensor, routing_s, start, end, fallback=None)
 

@@ -72,11 +72,6 @@ class TimeSeriesModel(abc.ABC):
     def forecast(self, steps: int) -> Forecast:
         """Forecast the next *steps* epochs after the training window."""
 
-    def forecast_std(self, steps: int) -> float:
-        """The std of the *steps*-th forecast step: ``forecast(steps).std[-1]``
-        (a family may work it out without the means)."""
-        return float(self.forecast(steps).std[-1])
-
     @abc.abstractmethod
     def predict_next(self) -> float:
         """One-step-ahead prediction given everything observed so far."""

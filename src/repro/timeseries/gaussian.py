@@ -26,9 +26,6 @@ class MultivariateGaussianModel:
         self.regularization = float(regularization)
         self._mean: np.ndarray | None = None
         self._cov: np.ndarray | None = None
-        #: per observed index set, what conditioning on it needs besides
-        #: the observed values: worked out once per fit
-        self._given: dict[tuple[int, ...], tuple] = {}
 
     @property
     def n_sensors(self) -> int:
@@ -51,7 +48,6 @@ class MultivariateGaussianModel:
         centred = readings - self._mean
         self._cov = (centred.T @ centred) / (samples - 1)
         self._cov = self._cov + self.regularization * np.eye(sensors)
-        self._given = {}
         return self
 
     def _require_fit(self) -> tuple[np.ndarray, np.ndarray]:
@@ -75,49 +71,32 @@ class MultivariateGaussianModel:
         returns empty arrays.
         """
         mean, cov = self._require_fit()
-        observed_idx = tuple(sorted(observed))
-        given = self._given.get(observed_idx)
-        if given is None:
-            given = self._given[observed_idx] = self._conditional(mean, cov, observed_idx)
-        hidden_idx, mu_h, mu_o, sigma_ho, sigma_oo, cond_std = given
+        n = mean.shape[0]
+        observed_idx = sorted(observed)
+        for index in observed_idx:
+            if index < 0 or index >= n:
+                raise IndexError(f"sensor index {index} out of range 0..{n - 1}")
+        hidden_idx = [i for i in range(n) if i not in observed]
         if not hidden_idx:
             return np.zeros(0), np.zeros(0), []
         if not observed_idx:
-            return mu_h.copy(), cond_std, list(hidden_idx)
+            stds = np.sqrt(np.clip(np.diag(cov)[hidden_idx], 0.0, None))
+            return mean[hidden_idx].copy(), stds, hidden_idx
+
+        mu_h = mean[hidden_idx]
+        mu_o = mean[observed_idx]
+        sigma_hh = cov[np.ix_(hidden_idx, hidden_idx)]
+        sigma_ho = cov[np.ix_(hidden_idx, observed_idx)]
+        sigma_oo = cov[np.ix_(observed_idx, observed_idx)]
         delta = np.asarray(
             [observed[i] for i in observed_idx], dtype=np.float64
         ) - mu_o
         solve = np.linalg.solve(sigma_oo, delta)
         cond_mean = mu_h + sigma_ho @ solve
-        return cond_mean, cond_std, list(hidden_idx)
-
-    @staticmethod
-    def _conditional(
-        mean: np.ndarray, cov: np.ndarray, observed_idx: tuple[int, ...]
-    ) -> tuple:
-        """What :meth:`condition` on *observed_idx* needs besides the
-        observed values: the hidden indices, the blocks of the mean and
-        covariance, and the conditional stds (read-only), which depend on
-        which sensors are observed and not on their values."""
-        n = mean.shape[0]
-        for index in observed_idx:
-            if index < 0 or index >= n:
-                raise IndexError(f"sensor index {index} out of range 0..{n - 1}")
-        hidden_idx = [i for i in range(n) if i not in observed_idx]
-        mu_h = mean[hidden_idx]
-        if not hidden_idx or not observed_idx:
-            cond_std = np.sqrt(np.clip(np.diag(cov)[hidden_idx], 0.0, None))
-            cond_std.flags.writeable = False
-            return hidden_idx, mu_h, None, None, None, cond_std
-        mu_o = mean[list(observed_idx)]
-        sigma_hh = cov[np.ix_(hidden_idx, hidden_idx)]
-        sigma_ho = cov[np.ix_(hidden_idx, observed_idx)]
-        sigma_oo = cov[np.ix_(observed_idx, observed_idx)]
         gain = np.linalg.solve(sigma_oo, sigma_ho.T)
         cond_cov = sigma_hh - sigma_ho @ gain
         cond_std = np.sqrt(np.clip(np.diag(cond_cov), 0.0, None))
-        cond_std.flags.writeable = False
-        return hidden_idx, mu_h, mu_o, sigma_ho, sigma_oo, cond_std
+        return cond_mean, cond_std, hidden_idx
 
     def estimate(self, sensor: int, observed: dict[int, float]) -> tuple[float, float]:
         """Conditional ``(mean, std)`` of one sensor given the others.

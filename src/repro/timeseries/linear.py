@@ -164,13 +164,6 @@ class LinearRecursion(TimeSeriesModel):
         std = self._sigma * np.sqrt(np.cumsum(self._psi_weights(steps) ** 2))
         return Forecast(mean=mean, std=std)
 
-    def forecast_std(self, steps: int) -> float:
-        """:meth:`forecast`'s last std, from the psi weights alone."""
-        self._require_fit()
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        return float(self._sigma * np.sqrt(np.cumsum(self._psi_weights(steps) ** 2))[-1])
-
     def _psi_weights(self, count: int) -> np.ndarray:
         """psi_0..psi_(count-1) of ``theta(B) / (phi(B) prod (1 - B^s))``:
         the ARMA recursion, then each factor integrated in."""

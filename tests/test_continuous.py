@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from proxy_steps import catch_up
 from reference_continuous import PerEntryQueryEngine
 
 from repro.core import PrestoConfig, PrestoSystem
@@ -359,7 +360,7 @@ def test_pull_reply_counts_stale_rows_armed_or_not():
     epoch = proxy.current_epoch()
     counts = []
     for sensor in (0, 1):
-        proxy.advance_to_now(sensor)
+        catch_up(proxy, sensor)
         assert proxy._states[sensor].last_epoch == epoch
         times = proxy.epoch_time(np.arange(epoch - 5, epoch + 3))
         before = proxy.continuous.stale_entries_skipped

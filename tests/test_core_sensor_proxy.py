@@ -9,6 +9,7 @@ directly drains it first.
 import numpy as np
 import pytest
 
+from proxy_steps import catch_up
 from repro.core.cache import PREDICTED_CODE, PUSHED_CODE, EntrySource
 from repro.core.config import PrestoConfig
 from repro.core.proxy import PrestoProxy
@@ -109,7 +110,7 @@ class TestModelLifecycle:
         feed(sim, sensors, [more, more], start_epoch=100)
         assert sensors[0].checker is not None
         # proxy-side activation is lazy: it happens at the next query/advance
-        proxy.advance_to_now(0)
+        catch_up(proxy, 0)
         assert proxy._states[0].tracker is not None
         # the silent epochs since activation were substituted into the cache
         assert proxy._states[0].last_epoch >= 130
@@ -256,7 +257,7 @@ class TestOperatingPointControl:
         assert proxy.current_epoch() < update.activation_epoch
         more = values[-1] + np.cumsum(rng.normal(0, 0.05, 40))
         feed(sim, sensors, [more, more], start_epoch=100)
-        proxy.advance_to_now(0)
+        catch_up(proxy, 0)
         checker, tracker = sensors[0].checker, proxy._states[0].tracker
         assert checker.update is update and tracker is not None
         assert checker.delta == tracker.delta == point.push_delta
@@ -310,7 +311,7 @@ class TestBatchTrackerSync:
         assert proxy.refit_sensor(0)
         more = values[-1] + np.cumsum(rng.normal(0, 0.05, 40))
         feed(sim, sensors, [more, more], start_epoch=100)
-        proxy.advance_to_now(0)
+        catch_up(proxy, 0)
         state = proxy._states[0]
         assert state.tracker is not None
         return sim, proxy, state

@@ -7,6 +7,7 @@ assert the documented degradation (never a crash, never silent corruption).
 
 import numpy as np
 
+from proxy_steps import catch_up
 from repro.core import PrestoConfig, PrestoSystem
 from repro.core.queries import AnswerSource
 from repro.radio.link import LinkConfig
@@ -79,7 +80,7 @@ class TestSensingDropouts:
             state = system.proxy._states[sensor.sensor_id]
             if sensor.checker is None or state.tracker is None:
                 continue
-            system.proxy.advance_to_now(sensor.sensor_id)
+            catch_up(system.proxy, sensor.sensor_id)
             # both replicas predict for adjacent epochs: values must be
             # within one epoch's worth of drift, not diverged
             sensor_next = sensor.checker._model.predict_next()

@@ -96,34 +96,3 @@ class TestConditioning:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MultivariateGaussianModel().marginal(0)
-
-
-def conditioned_afresh(mean, cov, observed):
-    """Conditioning worked out in full on every call, as it was before the
-    observed-set blocks were kept between calls."""
-    observed_idx = sorted(observed)
-    hidden_idx = [i for i in range(mean.shape[0]) if i not in observed]
-    sigma_hh = cov[np.ix_(hidden_idx, hidden_idx)]
-    sigma_ho = cov[np.ix_(hidden_idx, observed_idx)]
-    sigma_oo = cov[np.ix_(observed_idx, observed_idx)]
-    delta = np.asarray([observed[i] for i in observed_idx], dtype=np.float64) - mean[observed_idx]
-    cond_mean = mean[hidden_idx] + sigma_ho @ np.linalg.solve(sigma_oo, delta)
-    cond_cov = sigma_hh - sigma_ho @ np.linalg.solve(sigma_oo, sigma_ho.T)
-    return cond_mean, np.sqrt(np.clip(np.diag(cond_cov), 0.0, None)), hidden_idx
-
-
-def test_kept_blocks_condition_as_worked_out_afresh(correlated_readings, rng):
-    """Each observed set's blocks are worked out once per fit and reused;
-    every call still equals conditioning in full, bit for bit, across
-    repeated sets, new values and a refit."""
-    model = MultivariateGaussianModel()
-    for half in (correlated_readings[:1000], correlated_readings[1000:]):
-        model.fit(half)
-        mean, cov = model._mean, model._cov
-        for observed_idx in [(1,), (1, 2), (0, 3), (1,), (1, 2), (3, 1, 2)]:
-            observed = {i: float(v) for i, v in zip(observed_idx, rng.normal(20.0, 1.0, 3))}
-            got = model.condition(observed)
-            expected = conditioned_afresh(mean, cov, observed)
-            assert got[0].tobytes() == expected[0].tobytes()
-            assert got[1].tobytes() == expected[1].tobytes()
-            assert got[2] == expected[2]

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from proxy_steps import catch_up
 import reference_ingest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -548,7 +549,7 @@ def test_arming_a_standing_query_over_a_queued_uplink_is_refused():
     system.sim.run_until(5_000.0)
     system.continuous.register(ContinuousQuery(sensor=0, kind=TriggerKind.ABOVE, threshold=0.0))
     with pytest.raises(RuntimeError, match="armed before uplinks queue"):
-        system.proxy.advance_to_now(0)
+        catch_up(system.proxy, 0)
 
 
 def test_watched_sensors_drain_merged_in_arrival_order():

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
+from proxy_steps import catch_up
 from repro.core import push
 from repro.core.config import PrestoConfig
 from repro.core.push import ModelUpdate, ProxyModelTracker, SensorModelChecker
@@ -368,7 +369,7 @@ def test_pickled_mid_silent_run_matches_eager(monkeypatch):
             linked_or_eager(run, linked, patch)
             run.system.cell.start_tasks()
             run.system.sim.run_until(20_000.0)
-            run.system.proxy.advance_to_now(0)
+            catch_up(run.system.proxy, 0)
             return run.system, run.system.proxy._states[0].tracker
 
     system, ours = tracker_at(True)

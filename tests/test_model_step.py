@@ -198,18 +198,3 @@ def test_forecast_is_prefix_stable(family):
         short = model.forecast(steps)
         assert long.mean[:steps].tobytes() == short.mean.tobytes()
         assert long.std[:steps].tobytes() == short.std.tobytes()
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_forecast_std_is_the_forecasts_last_std(family):
-    """``forecast_std(steps)`` — what temporal extrapolation reads — is
-    ``forecast(steps).std[-1]`` bit for bit, and refuses what it refuses."""
-    rng = np.random.default_rng(93)
-    model, start = fitted_family(family, rng)
-    for value in start + np.cumsum(rng.normal(0.0, 0.1, 7)):
-        model.observe(float(value))
-    for steps in (1, 2, 3, 17, 400):
-        expected = float(model.forecast(steps).std[-1])
-        assert np.float64(model.forecast_std(steps)).tobytes() == np.float64(expected).tobytes()
-    with pytest.raises(ValueError):
-        model.forecast_std(0)

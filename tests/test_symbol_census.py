@@ -57,11 +57,6 @@ ALLOWLIST = {
     "src/repro/analysis/rules.py::all_rules": OBSERVER,
     "src/repro/core/federation.py::FederatedSystem.owner_of": OBSERVER,
     "src/repro/core/prediction.py::PredictionEngine.model_for": OBSERVER,
-    "src/repro/core/proxy.py::PrestoProxy.advance_to_now": (
-        "what tests call to land a sensor's inbox and catch its cached view "
-        "up to now, the steps a query takes before it reads (the answer "
-        "paths catch up alone, after process_query's one drain)"
-    ),
     "src/repro/energy/duty_cycle.py::DutyCycleConfig.duty_fraction": OBSERVER,
     "src/repro/energy/meter.py::EnergyMeter.category_j": OBSERVER,
     "src/repro/simulation/process.py::PeriodicTask.running": OBSERVER,
