@@ -4,8 +4,8 @@ The field is GF(2^8) with the conventional primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D).  Everything is table-driven and
 vectorised over ``uint8`` NumPy arrays: an exp/log pair for scalar
 division and inversion, plus a full 256x256 product table so that
-matrix-style operations (:func:`gf_matmul`) are table-row gathers with
-XOR reductions — no Python-level per-byte loops on the hot path.
+matrix-style operations (:func:`gf_matmul`) are one table gather with
+an XOR reduction — no Python-level loop on the hot path.
 
 All tables are built deterministically at import time from the field
 definition alone; :func:`self_check` re-derives the field axioms from
@@ -52,6 +52,10 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 GF_EXP, GF_LOG, GF_MUL = _build_tables()
+_MUL_FLAT = GF_MUL.reshape(-1)   # mul[a, b] at a << 8 | b
+
+#: columns :func:`gf_apply` gathers at once
+_GATHER_COLUMNS = 2048
 
 
 def gf_mul(a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
@@ -71,26 +75,44 @@ def gf_div(a: int | np.ndarray, b: int) -> np.ndarray:
     return gf_mul(a, gf_inv(b))
 
 
+def gf_offsets(a: np.ndarray) -> np.ndarray:
+    """Where each coefficient of the ``(r, k)`` matrix *a* starts its row of
+    the flattened product table, shaped ``(r, k, 1)`` for :func:`gf_apply`."""
+    return (np.asarray(a, dtype=np.uint8).astype(np.intp) << 8)[:, :, None]
+
+
+def gf_apply(offsets: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product over GF(256) of the matrix whose :func:`gf_offsets` are
+    *offsets* with the ``(k, c)`` byte matrix *b*.
+
+    Every product ``a[i, t] * b[t, j]`` is one gather from the flattened
+    product table, at ``offsets[i, t] | b[t, j]``, and the ``(r, k, c)``
+    products are XOR-reduced over ``k``: two NumPy calls, with no Python
+    loop over the coefficients.  A *b* wider than :data:`_GATHER_COLUMNS`
+    is taken that many columns at a time, so the gather's index stays a
+    few hundred kB whatever the payload.
+    """
+    if b.shape[1] <= _GATHER_COLUMNS:
+        return np.bitwise_xor.reduce(_MUL_FLAT.take(offsets | b), axis=1)
+    return np.concatenate(
+        [
+            gf_apply(offsets, b[:, start : start + _GATHER_COLUMNS])
+            for start in range(0, b.shape[1], _GATHER_COLUMNS)
+        ],
+        axis=1,
+    )
+
+
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256): ``(r, k) x (k, c) -> (r, c)``.
 
-    Multiplication is the table lookup, addition is XOR.  Each nonzero
-    coefficient ``a[r, t]`` selects its 256-entry row of the product
-    table, through which the whole of ``b[t]`` is gathered at once: the
-    Python loops cover only the small dimensions (r and k are the coding
-    stripe's height and width, single digits in practice) while the
-    payload axis stays vectorised.
+    Multiplication is the table lookup, addition is XOR (:func:`gf_apply`).
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for r, coefficients in enumerate(a.tolist()):
-        for t, coefficient in enumerate(coefficients):
-            if coefficient:
-                out[r] ^= GF_MUL[coefficient].take(b[t])
-    return out
+    return gf_apply(gf_offsets(a), b)
 
 
 def gf_inv_matrix(m: np.ndarray) -> np.ndarray:

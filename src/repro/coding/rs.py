@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.coding.gf256 import FIELD_SIZE, gf_inv, gf_inv_matrix, gf_matmul
+from repro.coding.gf256 import FIELD_SIZE, gf_apply, gf_inv, gf_inv_matrix, gf_matmul, gf_offsets
 
 #: widest supported codeword: evaluation points live in [0, 255] and the
 #: data/parity point sets must stay disjoint inside the field
@@ -56,22 +56,29 @@ def encoding_matrix(k: int, n: int) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_offsets(k: int, n: int) -> np.ndarray:
+    """The Cauchy parity rows of :func:`encoding_matrix` as :func:`gf_offsets`."""
+    offsets = gf_offsets(encoding_matrix(k, n)[k:])
+    offsets.setflags(write=False)
+    return offsets
+
+
 def rs_encode(data: np.ndarray, n: int) -> np.ndarray:
     """Encode a ``(k, L)`` byte matrix into ``n`` fragment rows.
 
     Row ``i < k`` of the result equals row ``i`` of *data* (systematic);
-    rows ``k..n-1`` are the Cauchy parity combinations.
+    rows ``k..n-1`` are the Cauchy parity combinations, one product-table
+    gather and one XOR reduction for all of them.
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.ndim != 2:
         raise ValueError(f"data must be a (k, L) byte matrix, got shape {data.shape}")
     k = data.shape[0]
     _validate_kn(k, n)
-    fragments = np.empty((n, data.shape[1]), dtype=np.uint8)
-    fragments[:k] = data
-    if n > k:
-        fragments[k:] = gf_matmul(encoding_matrix(k, n)[k:], data)
-    return fragments
+    if n == k:
+        return data.copy()
+    return np.concatenate((data, gf_apply(_parity_offsets(k, n), data)))
 
 
 def rs_decode(

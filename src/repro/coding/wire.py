@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,17 +35,18 @@ WIRE_VERSION = 1
 
 _PAYLOAD = struct.Struct("<HI")
 _RECORD = struct.Struct("<qdIIBH")
-_SCALAR = struct.Struct("<d")
 _FLOAT = np.dtype("<f8")
 _CODE = np.dtype("i1")
+_COLUMNS = (_FLOAT, _FLOAT, _FLOAT, _CODE)
 
 
-@dataclass(frozen=True)
-class SensorRecord:
+class SensorRecord(NamedTuple):
     """One sensor's replicated state in one generation.
 
     The four columns are the shipped cache rows, oldest first; a record
     that keeps nothing (``kept == 0``) holds its sensor's whole tail.
+    ``state`` is the tracker's declared state: each element a scalar or a
+    one-dimensional array of floats.
     """
 
     sensor: int
@@ -57,35 +60,60 @@ class SensorRecord:
     state: tuple
 
 
+class _Structs(dict):
+    """One precompiled struct per count, from a format with one ``{}``."""
+
+    def __init__(self, layout: str) -> None:
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, count: int) -> struct.Struct:
+        compiled = self[count] = struct.Struct(self.layout.format(count))
+        return compiled
+
+
+#: a record's fixed fields and its state lengths, per state arity
+_HEADERS = _Structs(_RECORD.format + "{}i")
+#: a state's leading scalars, per count
+_SCALARS = _Structs("<{}d")
+
+
 def serialize_payload(records: Sequence[SensorRecord]) -> bytes:
-    """One generation's records in the wire layout."""
-    chunks = [_PAYLOAD.pack(WIRE_VERSION, len(records))]
-    for record in records:
-        lengths: list[int] = []
-        data: list[bytes] = []
-        for element in record.state:
-            if isinstance(element, np.ndarray):
-                lengths.append(element.size)
-                data.append(element.astype(_FLOAT, copy=False).tobytes())
-            else:
-                lengths.append(-1)
-                data.append(_SCALAR.pack(element))
+    """One generation's records in the wire layout.
+
+    A record is one header pack (its fixed fields and state lengths), its
+    four columns as buffers and its state's floats — the leading scalars
+    in one pack and the arrays in one concatenation (every model family's
+    state is its scalars, then its arrays; any other order goes through
+    NumPy element by element) — so the rows are copied once, into the
+    payload.  The columns may be views of live cache rows: they are read
+    here and nowhere later.
+    """
+    chunks: list = [_PAYLOAD.pack(WIRE_VERSION, len(records))]
+    for sensor, first_s, kept, timestamps, values, stds, codes, family, state in records:
+        lengths = [*map(length_hint, state, repeat(-1))]   # an array's size, else -1
+        arity = len(lengths)
+        if (timestamps.dtype, values.dtype, stds.dtype, codes.dtype) != _COLUMNS:
+            timestamps, values, stds, codes = map(
+                np.ascontiguousarray, (timestamps, values, stds, codes), _COLUMNS
+            )
         chunks += (
-            _RECORD.pack(
-                record.sensor,
-                record.first_s,
-                record.kept,
-                record.timestamps.size,
-                record.family,
-                len(lengths),
-            ),
-            struct.pack(f"<{len(lengths)}i", *lengths),
-            record.timestamps.astype(_FLOAT, copy=False).tobytes(),
-            record.values.astype(_FLOAT, copy=False).tobytes(),
-            record.stds.astype(_FLOAT, copy=False).tobytes(),
-            record.codes.astype(_CODE, copy=False).tobytes(),
-            *data,
+            _HEADERS[arity].pack(sensor, first_s, kept, timestamps.size, family, arity, *lengths),
+            timestamps,
+            values,
+            stds,
+            codes,
         )
+        scalars = lengths.count(-1)
+        if -1 in lengths[scalars:]:   # a scalar after an array
+            chunks.append(np.concatenate(state, axis=None, dtype=_FLOAT))
+        elif scalars < arity:
+            chunks += (
+                _SCALARS[scalars].pack(*state[:scalars]),
+                np.concatenate(state[scalars:], axis=None, dtype=_FLOAT),
+            )
+        else:
+            chunks.append(_SCALARS[scalars].pack(*state))
     return b"".join(chunks)
 
 
@@ -131,23 +159,25 @@ def apply_delta(
     Each sensor's new tail is the base's entries from ``first_s`` on —
     ``kept`` of them — followed by the shipped rows; a sensor the new
     generation does not list is gone from it.  Every returned record keeps
-    nothing, so it reads as that sensor's whole tail.
+    nothing, so it reads as that sensor's whole tail.  A record that keeps
+    entries its base does not hold — fewer, other ones, or none because the
+    base lacks its sensor — raises ``ValueError``.
     """
     folded: dict[int, SensorRecord] = {}
     for record in records:
         if record.kept:
-            previous = base[record.sensor]
-            start = int(np.searchsorted(previous.timestamps, record.first_s, side="left"))
-            keep = slice(start, start + record.kept)
-            if keep.stop > previous.timestamps.size or (
+            previous = base.get(record.sensor)
+            if previous is not None:
+                start = int(np.searchsorted(previous.timestamps, record.first_s, side="left"))
+                keep = slice(start, start + record.kept)
+            if previous is None or keep.stop > previous.timestamps.size or (
                 previous.timestamps[start] != record.first_s
             ):
                 raise ValueError(
                     f"sensor {record.sensor}: base holds no {record.kept} "
                     f"entries from t={record.first_s}"
                 )
-            record = replace(
-                record,
+            record = record._replace(
                 kept=0,
                 timestamps=np.concatenate((previous.timestamps[keep], record.timestamps)),
                 values=np.concatenate((previous.values[keep], record.values)),

@@ -24,6 +24,7 @@ instead, since it runs once per answered query.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -189,12 +190,15 @@ def aggregate(values: np.ndarray, kind: str) -> float:
 
 @dataclass(frozen=True)
 class CacheSnapshot:
-    """An immutable columnar snapshot of one sensor's series.
+    """A columnar read view of one sensor's series.
 
-    Produced by :meth:`SummaryCache.tail_snapshot` for replication: the
-    arrays are owned copies, safe to ship to another proxy and to query
-    repeatedly with identical answers.  Supports ``len``/indexing/iteration
-    over :class:`CacheEntry` views for row-oriented consumers.
+    It reads four columns it does not own: a replica's
+    (:class:`~repro.core.federation.SensorReplica`, over a folded wire
+    record whose columns nothing writes again) or the copies
+    :meth:`SummaryCache.tail_snapshot` takes.  Over columns nothing writes,
+    every query repeats with identical answers.  Supports
+    ``len``/indexing/iteration over :class:`CacheEntry` views for
+    row-oriented consumers.
     """
 
     timestamps: np.ndarray
@@ -508,7 +512,8 @@ class SummaryCache:
         return out, valid
 
     def tail_snapshot(self, sensor: int, count: int) -> CacheSnapshot:
-        """Columnar copy of the newest *count* entries (for replication)."""
+        """Columnar copy of the newest *count* entries (a replica export
+        hands out views instead: :meth:`export_tail`)."""
         if count < 0:
             raise ValueError(f"need a non-negative tail size, got {count}")
         times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
@@ -522,27 +527,38 @@ class SummaryCache:
 
     def export_tail(
         self, sensor: int, count: int, keyframe: bool
-    ) -> tuple[float, int, CacheSnapshot]:
+    ) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The newest *count* entries, as a delta against the previous export.
 
-        Returns ``(first_s, kept, rows)``: the tail is the previous
-        export's entries from ``first_s`` on — ``kept`` of them — followed
-        by ``rows``.  Entries before the oldest timestamp written since the
-        previous export are unchanged since then, so that export's tail
-        holds them too and only the entries from there on are copied.  A
-        *keyframe* copies the whole tail (``kept == 0``).  Either way the
-        next export is against this one.
+        Returns ``(first_s, kept, timestamps, values, stds, codes)``: the
+        tail is the previous export's entries from ``first_s`` on — ``kept``
+        of them — followed by the rows in the four columns.  Entries before
+        the oldest timestamp written since the previous export are
+        unchanged since then, so that export's tail holds them too and only
+        the entries from there on are handed out.  A *keyframe* hands out
+        the whole tail (``kept == 0``).  Either way the next export is
+        against this one.
+
+        The columns are views of the live rows, not copies: they hold until
+        the next write to this cache, so the caller copies them out first.
         """
         if count < 1:
             raise ValueError(f"need a positive tail size, got {count}")
         column = self._columns.get(sensor)
         if column is None:
-            return 0.0, 0, self.tail_snapshot(sensor, count)
-        times = column.times[column.start + max(column.length - count, 0) : column.end]
-        kept = 0 if keyframe else int(np.searchsorted(times, column.written_from))
+            return 0.0, 0, *_EMPTY.views()
+        times = column.times
+        start = column.start
+        end = start + column.length
+        if column.length > count:
+            start = end - count
+        kept = 0 if keyframe else bisect.bisect_left(times, column.written_from, start, end) - start
         column.written_from = math.inf
-        first_s = float(times[0]) if times.size else 0.0
-        return first_s, kept, self.tail_snapshot(sensor, times.size - kept)
+        rows = slice(start + kept, end)
+        return (
+            float(times[start]), kept, times[rows], column.values[rows], column.stds[rows],
+            column.codes[rows],
+        )
 
     def latest(self, sensor: int) -> CacheEntry | None:
         """Most recent entry for *sensor*."""

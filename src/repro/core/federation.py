@@ -38,6 +38,7 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +72,9 @@ WIRELESS_LATENCY_S = 0.25
 
 #: latency of one skip-graph routing hop
 HOP_LATENCY_S = 0.002
+
+_NAME = operator.attrgetter("name")
+_ALIVE = operator.attrgetter("alive")
 
 
 def partition_sensors(
@@ -400,54 +404,60 @@ class _RoutingCore:
 
     def _export_owner(self, owner: str, keyframe: bool) -> list[SensorRecord]:
         """One owner's hot state at sync time: whole tails for a *keyframe*,
-        else each sensor's delta against the previous export."""
+        else each sensor's delta against the previous export.
+
+        Every sensor is drained before any is exported, so no cache write
+        falls between a record's export and its serialization: its columns
+        are views of the live cache rows until then.
+        """
         hot = self.federation.hot_entries_per_sensor
         proxy = self._built[owner].proxy
+        sensor_ids = self._by_name[owner].sensor_ids
+        for local in range(len(sensor_ids)):
+            proxy.drain(local)
         records: list[SensorRecord] = []
-        for local, global_id in enumerate(self._by_name[owner].sensor_ids):
-            first_s, kept, rows, tracker = proxy.export_replica_state(local, hot, keyframe)
-            if not kept and not rows and tracker is None:
-                continue
-            family, state = tracker or (0, ())
-            records.append(
-                SensorRecord(
-                    sensor=global_id,
-                    first_s=first_s,
-                    kept=kept,
-                    timestamps=rows.timestamps,
-                    values=rows.values,
-                    stds=rows.stds,
-                    codes=rows.codes,
-                    family=family,
-                    state=state,
-                )
-            )
+        for local, global_id in enumerate(sensor_ids):
+            # (first_s, kept, timestamps, values, stds, codes, family, state)
+            exported = proxy.export_replica_state(local, hot, keyframe)
+            if exported[1] or exported[2].size or exported[6]:
+                records.append(SensorRecord(global_id, *exported))
         return records
 
     def _sync_replicas(self) -> None:
         """Ship each live wireless proxy's hot state to its wired replicas.
 
         A replica only ever holds state from *before* a failure — sync skips
-        dead owners (nothing to ship) and dead hosts (nowhere to ship).
-        Each owner this core executes is exported once per sync — a delta
-        against its previous generation, or a keyframe when the store asks
-        for one — and the serialized generation is striped into a k-of-n
-        generation of which only the live hosts' fragments are shipped.
-        Payload and shipped bytes land in the coding ledger — fragment
-        bytes are what the per-sync radio/flash accounting prices, which is
-        the byte claim ``bench_coding`` gates.
+        dead owners (nothing to ship) and dead hosts (nowhere to ship);
+        liveness is read off the directory once per sync, and the store
+        asks it as a set lookup.  Each owner this core executes is exported
+        once per sync — a delta against its previous generation, or a
+        keyframe when the store asks for one — and the serialized
+        generation is striped into a k-of-n generation of which only the
+        live hosts' fragments are shipped.  Payload and shipped bytes land
+        in the coding ledger — fragment bytes are what the per-sync
+        radio/flash accounting prices, which is the byte claim
+        ``bench_coding`` gates.
         """
+        proxies = self.directory.proxies
+        alive = set(compress(map(_NAME, proxies), map(_ALIVE, proxies)))
+        up = alive.__contains__
         store = self._fragments
+        copies = store.n - store.k + 1   # the survivability-equivalent replication factor
+        payloads = shipped = full_copies = syncs = 0
         for owner in self._built:
-            if not self._proxy_alive(owner):
+            if owner not in alive or owner not in store.assignment:   # dead, or wired
                 continue
-            payload, shipped, live_hosts = store.sync(
-                owner, functools.partial(self._export_owner, owner), self._proxy_alive
+            payload, fragment_bytes, live_hosts = store.sync(
+                owner, functools.partial(self._export_owner, owner), up
             )
-            self._coding.payload_bytes += payload
-            self._coding.shipped_bytes += shipped
-            self._coding.full_copy_bytes += payload * min(store.n - store.k + 1, live_hosts)
-            self.routing.replica_syncs += live_hosts
+            payloads += payload
+            shipped += fragment_bytes
+            full_copies += payload * min(copies, live_hosts)
+            syncs += live_hosts
+        self._coding.payload_bytes += payloads
+        self._coding.shipped_bytes += shipped
+        self._coding.full_copy_bytes += full_copies
+        self.routing.replica_syncs += syncs
 
     def _replica_staleness(self, proxy_name: str) -> float:
         """Age of the newest entry live hosts hold for *proxy_name* now.

@@ -33,7 +33,6 @@ from repro.core.cache import (
     PULLED_CODE,
     PUSHED_CODE,
     CacheEntry,
-    CacheSnapshot,
     EntrySource,
     SummaryCache,
     aggregate,
@@ -70,6 +69,9 @@ CONFIDENCE_Z = 1.0
 #: time)``, or a batch's dict (``sensor``, ``timestamps``, ``values``,
 #: ``quant_step``)
 Uplink = tuple[int, int, float, float] | dict
+
+#: a replica export's ``(family, state)`` for a sensor with no model yet
+_NO_TRACKER = (0, ())
 
 
 @dataclass
@@ -771,18 +773,25 @@ class PrestoProxy:
 
     def export_replica_state(
         self, sensor: int, max_entries: int, keyframe: bool
-    ) -> tuple[float, int, CacheSnapshot, tuple[int, tuple] | None]:
-        """One sensor's hot state for replication to another proxy.
+    ) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, tuple]:
+        """One sensor's hot state for replication to another proxy: the
+        fields of its wire record after the sensor id.
 
-        Returns the newest *max_entries* summary-cache entries as a delta
-        against this sensor's previous export (the whole tail for a
-        *keyframe*; ``first_s``, ``kept`` and ``rows`` as
-        :meth:`SummaryCache.export_tail` reads them) plus the declared
-        state of its model tracker (None before the first model
-        activates) — the "caches and prediction models ... further
+        ``(first_s, kept, timestamps, values, stds, codes)`` are the newest
+        *max_entries* summary-cache entries as a delta against this sensor's
+        previous export (the whole tail for a *keyframe*), as
+        :meth:`SummaryCache.export_tail` hands them out — views of the live
+        rows, good until the next cache write.  ``(family, state)`` is the
+        model tracker's declared state, ``(0, ())`` before the first model
+        activates — the "caches and prediction models ... further
         replicated at the wired proxies" of Section 5.
+
+        Unlike the other reads this one does not drain: the caller lands
+        the sensor's arrivals (:meth:`drain`) before it exports any sensor,
+        so that no landing writes under rows already handed out.
         """
-        self.drain(sensor)
         tracker = self._states[sensor].tracker
-        first_s, kept, rows = self.cache.export_tail(sensor, max_entries, keyframe)
-        return first_s, kept, rows, None if tracker is None else tracker.state()
+        return (
+            *self.cache.export_tail(sensor, max_entries, keyframe),
+            *(_NO_TRACKER if tracker is None else tracker.state()),
+        )

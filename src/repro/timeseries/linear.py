@@ -27,6 +27,7 @@ code's order, so every row steps bit for bit as its model would.
 from __future__ import annotations
 
 import abc
+import itertools
 from collections import deque
 
 import numpy as np
@@ -197,14 +198,16 @@ class LinearRecursion(TimeSeriesModel):
     def state(self) -> tuple:
         """The family's header, then ``(mu, sigma, fitted, phi, theta, w,
         eps, factor tails)``."""
-        tails = [level for tail in self._tails for level in tail]
-        arrays = (self._phi, self._theta, self._w, self._eps, tails)
         return (
             *self._state_header(),
             self._mu,
             self._sigma,
             float(self._fitted),
-            *(np.array(values, dtype=np.float64) for values in arrays),
+            self._phi.copy(),
+            self._theta.copy(),
+            np.array(self._w, dtype=np.float64),
+            np.array(self._eps, dtype=np.float64),
+            np.fromiter(itertools.chain(*self._tails), dtype=np.float64),
         )
 
     @classmethod

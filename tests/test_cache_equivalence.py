@@ -5,7 +5,8 @@ Drives both implementations through the same randomized operation stream —
 interleaved pushed/predicted/pulled inserts with duplicate timestamps, deep
 backfill and eviction overflow — and asserts every read (``entry_at`` /
 ``values_on_grid`` / ``entries_in`` / ``arrays_in`` /
-``tail_snapshot`` / ``latest`` / ``latest_actual`` / ``coverage_fraction`` /
+``tail_snapshot`` / a keyframe ``export_tail`` / ``latest`` / ``latest_actual`` /
+``coverage_fraction`` /
 ``size``, and a replica snapshot's ``nearest`` / ``window_slice``) and every
 counter agrees, continuously and at the end.  ``insert_batch`` is
 additionally checked against sequential single inserts on the reference,
@@ -27,6 +28,7 @@ from repro.core.cache import (
     PREDICTED_CODE,
     PUSHED_CODE,
     CacheEntry,
+    CacheSnapshot,
     EntrySource,
     SummaryCache,
     coverage_fraction,
@@ -80,6 +82,10 @@ def assert_same_reads(
         assert new.latest_actual(sensor) == old.latest_actual(sensor)
         for count in (1, 3, 64):
             assert list(new.tail_snapshot(sensor, count)) == old.tail(sensor, count)
+            # a keyframe export hands out the same rows (as views of them)
+            first_s, kept, *rows = new.export_tail(sensor, count, keyframe=True)
+            assert kept == 0 and list(CacheSnapshot(*rows)) == old.tail(sensor, count)
+            assert first_s == (rows[0][0] if rows[0].size else 0.0)
         # a replica's snapshot holds every live entry from its first on
         snapshot = new.tail_snapshot(sensor, 64)
         first = float(snapshot.timestamps[0]) if snapshot else -np.inf

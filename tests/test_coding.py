@@ -297,6 +297,13 @@ class TestWireLayout:
         with pytest.raises(ValueError, match="base holds no"):
             apply_delta(base, [record(1, [5.0], kept=2, first_s=0.0)])
 
+    def test_apply_delta_rejects_kept_rows_of_a_sensor_the_base_lacks(self):
+        base = apply_delta({}, [record(1, [0.0, 1.0])])
+        with pytest.raises(ValueError, match="sensor 7: base holds no 1 entries from t=0.0"):
+            apply_delta(base, [record(7, [2.0], kept=1, first_s=0.0)])
+        with pytest.raises(ValueError, match="base holds no"):
+            apply_delta({}, [record(1, [2.0], kept=1, first_s=1.0)])
+
 
 class TestFragmentStore:
     """Generations form chains: a keyframe and the deltas after it."""

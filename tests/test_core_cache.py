@@ -9,6 +9,7 @@ from repro.core.cache import (
     PULLED_CODE,
     PUSHED_CODE,
     CacheEntry,
+    CacheSnapshot,
     EntrySource,
     SummaryCache,
     coverage_fraction,
@@ -302,6 +303,46 @@ class TestSnapshot:
         assert list(snapshot.timestamps[window]) == [30.0, 40.0, 50.0]
         assert snapshot.nearest(41.0, tolerance_s=5.0) == 4
         assert snapshot.nearest(45.0, tolerance_s=2.0) is None
+
+
+class TestExportTail:
+    """A replica export hands out the live rows; a keyframe holds the tail."""
+
+    def test_keyframe_holds_the_tail(self):
+        cache = SummaryCache(100)
+        for i in range(12):
+            source = EntrySource.PUSHED if i % 3 else EntrySource.PREDICTED
+            cache.insert(0, entry(float(i * 30), float(i), 0.1, source))
+        first_s, kept, *rows = cache.export_tail(0, 5, keyframe=True)
+        assert (first_s, kept) == (210.0, 0)
+        assert list(CacheSnapshot(*rows)) == cache.entries_in(0, -1.0, 1e12)[-5:]
+
+    def test_delta_hands_out_the_rows_from_the_oldest_write(self):
+        cache = SummaryCache(100)
+        for i in range(10):
+            cache.insert(0, entry(float(i * 10), float(i)))
+        cache.export_tail(0, 8, keyframe=False)
+        cache.insert(0, entry(70.0, 9.9, source=EntrySource.PULLED))
+        cache.insert(0, entry(100.0, 10.0))
+        first_s, kept, times, values, _, _ = cache.export_tail(0, 8, keyframe=False)
+        assert (first_s, kept) == (30.0, 4)       # 30, 40, 50, 60 unchanged
+        assert times.tolist() == [70.0, 80.0, 90.0, 100.0]
+        assert values.tolist() == [9.9, 8.0, 9.0, 10.0]
+
+    def test_rows_are_live_views_until_the_next_write(self):
+        cache = SummaryCache(100)
+        cache.insert(0, entry(10.0, 1.0))
+        _, _, _, values, _, _ = cache.export_tail(0, 8, keyframe=True)
+        cache.insert(0, entry(10.0, 9.9, source=EntrySource.PULLED))
+        assert values.tolist() == [9.9]           # the caller copies before writes
+
+    def test_a_sensor_never_written_exports_nothing(self):
+        cache = SummaryCache(100)
+        first_s, kept, *rows = cache.export_tail(5, 8, keyframe=True)
+        assert (first_s, kept) == (0.0, 0)
+        assert not CacheSnapshot(*rows)
+        with pytest.raises(ValueError, match="positive tail size"):
+            cache.export_tail(5, 0, keyframe=True)
 
 
 class TestValuesOnGrid:

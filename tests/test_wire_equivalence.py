@@ -69,14 +69,16 @@ def records(draw) -> SensorRecord:
     times = np.cumsum(rng.uniform(1.0, 60.0, rows)) + draw(st.floats(-1e6, 1e6))
     family, state = draw(STATE)
     delta = draw(st.booleans())
+    # a hand-built record may hold other dtypes: written as the layout's
+    floats, code = draw(st.sampled_from([(np.float64, np.int8), (np.float32, np.int64)]))
     return SensorRecord(
         sensor=draw(st.integers(-(2**40), 2**40)),
         first_s=float(times[0] - 30.0) if delta and rows else 0.0,
         kept=draw(st.integers(1, 2_048)) if delta else 0,
-        timestamps=times,
-        values=rng.normal(20.0, 5.0, rows),
+        timestamps=times.astype(floats),
+        values=rng.normal(20.0, 5.0, rows).astype(floats),
         stds=rng.uniform(0.0, 2.0, rows),
-        codes=rng.integers(0, 4, rows).astype(np.int8),
+        codes=rng.integers(0, 4, rows).astype(code),
         family=family,
         state=state,
     )
