@@ -75,9 +75,11 @@ def rs_encode(data: np.ndarray, n: int) -> np.ndarray:
     if data.ndim != 2:
         raise ValueError(f"data must be a (k, L) byte matrix, got shape {data.shape}")
     k = data.shape[0]
-    _validate_kn(k, n)
     if n == k:
+        _validate_kn(k, n)
         return data.copy()
+    # _parity_offsets validates (k, n) through encoding_matrix: only valid
+    # codes are cached
     return np.concatenate((data, gf_apply(_parity_offsets(k, n), data)))
 
 

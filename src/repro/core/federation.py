@@ -445,11 +445,13 @@ class _RoutingCore:
         copies = store.n - store.k + 1   # the survivability-equivalent replication factor
         payloads = shipped = full_copies = syncs = 0
         for owner in self._built:
-            if owner not in alive or owner not in store.assignment:   # dead, or wired
+            if owner not in alive:
                 continue
             payload, fragment_bytes, live_hosts = store.sync(
                 owner, functools.partial(self._export_owner, owner), up
             )
+            if not live_hosts:
+                continue
             payloads += payload
             shipped += fragment_bytes
             full_copies += payload * min(copies, live_hosts)
