@@ -74,13 +74,9 @@ def rs_encode(data: np.ndarray, n: int) -> np.ndarray:
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.ndim != 2:
         raise ValueError(f"data must be a (k, L) byte matrix, got shape {data.shape}")
-    k = data.shape[0]
-    if n == k:
-        _validate_kn(k, n)
-        return data.copy()
-    # _parity_offsets validates (k, n) through encoding_matrix: only valid
-    # codes are cached
-    return np.concatenate((data, gf_apply(_parity_offsets(k, n), data)))
+    # _parity_offsets validates (k, n) through encoding_matrix, which caches
+    # only valid codes
+    return np.concatenate((data, gf_apply(_parity_offsets(data.shape[0], n), data)))
 
 
 def rs_decode(

@@ -82,12 +82,11 @@ def serialize_payload(records: Sequence[SensorRecord]) -> bytes:
     """One generation's records in the wire layout.
 
     A record is one header pack (its fixed fields and state lengths), its
-    four columns as buffers and its state's floats — the leading scalars
-    in one pack and the arrays in one concatenation (every model family's
-    state is its scalars, then its arrays; any other order goes through
-    NumPy element by element) — so the rows are copied once, into the
-    payload.  The columns may be views of live cache rows: they are read
-    here and nowhere later.
+    four columns as buffers and its state's floats: the leading scalars in
+    one pack and the rest in one concatenation.  Every model family's state
+    is its scalars, then its arrays; one in another order is concatenated
+    whole.  So the rows are copied once, into the payload.  The columns may
+    be views of live cache rows: they are read here and nowhere later.
     """
     chunks: list = [_PAYLOAD.pack(WIRE_VERSION, len(records))]
     for sensor, first_s, kept, timestamps, values, stds, codes, family, state in records:
@@ -104,16 +103,12 @@ def serialize_payload(records: Sequence[SensorRecord]) -> bytes:
             stds,
             codes,
         )
-        scalars = lengths.count(-1)
-        if -1 in lengths[scalars:]:   # a scalar after an array
-            chunks.append(np.concatenate(state, axis=None, dtype=_FLOAT))
-        elif scalars < arity:
-            chunks += (
-                _SCALARS[scalars].pack(*state[:scalars]),
-                np.concatenate(state[scalars:], axis=None, dtype=_FLOAT),
-            )
-        else:
-            chunks.append(_SCALARS[scalars].pack(*state))
+        lead = lengths.count(-1)   # the scalars, packed at once when they all lead
+        if -1 in lengths[lead:]:
+            lead = 0
+        chunks.append(_SCALARS[lead].pack(*state[:lead]))
+        if lead < arity:   # NumPy converts the rest element by element
+            chunks.append(np.concatenate(state[lead:], axis=None, dtype=_FLOAT))
     return b"".join(chunks)
 
 

@@ -406,17 +406,16 @@ class _RoutingCore:
         """One owner's hot state at sync time: whole tails for a *keyframe*,
         else each sensor's delta against the previous export.
 
-        Every sensor is drained before any is exported, so no cache write
-        falls between a record's export and its serialization: its columns
-        are views of the live cache rows until then.
+        The proxy lands everything due before any sensor is exported, so
+        no cache write falls between a record's export and its
+        serialization: its columns are views of the live cache rows until
+        then.
         """
         hot = self.federation.hot_entries_per_sensor
         proxy = self._built[owner].proxy
-        sensor_ids = self._by_name[owner].sensor_ids
-        for local in range(len(sensor_ids)):
-            proxy.drain(local)
+        proxy.drain()
         records: list[SensorRecord] = []
-        for local, global_id in enumerate(sensor_ids):
+        for local, global_id in enumerate(self._by_name[owner].sensor_ids):
             # (first_s, kept, timestamps, values, stds, codes, family, state)
             exported = proxy.export_replica_state(local, hot, keyframe)
             if exported[1] or exported[2].size or exported[6]:
@@ -450,8 +449,6 @@ class _RoutingCore:
             payload, fragment_bytes, live_hosts = store.sync(
                 owner, functools.partial(self._export_owner, owner), up
             )
-            if not live_hosts:
-                continue
             payloads += payload
             shipped += fragment_bytes
             full_copies += payload * min(copies, live_hosts)

@@ -54,9 +54,8 @@ def integrate(series: np.ndarray, s: int, tail: np.ndarray | None = None) -> np.
 class LinearRecursion(TimeSeriesModel):
     """``phi(B) (w - mu) = theta(B) eps`` on ``w = prod (1 - B^s) x``, streamed.
 
-    Subclasses set their constructor arguments before calling this
-    constructor, and ``_phi``, ``_theta``, ``_mu`` and ``_sigma`` in
-    ``fit``, which they finish with :meth:`_start`.
+    Subclasses set ``_phi``, ``_theta``, ``_mu`` and ``_sigma`` in ``fit``
+    and finish it with :meth:`_start`.
     """
 
     def __init__(self, p: int, ma_lags: tuple[int, ...], factors: tuple[int, ...]) -> None:
@@ -68,8 +67,6 @@ class LinearRecursion(TimeSeriesModel):
         self._w: deque[float] = deque(maxlen=max(p, 1))
         self._eps: deque[float] = deque(maxlen=max((*ma_lags, 1)))
         self._tails: list[deque[float]] = [deque(maxlen=s) for s in factors]
-        # the constructor's arguments, which nothing changes later
-        self._header = self._state_header()
 
     def _start(self, levels: np.ndarray, centred: np.ndarray, residuals: np.ndarray) -> None:
         """Mark the model fitted, its state the end of a training window:
@@ -202,7 +199,7 @@ class LinearRecursion(TimeSeriesModel):
         """The family's header, then ``(mu, sigma, fitted, phi, theta, w,
         eps, factor tails)``."""
         return (
-            *self._header,
+            *self._state_header(),
             self._mu,
             self._sigma,
             float(self._fitted),
