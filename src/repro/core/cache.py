@@ -512,8 +512,12 @@ class SummaryCache:
         return out, valid
 
     def tail_snapshot(self, sensor: int, count: int) -> CacheSnapshot:
-        """Columnar copy of the newest *count* entries (a replica export
-        hands out views instead: :meth:`export_tail`)."""
+        """Columnar copy of the newest *count* entries.
+
+        A replica export hands out views instead (:meth:`export_tail`), so
+        nothing in ``src`` calls this; ``benchmarks/perf/layers.py`` traces
+        it as a ``core.cache.read`` entry point, which keeps it here.
+        """
         if count < 0:
             raise ValueError(f"need a non-negative tail size, got {count}")
         times, values, stds, codes = self._columns.get(sensor, _EMPTY).views()
