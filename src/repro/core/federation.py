@@ -38,7 +38,6 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -72,9 +71,6 @@ WIRELESS_LATENCY_S = 0.25
 
 #: latency of one skip-graph routing hop
 HOP_LATENCY_S = 0.002
-
-_NAME = operator.attrgetter("name")
-_ALIVE = operator.attrgetter("alive")
 
 
 def partition_sensors(
@@ -437,8 +433,7 @@ class _RoutingCore:
         radio/flash accounting prices, which is the byte claim
         ``bench_coding`` gates.
         """
-        proxies = self.directory.proxies
-        alive = set(compress(map(_NAME, proxies), map(_ALIVE, proxies)))
+        alive = {proxy.name for proxy in self.directory.proxies if proxy.alive}
         up = alive.__contains__
         store = self._fragments
         copies = store.n - store.k + 1   # the survivability-equivalent replication factor
