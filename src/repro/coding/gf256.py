@@ -4,8 +4,9 @@ The field is GF(2^8) with the conventional primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D).  Everything is table-driven and
 vectorised over ``uint8`` NumPy arrays: an exp/log pair for scalar
 division and inversion, plus a full 256x256 product table so that
-matrix-style operations (:func:`gf_matmul`) are one table gather with
-an XOR reduction — no Python-level loop on the hot path.
+matrix-style operations (:func:`gf_matmul`) translate each byte row
+through its coefficient's row of the table and XOR-reduce the products
+— no Python-level loop over the bytes.
 
 All tables are built deterministically at import time from the field
 definition alone; :func:`self_check` re-derives the field axioms from
@@ -52,10 +53,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 GF_EXP, GF_LOG, GF_MUL = _build_tables()
-_MUL_FLAT = GF_MUL.reshape(-1)   # mul[a, b] at a << 8 | b
-
-#: columns :func:`gf_apply` gathers at once
-_GATHER_COLUMNS = 2048
+#: each element's row of the product table, a ``bytes.translate`` table
+_MUL_ROWS = tuple(row.tobytes() for row in GF_MUL)
 
 
 def gf_mul(a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
@@ -75,31 +74,32 @@ def gf_div(a: int | np.ndarray, b: int) -> np.ndarray:
     return gf_mul(a, gf_inv(b))
 
 
-def gf_offsets(a: np.ndarray) -> np.ndarray:
-    """Where each coefficient of the ``(r, k)`` matrix *a* starts its row of
-    the flattened product table, shaped ``(r, k, 1)`` for :func:`gf_apply`."""
-    return (np.asarray(a, dtype=np.uint8).astype(np.intp) << 8)[:, :, None]
+def gf_tables(a: np.ndarray) -> tuple[tuple[bytes, ...], ...]:
+    """The product-table rows of the ``(r, k)`` matrix *a*'s coefficients,
+    row by row, for :func:`gf_apply`."""
+    return tuple(
+        tuple(_MUL_ROWS[coefficient] for coefficient in row)
+        for row in np.asarray(a, dtype=np.uint8).tolist()
+    )
 
 
-def gf_apply(offsets: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product over GF(256) of the matrix whose :func:`gf_offsets` are
-    *offsets* with the ``(k, c)`` byte matrix *b*.
+def gf_apply(tables: tuple[tuple[bytes, ...], ...], b: np.ndarray) -> np.ndarray:
+    """The product over GF(256) of the matrix whose :func:`gf_tables` are
+    *tables* with the ``(k, c)`` byte matrix *b*.
 
-    Every product ``a[i, t] * b[t, j]`` is one gather from the flattened
-    product table, at ``offsets[i, t] | b[t, j]``, and the ``(r, k, c)``
-    products are XOR-reduced over ``k``: two NumPy calls, with no Python
-    loop over the coefficients.  A *b* wider than :data:`_GATHER_COLUMNS`
-    is taken that many columns at a time, so the gather's index stays a
-    few hundred kB whatever the payload.
+    Each coefficient ``a[i, t]`` times the row ``b[t]`` is one
+    ``bytes.translate`` of the row through the coefficient's product-table
+    row, and the ``(r, k, c)`` products are XOR-reduced over ``k``: a C
+    call per coefficient, whatever the width of *b*.
     """
-    if b.shape[1] <= _GATHER_COLUMNS:
-        return np.bitwise_xor.reduce(_MUL_FLAT.take(offsets | b), axis=1)
-    return np.concatenate(
-        [
-            gf_apply(offsets, b[:, start : start + _GATHER_COLUMNS])
-            for start in range(0, b.shape[1], _GATHER_COLUMNS)
-        ],
-        axis=1,
+    k, width = b.shape
+    data = b.tobytes()
+    rows = [data[t * width : (t + 1) * width] for t in range(k)]
+    products = b"".join(
+        [row.translate(table) for row_tables in tables for row, table in zip(rows, row_tables)]
+    )
+    return np.bitwise_xor.reduce(
+        np.frombuffer(products, np.uint8).reshape(len(tables), k, width), axis=1
     )
 
 
@@ -112,7 +112,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return gf_apply(gf_offsets(a), b)
+    return gf_apply(gf_tables(a), b)
 
 
 def gf_inv_matrix(m: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.coding.gf256 import FIELD_SIZE, gf_apply, gf_inv, gf_inv_matrix, gf_matmul, gf_offsets
+from repro.coding.gf256 import FIELD_SIZE, gf_apply, gf_inv, gf_inv_matrix, gf_matmul, gf_tables
 
 #: widest supported codeword: evaluation points live in [0, 255] and the
 #: data/parity point sets must stay disjoint inside the field
@@ -57,26 +57,25 @@ def encoding_matrix(k: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_offsets(k: int, n: int) -> np.ndarray:
-    """The Cauchy parity rows of :func:`encoding_matrix` as :func:`gf_offsets`."""
-    offsets = gf_offsets(encoding_matrix(k, n)[k:])
-    offsets.setflags(write=False)
-    return offsets
+def _parity_tables(k: int, n: int) -> tuple[tuple[bytes, ...], ...]:
+    """The Cauchy parity rows of :func:`encoding_matrix` as :func:`gf_tables`."""
+    return gf_tables(encoding_matrix(k, n)[k:])
 
 
 def rs_encode(data: np.ndarray, n: int) -> np.ndarray:
     """Encode a ``(k, L)`` byte matrix into ``n`` fragment rows.
 
     Row ``i < k`` of the result equals row ``i`` of *data* (systematic);
-    rows ``k..n-1`` are the Cauchy parity combinations, one product-table
-    gather and one XOR reduction for all of them.
+    rows ``k..n-1`` are the Cauchy parity combinations: one byte
+    translation per parity coefficient, then one XOR reduction for all of
+    them (:func:`~repro.coding.gf256.gf_apply`).
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.ndim != 2:
         raise ValueError(f"data must be a (k, L) byte matrix, got shape {data.shape}")
-    # _parity_offsets validates (k, n) through encoding_matrix, which caches
+    # _parity_tables validates (k, n) through encoding_matrix, which caches
     # only valid codes
-    return np.concatenate((data, gf_apply(_parity_offsets(data.shape[0], n), data)))
+    return np.concatenate((data, gf_apply(_parity_tables(data.shape[0], n), data)))
 
 
 def rs_decode(
