@@ -16,6 +16,8 @@ in ``tests/test_coding.py`` runs it).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 #: the primitive polynomial generating the field (degree-8 terms included)
@@ -92,14 +94,10 @@ def gf_apply(tables: tuple[tuple[bytes, ...], ...], b: np.ndarray) -> np.ndarray
     row, and the ``(r, k, c)`` products are XOR-reduced over ``k``: a C
     call per coefficient, whatever the width of *b*.
     """
-    k, width = b.shape
-    data = b.tobytes()
-    rows = [data[t * width : (t + 1) * width] for t in range(k)]
-    products = b"".join(
-        [row.translate(table) for row_tables in tables for row, table in zip(rows, row_tables)]
-    )
+    rows = [*map(bytes, b)]
+    products = b"".join(map(bytes.translate, rows * len(tables), chain.from_iterable(tables)))
     return np.bitwise_xor.reduce(
-        np.frombuffer(products, np.uint8).reshape(len(tables), k, width), axis=1
+        np.frombuffer(products, np.uint8).reshape(len(tables), *b.shape), axis=1
     )
 
 

@@ -38,6 +38,7 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +72,9 @@ WIRELESS_LATENCY_S = 0.25
 
 #: latency of one skip-graph routing hop
 HOP_LATENCY_S = 0.002
+
+_NAME = operator.attrgetter("name")
+_ALIVE = operator.attrgetter("alive")
 
 
 def partition_sensors(
@@ -433,7 +437,8 @@ class _RoutingCore:
         radio/flash accounting prices, which is the byte claim
         ``bench_coding`` gates.
         """
-        alive = {proxy.name for proxy in self.directory.proxies if proxy.alive}
+        proxies = self.directory.proxies
+        alive = set(compress(map(_NAME, proxies), map(_ALIVE, proxies)))
         up = alive.__contains__
         store = self._fragments
         copies = store.n - store.k + 1   # the survivability-equivalent replication factor
