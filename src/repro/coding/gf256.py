@@ -55,8 +55,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 GF_EXP, GF_LOG, GF_MUL = _build_tables()
-#: each element's row of the product table, a ``bytes.translate`` table
-_MUL_ROWS = tuple(row.tobytes() for row in GF_MUL)
 
 
 def gf_mul(a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
@@ -78,11 +76,8 @@ def gf_div(a: int | np.ndarray, b: int) -> np.ndarray:
 
 def gf_tables(a: np.ndarray) -> tuple[tuple[bytes, ...], ...]:
     """The product-table rows of the ``(r, k)`` matrix *a*'s coefficients,
-    row by row, for :func:`gf_apply`."""
-    return tuple(
-        tuple(_MUL_ROWS[coefficient] for coefficient in row)
-        for row in np.asarray(a, dtype=np.uint8).tolist()
-    )
+    row by row, as 256-byte ``bytes.translate`` tables for :func:`gf_apply`."""
+    return tuple(tuple(map(bytes, GF_MUL[row])) for row in np.asarray(a, dtype=np.uint8))
 
 
 def gf_apply(tables: tuple[tuple[bytes, ...], ...], b: np.ndarray) -> np.ndarray:
