@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -40,12 +41,13 @@ from repro.metrics import Metrics, merged
 
 
 def payload_matrix(payload: bytes, k: int) -> np.ndarray:
-    """Stripe *payload* into a ``(k, L)`` byte matrix, zero-padded."""
-    length = max(len(payload), 1)           # an empty payload still stripes
-    width = -(-length // k)                 # ceil division
-    buffer = np.zeros(k * width, dtype=np.uint8)
-    buffer[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    return buffer.reshape(k, width)
+    """Stripe *payload* into a ``(k, L)`` byte matrix, zero-padded (read-only).
+
+    Row ``i`` is the payload's ``i``-th run of ``L = ceil(len / k)`` bytes.
+    The payload is copied only when its length needs padding.
+    """
+    width = -(-len(payload) // k) or 1     # ceil division; an empty payload still stripes
+    return np.ndarray((k, width), np.uint8, payload.ljust(k * width, b"\0"))
 
 
 @dataclass
@@ -109,15 +111,17 @@ class CodingReport(CodingCounters, Metrics):
 class _Chain:
     """One owner's keyframe and the deltas since, all on the same slots.
 
-    ``keyframe`` is the keyframe's generation number and ``slots`` the
-    live fragment indices every generation was shipped to.  Each entry of
-    ``generations`` is a payload length and that generation's fragments
-    at ``slots``, in slot order; ``folded`` memoises the state after the
-    first *count* generations.
+    ``keyframe`` is the keyframe's generation number, ``slots`` the live
+    fragment indices every generation was shipped to and ``hosts`` the
+    number of distinct hosts holding them.  Each entry of ``generations``
+    is a payload length and that generation's fragments at ``slots``, in
+    slot order; ``folded`` memoises the state after the first *count*
+    generations.
     """
 
     keyframe: int
     slots: tuple[int, ...]
+    hosts: int
     keyframe_bytes: int
     delta_bytes: int = 0
     generations: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -138,7 +142,6 @@ class FragmentStore:
     n: int
     assignment: dict[str, list[str]]
     decodes: int = 0
-    _generation: dict[str, int] = field(default_factory=dict)
     _newest: dict[str, _Chain] = field(default_factory=dict)
     _held: dict[tuple[str, str], _Chain] = field(default_factory=dict)
 
@@ -164,27 +167,31 @@ class FragmentStore:
         ``(0, 0, 0)`` without exporting or consuming a generation when no
         assigned host is alive (nowhere to ship).
         """
-        slots = self.assignment.get(owner, [])
-        live = tuple(index for index, host in enumerate(slots) if alive(host))
+        slots = self.assignment.get(owner, ())
+        up = [*map(alive, slots)]
+        live = tuple(compress(range(len(up)), up))
         if not live:
             return 0, 0, 0
-        hosts = list(dict.fromkeys(slots[index] for index in live))
         chain = self._newest.get(owner)
         keyframe = (
             chain is None or chain.slots != live or chain.delta_bytes > chain.keyframe_bytes
         )
         payload = serialize_payload(export(keyframe))
-        generation = self._generation.get(owner, 0) + 1
-        self._generation[owner] = generation
+        size = len(payload)
         if keyframe:
-            chain = self._newest[owner] = _Chain(generation, live, len(payload))
+            # generations number 1, 2, ... per owner; a chain holds a run of them
+            generation = 1 if chain is None else chain.keyframe + len(chain.generations)
+            hosts = dict.fromkeys(compress(slots, up))   # distinct, slot order
+            chain = self._newest[owner] = _Chain(generation, live, len(hosts), size)
             for host in hosts:
                 self._held[(owner, host)] = chain
         else:
-            chain.delta_bytes += len(payload)
-        fragments = rs_encode(payload_matrix(payload, self.k), self.n)[list(live)]
-        chain.generations.append((len(payload), fragments))
-        return len(payload), fragments.size, len(hosts)
+            chain.delta_bytes += size
+        fragments = rs_encode(payload_matrix(payload, self.k), self.n)
+        if len(live) < self.n:
+            fragments = fragments[list(live)]
+        chain.generations.append((size, fragments))
+        return size, fragments.size, chain.hosts
 
     def reconstruct(
         self, owner: str, alive: Callable[[str], bool]

@@ -43,10 +43,11 @@ _COLUMNS = (_FLOAT, _FLOAT, _FLOAT, _CODE)
 class SensorRecord(NamedTuple):
     """One sensor's replicated state in one generation.
 
-    The four columns are the shipped cache rows, oldest first; a record
-    that keeps nothing (``kept == 0``) holds its sensor's whole tail.
-    ``state`` is the tracker's declared state: each element a scalar or a
-    one-dimensional array of floats.
+    The four columns are the shipped cache rows, oldest first, as
+    one-dimensional C-contiguous arrays; a record that keeps nothing
+    (``kept == 0``) holds its sensor's whole tail.  ``state`` is the
+    tracker's declared state: each element a scalar or a one-dimensional
+    array of floats.
     """
 
     sensor: int
@@ -74,23 +75,21 @@ class _Structs(dict):
 
 #: a record's fixed fields and its state lengths, per state arity
 _HEADERS = _Structs(_RECORD.format + "{}i")
-#: a state's leading scalars, per count
-_SCALARS = _Structs("<{}d")
 
 
 def serialize_payload(records: Sequence[SensorRecord]) -> bytes:
     """One generation's records in the wire layout.
 
     A record is one header pack (its fixed fields and state lengths), its
-    four columns as buffers and its state's floats: the leading scalars in
-    one pack and the rest in one concatenation.  Every model family's state
-    is its scalars, then its arrays; one in another order is concatenated
-    whole.  So the rows are copied once, into the payload.  The columns may
-    be views of live cache rows: they are read here and nowhere later.
+    four columns as buffers and its state's floats in one concatenation,
+    so the rows are copied once, into the payload.  The columns may be
+    views of live cache rows: they are read here and nowhere later.  A
+    state element that is neither a scalar nor a one-dimensional array
+    raises ``ValueError``.
     """
     chunks: list = [_PAYLOAD.pack(WIRE_VERSION, len(records))]
     for sensor, first_s, kept, timestamps, values, stds, codes, family, state in records:
-        lengths = [*map(length_hint, state, repeat(-1))]   # an array's size, else -1
+        lengths = [*map(length_hint, state, repeat(-1))]   # an array's length, else -1
         arity = len(lengths)
         if (timestamps.dtype, values.dtype, stds.dtype, codes.dtype) != _COLUMNS:
             timestamps, values, stds, codes = map(
@@ -103,12 +102,14 @@ def serialize_payload(records: Sequence[SensorRecord]) -> bytes:
             stds,
             codes,
         )
-        lead = lengths.count(-1)   # the scalars, packed at once when they all lead
-        if -1 in lengths[lead:]:
-            lead = 0
-        chunks.append(_SCALARS[lead].pack(*state[:lead]))
-        if lead < arity:   # NumPy converts the rest element by element
-            chunks.append(np.concatenate(state[lead:], axis=None, dtype=_FLOAT))
+        if state:
+            floats = np.concatenate(state, axis=None, dtype=_FLOAT)
+            if floats.size != sum(map(abs, lengths)):   # a scalar's -1 is one float
+                raise ValueError(
+                    f"sensor {sensor}: a state element is neither a scalar "
+                    "nor a one-dimensional array"
+                )
+            chunks.append(floats)
     return b"".join(chunks)
 
 

@@ -441,22 +441,16 @@ class _RoutingCore:
         alive = set(compress(map(_NAME, proxies), map(_ALIVE, proxies)))
         up = alive.__contains__
         store = self._fragments
-        copies = store.n - store.k + 1   # the survivability-equivalent replication factor
-        payloads = shipped = full_copies = syncs = 0
         for owner in self._built:
             if owner not in alive:
                 continue
-            payload, fragment_bytes, live_hosts = store.sync(
+            payload, shipped, live_hosts = store.sync(
                 owner, functools.partial(self._export_owner, owner), up
             )
-            payloads += payload
-            shipped += fragment_bytes
-            full_copies += payload * min(copies, live_hosts)
-            syncs += live_hosts
-        self._coding.payload_bytes += payloads
-        self._coding.shipped_bytes += shipped
-        self._coding.full_copy_bytes += full_copies
-        self.routing.replica_syncs += syncs
+            self._coding.payload_bytes += payload
+            self._coding.shipped_bytes += shipped
+            self._coding.full_copy_bytes += payload * min(store.n - store.k + 1, live_hosts)
+            self.routing.replica_syncs += live_hosts
 
     def _replica_staleness(self, proxy_name: str) -> float:
         """Age of the newest entry live hosts hold for *proxy_name* now.

@@ -53,8 +53,6 @@ from repro.timeseries.linear import LinearBatch, batch_shape
 TRAJECTORY_EPOCHS = 4096
 #: the push flag of a trajectory step not recorded (yet, or ever)
 UNRECORDED = 2
-#: a tracker state's family tag: its model's index in MODEL_FAMILIES, from 1
-_FAMILY_TAGS = {family: tag for tag, family in enumerate(MODEL_FAMILIES, 1)}
 
 
 @dataclass(frozen=True)
@@ -376,8 +374,8 @@ class ProxyModelTracker:
 
         The tag indexes :data:`repro.timeseries.MODEL_FAMILIES` from 1.
         """
-        model = self._catch_up()
-        return _FAMILY_TAGS[type(model)], (
+        model = self._model
+        return MODEL_FAMILIES.index(type(model)) + 1, (
             self.delta,
             float(self.substitutions),
             float(self.pushes_applied),

@@ -155,8 +155,8 @@ class ARIMAModel(LinearRecursion):
     def _state_header(self) -> tuple:
         """``(p, d, q, period, long AR order)``; a long AR order of 0 means
         the default."""
-        return (float(self.p), float(self.d), float(self.q), self.sample_period_s,
-                float(self._long_ar_order or 0))
+        p, d, q, long_order = self.p, self.d, self.q, self._long_ar_order or 0
+        return (float(p), float(d), float(q), self.sample_period_s, float(long_order))
 
     @classmethod
     def _from_header(cls, header: tuple) -> "ARIMAModel":

@@ -113,7 +113,8 @@ class TimeSeriesModel(abc.ABC):
         """
 
     def state(self) -> tuple:
-        """The model's declared state: float64 arrays and scalars.
+        """The model's declared state: scalars and one-dimensional float64
+        arrays.
 
         Everything :meth:`from_state` needs to rebuild a model that
         predicts, steps and forecasts bit for bit like this one — the

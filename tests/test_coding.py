@@ -304,6 +304,17 @@ class TestWireLayout:
         with pytest.raises(ValueError, match="base holds no"):
             apply_delta({}, [record(1, [2.0], kept=1, first_s=1.0)])
 
+    def test_a_state_or_column_outside_the_layout_fails_loudly(self):
+        """A 2-D state element would write a length its floats do not
+        match, and a strided column is no buffer: both raise rather than
+        write bytes the reader misparses."""
+        grid = record(1, [0.0], family=1, state=(0.5, np.ones((2, 3))))
+        with pytest.raises(ValueError, match="sensor 1: a state element is neither"):
+            serialize_payload([grid])
+        strided = record(2, np.arange(6.0)[::2])
+        with pytest.raises((TypeError, BufferError)):
+            serialize_payload([strided])
+
 
 class TestFragmentStore:
     """Generations form chains: a keyframe and the deltas after it."""
